@@ -57,7 +57,8 @@ let line = String.make 78 '-'
 let header id title =
   Printf.printf "\n%s\n%s: %s\n%s\n" line id title line
 
-(* --smoke: one cheap iteration of the simulated experiments, for CI. *)
+(* --smoke: one cheap iteration of the simulated experiments, for CI.
+   Under --compare-only it is the gated file's own smoke flag. *)
 let smoke = ref false
 
 (* Wall-clock nanoseconds per run, estimated by Bechamel's OLS. *)
@@ -82,508 +83,289 @@ let ns_of ~name f =
     results nan
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_engine.json: machine-readable engine measurements             *)
+(* BENCH_engine.json: machine-readable experiment rows                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One record per (experiment, case, engine mode). Collected by the
-   engine-facing experiments as they print their tables, dumped once at
-   the end of the run. *)
-type engine_record = {
-  experiment : string;
-  case : string;
-  dispatch : bool;
-  events : int;
-  ns_per_event : float;
-  peak_tokens : int;
-  token_visits : int;
+(* One row of one array of BENCH_engine.json, fields in print order.
+   Experiments record rows as they print their tables; the driver
+   writes and gates them once at the end of the run. *)
+type row = { array : string; fields : (string * Json.t) list }
+
+let rows : row list ref = ref []
+
+let record array ~experiment fields =
+  rows :=
+    { array; fields = ("experiment", Json.String experiment) :: fields }
+    :: !rows
+
+(* Every array of the file, in file order. [owners] are the experiments
+   that fill it; [keys] pair a row with its baseline row; [columns] are
+   the fields every row carries after "experiment", in order; [shape]
+   names the claims its rows must uphold. *)
+type spec = {
+  name : string;
+  owners : string list;
+  keys : string list;
+  columns : string list;
+  shape : (string * (Json.t list -> bool)) list;
 }
 
-let engine_records : engine_record list ref = ref []
+(* String field [k] of object [j]. *)
+let text k j = Option.bind (Json.member k j) Json.to_string_opt
 
-let record_engine ~experiment ~case ~dispatch ~events ~ns_per_event
-    ~peak_tokens ~token_visits =
-  engine_records :=
-    { experiment; case; dispatch; events; ns_per_event; peak_tokens;
-      token_visits }
-    :: !engine_records
+let specs =
+  (* A missing or non-numeric field reads as nan, which fails every
+     comparison the claims make. *)
+  let num k r =
+    Option.value ~default:Float.nan
+      (Option.bind (Json.member k r) Json.to_float_opt)
+  in
+  let where k v rows = List.filter (fun r -> text k r = Some v) rows in
+  let values k rows = List.sort_uniq compare (List.filter_map (text k) rows) in
+  let pick k v rows =
+    match where k v rows with r :: _ -> r | [] -> Json.Null
+  in
+  let nonempty_all p rows = rows <> [] && List.for_all p rows in
+  [
+    { name = "records"; owners = [ "E2"; "E14" ];
+      keys = [ "experiment"; "case"; "dispatch" ];
+      columns =
+        [ "case"; "dispatch"; "events"; "ns_per_event"; "peak_tokens";
+          "token_visits" ];
+      shape = [] };
+    { name = "sessions"; owners = [ "E15" ];
+      keys = [ "experiment"; "case"; "phase" ];
+      columns =
+        [ "case"; "phase"; "requests"; "command_frames"; "wire_bytes";
+          "warm_setups"; "cache_hits"; "total_ms"; "rsa_ms"; "compile_ms" ];
+      shape = [] };
+    { name = "analysis"; owners = [ "E16" ]; keys = [ "case"; "depth" ];
+      columns =
+        [ "case"; "rules"; "pruned"; "diagnostics"; "analyze_ns"; "depth";
+          "bound_state_words"; "engine_peak_words" ];
+      shape = [] };
+    { name = "resilience"; owners = [ "E17" ]; keys = [ "case"; "fault_rate" ];
+      columns =
+        [ "case"; "fault_rate"; "requests"; "ok"; "typed_errors"; "retries";
+          "injected"; "frames"; "wire_bytes"; "link_ms_per_ok" ];
+      shape = [] };
+    { name = "obs"; owners = [ "E18" ]; keys = [ "case"; "mode" ];
+      columns =
+        [ "case"; "mode"; "events"; "ns_per_event"; "overhead_pct";
+          "trace_events"; "dropped"; "skip_considered"; "skipped_subtrees";
+          "skipped_bytes" ];
+      shape =
+        [ ( "modes off, metrics, sampled and full are all measured",
+            fun rows ->
+              List.for_all
+                (fun m -> where "mode" m rows <> [])
+                [ "off"; "metrics"; "sampled"; "full" ] ) ] };
+    { name = "fleet"; owners = [ "E19" ];
+      keys = [ "cards"; "streams"; "routing"; "phase" ];
+      columns =
+        [ "cards"; "streams"; "routing"; "phase"; "ok"; "errors"; "rejected";
+          "affinity_hits"; "fallbacks"; "reroutes"; "warm_setups";
+          "cache_hit_pct"; "queue_peak"; "p50_ms"; "p95_ms"; "p99_ms" ];
+      shape =
+        [ ( "routings are affinity and random",
+            fun rows -> values "routing" rows = [ "affinity"; "random" ] );
+          ( "phases are cold and warm",
+            fun rows -> values "phase" rows = [ "cold"; "warm" ] ) ] };
+    { name = "dissem"; owners = [ "E20" ]; keys = [ "subscribers"; "distinct" ];
+      columns =
+        [ "subscribers"; "distinct"; "clusters"; "mux_clusters";
+          "solo_clusters"; "evaluations"; "naive_evaluations"; "saved";
+          "fanout"; "p50_ms"; "p95_ms"; "naive_p50_ms"; "naive_p95_ms" ];
+      shape =
+        [ ( "no cell runs more evaluations than the per-subscriber baseline",
+            List.for_all (fun r ->
+                num "evaluations" r <= num "naive_evaluations" r) );
+          ( "every overlapping population runs strictly fewer evaluations",
+            fun rows ->
+              nonempty_all
+                (fun r -> num "evaluations" r < num "naive_evaluations" r)
+                (List.filter
+                   (fun r -> num "distinct" r < num "subscribers" r)
+                   rows) ) ] };
+    { name = "check"; owners = [ "E21" ];
+      keys = [ "model"; "alphabet"; "depth"; "fault_budget" ];
+      columns =
+        [ "model"; "alphabet"; "kinds"; "depth"; "fault_budget"; "states";
+          "transitions"; "dedup_hits"; "terminal_ok"; "terminal_failed";
+          "violations"; "cex_frames"; "ms"; "states_per_s" ];
+      shape =
+        [ ( "the current protocol verifies clean",
+            fun rows ->
+              nonempty_all (fun r -> num "violations" r = 0.0)
+                (where "model" "current" rows) );
+          ( "the pre-fix fixture yields one minimized counterexample",
+            fun rows ->
+              nonempty_all
+                (fun r -> num "violations" r = 1.0 && num "cex_frames" r >= 1.0)
+                (where "model" "pre-fix" rows) ) ] };
+    { name = "chaos"; owners = [ "E22" ]; keys = [ "phase" ];
+      columns =
+        [ "phase"; "requests"; "ok"; "errors"; "rejected"; "migrations";
+          "deaths"; "revives"; "standby_hits"; "availability_pct"; "p50_ms";
+          "p95_ms"; "p99_ms" ];
+      shape =
+        [ ( "no phase surfaces an error",
+            List.for_all (fun r -> num "errors" r = 0.0) );
+          ( "phases are steady, churn and recovered",
+            fun rows ->
+              values "phase" rows = [ "churn"; "recovered"; "steady" ] );
+          ( "migration absorbs the churn phase's one death",
+            fun rows ->
+              List.for_all
+                (fun r -> num "deaths" r = 1.0 && num "migrations" r >= 1.0)
+                (where "phase" "churn" rows) );
+          ( "the killed card revives in the recovered phase",
+            fun rows ->
+              List.for_all (fun r -> num "revives" r = 1.0)
+                (where "phase" "recovered" rows) ) ] };
+    { name = "sampling"; owners = [ "E23" ]; keys = [ "mode"; "budget" ];
+      columns =
+        [ "mode"; "budget"; "requests"; "traces_total"; "retained_trees";
+          "interesting_total"; "interesting_retained"; "retention_pct";
+          "storage_events"; "exemplar_ok" ];
+      shape =
+        [ ( "every exemplar resolves",
+            List.for_all (fun r ->
+                Json.member "exemplar_ok" r = Some (Json.Bool true)) );
+          ( "modes are full, head and tail",
+            fun rows -> values "mode" rows = [ "full"; "head"; "tail" ] );
+          ( "head and tail share one baseline budget",
+            fun rows ->
+              num "budget" (pick "mode" "head" rows)
+              = num "budget" (pick "mode" "tail" rows) );
+          ( "tail keeps 100% of the interesting trees",
+            fun rows -> num "retention_pct" (pick "mode" "tail" rows) = 100.0 );
+          (* Calibrated on the smoke drill's 21 interesting trees; the
+             full drill's 34 put head at 20.6%. *)
+          ( "on a smoke run, head keeps under 20% of them",
+            fun rows ->
+              (not !smoke)
+              || num "retention_pct" (pick "mode" "head" rows) < 20.0 );
+          ( "tail stores fewer events than full",
+            fun rows ->
+              num "storage_events" (pick "mode" "tail" rows)
+              < num "storage_events" (pick "mode" "full" rows) ) ] };
+  ]
 
-(* One record per (experiment, case, phase) of a multi-client serving
-   run: wire traffic from the pool, simulated card time from the meter.
-   Dumped as a second array ("sessions") in BENCH_engine.json. *)
-type session_record = {
-  s_experiment : string;
-  s_case : string;
-  s_phase : string;  (* "cold" | "warm" *)
-  s_requests : int;
-  s_command_frames : int;
-  s_wire_bytes : int;
-  s_warm_setups : int;  (* requests that skipped the setup upload *)
-  s_cache_hits : int;  (* prepared-evaluation cache hits on the card *)
-  s_total_ms : float;
-  s_rsa_ms : float;
-  s_compile_ms : float;
-}
+let schema = "sdds-bench-engine/10"
 
-let session_records : session_record list ref = ref []
+(* The run as the file holds it: floats keep three decimals and
+   non-finite values become null, so the in-memory gate and a later
+   --compare-only of the written file see the same values. *)
+let document () =
+  let cell = function
+    | Json.Float f when Float.is_finite f ->
+        Json.Float (float_of_string (Printf.sprintf "%.3f" f))
+    | Json.Float _ -> Json.Null
+    | v -> v
+  in
+  let recorded = List.rev !rows in
+  Json.Obj
+    (("schema", Json.String schema)
+    :: ("smoke", Json.Bool !smoke)
+    :: List.map
+         (fun spec ->
+           ( spec.name,
+             Json.List
+               (List.filter_map
+                  (fun r ->
+                    if r.array = spec.name then
+                      Some
+                        (Json.Obj
+                           (List.map (fun (k, v) -> (k, cell v)) r.fields))
+                    else None)
+                  recorded) ))
+         specs)
 
-let record_session ~experiment ~case ~phase ~requests ~command_frames
-    ~wire_bytes ~warm_setups ~cache_hits ~total_ms ~rsa_ms ~compile_ms =
-  session_records :=
-    { s_experiment = experiment; s_case = case; s_phase = phase;
-      s_requests = requests; s_command_frames = command_frames;
-      s_wire_bytes = wire_bytes; s_warm_setups = warm_setups;
-      s_cache_hits = cache_hits; s_total_ms = total_ms; s_rsa_ms = rsa_ms;
-      s_compile_ms = compile_ms }
-    :: !session_records
+let rows_of name doc =
+  Option.bind (Json.member name doc) Json.to_list_opt
+  |> Option.value ~default:[]
 
-(* One record per static-analysis case: analyzer cost, rules pruned,
-   and the static memory bound next to the engine's measured peak on
-   the case's document. Dumped as a third array ("analysis") in
-   BENCH_engine.json. *)
-type analysis_record = {
-  a_case : string;
-  a_rules : int;
-  a_pruned : int;
-  a_diagnostics : int;
-  a_analyze_ns : float;
-  a_depth : int;
-  a_bound_state_words : int;
-  a_engine_peak_words : int;
-}
+(* The file's layout: one member per line at the top, one row per line
+   in each array, floats with three decimals. *)
+let render doc =
+  let rec value = function
+    | Json.Float f -> Printf.sprintf "%.3f" f
+    | Json.List [] -> "[\n  ]"
+    | Json.List rows ->
+        "[\n    " ^ String.concat ",\n    " (List.map value rows) ^ "\n  ]"
+    | Json.Obj fields -> "{" ^ String.concat ", " (List.map field fields) ^ "}"
+    | v -> Json.to_string v
+  and field (k, v) = Json.to_string (Json.String k) ^ ": " ^ value v in
+  match doc with
+  | Json.Obj members ->
+      "{\n  " ^ String.concat ",\n  " (List.map field members) ^ "\n}\n"
+  | v -> value v ^ "\n"
 
-let analysis_records : analysis_record list ref = ref []
+let load_bench_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e ->
+      Printf.eprintf "bench: cannot read %s\n" e;
+      exit 2
+  | data -> (
+      match Json.parse data with
+      | Ok j -> j
+      | Error e ->
+          Printf.eprintf "bench: %s does not parse: %s\n" path e;
+          exit 2)
 
-let record_analysis ~case ~rules ~pruned ~diagnostics ~analyze_ns ~depth
-    ~bound_state_words ~engine_peak_words =
-  analysis_records :=
-    { a_case = case; a_rules = rules; a_pruned = pruned;
-      a_diagnostics = diagnostics; a_analyze_ns = analyze_ns;
-      a_depth = depth; a_bound_state_words = bound_state_words;
-      a_engine_peak_words = engine_peak_words }
-    :: !analysis_records
-
-(* One record per (case, fault-rate) point of the resilience experiment:
-   how throughput and simulated link latency degrade as the injector
-   drops, corrupts and tears. Dumped as a fourth array ("resilience") in
-   BENCH_engine.json. *)
-type resilience_record = {
-  r_case : string;
-  r_fault_rate : float;
-  r_requests : int;
-  r_ok : int;  (* requests that returned the exact authorized view *)
-  r_typed_errors : int;  (* requests that failed, with a typed error *)
-  r_retries : int;  (* recovery actions spent across the batch *)
-  r_injected : int;  (* faults the schedule actually injected *)
-  r_frames : int;  (* frames on the wire, retries included *)
-  r_wire_bytes : int;
-  r_link_ms_per_ok : float;  (* simulated serial-link ms per served view *)
-}
-
-let resilience_records : resilience_record list ref = ref []
-
-(* One record per (case, observability mode) of the overhead experiment:
-   ns/event with tracing off / metrics-only / sampled / full, plus the
-   skip-prune counters the full scope collected. Dumped as a fifth array
-   ("obs") in BENCH_engine.json. *)
-type obs_record = {
-  o_case : string;
-  o_mode : string;  (* "off" | "metrics" | "sampled" | "full" *)
-  o_events : int;
-  o_ns_per_event : float;
-  o_overhead_pct : float;  (* relative to the "off" mode *)
-  o_trace_events : int;  (* events resident in the ring after one run *)
-  o_dropped : int;
-  o_skip_considered : int;
-  o_skipped_subtrees : int;
-  o_skipped_bytes : int;
-}
-
-let obs_records : obs_record list ref = ref []
-
-let record_obs ~case ~mode ~events ~ns_per_event ~overhead_pct ~trace_events
-    ~dropped ~skip_considered ~skipped_subtrees ~skipped_bytes =
-  obs_records :=
-    { o_case = case; o_mode = mode; o_events = events;
-      o_ns_per_event = ns_per_event; o_overhead_pct = overhead_pct;
-      o_trace_events = trace_events; o_dropped = dropped;
-      o_skip_considered = skip_considered;
-      o_skipped_subtrees = skipped_subtrees; o_skipped_bytes = skipped_bytes }
-    :: !obs_records
-
-(* One record per (cards, streams, routing, phase) cell of the fleet
-   sweep: request outcomes, the routing mix, warm-path rates and the
-   tail-latency percentiles of the simulated per-card clocks. Dumped as
-   a sixth array ("fleet") in BENCH_engine.json. *)
-type fleet_record = {
-  f_cards : int;
-  f_streams : int;
-  f_routing : string;  (* "affinity" | "random" *)
-  f_phase : string;  (* "cold" | "warm" *)
-  f_ok : int;
-  f_errors : int;
-  f_rejected : int;
-  f_affinity_hits : int;
-  f_fallbacks : int;
-  f_reroutes : int;
-  f_warm_setups : int;  (* pool-level: setup upload skipped *)
-  f_cache_hit_pct : float;  (* card-level prepared-evaluation cache *)
-  f_queue_peak : int;
-  f_p50_ms : float;
-  f_p95_ms : float;
-  f_p99_ms : float;
-}
-
-let fleet_records : fleet_record list ref = ref []
-
-let record_fleet ~cards ~streams ~routing ~phase ~ok ~errors ~rejected
-    ~affinity_hits ~fallbacks ~reroutes ~warm_setups ~cache_hit_pct
-    ~queue_peak ~p50_ms ~p95_ms ~p99_ms =
-  fleet_records :=
-    { f_cards = cards; f_streams = streams; f_routing = routing;
-      f_phase = phase; f_ok = ok; f_errors = errors; f_rejected = rejected;
-      f_affinity_hits = affinity_hits; f_fallbacks = fallbacks;
-      f_reroutes = reroutes; f_warm_setups = warm_setups;
-      f_cache_hit_pct = cache_hit_pct; f_queue_peak = queue_peak;
-      f_p50_ms = p50_ms; f_p95_ms = p95_ms; f_p99_ms = p99_ms }
-    :: !fleet_records
-
-(* One record per phase of the chaos survivability run (E22): steady
-   state, churn (a card killed under load) and recovered (the card
-   revived). Availability is served-over-offered within the phase;
-   migrations/deaths/revives/standby hits are phase deltas. Dumped as a
-   ninth array ("chaos") in BENCH_engine.json. *)
-type chaos_record = {
-  c_phase : string;
-  c_requests : int;
-  c_ok : int;
-  c_errors : int;
-  c_rejected : int;
-  c_migrations : int;
-  c_deaths : int;
-  c_revives : int;
-  c_standby_hits : int;
-  c_availability_pct : float;
-  c_p50_ms : float;
-  c_p95_ms : float;
-  c_p99_ms : float;
-}
-
-let chaos_records : chaos_record list ref = ref []
-
-let record_chaos ~phase ~requests ~ok ~errors ~rejected ~migrations ~deaths
-    ~revives ~standby_hits ~availability_pct ~p50_ms ~p95_ms ~p99_ms =
-  chaos_records :=
-    { c_phase = phase; c_requests = requests; c_ok = ok; c_errors = errors;
-      c_rejected = rejected; c_migrations = migrations; c_deaths = deaths;
-      c_revives = revives; c_standby_hits = standby_hits;
-      c_availability_pct = availability_pct; c_p50_ms = p50_ms;
-      c_p95_ms = p95_ms; c_p99_ms = p99_ms }
-    :: !chaos_records
-
-(* One record per (subscribers, distinct rule sets) cell of the
-   dissemination sweep: the clustering plan, evaluations run vs the
-   per-subscriber baseline, and simulated delivery-latency percentiles
-   for the clustered gateway against naive sequential pushes. Dumped as
-   a seventh array ("dissem") in BENCH_engine.json. *)
-type dissem_record = {
-  d_subscribers : int;
-  d_distinct : int;  (* distinct policies in the population *)
-  d_clusters : int;
-  d_mux_clusters : int;
-  d_solo_clusters : int;
-  d_evaluations : int;
-  d_naive_evaluations : int;
-  d_saved : int;
-  d_fanout : float;  (* subscribers per evaluation *)
-  d_p50_ms : float;  (* clustered gateway delivery *)
-  d_p95_ms : float;
-  d_naive_p50_ms : float;  (* sequential per-subscriber pushes *)
-  d_naive_p95_ms : float;
-}
-
-let dissem_records : dissem_record list ref = ref []
-
-let record_dissem ~subscribers ~distinct ~clusters ~mux_clusters
-    ~solo_clusters ~evaluations ~naive_evaluations ~saved ~fanout ~p50_ms
-    ~p95_ms ~naive_p50_ms ~naive_p95_ms =
-  dissem_records :=
-    { d_subscribers = subscribers; d_distinct = distinct;
-      d_clusters = clusters; d_mux_clusters = mux_clusters;
-      d_solo_clusters = solo_clusters; d_evaluations = evaluations;
-      d_naive_evaluations = naive_evaluations; d_saved = saved;
-      d_fanout = fanout; d_p50_ms = p50_ms; d_p95_ms = p95_ms;
-      d_naive_p50_ms = naive_p50_ms; d_naive_p95_ms = naive_p95_ms }
-    :: !dissem_records
-
-(* One record per (model, fault alphabet, depth) cell of the protocol
-   checker sweep: search-space size, throughput, and whether the run
-   produced a counterexample (the pre-fix fixture rows must; the current
-   rows must not). Dumped as an eighth array ("check") in
-   BENCH_engine.json. *)
-type check_record = {
-  k_model : string;  (* "current" | "pre-fix" *)
-  k_alphabet : string;  (* "duplicate" | "loss" | "full" *)
-  k_kinds : int;  (* fault kinds in the alphabet *)
-  k_depth : int;
-  k_fault_budget : int;
-  k_states : int;  (* states expanded *)
-  k_transitions : int;
-  k_dedup_hits : int;
-  k_terminal_ok : int;
-  k_terminal_failed : int;
-  k_violations : int;  (* 0 or 1: the search stops at the first *)
-  k_cex_frames : int;  (* minimized schedule length; 0 when clean *)
-  k_ms : float;
-  k_states_per_s : float;
-}
-
-let check_records : check_record list ref = ref []
-
-let record_check ~model ~alphabet ~kinds ~depth ~fault_budget ~states
-    ~transitions ~dedup_hits ~terminal_ok ~terminal_failed ~violations
-    ~cex_frames ~ms ~states_per_s =
-  check_records :=
-    { k_model = model; k_alphabet = alphabet; k_kinds = kinds;
-      k_depth = depth; k_fault_budget = fault_budget; k_states = states;
-      k_transitions = transitions; k_dedup_hits = dedup_hits;
-      k_terminal_ok = terminal_ok; k_terminal_failed = terminal_failed;
-      k_violations = violations; k_cex_frames = cex_frames; k_ms = ms;
-      k_states_per_s = states_per_s }
-    :: !check_records
-
-(* One record per sampling mode of the retention-quality sweep (E23):
-   the same incident drill traced in full (ground truth), head-sampled
-   and tail-sampled at the same 1-in-N baseline budget, scored on how
-   many of the {e interesting} trees (error outcome, fault instant or a
-   migration span) survive into the export. Dumped as a tenth array
-   ("sampling") in BENCH_engine.json. *)
-type sampling_record = {
-  sa_mode : string;  (* "full" | "head" | "tail" *)
-  sa_budget : int;  (* 1-in-N baseline; 1 = keep everything *)
-  sa_requests : int;
-  sa_traces_total : int;  (* root spans the run produced *)
-  sa_retained_trees : int;  (* root spans present in the export *)
-  sa_interesting_total : int;  (* ground truth, from the full run *)
-  sa_interesting_retained : int;
-  sa_retention_pct : float;
-  sa_storage_events : int;  (* events resident in the export *)
-  sa_exemplar_ok : bool;  (* every exemplar resolves to a retained span *)
-}
-
-let sampling_records : sampling_record list ref = ref []
-
-let record_sampling ~mode ~budget ~requests ~traces_total ~retained_trees
-    ~interesting_total ~interesting_retained ~retention_pct ~storage_events
-    ~exemplar_ok =
-  sampling_records :=
-    { sa_mode = mode; sa_budget = budget; sa_requests = requests;
-      sa_traces_total = traces_total; sa_retained_trees = retained_trees;
-      sa_interesting_total = interesting_total;
-      sa_interesting_retained = interesting_retained;
-      sa_retention_pct = retention_pct; sa_storage_events = storage_events;
-      sa_exemplar_ok = exemplar_ok }
-    :: !sampling_records
-
-let record_resilience ~case ~fault_rate ~requests ~ok ~typed_errors ~retries
-    ~injected ~frames ~wire_bytes ~link_ms_per_ok =
-  resilience_records :=
-    { r_case = case; r_fault_rate = fault_rate; r_requests = requests;
-      r_ok = ok; r_typed_errors = typed_errors; r_retries = retries;
-      r_injected = injected; r_frames = frames; r_wire_bytes = wire_bytes;
-      r_link_ms_per_ok = link_ms_per_ok }
-    :: !resilience_records
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
-
-let write_bench_json () =
-  let records = List.rev !engine_records in
-  let sessions = List.rev !session_records in
-  let analyses = List.rev !analysis_records in
-  let resiliences = List.rev !resilience_records in
-  let obses = List.rev !obs_records in
-  let fleets = List.rev !fleet_records in
-  let dissems = List.rev !dissem_records in
-  let checks = List.rev !check_records in
-  let chaoses = List.rev !chaos_records in
-  let samplings = List.rev !sampling_records in
-  if
-    records = [] && sessions = [] && analyses = [] && resiliences = []
-    && obses = [] && fleets = [] && dissems = [] && checks = []
-    && chaoses = [] && samplings = []
-  then ()
-  else begin
-    let oc = open_out "BENCH_engine.json" in
-    Printf.fprintf oc "{\n  \"schema\": \"sdds-bench-engine/10\",\n";
-    Printf.fprintf oc "  \"smoke\": %b,\n" !smoke;
-    Printf.fprintf oc "  \"records\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": %S, \"case\": %S, \"dispatch\": %b, \
-           \"events\": %d, \"ns_per_event\": %s, \"peak_tokens\": %d, \
-           \"token_visits\": %d}%s\n"
-          r.experiment r.case r.dispatch r.events
-          (json_float r.ns_per_event)
-          r.peak_tokens r.token_visits
-          (if i = List.length records - 1 then "" else ","))
-      records;
-    Printf.fprintf oc "  ],\n  \"sessions\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": %S, \"case\": %S, \"phase\": %S, \
-           \"requests\": %d, \"command_frames\": %d, \"wire_bytes\": %d, \
-           \"warm_setups\": %d, \"cache_hits\": %d, \"total_ms\": %s, \
-           \"rsa_ms\": %s, \"compile_ms\": %s}%s\n"
-          r.s_experiment r.s_case r.s_phase r.s_requests r.s_command_frames
-          r.s_wire_bytes r.s_warm_setups r.s_cache_hits
-          (json_float r.s_total_ms) (json_float r.s_rsa_ms)
-          (json_float r.s_compile_ms)
-          (if i = List.length sessions - 1 then "" else ","))
-      sessions;
-    Printf.fprintf oc "  ],\n  \"analysis\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E16\", \"case\": %S, \"rules\": %d, \
-           \"pruned\": %d, \"diagnostics\": %d, \"analyze_ns\": %s, \
-           \"depth\": %d, \"bound_state_words\": %d, \
-           \"engine_peak_words\": %d}%s\n"
-          r.a_case r.a_rules r.a_pruned r.a_diagnostics
-          (json_float r.a_analyze_ns) r.a_depth r.a_bound_state_words
-          r.a_engine_peak_words
-          (if i = List.length analyses - 1 then "" else ","))
-      analyses;
-    Printf.fprintf oc "  ],\n  \"resilience\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E17\", \"case\": %S, \"fault_rate\": %s, \
-           \"requests\": %d, \"ok\": %d, \"typed_errors\": %d, \
-           \"retries\": %d, \"injected\": %d, \"frames\": %d, \
-           \"wire_bytes\": %d, \"link_ms_per_ok\": %s}%s\n"
-          r.r_case (json_float r.r_fault_rate) r.r_requests r.r_ok
-          r.r_typed_errors r.r_retries r.r_injected r.r_frames
-          r.r_wire_bytes
-          (json_float r.r_link_ms_per_ok)
-          (if i = List.length resiliences - 1 then "" else ","))
-      resiliences;
-    Printf.fprintf oc "  ],\n  \"obs\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E18\", \"case\": %S, \"mode\": %S, \
-           \"events\": %d, \"ns_per_event\": %s, \"overhead_pct\": %s, \
-           \"trace_events\": %d, \"dropped\": %d, \"skip_considered\": %d, \
-           \"skipped_subtrees\": %d, \"skipped_bytes\": %d}%s\n"
-          r.o_case r.o_mode r.o_events
-          (json_float r.o_ns_per_event)
-          (json_float r.o_overhead_pct)
-          r.o_trace_events r.o_dropped r.o_skip_considered
-          r.o_skipped_subtrees r.o_skipped_bytes
-          (if i = List.length obses - 1 then "" else ","))
-      obses;
-    Printf.fprintf oc "  ],\n  \"fleet\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E19\", \"cards\": %d, \"streams\": %d, \
-           \"routing\": %S, \"phase\": %S, \"ok\": %d, \"errors\": %d, \
-           \"rejected\": %d, \"affinity_hits\": %d, \"fallbacks\": %d, \
-           \"reroutes\": %d, \"warm_setups\": %d, \"cache_hit_pct\": %s, \
-           \"queue_peak\": %d, \"p50_ms\": %s, \"p95_ms\": %s, \
-           \"p99_ms\": %s}%s\n"
-          r.f_cards r.f_streams r.f_routing r.f_phase r.f_ok r.f_errors
-          r.f_rejected r.f_affinity_hits r.f_fallbacks r.f_reroutes
-          r.f_warm_setups
-          (json_float r.f_cache_hit_pct)
-          r.f_queue_peak (json_float r.f_p50_ms) (json_float r.f_p95_ms)
-          (json_float r.f_p99_ms)
-          (if i = List.length fleets - 1 then "" else ","))
-      fleets;
-    Printf.fprintf oc "  ],\n  \"dissem\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E20\", \"subscribers\": %d, \
-           \"distinct\": %d, \"clusters\": %d, \"mux_clusters\": %d, \
-           \"solo_clusters\": %d, \"evaluations\": %d, \
-           \"naive_evaluations\": %d, \"saved\": %d, \"fanout\": %s, \
-           \"p50_ms\": %s, \"p95_ms\": %s, \"naive_p50_ms\": %s, \
-           \"naive_p95_ms\": %s}%s\n"
-          r.d_subscribers r.d_distinct r.d_clusters r.d_mux_clusters
-          r.d_solo_clusters r.d_evaluations r.d_naive_evaluations r.d_saved
-          (json_float r.d_fanout) (json_float r.d_p50_ms)
-          (json_float r.d_p95_ms)
-          (json_float r.d_naive_p50_ms)
-          (json_float r.d_naive_p95_ms)
-          (if i = List.length dissems - 1 then "" else ","))
-      dissems;
-    Printf.fprintf oc "  ],\n  \"check\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E21\", \"model\": %S, \"alphabet\": %S, \
-           \"kinds\": %d, \"depth\": %d, \"fault_budget\": %d, \
-           \"states\": %d, \"transitions\": %d, \"dedup_hits\": %d, \
-           \"terminal_ok\": %d, \"terminal_failed\": %d, \
-           \"violations\": %d, \"cex_frames\": %d, \"ms\": %s, \
-           \"states_per_s\": %s}%s\n"
-          r.k_model r.k_alphabet r.k_kinds r.k_depth r.k_fault_budget
-          r.k_states r.k_transitions r.k_dedup_hits r.k_terminal_ok
-          r.k_terminal_failed r.k_violations r.k_cex_frames
-          (json_float r.k_ms)
-          (json_float r.k_states_per_s)
-          (if i = List.length checks - 1 then "" else ","))
-      checks;
-    Printf.fprintf oc "  ],\n  \"chaos\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E22\", \"phase\": %S, \"requests\": %d, \
-           \"ok\": %d, \"errors\": %d, \"rejected\": %d, \
-           \"migrations\": %d, \"deaths\": %d, \"revives\": %d, \
-           \"standby_hits\": %d, \"availability_pct\": %s, \"p50_ms\": %s, \
-           \"p95_ms\": %s, \"p99_ms\": %s}%s\n"
-          r.c_phase r.c_requests r.c_ok r.c_errors r.c_rejected
-          r.c_migrations r.c_deaths r.c_revives r.c_standby_hits
-          (json_float r.c_availability_pct)
-          (json_float r.c_p50_ms) (json_float r.c_p95_ms)
-          (json_float r.c_p99_ms)
-          (if i = List.length chaoses - 1 then "" else ","))
-      chaoses;
-    Printf.fprintf oc "  ],\n  \"sampling\": [\n";
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"experiment\": \"E23\", \"mode\": %S, \"budget\": %d, \
-           \"requests\": %d, \"traces_total\": %d, \"retained_trees\": %d, \
-           \"interesting_total\": %d, \"interesting_retained\": %d, \
-           \"retention_pct\": %s, \"storage_events\": %d, \
-           \"exemplar_ok\": %b}%s\n"
-          r.sa_mode r.sa_budget r.sa_requests r.sa_traces_total
-          r.sa_retained_trees r.sa_interesting_total
-          r.sa_interesting_retained
-          (json_float r.sa_retention_pct)
-          r.sa_storage_events r.sa_exemplar_ok
-          (if i = List.length samplings - 1 then "" else ","))
-      samplings;
-    Printf.fprintf oc "  ]\n}\n";
-    close_out oc;
-    Printf.printf
-      "\nwrote BENCH_engine.json (%d records, %d sessions, %d analyses, %d \
-       resilience points, %d obs points, %d fleet points, %d dissem \
-       points, %d check points, %d chaos points, %d sampling points)\n"
-      (List.length records) (List.length sessions) (List.length analyses)
-      (List.length resiliences) (List.length obses) (List.length fleets)
-      (List.length dissems) (List.length checks) (List.length chaoses)
-      (List.length samplings)
-  end
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
 (* ------------------------------------------------------------------ *)
-(* Perf-regression gate: compare BENCH_engine.json to a baseline       *)
+(* Perf-regression gate: shape claims, then a compare to a baseline    *)
 (* ------------------------------------------------------------------ *)
+
+let row_key keys row =
+  String.concat "|"
+    (List.map
+       (fun k ->
+         match Json.member k row with
+         | Some v -> Json.to_string v
+         | None -> "?")
+       keys)
+
+(* For every array an experiment in [selected] fills: each row carries
+   exactly "experiment" and the spec's columns, names one of the
+   array's owners, and every claim holds. Prints one line per failure
+   and returns their number. *)
+let check_shape ~selected doc =
+  let failures = ref 0 and claims = ref 0 in
+  List.iter
+    (fun spec ->
+      if List.exists (fun e -> List.mem e selected) spec.owners then begin
+        claims := !claims + List.length spec.shape;
+        let rows = rows_of spec.name doc in
+        let fail what =
+          incr failures;
+          Printf.printf "  SHAPE %s: %s\n" spec.name what
+        in
+        let columns = "experiment" :: spec.columns in
+        List.iter
+          (fun r ->
+            match (r, text "experiment" r) with
+            | Json.Obj fields, Some e
+              when List.map fst fields = columns && List.mem e spec.owners ->
+                ()
+            | _ ->
+                fail
+                  (Printf.sprintf "row [%s] is not {%s} from %s"
+                     (row_key spec.keys r) (String.concat ", " columns)
+                     (String.concat "/" spec.owners)))
+          rows;
+        List.iter
+          (fun (claim, holds) -> if not (holds rows) then fail claim)
+          spec.shape
+      end)
+    specs;
+  Printf.printf "bench shape: %d claim(s) checked, %d failure(s)\n" !claims
+    !failures;
+  !failures
 
 (* Wall-clock measurements move with machine load; simulated values are
    deterministic. The gate distinguishes four classes so it can be
@@ -607,238 +389,169 @@ let classify_field = function
   | _ -> Exact
 
 (* How far a wall-clock cost may grow (or a rate shrink) before the
-   gate trips: default 75%, overridable for noisy CI hosts. *)
+   gate trips: default 75%, overridable for noisy CI hosts. A value
+   that is not a positive number is refused rather than replaced. *)
 let wall_tolerance () =
   match Sys.getenv_opt "SDDS_BENCH_WALL_TOL" with
+  | None -> 0.75
   | Some s -> (
       match float_of_string_opt s with
-      | Some f when f > 0.0 -> f
-      | _ -> 0.75)
-  | None -> 0.75
+      | Some f when Float.is_finite f && f > 0.0 -> f
+      | _ ->
+          Printf.eprintf
+            "bench: bad SDDS_BENCH_WALL_TOL %S (want a positive number, e.g. \
+             0.75)\n"
+            s;
+          exit 2)
 
-(* Rows are matched across files by these per-array identity fields;
-   every other field is compared by its class. *)
-let identity_keys =
-  [
-    ("records", [ "experiment"; "case"; "dispatch" ]);
-    ("sessions", [ "experiment"; "case"; "phase" ]);
-    ("analysis", [ "case"; "depth" ]);
-    ("resilience", [ "case"; "fault_rate" ]);
-    ("obs", [ "case"; "mode" ]);
-    ("fleet", [ "cards"; "streams"; "routing"; "phase" ]);
-    ("dissem", [ "subscribers"; "distinct" ]);
-    ("check", [ "model"; "alphabet"; "depth"; "fault_budget" ]);
-    ("chaos", [ "phase" ]);
-    ("sampling", [ "mode"; "budget" ]);
-  ]
-
-let load_bench_json path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.parse data with
-  | Ok j -> j
-  | Error e ->
-      Printf.eprintf "bench: %s does not parse: %s\n" path e;
-      exit 2
-
-(* --inject-regression FIELD=FACTOR: multiply every numeric field named
-   FIELD in the current run before comparing — the self-test for the
-   gate (CI asserts the comparison then fails). *)
-let inject_regression spec j =
+(* --inject-regression FIELD=FACTOR: the self-test for the gate (CI
+   asserts the gate then fails). *)
+let parse_injection spec =
   match String.index_opt spec '=' with
   | None ->
       Printf.eprintf "bench: bad --inject-regression %S (want FIELD=FACTOR)\n"
         spec;
       exit 2
-  | Some i ->
-      let field = String.sub spec 0 i in
-      let factor =
-        match
-          float_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-        with
-        | Some f -> f
-        | None ->
-            Printf.eprintf "bench: bad --inject-regression factor in %S\n" spec;
-            exit 2
-      in
-      let rec go = function
-        | Json.Obj fields ->
-            Json.Obj
-              (List.map
-                 (fun (k, v) ->
-                   if k = field then
-                     match Json.to_float_opt v with
-                     | Some f -> (k, Json.Float (f *. factor))
-                     | None -> (k, go v)
-                   else (k, go v))
-                 fields)
-        | Json.List l -> Json.List (List.map go l)
-        | v -> v
-      in
-      go j
+  | Some i -> (
+      match
+        float_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
+      with
+      | Some f -> (String.sub spec 0 i, f)
+      | None ->
+          Printf.eprintf "bench: bad --inject-regression factor in %S\n" spec;
+          exit 2)
 
-let row_key keys row =
-  String.concat "|"
-    (List.map
-       (fun k ->
-         match Json.member k row with
-         | Some v -> Json.to_string v
-         | None -> "?")
-       keys)
+(* Multiply every numeric field named [field] of the gated document. *)
+let inject_regression (field, factor) j =
+  let rec go = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match Json.to_float_opt v with
+               | Some f when k = field -> (k, Json.Float (f *. factor))
+               | _ -> (k, go v))
+             fields)
+    | Json.List l -> Json.List (List.map go l)
+    | v -> v
+  in
+  go j
 
-(* Compare the freshly written BENCH_engine.json against [baseline_path].
-   Prints a readable diff; returns the number of regressions. *)
-let compare_baseline ?inject baseline_path =
-  let current = load_bench_json "BENCH_engine.json" in
-  let current =
-    match inject with None -> current | Some spec -> inject_regression spec current
-  in
-  let base = load_bench_json baseline_path in
-  let schema j =
-    Option.bind (Json.member "schema" j) Json.to_string_opt
-  in
-  (match (schema base, schema current) with
+(* Compare [current] against the baseline document: each field of a
+   matched row by its class, and every baseline row and field of a
+   [selected] experiment must be produced. Prints a readable diff;
+   returns the number of regressions. *)
+let compare_baseline ~tol ~selected ~baseline_path base current =
+  if text "schema" base <> Some schema || text "schema" current <> Some schema
+  then begin
+    Printf.eprintf
+      "bench: schema mismatch (want %s; baseline %s, current %s) — \
+       regenerate the baseline with --update-baseline\n"
+      schema
+      (Option.value ~default:"?" (text "schema" base))
+      (Option.value ~default:"?" (text "schema" current));
+    exit 2
+  end;
+  (match (Json.member "smoke" base, Json.member "smoke" current) with
   | Some b, Some c when b = c -> ()
   | b, c ->
+      let show = Option.fold ~none:"?" ~some:Json.to_string in
       Printf.eprintf
-        "bench: schema mismatch (baseline %s, current %s) — regenerate the \
-         baseline with --update-baseline\n"
-        (Option.value ~default:"?" b)
-        (Option.value ~default:"?" c);
-      exit 2);
-  (match
-     ( Option.bind (Json.member "smoke" base) (function
-         | Json.Bool b -> Some b
-         | _ -> None),
-       Option.bind (Json.member "smoke" current) (function
-         | Json.Bool b -> Some b
-         | _ -> None) )
-   with
-  | Some b, Some c when b <> c ->
-      Printf.eprintf
-        "bench: smoke mismatch (baseline %b, current %b) — a smoke run only \
+        "bench: smoke mismatch (baseline %s, current %s) — a smoke run only \
          compares against a smoke baseline\n"
-        b c;
-      exit 2
-  | _ -> ());
-  let tol = wall_tolerance () in
+        (show b) (show c);
+      exit 2);
   let regressions = ref 0 in
   let checked = ref 0 in
-  let complain array key field ~base ~cur reason =
+  let complain what reason =
     incr regressions;
-    Printf.printf "  REGRESSION %s[%s].%s: baseline %s -> current %s (%s)\n"
-      array key field base cur reason
+    Printf.printf "  REGRESSION %s: %s\n" what reason
   in
   let pct cur base =
     if base = 0.0 then Float.nan else 100.0 *. ((cur /. base) -. 1.0)
   in
+  let finite b c = Float.is_finite b && Float.is_finite c in
+  (* Why [cv] regresses from [bv] under [field]'s class, if it does. *)
+  let verdict field bv cv =
+    match
+      (classify_field field, Json.to_float_opt bv, Json.to_float_opt cv)
+    with
+    | Unstable, _, _ -> None
+    | Exact, _, _ ->
+        if cv <> bv then Some "deterministic field changed" else None
+    | Simulated, Some b, Some c ->
+        if
+          finite b c
+          && Float.abs (c -. b) > 0.05 *. Float.max 1.0 (Float.abs b)
+        then
+          Some
+            (Printf.sprintf "simulated value moved %+.1f%%, tolerance 5%%"
+               (pct c b))
+        else None
+    | Simulated, _, _ -> if cv <> bv then Some "value changed" else None
+    | Wall_cost, Some b, Some c
+      when finite b c && b > 0.0 && c > b *. (1.0 +. tol) ->
+        Some
+          (Printf.sprintf "wall-clock cost up %+.1f%%, tolerance %+.0f%%"
+             (pct c b) (100.0 *. tol))
+    | Wall_rate, Some b, Some c
+      when finite b c && b > 0.0 && c < b /. (1.0 +. tol) ->
+        Some
+          (Printf.sprintf "wall-clock rate down %.1f%%, tolerance %.0f%%"
+             (-.pct c b) (100.0 *. tol))
+    | (Wall_cost | Wall_rate), _, _ -> None
+  in
   List.iter
-    (fun (array, keys) ->
-      let rows j =
-        Option.bind (Json.member array j) Json.to_list_opt
-        |> Option.value ~default:[]
+    (fun spec ->
+      let brows = rows_of spec.name base
+      and crows = rows_of spec.name current in
+      let find key rows =
+        List.find_opt (fun r -> row_key spec.keys r = key) rows
       in
-      let brows = rows base and crows = rows current in
-      if crows <> [] || brows <> [] then begin
-        let index = Hashtbl.create 64 in
-        List.iter (fun r -> Hashtbl.replace index (row_key keys r) r) brows;
-        let matched = ref 0 in
-        List.iter
-          (fun crow ->
-            let key = row_key keys crow in
-            match Hashtbl.find_opt index key with
-            | None ->
-                Printf.printf "  note: %s[%s] is new (not in baseline)\n"
-                  array key
-            | Some brow ->
-                incr matched;
-                let fields =
-                  match crow with Json.Obj f -> f | _ -> []
-                in
-                List.iter
-                  (fun (field, cv) ->
-                    if not (List.mem field keys) then
-                      match Json.member field brow with
-                      | None ->
-                          Printf.printf
-                            "  note: %s[%s].%s is new (not in baseline)\n"
-                            array key field
-                      | Some bv -> (
-                          incr checked;
-                          let show v = Json.to_string v in
-                          match classify_field field with
-                          | Unstable -> ()
-                          | Exact ->
-                              if cv <> bv then
-                                complain array key field ~base:(show bv)
-                                  ~cur:(show cv) "deterministic field changed"
-                          | Simulated -> (
-                              match
-                                (Json.to_float_opt bv, Json.to_float_opt cv)
-                              with
-                              | Some b, Some c ->
-                                  if
-                                    Float.is_finite b && Float.is_finite c
-                                    && Float.abs (c -. b)
-                                       > 0.05 *. Float.max 1.0 (Float.abs b)
-                                  then
-                                    complain array key field ~base:(show bv)
-                                      ~cur:(show cv)
-                                      (Printf.sprintf
-                                         "simulated value moved %+.1f%%, \
-                                          tolerance 5%%"
-                                         (pct c b))
-                              | _ ->
-                                  if cv <> bv then
-                                    complain array key field ~base:(show bv)
-                                      ~cur:(show cv) "value changed")
-                          | Wall_cost -> (
-                              match
-                                (Json.to_float_opt bv, Json.to_float_opt cv)
-                              with
-                              | Some b, Some c ->
-                                  if
-                                    Float.is_finite b && Float.is_finite c
-                                    && b > 0.0
-                                    && c > b *. (1.0 +. tol)
-                                  then
-                                    complain array key field ~base:(show bv)
-                                      ~cur:(show cv)
-                                      (Printf.sprintf
-                                         "wall-clock cost up %+.1f%%, \
-                                          tolerance %+.0f%%"
-                                         (pct c b) (100.0 *. tol))
-                              | _ -> ())
-                          | Wall_rate -> (
-                              match
-                                (Json.to_float_opt bv, Json.to_float_opt cv)
-                              with
-                              | Some b, Some c ->
-                                  if
-                                    Float.is_finite b && Float.is_finite c
-                                    && b > 0.0
-                                    && c < b /. (1.0 +. tol)
-                                  then
-                                    complain array key field ~base:(show bv)
-                                      ~cur:(show cv)
-                                      (Printf.sprintf
-                                         "wall-clock rate down %.1f%%, \
-                                          tolerance %.0f%%"
-                                         (-.pct c b) (100.0 *. tol))
-                              | _ -> ())))
-                  fields)
-          crows;
-        let missing = List.length brows - !matched in
-        if missing > 0 then
-          Printf.printf
-            "  note: %d baseline row(s) of %S not produced by this run\n"
-            missing array
-      end)
-    identity_keys;
+      List.iter
+        (fun crow ->
+          let key = row_key spec.keys crow in
+          if find key brows = None then
+            Printf.printf "  note: %s[%s] is new (not in baseline)\n" spec.name
+              key)
+        crows;
+      List.iter
+        (fun brow ->
+          let key = row_key spec.keys brow in
+          let at field = Printf.sprintf "%s[%s].%s" spec.name key field in
+          match (text "experiment" brow, find key crows) with
+          | Some e, _ when not (List.mem e selected) -> ()
+          | _, None ->
+              complain
+                (Printf.sprintf "%s[%s]" spec.name key)
+                "baseline row not produced by this run"
+          | _, Some crow ->
+              let fields = function Json.Obj f -> f | _ -> [] in
+              List.iter
+                (fun (field, bv) ->
+                  if not (List.mem field spec.keys) then
+                    match Json.member field crow with
+                    | None ->
+                        complain (at field)
+                          "baseline field not produced by this run"
+                    | Some cv -> (
+                        incr checked;
+                        match verdict field bv cv with
+                        | None -> ()
+                        | Some reason ->
+                            complain (at field)
+                              (Printf.sprintf "baseline %s -> current %s (%s)"
+                                 (Json.to_string bv) (Json.to_string cv)
+                                 reason)))
+                (fields brow);
+              List.iter
+                (fun (field, _) ->
+                  if Json.member field brow = None then
+                    Printf.printf "  note: %s is new (not in baseline)\n"
+                      (at field))
+                (fields crow))
+        brows)
+    specs;
   Printf.printf
     "bench compare: %d field(s) checked against %s, %d regression(s), \
      wall tolerance %.0f%%\n"
@@ -944,10 +657,13 @@ let e2_rules_scaling () =
       List.iter (fun ev -> ignore (Engine.feed t ev)) events;
       Engine.finish t;
       let st = Engine.stats t in
-      record_engine ~experiment:"E2" ~case:(Printf.sprintf "rules-%d" n)
-        ~dispatch:true ~events:n_events ~ns_per_event:per_event
-        ~peak_tokens:st.Engine.peak_tokens
-        ~token_visits:st.Engine.token_visits;
+      record "records" ~experiment:"E2"
+        Json.
+          [ ("case", String (Printf.sprintf "rules-%d" n));
+            ("dispatch", Bool true); ("events", Int n_events);
+            ("ns_per_event", Float per_event);
+            ("peak_tokens", Int st.Engine.peak_tokens);
+            ("token_visits", Int st.Engine.token_visits) ];
       Printf.printf "%6d %12.0f %14.0f %12d %12d\n" n per_event
         (1e9 /. per_event) st.Engine.peak_tokens st.Engine.token_visits)
     [ 1; 2; 4; 8; 16; 32; 64; 128 ];
@@ -1602,11 +1318,13 @@ let e14_dispatch_ablation () =
     in
     Engine.finish t;
     let st = Engine.stats t in
-    record_engine ~experiment:"E14"
-      ~case:(if dispatch then "dispatch" else "naive")
-      ~dispatch ~events:n_events ~ns_per_event:per_event
-      ~peak_tokens:st.Engine.peak_tokens
-      ~token_visits:st.Engine.token_visits;
+    record "records" ~experiment:"E14"
+      Json.
+        [ ("case", String (if dispatch then "dispatch" else "naive"));
+          ("dispatch", Bool dispatch); ("events", Int n_events);
+          ("ns_per_event", Float per_event);
+          ("peak_tokens", Int st.Engine.peak_tokens);
+          ("token_visits", Int st.Engine.token_visits) ];
     Printf.printf "%-10s %12.0f %12d %12d\n"
       (if dispatch then "dispatch" else "naive")
       per_event st.Engine.peak_tokens st.Engine.token_visits;
@@ -1722,11 +1440,14 @@ let e15_session_cache () =
           "%7d %5s | %9.1f %9.3f %9.3f %9.1f | %8d %9d %5d %5d\n" n phase
           (ms /. float_of_int n)
           rsa comp xfer frames bytes warm hits;
-        record_session ~experiment:"E15"
-          ~case:(Printf.sprintf "streams-%d" n)
-          ~phase ~requests:n ~command_frames:frames ~wire_bytes:bytes
-          ~warm_setups:warm ~cache_hits:hits ~total_ms:ms ~rsa_ms:rsa
-          ~compile_ms:comp
+        record "sessions" ~experiment:"E15"
+          Json.
+            [ ("case", String (Printf.sprintf "streams-%d" n));
+              ("phase", String phase); ("requests", Int n);
+              ("command_frames", Int frames); ("wire_bytes", Int bytes);
+              ("warm_setups", Int warm); ("cache_hits", Int hits);
+              ("total_ms", Float ms); ("rsa_ms", Float rsa);
+              ("compile_ms", Float comp) ]
       in
       row "cold" cold_ms cold_rsa cold_comp cold_xfer cf cb cw cold_hits;
       row "warm" warm_ms warm_rsa warm_comp warm_xfer wf wb ww warm_hits;
@@ -1818,9 +1539,12 @@ let e16_static_analysis () =
       Printf.printf "%-16s %5d %6d %5d | %10.1f | %5d %11d %10d %6.1f\n"
         case (List.length rules) pruned diags (ns /. 1e3) depth bw peak
         (float_of_int bw /. float_of_int (max 1 peak));
-      record_analysis ~case ~rules:(List.length rules) ~pruned
-        ~diagnostics:diags ~analyze_ns:ns ~depth ~bound_state_words:bw
-        ~engine_peak_words:peak)
+      record "analysis" ~experiment:"E16"
+        Json.
+          [ ("case", String case); ("rules", Int (List.length rules));
+            ("pruned", Int pruned); ("diagnostics", Int diags);
+            ("analyze_ns", Float ns); ("depth", Int depth);
+            ("bound_state_words", Int bw); ("engine_peak_words", Int peak) ])
     [ ("agenda-redundant", agenda_doc, agenda_rules);
       ("hospital", hospital_doc, hospital_rules);
       ("random", random_doc, random_rules) ];
@@ -1928,10 +1652,14 @@ let e17_resilience () =
       in
       Printf.printf "%6.2f | %4d %6d %7d %8d | %8d %10d | %12.1f\n" rate ok
         errors retries injected frames wire link_ms_per_ok;
-      record_resilience
-        ~case:(Printf.sprintf "hospital-%d" n)
-        ~fault_rate:rate ~requests:n ~ok ~typed_errors:errors ~retries
-        ~injected ~frames ~wire_bytes:wire ~link_ms_per_ok)
+      record "resilience" ~experiment:"E17"
+        Json.
+          [ ("case", String (Printf.sprintf "hospital-%d" n));
+            ("fault_rate", Float rate); ("requests", Int n); ("ok", Int ok);
+            ("typed_errors", Int errors); ("retries", Int retries);
+            ("injected", Int injected); ("frames", Int frames);
+            ("wire_bytes", Int wire);
+            ("link_ms_per_ok", Float link_ms_per_ok) ])
     rates;
   print_endline
     "\nshape check: every view served under faults is byte-identical to\n\
@@ -2002,11 +1730,14 @@ let e18_observability () =
               Obs.Tracer.evicted o.Obs.tracer + Obs.Tracer.dropped_trees o.Obs.tracer,
               Obs.Metrics.counter_value o.Obs.metrics "skip.considered" )
       in
-      record_obs ~case:"hospital" ~mode ~events ~ns_per_event:per_event
-        ~overhead_pct:overhead ~trace_events:trace_ev ~dropped
-        ~skip_considered:considered
-        ~skipped_subtrees:res.Indexed_engine.skipped_subtrees
-        ~skipped_bytes:res.Indexed_engine.skipped_bytes;
+      record "obs" ~experiment:"E18"
+        Json.
+          [ ("case", String "hospital"); ("mode", String mode);
+            ("events", Int events); ("ns_per_event", Float per_event);
+            ("overhead_pct", Float overhead); ("trace_events", Int trace_ev);
+            ("dropped", Int dropped); ("skip_considered", Int considered);
+            ("skipped_subtrees", Int res.Indexed_engine.skipped_subtrees);
+            ("skipped_bytes", Int res.Indexed_engine.skipped_bytes) ];
       Printf.printf "%-8s %12.0f %9.1f%% %10d %9d\n" mode per_event overhead
         trace_ev dropped)
     [ "off"; "metrics"; "sampled"; "full" ];
@@ -2023,16 +1754,19 @@ let e18_observability () =
   let m = prune_obs.Obs.metrics in
   let considered = Obs.Metrics.counter_value m "skip.considered" in
   let pruned = Obs.Metrics.counter_value m "skip.pruned_subtrees" in
-  record_obs ~case:"hospital-prune" ~mode:"full"
-    ~events:prune_res.Indexed_engine.events_fed ~ns_per_event:Float.nan
-    ~overhead_pct:Float.nan
-    ~trace_events:(Obs.Tracer.recorded prune_obs.Obs.tracer)
-    ~dropped:
-      (Obs.Tracer.evicted prune_obs.Obs.tracer
-      + Obs.Tracer.dropped_trees prune_obs.Obs.tracer)
-    ~skip_considered:considered
-    ~skipped_subtrees:prune_res.Indexed_engine.skipped_subtrees
-    ~skipped_bytes:prune_res.Indexed_engine.skipped_bytes;
+  record "obs" ~experiment:"E18"
+    Json.
+      [ ("case", String "hospital-prune"); ("mode", String "full");
+        ("events", Int prune_res.Indexed_engine.events_fed);
+        ("ns_per_event", Null); ("overhead_pct", Null);
+        ("trace_events", Int (Obs.Tracer.recorded prune_obs.Obs.tracer));
+        ( "dropped",
+          Int
+            (Obs.Tracer.evicted prune_obs.Obs.tracer
+            + Obs.Tracer.dropped_trees prune_obs.Obs.tracer) );
+        ("skip_considered", Int considered);
+        ("skipped_subtrees", Int prune_res.Indexed_engine.skipped_subtrees);
+        ("skipped_bytes", Int prune_res.Indexed_engine.skipped_bytes) ];
   Printf.printf
     "\nskip-prune under a narrow rule set (//folder/prescription/drug) on \
      the E14 document:\n\
@@ -2220,14 +1954,20 @@ let e19_fleet () =
                     cards streams routing phase ok errors
                     (st.Fleet.reroutes - p.Fleet.reroutes)
                     warm hit_pct p50 p95 p99;
-                  record_fleet ~cards ~streams ~routing ~phase ~ok ~errors
-                    ~rejected:(st.Fleet.rejected - p.Fleet.rejected)
-                    ~affinity_hits:(st.Fleet.affinity_hits - p.Fleet.affinity_hits)
-                    ~fallbacks:(st.Fleet.fallbacks - p.Fleet.fallbacks)
-                    ~reroutes:(st.Fleet.reroutes - p.Fleet.reroutes)
-                    ~warm_setups:warm ~cache_hit_pct:hit_pct
-                    ~queue_peak:st.Fleet.queue_peak ~p50_ms:p50 ~p95_ms:p95
-                    ~p99_ms:p99)
+                  record "fleet" ~experiment:"E19"
+                    Json.
+                      [ ("cards", Int cards); ("streams", Int streams);
+                        ("routing", String routing); ("phase", String phase);
+                        ("ok", Int ok); ("errors", Int errors);
+                        ("rejected", Int (st.Fleet.rejected - p.Fleet.rejected));
+                        ( "affinity_hits",
+                          Int (st.Fleet.affinity_hits - p.Fleet.affinity_hits) );
+                        ("fallbacks", Int (st.Fleet.fallbacks - p.Fleet.fallbacks));
+                        ("reroutes", Int (st.Fleet.reroutes - p.Fleet.reroutes));
+                        ("warm_setups", Int warm); ("cache_hit_pct", Float hit_pct);
+                        ("queue_peak", Int st.Fleet.queue_peak);
+                        ("p50_ms", Float p50); ("p95_ms", Float p95);
+                        ("p99_ms", Float p99) ])
                 [ "cold"; "warm" ])
             [ "affinity"; "random" ])
         streams_list)
@@ -2419,14 +2159,18 @@ let e20_dissem () =
             stats.Sdds_dissem.Fanout.evaluations
             stats.Sdds_dissem.Fanout.naive_evaluations saved fanout p50 p95
             np50 np95;
-          record_dissem ~subscribers:n ~distinct
-            ~clusters:stats.Sdds_dissem.Fanout.clusters
-            ~mux_clusters:stats.Sdds_dissem.Fanout.mux_clusters
-            ~solo_clusters:stats.Sdds_dissem.Fanout.solo_clusters
-            ~evaluations:stats.Sdds_dissem.Fanout.evaluations
-            ~naive_evaluations:stats.Sdds_dissem.Fanout.naive_evaluations
-            ~saved ~fanout ~p50_ms:p50 ~p95_ms:p95 ~naive_p50_ms:np50
-            ~naive_p95_ms:np95)
+          record "dissem" ~experiment:"E20"
+            Json.
+              [ ("subscribers", Int n); ("distinct", Int distinct);
+                ("clusters", Int stats.Sdds_dissem.Fanout.clusters);
+                ("mux_clusters", Int stats.Sdds_dissem.Fanout.mux_clusters);
+                ("solo_clusters", Int stats.Sdds_dissem.Fanout.solo_clusters);
+                ("evaluations", Int stats.Sdds_dissem.Fanout.evaluations);
+                ( "naive_evaluations",
+                  Int stats.Sdds_dissem.Fanout.naive_evaluations );
+                ("saved", Int saved); ("fanout", Float fanout);
+                ("p50_ms", Float p50); ("p95_ms", Float p95);
+                ("naive_p50_ms", Float np50); ("naive_p95_ms", Float np95) ])
         (List.filter (fun d -> d <= n) [ 1; 4; 8; 16; 64 ]))
     n_list;
   print_endline
@@ -2485,14 +2229,19 @@ let e21_protocol_check () =
                 s.Explore.dedup_hits s.Explore.terminal_ok
                 s.Explore.terminal_failed violations cex_frames (dt *. 1000.)
                 states_per_s;
-              record_check ~model:mname ~alphabet:aname
-                ~kinds:(List.length alphabet) ~depth
-                ~fault_budget:config.Pmodel.fault_budget
-                ~states:s.Explore.expanded ~transitions:s.Explore.transitions
-                ~dedup_hits:s.Explore.dedup_hits
-                ~terminal_ok:s.Explore.terminal_ok
-                ~terminal_failed:s.Explore.terminal_failed ~violations
-                ~cex_frames ~ms:(dt *. 1000.) ~states_per_s)
+              record "check" ~experiment:"E21"
+                Json.
+                  [ ("model", String mname); ("alphabet", String aname);
+                    ("kinds", Int (List.length alphabet)); ("depth", Int depth);
+                    ("fault_budget", Int config.Pmodel.fault_budget);
+                    ("states", Int s.Explore.expanded);
+                    ("transitions", Int s.Explore.transitions);
+                    ("dedup_hits", Int s.Explore.dedup_hits);
+                    ("terminal_ok", Int s.Explore.terminal_ok);
+                    ("terminal_failed", Int s.Explore.terminal_failed);
+                    ("violations", Int violations);
+                    ("cex_frames", Int cex_frames); ("ms", Float (dt *. 1000.));
+                    ("states_per_s", Float states_per_s) ])
             depths)
         alphabets)
     models;
@@ -2649,9 +2398,14 @@ let e22_chaos () =
                    %8.2f %8.2f\n"
       phase ok errors rejected migrations deaths standby_hits availability
       p50 p95 p99;
-    record_chaos ~phase ~requests:(List.length outs) ~ok ~errors ~rejected
-      ~migrations ~deaths ~revives ~standby_hits
-      ~availability_pct:availability ~p50_ms:p50 ~p95_ms:p95 ~p99_ms:p99
+    record "chaos" ~experiment:"E22"
+      Json.
+        [ ("phase", String phase); ("requests", Int (List.length outs));
+          ("ok", Int ok); ("errors", Int errors); ("rejected", Int rejected);
+          ("migrations", Int migrations); ("deaths", Int deaths);
+          ("revives", Int revives); ("standby_hits", Int standby_hits);
+          ("availability_pct", Float availability); ("p50_ms", Float p50);
+          ("p95_ms", Float p95); ("p99_ms", Float p99) ]
   in
   List.iter run_phase [ "steady"; "churn"; "recovered" ];
   print_endline
@@ -2857,11 +2611,17 @@ let e23_sampling () =
       Printf.printf "%-6s %8d %8d %12d %12d %9.1f%% %9s\n" mode traces_total
         retained !ground_interesting int_kept retention_pct
         (if exemplar_ok then "resolve" else "DANGLING");
-      record_sampling ~mode ~budget:budget_of ~requests:(3 * per_phase)
-        ~traces_total ~retained_trees:retained
-        ~interesting_total:!ground_interesting
-        ~interesting_retained:int_kept ~retention_pct ~storage_events
-        ~exemplar_ok)
+      record "sampling" ~experiment:"E23"
+        Json.
+          [ ("mode", String mode); ("budget", Int budget_of);
+            ("requests", Int (3 * per_phase));
+            ("traces_total", Int traces_total);
+            ("retained_trees", Int retained);
+            ("interesting_total", Int !ground_interesting);
+            ("interesting_retained", Int int_kept);
+            ("retention_pct", Float retention_pct);
+            ("storage_events", Int storage_events);
+            ("exemplar_ok", Bool exemplar_ok) ])
     [ "full"; "head"; "tail" ];
   print_endline
     "\nshape check: the tail sampler keeps every interesting tree (the\n\
@@ -2905,7 +2665,7 @@ let experiments =
 let () =
   let baseline = ref None in
   let update_baseline = ref false in
-  let inject = ref None in
+  let injection = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--smoke" :: rest ->
@@ -2918,51 +2678,76 @@ let () =
         update_baseline := true;
         parse acc rest
     | "--inject-regression" :: spec :: rest ->
-        inject := Some spec;
+        injection := Some (parse_injection spec);
         parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (Array.to_list Sys.argv |> List.tl) in
-  (* After the experiments write BENCH_engine.json: either promote it to
-     the committed baseline, or gate this run against one. *)
-  let finish () =
-    write_bench_json ();
+  let tol = wall_tolerance () in
+  (* The gate: the shape claims of the [selected] experiments' arrays,
+     then (unless promoting) the compare against the baseline. Returns
+     the number of failures. *)
+  let gate ~selected doc =
+    let doc =
+      Option.fold ~none:doc ~some:(fun i -> inject_regression i doc) !injection
+    in
+    let failures = check_shape ~selected doc in
+    match !baseline with
+    | Some path when not !update_baseline ->
+        failures
+        + compare_baseline ~tol ~selected ~baseline_path:path
+            (load_bench_json path) doc
+    | _ -> failures
+  in
+  (* After the selected experiments ran: write their rows, gate them,
+     and promote them to the baseline when asked. *)
+  let finish selected =
+    let ids = List.map (fun (id, _, _) -> id) selected in
+    if !rows = [] && !update_baseline then begin
+      Printf.eprintf
+        "bench: %s recorded no rows; refusing to promote an empty run\n"
+        (String.concat " " ids);
+      exit 2
+    end;
+    let doc = document () in
+    let contents = render doc in
+    if !rows <> [] then begin
+      write_file "BENCH_engine.json" contents;
+      Printf.printf "\nwrote BENCH_engine.json (%s)\n"
+        (String.concat ", "
+           (List.map
+              (fun s ->
+                Printf.sprintf "%d %s"
+                  (List.length (rows_of s.name doc))
+                  s.name)
+              specs))
+    end;
+    if gate ~selected:ids doc > 0 then exit 1;
     if !update_baseline then begin
       let path = Option.value ~default:"BENCH_baseline.json" !baseline in
-      let ic = open_in_bin "BENCH_engine.json" in
-      let data =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc data);
+      write_file path contents;
       Printf.printf "promoted BENCH_engine.json to baseline %s\n" path
     end
-    else
-      match !baseline with
-      | Some path ->
-          if compare_baseline ?inject:!inject path > 0 then exit 1
-      | None -> ()
   in
   match args with
   | [ "--list" ] ->
       List.iter (fun (id, name, _) -> Printf.printf "%-4s %s\n" id name) experiments
-  | [ "--compare-only" ] -> (
-      (* Gate an existing BENCH_engine.json without re-running anything —
-         the CI self-test re-compares the smoke run's output with an
-         injected regression and expects the gate to trip. *)
-      match !baseline with
-      | Some path ->
-          if compare_baseline ?inject:!inject path > 0 then exit 1
-      | None ->
-          prerr_endline "--compare-only requires --baseline FILE";
-          exit 2)
+  | [ "--compare-only" ] ->
+      (* Gate an existing BENCH_engine.json without re-running anything,
+         holding it to every experiment — the CI self-tests re-gate the
+         smoke run's output with an injected regression and expect the
+         gate to trip. *)
+      if !baseline = None then begin
+        prerr_endline "--compare-only requires --baseline FILE";
+        exit 2
+      end;
+      let doc = load_bench_json "BENCH_engine.json" in
+      smoke := Json.member "smoke" doc = Some (Json.Bool true);
+      let selected = List.map (fun (id, _, _) -> id) experiments in
+      if gate ~selected doc > 0 then exit 1
   | [] ->
       List.iter (fun (_, _, run) -> run ()) experiments;
-      finish ()
+      finish experiments
   | wanted ->
       let matches (id, name, _) =
         List.exists
@@ -2977,5 +2762,5 @@ let () =
       end
       else begin
         List.iter (fun (_, _, run) -> run ()) selected;
-        finish ()
+        finish selected
       end

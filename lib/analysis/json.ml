@@ -116,9 +116,19 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match s.[!pos] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad hex digit in \\u escape"
+      in
+      v := (!v lsl 4) lor d;
+      advance ()
+    done;
+    !v
   in
   let add_utf8 buf cp =
     if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
@@ -202,18 +212,28 @@ let parse s =
     in
     go ()
   in
+  (* number = [ "-" ] ( "0" / digit1-9 *digit ) [ "." 1*digit ]
+     [ ( "e" / "E" ) [ "+" / "-" ] 1*digit ], so every lexeme that
+     gets through is one float_of_string accepts. *)
   let parse_number () =
     let start = !pos in
     let integral = ref true in
-    if peek () = Some '-' then advance ();
-    let rec digits () =
+    let rec more_digits () =
       match peek () with
       | Some ('0' .. '9') ->
           advance ();
-          digits ()
+          more_digits ()
       | _ -> ()
     in
-    digits ();
+    let digits () =
+      match peek () with
+      | Some ('0' .. '9') ->
+          advance ();
+          more_digits ()
+      | _ -> fail "expected digit"
+    in
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then advance () else digits ();
     (match peek () with
     | Some '.' ->
         integral := false;
@@ -230,7 +250,6 @@ let parse s =
         digits ()
     | _ -> ());
     let lexeme = String.sub s start (!pos - start) in
-    if lexeme = "" || lexeme = "-" then fail "expected number";
     if !integral then
       match int_of_string_opt lexeme with
       | Some i -> Int i

@@ -26,8 +26,10 @@ val pp : Format.formatter -> t -> unit
 val parse : string -> (t, string) result
 (** Full-document RFC 8259 parser: string escapes including [\uXXXX]
     surrogate pairs, numbers as {!Int} when the lexeme is integral and
-    fits, {!Float} otherwise. Rejects trailing garbage. The error
-    carries a byte offset. *)
+    fits, {!Float} otherwise. Number lexemes and [\u] escapes must
+    match the RFC grammar: [01], [-.5], [1.e5] and [1e] are errors,
+    like trailing garbage. Never raises: every input gives [Ok] or an
+    [Error] carrying a byte offset. *)
 
 (** {2 Walking parsed documents} *)
 

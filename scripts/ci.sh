@@ -1,9 +1,16 @@
 #!/bin/sh
-# Tier-1 CI gate: clean build, full test suite, and a tree-hygiene
-# check that no build artifacts are tracked.
+# Tier-1 CI gate: clean build, full test suite (library suites plus the
+# end-to-end CLI smokes in test/test_cli.ml), the bench perf gate and
+# its self-tests, a fault soak, the protocol check gate, the analyzer
+# over the example policies, docs, and a tree-hygiene check that no
+# build artifacts are tracked. Every claim about a JSON document is
+# checked in OCaml, so no step depends on an optional tool.
 set -eu
 
 cd "$(dirname "$0")/.."
+root="$PWD"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== dune build =="
 dune build
@@ -22,306 +29,67 @@ fi
 echo "wrapper gate: clean"
 
 echo "== bench smoke + perf-regression gate (E15..E23 vs BENCH_baseline.json) =="
-# The smoke run writes BENCH_engine.json and then compares it against
-# the committed baseline: deterministic (simulated) fields must match
-# within 5%, wall-clock costs may not grow more than SDDS_BENCH_WALL_TOL
+# The smoke run writes BENCH_engine.json and gates its rows in memory.
+# Each experiment's shape claims (the [specs] table in bench/main.ml:
+# columns, tail retention 100%, error-free chaos phases, ...) must
+# hold, and the compare against the committed baseline must find every
+# baseline row and field, deterministic fields exact, simulated fields
+# within 5%, wall-clock costs grown no more than SDDS_BENCH_WALL_TOL
 # (default 75%; widen on slow shared runners). Regenerate the baseline
 # with:  dune exec bench/main.exe -- --smoke E15 E16 E17 E18 E19 E20 \
 #        E21 E22 E23 --update-baseline
 dune exec bench/main.exe -- --smoke E15 E16 E17 E18 E19 E20 E21 E22 E23 \
   --baseline BENCH_baseline.json
 
-echo "== perf gate self-test: injected regression must trip =="
-# Re-compare the same run with every ns_per_event tripled: the gate is
-# only trustworthy if it actually fails when fed a regression.
-if dune exec bench/main.exe -- --compare-only \
-     --baseline BENCH_baseline.json --inject-regression ns_per_event=3; then
-  echo "error: perf gate did not trip on an injected 3x ns/event regression" >&2
-  exit 1
-fi
-echo "perf gate self-test: tripped as expected"
-
-echo "== BENCH_engine.json schema check =="
-# The smoke run above rewrites BENCH_engine.json; the schema must be /10
-# and carry the E18 "obs" array (observability overhead points), the
-# E19 "fleet" array (cards x streams serving points), the E20 "dissem"
-# array (subscribers x overlap dissemination points), the E21 "check"
-# array (protocol model checker sweep points), the E22 "chaos" array
-# (per-phase survivability points across a kill/revive cycle) and the
-# E23 "sampling" array (head vs tail retention quality).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json, sys
-with open("BENCH_engine.json") as f:
-    d = json.load(f)
-assert d["schema"] == "sdds-bench-engine/10", d["schema"]
-assert d["smoke"] is True, "smoke flag missing or false"
-obs = d["obs"]
-assert len(obs) >= 1, "empty obs array"
-modes = {r["mode"] for r in obs if r["experiment"] == "E18"}
-assert {"off", "metrics", "sampled", "full"} <= modes, modes
-for r in obs:
-    for k in ("case", "mode", "events", "trace_events", "dropped",
-              "skip_considered", "skipped_subtrees", "skipped_bytes"):
-        assert k in r, k
-fleet = d["fleet"]
-assert len(fleet) >= 1, "empty fleet array"
-for r in fleet:
-    assert r["experiment"] == "E19", r
-    for k in ("cards", "streams", "routing", "phase", "ok", "errors",
-              "rejected", "affinity_hits", "fallbacks", "reroutes",
-              "warm_setups", "cache_hit_pct", "queue_peak",
-              "p50_ms", "p95_ms", "p99_ms"):
-        assert k in r, k
-assert {r["routing"] for r in fleet} == {"affinity", "random"}
-assert {r["phase"] for r in fleet} == {"cold", "warm"}
-dissem = d["dissem"]
-assert len(dissem) >= 1, "empty dissem array"
-for r in dissem:
-    assert r["experiment"] == "E20", r
-    for k in ("subscribers", "distinct", "clusters", "mux_clusters",
-              "solo_clusters", "evaluations", "naive_evaluations",
-              "saved", "fanout", "p50_ms", "p95_ms", "naive_p50_ms",
-              "naive_p95_ms"):
-        assert k in r, k
-    assert r["evaluations"] <= r["naive_evaluations"], r
-# Sharing must actually happen: wherever two or more subscribers share a
-# rules digest (distinct < subscribers), strictly fewer evaluations run
-# than the per-subscriber baseline.
-shared = [r for r in dissem if r["distinct"] < r["subscribers"]]
-assert shared, "no overlapping population in the sweep"
-for r in shared:
-    assert r["evaluations"] < r["naive_evaluations"], r
-check = d["check"]
-assert len(check) >= 1, "empty check array"
-for r in check:
-    assert r["experiment"] == "E21", r
-    for k in ("model", "alphabet", "kinds", "depth", "fault_budget",
-              "states", "transitions", "dedup_hits", "terminal_ok",
-              "terminal_failed", "violations", "cex_frames", "ms",
-              "states_per_s"):
-        assert k in r, k
-# The production protocol must verify clean; the preserved pre-fix
-# fixture must yield exactly one minimized counterexample per row
-# (every smoke alphabet contains duplicate-command).
-cur = [r for r in check if r["model"] == "current"]
-assert cur, "no current-model rows in the check sweep"
-for r in cur:
-    assert r["violations"] == 0, r
-pre = [r for r in check if r["model"] == "pre-fix"]
-assert pre, "no pre-fix rows in the check sweep"
-for r in pre:
-    assert r["violations"] == 1 and r["cex_frames"] >= 1, r
-chaos = d["chaos"]
-assert len(chaos) >= 1, "empty chaos array"
-for r in chaos:
-    assert r["experiment"] == "E22", r
-    for k in ("phase", "requests", "ok", "errors", "rejected",
-              "migrations", "deaths", "revives", "standby_hits",
-              "availability_pct", "p50_ms", "p95_ms", "p99_ms"):
-        assert k in r, k
-    assert r["errors"] == 0, r
-phases = {r["phase"] for r in chaos}
-assert phases == {"steady", "churn", "recovered"}, phases
-churn = [r for r in chaos if r["phase"] == "churn"]
-# The kill must be absorbed by migration (not surfaced as errors), and
-# the revived card must come back in the recovered phase.
-assert all(r["deaths"] == 1 and r["migrations"] >= 1 for r in churn), churn
-rec = [r for r in chaos if r["phase"] == "recovered"]
-assert all(r["revives"] == 1 for r in rec), rec
-sampling = d["sampling"]
-assert len(sampling) >= 3, "sampling array too small"
-for r in sampling:
-    assert r["experiment"] == "E23", r
-    for k in ("mode", "budget", "requests", "traces_total",
-              "retained_trees", "interesting_total", "interesting_retained",
-              "retention_pct", "storage_events", "exemplar_ok"):
-        assert k in r, k
-    assert r["exemplar_ok"] is True, r
-by_mode = {r["mode"]: r for r in sampling}
-assert set(by_mode) == {"full", "head", "tail"}, set(by_mode)
-# The tentpole claim: at the same 1-in-N baseline budget, tail sampling
-# keeps every interesting (error/fault/migration) tree where head
-# sampling keeps roughly 1-in-N of them.
-assert by_mode["head"]["budget"] == by_mode["tail"]["budget"], by_mode
-assert by_mode["tail"]["retention_pct"] == 100.0, by_mode["tail"]
-assert by_mode["head"]["retention_pct"] < 20.0, by_mode["head"]
-assert (by_mode["tail"]["storage_events"]
-        < by_mode["full"]["storage_events"]), by_mode
-print("BENCH_engine.json: schema /10, %d obs + %d fleet + %d dissem + %d "
-      "check + %d chaos + %d sampling points; tail retention %.1f%% vs "
-      "head %.1f%%"
-      % (len(obs), len(fleet), len(dissem), len(check), len(chaos),
-         len(sampling), by_mode["tail"]["retention_pct"],
-         by_mode["head"]["retention_pct"]))
-EOF
-else
-  grep -q '"schema": "sdds-bench-engine/10"' BENCH_engine.json
-  grep -q '"obs": \[' BENCH_engine.json
-  grep -q '"mode": "full"' BENCH_engine.json
-  grep -q '"fleet": \[' BENCH_engine.json
-  grep -q '"experiment": "E19"' BENCH_engine.json
-  grep -q '"dissem": \[' BENCH_engine.json
-  grep -q '"experiment": "E20"' BENCH_engine.json
-  grep -q '"check": \[' BENCH_engine.json
-  grep -q '"experiment": "E21"' BENCH_engine.json
-  grep -q '"chaos": \[' BENCH_engine.json
-  grep -q '"experiment": "E22"' BENCH_engine.json
-  grep -q '"sampling": \[' BENCH_engine.json
-  grep -q '"experiment": "E23"' BENCH_engine.json
-  grep -q '"mode": "tail"' BENCH_engine.json
-  echo "BENCH_engine.json: schema /10 (python3 unavailable; grep check)"
-fi
-
-echo "== fleet smoke: 2 cards x 16 streams, fixed seed =="
-# The multi-card scheduler must serve every stream (no typed errors, no
-# admission rejections at this size) and affinity routing must actually
-# land repeat (doc, rules) keys on their ring card.
-fleet_out="$(dune exec bin/sdds_cli.exe -- fleet --cards 2 --streams 16 --seed 7 --json)"
-echo "$fleet_out"
-if command -v python3 >/dev/null 2>&1; then
-  FLEET_JSON="$fleet_out" python3 - <<'EOF'
-import json, os
-r = json.loads(os.environ["FLEET_JSON"])
-assert r["ok"] == 16, r
-assert r["errors"] == 0 and r["rejected"] == 0, r
-assert r["affinity_hits"] > 0, r
-assert r["p50_ms"] > 0 and r["p99_ms"] >= r["p50_ms"], r
-print("fleet smoke: 16/16 ok, %d affinity hits" % r["affinity_hits"])
-EOF
-else
-  printf '%s' "$fleet_out" | grep -q '"ok":16'
-  printf '%s' "$fleet_out" | grep -q '"errors":0'
-  printf '%s' "$fleet_out" | grep -q '"rejected":0'
-  printf '%s' "$fleet_out" | grep -qv '"affinity_hits":0,'
-  echo "fleet smoke ok (python3 unavailable; grep check)"
-fi
-
-echo "== chaos soak smoke: fixed-seed kill/revive/resize campaign =="
-# The acceptance campaign from the fleet-survivability work: 500
-# requests over 3 cards with 5% frame faults, 2 kills, 1 revive and 1
-# resize (seed 42 generates exactly that mix). Must exit 0 with zero
-# divergences from the golden single-card views, zero convergence
-# failures, and at least one session migration (the kills land on busy
-# cards). A non-zero exit prints a minimized replayable campaign — that
-# is the bug report.
-chaos_out="$(dune exec bin/sdds_cli.exe -- chaos --seed 42 --cards 3 \
-  --requests 500 --rate 0.05 --kills 2 --revives 1 --resizes 1 --json)" || {
-  echo "error: chaos soak diverged (see minimized replay above)" >&2
-  exit 1
+echo "== perf gate self-tests: broken runs and bad input must not pass =="
+# The gate is only trustworthy if it fails when fed a regression. Each
+# case re-gates the smoke run's BENCH_engine.json (or a doctored copy)
+# and expects the exit status given: 1 for a regression, 2 for input
+# the gate refuses.
+bench="$root/_build/default/bench/main.exe"
+expect_exit() {
+  want="$1"
+  shift
+  set +e
+  "$@" >"$tmp/gate.out" 2>&1
+  got=$?
+  set -e
+  if [ "$got" -ne "$want" ]; then
+    echo "error: perf gate exited $got, want $want: $*" >&2
+    cat "$tmp/gate.out" >&2
+    exit 1
+  fi
 }
-echo "$chaos_out"
-if command -v python3 >/dev/null 2>&1; then
-  CHAOS_JSON="$chaos_out" python3 - <<'EOF'
-import json, os
-r = json.loads(os.environ["CHAOS_JSON"])
-assert r["divergences"] == 0 and r["convergence_failures"] == 0, r
-assert r["errors"] == 0, r
-assert r["kills"] >= 2 and r["deaths"] >= 1, r
-assert r["migrations"] >= 1, r
-assert r["revives"] >= 1 and r["cards_added"] >= 1, r
-assert r["faults_injected"] > 0, r
-print("chaos soak: %d/%d ok (%d typed rejections), %d faults injected, "
-      "%d kills -> %d migrations, %d deaths, %d revives; 0 divergences"
-      % (r["ok"], r["requests"], r["rejected"], r["faults_injected"],
-         r["kills"], r["migrations"], r["deaths"], r["revives"]))
-EOF
-else
-  printf '%s' "$chaos_out" | grep -q '"divergences":0'
-  printf '%s' "$chaos_out" | grep -q '"convergence_failures":0'
-  printf '%s' "$chaos_out" | grep -q '"errors":0'
-  printf '%s' "$chaos_out" | grep -qv '"migrations":0,'
-  echo "chaos soak ok (python3 unavailable; grep check)"
-fi
-
-echo "== slo smoke: burn-rate page during churn, clean recovery =="
-# The three-phase incident drill with fixed seeds: the steady phase must
-# stay clean, the churn phase (kill + frame faults) must trip the
-# multi-window burn-rate page at least once (fault-retried requests land
-# in latency buckets steady traffic never touches), and the recovered
-# phase must be clean with every final verdict healthy — the fast
-# window drains after the incident, which is exactly the multi-window
-# alert clearing.
-slo_out="$(dune exec bin/sdds_cli.exe -- slo --json)"
-echo "$slo_out"
-if command -v python3 >/dev/null 2>&1; then
-  SLO_JSON="$slo_out" python3 - <<'EOF'
-import json, os
-phases = [json.loads(l) for l in os.environ["SLO_JSON"].splitlines() if l]
-by = {p["phase"]: p for p in phases}
-assert set(by) == {"steady", "churn", "recovered"}, set(by)
-assert by["steady"]["breach_ticks"] == 0, by["steady"]
-assert by["churn"]["breach_ticks"] > 0 and by["churn"]["breached"], by["churn"]
-assert by["recovered"]["breach_ticks"] == 0, by["recovered"]
-for p in phases:
-    assert p["errors"] == 0, p
-for v in by["recovered"]["verdicts"]:
-    assert v["breach"] is False, v
-print("slo smoke: page fired %d tick(s) during churn, steady/recovered clean"
-      % by["churn"]["breach_ticks"])
-EOF
-else
-  printf '%s' "$slo_out" | grep -q '"phase":"churn"'
-  printf '%s' "$slo_out" | grep -q '"breached":true'
-  echo "slo smoke ok (python3 unavailable; grep check)"
-fi
-
-echo "== minimized flake replay: tear-induced stale-channel regression =="
-# The fleet-differential qcheck used to flake when a card tear raced
-# MANAGE CHANNEL: the pool reused a pre-tear channel number the card had
-# already forgotten. The minimized reproduction is a single-card fleet
-# with one mid-stream tear and no other faults; it must serve every
-# request to the golden view (the directed regression in
-# test/test_fleet.ml covers the unit level, this replays it end-to-end).
-replay_out="$(dune exec bin/sdds_cli.exe -- chaos --seed 11 --cards 1 \
-  --requests 40 --rate 0 --campaign '@13:tear:0' --json)" || {
-  echo "error: minimized tear replay diverged" >&2
+# A tripled ns/event breaks the wall-clock band. A 97% tail retention
+# sits inside the simulated 5% band: only the E23 claim "tail keeps
+# 100%" catches it.
+for spec in ns_per_event=3 retention_pct=0.97; do
+  expect_exit 1 "$bench" --compare-only --baseline BENCH_baseline.json \
+    --inject-regression "$spec"
+done
+# A run that lost a baseline row (E22 churn) or field (E23 exemplar_ok).
+mkdir "$tmp/churn" "$tmp/exemplar"
+grep -v '"experiment": "E22", "phase": "churn"' BENCH_engine.json \
+  >"$tmp/churn/BENCH_engine.json"
+sed 's/, "exemplar_ok": true//' BENCH_engine.json \
+  >"$tmp/exemplar/BENCH_engine.json"
+for case in churn exemplar; do
+  (cd "$tmp/$case" &&
+    expect_exit 1 "$bench" --compare-only --baseline "$root/BENCH_baseline.json")
+done
+# E1 records no rows: promoting must refuse and write nothing, not copy
+# the BENCH_engine.json an earlier run left behind.
+expect_exit 2 "$bench" --smoke E1 --update-baseline --baseline "$tmp/promoted.json"
+if [ -e "$tmp/promoted.json" ]; then
+  echo "error: an empty run was promoted to a baseline" >&2
   exit 1
-}
-echo "$replay_out"
-printf '%s' "$replay_out" | grep -q '"divergences":0' || {
-  echo "error: tear replay reports divergences" >&2
-  exit 1
-}
-printf '%s' "$replay_out" | grep -q '"errors":0' || {
-  echo "error: tear replay surfaced typed errors" >&2
-  exit 1
-}
-echo "tear replay: clean"
-
-echo "== disseminate smoke: clustered fan-out shares evaluations =="
-# Three subscribers, two with byte-identical policies: the gateway must
-# cluster them, run strictly fewer evaluations than the per-subscriber
-# baseline, and still deliver a per-subscriber view to everyone.
-dsm="$(mktemp -d)"
-cat >"$dsm/rules.txt" <<'RULES'
-+, alice, //patient
--, alice, //ssn
-+, bob, //patient
--, bob, //ssn
-+, carol, //department
-RULES
-dissem_out="$(dune exec bin/sdds_cli.exe -- disseminate \
-  examples/policies/clinical.xml --rules-file "$dsm/rules.txt" --json)"
-echo "$dissem_out"
-if command -v python3 >/dev/null 2>&1; then
-  DISSEM_JSON="$dissem_out" python3 - <<'EOF'
-import json, os
-r = json.loads(os.environ["DISSEM_JSON"])
-assert r["subscribers"] == 3 and r["clusters"] == 2, r
-assert r["evaluations"] < r["naive_evaluations"], r
-assert len(r["delivered"]) == 3, r
-assert all("error" not in s for s in r["delivered"]), r
-print("disseminate smoke: %d clusters, %d/%d evaluations (saved %d)"
-      % (r["clusters"], r["evaluations"], r["naive_evaluations"], r["saved"]))
-EOF
-else
-  printf '%s' "$dissem_out" | grep -q '"subscribers":3'
-  printf '%s' "$dissem_out" | grep -q '"clusters":2'
-  printf '%s' "$dissem_out" | grep -qv '"error"'
-  echo "disseminate smoke ok (python3 unavailable; grep check)"
 fi
-rm -rf "$dsm"
+# A tolerance that is not a positive number, or no file to compare.
+expect_exit 2 env SDDS_BENCH_WALL_TOL=0,2 \
+  "$bench" --compare-only --baseline BENCH_baseline.json
+(cd "$tmp" &&
+  expect_exit 2 "$bench" --compare-only --baseline "$root/BENCH_baseline.json")
+echo "perf gate self-tests: every broken run tripped"
 
 echo "== fault soak: fixed-seed lossy links must converge to the golden view =="
 # End-to-end through the CLI: publish a store, take the fault-free view
@@ -329,8 +97,8 @@ echo "== fault soak: fixed-seed lossy links must converge to the golden view =="
 # run must exit 0 with stdout byte-identical to golden (the qcheck
 # properties in test/test_fault.ml cover the randomized version; this
 # pins a few deterministic seeds in CI).
-soak="$(mktemp -d)"
-trap 'rm -rf "$soak"' EXIT
+soak="$tmp/soak"
+mkdir "$soak"
 dune exec bin/sdds_cli.exe -- keygen -o "$soak/pub" >/dev/null
 dune exec bin/sdds_cli.exe -- keygen -o "$soak/alice" >/dev/null
 dune exec bin/sdds_cli.exe -- publish examples/policies/clinical.xml \
@@ -394,51 +162,6 @@ cmp -s "$soak/golden.xml" "$soak/cex.xml" || {
 }
 echo "protocol check: current clean at depth 12; pre-fix hole found,"
 echo "  spec '$cex_spec' replays to the golden view on the fixed stack"
-
-echo "== trace export smoke =="
-# A traced query must still produce the golden view, and the exports must
-# be well-formed: a Chrome trace with at least one proxy.request root
-# span, and a metrics snapshot whose counters reconcile.
-dune exec bin/sdds_cli.exe -- query --store "$soak/store" --id clinical \
-  -s alice --key "$soak/alice.sk" --fault-spec "seed=7,rate=0.2" \
-  --trace-out "$soak/trace.json" --metrics-out "$soak/metrics.json" \
-  >"$soak/traced.xml" 2>"$soak/err.txt" || {
-  echo "error: traced query failed" >&2
-  cat "$soak/err.txt" >&2
-  exit 1
-}
-cmp -s "$soak/golden.xml" "$soak/traced.xml" || {
-  echo "error: tracing changed the authorized view" >&2
-  exit 1
-}
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$soak/trace.json" "$soak/metrics.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    trace = json.load(f)
-events = trace["traceEvents"]
-roots = [e for e in events
-         if e.get("ph") == "X" and e.get("name") == "proxy.request"
-         and e.get("args", {}).get("parent") == "0"]
-assert roots, "no proxy.request root span in the trace"
-assert any(e.get("name") == "apdu" for e in events), "no apdu spans"
-with open(sys.argv[2]) as f:
-    m = json.load(f)
-c = m["counters"]
-assert c["engine.events"] == (c["engine.delivered"] + c["engine.suppressed"]
-                              + c["engine.filtered"]), c
-# Dropped commands never reach the host, so under injection the host sees
-# at most the frames the pool sent (duplicates are injected line-side).
-assert c["pool.command_frames"] >= 1 and c["apdu.commands"] >= 1, c
-print("trace: %d events, %d root request span(s); metrics reconcile"
-      % (len(events), len(roots)))
-EOF
-else
-  grep -q '"traceEvents":' "$soak/trace.json"
-  grep -q '"name":"proxy.request"' "$soak/trace.json"
-  grep -q '"counters":' "$soak/metrics.json"
-  echo "trace/metrics exports present (python3 unavailable; grep check)"
-fi
 
 echo "== static policy analysis over examples/policies =="
 for rules in examples/policies/*.rules; do

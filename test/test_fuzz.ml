@@ -149,6 +149,93 @@ let qcheck_apdu_fuzz =
       ignore (Sdds_soe.Apdu.decode_response s);
       true)
 
+module Json = Sdds_analysis.Json
+
+(* Bytes drawn half from the JSON alphabet (so number, escape and
+   nesting paths are reached deep) and half at random. *)
+let json_alphabet =
+  List.of_seq (String.to_seq "0123456789-+.eE\"\\u[]{}:,truefalsn ")
+
+let qcheck_json_parse_fuzz =
+  QCheck2.Test.make ~name:"json parser survives random bytes" ~count:1000
+    QCheck2.Gen.(
+      string_size
+        ~gen:(frequency [ (1, char); (1, oneofl json_alphabet) ])
+        (0 -- 40))
+    (fun s ->
+      match Json.parse s with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "Json.parse %S raised %s" s
+            (Printexc.to_string e))
+
+let gen_json =
+  QCheck2.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let scalar =
+             oneof
+               [ pure Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.String s) (string_size (0 -- 12)) ]
+           in
+           if n <= 1 then scalar
+           else
+             frequency
+               [ (2, scalar);
+                 ( 1,
+                   map
+                     (fun l -> Json.List l)
+                     (list_size (0 -- 4) (self (n / 4))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 4)
+                        (pair (string_size (0 -- 6)) (self (n / 4)))) ) ]))
+
+(* Equal as JSON: numbers by value (an integral float prints, and so
+   parses back, as an integer), non-finite floats as the null they
+   print as, everything else exactly. *)
+let rec json_equiv a b =
+  match (a, b) with
+  | Json.Float f, Json.Null -> not (Float.is_finite f)
+  | Json.Int x, Json.Int y -> x = y
+  | (Json.Int _ | Json.Float _), (Json.Int _ | Json.Float _) ->
+      Json.to_float_opt a = Json.to_float_opt b
+  | Json.List xs, Json.List ys ->
+      List.length xs = List.length ys && List.for_all2 json_equiv xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equiv x y) xs ys
+  | _ -> a = b
+
+let qcheck_json_roundtrip =
+  QCheck2.Test.make ~name:"json to_string then parse round-trips" ~count:500
+    ~print:Json.to_string gen_json (fun v ->
+      match Json.parse (Json.to_string v) with
+      | Ok v' -> json_equiv v v'
+      | Error e -> QCheck2.Test.fail_reportf "parse error: %s" e)
+
+(* Inputs the RFC 8259 grammar rejects, each with the byte the error
+   must name: truncated exponents, a bad \u escape, a leading zero, and
+   a fraction missing its digits on either side. *)
+let test_json_parse_rejects () =
+  List.iter
+    (fun (input, byte) ->
+      match Json.parse input with
+      | Ok v ->
+          Alcotest.failf "Json.parse %S accepted: %s" input (Json.to_string v)
+      | Error e ->
+          let suffix = Printf.sprintf "at byte %d" byte in
+          if not (String.ends_with ~suffix e) then
+            Alcotest.failf "Json.parse %S: %S does not end %S" input e suffix
+      | exception e ->
+          Alcotest.failf "Json.parse %S raised %s" input (Printexc.to_string e))
+    [ ("1e", 2); ("-e", 1); ("1E+", 3); ("\"\\uZZZZ\"", 3); ("01", 1);
+      ("-.5", 1); ("1.e5", 2) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_reader_fuzz;
@@ -158,4 +245,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_output_codec_fuzz;
     QCheck_alcotest.to_alcotest qcheck_rule_blob_fuzz;
     QCheck_alcotest.to_alcotest qcheck_apdu_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_json_parse_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+    Alcotest.test_case "json parser rejects non-RFC input" `Quick
+      test_json_parse_rejects;
   ]
