@@ -2210,9 +2210,15 @@ let e21_protocol_check () =
           List.iter
             (fun depth ->
               let config = { base with Pmodel.alphabet } in
-              let t0 = Sys.time () in
               let r = Explore.run ~depth config in
-              let dt = Sys.time () -. t0 in
+              (* One run of well under a millisecond is at the mercy of
+                 a GC slice: time it the way E10 and E14 do. *)
+              let dt =
+                ns_of
+                  ~name:(Printf.sprintf "%s-%s-%d" mname aname depth)
+                  (fun () -> ignore (Explore.run ~depth config))
+                /. 1e9
+              in
               let s = r.Explore.stats in
               let violations, cex_frames =
                 match r.Explore.cex with

@@ -1,6 +1,6 @@
-(* AES (FIPS 197). The S-box and GF(2^8) arithmetic tables are computed at
-   module initialization from first principles (log/antilog tables over the
-   generator 0x03), which avoids transcription errors in 256-entry magic
+(* AES (FIPS 197). The S-box and the round T-tables are computed at module
+   initialization from first principles (GF(2^8) multiplication and
+   Fermat inversion), which avoids transcription errors in 256-entry magic
    tables; correctness is pinned by the FIPS/NIST vectors in the tests. *)
 
 let block_size = 16
@@ -44,10 +44,39 @@ let () =
     inv_sbox.(s) <- x
   done
 
+(* --- T-tables ------------------------------------------------------------ *)
+
+(* A state column is one 32-bit word, row 0 in the top byte. [te_r.(x)] is
+   the MixColumns image of the column holding S(x) in row r and zero
+   elsewhere, so one round of SubBytes, ShiftRows and MixColumns is four
+   lookups and XORs per column. [td_r] does the same for InvSubBytes and
+   InvMixColumns. *)
+
+let column c0 c1 c2 c3 s =
+  (gmul s c0 lsl 24) lor (gmul s c1 lsl 16) lor (gmul s c2 lsl 8) lor gmul s c3
+
+let te0 = Array.init 256 (fun x -> column 2 1 1 3 sbox.(x))
+let te1 = Array.init 256 (fun x -> column 3 2 1 1 sbox.(x))
+let te2 = Array.init 256 (fun x -> column 1 3 2 1 sbox.(x))
+let te3 = Array.init 256 (fun x -> column 1 1 3 2 sbox.(x))
+let td0 = Array.init 256 (fun x -> column 14 9 13 11 inv_sbox.(x))
+let td1 = Array.init 256 (fun x -> column 11 14 9 13 inv_sbox.(x))
+let td2 = Array.init 256 (fun x -> column 13 11 14 9 inv_sbox.(x))
+let td3 = Array.init 256 (fun x -> column 9 13 11 14 inv_sbox.(x))
+
 (* --- Key schedule ------------------------------------------------------ *)
 
-type key = { round_keys : int array; nr : int; bits : int }
-(* round_keys: 4*(nr+1) words, each a 32-bit int, big-endian byte order. *)
+type key = {
+  round_keys : int array;
+  dec_keys : int array;
+  nr : int;
+  bits : int;
+}
+(* round_keys: 4*(nr+1) words, each a 32-bit int, big-endian byte order.
+   dec_keys: the same rounds in reverse order, InvMixColumns applied to
+   all but the first and last, for FIPS 197's equivalent inverse cipher
+   (5.3.5), which runs in the order of the forward cipher and so takes
+   the same table-driven rounds. *)
 
 let sub_word w =
   (sbox.((w lsr 24) land 0xff) lsl 24)
@@ -56,6 +85,13 @@ let sub_word w =
   lor sbox.(w land 0xff)
 
 let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xffffffff
+
+(* InvMixColumns of one column: td_r undoes the S-box, so feed it S(w). *)
+let inv_mix_word w =
+  td0.(sbox.(w lsr 24))
+  lxor td1.(sbox.((w lsr 16) land 0xff))
+  lxor td2.(sbox.((w lsr 8) land 0xff))
+  lxor td3.(sbox.(w land 0xff))
 
 let rcon =
   let r = Array.make 15 0 in
@@ -92,128 +128,89 @@ let expand_key k =
     in
     w.(i) <- w.(i - nk) lxor temp
   done;
-  { round_keys = w; nr; bits = 32 * nk }
+  let dw =
+    Array.init (4 * (nr + 1)) (fun i ->
+        let round = i / 4 in
+        let v = w.((4 * (nr - round)) + (i mod 4)) in
+        if round = 0 || round = nr then v else inv_mix_word v)
+  in
+  { round_keys = w; dec_keys = dw; nr; bits = 32 * nk }
 
 let key_bits k = k.bits
 
 (* --- Block transforms --------------------------------------------------- *)
 
-(* State is a 16-entry int array in FIPS layout: state.(r + 4*c). *)
+(* The state is four column words in int locals: no block allocates. *)
 
-let add_round_key key round st =
-  for c = 0 to 3 do
-    let w = key.round_keys.((4 * round) + c) in
-    st.(4 * c) <- st.(4 * c) lxor ((w lsr 24) land 0xff);
-    st.((4 * c) + 1) <- st.((4 * c) + 1) lxor ((w lsr 16) land 0xff);
-    st.((4 * c) + 2) <- st.((4 * c) + 2) lxor ((w lsr 8) land 0xff);
-    st.((4 * c) + 3) <- st.((4 * c) + 3) lxor (w land 0xff)
-  done
+let get_word b pos =
+  (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2)
 
-let sub_bytes st =
-  for i = 0 to 15 do
-    st.(i) <- sbox.(st.(i))
-  done
+let set_word b pos w =
+  Bytes.set_uint16_be b pos (w lsr 16);
+  Bytes.set_uint16_be b (pos + 2) (w land 0xffff)
 
-let inv_sub_bytes st =
-  for i = 0 to 15 do
-    st.(i) <- inv_sbox.(st.(i))
-  done
-
-(* Row r shifts left by r; with layout st.(r + 4c), row r is indices
-   r, r+4, r+8, r+12. *)
-let shift_rows st =
-  let t1 = st.(1) in
-  st.(1) <- st.(5);
-  st.(5) <- st.(9);
-  st.(9) <- st.(13);
-  st.(13) <- t1;
-  let t2 = st.(2) and t6 = st.(6) in
-  st.(2) <- st.(10);
-  st.(6) <- st.(14);
-  st.(10) <- t2;
-  st.(14) <- t6;
-  let t15 = st.(15) in
-  st.(15) <- st.(11);
-  st.(11) <- st.(7);
-  st.(7) <- st.(3);
-  st.(3) <- t15
-
-let inv_shift_rows st =
-  let t13 = st.(13) in
-  st.(13) <- st.(9);
-  st.(9) <- st.(5);
-  st.(5) <- st.(1);
-  st.(1) <- t13;
-  let t2 = st.(2) and t6 = st.(6) in
-  st.(2) <- st.(10);
-  st.(6) <- st.(14);
-  st.(10) <- t2;
-  st.(14) <- t6;
-  let t3 = st.(3) in
-  st.(3) <- st.(7);
-  st.(7) <- st.(11);
-  st.(11) <- st.(15);
-  st.(15) <- t3
-
-let mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- gmul a0 2 lxor gmul a1 3 lxor a2 lxor a3;
-    st.(i + 1) <- a0 lxor gmul a1 2 lxor gmul a2 3 lxor a3;
-    st.(i + 2) <- a0 lxor a1 lxor gmul a2 2 lxor gmul a3 3;
-    st.(i + 3) <- gmul a0 3 lxor a1 lxor a2 lxor gmul a3 2
-  done
-
-let inv_mix_columns st =
-  for c = 0 to 3 do
-    let i = 4 * c in
-    let a0 = st.(i) and a1 = st.(i + 1) and a2 = st.(i + 2) and a3 = st.(i + 3) in
-    st.(i) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    st.(i + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    st.(i + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    st.(i + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
-let load st src spos =
-  for i = 0 to 15 do
-    st.(i) <- Bytes.get_uint8 src (spos + i)
-  done
-
-let store st dst dpos =
-  for i = 0 to 15 do
-    Bytes.set_uint8 dst (dpos + i) st.(i)
-  done
+(* The last round has no (Inv)MixColumns: bytes through the S-box alone. *)
+let sub_column box a b c d =
+  (box.(a lsr 24) lsl 24)
+  lor (box.((b lsr 16) land 0xff) lsl 16)
+  lor (box.((c lsr 8) land 0xff) lsl 8)
+  lor box.(d land 0xff)
 
 let encrypt_block key src spos dst dpos =
-  let st = Array.make 16 0 in
-  load st src spos;
-  add_round_key key 0 st;
+  let rk = key.round_keys in
+  let s0 = ref (get_word src spos lxor rk.(0)) in
+  let s1 = ref (get_word src (spos + 4) lxor rk.(1)) in
+  let s2 = ref (get_word src (spos + 8) lxor rk.(2)) in
+  let s3 = ref (get_word src (spos + 12) lxor rk.(3)) in
   for round = 1 to key.nr - 1 do
-    sub_bytes st;
-    shift_rows st;
-    mix_columns st;
-    add_round_key key round st
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * round in
+    (* ShiftRows: column c takes row r from column c + r. *)
+    s0 :=
+      te0.(a0 lsr 24) lxor te1.((a1 lsr 16) land 0xff)
+      lxor te2.((a2 lsr 8) land 0xff) lxor te3.(a3 land 0xff) lxor rk.(k);
+    s1 :=
+      te0.(a1 lsr 24) lxor te1.((a2 lsr 16) land 0xff)
+      lxor te2.((a3 lsr 8) land 0xff) lxor te3.(a0 land 0xff) lxor rk.(k + 1);
+    s2 :=
+      te0.(a2 lsr 24) lxor te1.((a3 lsr 16) land 0xff)
+      lxor te2.((a0 lsr 8) land 0xff) lxor te3.(a1 land 0xff) lxor rk.(k + 2);
+    s3 :=
+      te0.(a3 lsr 24) lxor te1.((a0 lsr 16) land 0xff)
+      lxor te2.((a1 lsr 8) land 0xff) lxor te3.(a2 land 0xff) lxor rk.(k + 3)
   done;
-  sub_bytes st;
-  shift_rows st;
-  add_round_key key key.nr st;
-  store st dst dpos
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * key.nr in
+  set_word dst dpos (sub_column sbox a0 a1 a2 a3 lxor rk.(k));
+  set_word dst (dpos + 4) (sub_column sbox a1 a2 a3 a0 lxor rk.(k + 1));
+  set_word dst (dpos + 8) (sub_column sbox a2 a3 a0 a1 lxor rk.(k + 2));
+  set_word dst (dpos + 12) (sub_column sbox a3 a0 a1 a2 lxor rk.(k + 3))
 
 let decrypt_block key src spos dst dpos =
-  let st = Array.make 16 0 in
-  load st src spos;
-  add_round_key key key.nr st;
-  for round = key.nr - 1 downto 1 do
-    inv_shift_rows st;
-    inv_sub_bytes st;
-    add_round_key key round st;
-    inv_mix_columns st
+  let rk = key.dec_keys in
+  let s0 = ref (get_word src spos lxor rk.(0)) in
+  let s1 = ref (get_word src (spos + 4) lxor rk.(1)) in
+  let s2 = ref (get_word src (spos + 8) lxor rk.(2)) in
+  let s3 = ref (get_word src (spos + 12) lxor rk.(3)) in
+  for round = 1 to key.nr - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * round in
+    (* InvShiftRows: column c takes row r from column c - r. *)
+    s0 :=
+      td0.(a0 lsr 24) lxor td1.((a3 lsr 16) land 0xff)
+      lxor td2.((a2 lsr 8) land 0xff) lxor td3.(a1 land 0xff) lxor rk.(k);
+    s1 :=
+      td0.(a1 lsr 24) lxor td1.((a0 lsr 16) land 0xff)
+      lxor td2.((a3 lsr 8) land 0xff) lxor td3.(a2 land 0xff) lxor rk.(k + 1);
+    s2 :=
+      td0.(a2 lsr 24) lxor td1.((a1 lsr 16) land 0xff)
+      lxor td2.((a0 lsr 8) land 0xff) lxor td3.(a3 land 0xff) lxor rk.(k + 2);
+    s3 :=
+      td0.(a3 lsr 24) lxor td1.((a2 lsr 16) land 0xff)
+      lxor td2.((a1 lsr 8) land 0xff) lxor td3.(a0 land 0xff) lxor rk.(k + 3)
   done;
-  inv_shift_rows st;
-  inv_sub_bytes st;
-  add_round_key key 0 st;
-  store st dst dpos
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * key.nr in
+  set_word dst dpos (sub_column inv_sbox a0 a3 a2 a1 lxor rk.(k));
+  set_word dst (dpos + 4) (sub_column inv_sbox a1 a0 a3 a2 lxor rk.(k + 1));
+  set_word dst (dpos + 8) (sub_column inv_sbox a2 a1 a0 a3 lxor rk.(k + 2));
+  set_word dst (dpos + 12) (sub_column inv_sbox a3 a2 a1 a0 lxor rk.(k + 3))
 
 let encrypt_block_string key s =
   if String.length s <> 16 then invalid_arg "Aes.encrypt_block_string";

@@ -1,10 +1,15 @@
 (** AES block cipher (FIPS 197), from scratch.
 
     The SOE decrypts document chunks with AES; the cost model charges per
-    block processed. Key sizes 128, 192 and 256 bits are supported. This is
-    a straightforward, constant-table implementation: correct and fast
-    enough for simulation, not hardened against side channels (the threat
-    model puts the cipher inside the tamper-resistant SOE). *)
+    block processed. Key sizes 128, 192 and 256 bits are supported. Rounds
+    are table-driven: four 256-entry tables of 32-bit words fold SubBytes,
+    ShiftRows and MixColumns into four lookups and XORs per column, four
+    more do the same for decryption (FIPS 197's equivalent inverse cipher,
+    its round keys derived once in {!expand_key}), and the state lives in
+    four integers, so a block allocates nothing. Lookups are indexed by
+    secret bytes: the implementation is not hardened against cache-timing
+    side channels (the threat model puts the cipher inside the
+    tamper-resistant SOE). *)
 
 type key
 

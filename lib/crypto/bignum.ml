@@ -50,14 +50,11 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1)
+
 let bit_length a =
   let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + width a.(n - 1) 0
 
 let add (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
@@ -131,26 +128,93 @@ let shift_left (a : t) bits : t =
     normalize r
   end
 
-(* Compare a with (b << bits); avoids materializing the shift. *)
-let compare_shifted (a : t) (b : t) bits =
-  compare a (shift_left b bits)
-
-(* Binary long division: adequate for the 512–1024 bit moduli of the
-   simulated PKI. *)
+(* Schoolbook division, Knuth TAOCP vol. 2, 4.3.1, Algorithm D: one
+   quotient limb per step, estimated from the top two limbs of the running
+   remainder and the top limb of the divisor. Normalizing the divisor so its
+   top limb has its high bit set makes the estimate at most 2 too large;
+   the test against the second divisor limb leaves it at most 1 too large,
+   and that rarely (probability about 2/2^26): the add-back step repairs
+   it. Intermediate values stay below 2^53, inside native ints. *)
 let divmod (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
   else begin
-    let shift = bit_length a - bit_length b in
-    let q = Array.make ((shift / limb_bits) + 1) 0 in
-    let r = ref a in
-    for i = shift downto 0 do
-      if compare_shifted !r b i >= 0 then begin
-        r := sub !r (shift_left b i);
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end
-    done;
-    (normalize q, !r)
+    let base = 1 lsl limb_bits in
+    let la = Array.length a and n = Array.length b in
+    if n = 1 then begin
+      (* Short division by one limb. *)
+      let d = b.(0) in
+      let q = Array.make la 0 in
+      let r = ref 0 in
+      for i = la - 1 downto 0 do
+        let cur = (!r lsl limb_bits) lor a.(i) in
+        q.(i) <- cur / d;
+        r := cur mod d
+      done;
+      (normalize q, normalize [| !r |])
+    end
+    else begin
+      (* D1: scale both operands so the divisor's top limb is >= base/2. *)
+      let s = limb_bits - width b.(n - 1) 0 in
+      let scale x len =
+        let r = Array.make len 0 in
+        let carry = ref 0 in
+        for i = 0 to Array.length x - 1 do
+          let v = (x.(i) lsl s) lor !carry in
+          r.(i) <- v land limb_mask;
+          carry := v lsr limb_bits
+        done;
+        if len > Array.length x then r.(Array.length x) <- !carry;
+        r
+      in
+      let u = scale a (la + 1) and v = scale b n in
+      let m = la - n in
+      let q = Array.make (m + 1) 0 in
+      let v1 = v.(n - 1) and v2 = v.(n - 2) in
+      for j = m downto 0 do
+        (* D3: estimate q from the top two limbs, then refine. *)
+        let top = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+        let qhat = ref (top / v1) and rhat = ref (top mod v1) in
+        while
+          !rhat < base
+          && (!qhat >= base
+             || !qhat * v2 > (!rhat lsl limb_bits) lor u.(j + n - 2))
+        do
+          decr qhat;
+          rhat := !rhat + v1
+        done;
+        (* D4: u[j..j+n] -= qhat * v. [borrow] is 0 or -1. *)
+        let carry = ref 0 and borrow = ref 0 in
+        for i = 0 to n - 1 do
+          let p = (!qhat * v.(i)) + !carry in
+          carry := p lsr limb_bits;
+          let t = u.(i + j) - (p land limb_mask) + !borrow in
+          u.(i + j) <- t land limb_mask;
+          borrow := t asr limb_bits
+        done;
+        let t = u.(j + n) - !carry + !borrow in
+        if t >= 0 then u.(j + n) <- t
+        else begin
+          (* D6: qhat was one too large; add the divisor back. *)
+          decr qhat;
+          let carry = ref 0 in
+          for i = 0 to n - 1 do
+            let sum = u.(i + j) + v.(i) + !carry in
+            u.(i + j) <- sum land limb_mask;
+            carry := sum lsr limb_bits
+          done;
+          u.(j + n) <- (t + !carry) land limb_mask
+        end;
+        q.(j) <- !qhat
+      done;
+      (* D8: the remainder is u[0..n-1] (u[n] is now 0), unscaled. *)
+      let r = Array.make n 0 in
+      for i = 0 to n - 1 do
+        r.(i) <-
+          ((u.(i) lsr s) lor (u.(i + 1) lsl (limb_bits - s))) land limb_mask
+      done;
+      (normalize q, normalize r)
+    end
   end
 
 let rem a b = snd (divmod a b)
@@ -202,11 +266,17 @@ let mod_inverse a ~modulus =
   end
 
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter
-    (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c)))
-    s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  for i = 0 to len - 1 do
+    (* Byte i from the least significant end, at bit 8i. *)
+    let byte = Char.code s.[len - 1 - i] and bit = 8 * i in
+    let limb = bit / limb_bits and off = bit mod limb_bits in
+    r.(limb) <- r.(limb) lor ((byte lsl off) land limb_mask);
+    if off > limb_bits - 8 then
+      r.(limb + 1) <- r.(limb + 1) lor (byte lsr (limb_bits - off))
+  done;
+  normalize r
 
 let to_bytes_be a =
   let nbytes = (bit_length a + 7) / 8 in

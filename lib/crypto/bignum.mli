@@ -1,9 +1,11 @@
 (** Arbitrary-precision natural numbers, from scratch.
 
     Just enough multiprecision arithmetic for the simulated PKI ({!Rsa}):
-    schoolbook multiplication, binary long division, modular exponentiation,
-    extended GCD and Miller–Rabin. Values are immutable; all numbers are
-    non-negative (subtraction of a larger from a smaller raises). *)
+    schoolbook multiplication, schoolbook division over 26-bit limbs
+    (Knuth's Algorithm D, TAOCP 4.3.1: one quotient limb per step),
+    modular exponentiation, extended GCD and Miller–Rabin. Values are
+    immutable; all numbers are non-negative (subtraction of a larger from
+    a smaller raises). *)
 
 type t
 

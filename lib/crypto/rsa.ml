@@ -33,10 +33,9 @@ let pad_block ~block_type ~ps k payload =
   let ps_len = k - 3 - String.length payload in
   "\x00" ^ String.make 1 (Char.chr block_type) ^ ps ps_len ^ "\x00" ^ payload
 
-let unpad_block ~block_type block =
+let unpad_block block =
   let len = String.length block in
-  if len < 11 || block.[0] <> '\x00' || Char.code block.[1] <> block_type then
-    None
+  if len < 11 || block.[0] <> '\x00' || block.[1] <> '\x02' then None
   else begin
     match String.index_from_opt block 2 '\x00' with
     | None -> None
@@ -67,31 +66,33 @@ let decrypt sec cipher =
     if Bignum.compare c sec.n >= 0 then None
     else begin
       let m = Bignum.mod_pow ~base:c ~exp:sec.d ~modulus:sec.n in
-      unpad_block ~block_type:2 (Bignum.to_bytes_be_padded m k)
+      unpad_block (Bignum.to_bytes_be_padded m k)
     end
   end
 
+(* The type-01 block over the digest: sign encrypts it, verify rebuilds it
+   and compares byte for byte (RFC 8017, 8.2.2), so no other block passes. *)
+let signature_block k msg =
+  pad_block ~block_type:1 ~ps:(fun n -> String.make n '\xff') k
+    (Sha256.digest msg)
+
 let sign sec msg =
   let k = (Bignum.bit_length sec.n + 7) / 8 in
-  let digest = Sha256.digest msg in
-  let block =
-    pad_block ~block_type:1 ~ps:(fun n -> String.make n '\xff') k digest
-  in
-  let m = Bignum.of_bytes_be block in
+  let m = Bignum.of_bytes_be (signature_block k msg) in
   let s = Bignum.mod_pow ~base:m ~exp:sec.d ~modulus:sec.n in
   Bignum.to_bytes_be_padded s k
 
 let verify (pub : public) msg ~signature =
   let k = modulus_bytes pub in
   String.length signature = k
+  (* A modulus too small to hold a signature block verifies nothing. *)
+  && k >= Sha256.digest_size + 11
   &&
   let s = Bignum.of_bytes_be signature in
   Bignum.compare s pub.n < 0
   &&
   let m = Bignum.mod_pow ~base:s ~exp:pub.e ~modulus:pub.n in
-  match unpad_block ~block_type:1 (Bignum.to_bytes_be_padded m k) with
-  | Some digest -> String.equal digest (Sha256.digest msg)
-  | None -> false
+  String.equal (Bignum.to_bytes_be_padded m k) (signature_block k msg)
 
 let fingerprint (pub : public) =
   let encoded = Bignum.to_bytes_be pub.n ^ "|" ^ Bignum.to_bytes_be pub.e in

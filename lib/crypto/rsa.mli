@@ -30,6 +30,9 @@ val sign : secret -> string -> string
 (** Block-type-01 padding over the SHA-256 digest of the message. *)
 
 val verify : public -> string -> signature:string -> bool
+(** True only when the signature recovers, byte for byte, the block {!sign}
+    builds for the message (RFC 8017, 8.2.2). False for a modulus too small
+    to hold that block (under 43 bytes). *)
 
 val fingerprint : public -> string
 (** Short hex identifier (SHA-1 of the encoded public key), used to name

@@ -31,7 +31,11 @@ let test_aes192_vector () =
     Aes.expand_key (hex "000102030405060708090a0b0c0d0e0f1011121314151617")
   in
   Alcotest.(check string) "encrypt" "dda97ca4864cdfe06eaf70a0ec0d7191"
-    (Hex.encode (Aes.encrypt_block_string key fips_plain))
+    (Hex.encode (Aes.encrypt_block_string key fips_plain));
+  Alcotest.(check string) "decrypt" (Hex.encode fips_plain)
+    (Hex.encode
+       (Aes.decrypt_block_string key
+          (hex "dda97ca4864cdfe06eaf70a0ec0d7191")))
 
 let test_aes256_vector () =
   let key =
@@ -40,6 +44,10 @@ let test_aes256_vector () =
   in
   Alcotest.(check string) "encrypt" "8ea2b7ca516745bfeafc49904b496089"
     (Hex.encode (Aes.encrypt_block_string key fips_plain));
+  Alcotest.(check string) "decrypt" (Hex.encode fips_plain)
+    (Hex.encode
+       (Aes.decrypt_block_string key
+          (hex "8ea2b7ca516745bfeafc49904b496089")));
   Alcotest.(check int) "key bits" 256 (Aes.key_bits key)
 
 let test_aes_bad_key_size () =
@@ -49,11 +57,30 @@ let test_aes_bad_key_size () =
 
 let qcheck_aes_roundtrip =
   QCheck2.Test.make ~name:"aes encrypt/decrypt roundtrip" ~count:200
-    QCheck2.Gen.(pair (string_size (return 16)) (string_size (return 16)))
+    QCheck2.Gen.(
+      pair
+        (oneofl [ 16; 24; 32 ] >>= fun n -> string_size (return n))
+        (string_size (return 16)))
     (fun (k, block) ->
       let key = Aes.expand_key k in
       Aes.decrypt_block_string key (Aes.encrypt_block_string key block)
       = block)
+
+(* Gc.minor_words is deterministic, so allocation is pinned exactly like
+   an output: the table-driven rounds keep the state in registers. *)
+let test_aes_allocation () =
+  let key = Aes.expand_key (String.make 16 'k') in
+  let block = Bytes.make 16 'b' in
+  let blocks = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to blocks / 2 do
+    Aes.encrypt_block key block 0 block 0;
+    Aes.decrypt_block key block 0 block 0
+  done;
+  let per_block = (Gc.minor_words () -. before) /. float_of_int blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per block < 1" per_block)
+    true (per_block < 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Modes                                                               *)
@@ -308,6 +335,46 @@ let qcheck_bignum_arith =
          Bignum.to_int_opt q = Some (a / b) && Bignum.to_int_opt r = Some (a mod b))
       && (a < b || Bignum.to_int_opt (Bignum.sub ba bb) = Some (a - b)))
 
+(* Operands of 1 to 40 limbs (base 2^26), most limbs drawn from the edge
+   values where Algorithm D's quotient estimate goes wrong: uniform limbs
+   almost never reach its add-back step. Built with shift_left, add and
+   of_int so the check does not lean on of_bytes_be. *)
+let limbs_gen =
+  let open QCheck2.Gen in
+  let edge =
+    [ 0; 1; (1 lsl 25) - 1; 1 lsl 25; (1 lsl 26) - 2; (1 lsl 26) - 1 ]
+  in
+  list_size (1 -- 40)
+    (frequency [ (3, oneofl edge); (1, int_bound ((1 lsl 26) - 1)) ])
+
+let of_limbs =
+  List.fold_left
+    (fun acc l -> Bignum.add (Bignum.shift_left acc 26) (bn l))
+    Bignum.zero
+
+let divides_exactly a b =
+  let q, r = Bignum.divmod a b in
+  Bignum.equal (Bignum.add (Bignum.mul q b) r) a && Bignum.compare r b < 0
+
+let qcheck_bignum_divmod_limbs =
+  QCheck2.Test.make ~name:"bignum divmod over 1-40 limbs" ~count:2000
+    QCheck2.Gen.(pair limbs_gen limbs_gen)
+    (fun (a, b) ->
+      let a = of_limbs a and b = of_limbs b in
+      Bignum.is_zero b || divides_exactly a b)
+
+let test_bignum_divmod_add_back () =
+  (* a = (2^25-1)*2^52, b = 2^52+1. Normalized, the divisor's middle limb
+     is 0, so the two-limb test cannot lower the first quotient estimate
+     0x1ffffff, which is one too large: this pair takes the add-back
+     step. *)
+  let a = Bignum.of_hex "1ffffff0000000000000"
+  and b = Bignum.of_hex "10000000000001" in
+  let q, r = Bignum.divmod a b in
+  Alcotest.(check string) "quotient" "01fffffe" (Bignum.to_hex q);
+  Alcotest.(check string) "remainder" "0ffffffe000002" (Bignum.to_hex r);
+  Alcotest.(check bool) "a = q*b + r, r < b" true (divides_exactly a b)
+
 let test_bignum_large_mul () =
   (* (2^200 - 1) * (2^200 + 1) = 2^400 - 1 *)
   let p200 = Bignum.shift_left Bignum.one 200 in
@@ -323,6 +390,16 @@ let test_bignum_bytes_roundtrip () =
   Alcotest.(check string) "padded"
     "000123456789abcdef00ff"
     (Sdds_util.Hex.encode (Bignum.to_bytes_be_padded v 11))
+
+let qcheck_bignum_bytes_roundtrip =
+  QCheck2.Test.make ~name:"bignum of_bytes_be/to_bytes_be roundtrip"
+    ~count:500
+    QCheck2.Gen.(pair (0 -- 4) (string_size (0 -- 80)))
+    (fun (zeros, s) ->
+      let v = Bignum.of_bytes_be (String.make zeros '\000' ^ s) in
+      let minimal = Bignum.to_bytes_be v in
+      Bignum.to_bytes_be_padded v (String.length s) = s
+      && (minimal = "" || minimal.[0] <> '\000'))
 
 let naive_modpow b e m =
   let rec go acc i = if i = 0 then acc else go (acc * b mod m) (i - 1) in
@@ -436,7 +513,73 @@ let test_rsa_sign_verify () =
   Bytes.set_uint8 tampered 0 (Bytes.get_uint8 tampered 0 lxor 1);
   Alcotest.(check bool) "rejects tampered sig" false
     (Rsa.verify kp.Rsa.public "the merkle root"
-       ~signature:(Bytes.to_string tampered))
+       ~signature:(Bytes.to_string tampered));
+  (* 32 bytes cannot hold a signature block: false, not an exception. *)
+  let small = Rsa.generate (Drbg.create ~seed:"small-key") ~bits:256 in
+  Alcotest.(check bool) "rejects on a small modulus" false
+    (Rsa.verify small.Rsa.public "the merkle root"
+       ~signature:(String.make (Rsa.modulus_bytes small.Rsa.public) '\x01'))
+
+let test_rsa_rejects_loose_padding () =
+  (* 00 01 01..01 00 || SHA-256(msg), raised to d: the right digest behind
+     a padding string that is not all 0xff. A verifier that only looks for
+     the first 0x00 separator accepts it. *)
+  let kp = Lazy.force keypair in
+  let sec = kp.Rsa.secret in
+  let k = Rsa.modulus_bytes kp.Rsa.public in
+  let block =
+    "\x00\x01" ^ String.make (k - 3 - 32) '\x01' ^ "\x00"
+    ^ Sha256.digest "forged"
+  in
+  let forged =
+    Bignum.to_bytes_be_padded
+      (Bignum.mod_pow ~base:(Bignum.of_bytes_be block) ~exp:sec.Rsa.d
+         ~modulus:sec.Rsa.n)
+      k
+  in
+  Alcotest.(check bool) "rejects" false
+    (Rsa.verify kp.Rsa.public "forged" ~signature:forged);
+  Alcotest.(check bool) "genuine accepted" true
+    (Rsa.verify kp.Rsa.public "forged" ~signature:(Rsa.sign sec "forged"))
+
+(* Byte-identity across kernel rewrites: the same DRBG stream must give the
+   same primes, so the same modulus and signature, and the chunk format
+   must not move. The expected values were computed with bit-serial
+   division and byte-wise AES rounds, an independent implementation. *)
+let test_rsa_pinned_identity () =
+  let kp =
+    Rsa.generate (Drbg.create ~seed:"perfbench-identities/pull-egate")
+      ~bits:384
+  in
+  Alcotest.(check string) "modulus"
+    "5ff7f9bfc188ee53f14483a533867d3a471790a182aacfbe41d9f66542770d31\
+     291facb8a45ef55005095b004453525f"
+    (Bignum.to_hex kp.Rsa.public.Rsa.n);
+  let signature = Rsa.sign kp.Rsa.secret "sdds pinned message" in
+  Alcotest.(check string) "signature"
+    "0a3158cb0e62d068688849fa5c9e356d5f65fbf0246463303f2e169984ec4fa3\
+     f8183ec394bfe5b758b000d1f34ea195"
+    (Hex.encode signature);
+  let before = Gc.minor_words () in
+  let ok = Rsa.verify kp.Rsa.public "sdds pinned message" ~signature in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "verifies" true ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "verify allocates %.0f minor words < 10000" words)
+    true (words < 10_000.)
+
+let test_chunk_pinned_identity () =
+  let plain = String.init 128 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Alcotest.(check string) "ciphertext"
+    "0df4ad05c253790616400c0afb971809bc1d1e5bb06ccd99da55b9ef40dd9c3e\
+     3cc21315e43f89732b4eb91e9a7dfb5c82ce43fd64a1eb4af9c4f13a920e479b\
+     d20bf34473623faff79db43fe41e2b2c948b8c966dc4b65a6c51fad8f5cfb14a\
+     245d43617726cf071a386eba154315bf5da88323e23fd049df01d5e20a48a976\
+     e9266e34ed8f942df2d87d91267c2734"
+    (Hex.encode
+       (Sdds_soe.Wire.encrypt_chunk
+          ~key:(hex "000102030405060708090a0b0c0d0e0f")
+          ~doc_id:"pinned-doc" ~index:3 plain))
 
 let test_rsa_fingerprint () =
   let kp = Lazy.force keypair in
@@ -450,6 +593,7 @@ let suite =
     Alcotest.test_case "aes-256 FIPS vector" `Quick test_aes256_vector;
     Alcotest.test_case "aes bad key size" `Quick test_aes_bad_key_size;
     QCheck_alcotest.to_alcotest qcheck_aes_roundtrip;
+    Alcotest.test_case "aes allocation" `Quick test_aes_allocation;
     Alcotest.test_case "cbc NIST first block" `Quick test_cbc_nist_first_block;
     Alcotest.test_case "cbc roundtrip lengths" `Quick
       test_cbc_roundtrip_various_lengths;
@@ -474,9 +618,13 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_merkle;
     Alcotest.test_case "bignum basic" `Quick test_bignum_basic;
     QCheck_alcotest.to_alcotest qcheck_bignum_arith;
+    QCheck_alcotest.to_alcotest qcheck_bignum_divmod_limbs;
+    Alcotest.test_case "bignum divmod add-back" `Quick
+      test_bignum_divmod_add_back;
     Alcotest.test_case "bignum large mul" `Quick test_bignum_large_mul;
     Alcotest.test_case "bignum bytes roundtrip" `Quick
       test_bignum_bytes_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_bignum_bytes_roundtrip;
     Alcotest.test_case "bignum modpow" `Quick test_bignum_modpow;
     QCheck_alcotest.to_alcotest qcheck_bignum_modpow;
     Alcotest.test_case "bignum mod_inverse" `Quick test_bignum_mod_inverse;
@@ -488,5 +636,10 @@ let suite =
     Alcotest.test_case "rsa wrong key" `Quick test_rsa_wrong_key;
     Alcotest.test_case "rsa randomized" `Quick test_rsa_randomized_encryption;
     Alcotest.test_case "rsa sign/verify" `Quick test_rsa_sign_verify;
+    Alcotest.test_case "rsa rejects loose padding" `Quick
+      test_rsa_rejects_loose_padding;
+    Alcotest.test_case "rsa pinned identity" `Quick test_rsa_pinned_identity;
+    Alcotest.test_case "chunk pinned identity" `Quick
+      test_chunk_pinned_identity;
     Alcotest.test_case "rsa fingerprint" `Quick test_rsa_fingerprint;
   ]
