@@ -44,6 +44,7 @@ module Diag = Sdds_analysis.Diag
 module Memory_bound = Sdds_analysis.Memory_bound
 module Obs = Sdds_obs.Obs
 module Chaos = Sdds_proxy.Chaos
+module World = Sdds_proxy.World
 module Json = Sdds_analysis.Json
 module Pmodel = Sdds_protocol.Model
 module Explore = Sdds_protocol.Explore
@@ -566,26 +567,31 @@ let ids =
      let user = Rsa.generate d ~bits:512 in
      (publisher, user))
 
-(* Build a one-user world and return (store, card-maker, doc, doc_key,
-   drbg). *)
-let make_world ?(profile = Cost.egate) ?chunk_bytes ~doc ~rules ~subject () =
-  let drbg = Drbg.create ~seed:"bench-world" in
+(* A one-document world (doc "bench", [rules] for subject "u") and a
+   card of [profile] for its user. *)
+let make_world ?(profile = Cost.egate) ?chunk_bytes ~doc ~rules () =
   let publisher, user = Lazy.force ids in
-  let published, doc_key =
-    Publish.publish drbg ~publisher ~doc_id:"bench" ?chunk_bytes doc
+  let w =
+    World.create (Drbg.create ~seed:"bench-world") ~publisher ~user
+      ?chunk_bytes [ ("bench", doc, rules) ]
   in
-  let store = Store.create () in
-  Store.put_document store published;
-  Store.put_rules store ~doc_id:"bench" ~subject
-    (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id:"bench"
-       ~subject rules);
-  Store.put_grant store ~doc_id:"bench" ~subject
-    (Publish.grant drbg ~doc_key ~doc_id:"bench" ~recipient:user.Rsa.public);
-  let card = Card.create ~profile ~subject user in
-  (store, card, doc_key, drbg)
+  (w, Card.create ~profile ~subject:"u" user)
 
-let query_report ?xpath store card =
-  let proxy = Proxy.create ~store ~card in
+(* The world of the fleet experiments: [ndocs] wards named by
+   [doc_id], hospital i generated from seed [seed + i]. *)
+let ward_world label ~doc_id ~seed ndocs =
+  let publisher, user = Lazy.force ids in
+  World.create (Drbg.create ~seed:label) ~publisher ~user
+    (World.wards ~doc_id ~seed:(( + ) seed) ndocs)
+
+(* Nearest-rank percentile of an ascending array; nan when empty. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan
+  else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
+
+let query_report ?xpath w card =
+  let proxy = Proxy.create ~store:(World.store w) ~card in
   match Proxy.run proxy (Proxy.Request.make ?xpath "bench") with
   | Ok o -> Ok o
   | Error e -> Error (Format.asprintf "%a" Proxy.pp_error e)
@@ -704,9 +710,8 @@ let e3_skip_benefit () =
       let run use_index =
         (* 128-byte chunks: the e-gate chunk buffer must share 1 KB with
            the evaluator state. *)
-        let store, card, _, _ =
-          make_world ~chunk_bytes:128 ~doc ~rules ~subject:"u" ()
-        in
+        let w, card = make_world ~chunk_bytes:128 ~doc ~rules () in
+        let store = World.store w in
         let proxy = Proxy.create ~store ~card in
         ignore use_index;
         (* The proxy always uses the index; for the baseline, call the card
@@ -866,10 +871,8 @@ let e6_e2e_pull () =
           let doc = Generator.hospital rng ~patients in
           let xml_bytes = String.length (Serializer.to_string doc) in
           let run profile =
-            let store, card, _, _ =
-              make_world ~profile ~chunk_bytes:128 ~doc ~rules ~subject:"u" ()
-            in
-            match query_report store card with
+            let w, card = make_world ~profile ~chunk_bytes:128 ~doc ~rules () in
+            match query_report w card with
             | Ok o -> o.Proxy.card_report.Card.breakdown
             | Error e -> failwith e
           in
@@ -920,10 +923,8 @@ let e7_dissemination () =
       let rate profile =
         (* 64-byte chunks: items are ~250 encoded bytes, so an item-sized
            skip frees several whole chunks. *)
-        let store, card, _, _ =
-          make_world ~profile ~chunk_bytes:64 ~doc ~rules ~subject:"u" ()
-        in
-        let proxy = Proxy.create ~store ~card in
+        let w, card = make_world ~profile ~chunk_bytes:64 ~doc ~rules () in
+        let proxy = Proxy.create ~store:(World.store w) ~card in
         match Proxy.run proxy (Proxy.Request.make ~delivery:`Push "bench") with
         | Ok o ->
             let r = o.Proxy.card_report in
@@ -1033,9 +1034,9 @@ let e9_tampering () =
   let doc = Generator.hospital rng ~patients:20 in
   let rules = [ Rule.allow ~subject:"u" "//admission" ] in
   (* One clean run to learn which chunks a query consumes. *)
-  let store, card, _, _ = make_world ~doc ~rules ~subject:"u" () in
+  let w, card = make_world ~doc ~rules () in
   let mask =
-    match query_report store card with
+    match query_report w card with
     | Ok o -> o.Proxy.card_report.Card.consumed_mask
     | Error e -> failwith e
   in
@@ -1052,10 +1053,10 @@ let e9_tampering () =
     (Array.length mask);
   Printf.printf "%-34s %-10s %s\n" "attack" "target" "outcome";
   let attack name target tamper =
-    let store, card, _, _ = make_world ~doc ~rules ~subject:"u" () in
-    tamper store;
+    let w, card = make_world ~doc ~rules () in
+    tamper (World.store w);
     let outcome =
-      match query_report store card with
+      match query_report w card with
       | Error e -> "REJECTED (" ^ e ^ ")"
       | Ok o -> (
           (* Undetected is acceptable only if the data was never used and
@@ -1377,10 +1378,8 @@ let e15_session_cache () =
       in
       (* Card side: the same request list against one fleet card, twice —
          the meter shows what the warm round no longer pays. *)
-      let store, card, _, _ =
-        make_world ~profile:Cost.fleet ~doc ~rules ~subject:"u" ()
-      in
-      let proxy = Proxy.create ~store ~card in
+      let w, card = make_world ~profile:Cost.fleet ~doc ~rules () in
+      let proxy = Proxy.create ~store:(World.store w) ~card in
       let round () =
         List.fold_left
           (fun (ms, rsa, comp, xfer, hits, views) req ->
@@ -1407,19 +1406,12 @@ let e15_session_cache () =
       let identical = cold_views = warm_views in
       (* Wire side: a pool multiplexing the same requests over one APDU
          transport to a second, identically provisioned card. *)
-      let store2, card2, _, _ =
-        make_world ~profile:Cost.fleet ~doc ~rules ~subject:"u" ()
-      in
+      let w2, card2 = make_world ~profile:Cost.fleet ~doc ~rules () in
       let host =
-        Remote_card.Host.create ~card:card2
-          ~resolve:(fun id ->
-            Option.map
-              (fun p -> Publish.to_source p ~delivery:`Pull)
-              (Store.get_document store2 id))
-          ()
+        Remote_card.Host.create ~card:card2 ~resolve:(World.resolve w2) ()
       in
       let pool =
-        Proxy.Pool.create ~store:store2
+        Proxy.Pool.create ~store:(World.store w2)
           ~transport:(Remote_card.Host.process host) ~subject:"u" ()
       in
       let pool_round () =
@@ -1580,24 +1572,16 @@ let e17_resilience () =
   in
   (* One batch through a fresh world, pool and (possibly faulty) link. *)
   let serve_through schedule =
-    let store, card, _, _ =
-      make_world ~profile:Cost.fleet ~doc ~rules ~subject:"u" ()
-    in
-    let host =
-      Remote_card.Host.create ~card
-        ~resolve:(fun id ->
-          Option.map
-            (fun p -> Publish.to_source p ~delivery:`Pull)
-            (Store.get_document store id))
-        ()
-    in
+    let w, card = make_world ~profile:Cost.fleet ~doc ~rules () in
+    let host = Remote_card.Host.create ~card ~resolve:(World.resolve w) () in
     let link =
       Fault.Link.wrap ~schedule
         ~tear:(fun () -> Remote_card.Host.tear host)
         (Remote_card.Host.process host)
     in
     let pool =
-      Proxy.Pool.create ~store ~transport:(Fault.Link.transport link)
+      Proxy.Pool.create ~store:(World.store w)
+        ~transport:(Fault.Link.transport link)
         ~subject:"u" ()
     in
     (Proxy.Pool.serve pool reqs, link)
@@ -1797,63 +1781,12 @@ let e19_fleet () =
     "fleet serving: cards x streams sweep, affinity vs random routing \
      (zipfian document population, simulated link time)";
   let ndocs = if !smoke then 4 else 12 in
-  let drbg = Drbg.create ~seed:"bench-fleet" in
-  let publisher, user = Lazy.force ids in
-  let store = Store.create () in
-  let doc_ids = Array.init ndocs (fun i -> Printf.sprintf "fleet%02d" i) in
-  Array.iteri
-    (fun i doc_id ->
-      let doc =
-        Generator.hospital
-          (Rng.create (Int64.of_int (1900 + i)))
-          ~patients:(1 + (i mod 3))
-      in
-      let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-      Store.put_document store published;
-      (* Distinct rule sets: each (doc, rules digest) affinity key is its
-         own point on the hash ring. *)
-      let rules =
-        [ Rule.allow ~subject:"u" "//patient";
-          Rule.deny ~subject:"u"
-            (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-      in
-      Store.put_rules store ~doc_id ~subject:"u"
-        (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-           ~subject:"u" rules);
-      Store.put_grant store ~doc_id ~subject:"u"
-        (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public))
-    doc_ids;
-  let resolve id =
-    Option.map
-      (fun p -> Publish.to_source p ~delivery:`Pull)
-      (Store.get_document store id)
-  in
-  (* Zipf(1.1) over the documents: a hot head, a long tail — the mix
-     that rewards keeping a (doc, rules) pair on the card that already
-     compiled it. *)
-  let cum =
-    let w =
-      Array.init ndocs (fun k ->
-          1.0 /. Float.pow (float_of_int (k + 1)) 1.1)
-    in
-    let total = Array.fold_left ( +. ) 0.0 w in
-    let acc = ref 0.0 in
-    Array.map
-      (fun x ->
-        acc := !acc +. (x /. total);
-        !acc)
-      w
-  in
-  let pick_doc rng =
-    let u = float_of_int (Rng.int rng 1_000_000) /. 1.0e6 in
-    let rec go k = if k >= ndocs - 1 || u <= cum.(k) then k else go (k + 1) in
-    doc_ids.(go 0)
-  in
-  let xpaths = [| None; Some "//patient/name"; Some "//patient" |] in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then Float.nan
-    else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
+  (* Zipf(1.1) requests over the documents: a hot head, a long tail —
+     the mix that rewards keeping a (doc, rules) pair on the card that
+     already compiled it. *)
+  let w =
+    ward_world "bench-fleet" ~doc_id:(Printf.sprintf "fleet%02d") ~seed:1900
+      ndocs
   in
   let cards_list = if !smoke then [ 2 ] else [ 1; 2; 4; 8 ] in
   let streams_list = if !smoke then [ 16 ] else [ 8; 64; 256; 512 ] in
@@ -1872,13 +1805,14 @@ let e19_fleet () =
             (fun routing ->
               let cardset =
                 Array.init cards (fun _ ->
-                    Card.create ~profile:Cost.fleet ~subject:"u" user)
+                    Card.create ~profile:Cost.fleet ~subject:"u" (World.user w))
               in
               let transports =
                 Array.map
                   (fun card ->
                     Remote_card.Host.process
-                      (Remote_card.Host.create ~card ~resolve ()))
+                      (Remote_card.Host.create ~card
+                         ~resolve:(World.resolve w) ()))
                   cardset
               in
               let fleet =
@@ -1886,16 +1820,13 @@ let e19_fleet () =
                   ~routing:
                     (if routing = "affinity" then Fleet.Affinity
                      else Fleet.Random 99L)
-                  ~queue_limit:(max 64 streams) ~store ~subject:"u" transports
-              in
-              let rng =
-                Rng.create (Int64.of_int (19000 + (cards * 1000) + streams))
+                  ~queue_limit:(max 64 streams) ~store:(World.store w)
+                  ~subject:"u" transports
               in
               let reqs =
-                List.init streams (fun i ->
-                    Proxy.Request.make
-                      ?xpath:xpaths.(i mod Array.length xpaths)
-                      (pick_doc rng))
+                World.requests w
+                  (Rng.create (Int64.of_int (19000 + (cards * 1000) + streams)))
+                  streams
               in
               (* Cold batch fills the caches; the warm batch — the same
                  population again — is where routing earns its keep. *)
@@ -2038,11 +1969,6 @@ let e20_dissem () =
     if k mod 3 = 2 then
       base @ [ Rule.deny ~subject {|//patient[age>"60"]/folder|} ]
     else base
-  in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then Float.nan
-    else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
   in
   let n_list = if !smoke then [ 8 ] else [ 4; 16; 64 ] in
   Printf.printf
@@ -2270,67 +2196,13 @@ let e22_chaos () =
   let ndocs = if !smoke then 4 else 8 in
   let per_phase = if !smoke then 24 else 120 in
   let cards = 3 in
-  let drbg = Drbg.create ~seed:"bench-chaos" in
-  let publisher, user = Lazy.force ids in
-  let store = Store.create () in
-  let doc_ids = Array.init ndocs (fun i -> Printf.sprintf "chaos%02d" i) in
-  Array.iteri
-    (fun i doc_id ->
-      let doc =
-        Generator.hospital
-          (Rng.create (Int64.of_int (2200 + i)))
-          ~patients:(1 + (i mod 3))
-      in
-      let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-      Store.put_document store published;
-      let rules =
-        [ Rule.allow ~subject:"u" "//patient";
-          Rule.deny ~subject:"u"
-            (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-      in
-      Store.put_rules store ~doc_id ~subject:"u"
-        (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-           ~subject:"u" rules);
-      Store.put_grant store ~doc_id ~subject:"u"
-        (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public))
-    doc_ids;
-  let resolve id =
-    Option.map
-      (fun p -> Publish.to_source p ~delivery:`Pull)
-      (Store.get_document store id)
-  in
   (* The zipf head is what hot-key standby replication protects: the
      busiest card is, with high probability, the head key's primary. *)
-  let cum =
-    let w =
-      Array.init ndocs (fun k ->
-          1.0 /. Float.pow (float_of_int (k + 1)) 1.1)
-    in
-    let total = Array.fold_left ( +. ) 0.0 w in
-    let acc = ref 0.0 in
-    Array.map
-      (fun x ->
-        acc := !acc +. (x /. total);
-        !acc)
-      w
+  let w =
+    ward_world "bench-chaos" ~doc_id:(Printf.sprintf "chaos%02d") ~seed:2200
+      ndocs
   in
-  let pick_doc rng =
-    let u = float_of_int (Rng.int rng 1_000_000) /. 1.0e6 in
-    let rec go k = if k >= ndocs - 1 || u <= cum.(k) then k else go (k + 1) in
-    doc_ids.(go 0)
-  in
-  let xpaths = [| None; Some "//patient/name"; Some "//patient" |] in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then Float.nan
-    else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
-  in
-  let hosts =
-    Array.init cards (fun _ ->
-        Remote_card.Host.create
-          ~card:(Card.create ~profile:Cost.fleet ~subject:"u" user)
-          ~resolve ())
-  in
+  let hosts = Array.init cards (fun _ -> World.host ~profile:Cost.fleet w) in
   let cutouts = Array.init cards (fun _ -> Fault.Cutout.create ()) in
   let transports =
     Array.mapi
@@ -2339,15 +2211,10 @@ let e22_chaos () =
       hosts
   in
   let fleet =
-    Fleet.create ~queue_limit:64 ~standby_k:2 ~store ~subject:"u" transports
+    Fleet.create ~queue_limit:64 ~standby_k:2 ~store:(World.store w)
+      ~subject:"u" transports
   in
   let rng = Rng.create 220013L in
-  let reqs () =
-    List.init per_phase (fun i ->
-        Proxy.Request.make
-          ?xpath:xpaths.(i mod Array.length xpaths)
-          (pick_doc rng))
-  in
   let prev = ref (Fleet.stats fleet) in
   Printf.printf "%-10s | %4s %4s %4s | %4s %5s %4s | %6s | %8s %8s %8s\n"
     "phase" "ok" "err" "rej" "migr" "death" "stby" "avail%" "p50ms" "p95ms"
@@ -2373,7 +2240,7 @@ let e22_chaos () =
             end)
           cutouts
     | _ -> ());
-    let outs = Fleet.serve fleet (reqs ()) in
+    let outs = Fleet.serve fleet (World.requests w rng per_phase) in
     let lat =
       List.filter_map
         (fun (o : Fleet.outcome) ->
@@ -2441,41 +2308,9 @@ let e23_sampling () =
   let run_mode mode =
     (* A fresh world per mode, from fixed seeds: the simulated run is
        identical, only the sampler differs. *)
-    let drbg = Drbg.create ~seed:"bench-sampling" in
-    let publisher, user = Lazy.force ids in
-    let store = Store.create () in
-    List.iter
-      (fun i ->
-        let doc_id = Printf.sprintf "samp%d" i in
-        let doc =
-          Generator.hospital
-            (Rng.create (Int64.of_int (2300 + i)))
-            ~patients:(1 + (i mod 3))
-        in
-        let published, doc_key =
-          Publish.publish drbg ~publisher ~doc_id doc
-        in
-        Store.put_document store published;
-        let rules =
-          [ Rule.allow ~subject:"u" "//patient";
-            Rule.deny ~subject:"u"
-              (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-        in
-        Store.put_rules store ~doc_id ~subject:"u"
-          (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-             ~subject:"u" rules);
-        Store.put_grant store ~doc_id ~subject:"u"
-          (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public))
-      (List.init 4 Fun.id);
-    let resolve id =
-      Option.map
-        (fun p -> Publish.to_source p ~delivery:`Pull)
-        (Store.get_document store id)
-    in
-    let make_card () =
-      let card = Card.create ~profile:Cost.fleet ~subject:"u" user in
-      let host = Remote_card.Host.create ~card ~resolve () in
-      (Remote_card.Host.process host, fun () -> Remote_card.Host.tear host)
+    let w =
+      ward_world "bench-sampling" ~doc_id:(Printf.sprintf "samp%d") ~seed:2300
+        4
     in
     let obs =
       match mode with
@@ -2502,7 +2337,8 @@ let e23_sampling () =
           Proxy.Request.make ?xpath doc)
     in
     ignore
-      (Chaos.run_slo ~obs ~store ~subject:"u" ~make_card ~requests ());
+      (Chaos.run_slo ~obs ~store:(World.store w) ~subject:"u"
+         ~make_card:(World.make_card ~profile:Cost.fleet w) ~requests ());
     obs
   in
   (* Export -> trees. Events arrive children-before-root, so two passes:

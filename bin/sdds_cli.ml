@@ -227,30 +227,28 @@ let stats_cmd =
     (Cmd.info "stats" ~doc:"Structural statistics of a document")
     Term.(const run $ doc_arg)
 
+(* An in-memory world for the self-contained commands: the DRBG seeded
+   with [label] draws the publisher key, the user key, then [docs]. *)
+let seeded_world ?subject label docs =
+  let drbg = Sdds_crypto.Drbg.create ~seed:label in
+  let publisher = Sdds_crypto.Rsa.generate drbg ~bits:512 in
+  let user = Sdds_crypto.Rsa.generate drbg ~bits:512 in
+  Sdds_proxy.World.create drbg ~publisher ~user ?subject docs
+
 (* demo: full encrypted pull in-process *)
 
 let demo_cmd =
   let run doc_path rules subject query =
     let doc = or_die (load_doc doc_path) in
     let rules = or_die (parse_rules rules) in
-    let drbg = Sdds_crypto.Drbg.create ~seed:"sdds-cli" in
-    let publisher = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let user = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let published, doc_key =
-      Sdds_dsp.Publish.publish drbg ~publisher ~doc_id:"cli-doc" doc
-    in
-    let store = Sdds_dsp.Store.create () in
-    Sdds_dsp.Store.put_document store published;
-    Sdds_dsp.Store.put_rules store ~doc_id:"cli-doc" ~subject
-      (Sdds_dsp.Publish.encrypt_rules_for drbg ~publisher ~doc_key
-         ~doc_id:"cli-doc" ~subject rules);
-    Sdds_dsp.Store.put_grant store ~doc_id:"cli-doc" ~subject
-      (Sdds_dsp.Publish.grant drbg ~doc_key ~doc_id:"cli-doc"
-         ~recipient:user.Sdds_crypto.Rsa.public);
+    let world = seeded_world ~subject "sdds-cli" [ ("cli-doc", doc, rules) ] in
     let card =
-      Sdds_soe.Card.create ~profile:Sdds_soe.Cost.egate ~subject user
+      Sdds_soe.Card.create ~profile:Sdds_soe.Cost.egate ~subject
+        (Sdds_proxy.World.user world)
     in
-    let proxy = Sdds_proxy.Proxy.create ~store ~card in
+    let proxy =
+      Sdds_proxy.Proxy.create ~store:(Sdds_proxy.World.store world) ~card
+    in
     match
       Sdds_proxy.Proxy.run proxy
         (Sdds_proxy.Proxy.Request.make ?xpath:query "cli-doc")
@@ -585,6 +583,13 @@ let trace_cmd =
       $ store_arg $ id_arg $ subject_arg $ key_arg $ query_arg $ fault_arg
       $ cards_arg $ trace_flag $ trace_out_arg $ metrics_out_arg)
 
+(* The synthetic ward population of [sdds fleet] and [sdds chaos]: keys
+   and documents all follow from [seed]. *)
+let ward_world label ~seed ~docs =
+  seeded_world (Printf.sprintf "%s|%d" label seed)
+    (Sdds_proxy.World.wards ~doc_id:(Printf.sprintf "doc%02d")
+       ~seed:(fun i -> (seed * 131) + i) docs)
+
 (* fleet: self-contained synthetic serving run (E19 in miniature) *)
 
 let fleet_cmd =
@@ -629,41 +634,7 @@ let fleet_cmd =
   let run cards streams docs routing seed fault_spec json =
     if cards < 1 || streams < 1 || docs < 1 then
       or_die (Error "--cards, --streams and --docs must be at least 1");
-    let drbg = Sdds_crypto.Drbg.create ~seed:(Printf.sprintf "sdds-fleet|%d" seed) in
-    let publisher = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let user = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let store = Sdds_dsp.Store.create () in
-    let doc_ids = Array.init docs (fun i -> Printf.sprintf "doc%02d" i) in
-    Array.iteri
-      (fun i doc_id ->
-        let doc =
-          Sdds_xml.Generator.hospital
-            (Sdds_util.Rng.create (Int64.of_int ((seed * 131) + i)))
-            ~patients:(1 + (i mod 3))
-        in
-        let published, doc_key =
-          Sdds_dsp.Publish.publish drbg ~publisher ~doc_id doc
-        in
-        Sdds_dsp.Store.put_document store published;
-        (* Distinct rule sets so each (doc, rules digest) affinity key is
-           its own point on the hash ring. *)
-        let rules =
-          [ Sdds_core.Rule.allow ~subject:"u" "//patient";
-            Sdds_core.Rule.deny ~subject:"u"
-              (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-        in
-        Sdds_dsp.Store.put_rules store ~doc_id ~subject:"u"
-          (Sdds_dsp.Publish.encrypt_rules_for drbg ~publisher ~doc_key
-             ~doc_id ~subject:"u" rules);
-        Sdds_dsp.Store.put_grant store ~doc_id ~subject:"u"
-          (Sdds_dsp.Publish.grant drbg ~doc_key ~doc_id
-             ~recipient:user.Sdds_crypto.Rsa.public))
-      doc_ids;
-    let resolve id =
-      Option.map
-        (fun p -> Sdds_dsp.Publish.to_source p ~delivery:`Pull)
-        (Sdds_dsp.Store.get_document store id)
-    in
+    let world = ward_world "sdds-fleet" ~seed ~docs in
     let schedule =
       match fault_spec with
       | None -> Sdds_fault.Fault.Schedule.none
@@ -678,15 +649,12 @@ let fleet_cmd =
     in
     let links =
       Array.init cards (fun i ->
-          let card =
-            Sdds_soe.Card.create ~profile:Sdds_soe.Cost.fleet ~subject:"u"
-              user
+          let transport, tear =
+            Sdds_proxy.World.make_card ~profile:Sdds_soe.Cost.fleet world ()
           in
-          let host = Sdds_soe.Remote_card.Host.create ~card ~resolve () in
           Sdds_fault.Fault.Link.wrap
             ~schedule:(Sdds_fault.Fault.Schedule.for_card schedule i)
-            ~tear:(fun () -> Sdds_soe.Remote_card.Host.tear host)
-            (Sdds_soe.Remote_card.Host.process host))
+            ~tear transport)
     in
     let routing =
       match routing with
@@ -695,37 +663,16 @@ let fleet_cmd =
       | `Random -> Sdds_proxy.Fleet.Random (Int64.of_int (seed + 7))
     in
     let fleet =
-      Sdds_proxy.Fleet.create ~routing ~store ~subject:"u"
+      Sdds_proxy.Fleet.create ~routing ~store:(Sdds_proxy.World.store world)
+        ~subject:"u"
         (Array.map Sdds_fault.Fault.Link.transport links)
     in
     (* Zipf(1.1) popularity: a hot head rewards affinity routing. *)
-    let cum =
-      let w =
-        Array.init docs (fun k ->
-            1.0 /. Float.pow (float_of_int (k + 1)) 1.1)
-      in
-      let total = Array.fold_left ( +. ) 0.0 w in
-      let acc = ref 0.0 in
-      Array.map
-        (fun x ->
-          acc := !acc +. (x /. total);
-          !acc)
-        w
-    in
-    let rng =
-      Sdds_util.Rng.create (Int64.of_int ((seed * 7919) + (cards * 1000) + streams))
-    in
-    let pick_doc () =
-      let u = float_of_int (Sdds_util.Rng.int rng 1_000_000) /. 1.0e6 in
-      let rec go k = if k >= docs - 1 || u <= cum.(k) then k else go (k + 1) in
-      doc_ids.(go 0)
-    in
-    let xpaths = [| None; Some "//patient/name"; Some "//patient" |] in
     let reqs =
-      List.init streams (fun i ->
-          Sdds_proxy.Proxy.Request.make
-            ?xpath:xpaths.(i mod Array.length xpaths)
-            (pick_doc ()))
+      Sdds_proxy.World.requests world
+        (Sdds_util.Rng.create
+           (Int64.of_int ((seed * 7919) + (cards * 1000) + streams)))
+        streams
     in
     let outs = Sdds_proxy.Fleet.serve fleet reqs in
     let st = Sdds_proxy.Fleet.stats fleet in
@@ -905,109 +852,18 @@ let chaos_cmd =
     (* The whole world rebuilds from the seed — that is what makes a
        failing (campaign, stream-length) pair replayable and what makes
        minimization's re-runs sound. *)
-    let build_world () =
-      let drbg =
-        Sdds_crypto.Drbg.create ~seed:(Printf.sprintf "sdds-chaos|%d" seed)
-      in
-      let publisher = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-      let user = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-      let store = Sdds_dsp.Store.create () in
-      let doc_ids = Array.init docs (fun i -> Printf.sprintf "doc%02d" i) in
-      Array.iteri
-        (fun i doc_id ->
-          let doc =
-            Sdds_xml.Generator.hospital
-              (Sdds_util.Rng.create (Int64.of_int ((seed * 131) + i)))
-              ~patients:(1 + (i mod 3))
-          in
-          let published, doc_key =
-            Sdds_dsp.Publish.publish drbg ~publisher ~doc_id doc
-          in
-          Sdds_dsp.Store.put_document store published;
-          let rules =
-            [ Sdds_core.Rule.allow ~subject:"u" "//patient";
-              Sdds_core.Rule.deny ~subject:"u"
-                (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-          in
-          Sdds_dsp.Store.put_rules store ~doc_id ~subject:"u"
-            (Sdds_dsp.Publish.encrypt_rules_for drbg ~publisher ~doc_key
-               ~doc_id ~subject:"u" rules);
-          Sdds_dsp.Store.put_grant store ~doc_id ~subject:"u"
-            (Sdds_dsp.Publish.grant drbg ~doc_key ~doc_id
-               ~recipient:user.Sdds_crypto.Rsa.public))
-        doc_ids;
-      let resolve id =
-        Option.map
-          (fun p -> Sdds_dsp.Publish.to_source p ~delivery:`Pull)
-          (Sdds_dsp.Store.get_document store id)
-      in
-      let make_card () =
-        let card =
-          Sdds_soe.Card.create ~profile:Sdds_soe.Cost.fleet ~subject:"u" user
-        in
-        let host = Sdds_soe.Remote_card.Host.create ~card ~resolve () in
-        ( Sdds_soe.Remote_card.Host.process host,
-          fun () -> Sdds_soe.Remote_card.Host.tear host )
-      in
-      let golden_tbl = Hashtbl.create 32 in
-      let golden (r : Sdds_proxy.Proxy.Request.t) =
-        let key = (r.Sdds_proxy.Proxy.Request.doc_id, r.Sdds_proxy.Proxy.Request.xpath) in
-        match Hashtbl.find_opt golden_tbl key with
-        | Some xml -> xml
-        | None ->
-            let card =
-              Sdds_soe.Card.create ~profile:Sdds_soe.Cost.fleet ~subject:"u"
-                user
-            in
-            let proxy = Sdds_proxy.Proxy.create ~store ~card in
-            let xml =
-              match Sdds_proxy.Proxy.run proxy r with
-              | Ok o -> o.Sdds_proxy.Proxy.xml
-              | Error e ->
-                  or_die
-                    (Error
-                       (Format.asprintf "golden run failed: %a"
-                          Sdds_proxy.Proxy.pp_error e))
-            in
-            Hashtbl.add golden_tbl key xml;
-            xml
-      in
-      (* Zipf(1.1) popularity, same mix as [sdds fleet]. *)
-      let cum =
-        let w =
-          Array.init docs (fun k ->
-              1.0 /. Float.pow (float_of_int (k + 1)) 1.1)
-        in
-        let total = Array.fold_left ( +. ) 0.0 w in
-        let acc = ref 0.0 in
-        Array.map
-          (fun x ->
-            acc := !acc +. (x /. total);
-            !acc)
-          w
-      in
-      let rng = Sdds_util.Rng.create (Int64.of_int ((seed * 7919) + cards)) in
-      let pick_doc () =
-        let u = float_of_int (Sdds_util.Rng.int rng 1_000_000) /. 1.0e6 in
-        let rec go k =
-          if k >= docs - 1 || u <= cum.(k) then k else go (k + 1)
-        in
-        doc_ids.(go 0)
-      in
-      let xpaths = [| None; Some "//patient/name"; Some "//patient" |] in
-      let reqs =
-        List.init requests (fun i ->
-            Sdds_proxy.Proxy.Request.make
-              ?xpath:xpaths.(i mod Array.length xpaths)
-              (pick_doc ()))
-      in
-      (store, make_card, golden, reqs)
-    in
     let run_once campaign n =
-      let store, make_card, golden, reqs = build_world () in
-      let reqs = List.filteri (fun i _ -> i < n) reqs in
-      Sdds_proxy.Chaos.run ~cards ~standby_k ~store ~subject:"u" ~make_card
-        ~golden ~schedule ~campaign reqs
+      let w = ward_world "sdds-chaos" ~seed ~docs in
+      (* The first [n] requests of the same zipf mix as [sdds fleet]. *)
+      let reqs =
+        Sdds_proxy.World.requests w
+          (Sdds_util.Rng.create (Int64.of_int ((seed * 7919) + cards)))
+          n
+      in
+      Sdds_proxy.Chaos.run ~cards ~standby_k ~store:(Sdds_proxy.World.store w)
+        ~subject:"u"
+        ~make_card:(Sdds_proxy.World.make_card ~profile:Sdds_soe.Cost.fleet w)
+        ~golden:(Sdds_proxy.World.golden w) ~schedule ~campaign reqs
     in
     let report = run_once campaign requests in
     let st = report.Sdds_proxy.Chaos.stats in
@@ -1170,48 +1026,10 @@ let slo_cmd =
       or_die
         (Error "--cards >= 1, --per-phase >= --batch, 1 <= --docs <= 6 \
                 required");
-    let drbg =
-      Sdds_crypto.Drbg.create ~seed:(Printf.sprintf "sdds-slo|%d" seed)
-    in
-    let publisher = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let user = Sdds_crypto.Rsa.generate drbg ~bits:512 in
-    let store = Sdds_dsp.Store.create () in
-    List.iter
-      (fun i ->
-        let doc_id = Printf.sprintf "doc%d" i in
-        let doc =
-          Sdds_xml.Generator.hospital
-            (Sdds_util.Rng.create (Int64.of_int (101 + i)))
-            ~patients:(1 + (i mod 3))
-        in
-        let published, doc_key =
-          Sdds_dsp.Publish.publish drbg ~publisher ~doc_id doc
-        in
-        Sdds_dsp.Store.put_document store published;
-        let rules =
-          [ Sdds_core.Rule.allow ~subject:"u" "//patient";
-            Sdds_core.Rule.deny ~subject:"u"
-              (if i mod 2 = 0 then "//ssn" else "//diagnosis") ]
-        in
-        Sdds_dsp.Store.put_rules store ~doc_id ~subject:"u"
-          (Sdds_dsp.Publish.encrypt_rules_for drbg ~publisher ~doc_key
-             ~doc_id ~subject:"u" rules);
-        Sdds_dsp.Store.put_grant store ~doc_id ~subject:"u"
-          (Sdds_dsp.Publish.grant drbg ~doc_key ~doc_id
-             ~recipient:user.Sdds_crypto.Rsa.public))
-      (List.init 6 Fun.id);
-    let resolve id =
-      Option.map
-        (fun p -> Sdds_dsp.Publish.to_source p ~delivery:`Pull)
-        (Sdds_dsp.Store.get_document store id)
-    in
-    let make_card () =
-      let card =
-        Sdds_soe.Card.create ~profile:Sdds_soe.Cost.modern ~subject:"u" user
-      in
-      let host = Sdds_soe.Remote_card.Host.create ~card ~resolve () in
-      ( Sdds_soe.Remote_card.Host.process host,
-        fun () -> Sdds_soe.Remote_card.Host.tear host )
+    let world =
+      seeded_world (Printf.sprintf "sdds-slo|%d" seed)
+        (Sdds_proxy.World.wards ~doc_id:(Printf.sprintf "doc%d")
+           ~seed:(( + ) 101) 6)
     in
     let obs =
       Sdds_obs.Obs.create
@@ -1238,7 +1056,11 @@ let slo_cmd =
         ~latency_threshold_us:threshold_us
         ~fast_window_ns:(Int64.of_int (fast_ms * 1_000_000))
         ~slow_window_ns:(Int64.of_int (slow_ms * 1_000_000))
-        ~burn_threshold:burn ~obs ~store ~subject:"u" ~make_card ~requests ()
+        ~burn_threshold:burn ~obs ~store:(Sdds_proxy.World.store world)
+        ~subject:"u"
+        ~make_card:
+          (Sdds_proxy.World.make_card ~profile:Sdds_soe.Cost.modern world)
+        ~requests ()
     in
     if json then
       List.iter

@@ -3,9 +3,10 @@
    over a synthetic string-handle backend; the host half is a downscaled
    but faithful rendition of the terminal driver's triage loop
    ({!Sdds_soe.Remote_card.classify} is the real one); the adversary
-   half mirrors {!Sdds_fault.Fault.Link}'s delivery semantics exactly, so
-   a counterexample's fault schedule means the same thing to the checker
-   and to [sdds query --fault-spec]. *)
+   half delivers through {!Sdds_fault.Fault.deliver}, the function
+   {!Sdds_fault.Fault.Link} delivers through, so a counterexample's fault
+   schedule means the same thing to the checker and to
+   [sdds query --fault-spec]. *)
 
 module Apdu = Sdds_soe.Apdu
 module Protocol = Sdds_soe.Protocol
@@ -438,33 +439,22 @@ type transition = {
   violations : Invariant.violation list;
 }
 
-(* One frame sent by the host, under one adversary choice. The delivery
-   semantics mirror {!Fault.Link.send}: command-side faults never reach
-   the card; response-side faults mean the card processed the command
-   but the host saw only the transient word; a duplicate is answered
-   twice with the host reading the second answer; a tear kills every
-   volatile session and loses the frame. *)
+(* One frame sent by the host, under one adversary choice. *)
 let apply config st fault =
   match command config st.host with
   | None -> None
   | Some cmd ->
       let nv = ref st.nv in
-      let st', viols, reply =
-        match fault with
-        | None -> deliver config nv st cmd
-        | Some (Fault.Drop_command | Fault.Corrupt_command) ->
-            (st, [], sw Protocol.Sw.transport)
-        | Some Fault.Spurious_status -> (st, [], sw Protocol.Sw.internal)
-        | Some (Fault.Drop_response | Fault.Corrupt_response) ->
-            let st, vs, _ = deliver config nv st cmd in
-            (st, vs, sw Protocol.Sw.transport)
-        | Some Fault.Duplicate_command ->
-            let st, vs1, _ = deliver config nv st cmd in
-            let st, vs2, reply = deliver config nv st cmd in
-            (st, vs1 @ vs2, reply)
-        | Some Fault.Tear ->
-            (deliver_tear config nv st, [], sw Protocol.Sw.transport)
+      let st' = ref st and viols = ref [] in
+      let send () =
+        let st, vs, reply = deliver config nv !st' cmd in
+        st' := st;
+        viols := !viols @ vs;
+        reply
       in
+      let tear () = st' := deliver_tear config nv !st' in
+      let reply = Fault.deliver fault ~send ~tear in
+      let st' = !st' and viols = !viols in
       let host, hviol = advance config st'.host reply in
       let faults_left =
         match fault with None -> st.faults_left | Some _ -> st.faults_left - 1

@@ -47,6 +47,34 @@ type event = { frame : int; kind : kind }
 
 let event_to_string e = Printf.sprintf "@%d:%s" e.frame (kind_to_string e.kind)
 
+(* The modeled link layer checksums every frame, so corruption and
+   truncation are *detected*, in either direction: the terminal driver
+   sees a bad frame (or no frame) and reports the transient
+   [Sw.transport] word. A corrupted/ dropped command therefore never
+   reaches the card at all; a corrupted/dropped response means the card
+   *did* process the command but the terminal cannot know — which is
+   exactly why the host's duplicate-ack and block-retransmission
+   machinery exists. Nothing here ever delivers altered payload bytes:
+   Byzantine delivery would model a broken CRC, not a lossy serial
+   link. *)
+let deliver fault ~send ~tear =
+  let sw (sw1, sw2) = { Apdu.sw1; sw2; payload = "" } in
+  match fault with
+  | None -> send ()
+  | Some (Drop_command | Corrupt_command) -> sw Remote.Sw.transport
+  | Some (Drop_response | Corrupt_response) ->
+      ignore (send ());
+      sw Remote.Sw.transport
+  | Some Duplicate_command ->
+      (* The line echoes the frame twice; the card answers both, the
+         terminal reads the second answer. *)
+      ignore (send ());
+      send ()
+  | Some Spurious_status -> sw Remote.Sw.internal
+  | Some Tear ->
+      tear ();
+      sw Remote.Sw.transport
+
 module Schedule = struct
   type t = {
     decide : int -> kind option;
@@ -265,10 +293,10 @@ module Schedule = struct
                 | _ -> err voff (Printf.sprintf "bad rate %S (want 0..1)" v))
             | "ramp" -> (
                 match float_of_string_opt v with
-                | Some g ->
+                | Some g when Float.is_finite g ->
                     ramp := g;
                     Ok ()
-                | None -> err voff (Printf.sprintf "bad ramp %S" v))
+                | _ -> err voff (Printf.sprintf "bad ramp %S" v))
             | "kinds" -> (
                 let names = String.split_on_char '+' v in
                 let rec collect acc = function
@@ -382,54 +410,28 @@ module Link = struct
   let wrap ?obs ~schedule ?tear inner =
     { inner; schedule; on_tear = tear; obs; frame = 0; trace = [] }
 
-  let sw (sw1, sw2) = { Apdu.sw1; sw2; payload = "" }
-
-  (* The modeled link layer checksums every frame, so corruption and
-     truncation are *detected*, in either direction: the terminal driver
-     sees a bad frame (or no frame) and reports the transient
-     [Sw.transport] word. A corrupted/ dropped command therefore never
-     reaches the card at all; a corrupted/dropped response means the
-     card *did* process the command but the terminal cannot know — which
-     is exactly why the host's duplicate-ack and block-retransmission
-     machinery exists. Nothing here ever delivers altered payload bytes:
-     Byzantine delivery would model a broken CRC, not a lossy serial
-     link. *)
   let send t cmd =
     let n = t.frame in
     t.frame <- n + 1;
-    let inject kind =
-      (* Record which request span the fault landed in: the pool re-roots
-         the span stack at the request before every exchange, so
-         [current] is the victim request (or [none] outside tracing). *)
-      let tr = Obs.tracer t.obs in
-      let span = Obs.Tracer.current tr in
-      t.trace <- { event = { frame = n; kind }; span } :: t.trace;
-      Obs.inc t.obs "fault.injected" 1;
-      Obs.Tracer.instant tr
-        ~args:
-          [ ("kind", kind_to_string kind); ("frame", string_of_int n) ]
-        "fault";
-      match kind with
-      | Drop_command | Corrupt_command -> sw Remote.Sw.transport
-      | Drop_response | Corrupt_response ->
-          let _ = t.inner cmd in
-          sw Remote.Sw.transport
-      | Duplicate_command ->
-          (* The line echoes the frame twice; the card answers both, the
-             terminal reads the second answer. *)
-          let _ = t.inner cmd in
-          t.inner cmd
-      | Spurious_status -> sw Remote.Sw.internal
-      | Tear -> (
-          match t.on_tear with
-          | Some f ->
-              f ();
-              sw Remote.Sw.transport
-          | None -> sw Remote.Sw.transport)
-    in
-    match Schedule.decide t.schedule n with
-    | None -> t.inner cmd
-    | Some kind -> inject kind
+    let fault = Schedule.decide t.schedule n in
+    Option.iter
+      (fun kind ->
+        (* Record which request span the fault landed in: the pool
+           re-roots the span stack at the request before every exchange,
+           so [current] is the victim request (or [none] outside
+           tracing). *)
+        let tr = Obs.tracer t.obs in
+        let span = Obs.Tracer.current tr in
+        t.trace <- { event = { frame = n; kind }; span } :: t.trace;
+        Obs.inc t.obs "fault.injected" 1;
+        Obs.Tracer.instant tr
+          ~args:
+            [ ("kind", kind_to_string kind); ("frame", string_of_int n) ]
+          "fault")
+      fault;
+    deliver fault
+      ~send:(fun () -> t.inner cmd)
+      ~tear:(Option.value t.on_tear ~default:ignore)
 
   let transport t = send t
   let frames t = t.frame
@@ -504,72 +506,65 @@ module Campaign = struct
     | evs -> String.concat "," (List.map event_to_string evs)
 
   (* Same surface syntax as fault-event specs ("@AT:ACTION[:CARD]"), and
-     the same positioned error type, so CLI plumbing and error rendering
-     are shared. *)
+     the same positioned error type and field splitter, so CLI plumbing
+     and error rendering are shared. *)
   let of_spec spec =
     let err pos msg = Error { Schedule.pos; msg } in
     let body = String.trim spec in
+    let rec go acc = function
+      | [] -> Ok (of_events (List.rev acc))
+      | (off, p) :: rest -> (
+          if p = "" then err off "empty campaign event"
+          else if p.[0] <> '@' then
+            err off (Printf.sprintf "expected @AT:ACTION, got %S" p)
+          else
+            match String.index_opt p ':' with
+            | None -> err off (Printf.sprintf "missing ':' in %S" p)
+            | Some i -> (
+                let at_s = String.sub p 1 (i - 1) in
+                let act_off = off + i + 1 in
+                let act = String.sub p (i + 1) (String.length p - i - 1) in
+                (* The action word, and the card index after a second ':'. *)
+                let word, card =
+                  match String.index_opt act ':' with
+                  | None -> (act, None)
+                  | Some j ->
+                      ( String.sub act 0 j,
+                        Some
+                          ( act_off + j + 1,
+                            String.sub act (j + 1) (String.length act - j - 1)
+                          ) )
+                in
+                match int_of_string_opt at_s with
+                | None -> err (off + 1) (Printf.sprintf "bad position %S" at_s)
+                | Some at when at < 0 ->
+                    err (off + 1) (Printf.sprintf "negative position %d" at)
+                | Some at -> (
+                    let with_card k =
+                      match card with
+                      | None ->
+                          err act_off
+                            (Printf.sprintf "%s needs a card index" word)
+                      | Some (c_off, c_s) -> (
+                          match int_of_string_opt c_s with
+                          | Some c when c >= 0 ->
+                              go ({ at; action = k c } :: acc) rest
+                          | _ ->
+                              err c_off
+                                (Printf.sprintf "bad card index %S" c_s))
+                    in
+                    match (word, card) with
+                    | "add", None -> go ({ at; action = Add_card } :: acc) rest
+                    | "kill", _ -> with_card (fun c -> Kill c)
+                    | "revive", _ -> with_card (fun c -> Revive c)
+                    | "remove", _ -> with_card (fun c -> Remove_card c)
+                    | "tear", _ -> with_card (fun c -> Tear c)
+                    | _ ->
+                        err act_off
+                          (Printf.sprintf "unknown campaign action %S" act))))
+    in
     if body = "" || body = "none" then Ok []
-    else
-      let parts = String.split_on_char ',' body in
-      let rec go acc off = function
-        | [] -> Ok (of_events (List.rev acc))
-        | p :: rest -> (
-            let next_off = off + String.length p + 1 in
-            let p' = String.trim p in
-            if p' = "" then err off "empty campaign event"
-            else if p'.[0] <> '@' then
-              err off (Printf.sprintf "expected @AT:ACTION, got %S" p')
-            else
-              match String.index_opt p' ':' with
-              | None -> err off (Printf.sprintf "missing ':' in %S" p')
-              | Some i -> (
-                  let at_s = String.sub p' 1 (i - 1) in
-                  let rest_s =
-                    String.sub p' (i + 1) (String.length p' - i - 1)
-                  in
-                  match int_of_string_opt at_s with
-                  | None -> err (off + 1) (Printf.sprintf "bad position %S" at_s)
-                  | Some at when at < 0 ->
-                      err (off + 1) (Printf.sprintf "negative position %d" at)
-                  | Some at -> (
-                      let with_card name k =
-                        match String.index_opt rest_s ':' with
-                        | None ->
-                            err (off + i + 1)
-                              (Printf.sprintf "%s needs a card index" name)
-                        | Some j -> (
-                            let c_s =
-                              String.sub rest_s (j + 1)
-                                (String.length rest_s - j - 1)
-                            in
-                            match int_of_string_opt c_s with
-                            | Some c when c >= 0 ->
-                                go ({ at; action = k c } :: acc) next_off rest
-                            | _ ->
-                                err
-                                  (off + i + j + 2)
-                                  (Printf.sprintf "bad card index %S" c_s))
-                      in
-                      if rest_s = "add" then
-                        go ({ at; action = Add_card } :: acc) next_off rest
-                      else if String.length rest_s >= 4
-                              && String.sub rest_s 0 4 = "kill" then
-                        with_card "kill" (fun c -> Kill c)
-                      else if String.length rest_s >= 6
-                              && String.sub rest_s 0 6 = "revive" then
-                        with_card "revive" (fun c -> Revive c)
-                      else if String.length rest_s >= 6
-                              && String.sub rest_s 0 6 = "remove" then
-                        with_card "remove" (fun c -> Remove_card c)
-                      else if String.length rest_s >= 4
-                              && String.sub rest_s 0 4 = "tear" then
-                        with_card "tear" (fun c -> Tear c)
-                      else
-                        err (off + i + 1)
-                          (Printf.sprintf "unknown campaign action %S" rest_s))))
-      in
-      go [] 0 parts
+    else go [] (Schedule.fields_of spec)
 
   (* A coherent random campaign: kills hit distinct cards in the middle
      80% of the stream, each revive restores a previously killed card

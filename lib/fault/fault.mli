@@ -49,6 +49,21 @@ type event = { frame : int; kind : kind }
 val event_to_string : event -> string
 (** ["@FRAME:KIND"], the [--fault-spec] event syntax. *)
 
+val deliver :
+  kind option ->
+  send:(unit -> Sdds_soe.Apdu.response) ->
+  tear:(unit -> unit) ->
+  Sdds_soe.Apdu.response
+(** One frame through the lossy link under [fault], returning what the
+    terminal reads. [send ()] delivers the frame to the card and returns
+    its answer; [tear ()] resets the card's volatile sessions. [None]
+    sends once. A dropped or corrupted command never sends; a dropped or
+    corrupted response sends and reads the transient transport word; a
+    duplicate sends twice and reads the second answer; a spurious status
+    reads the internal-error word without sending; a tear tears and
+    reads the transport word. {!Link} and the protocol model checker
+    both deliver through this function. *)
+
 (** When to inject what. *)
 module Schedule : sig
   type t

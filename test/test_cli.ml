@@ -237,6 +237,58 @@ let test_trace_export () =
           ( "frames reached the card",
             c "pool.command_frames" >= 1.0 && c "apdu.commands" >= 1.0 ) ])
 
+(* Byte-parity pins. These commands are deterministic for their default
+   seeds, so their exact output is pinned: a refactor that changes a
+   single byte of it changes behaviour, and must say so by updating the
+   pin. *)
+let test_stdout_pins () =
+  List.iter
+    (fun (args, want) ->
+      Alcotest.(check string) ("sdds " ^ String.concat " " args) want
+        (sdds_ok args))
+    [ ( [ "fleet"; "--json" ],
+        {|{"cards":4,"streams":64,"docs":8,"routing":"affinity","seed":42,"ok":64,"errors":0,"rejected":0,"affinity_hits":64,"fallbacks":0,"reroutes":0,"queue_peak":46,"served_by":[46,18,0,0],"faults_injected":0,"p50_ms":30.188,"p95_ms":53.785,"p99_ms":54.412}
+|} );
+      ( [ "chaos"; "--json"; "--requests"; "120" ],
+        {|{"cards":3,"requests":120,"seed":42,"ok":120,"errors":0,"rejected":0,"divergences":0,"convergence_failures":0,"faults_injected":61,"kills":2,"migrations":14,"deaths":2,"revives":1,"drains":0,"cards_added":1,"standby_hits":16,"probes":6,"campaign":"@24:kill:2,@30:kill:1,@54:add,@56:revive:2","schedule":"seed=1302,rate=0.05"}
+|} );
+      ( [ "slo"; "--json" ],
+        {|{"phase":"steady","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":61049999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false}]}
+{"phase":"churn","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":4,"breached":true,"now_ns":97946999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":20.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":96,"total":96,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":90.909,"fast_burn":0.000,"slow_burn":1.818,"burn_threshold":1.000,"good":90,"total":96,"breach":false}]}
+{"phase":"recovered","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":127244999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":144,"total":144,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":92.424,"fast_burn":0.000,"slow_burn":1.515,"burn_threshold":1.000,"good":138,"total":144,"breach":false}]}
+|} );
+      ( [ "demo"; clinical; "--rule"; "+, u, //patient"; "--rule=-, u, //ssn";
+          "--subject"; "u" ],
+        {|<folder>
+  <patient>
+    <name>Durand</name>
+    <age>61</age>
+    <diagnosis>
+      <symptom>cough</symptom>
+      <note>mild</note>
+    </diagnosis>
+    <prescription>
+      <drug>aspirin</drug>
+      <dose>2</dose>
+    </prescription>
+  </patient>
+</folder>
+|} ) ]
+
+(* The slo drill's trace and metrics exports run on a manual clock, so
+   their bytes are pinned too, by digest. *)
+let test_slo_export_pins () =
+  with_temp_dir (fun dir ->
+      let trace = Filename.concat dir "trace.json"
+      and metrics = Filename.concat dir "metrics.json" in
+      ignore
+        (sdds_ok [ "slo"; "--trace-out"; trace; "--metrics-out"; metrics ]);
+      let digest path = Digest.to_hex (Digest.file path) in
+      Alcotest.(check string) "trace export" "bfe0fc90e149c6acfdfa37eaa674dff0"
+        (digest trace);
+      Alcotest.(check string) "metrics export"
+        "a44331b9baff81f1f3049ab2bd532855" (digest metrics))
+
 let () =
   Alcotest.run "sdds-cli"
     [
@@ -248,5 +300,7 @@ let () =
           Alcotest.test_case "slo drill" `Quick test_slo;
           Alcotest.test_case "disseminate smoke" `Quick test_disseminate;
           Alcotest.test_case "trace export" `Quick test_trace_export;
+          Alcotest.test_case "stdout parity pins" `Quick test_stdout_pins;
+          Alcotest.test_case "slo export pins" `Quick test_slo_export_pins;
         ] );
     ]

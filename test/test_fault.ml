@@ -8,6 +8,7 @@ module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Proxy = Sdds_proxy.Proxy
+module World = Sdds_proxy.World
 module Fault = Sdds_fault.Fault
 module Store_io = Sdds_dsp.Store_io
 module Publish = Sdds_dsp.Publish
@@ -22,55 +23,35 @@ module Rng = Sdds_util.Rng
 (* One world: a published ward document, rules and a grant for subject
    "u" in a DSP store. Cards and hosts are created per run — they carry
    the volatile state the faults attack. *)
-type world = {
-  store : Store.t;
-  user : Rsa.keypair;
-  publisher : Rsa.keypair;
-  doc : Dom.t;
-  doc_key : string;
-  drbg : Drbg.t;
-}
-
 let doc_id = "ward"
+
+let rules =
+  [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]
 
 let make_world ?(seed = "fault-world") () =
   let drbg = Drbg.create ~seed in
   let publisher = Rsa.generate drbg ~bits:512 in
   let user = Rsa.generate drbg ~bits:512 in
-  let store = Store.create () in
-  let doc = Generator.hospital (Rng.create 77L) ~patients:5 in
-  let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-  Store.put_document store published;
-  let rules =
-    [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]
-  in
-  Store.put_rules store ~doc_id ~subject:"u"
-    (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id ~subject:"u"
-       rules);
-  Store.put_grant store ~doc_id ~subject:"u"
-    (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public);
-  { store; user; publisher; doc; doc_key; drbg }
+  World.create drbg ~publisher ~user
+    [ (doc_id, Generator.hospital (Rng.create 77L) ~patients:5, rules) ]
 
 let world = lazy (make_world ())
+let fresh_host w = World.host ~profile:Cost.modern w
 
-let resolve w id =
-  Option.map
-    (fun p -> Publish.to_source p ~delivery:`Pull)
-    (Store.get_document w.store id)
+let stored_rules w =
+  Option.get (Store.get_rules (World.store w) ~doc_id ~subject:"u")
 
-let fresh_host w =
-  let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-  Remote.Host.create ~card ~resolve:(resolve w) ()
-
-let stored_rules w = Option.get (Store.get_rules w.store ~doc_id ~subject:"u")
-let stored_grant w = Option.get (Store.get_grant w.store ~doc_id ~subject:"u")
+let stored_grant w =
+  Option.get (Store.get_grant (World.store w) ~doc_id ~subject:"u")
 
 let requests =
   [ Proxy.Request.make doc_id; Proxy.Request.make ~xpath:"//patient/name" doc_id ]
 
 (* Serve [requests] over a transport; [None] on any non-Ok outcome. *)
 let pool_views w transport =
-  let pool = Proxy.Pool.create ~store:w.store ~transport ~subject:"u" () in
+  let pool =
+    Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
+  in
   List.map
     (fun r -> Result.map (fun s -> s.Proxy.Pool.xml) r)
     (Proxy.Pool.serve pool requests)
@@ -255,23 +236,24 @@ let test_client_budget_exhaustion_is_typed () =
    a proxy whose card cached the old key must re-fetch the fresh wrapped
    grant from the DSP and succeed — not fail with [Stale_key] forever. *)
 let rotate_in_store w =
-  let published = Option.get (Store.get_document w.store doc_id) in
+  let store = World.store w and drbg = World.drbg w in
+  let publisher = World.publisher w in
+  let published = Option.get (Store.get_document store doc_id) in
   let rotated, new_key =
-    Publish.rotate w.drbg ~publisher:w.publisher ~old_key:w.doc_key published
+    Publish.rotate drbg ~publisher ~old_key:(World.doc_key w doc_id) published
   in
-  Store.put_document w.store rotated;
-  Store.put_rules w.store ~doc_id ~subject:"u"
-    (Publish.encrypt_rules_for w.drbg ~publisher:w.publisher ~doc_key:new_key
-       ~doc_id ~subject:"u"
-       [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]);
-  Store.put_grant w.store ~doc_id ~subject:"u"
-    (Publish.grant w.drbg ~doc_key:new_key ~doc_id
-       ~recipient:w.user.Rsa.public)
+  Store.put_document store rotated;
+  Store.put_rules store ~doc_id ~subject:"u"
+    (Publish.encrypt_rules_for drbg ~publisher ~doc_key:new_key ~doc_id
+       ~subject:"u" rules);
+  Store.put_grant store ~doc_id ~subject:"u"
+    (Publish.grant drbg ~doc_key:new_key ~doc_id
+       ~recipient:(World.user w).Rsa.public)
 
 let test_run_refreshes_grant_after_rotation () =
   let w = make_world ~seed:"rotation-run" () in
-  let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-  let proxy = Proxy.create ~store:w.store ~card in
+  let card = Card.create ~profile:Cost.modern ~subject:"u" (World.user w) in
+  let proxy = Proxy.create ~store:(World.store w) ~card in
   let before =
     match Proxy.run proxy (Proxy.Request.make doc_id) with
     | Ok o -> o.Proxy.view
@@ -288,7 +270,8 @@ let test_pool_refreshes_grant_after_rotation () =
   let w = make_world ~seed:"rotation-pool" () in
   let host = fresh_host w in
   let pool =
-    Proxy.Pool.create ~store:w.store ~transport:(Remote.Host.process host)
+    Proxy.Pool.create ~store:(World.store w)
+      ~transport:(Remote.Host.process host)
       ~subject:"u" ()
   in
   let first =
@@ -489,9 +472,9 @@ let test_fault_spec_parsing () =
     [ "seed=42"; "rate=0.5"; "seed=x,rate=0.5"; "seed=1,rate=2.0";
       "@x:tear"; "@3:melt"; "seed=1,rate=0.1,kinds=melt" ]
 
-(* A malformed spec fails with a *position*: the offset of the offending
-   token in the string as given, leading whitespace included. *)
-let test_fault_spec_errors_positioned () =
+(* [parse spec] must fail at byte [pos] with a message mentioning
+   [frag]. *)
+let expect_parse_error parse spec pos frag =
   let mentions needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i =
@@ -499,18 +482,20 @@ let test_fault_spec_errors_positioned () =
     in
     go 0
   in
-  let expect spec pos frag =
-    match Fault.Schedule.of_spec spec with
-    | Ok _ -> Alcotest.failf "accepted bad spec %S" spec
-    | Error e ->
-        Alcotest.(check int) (Printf.sprintf "pos of error in %S" spec) pos
-          e.Fault.Schedule.pos;
-        if not (mentions frag (Fault.Schedule.string_of_parse_error e)) then
-          Alcotest.failf "error for %S says %S, expected it to mention %S"
-            spec
-            (Fault.Schedule.string_of_parse_error e)
-            frag
-  in
+  match parse spec with
+  | Ok _ -> Alcotest.failf "accepted bad spec %S" spec
+  | Error e ->
+      Alcotest.(check int) (Printf.sprintf "pos of error in %S" spec) pos
+        e.Fault.Schedule.pos;
+      if not (mentions frag (Fault.Schedule.string_of_parse_error e)) then
+        Alcotest.failf "error for %S says %S, expected it to mention %S" spec
+          (Fault.Schedule.string_of_parse_error e)
+          frag
+
+(* A malformed spec fails with a *position*: the offset of the offending
+   token in the string as given, leading whitespace included. *)
+let test_fault_spec_errors_positioned () =
+  let expect = expect_parse_error Fault.Schedule.of_spec in
   expect "@3:tear,@x:tear" 9 "bad frame number";
   expect "@3:melt" 3 "unknown fault kind";
   expect "  @-1:tear" 3 "negative frame";
@@ -519,7 +504,22 @@ let test_fault_spec_errors_positioned () =
   expect "seed=zz,rate=0.1" 5 "bad seed";
   expect "seed=1,rate=0.1,kinds=melt" 22 "unknown fault kind";
   expect "seed=1,rate=0.1,color=red" 16 "unknown fault field";
-  expect "rate=0.5" 0 "needs both"
+  expect "rate=0.5" 0 "needs both";
+  (* A NaN ramp makes every comparison false: the schedule would parse
+     and then never fault. *)
+  expect "seed=1,rate=0.5,ramp=nan" 21 "bad ramp";
+  expect "seed=1,rate=0.5,ramp=inf" 21 "bad ramp"
+
+(* Campaign actions match their whole word, and error positions count
+   the whitespace between events. *)
+let test_campaign_spec_errors_positioned () =
+  let expect = expect_parse_error Fault.Campaign.of_spec in
+  expect "@1:killer:3" 3 "unknown campaign action";
+  expect "@1:tearing:0" 3 "unknown campaign action";
+  expect "@1:remove-all:2" 3 "unknown campaign action";
+  expect "@1:add, @2:bogus" 11 "unknown campaign action";
+  expect "@1:add,  @2:kill:x" 17 "bad card index";
+  expect "@1:add, @2:kill" 11 "needs a card index"
 
 (* [ramp=] turns the screw: the effective rate grows linearly with the
    frame number, clamped to 1 — far enough in, every frame faults. *)
@@ -701,13 +701,13 @@ let test_torn_write_never_corrupts_store () =
   let w = make_world ~seed:"torn-store" () in
   with_tmpdir (fun dir ->
       (* A clean save first: this is the state on disk before the crash. *)
-      (match Store_io.save w.store ~dir with
+      (match Store_io.save (World.store w) ~dir with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Store_io.string_of_error e));
       (* Now every write tears mid-file. The re-save fails with a typed
          error... *)
       let disk = Fault.Disk.arm ~seed:11L ~torn_rate:1.0 () in
-      (match Store_io.save w.store ~dir with
+      (match Store_io.save (World.store w) ~dir with
       | Ok () -> Alcotest.fail "torn save reported success"
       | Error e ->
           Alcotest.(check bool) "write failed" true (e.Store_io.op = `Write));
@@ -723,10 +723,10 @@ let test_torn_write_never_corrupts_store () =
             (Store.list_documents loaded);
           Alcotest.(check bool) "grant intact" true
             (Store.get_grant loaded ~doc_id ~subject:"u"
-            = Store.get_grant w.store ~doc_id ~subject:"u");
+            = Store.get_grant (World.store w) ~doc_id ~subject:"u");
           Alcotest.(check bool) "rules intact" true
             (Store.get_rules loaded ~doc_id ~subject:"u"
-            = Store.get_rules w.store ~doc_id ~subject:"u"))
+            = Store.get_rules (World.store w) ~doc_id ~subject:"u"))
 
 let test_rename_fault_is_typed () =
   let w = make_world ~seed:"rename-fault" () in
@@ -735,7 +735,7 @@ let test_rename_fault_is_typed () =
           match op with
           | `Rename -> Some (Store_io.Io_fail "injected rename fault")
           | _ -> None);
-      match Store_io.save w.store ~dir with
+      match Store_io.save (World.store w) ~dir with
       | Ok () -> Alcotest.fail "save succeeded under rename faults"
       | Error e ->
           Alcotest.(check bool) "typed as rename" true
@@ -744,7 +744,7 @@ let test_rename_fault_is_typed () =
 let test_read_faults_are_typed () =
   let w = make_world ~seed:"read-fault" () in
   with_tmpdir (fun dir ->
-      (match Store_io.save w.store ~dir with
+      (match Store_io.save (World.store w) ~dir with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Store_io.string_of_error e));
       let _ = Fault.Disk.arm ~seed:5L ~fail_rate:1.0 () in
@@ -790,6 +790,8 @@ let suite =
       test_fault_spec_concat;
     Alcotest.test_case "campaign specs replay" `Quick
       test_campaign_spec_round_trip;
+    Alcotest.test_case "campaign spec errors: exact words, true positions"
+      `Quick test_campaign_spec_errors_positioned;
     QCheck_alcotest.to_alcotest qcheck_spec_round_trip;
     Alcotest.test_case "torn write never corrupts the store" `Quick
       test_torn_write_never_corrupts_store;

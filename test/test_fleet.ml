@@ -11,6 +11,7 @@ module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Proxy = Sdds_proxy.Proxy
 module Fleet = Sdds_proxy.Fleet
+module World = Sdds_proxy.World
 module Fault = Sdds_fault.Fault
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
@@ -278,72 +279,19 @@ let qcheck_ring_resize_stability =
 (* Fleet world: several published documents, one subject               *)
 (* ------------------------------------------------------------------ *)
 
-type fworld = { store : Store.t; user : Rsa.keypair }
-
 let ndocs = 6
 let fdoc i = Printf.sprintf "doc%d" i
 
-let make_fleet_world () =
-  let drbg = Drbg.create ~seed:"fleet-world" in
-  let publisher = Rsa.generate drbg ~bits:512 in
-  let user = Rsa.generate drbg ~bits:512 in
-  let store = Store.create () in
-  List.iter
-    (fun i ->
-      let doc_id = fdoc i in
-      let doc =
-        Generator.hospital
-          (Rng.create (Int64.of_int (101 + i)))
-          ~patients:(1 + (i mod 3))
-      in
-      let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-      Store.put_document store published;
-      (* Distinct rule sets per document, so each (doc, rules digest)
-         affinity key is its own point on the ring. *)
-      let rules =
-        Rule.allow ~subject:"u" "//patient"
-        ::
-        (if i mod 2 = 0 then [ Rule.deny ~subject:"u" "//ssn" ]
-         else [ Rule.deny ~subject:"u" "//diagnosis" ])
-      in
-      Store.put_rules store ~doc_id ~subject:"u"
-        (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-           ~subject:"u" rules);
-      Store.put_grant store ~doc_id ~subject:"u"
-        (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public))
-    (List.init ndocs Fun.id);
-  { store; user }
-
-let fleet_world = lazy (make_fleet_world ())
-
-let fleet_resolve w id =
-  Option.map
-    (fun p -> Publish.to_source p ~delivery:`Pull)
-    (Store.get_document w.store id)
+let fleet_world =
+  lazy
+    (let drbg = Drbg.create ~seed:"fleet-world" in
+     let publisher = Rsa.generate drbg ~bits:512 in
+     let user = Rsa.generate drbg ~bits:512 in
+     World.create drbg ~publisher ~user
+       (World.wards ~doc_id:fdoc ~seed:(( + ) 101) ndocs))
 
 let fresh_hosts w n =
-  Array.init n (fun _ ->
-      let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-      Remote.Host.create ~card ~resolve:(fleet_resolve w) ())
-
-(* The differential reference: the same request through the plain
-   single-card [Proxy.run], fault-free. *)
-let golden_tbl : (string * string option, string option) Hashtbl.t =
-  Hashtbl.create 16
-
-let fleet_golden w doc_id xpath =
-  match Hashtbl.find_opt golden_tbl (doc_id, xpath) with
-  | Some xml -> xml
-  | None ->
-      let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-      let proxy = Proxy.create ~store:w.store ~card in
-      let xml =
-        match Proxy.run proxy (Proxy.Request.make ?xpath doc_id) with
-        | Ok o -> o.Proxy.xml
-        | Error e -> Alcotest.failf "golden run failed: %a" Proxy.pp_error e
-      in
-      Hashtbl.add golden_tbl (doc_id, xpath) xml;
-      xml
+  Array.init n (fun _ -> World.host ~profile:Cost.modern w)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet behaviour                                                      *)
@@ -359,7 +307,7 @@ let test_fleet_serves_batch_exactly () =
   let obs = Obs.create ~tracing:false () in
   let hosts = fresh_hosts w 2 in
   let fleet =
-    Fleet.create ~obs ~store:w.store ~subject:"u"
+    Fleet.create ~obs ~store:(World.store w) ~subject:"u"
       (Array.map Remote.Host.process hosts)
   in
   let reqs = List.init 24 (fun i -> Proxy.Request.make (fdoc (pick_doc i))) in
@@ -370,7 +318,7 @@ let test_fleet_serves_batch_exactly () =
       | Ok s ->
           Alcotest.(check (option string))
             "fleet view = single-card view"
-            (fleet_golden w r.Proxy.Request.doc_id None)
+            (World.golden w (Proxy.Request.make r.Proxy.Request.doc_id))
             s.Proxy.Pool.xml;
           Alcotest.(check bool) "latency is simulated time" true
             (o.Fleet.latency_s > 0.0)
@@ -404,7 +352,7 @@ let test_fleet_admission_control () =
   let w = Lazy.force fleet_world in
   let hosts = fresh_hosts w 1 in
   let fleet =
-    Fleet.create ~queue_limit:2 ~store:w.store ~subject:"u"
+    Fleet.create ~queue_limit:2 ~store:(World.store w) ~subject:"u"
       (Array.map Remote.Host.process hosts)
   in
   let outs =
@@ -442,7 +390,7 @@ let test_fleet_reroutes_off_a_dead_card () =
       (Remote.Host.process hosts.(0))
   in
   let fleet =
-    Fleet.create ~routing:Fleet.Least_loaded ~store:w.store ~subject:"u"
+    Fleet.create ~routing:Fleet.Least_loaded ~store:(World.store w) ~subject:"u"
       [| Fault.Link.transport dead; Remote.Host.process hosts.(1) |]
   in
   match Fleet.serve fleet [ Proxy.Request.make (fdoc 0) ] with
@@ -451,7 +399,7 @@ let test_fleet_reroutes_off_a_dead_card () =
       | Ok s ->
           Alcotest.(check (option string))
             "re-routed request serves the exact view"
-            (fleet_golden w (fdoc 0) None)
+            (World.golden w (Proxy.Request.make (fdoc 0)))
             s.Proxy.Pool.xml
       | Error e -> Alcotest.failf "re-route failed: %a" Proxy.pp_error e);
       Alcotest.(check int) "served by the healthy card" 1 o.Fleet.card;
@@ -489,7 +437,7 @@ let qcheck_fleet_differential =
                  (Remote.Host.process host)))
           hosts
       in
-      let fleet = Fleet.create ~store:w.store ~subject:"u" transports in
+      let fleet = Fleet.create ~store:(World.store w) ~subject:"u" transports in
       let rng = Rng.create (Int64.of_int (seed + 7)) in
       let reqs =
         List.init 18 (fun _ ->
@@ -506,7 +454,7 @@ let qcheck_fleet_differential =
           match o.Fleet.result with
           | Ok s ->
               s.Proxy.Pool.xml
-              = fleet_golden w r.Proxy.Request.doc_id r.Proxy.Request.xpath
+              = World.golden w r
           | Error
               ( Proxy.Link_failure _ | Proxy.Card_error _ | Proxy.Protocol _
               | Proxy.Unknown_document _ | Proxy.No_grant | Proxy.No_rules
@@ -542,7 +490,7 @@ let test_tear_stale_channel_regression () =
         (Remote.Host.process hosts.(0))
     in
     let fleet =
-      Fleet.create ~queue_limit:64 ~store:w.store ~subject:"u"
+      Fleet.create ~queue_limit:64 ~store:(World.store w) ~subject:"u"
         [| Fault.Link.transport link |]
     in
     let reqs =
@@ -557,7 +505,7 @@ let test_tear_stale_channel_regression () =
         | Ok s ->
             if
               s.Proxy.Pool.xml
-              <> fleet_golden w r.Proxy.Request.doc_id r.Proxy.Request.xpath
+              <> World.golden w r
             then
               Alcotest.failf
                 "stale-channel cross-served view (tear at frame %d, doc %s)"
@@ -581,7 +529,9 @@ let test_drain_with_inflight_migrates_exactly_once () =
         Remote.Host.process host cmd)
       hosts
   in
-  let fleet = Fleet.create ~obs ~store:w.store ~subject:"u" transports in
+  let fleet =
+    Fleet.create ~obs ~store:(World.store w) ~subject:"u" transports
+  in
   let reqs = List.init 10 (fun i -> Proxy.Request.make (fdoc (i mod ndocs))) in
   let streams = List.map (Fleet.start fleet) reqs in
   Fleet.turn fleet;
@@ -604,7 +554,7 @@ let test_drain_with_inflight_migrates_exactly_once () =
           incr ok;
           Alcotest.(check (option string))
             "migrated request serves the exact view"
-            (fleet_golden w r.Proxy.Request.doc_id None)
+            (World.golden w (Proxy.Request.make r.Proxy.Request.doc_id))
             s.Proxy.Pool.xml
       | Error e -> Alcotest.failf "drained request failed: %a" Proxy.pp_error e)
     reqs streams;
@@ -630,7 +580,7 @@ let test_join_under_load () =
   let w = Lazy.force fleet_world in
   let hosts = fresh_hosts w 2 in
   let fleet =
-    Fleet.create ~store:w.store ~subject:"u"
+    Fleet.create ~store:(World.store w) ~subject:"u"
       (Array.map (fun h -> Remote.Host.process h) hosts)
   in
   let reqs =
@@ -645,9 +595,8 @@ let test_join_under_load () =
         Alcotest.fail "clean pre-resize batch must serve")
     (Fleet.serve fleet reqs);
   let joined =
-    let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-    let host = Remote.Host.create ~card ~resolve:(fleet_resolve w) () in
-    Fleet.add_card fleet (Remote.Host.process host)
+    Fleet.add_card fleet
+      (Remote.Host.process (World.host ~profile:Cost.modern w))
   in
   Alcotest.(check int) "indices are stable" 2 joined;
   Alcotest.(check bool) "joins as Joining" true
@@ -658,7 +607,7 @@ let test_join_under_load () =
       | Ok s ->
           Alcotest.(check (option string))
             "post-resize view is exact"
-            (fleet_golden w r.Proxy.Request.doc_id r.Proxy.Request.xpath)
+            (World.golden w r)
             s.Proxy.Pool.xml
       | Error e -> Alcotest.failf "post-resize request failed: %a" Proxy.pp_error e)
     reqs (Fleet.serve fleet reqs);
@@ -682,7 +631,8 @@ let test_hot_key_standby_failover () =
       hosts
   in
   let fleet =
-    Fleet.create ~standby_k:1 ~max_reroutes:2 ~store:w.store ~subject:"u"
+    Fleet.create ~standby_k:1 ~max_reroutes:2 ~store:(World.store w)
+      ~subject:"u"
       transports
   in
   let hot () = Proxy.Request.make (fdoc 0) in
@@ -708,7 +658,7 @@ let test_hot_key_standby_failover () =
       | Ok s ->
           Alcotest.(check (option string))
             "failover serves the exact view"
-            (fleet_golden w (fdoc 0) None)
+            (World.golden w (Proxy.Request.make (fdoc 0)))
             s.Proxy.Pool.xml
       | Error e ->
           Alcotest.failf "hot key surfaced an error across the death: %a"
@@ -741,7 +691,7 @@ let test_fleet_registry_reconciliation () =
   let obs = Obs.create ~tracing:false () in
   let hosts = fresh_hosts w 2 in
   let fleet =
-    Fleet.create ~obs ~store:w.store ~subject:"u"
+    Fleet.create ~obs ~store:(World.store w) ~subject:"u"
       (Array.map (fun h -> Remote.Host.process h) hosts)
   in
   let reqs = List.init 8 (fun i -> Proxy.Request.make (fdoc (i mod ndocs))) in
@@ -781,14 +731,6 @@ let qcheck_chaos_campaign =
         (map (fun r -> 0.06 *. r) (float_range 0.0 1.0)))
     (fun (seed, rate) ->
       let w = Lazy.force fleet_world in
-      let make_card () =
-        let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-        let host = Remote.Host.create ~card ~resolve:(fleet_resolve w) () in
-        (Remote.Host.process host, fun () -> Remote.Host.tear host)
-      in
-      let golden (r : Proxy.Request.t) =
-        fleet_golden w r.Proxy.Request.doc_id r.Proxy.Request.xpath
-      in
       let requests = 60 in
       let rng = Rng.create (Int64.of_int (seed + 13)) in
       let reqs =
@@ -806,8 +748,9 @@ let qcheck_chaos_campaign =
         Fault.Schedule.random ~seed:(Int64.of_int (seed * 17)) ~rate ()
       in
       let report =
-        Chaos.run ~cards:3 ~store:w.store ~subject:"u" ~make_card ~golden
-          ~schedule ~campaign reqs
+        Chaos.run ~cards:3 ~store:(World.store w) ~subject:"u"
+          ~make_card:(World.make_card ~profile:Cost.modern w)
+          ~golden:(World.golden w) ~schedule ~campaign reqs
       in
       not (Chaos.diverged report))
 
@@ -833,7 +776,8 @@ let test_kill_retains_migration_trace () =
       (Remote.Host.process hosts.(0))
   in
   let fleet =
-    Fleet.create ~obs ~routing:Fleet.Least_loaded ~store:w.store ~subject:"u"
+    Fleet.create ~obs ~routing:Fleet.Least_loaded ~store:(World.store w)
+      ~subject:"u"
       [| Fault.Link.transport dead; Remote.Host.process hosts.(1) |]
   in
   (match Fleet.serve fleet [ Proxy.Request.make (fdoc 0) ] with
@@ -903,11 +847,6 @@ let test_kill_retains_migration_trace () =
 let test_run_slo_phases () =
   let w = Lazy.force fleet_world in
   let obs = Obs.create ~clock:(Obs.Clock.manual ()) ~tracing:false () in
-  let make_card () =
-    let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-    let host = Remote.Host.create ~card ~resolve:(fleet_resolve w) () in
-    (Remote.Host.process host, fun () -> Remote.Host.tear host)
-  in
   (* One stream rng across the three phases and a 3-doc hot set, as the
      [sdds slo] defaults do — the concentrated mix is what makes churn
      latency separate cleanly from steady traffic. *)
@@ -925,8 +864,9 @@ let test_run_slo_phases () =
      8191 µs bucket bound; a 98% objective makes those 3-in-48 a
      page-worthy burn while steady traffic (zero bad) stays silent. *)
   match
-    Chaos.run_slo ~cards:3 ~latency_target:98.0 ~obs ~store:w.store
-      ~subject:"u" ~make_card ~requests ()
+    Chaos.run_slo ~cards:3 ~latency_target:98.0 ~obs ~store:(World.store w)
+      ~subject:"u" ~make_card:(World.make_card ~profile:Cost.modern w)
+      ~requests ()
   with
   | [ steady; churn; recovered ] ->
       Alcotest.(check string) "phase order" "steady" steady.Chaos.sp_phase;

@@ -236,6 +236,170 @@ let test_json_parse_rejects () =
     [ ("1e", 2); ("-e", 1); ("1E+", 3); ("\"\\uZZZZ\"", 3); ("01", 1);
       ("-.5", 1); ("1.e5", 2) ]
 
+module Fault = Sdds_fault.Fault
+module Store_io = Sdds_dsp.Store_io
+
+(* Fault and campaign specs drawn from their grammar (events, random
+   fields, concat segments), then half of them perturbed by one
+   inserted or deleted byte, so both the accepting paths and every
+   error path are reached. *)
+let gen_spec =
+  let open QCheck2.Gen in
+  let num =
+    oneofa [| "0"; "1"; "7"; "-1"; "300"; "0x1f"; "9999999999999999999" |]
+  in
+  let real =
+    oneofa [| "0"; "0.05"; "0.5"; "1"; "1.5"; "-0.1"; "1e-9"; "nan"; "inf" |]
+  in
+  let word =
+    oneofa
+      [| "tear"; "drop-command"; "duplicate-command"; "spurious-status";
+         "kill"; "revive"; "add"; "remove"; "killer"; "none" |]
+  in
+  let event =
+    map3
+      (fun at w card -> "@" ^ at ^ ":" ^ w ^ card)
+      num word
+      (oneof [ pure ""; map (( ^ ) ":") num ])
+  in
+  let field =
+    oneof
+      [ map (( ^ ) "seed=") num; map (( ^ ) "rate=") real;
+        map (( ^ ) "ramp=") real;
+        map
+          (fun ks -> "kinds=" ^ String.concat "+" ks)
+          (list_size (1 -- 3) word) ]
+  in
+  let simple =
+    oneof
+      [ pure "none";
+        map (String.concat ",") (list_size (1 -- 4) event);
+        map (String.concat ",") (list_size (1 -- 4) field) ]
+  in
+  let spec =
+    map2
+      (fun segs tail -> String.concat ";" (segs @ [ tail ]))
+      (list_size (0 -- 2) (map2 (fun n s -> "#" ^ n ^ ":" ^ s) num simple))
+      simple
+  in
+  bind spec (fun s ->
+      map3
+        (fun op i c ->
+          let i = min i (String.length s) in
+          let before = String.sub s 0 i in
+          match op with
+          | 0 -> before ^ String.make 1 c ^ String.sub s i (String.length s - i)
+          | 1 when i < String.length s ->
+              before ^ String.sub s (i + 1) (String.length s - i - 1)
+          | _ -> s)
+        (int_bound 3) (int_bound 64)
+        (oneofl [ ' '; ','; ':'; ';'; '@'; '#'; '='; '+'; 'x'; '0' ]))
+
+(* [of_spec] returns [Ok] or a positioned [Error], never raises, and an
+   [Ok] re-parses from its own [to_spec] to the same spec. *)
+let spec_round_trips ~of_spec ~to_spec s =
+  match of_spec s with
+  | Error _ -> true
+  | Ok t -> (
+      match of_spec (to_spec t) with
+      | Ok t' -> to_spec t' = to_spec t
+      | Error e ->
+          QCheck2.Test.fail_reportf "%S: to_spec %S does not re-parse: %s" s
+            (to_spec t)
+            (Fault.Schedule.string_of_parse_error e))
+  | exception e ->
+      QCheck2.Test.fail_reportf "of_spec %S raised %s" s (Printexc.to_string e)
+
+let qcheck_schedule_spec_fuzz =
+  QCheck2.Test.make ~name:"fault-spec parser: Ok round-trips or Error"
+    ~count:3000 ~print:Fun.id gen_spec
+    (spec_round_trips ~of_spec:Fault.Schedule.of_spec
+       ~to_spec:Fault.Schedule.to_spec)
+
+let qcheck_campaign_spec_fuzz =
+  QCheck2.Test.make ~name:"campaign-spec parser: Ok round-trips or Error"
+    ~count:3000 ~print:Fun.id gen_spec
+    (spec_round_trips ~of_spec:Fault.Campaign.of_spec
+       ~to_spec:Fault.Campaign.to_spec)
+
+let clinical_schema =
+  "folder = patient\n\
+   patient = name age diagnosis prescription\n\
+   name = #text\n\
+   age = #text\n\
+   diagnosis = symptom note\n\
+   symptom = #text\n\
+   note = #text\n\
+   prescription = drug dose\n"
+
+let qcheck_schema_fuzz =
+  QCheck2.Test.make ~name:"schema parser survives corrupted schemas"
+    ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let text = mutate (Rng.create (Int64.of_int seed)) clinical_schema in
+      well_behaved ~name:"Schema.of_string"
+        (fun () ->
+          ignore
+            (Sdds_core.Schema.depth_bound (Sdds_core.Schema.of_string text)))
+        ~allowed:(function Invalid_argument _ -> true | _ -> false);
+      true)
+
+let rec files_under path =
+  if Sys.is_directory path then
+    List.concat_map
+      (fun f -> files_under (Filename.concat path f))
+      (List.sort compare (Array.to_list (Sys.readdir path)))
+  else [ path ]
+
+(* A saved store and key files, each file corrupted in turn: the loaders
+   return [Ok] or a typed [Error], or raise [Invalid_argument] for
+   malformed contents — nothing else. *)
+let test_store_io_fuzz () =
+  let dir = Filename.temp_dir "sdds-fuzz" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+  @@ fun () ->
+  let key = Lazy.force fuzz_signer in
+  let world =
+    Sdds_proxy.World.create
+      (Sdds_crypto.Drbg.create ~seed:"fuzz-store")
+      ~publisher:key ~user:key
+      (Sdds_proxy.World.wards ~doc_id:(Printf.sprintf "d%d") ~seed:Fun.id 2)
+  in
+  let store_dir = Filename.concat dir "store" in
+  let pub = Filename.concat dir "k.pk" and sec = Filename.concat dir "k.sk" in
+  let ok = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Store_io.string_of_error e)
+  in
+  ok (Store_io.save (Sdds_proxy.World.store world) ~dir:store_dir);
+  ok (Store_io.Keyfile.save_public key.Sdds_crypto.Rsa.public ~path:pub);
+  ok (Store_io.Keyfile.save_keypair key ~path:sec);
+  let loaders =
+    [ (store_dir, fun () -> ignore (Store_io.load ~dir:store_dir));
+      (pub, fun () -> ignore (Store_io.Keyfile.load_public ~path:pub));
+      (sec, fun () -> ignore (Store_io.Keyfile.load_keypair ~path:sec)) ]
+  in
+  let write path data =
+    Out_channel.with_open_bin path (fun oc -> output_string oc data)
+  in
+  let rng = Rng.create 2024L in
+  List.iter
+    (fun (root, load) ->
+      let files = Array.of_list (files_under root) in
+      for _ = 1 to 200 do
+        let path = Rng.pick rng files in
+        let original = In_channel.with_open_bin path In_channel.input_all in
+        write path (mutate rng original);
+        well_behaved ~name:path load ~allowed:(function
+          | Invalid_argument _ -> true
+          | _ -> false);
+        write path original
+      done)
+    loaders
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_reader_fuzz;
@@ -249,4 +413,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
     Alcotest.test_case "json parser rejects non-RFC input" `Quick
       test_json_parse_rejects;
+    QCheck_alcotest.to_alcotest qcheck_schedule_spec_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_campaign_spec_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_schema_fuzz;
+    Alcotest.test_case "store and key loaders survive corrupted files" `Quick
+      test_store_io_fuzz;
   ]

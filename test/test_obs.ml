@@ -17,9 +17,8 @@ module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Remote = Sdds_soe.Remote_card
 module Proxy = Sdds_proxy.Proxy
+module World = Sdds_proxy.World
 module Fault = Sdds_fault.Fault
-module Publish = Sdds_dsp.Publish
-module Store = Sdds_dsp.Store
 module Drbg = Sdds_crypto.Drbg
 module Rsa = Sdds_crypto.Rsa
 module Json = Sdds_analysis.Json
@@ -579,8 +578,6 @@ let qcheck_zero_overhead =
       same plain metrics_only && same plain full)
 
 (* One world for the end-to-end tests, shared (keygen is slow). *)
-type world = { store : Store.t; user : Rsa.keypair }
-
 let doc_id = "ward"
 
 let world =
@@ -588,19 +585,11 @@ let world =
     (let drbg = Drbg.create ~seed:"obs-world" in
      let publisher = Rsa.generate drbg ~bits:512 in
      let user = Rsa.generate drbg ~bits:512 in
-     let store = Store.create () in
-     let doc = Generator.hospital (Rng.create 19L) ~patients:5 in
-     let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-     Store.put_document store published;
-     let rules =
-       [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]
-     in
-     Store.put_rules store ~doc_id ~subject:"u"
-       (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-          ~subject:"u" rules);
-     Store.put_grant store ~doc_id ~subject:"u"
-       (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public);
-     { store; user })
+     World.create drbg ~publisher ~user
+       [ ( doc_id,
+           Generator.hospital (Rng.create 19L) ~patients:5,
+           [ Rule.allow ~subject:"u" "//patient";
+             Rule.deny ~subject:"u" "//ssn" ] ) ])
 
 let requests =
   [
@@ -612,22 +601,17 @@ let requests =
 let traced_pool_run ?(schedule = Fault.Schedule.none) ?policy () =
   let w = Lazy.force world in
   let obs = Obs.create ~clock:(Obs.Clock.manual ()) ?policy () in
-  let card = Card.create ~obs ~profile:Cost.modern ~subject:"u" w.user in
-  let host =
-    Remote.Host.create ~obs ~card
-      ~resolve:(fun id ->
-        Option.map
-          (fun p -> Publish.to_source p ~delivery:`Pull)
-          (Store.get_document w.store id))
-      ()
+  let card =
+    Card.create ~obs ~profile:Cost.modern ~subject:"u" (World.user w)
   in
+  let host = Remote.Host.create ~obs ~card ~resolve:(World.resolve w) () in
   let link =
     Fault.Link.wrap ~obs ~schedule
       ~tear:(fun () -> Remote.Host.tear host)
       (Remote.Host.process host)
   in
   let pool =
-    Proxy.Pool.create ~obs ~store:w.store
+    Proxy.Pool.create ~obs ~store:(World.store w)
       ~transport:(Fault.Link.transport link) ~subject:"u" ()
   in
   let served = Proxy.Pool.serve pool requests in

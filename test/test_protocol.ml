@@ -15,7 +15,7 @@ module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Fault = Sdds_fault.Fault
-module Publish = Sdds_dsp.Publish
+module World = Sdds_proxy.World
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
 module Generator = Sdds_xml.Generator
@@ -109,12 +109,6 @@ let test_prefix_single_frame_hole_found () =
 
 (* One world: a published ward document with rules bulky enough that a
    1-byte-per-frame upload spans the full 256-frame sequence window. *)
-type world = {
-  store : Store.t;
-  user : Rsa.keypair;
-  golden : string;
-}
-
 let doc_id = "ward"
 
 let world =
@@ -122,40 +116,29 @@ let world =
     (let drbg = Drbg.create ~seed:"protocol-check" in
      let publisher = Rsa.generate drbg ~bits:512 in
      let user = Rsa.generate drbg ~bits:512 in
-     let store = Store.create () in
-     let doc = Generator.hospital (Rng.create 23L) ~patients:5 in
-     let published, doc_key = Publish.publish drbg ~publisher ~doc_id doc in
-     Store.put_document store published;
-     let rules =
-       [
-         Rule.allow ~subject:"u" "//patient";
-         Rule.deny ~subject:"u" "//ssn";
-         Rule.deny ~subject:"u" "//patient/billing";
-         Rule.allow ~subject:"u" "//patient/treatment";
-         Rule.allow ~subject:"u" "//patient/treatment/medication";
-         Rule.allow ~subject:"u" "//patient/treatment/procedure";
-         Rule.deny ~subject:"u" "//patient/billing/insurance";
-         Rule.deny ~subject:"u" "//patient/billing/account";
-       ]
-     in
-     Store.put_rules store ~doc_id ~subject:"u"
-       (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-          ~subject:"u" rules);
-     Store.put_grant store ~doc_id ~subject:"u"
-       (Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public);
-     { store; user; golden = "" })
-
-let resolve w id =
-  Option.map
-    (fun p -> Publish.to_source p ~delivery:`Pull)
-    (Store.get_document w.store id)
+     World.create drbg ~publisher ~user
+       [ ( doc_id,
+           Generator.hospital (Rng.create 23L) ~patients:5,
+           [
+             Rule.allow ~subject:"u" "//patient";
+             Rule.deny ~subject:"u" "//ssn";
+             Rule.deny ~subject:"u" "//patient/billing";
+             Rule.allow ~subject:"u" "//patient/treatment";
+             Rule.allow ~subject:"u" "//patient/treatment/medication";
+             Rule.allow ~subject:"u" "//patient/treatment/procedure";
+             Rule.deny ~subject:"u" "//patient/billing/insurance";
+             Rule.deny ~subject:"u" "//patient/billing/account";
+           ] ) ])
 
 let fresh_host ?semantics w =
-  let card = Card.create ~profile:Cost.modern ~subject:"u" w.user in
-  Remote.Host.create ?semantics ~card ~resolve:(resolve w) ()
+  let card = Card.create ~profile:Cost.modern ~subject:"u" (World.user w) in
+  Remote.Host.create ?semantics ~card ~resolve:(World.resolve w) ()
 
-let stored_rules w = Option.get (Store.get_rules w.store ~doc_id ~subject:"u")
-let stored_grant w = Option.get (Store.get_grant w.store ~doc_id ~subject:"u")
+let stored_rules w =
+  Option.get (Store.get_rules (World.store w) ~doc_id ~subject:"u")
+
+let stored_grant w =
+  Option.get (Store.get_grant (World.store w) ~doc_id ~subject:"u")
 
 let run_clean w host =
   Remote.Client.evaluate (Remote.Host.process host) ~doc_id

@@ -7,6 +7,7 @@ module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Proxy = Sdds_proxy.Proxy
+module World = Sdds_proxy.World
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
@@ -21,14 +22,6 @@ module Rng = Sdds_util.Rng
 (* One world: two published ward documents, rules and grants for subject
    "u" in a DSP store. Cards and hosts are created per test — they carry
    the mutable state under scrutiny. *)
-type world = {
-  store : Store.t;
-  user : Rsa.keypair;
-  publisher : Rsa.keypair;
-  doc_keys : (string * string) list;
-  rules : (string * Rule.t list) list;
-}
-
 let doc_ids = [ "ward-1"; "ward-2" ]
 
 let world =
@@ -36,58 +29,33 @@ let world =
     (let drbg = Drbg.create ~seed:"session-world" in
      let publisher = Rsa.generate drbg ~bits:512 in
      let user = Rsa.generate drbg ~bits:512 in
-     let store = Store.create () in
-     let per_doc =
-       List.mapi
-         (fun i doc_id ->
-           let doc =
-             Generator.hospital (Rng.create (Int64.of_int (50 + i)))
-               ~patients:(4 + i)
-           in
-           let published, doc_key =
-             Publish.publish drbg ~publisher ~doc_id doc
-           in
-           Store.put_document store published;
-           let rules =
-             if i = 0 then
-               [ Rule.allow ~subject:"u" "//patient";
-                 Rule.deny ~subject:"u" "//ssn" ]
-             else [ Rule.allow ~subject:"u" "//patient/name" ]
-           in
-           Store.put_rules store ~doc_id ~subject:"u"
-             (Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id
-                ~subject:"u" rules);
-           Store.put_grant store ~doc_id ~subject:"u"
-             (Publish.grant drbg ~doc_key ~doc_id
-                ~recipient:user.Rsa.public);
-           (doc_id, doc_key, rules))
-         doc_ids
-     in
-     {
-       store;
-       user;
-       publisher;
-       doc_keys = List.map (fun (d, k, _) -> (d, k)) per_doc;
-       rules = List.map (fun (d, _, r) -> (d, r)) per_doc;
-     })
-
-let resolve w id =
-  Option.map
-    (fun p -> Publish.to_source p ~delivery:`Pull)
-    (Store.get_document w.store id)
+     World.create drbg ~publisher ~user
+       (List.mapi
+          (fun i doc_id ->
+            ( doc_id,
+              Generator.hospital (Rng.create (Int64.of_int (50 + i)))
+                ~patients:(4 + i),
+              if i = 0 then
+                [ Rule.allow ~subject:"u" "//patient";
+                  Rule.deny ~subject:"u" "//ssn" ]
+              else [ Rule.allow ~subject:"u" "//patient/name" ] ))
+          doc_ids))
 
 let fresh_card ?cache_budget_bytes w =
-  Card.create ~profile:Cost.modern ?cache_budget_bytes ~subject:"u" w.user
+  Card.create ~profile:Cost.modern ?cache_budget_bytes ~subject:"u"
+    (World.user w)
 
 let fresh_transport ?cache_budget_bytes w =
   let card = fresh_card ?cache_budget_bytes w in
-  (card, Remote.Host.process (Remote.Host.create ~card ~resolve:(resolve w) ()))
+  ( card,
+    Remote.Host.process
+      (Remote.Host.create ~card ~resolve:(World.resolve w) ()) )
 
 let stored_rules w doc_id =
-  Option.get (Store.get_rules w.store ~doc_id ~subject:"u")
+  Option.get (Store.get_rules (World.store w) ~doc_id ~subject:"u")
 
 let stored_grant w doc_id =
-  Option.get (Store.get_grant w.store ~doc_id ~subject:"u")
+  Option.get (Store.get_grant (World.store w) ~doc_id ~subject:"u")
 
 let render ~has_query outputs =
   Option.map
@@ -131,7 +99,9 @@ let qcheck_interleaved_equals_sequential =
       let k = 2 + Rng.int rng 5 in
       let reqs = List.init k (fun _ -> random_request rng) in
       let _, transport = fresh_transport w in
-      let pool = Proxy.Pool.create ~store:w.store ~transport ~subject:"u" () in
+      let pool =
+        Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
+      in
       let served = Proxy.Pool.serve pool reqs in
       List.for_all2
         (fun req result ->
@@ -144,7 +114,9 @@ let qcheck_interleaved_equals_sequential =
 let test_pool_warm_reuse () =
   let w = Lazy.force world in
   let card, transport = fresh_transport w in
-  let pool = Proxy.Pool.create ~store:w.store ~transport ~subject:"u" () in
+  let pool =
+    Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
+  in
   let req = Proxy.Request.make ~xpath:"//patient" "ward-1" in
   let first =
     match Proxy.Pool.serve pool [ req ] with
@@ -172,14 +144,16 @@ let test_pool_warm_reuse () =
 let test_pool_rejects_protect () =
   let w = Lazy.force world in
   let _, transport = fresh_transport w in
-  let pool = Proxy.Pool.create ~store:w.store ~transport ~subject:"u" () in
+  let pool =
+    Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
+  in
   match Proxy.Pool.serve pool [ Proxy.Request.make ~protect:true "ward-1" ] with
   | [ Error (Proxy.Protocol _) ] -> ()
   | _ -> Alcotest.fail "expected a Protocol error for protect over APDU"
 
 let test_run_equals_query () =
   let w = Lazy.force world in
-  let proxy = Proxy.create ~store:w.store ~card:(fresh_card w) in
+  let proxy = Proxy.create ~store:(World.store w) ~card:(fresh_card w) in
   let via_run = Proxy.run proxy (Proxy.Request.make ~xpath:"//patient" "ward-1") in
   let via_query = Proxy.run proxy (Proxy.Request.make ~xpath:"//patient" "ward-1") in
   match (via_run, via_query) with
@@ -292,7 +266,7 @@ let test_cache_hit_skips_setup_costs () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "grant failed: %a" Card.pp_error e);
-  let source = Option.get (resolve w "ward-1") in
+  let source = Option.get (World.resolve w "ward-1") in
   let encrypted_rules = stored_rules w "ward-1" in
   let o1, r1 = eval card source ~encrypted_rules () in
   let o2, r2 = eval card source ~encrypted_rules () in
@@ -315,7 +289,7 @@ let test_cache_hit_skips_setup_costs () =
 
 let test_lru_eviction_stays_fresh () =
   let w = Lazy.force world in
-  let source = Option.get (resolve w "ward-1") in
+  let source = Option.get (World.resolve w "ward-1") in
   let encrypted_rules = stored_rules w "ward-1" in
   let queries =
     [| parse "//patient"; parse "//patient/name"; parse "//diagnosis" |]
@@ -375,12 +349,12 @@ let test_cache_respects_rollback () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "grant failed: %a" Card.pp_error e);
-  let source = Option.get (resolve w "ward-1") in
+  let source = Option.get (World.resolve w "ward-1") in
   let v0 = stored_rules w "ward-1" in
   let drbg = Drbg.create ~seed:"rollback-blobs" in
   let v1 =
-    Publish.encrypt_rules_for drbg ~publisher:w.publisher
-      ~doc_key:(List.assoc "ward-1" w.doc_keys)
+    Publish.encrypt_rules_for drbg ~publisher:(World.publisher w)
+      ~doc_key:(World.doc_key w "ward-1")
       ~doc_id:"ward-1" ~subject:"u" ~version:1
       [ Rule.allow ~subject:"u" "//patient/name" ]
   in
