@@ -1,11 +1,9 @@
 module Engine = Sdds_core.Engine
-module Reassembler = Sdds_core.Reassembler
 module Event = Sdds_xml.Event
 module Obs = Sdds_obs.Obs
 
 type result = {
   outputs : Sdds_core.Output.t list;
-  view : Sdds_xml.Dom.t option;
   skipped_subtrees : int;
   skipped_bytes : int;
   skipped_ranges : (int * int) list;
@@ -83,11 +81,8 @@ let run ?obs ?default ?query ?(suppress = true) ?dispatch ?(use_index = true)
         ("skipped_subtrees", string_of_int !skipped_subtrees);
         ("skipped_bytes", string_of_int !skipped_bytes) ]
     span;
-  let outputs = List.rev !outputs in
-  let view = Reassembler.run ?default ~has_query:(query <> None) outputs in
   {
-    outputs;
-    view;
+    outputs = List.rev !outputs;
     skipped_subtrees = !skipped_subtrees;
     skipped_bytes = !skipped_bytes;
     skipped_ranges = List.rev !skipped_ranges;

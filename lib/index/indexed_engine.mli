@@ -9,7 +9,6 @@
 
 type result = {
   outputs : Sdds_core.Output.t list;
-  view : Sdds_xml.Dom.t option;  (** reassembled authorized view *)
   skipped_subtrees : int;
   skipped_bytes : int;  (** encoded bytes jumped over *)
   skipped_ranges : (int * int) list;

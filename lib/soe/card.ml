@@ -296,7 +296,80 @@ let consumed_chunks ~n_chunks ~chunk_plain_bytes ~skipped_ranges =
     skipped_ranges;
   consumed
 
-let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
+let ( let* ) = Result.bind
+
+(* ------------------------------------------------------------------ *)
+(* The per-document path of evaluate and disseminate                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The publisher's signature over the Merkle root and the exact
+   plaintext length: one RSA operation. *)
+let root_signed meter source =
+  Cost.charge_rsa meter ~ops:1;
+  Rsa.verify source.publisher
+    (Wire.signed_root_message ~doc_id:source.doc_id
+       ~merkle_root:source.merkle_root ~plain_length:source.plain_length)
+    ~signature:source.root_signature
+
+(* Simulation: every chunk is decrypted up front, and the callers charge
+   only what they consume. A chunk the key does not open is zero-filled,
+   so later chunks stay in place, and its index is returned. *)
+let open_chunks ~key source =
+  let bad = ref [] in
+  let parts =
+    Array.mapi
+      (fun i cipher ->
+        match Wire.decrypt_chunk ~key ~doc_id:source.doc_id ~index:i cipher with
+        | Some plain -> plain
+        | None ->
+            bad := i :: !bad;
+            let len =
+              min source.chunk_plain_bytes
+                (source.plain_length - (i * source.chunk_plain_bytes))
+            in
+            String.make (max 0 len) '\000')
+      source.chunks
+  in
+  (String.concat "" (Array.to_list parts), !bad)
+
+(* Verify each wanted chunk against the signed root, using the proofs the
+   (untrusted) server provides; charge hashing for leaf + path. A
+   tampering server can at best serve the stale proofs of the original
+   tree, which expose any modified leaf it actually has to deliver. The
+   first wanted chunk that fails, in document order, decides: a bad proof
+   is an integrity failure, and an authentic chunk that did not decrypt
+   means the document was re-keyed. *)
+let check_chunks meter source ~bad wanted =
+  let rec from i =
+    if i = Array.length wanted then Ok ()
+    else if not wanted.(i) then from (i + 1)
+    else begin
+      let leaf = source.chunks.(i) in
+      let proof = try source.prove i with Invalid_argument _ -> [] in
+      Cost.charge_hash meter ~bytes:(String.length leaf);
+      Cost.charge_hash meter ~bytes:(64 * List.length proof);
+      if
+        not
+          (Merkle.verify ~root:source.merkle_root
+             ~leaf_count:source.leaf_count ~index:i ~leaf proof)
+      then Error (Integrity_failure { chunk = i })
+      else if List.mem i bad then Error (Stale_key source.doc_id)
+      else from (i + 1)
+    end
+  in
+  from 0
+
+(* A rule blob is transferred, MAC-checked and decrypted. *)
+let charge_blob meter blob =
+  let bytes = String.length blob in
+  Cost.charge_transfer meter ~bytes;
+  Cost.charge_hash meter ~bytes;
+  Cost.charge_decrypt meter ~bytes
+
+(* [wire] turns the engine's outputs into the stream that crosses the
+   link, with that stream's exact size. *)
+let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
+    () =
   Obs.Tracer.with_span (Obs.tracer t.obs)
     ~args:[ ("doc_id", source.doc_id); ("subject", t.subj) ]
     "card.evaluate"
@@ -311,20 +384,6 @@ let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
          use is the evaluator's own working state either way). *)
       let resident_before =
         match t.cache_mem with Some m -> Memory.used_bytes m | None -> 0
-      in
-      let root_msg =
-        Wire.signed_root_message ~doc_id:source.doc_id
-          ~merkle_root:source.merkle_root ~plain_length:source.plain_length
-      in
-      let verify_root () =
-        if
-          Rsa.verify source.publisher root_msg
-            ~signature:source.root_signature
-        then begin
-          Cost.charge_rsa meter ~ops:1;
-          true
-        end
-        else false
       in
       let seen_version () =
         Option.value ~default:(-1)
@@ -362,7 +421,7 @@ let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
             end
             else if
               (not (String.equal p.p_root source.merkle_root))
-              && not (verify_root ())
+              && not (root_signed meter source)
             then Error Bad_signature
             else begin
               p.p_root <- source.merkle_root;
@@ -374,13 +433,9 @@ let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
               Ok (p.p_rules, p.p_compiled, true)
             end
         | None ->
-            if not (verify_root ()) then Error Bad_signature
+            if not (root_signed meter source) then Error Bad_signature
             else begin
-              Cost.charge_transfer meter
-                ~bytes:(String.length encrypted_rules);
-              Cost.charge_hash meter ~bytes:(String.length encrypted_rules);
-              Cost.charge_decrypt meter
-                ~bytes:(String.length encrypted_rules);
+              charge_blob meter encrypted_rules;
               match
                 Wire.decrypt_rules ~key ~doc_id:source.doc_id ~subject:t.subj
                   ~publisher:source.publisher encrypted_rules
@@ -394,12 +449,10 @@ let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
                     Hashtbl.replace t.rule_versions source.doc_id version;
                     let rules = Rule.for_subject t.subj rules in
                     let compiled = Compile.compile ?query rules in
-                    match
+                    let* () =
                       check_bound t
                         ~chunk_plain_bytes:source.chunk_plain_bytes compiled
-                    with
-                    | Error e -> Error e
-                    | Ok () ->
+                    in
                     Cost.charge_compile meter
                       ~states:(Compile.state_count compiled);
                     Obs.Metrics.Counter.inc t.c_misses;
@@ -418,177 +471,124 @@ let evaluate t source ~encrypted_rules ?query ?(use_index = true) () =
                   end
             end
       in
-      match prepare () with
-      | Error e -> Error e
-      | Ok (rules, compiled, prepared_hit) ->
-            (
-            (* 3. Decrypt chunks (simulation: all up front; charging
-               happens per consumed chunk below). *)
-            let bad = ref [] in
-            let plain_parts =
-              Array.mapi
-                (fun i cipher ->
-                  match
-                    Wire.decrypt_chunk ~key ~doc_id:source.doc_id ~index:i
-                      cipher
-                  with
-                  | Some plain -> plain
-                  | None ->
-                      bad := i :: !bad;
-                      (* Keep alignment so later chunks stay in place. *)
-                      let len =
-                        min source.chunk_plain_bytes
-                          (source.plain_length - (i * source.chunk_plain_bytes))
-                      in
-                      String.make (max 0 len) '\000')
-                source.chunks
+      let* rules, compiled, prepared_hit = prepare () in
+      (* 3. Open every chunk. Truncation shows before the engine runs: the
+         signed message binds the exact plaintext length. *)
+      let encoded, bad = open_chunks ~key source in
+      if String.length encoded <> source.plain_length then
+        Error (Integrity_failure { chunk = n_chunks })
+      else
+        (* 4. Stream through the engine with skipping, reusing the
+           prepared automaton. *)
+        match
+          Indexed_engine.run ?obs:t.obs ?query ~use_index ~compiled rules
+            encoded
+        with
+        | exception Invalid_argument _ ->
+            (* Garbage reached the decoder: some chunk fails its proof or
+               did not decrypt, and the walk over all of them names it. *)
+            let all = Array.make n_chunks true in
+            let* () = check_chunks meter source ~bad all in
+            Error (Integrity_failure { chunk = 0 })
+        | res -> (
+            let consumed =
+              if use_index then
+                consumed_chunks ~n_chunks
+                  ~chunk_plain_bytes:source.chunk_plain_bytes
+                  ~skipped_ranges:res.Indexed_engine.skipped_ranges
+              else Array.make n_chunks true
             in
-            let encoded = String.concat "" (Array.to_list plain_parts) in
-            let integrity_check consumed =
-              (* Verify each consumed chunk against the signed root, using
-                 the proofs the (untrusted) server provides; charge hashing
-                 for leaf + path. A tampering server can at best serve the
-                 stale proofs of the original tree, which expose any
-                 modified leaf it actually has to deliver. *)
-              let failure = ref None in
-              Array.iteri
-                (fun i used ->
-                  if used && !failure = None then begin
-                    let proof = try source.prove i with Invalid_argument _ -> [] in
-                    Cost.charge_hash meter
-                      ~bytes:(String.length source.chunks.(i));
-                    Cost.charge_hash meter
-                      ~bytes:(64 * List.length proof);
-                    if
-                      not
-                        (Merkle.verify ~root:source.merkle_root
-                           ~leaf_count:source.leaf_count ~index:i
-                           ~leaf:source.chunks.(i) proof)
-                    then failure := Some (i, `Proof)
-                    else if List.mem i !bad then failure := Some (i, `Decrypt)
-                  end)
-                consumed;
-              !failure
+            let* () = check_chunks meter source ~bad consumed in
+            (* 5. Charge transfer and decryption. *)
+            let proof_len =
+              (* ceil log2 n, digests of 32 bytes *)
+              let rec bits n acc =
+                if n <= 1 then acc else bits ((n + 1) / 2) (acc + 1)
+              in
+              32 * bits n_chunks 0
             in
-            (* Truncation shows immediately: the signed message binds the
-               exact plaintext length. *)
-            if String.length encoded <> source.plain_length then
-              Error (Integrity_failure { chunk = n_chunks })
-            else
-            (* 4. Stream through the engine with skipping, reusing the
-               prepared automaton. *)
-            match
-              Indexed_engine.run ?obs:t.obs ?query ~use_index ~compiled
-                rules encoded
-            with
-            | exception Invalid_argument _ -> (
-                (* Garbage reached the decoder: either the store tampered
-                   with a chunk (its proof fails) or the chunks are
-                   authentic but our key no longer opens them (the
-                   document was rotated). *)
-                let all = Array.make n_chunks true in
-                match integrity_check all with
-                | Some (chunk, `Proof) -> Error (Integrity_failure { chunk })
-                | Some (_, `Decrypt) -> Error (Stale_key source.doc_id)
-                | None -> (
-                    match !bad with
-                    | _ :: _ -> Error (Stale_key source.doc_id)
-                    | [] -> Error (Integrity_failure { chunk = 0 })))
-            | res -> (
-                let consumed =
-                  if use_index then
-                    consumed_chunks ~n_chunks
-                      ~chunk_plain_bytes:source.chunk_plain_bytes
-                      ~skipped_ranges:res.Indexed_engine.skipped_ranges
-                  else Array.make n_chunks true
+            Array.iteri
+              (fun i used ->
+                let cipher_bytes = String.length source.chunks.(i) in
+                match (used, source.delivery) with
+                | true, _ ->
+                    Cost.charge_transfer meter
+                      ~bytes:(cipher_bytes + proof_len);
+                    Cost.charge_decrypt meter ~bytes:cipher_bytes
+                | false, `Pull -> ()
+                | false, `Push ->
+                    (* flows past the card, discarded without decryption *)
+                    Cost.charge_transfer meter ~bytes:cipher_bytes)
+              consumed;
+            (* 6. Automaton work and result upload. *)
+            let st = res.Indexed_engine.engine_stats in
+            Cost.charge_events meter ~events:res.Indexed_engine.events_fed
+              ~tokens:st.Sdds_core.Engine.token_visits;
+            let stream, out_bytes = wire res.Indexed_engine.outputs in
+            Cost.charge_transfer meter ~bytes:out_bytes;
+            (* 7. RAM budget: engine + reader + chunk buffer + runtime
+               slack. The evaluator state is counted in abstract
+               field-words (token positions, rule ids, condition ids — all
+               small integers); the on-card C implementation the paper
+               prototyped packs such a field in ~2 bytes, which is the
+               factor used here. *)
+            let packed_bytes_per_word = 2 in
+            let ram_bytes =
+              (packed_bytes_per_word
+              * (st.Sdds_core.Engine.peak_state_words
+                + res.Indexed_engine.reader_peak_words))
+              + source.chunk_plain_bytes + 16 (* chunk buffer *)
+              + 128 (* fixed runtime state *)
+            in
+            let mem =
+              Memory.create
+                ~budget_bytes:(max 1 (t.prof.Cost.ram_bytes - resident_before))
+            in
+            match Memory.record_bytes mem ~bytes:ram_bytes with
+            | exception Memory.Out_of_memory { need_bytes; budget_bytes } ->
+                Error (Memory_exceeded { need_bytes; budget_bytes })
+            | () ->
+                Obs.inc t.obs "card.evaluations" 1;
+                Obs.set_gauge t.obs "card.ram_peak_bytes"
+                  (Memory.peak_bytes mem);
+                Obs.observe t.obs "card.output_bytes" out_bytes;
+                let report =
+                  {
+                    breakdown = Cost.read meter;
+                    ram_peak_bytes = Memory.peak_bytes mem;
+                    ram_budget_bytes = Memory.budget_bytes mem;
+                    chunks_consumed =
+                      Array.fold_left
+                        (fun a b -> if b then a + 1 else a)
+                        0 consumed;
+                    chunks_total = n_chunks;
+                    consumed_mask = consumed;
+                    skipped_bytes = res.Indexed_engine.skipped_bytes;
+                    events = res.Indexed_engine.events_fed;
+                    suppressed_events = st.Sdds_core.Engine.suppressed;
+                    token_visits = st.Sdds_core.Engine.token_visits;
+                    output_bytes = out_bytes;
+                    prepared_hit;
+                  }
                 in
-                match integrity_check consumed with
-                | Some (chunk, `Proof) -> Error (Integrity_failure { chunk })
-                | Some (_, `Decrypt) -> Error (Stale_key source.doc_id)
-                | None -> (
-                    (* 5. Charge transfer and decryption. *)
-                    let proof_len =
-                      (* ceil log2 n, digests of 32 bytes *)
-                      let rec bits n acc = if n <= 1 then acc else bits ((n + 1) / 2) (acc + 1) in
-                      32 * bits n_chunks 0
-                    in
-                    Array.iteri
-                      (fun i used ->
-                        let cipher_bytes = String.length source.chunks.(i) in
-                        match (source.delivery, used) with
-                        | `Pull, true ->
-                            Cost.charge_transfer meter
-                              ~bytes:(cipher_bytes + proof_len);
-                            Cost.charge_decrypt meter ~bytes:cipher_bytes
-                        | `Pull, false -> ()
-                        | `Push, true ->
-                            Cost.charge_transfer meter
-                              ~bytes:(cipher_bytes + proof_len);
-                            Cost.charge_decrypt meter ~bytes:cipher_bytes
-                        | `Push, false ->
-                            (* flows past the card, discarded without
-                               decryption *)
-                            Cost.charge_transfer meter ~bytes:cipher_bytes)
-                      consumed;
-                    (* 6. Automaton work and result upload. *)
-                    let st = res.Indexed_engine.engine_stats in
-                    Cost.charge_events meter
-                      ~events:res.Indexed_engine.events_fed
-                      ~tokens:st.Sdds_core.Engine.token_visits;
-                    let out_bytes =
-                      output_wire_bytes res.Indexed_engine.outputs
-                    in
-                    Cost.charge_transfer meter ~bytes:out_bytes;
-                    (* 7. RAM budget: engine + reader + chunk buffer +
-                       runtime slack. The evaluator state is counted in
-                       abstract field-words (token positions, rule ids,
-                       condition ids — all small integers); the on-card C
-                       implementation the paper prototyped packs such a
-                       field in ~2 bytes, which is the factor used here. *)
-                    let packed_bytes_per_word = 2 in
-                    let ram_bytes =
-                      (packed_bytes_per_word
-                      * (st.Sdds_core.Engine.peak_state_words
-                        + res.Indexed_engine.reader_peak_words))
-                      + source.chunk_plain_bytes + 16 (* chunk buffer *)
-                      + 128 (* fixed runtime state *)
-                    in
-                    let mem =
-                      Memory.create
-                        ~budget_bytes:
-                          (max 1 (t.prof.Cost.ram_bytes - resident_before))
-                    in
-                    match Memory.record_bytes mem ~bytes:ram_bytes with
-                    | exception Memory.Out_of_memory
-                        { need_bytes; budget_bytes } ->
-                        Error (Memory_exceeded { need_bytes; budget_bytes })
-                    | () ->
-                        Obs.inc t.obs "card.evaluations" 1;
-                        Obs.set_gauge t.obs "card.ram_peak_bytes"
-                          (Memory.peak_bytes mem);
-                        Obs.observe t.obs "card.output_bytes" out_bytes;
-                        let report =
-                          {
-                            breakdown = Cost.read meter;
-                            ram_peak_bytes = Memory.peak_bytes mem;
-                            ram_budget_bytes = Memory.budget_bytes mem;
-                            chunks_consumed =
-                              Array.fold_left
-                                (fun a b -> if b then a + 1 else a)
-                                0 consumed;
-                            chunks_total = n_chunks;
-                            consumed_mask = consumed;
-                            skipped_bytes = res.Indexed_engine.skipped_bytes;
-                            events = res.Indexed_engine.events_fed;
-                            suppressed_events =
-                              st.Sdds_core.Engine.suppressed;
-                            token_visits = st.Sdds_core.Engine.token_visits;
-                            output_bytes = out_bytes;
-                            prepared_hit;
-                          }
-                        in
-                        Ok (res.Indexed_engine.outputs, report)))))
+                Ok (stream, report)))
 
+let evaluate t source ~encrypted_rules ?query ?use_index () =
+  evaluate_with t source ~encrypted_rules ?query ?use_index ()
+    ~wire:(fun outputs -> (outputs, output_wire_bytes outputs))
+
+let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
+  evaluate_with t source ~encrypted_rules ?query ?use_index ()
+    ~wire:(fun outputs ->
+      let protector =
+        Guard.Protector.create (guard_drbg t source)
+          ~has_query:(query <> None) ()
+      in
+      let messages =
+        List.concat_map (Guard.Protector.feed protector) outputs
+        @ Guard.Protector.finish protector
+      in
+      (messages, Guard.wire_bytes messages))
 
 (* ------------------------------------------------------------------ *)
 (* Dissemination: one stream, N subscribers, clustered evaluation      *)
@@ -615,223 +615,128 @@ let disseminate t source ~subscribers () =
   @@ fun () ->
   match Hashtbl.find_opt t.doc_keys source.doc_id with
   | None -> Error (No_key source.doc_id)
-  | Some key ->
+  | Some key -> (
       let meter = Cost.meter t.prof in
       let n_chunks = Array.length source.chunks in
-      let root_msg =
-        Wire.signed_root_message ~doc_id:source.doc_id
-          ~merkle_root:source.merkle_root ~plain_length:source.plain_length
-      in
-      if
-        not
-          (Rsa.verify source.publisher root_msg
-             ~signature:source.root_signature)
-      then Error Bad_signature
-      else begin
-        Cost.charge_rsa meter ~ops:1;
+      if not (root_signed meter source) then Error Bad_signature
+      else
         (* Dissemination pushes whole authorized views: every chunk is
            transferred, decrypted and proof-checked — once, for the whole
            population. *)
-        let bad = ref [] in
-        let plain_parts =
-          Array.mapi
-            (fun i cipher ->
-              match
-                Wire.decrypt_chunk ~key ~doc_id:source.doc_id ~index:i
-                  cipher
-              with
-              | Some plain -> plain
-              | None ->
-                  bad := i :: !bad;
-                  let len =
-                    min source.chunk_plain_bytes
-                      (source.plain_length - (i * source.chunk_plain_bytes))
-                  in
-                  String.make (max 0 len) '\000')
-            source.chunks
-        in
-        let encoded = String.concat "" (Array.to_list plain_parts) in
-        let integrity_failure = ref None in
-        Array.iteri
-          (fun i cipher ->
-            if !integrity_failure = None then begin
-              let proof =
-                try source.prove i with Invalid_argument _ -> []
-              in
-              Cost.charge_transfer meter ~bytes:(String.length cipher);
-              Cost.charge_decrypt meter ~bytes:(String.length cipher);
-              Cost.charge_hash meter ~bytes:(String.length cipher);
-              Cost.charge_hash meter ~bytes:(64 * List.length proof);
-              if
-                not
-                  (Merkle.verify ~root:source.merkle_root
-                     ~leaf_count:source.leaf_count ~index:i ~leaf:cipher
-                     proof)
-              then integrity_failure := Some i
-            end)
+        let encoded, bad = open_chunks ~key source in
+        let* () = check_chunks meter source ~bad (Array.make n_chunks true) in
+        Array.iter
+          (fun cipher ->
+            Cost.charge_transfer meter ~bytes:(String.length cipher);
+            Cost.charge_decrypt meter ~bytes:(String.length cipher))
           source.chunks;
-        match !integrity_failure with
-        | Some chunk -> Error (Integrity_failure { chunk })
-        | None -> (
-            if !bad <> [] then Error (Stale_key source.doc_id)
-            else if String.length encoded <> source.plain_length then
-              Error (Integrity_failure { chunk = n_chunks })
-            else
-              match Sdds_index.Reader.to_events encoded with
-              | exception Invalid_argument _ ->
-                  Error (Integrity_failure { chunk = 0 })
-              | events -> (
-                  (* Per-subscriber preparation: each blob is MAC-checked,
-                     decrypted and version-gated independently; a broken
-                     blob rejects its subscriber, never the publish.
-                     Watermarks are read against the pre-publish snapshot
-                     (listing order cannot matter) and advanced only when
-                     the publish goes through. *)
-                  let new_marks : (string, int) Hashtbl.t =
-                    Hashtbl.create 8
-                  in
-                  let prepared =
-                    List.map
-                      (fun (subject, blob) ->
-                        Cost.charge_transfer meter
-                          ~bytes:(String.length blob);
-                        Cost.charge_hash meter ~bytes:(String.length blob);
-                        Cost.charge_decrypt meter
-                          ~bytes:(String.length blob);
-                        match
-                          Wire.decrypt_rules ~key ~doc_id:source.doc_id
-                            ~subject ~publisher:source.publisher blob
-                        with
-                        | Error msg -> (subject, Error (Bad_rules msg))
-                        | Ok (version, rules) ->
-                            let seen =
-                              Option.value ~default:(-1)
-                                (Hashtbl.find_opt t.rule_versions
-                                   (dissem_version_key
-                                      ~doc_id:source.doc_id ~subject))
-                            in
-                            if version < seen then
-                              ( subject,
-                                Error
-                                  (Replayed_rules { seen; offered = version })
-                              )
-                            else begin
-                              let cur =
-                                Option.value ~default:seen
-                                  (Hashtbl.find_opt new_marks subject)
-                              in
-                              Hashtbl.replace new_marks subject
-                                (max cur version);
-                              (subject, Ok (Rule.for_subject subject rules))
-                            end)
-                      subscribers
-                  in
-                  let population =
-                    List.filter_map
-                      (fun (s, r) ->
-                        match r with
-                        | Ok rules -> Some (s, rules)
-                        | Error _ -> None)
-                      prepared
-                  in
-                  match Sdds_dissem.Cluster.plan population with
-                  | Error e ->
-                      Error
-                        (Bad_rules
-                           (Format.asprintf "%a"
-                              Sdds_dissem.Cluster.pp_error e))
-                  | Ok plan ->
-                      Hashtbl.iter
-                        (fun subject v ->
-                          Hashtbl.replace t.rule_versions
-                            (dissem_version_key ~doc_id:source.doc_id
-                               ~subject)
-                            v)
-                        new_marks;
-                      (* Compilation is per cluster, not per subscriber —
-                         the first dividend of the digest grouping. *)
-                      Array.iter
-                        (fun c ->
-                          Cost.charge_compile meter
-                            ~states:
-                              (Compile.state_count
-                                 c.Sdds_dissem.Cluster.compiled))
-                        plan.Sdds_dissem.Cluster.clusters;
-                      let delivered, stats =
-                        Sdds_dissem.Fanout.run_plan ?obs:t.obs plan events
-                      in
-                      let n_events = List.length events in
-                      (* One event pass per evaluation actually run; the
-                         mux walk's trie-token work stands in for the
-                         per-engine token visits it replaces. *)
-                      Cost.charge_events meter
-                        ~events:
-                          (n_events * stats.Sdds_dissem.Fanout.evaluations)
-                        ~tokens:stats.Sdds_dissem.Fanout.mux_token_visits;
-                      (* Sharing saves evaluations, not uploads: every
-                         subscriber's stream crosses the link. *)
-                      let out_bytes =
-                        List.fold_left
-                          (fun acc (_, outs) ->
-                            acc + output_wire_bytes outs)
-                          0 delivered
-                      in
-                      Cost.charge_transfer meter ~bytes:out_bytes;
-                      let results =
-                        List.map
-                          (fun (subject, r) ->
-                            match r with
-                            | Error e -> (subject, Error e)
-                            | Ok _ ->
-                                ( subject,
-                                  Ok
-                                    (Option.value ~default:[]
-                                       (List.assoc_opt subject delivered))
-                                ))
-                          prepared
-                      in
-                      Obs.inc t.obs "card.disseminations" 1;
-                      Ok
-                        ( results,
-                          {
-                            dissem_breakdown = Cost.read meter;
-                            sharing = stats;
-                            dissem_output_bytes = out_bytes;
-                            dissem_events = n_events;
-                            rejected =
-                              List.length prepared - List.length population;
-                          } )))
-      end
-
-let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
-  match evaluate t source ~encrypted_rules ?query ?use_index () with
-  | Error e -> Error e
-  | Ok (outputs, report) ->
-      let protector =
-        Guard.Protector.create (guard_drbg t source)
-          ~has_query:(query <> None) ()
-      in
-      let messages =
-        List.concat_map (Guard.Protector.feed protector) outputs
-        @ Guard.Protector.finish protector
-      in
-      (* The evaluate pass charged transfer for the plain output stream;
-         replace that charge with the guarded stream's exact wire size so
-         the breakdown and [output_bytes] agree. *)
-      let plain_bytes = report.output_bytes in
-      let guarded_bytes = Guard.wire_bytes messages in
-      let old_ms, old_frames = Cost.transfer_cost t.prof ~bytes:plain_bytes in
-      let new_ms, new_frames = Cost.transfer_cost t.prof ~bytes:guarded_bytes in
-      let b = report.breakdown in
-      let transfer_ms = b.Cost.transfer_ms -. old_ms +. new_ms in
-      let breakdown =
-        {
-          b with
-          Cost.transfer_ms;
-          total_ms = b.Cost.total_ms -. old_ms +. new_ms;
-          bytes_transferred =
-            b.Cost.bytes_transferred - plain_bytes + guarded_bytes;
-          apdu_frames = b.Cost.apdu_frames - old_frames + new_frames;
-        }
-      in
-      Ok (messages, { report with breakdown; output_bytes = guarded_bytes })
+        if String.length encoded <> source.plain_length then
+          Error (Integrity_failure { chunk = n_chunks })
+        else
+          match Sdds_index.Reader.to_events encoded with
+          | exception Invalid_argument _ ->
+              Error (Integrity_failure { chunk = 0 })
+          | events ->
+              (* Per-subscriber preparation: each blob is MAC-checked,
+                 decrypted and version-gated independently; a broken blob
+                 rejects its subscriber, never the publish. Watermarks are
+                 read against the pre-publish snapshot (listing order
+                 cannot matter) and advanced only when the publish goes
+                 through. *)
+              let new_marks : (string, int) Hashtbl.t = Hashtbl.create 8 in
+              let prepared =
+                List.map
+                  (fun (subject, blob) ->
+                    charge_blob meter blob;
+                    match
+                      Wire.decrypt_rules ~key ~doc_id:source.doc_id ~subject
+                        ~publisher:source.publisher blob
+                    with
+                    | Error msg -> (subject, Error (Bad_rules msg))
+                    | Ok (version, rules) ->
+                        let seen =
+                          Option.value ~default:(-1)
+                            (Hashtbl.find_opt t.rule_versions
+                               (dissem_version_key ~doc_id:source.doc_id
+                                  ~subject))
+                        in
+                        if version < seen then
+                          ( subject,
+                            Error (Replayed_rules { seen; offered = version }) )
+                        else begin
+                          let cur =
+                            Option.value ~default:seen
+                              (Hashtbl.find_opt new_marks subject)
+                          in
+                          Hashtbl.replace new_marks subject (max cur version);
+                          (subject, Ok (Rule.for_subject subject rules))
+                        end)
+                  subscribers
+              in
+              let population =
+                List.filter_map
+                  (fun (s, r) ->
+                    match r with Ok rules -> Some (s, rules) | Error _ -> None)
+                  prepared
+              in
+              let* plan =
+                Result.map_error
+                  (fun e ->
+                    Bad_rules
+                      (Format.asprintf "%a" Sdds_dissem.Cluster.pp_error e))
+                  (Sdds_dissem.Cluster.plan population)
+              in
+              Hashtbl.iter
+                (fun subject v ->
+                  Hashtbl.replace t.rule_versions
+                    (dissem_version_key ~doc_id:source.doc_id ~subject)
+                    v)
+                new_marks;
+              (* Compilation is per cluster, not per subscriber — the first
+                 dividend of the digest grouping. *)
+              Array.iter
+                (fun c ->
+                  Cost.charge_compile meter
+                    ~states:
+                      (Compile.state_count c.Sdds_dissem.Cluster.compiled))
+                plan.Sdds_dissem.Cluster.clusters;
+              let delivered, stats =
+                Sdds_dissem.Fanout.run_plan ?obs:t.obs plan events
+              in
+              let n_events = List.length events in
+              (* One event pass per evaluation actually run; the mux walk's
+                 trie-token work stands in for the per-engine token visits
+                 it replaces. *)
+              Cost.charge_events meter
+                ~events:(n_events * stats.Sdds_dissem.Fanout.evaluations)
+                ~tokens:stats.Sdds_dissem.Fanout.mux_token_visits;
+              (* Sharing saves evaluations, not uploads: every subscriber's
+                 stream crosses the link. *)
+              let out_bytes =
+                List.fold_left
+                  (fun acc (_, outs) -> acc + output_wire_bytes outs)
+                  0 delivered
+              in
+              Cost.charge_transfer meter ~bytes:out_bytes;
+              let results =
+                List.map
+                  (fun (subject, r) ->
+                    match r with
+                    | Error e -> (subject, Error e)
+                    | Ok _ ->
+                        ( subject,
+                          Ok
+                            (Option.value ~default:[]
+                               (List.assoc_opt subject delivered)) ))
+                  prepared
+              in
+              Obs.inc t.obs "card.disseminations" 1;
+              Ok
+                ( results,
+                  {
+                    dissem_breakdown = Cost.read meter;
+                    sharing = stats;
+                    dissem_output_bytes = out_bytes;
+                    dissem_events = n_events;
+                    rejected = List.length prepared - List.length population;
+                  } ))

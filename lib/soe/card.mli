@@ -24,7 +24,20 @@
     accounting — behaviourally identical to on-demand fetching because
     skip decisions depend only on consumed data, and integrity failures on
     consumed chunks are still rejected (tampering on chunks the index
-    skips is invisible, exactly as on the real card). *)
+    skips is invisible, exactly as on the real card).
+
+    {!evaluate} and {!disseminate} share one integrity rule. The
+    publisher's signature must cover the Merkle root and the plaintext
+    length, or the document is refused with [Bad_signature]. Then the
+    chunks the card consumes are checked against the root in document
+    order, and the first chunk that fails decides the verdict. A chunk
+    whose proof fails gives [Integrity_failure] with its index. An
+    authentic chunk that the installed key does not open gives
+    [Stale_key]. A plaintext whose length differs from the signed one
+    gives [Integrity_failure] with the chunk count. {!evaluate} checks
+    the length before the engine runs, then walks the chunks the engine
+    consumed, or all of them if the decoder fails. {!disseminate} walks
+    every chunk, then checks the length. *)
 
 type t
 
@@ -98,7 +111,10 @@ type error =
   | Bad_grant  (** wrapped key failed to unwrap *)
   | Bad_signature  (** publisher signature check failed *)
   | Integrity_failure of { chunk : int }
-      (** a consumed chunk failed decryption or its Merkle proof *)
+      (** a consumed chunk failed its Merkle proof ([chunk] is its
+          index), the plaintext length differs from the signed one
+          ([chunk] is the chunk count), or authentic chunks decode to no
+          document ([chunk] is 0) *)
   | Memory_exceeded of { need_bytes : int; budget_bytes : int }
   | Bad_rules of string  (** rule blob failed integrity or parsing *)
   | Replayed_rules of { seen : int; offered : int }
@@ -225,7 +241,8 @@ val disseminate :
     Per-subscriber failures (undecryptable blob → [Bad_rules], version
     rollback → [Replayed_rules]) reject that subscriber only; results
     come back in listing order. Global failures — no key, bad signature,
-    integrity, a rules-digest collision or a subject listed with two
+    integrity or a stale key (decided by the rule at the top of this
+    page), a rules-digest collision or a subject listed with two
     different rule sets (both reported as [Bad_rules] with the planner's
     message naming the offenders) — fail the whole publish, and
     watermarks only advance when the publish goes through. Dissemination
@@ -243,4 +260,6 @@ val evaluate_protected :
 (** Like {!evaluate}, but the output stream is run through
     {!Guard.Protector}: text of pending regions leaves the card sealed
     under one-time keys, released only on positive resolution. The
-    report's [output_bytes] is the guarded stream's wire size. *)
+    guarded stream is what crosses the link: the breakdown charges its
+    transfer, and the report's [output_bytes] and the [card.output_bytes]
+    histogram record its wire size. *)

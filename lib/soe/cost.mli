@@ -80,8 +80,7 @@ val read : meter -> breakdown
 
 val transfer_cost :
   profile -> bytes:int -> float * int
-(** [(milliseconds, frames)] that {!charge_transfer} would account for a
-    framed transfer of [bytes] — for adjusting a breakdown after the
-    fact (e.g. when the guarded output stream replaces the plain one). *)
+(** [(milliseconds, frames)] that {!charge_transfer} accounts for a
+    framed transfer of [bytes]. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -638,71 +638,3 @@ let codec_suite =
     Alcotest.test_case "codec malformed" `Quick test_codec_malformed;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Directory: roles and groups                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Directory = Sdds_core.Directory
-
-let test_directory_roles () =
-  let d = Directory.create () in
-  Directory.assign d ~member:"alice" ~role:"doctor";
-  Directory.assign d ~member:"doctor" ~role:"staff";
-  Directory.assign d ~member:"bob" ~role:"staff";
-  Alcotest.(check (list string)) "alice transitive" [ "doctor"; "staff" ]
-    (Directory.roles_of d "alice");
-  Alcotest.(check (list string)) "bob" [ "staff" ] (Directory.roles_of d "bob");
-  Alcotest.(check (list string)) "nobody" [] (Directory.roles_of d "eve");
-  Alcotest.(check (list string)) "staff members" [ "bob"; "doctor" ]
-    (Directory.members d ~role:"staff")
-
-let test_directory_cycles () =
-  let d = Directory.create () in
-  Directory.assign d ~member:"a" ~role:"b";
-  Directory.assign d ~member:"b" ~role:"c";
-  Alcotest.check_raises "self" (Invalid_argument "Directory.assign: self-role")
-    (fun () -> Directory.assign d ~member:"x" ~role:"x");
-  Alcotest.check_raises "cycle"
-    (Invalid_argument "Directory.assign: membership cycle") (fun () ->
-      Directory.assign d ~member:"c" ~role:"a");
-  (* Idempotent re-assignment is fine. *)
-  Directory.assign d ~member:"a" ~role:"b"
-
-let test_directory_effective_rules () =
-  let d = Directory.create () in
-  Directory.assign d ~member:"alice" ~role:"doctor";
-  Directory.assign d ~member:"doctor" ~role:"staff";
-  let rules =
-    [
-      Rule.allow ~subject:"staff" "//hospital";
-      Rule.deny ~subject:"staff" "//ssn";
-      Rule.allow ~subject:"doctor" "//ssn";
-      Rule.deny ~subject:"alice" "//comment";
-      Rule.allow ~subject:"bob" "//nothing-for-alice";
-    ]
-  in
-  let eff = Directory.effective_rules d ~subject:"alice" rules in
-  Alcotest.(check int) "alice gets 4 rules" 4 (List.length eff);
-  (* The expanded set behaves as one uniform rule set: doctor's direct
-     allow on //ssn and staff's direct deny collide at the same nodes, and
-     denial takes precedence. *)
-  let doc =
-    Xml_parser.dom_of_string
-      "<hospital><ssn>1</ssn><comment>c</comment><name>n</name></hospital>"
-  in
-  let uniform =
-    List.map (fun r -> { r with Rule.subject = "u" }) eff
-  in
-  (* hospital=0 allowed, ssn=1 denied (denial precedence over the doctor
-     allow), comment=2 denied (user-specific), name=3 inherits allow. *)
-  Alcotest.(check (list int)) "alice decision set" [ 0; 3 ]
-    (Oracle.allowed_ids ~rules:uniform doc)
-
-let directory_suite =
-  [
-    Alcotest.test_case "directory roles" `Quick test_directory_roles;
-    Alcotest.test_case "directory cycles" `Quick test_directory_cycles;
-    Alcotest.test_case "directory effective rules" `Quick
-      test_directory_effective_rules;
-  ]

@@ -8,6 +8,7 @@ module Xml_parser = Sdds_xml.Parser
 module Generator = Sdds_xml.Generator
 module Rule = Sdds_core.Rule
 module Oracle = Sdds_core.Oracle
+module Reassembler = Sdds_core.Reassembler
 module Rng = Sdds_util.Rng
 module Bitset = Sdds_util.Bitset
 
@@ -188,6 +189,9 @@ let test_size_stats () =
 let allow p = Rule.allow ~subject:"u" p
 let deny p = Rule.deny ~subject:"u" p
 
+let view ?(has_query = false) res =
+  Reassembler.run ~has_query res.Indexed_engine.outputs
+
 let test_indexed_engine_skips_and_agrees () =
   let doc = Generator.hospital (Rng.create 9L) ~patients:10 in
   let encoded = Encode.encode ~mode:(Encode.Indexed { recursive = true }) doc in
@@ -196,7 +200,7 @@ let test_indexed_engine_skips_and_agrees () =
   let res = Indexed_engine.run rules encoded in
   Alcotest.check dom_opt "matches oracle"
     (Oracle.authorized_view ~rules doc)
-    res.Indexed_engine.view;
+    (view res);
   Alcotest.(check bool) "skipped something" true
     (res.Indexed_engine.skipped_subtrees > 0);
   Alcotest.(check bool) "saved bytes" true
@@ -210,7 +214,7 @@ let test_indexed_engine_no_index_baseline () =
   Alcotest.(check int) "no skips" 0 res.Indexed_engine.skipped_subtrees;
   Alcotest.check dom_opt "still correct"
     (Oracle.authorized_view ~rules doc)
-    res.Indexed_engine.view
+    (view res)
 
 let test_indexed_engine_query_skips () =
   let doc = Generator.agenda (Rng.create 11L) ~courses:30 in
@@ -220,7 +224,7 @@ let test_indexed_engine_query_skips () =
   let res = Indexed_engine.run ~query rules encoded in
   Alcotest.check dom_opt "query + index matches oracle"
     (Oracle.authorized_view ~rules ~query doc)
-    res.Indexed_engine.view
+    (view ~has_query:true res)
 
 let qcheck_indexed_matches_oracle =
   QCheck2.Test.make ~name:"indexed engine = oracle (random)" ~count:300
@@ -250,7 +254,7 @@ let qcheck_indexed_matches_oracle =
       let encoded = Encode.encode ~mode:(Encode.Indexed { recursive = true }) doc in
       let res = Indexed_engine.run rules encoded in
       let expected = Oracle.authorized_view ~rules doc in
-      match (expected, res.Indexed_engine.view) with
+      match (expected, view res) with
       | None, None -> true
       | Some a, Some b -> Dom.equal a b
       | None, Some _ | Some _, None -> false)

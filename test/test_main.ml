@@ -7,7 +7,6 @@ let () =
       ("crypto", Test_crypto.suite);
       ("core", Test_core.suite);
       ("codec", Test_core.codec_suite);
-      ("directory", Test_core.directory_suite);
       ("index", Test_index.suite);
       ("soe", Test_soe.suite);
       ("dsp", Test_dsp.suite);
@@ -33,4 +32,5 @@ let () =
       ("obs", Test_obs.suite);
       ("dissem", Test_dissem.suite);
       ("protocol-check", Test_protocol.suite);
+      ("card", Test_card.suite);
     ]
