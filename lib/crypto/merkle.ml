@@ -69,4 +69,65 @@ let verify ~root:expected ~leaf_count ~index ~leaf proof =
     go (leaf_hash leaf) index leaf_count proof
   end
 
+(* Depth-first, left to right, over the tree of [n = Array.length wanted]
+   leaves: [absent level i] stands for a maximal subtree that holds no
+   wanted leaf, [leaf ()] for a wanted leaf and [join] for an interior
+   node with two children. Node (level, i) covers the leaves
+   [i * 2^level, (i + 1) * 2^level) clipped to [n]; its right child exists
+   only when it starts before [n], otherwise the node is its promoted
+   left child. [before.(j)] counts the wanted leaves below [j]. *)
+let fold_wanted wanted ~absent ~leaf ~join =
+  let n = Array.length wanted in
+  let before = Array.make (n + 1) 0 in
+  Array.iteri (fun i w -> before.(i + 1) <- before.(i) + Bool.to_int w) wanted;
+  let rec height h = if 1 lsl h >= n then h else height (h + 1) in
+  let rec node level i =
+    let lo = i lsl level in
+    if before.(min n (lo + (1 lsl level))) = before.(lo) then absent level i
+    else if level = 0 then leaf ()
+    else begin
+      let left = node (level - 1) (2 * i) in
+      if lo + (1 lsl (level - 1)) >= n then left
+      else begin
+        let right = node (level - 1) ((2 * i) + 1) in
+        join left right
+      end
+    end
+  in
+  node (height 0) 0
+
+let multiprove t wanted =
+  if Array.length wanted <> leaf_count t then invalid_arg "Merkle.multiprove";
+  let digests = ref [] in
+  fold_wanted wanted
+    ~absent:(fun level i -> digests := t.levels.(level).(i) :: !digests)
+    ~leaf:ignore ~join:(fun () () -> ());
+  List.rev !digests
+
+let multiverify ~root:expected ~leaf_count ~wanted ~leaves proof =
+  if leaf_count <= 0 || Array.length wanted <> leaf_count then None
+  else begin
+    let leaves = ref leaves and proof = ref proof and hashes = ref 0 in
+    let pop r =
+      match !r with
+      | [] -> raise_notrace Exit
+      | x :: rest ->
+          r := rest;
+          x
+    in
+    match
+      fold_wanted wanted
+        ~absent:(fun _ _ -> pop proof)
+        ~leaf:(fun () -> leaf_hash (pop leaves))
+        ~join:(fun l r ->
+          incr hashes;
+          node_hash l r)
+    with
+    | exception Exit -> None
+    | digest ->
+        if !proof = [] && !leaves = [] && String.equal digest expected then
+          Some !hashes
+        else None
+  end
+
 let proof_size_bytes proof = 32 * List.length proof

@@ -87,6 +87,7 @@ let to_source p ~delivery =
     chunk_plain_bytes = p.chunk_plain_bytes;
     plain_length = p.plain_length;
     prove = (fun i -> Sdds_crypto.Merkle.prove p.tree i);
+    multiprove = Sdds_crypto.Merkle.multiprove p.tree;
     leaf_count = Sdds_crypto.Merkle.leaf_count p.tree;
     merkle_root = p.merkle_root;
     root_signature = p.root_signature;

@@ -152,6 +152,7 @@ type doc_source = {
   chunk_plain_bytes : int;
   plain_length : int;
   prove : int -> Merkle.proof;
+  multiprove : bool array -> Merkle.proof;
   leaf_count : int;
   merkle_root : string;
   root_signature : string;
@@ -332,20 +333,26 @@ let open_chunks ~key source =
   in
   (String.concat "" (Array.to_list parts), !bad)
 
-(* Verify each wanted chunk against the signed root, using the proofs the
-   (untrusted) server provides; charge hashing for leaf + path. A
-   tampering server can at best serve the stale proofs of the original
-   tree, which expose any modified leaf it actually has to deliver. The
-   first wanted chunk that fails, in document order, decides: a bad proof
-   is an integrity failure, and an authentic chunk that did not decrypt
-   means the document was re-keyed. *)
+(* Verify the wanted chunks against the signed root, using proofs the
+   (untrusted) server provides. A tampering server can at best serve the
+   stale proofs of the original tree, which expose any modified leaf it
+   actually has to deliver. One multiproof covers the request: its
+   digests cross the link once, each wanted leaf is hashed, and each
+   interior node rebuilt costs one SHA block. If it fails, each wanted
+   chunk's own inclusion proof is fetched and checked in document order
+   (leaf and path hashing, proof bytes on the link), and the first chunk
+   that fails decides: a bad proof is an integrity failure, and an
+   authentic chunk that did not decrypt means the document was re-keyed.
+   A request whose chunks all pass their own proofs goes ahead, charged
+   for both. *)
 let check_chunks meter source ~bad wanted =
-  let rec from i =
+  let rec per_chunk i =
     if i = Array.length wanted then Ok ()
-    else if not wanted.(i) then from (i + 1)
+    else if not wanted.(i) then per_chunk (i + 1)
     else begin
       let leaf = source.chunks.(i) in
       let proof = try source.prove i with Invalid_argument _ -> [] in
+      Cost.charge_transfer meter ~bytes:(Merkle.proof_size_bytes proof);
       Cost.charge_hash meter ~bytes:(String.length leaf);
       Cost.charge_hash meter ~bytes:(64 * List.length proof);
       if
@@ -354,10 +361,27 @@ let check_chunks meter source ~bad wanted =
              ~leaf_count:source.leaf_count ~index:i ~leaf proof)
       then Error (Integrity_failure { chunk = i })
       else if List.mem i bad then Error (Stale_key source.doc_id)
-      else from (i + 1)
+      else per_chunk (i + 1)
     end
   in
-  from 0
+  let leaves =
+    List.filteri (fun i _ -> wanted.(i)) (Array.to_list source.chunks)
+  in
+  let proof = try source.multiprove wanted with Invalid_argument _ -> [] in
+  Cost.charge_transfer meter ~bytes:(Merkle.proof_size_bytes proof);
+  List.iter
+    (fun leaf -> Cost.charge_hash meter ~bytes:(String.length leaf))
+    leaves;
+  match
+    Merkle.multiverify ~root:source.merkle_root ~leaf_count:source.leaf_count
+      ~wanted ~leaves proof
+  with
+  | Some hashes ->
+      Cost.charge_hash meter ~bytes:(64 * hashes);
+      if List.exists (fun i -> wanted.(i)) bad then
+        Error (Stale_key source.doc_id)
+      else Ok ()
+  | None -> per_chunk 0
 
 (* A rule blob is transferred, MAC-checked and decrypted. *)
 let charge_blob meter blob =
@@ -500,20 +524,12 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
             in
             let* () = check_chunks meter source ~bad consumed in
             (* 5. Charge transfer and decryption. *)
-            let proof_len =
-              (* ceil log2 n, digests of 32 bytes *)
-              let rec bits n acc =
-                if n <= 1 then acc else bits ((n + 1) / 2) (acc + 1)
-              in
-              32 * bits n_chunks 0
-            in
             Array.iteri
               (fun i used ->
                 let cipher_bytes = String.length source.chunks.(i) in
                 match (used, source.delivery) with
                 | true, _ ->
-                    Cost.charge_transfer meter
-                      ~bytes:(cipher_bytes + proof_len);
+                    Cost.charge_transfer meter ~bytes:cipher_bytes;
                     Cost.charge_decrypt meter ~bytes:cipher_bytes
                 | false, `Pull -> ()
                 | false, `Push ->

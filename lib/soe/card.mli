@@ -9,7 +9,8 @@
     + unwraps the document key (once per grant, through the simulated PKI),
     + checks the publisher's signature over the Merkle root,
     + decrypts only the chunks the skip index cannot discard, verifying
-      each consumed chunk against the Merkle root,
+      the consumed chunks against the Merkle root with one multiproof
+      per request,
     + runs the streaming access-control engine over them, and
     + returns the annotated output stream to the terminal proxy.
 
@@ -29,15 +30,24 @@
     {!evaluate} and {!disseminate} share one integrity rule. The
     publisher's signature must cover the Merkle root and the plaintext
     length, or the document is refused with [Bad_signature]. Then the
-    chunks the card consumes are checked against the root in document
-    order, and the first chunk that fails decides the verdict. A chunk
-    whose proof fails gives [Integrity_failure] with its index. An
-    authentic chunk that the installed key does not open gives
-    [Stale_key]. A plaintext whose length differs from the signed one
-    gives [Integrity_failure] with the chunk count. {!evaluate} checks
-    the length before the engine runs, then walks the chunks the engine
-    consumed, or all of them if the decoder fails. {!disseminate} walks
-    every chunk, then checks the length. *)
+    chunks the card consumes are checked against the root with one
+    multiproof ([doc_source.multiprove]). If it fails, the card fetches
+    each consumed chunk's own inclusion proof ([doc_source.prove]) and
+    checks them in document order, and the first chunk that fails its
+    proof gives [Integrity_failure] with its index; if none does, the
+    request goes ahead, charged for both proofs. An authentic consumed
+    chunk (ahead of any failing one) that the installed key does not
+    open gives [Stale_key]. A plaintext whose length differs from the
+    signed one gives [Integrity_failure] with the chunk count.
+    {!evaluate} checks the length before the engine runs, then checks
+    the chunks the engine consumed, or all of them if the decoder fails.
+    {!disseminate} checks every chunk, then the length.
+
+    Charges: the multiproof's digests cross the link once per request,
+    each consumed chunk's leaf is hashed, and each interior node the
+    card rebuilds costs one SHA block. With every chunk consumed the
+    multiproof is empty and the root costs [n - 1] hashes. The fallback
+    adds each chunk's proof bytes and its leaf and path hashing. *)
 
 type t
 
@@ -160,8 +170,13 @@ type doc_source = {
   chunk_plain_bytes : int;  (** plaintext bytes per chunk (last may be short) *)
   plain_length : int;  (** total encoded-plaintext length *)
   prove : int -> Sdds_crypto.Merkle.proof;
-      (** inclusion proofs, served by the (untrusted) DSP; the card only
-          trusts them as far as they reach the signed root *)
+      (** one chunk's inclusion proof, served by the (untrusted) DSP; the
+          card only trusts it as far as it reaches the signed root, and
+          asks for it only when the multiproof fails *)
+  multiprove : bool array -> Sdds_crypto.Merkle.proof;
+      (** the multiproof for a mask of wanted chunks
+          ({!Sdds_crypto.Merkle.multiprove}), served by the DSP once per
+          request; the card trusts it no further than [prove] *)
   leaf_count : int;  (** leaf count of the publisher's tree *)
   merkle_root : string;
   root_signature : string;

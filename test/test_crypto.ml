@@ -307,6 +307,142 @@ let qcheck_merkle =
             ~leaf:(List.nth leaves i) (Merkle.prove t i))
         (List.init n Fun.id))
 
+(* Multiproofs over [n] distinct leaves (n in 1-300) and a mask drawn
+   from [seed]. The density varies from case to case, so empty, sparse,
+   dense and full masks all occur. *)
+let multiproof_case = QCheck2.Gen.(pair (1 -- 300) (int_bound 1_000_000))
+
+let multiproof_world ?density (n, seed) =
+  let rng = Sdds_util.Rng.create (Int64.of_int seed) in
+  let leaves = List.init n (fun i -> Printf.sprintf "%d-%d" seed i) in
+  let density =
+    match density with
+    | Some d -> d
+    | None -> Sdds_util.Rng.pick rng [| 0.0; 0.01; 0.05; 0.2; 0.5; 0.9; 1.0 |]
+  in
+  let wanted = Array.init n (fun _ -> Sdds_util.Rng.float rng 1.0 < density) in
+  (rng, leaves, Merkle.build leaves, wanted)
+
+(* [multiverify] over the wanted leaves of [leaves], in document order. *)
+let multiverify t ?(leaf_count = Merkle.leaf_count t) ~wanted leaves proof =
+  Merkle.multiverify ~root:(Merkle.root t) ~leaf_count ~wanted
+    ~leaves:(List.filteri (fun i _ -> wanted.(i)) leaves)
+    proof
+
+(* The maximal subtrees with no wanted leaf, counted the way [verify]
+   walks a path: level by level, the siblings of nodes above a wanted
+   leaf that are not above one themselves; plus the root when nothing is
+   wanted. *)
+let maximal_empty_subtrees wanted =
+  let rec go known acc =
+    let width = Array.length known in
+    if width = 1 then if known.(0) then acc else acc + 1
+    else begin
+      let acc = ref acc in
+      Array.iteri
+        (fun i k ->
+          let s = i lxor 1 in
+          if k && s < width && not known.(s) then incr acc)
+        known;
+      go
+        (Array.init ((width + 1) / 2) (fun j ->
+             known.(2 * j) || ((2 * j) + 1 < width && known.((2 * j) + 1))))
+        !acc
+    end
+  in
+  go wanted 0
+
+let qcheck_multiproof_honest =
+  QCheck2.Test.make ~name:"merkle multiproof verifies, one digest per gap"
+    ~count:200 multiproof_case (fun case ->
+      let _, leaves, t, wanted = multiproof_world case in
+      let proof = Merkle.multiprove t wanted in
+      multiverify t ~wanted leaves proof <> None
+      && List.length proof = maximal_empty_subtrees wanted)
+
+let qcheck_multiproof_one_leaf =
+  QCheck2.Test.make ~name:"merkle multiproof of one leaf = its proof"
+    ~count:200 multiproof_case (fun ((n, seed) as case) ->
+      let _, _, t, _ = multiproof_world case in
+      let i = seed mod n in
+      List.sort compare (Merkle.multiprove t (Array.init n (( = ) i)))
+      = List.sort compare (Merkle.prove t i))
+
+let qcheck_multiproof_all =
+  QCheck2.Test.make ~name:"merkle multiproof of every leaf is empty"
+    ~count:100 multiproof_case (fun ((n, _) as case) ->
+      let _, leaves, t, wanted = multiproof_world ~density:1.0 case in
+      let proof = Merkle.multiprove t wanted in
+      proof = [] && multiverify t ~wanted leaves proof = Some (n - 1))
+
+(* Every tampering that applies to the case is rejected: a flipped bit
+   in a wanted leaf, a wanted leaf dropped or one added, a flipped digest
+   bit, a dropped, appended or swapped digest, and a leaf count off by
+   one. *)
+let qcheck_multiproof_rejects =
+  QCheck2.Test.make ~name:"merkle multiproof rejects tampering" ~count:200
+    multiproof_case (fun case ->
+      let rng, leaves, t, wanted = multiproof_world case in
+      let n = Array.length wanted in
+      let wanted_leaves = List.filteri (fun i _ -> wanted.(i)) leaves in
+      let proof = Array.of_list (Merkle.multiprove t wanted) in
+      let k = Array.length proof in
+      let flip s =
+        let b = Bytes.of_string s in
+        let i = Sdds_util.Rng.int rng (Bytes.length b) in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 1);
+        Bytes.to_string b
+      in
+      let verify ?(leaf_count = n) ?(leaves = wanted_leaves) proof =
+        Merkle.multiverify ~root:(Merkle.root t) ~leaf_count ~wanted ~leaves
+          (Array.to_list proof)
+      in
+      let cases =
+        (match List.length wanted_leaves with
+        | 0 -> []
+        | w ->
+            let v = Sdds_util.Rng.int rng w in
+            [ ( "flipped wanted leaf",
+                verify
+                  ~leaves:
+                    (List.mapi
+                       (fun i l -> if i = v then flip l else l)
+                       wanted_leaves)
+                  proof );
+              ( "dropped leaf",
+                verify ~leaves:(List.filteri (fun i _ -> i <> v) wanted_leaves)
+                  proof ) ])
+        @ (if k = 0 then []
+           else
+             let j = Sdds_util.Rng.int rng k in
+             let p = Array.copy proof in
+             p.(j) <- flip p.(j);
+             [ ("flipped digest", verify p);
+               ( "dropped digest",
+                 verify
+                   (Array.append (Array.sub proof 0 j)
+                      (Array.sub proof (j + 1) (k - j - 1))) ) ])
+        @ (if k < 2 then []
+           else
+             let a = Sdds_util.Rng.int rng k in
+             let b = (a + 1 + Sdds_util.Rng.int rng (k - 1)) mod k in
+             let p = Array.copy proof in
+             p.(a) <- proof.(b);
+             p.(b) <- proof.(a);
+             [ ("swapped digests", verify p) ])
+        @ [ ( "appended digest",
+              verify (Array.append proof [| Sdds_util.Rng.bytes rng 32 |]) );
+            ("added leaf", verify ~leaves:(wanted_leaves @ [ "extra" ]) proof);
+            ("leaf count - 1", verify ~leaf_count:(n - 1) proof);
+            ("leaf count + 1", verify ~leaf_count:(n + 1) proof) ]
+      in
+      List.iter
+        (fun (what, r) ->
+          if r <> None then
+            QCheck2.Test.fail_reportf "n=%d, %d digests: %s accepted" n k what)
+        cases;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Bignum                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -616,6 +752,10 @@ let suite =
     Alcotest.test_case "merkle root sensitive" `Quick
       test_merkle_root_sensitive;
     QCheck_alcotest.to_alcotest qcheck_merkle;
+    QCheck_alcotest.to_alcotest qcheck_multiproof_honest;
+    QCheck_alcotest.to_alcotest qcheck_multiproof_one_leaf;
+    QCheck_alcotest.to_alcotest qcheck_multiproof_all;
+    QCheck_alcotest.to_alcotest qcheck_multiproof_rejects;
     Alcotest.test_case "bignum basic" `Quick test_bignum_basic;
     QCheck_alcotest.to_alcotest qcheck_bignum_arith;
     QCheck_alcotest.to_alcotest qcheck_bignum_divmod_limbs;

@@ -9,6 +9,7 @@ module Generator = Sdds_xml.Generator
 module Dom = Sdds_xml.Dom
 module Encode = Sdds_index.Encode
 module Reader = Sdds_index.Reader
+module Merkle = Sdds_crypto.Merkle
 
 (* Corrupt [s]: flip bytes, truncate, or splice. *)
 let mutate rng s =
@@ -345,6 +346,67 @@ let qcheck_schema_fuzz =
         ~allowed:(function Invalid_argument _ -> true | _ -> false);
       true)
 
+(* The card checks its chunks with a multiproof served by the untrusted
+   DSP. The verifier gets byte-perturbed honest proofs, random digest
+   lists (empty and wrong-length digests included), masks of the wrong
+   length and leaf counts <= 0. It never raises, and it accepts only the
+   honest proof for the honest mask and leaf count. *)
+let qcheck_multiproof_fuzz =
+  QCheck2.Test.make ~name:"multiproof verifier accepts only the honest proof"
+    ~count:1000
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let n = 1 + Rng.int rng 100 in
+      let leaves = List.init n (fun i -> Printf.sprintf "chunk %d/%d" i seed) in
+      let tree = Merkle.build leaves in
+      let wanted = Array.init n (fun _ -> Rng.bool rng) in
+      let honest = Merkle.multiprove tree wanted in
+      let proof =
+        match Rng.int rng 3 with
+        | 0 -> honest
+        | 1 ->
+            List.map
+              (fun d -> if Rng.int rng 3 = 0 then mutate rng d else d)
+              honest
+        | _ ->
+            List.init (Rng.int rng 12) (fun _ ->
+                match Rng.int rng 3 with
+                | 0 -> ""
+                | 1 -> Rng.bytes rng (Rng.int rng 64)
+                | _ -> Rng.bytes rng 32)
+      in
+      let honest_shape, leaf_count, mask =
+        match Rng.int rng 4 with
+        | 0 -> (false, -Rng.int rng 3, wanted)
+        | 1 ->
+            let m =
+              if n = 1 || Rng.bool rng then n + 1 + Rng.int rng 4
+              else Rng.int rng n
+            in
+            ( false,
+              n,
+              Array.init m (fun i -> if i < n then wanted.(i) else Rng.bool rng)
+            )
+        | _ -> (true, n, wanted)
+      in
+      match
+        Merkle.multiverify ~root:(Merkle.root tree) ~leaf_count ~wanted:mask
+          ~leaves:(List.filteri (fun i _ -> wanted.(i)) leaves)
+          proof
+      with
+      | exception e ->
+          QCheck2.Test.fail_reportf "multiverify raised %s"
+            (Printexc.to_string e)
+      | verdict ->
+          let honest_input = honest_shape && proof = honest in
+          if (verdict <> None) <> honest_input then
+            QCheck2.Test.fail_reportf "n=%d leaf_count=%d mask of %d: %s"
+              n leaf_count (Array.length mask)
+              (if honest_input then "honest proof rejected"
+               else "tampered proof accepted");
+          true)
+
 let rec files_under path =
   if Sys.is_directory path then
     List.concat_map
@@ -416,6 +478,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_schedule_spec_fuzz;
     QCheck_alcotest.to_alcotest qcheck_campaign_spec_fuzz;
     QCheck_alcotest.to_alcotest qcheck_schema_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_multiproof_fuzz;
     Alcotest.test_case "store and key loaders survive corrupted files" `Quick
       test_store_io_fuzz;
   ]
