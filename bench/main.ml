@@ -1600,8 +1600,7 @@ let e17_resilience () =
   Printf.printf
     "document: %d bytes XML; %d requests/batch; retry budget %d\n\n"
     (String.length (Serializer.to_string doc))
-    n
-    Remote_card.Retry.default.Remote_card.Retry.budget;
+    n Proxy.Pool.retry_budget;
   Printf.printf "%6s | %4s %6s %7s %8s | %8s %10s | %12s\n" "rate" "ok"
     "errors" "retries" "injected" "frames" "wire_bytes" "link_ms/ok";
   List.iteri

@@ -1,21 +1,21 @@
 (* The terminal <-> card wire, made visible.
 
    Everything between the proxy and the SOE crosses an ISO 7816 link in
-   255-byte APDU frames; this example runs a pull query through the real
-   framed protocol (Remote_card) with a tracing transport, printing every
-   command and status word — the exchange the demo's Figure 3 labels
-   "APDU". Run with:
+   255-byte APDU frames; this example runs a pull query through the
+   proxy's channel pool (Proxy.Pool) over the real framed protocol
+   (Remote_card), with a tracing transport printing every command and
+   status word — the exchange the demo's Figure 3 labels "APDU". Run
+   with:
 
      dune exec examples/secure_terminal.exe
 *)
 
 module Remote_card = Sdds_soe.Remote_card
-module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
-module Publish = Sdds_dsp.Publish
+module Proxy = Sdds_proxy.Proxy
+module World = Sdds_proxy.World
 module Rule = Sdds_core.Rule
-module Reassembler = Sdds_core.Reassembler
 module Drbg = Sdds_crypto.Drbg
 module Rsa = Sdds_crypto.Rsa
 module Rng = Sdds_util.Rng
@@ -34,27 +34,13 @@ let () =
   let publisher = Rsa.generate drbg ~bits:512 in
   let user = Rsa.generate drbg ~bits:512 in
   let doc = Sdds_xml.Generator.hospital (Rng.create 5L) ~patients:3 in
-  let published, doc_key =
-    Publish.publish drbg ~publisher ~doc_id:"ward" doc
-  in
   let rules =
     [ Rule.allow ~subject:"nurse" "//patient"; Rule.deny ~subject:"nurse" "//ssn" ]
   in
-  let encrypted_rules =
-    Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id:"ward"
-      ~subject:"nurse" rules
+  let w =
+    World.create drbg ~publisher ~user ~subject:"nurse" [ ("ward", doc, rules) ]
   in
-  let wrapped =
-    Publish.grant drbg ~doc_key ~doc_id:"ward" ~recipient:user.Rsa.public
-  in
-  let card = Card.create ~profile:Cost.egate ~subject:"nurse" user in
-  let host =
-    Remote_card.Host.create ~card ~resolve:(fun id ->
-        if id = "ward" then
-          Some (Publish.to_source published ~delivery:`Pull)
-        else None)
-      ()
-  in
+  let host = World.host ~profile:Cost.egate w in
 
   print_endline "== APDU trace (terminal -> card -> terminal) ==";
   let frame_no = ref 0 in
@@ -69,22 +55,22 @@ let () =
       (String.length resp.Apdu.payload);
     resp
   in
+  let pool =
+    Proxy.Pool.create ~store:(World.store w) ~transport:tracing
+      ~subject:"nurse" ()
+  in
   match
-    Remote_card.Client.evaluate tracing ~doc_id:"ward" ~wrapped_grant:wrapped
-      ~encrypted_rules ~xpath:"//patient/name" ()
+    Proxy.Pool.serve pool [ Proxy.Request.make ~xpath:"//patient/name" "ward" ]
   with
-  | Error e ->
-      prerr_endline
-        ("exchange failed: " ^ Remote_card.Client.string_of_error e)
-  | Ok r ->
+  | [ Ok s ] -> (
       Printf.printf
         "\n%d command frames, %d response frames, %d bytes on the wire\n"
-        r.Remote_card.Client.command_frames
-        r.Remote_card.Client.response_frames r.Remote_card.Client.wire_bytes;
+        s.Proxy.Pool.command_frames s.Proxy.Pool.response_frames
+        s.Proxy.Pool.wire_bytes;
       print_endline "\n== Reassembled view ==";
-      (match
-         Reassembler.run ~has_query:true r.Remote_card.Client.outputs
-       with
-      | Some view ->
-          print_endline (Sdds_xml.Serializer.to_string ~indent:true view)
+      match s.Proxy.Pool.xml with
+      | Some xml -> print_endline xml
       | None -> print_endline "(nothing authorized)")
+  | [ Error e ] ->
+      prerr_endline (Format.asprintf "exchange failed: %a" Proxy.pp_error e)
+  | _ -> assert false (* one request, one result *)

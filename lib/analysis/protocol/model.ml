@@ -1,8 +1,11 @@
 (* The finite host × card × fault product the checker explores. The card
    half is the *production* transition function ({!Sdds_soe.Protocol.step})
    over a synthetic string-handle backend; the host half is a downscaled
-   but faithful rendition of the terminal driver's triage loop
-   ({!Sdds_soe.Remote_card.classify} is the real one); the adversary
+   but faithful rendition of [Sdds_proxy.Proxy.Pool.step]'s triage on the
+   basic channel ({!Sdds_soe.Remote_card.classify} is the real one):
+   resend on [Transient] and replay the setup on [Session_lost], both
+   under one retry budget, and stop on [Fatal] or [Unknown] (the pool's
+   one grant refresh after a stale key is not modelled); the adversary
    half delivers through {!Sdds_fault.Fault.deliver}, the function
    {!Sdds_fault.Fault.Link} delivers through, so a counterexample's fault
    schedule means the same thing to the checker and to

@@ -3,8 +3,9 @@
     The card half is the {e production} transition function
     ({!Sdds_soe.Protocol.step}) instantiated with a synthetic
     string-handle backend — what the checker verifies is the code that
-    runs. The host half is a downscaled terminal driver whose status-word
-    triage is the real {!Sdds_soe.Remote_card.classify}. The adversary
+    runs. The host half is a downscaled rendition of the terminal's
+    driver, [Sdds_proxy.Proxy.Pool], whose status-word triage is the real
+    {!Sdds_soe.Remote_card.classify}. The adversary
     half reproduces {!Sdds_fault.Fault.Link}'s delivery semantics
     fault-kind by fault-kind, so counterexample schedules replay through
     [--fault-spec] with the same meaning.

@@ -399,7 +399,7 @@ module Link = struct
   type traced = { event : event; span : int }
 
   type t = {
-    inner : Remote.Client.transport;
+    inner : Remote.transport;
     schedule : Schedule.t;
     on_tear : (unit -> unit) option;
     obs : Obs.t option;
@@ -462,7 +462,7 @@ module Cutout = struct
   (* While down, every frame answers the transport word — exactly what a
      terminal sees from an unplugged reader: the command never reaches
      any card and no bytes come back. *)
-  let wrap t (inner : Remote.Client.transport) : Remote.Client.transport =
+  let wrap t (inner : Remote.transport) : Remote.transport =
    fun cmd ->
     if t.down then
       { Apdu.sw1 = fst Remote.Sw.transport;

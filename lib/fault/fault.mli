@@ -146,7 +146,7 @@ module Link : sig
     ?obs:Sdds_obs.Obs.t ->
     schedule:Schedule.t ->
     ?tear:(unit -> unit) ->
-    Sdds_soe.Remote_card.Client.transport ->
+    Sdds_soe.Remote_card.transport ->
     t
   (** [wrap ~schedule ?tear inner] interposes the schedule on [inner].
       [tear] is invoked when a {!kind.Tear} fires — pass
@@ -157,9 +157,9 @@ module Link : sig
       request span, counts [fault.injected], and records the span id in
       {!traced}. *)
 
-  val transport : t -> Sdds_soe.Remote_card.Client.transport
-  (** The faulty transport to hand to {!Sdds_soe.Remote_card.Client} or
-      {!Sdds_proxy.Proxy}. *)
+  val transport : t -> Sdds_soe.Remote_card.transport
+  (** The faulty transport to hand to {!Sdds_proxy.Proxy.Pool} or
+      {!Sdds_proxy.Fleet}. *)
 
   val frames : t -> int
   (** Frames sent so far (the injector's frame counter). *)
@@ -199,8 +199,8 @@ module Cutout : sig
 
   val wrap :
     t ->
-    Sdds_soe.Remote_card.Client.transport ->
-    Sdds_soe.Remote_card.Client.transport
+    Sdds_soe.Remote_card.transport ->
+    Sdds_soe.Remote_card.transport
 end
 
 (** A fleet-level chaos schedule: kills, revives, resizes and tears

@@ -4,7 +4,6 @@
    checked against the fault-free golden view. See chaos.mli. *)
 
 module Apdu = Sdds_soe.Apdu
-module Remote = Sdds_soe.Remote_card
 module Fault = Sdds_fault.Fault
 module Obs = Sdds_obs.Obs
 
@@ -12,7 +11,6 @@ type card_stack = {
   cutout : Fault.Cutout.t;
   link : Fault.Link.t;
   tear : unit -> unit;
-  raw : Remote.Client.transport;
 }
 
 type divergence = {
@@ -37,17 +35,16 @@ type report = {
 
 let xml_of (served : Proxy.Pool.served) = served.Proxy.Pool.xml
 
-(* One deterministic soak. The per-card fault stack, outside in:
-   [Cutout] (a killed card answers the transport word regardless of the
-   frame schedule) over [Fault.Link] (seeded frame faults, salted per
-   card) over the raw host transport. The gate drops the frame-fault
-   layer — never the cutout — for the convergence phase. *)
-let run ?obs ?(cards = 3) ?(queue_limit = 64) ?(max_reroutes = 2)
-    ?(standby_k = 2) ?probe_budget ~store ~subject ~make_card ~golden
-    ~schedule ~campaign requests =
-  let faults_on = ref true in
+(* A fleet of [cards] cards, each behind the same fault stack, outside
+   in: [Cutout] (a killed card answers the transport word regardless of
+   the frame schedule) over [Fault.Link] (seeded frame faults, salted
+   per card) over the raw host transport. [faults_on] switches the
+   frame-fault layer only, never the cutout: dead is dead. Returns the
+   fleet, the stacks by card index, and a hook that grows the fleet by
+   one stacked card. *)
+let fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
+    ~max_reroutes ?probe_budget ~standby_k ~store ~subject () =
   let stacks = ref [] in
-  (* assoc card index -> stack *)
   let make_stack i =
     let raw, tear = make_card () in
     let link =
@@ -55,22 +52,30 @@ let run ?obs ?(cards = 3) ?(queue_limit = 64) ?(max_reroutes = 2)
         ~tear raw
     in
     let cutout = Fault.Cutout.create () in
-    let stack = { cutout; link; tear; raw } in
-    stacks := (i, stack) :: !stacks;
+    stacks := (i, { cutout; link; tear }) :: !stacks;
     let faulty = Fault.Link.transport link in
-    let transport cmd =
+    fun cmd ->
       Fault.Cutout.wrap cutout (if !faults_on then faulty else raw) cmd
-    in
-    (stack, transport)
-  in
-  let transports =
-    Array.init cards (fun i ->
-        let _, transport = make_stack i in
-        transport)
   in
   let fleet =
     Fleet.create ?obs ~queue_limit ~max_reroutes ?probe_budget ~standby_k
-      ~store ~subject transports
+      ~store ~subject
+      (Array.init cards make_stack)
+  in
+  let add_card () =
+    ignore (Fleet.add_card fleet (make_stack (Fleet.card_count fleet)))
+  in
+  (fleet, stacks, add_card)
+
+(* One deterministic soak. The gate drops the frame-fault layer — never
+   the cutout — for the convergence phase. *)
+let run ?obs ?(cards = 3) ?(queue_limit = 64) ?(max_reroutes = 2)
+    ?(standby_k = 2) ?probe_budget ~store ~subject ~make_card ~golden
+    ~schedule ~campaign requests =
+  let faults_on = ref true in
+  let fleet, stacks, add_card =
+    fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
+      ~max_reroutes ?probe_budget ~standby_k ~store ~subject ()
   in
   let apply = function
     | Fault.Campaign.Kill c -> (
@@ -87,10 +92,7 @@ let run ?obs ?(cards = 3) ?(queue_limit = 64) ?(max_reroutes = 2)
             if c < Fleet.card_count fleet && Fleet.state fleet c = Fleet.Dead
             then Fleet.revive_card fleet c
         | None -> ())
-    | Fault.Campaign.Add_card ->
-        let i = Fleet.card_count fleet in
-        let _, transport = make_stack i in
-        ignore (Fleet.add_card fleet transport)
+    | Fault.Campaign.Add_card -> add_card ()
     | Fault.Campaign.Remove_card c ->
         if c < Fleet.card_count fleet then Fleet.remove_card fleet c
     | Fault.Campaign.Tear c -> (
@@ -266,30 +268,9 @@ let run_slo ?(cards = 3) ?(queue_limit = 16) ?(max_reroutes = 2)
     Fault.Schedule.random ~seed:churn_fault_seed ~rate:churn_fault_rate ()
   in
   let faults_on = ref false in
-  let stacks = ref [] in
-  let make_stack i =
-    let raw, tear = make_card () in
-    let link =
-      Fault.Link.wrap ~obs ~schedule:(Fault.Schedule.for_card schedule i)
-        ~tear raw
-    in
-    let cutout = Fault.Cutout.create () in
-    let stack = { cutout; link; tear; raw } in
-    stacks := (i, stack) :: !stacks;
-    let faulty = Fault.Link.transport link in
-    let transport cmd =
-      Fault.Cutout.wrap cutout (if !faults_on then faulty else raw) cmd
-    in
-    (stack, transport)
-  in
-  let transports =
-    Array.init cards (fun i ->
-        let _, transport = make_stack i in
-        transport)
-  in
-  let fleet =
-    Fleet.create ~obs ~queue_limit ~max_reroutes ?probe_budget ~standby_k
-      ~store ~subject transports
+  let fleet, stacks, _ =
+    fault_fleet ~obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
+      ~max_reroutes ?probe_budget ~standby_k ~store ~subject ()
   in
   let slo = Obs.Slo.create obs.Obs.metrics in
   Obs.Slo.register slo ~name:"availability" ~target_pct:availability_target

@@ -52,7 +52,7 @@ val run :
   ?probe_budget:int ->
   store:Sdds_dsp.Store.t ->
   subject:string ->
-  make_card:(unit -> Sdds_soe.Remote_card.Client.transport * (unit -> unit)) ->
+  make_card:(unit -> Sdds_soe.Remote_card.transport * (unit -> unit)) ->
   golden:(Proxy.Request.t -> string option) ->
   schedule:Sdds_fault.Fault.Schedule.t ->
   campaign:Sdds_fault.Fault.Campaign.t ->
@@ -120,7 +120,7 @@ val run_slo :
   obs:Sdds_obs.Obs.t ->
   store:Sdds_dsp.Store.t ->
   subject:string ->
-  make_card:(unit -> Sdds_soe.Remote_card.Client.transport * (unit -> unit)) ->
+  make_card:(unit -> Sdds_soe.Remote_card.transport * (unit -> unit)) ->
   requests:(string -> Proxy.Request.t list) ->
   unit ->
   slo_phase list

@@ -121,7 +121,7 @@ type stream = {
 type slot = {
   id : int;
   mutable pool : Proxy.Pool.t;  (* replaced on revive (fresh epochs) *)
-  transport : Remote.Client.transport;  (* clock-wrapped; probes use it too *)
+  transport : Remote.transport;  (* clock-wrapped; probes use it too *)
   queue : stream Queue.t;  (* admitted, waiting for a pool slot *)
   mutable active : (stream * Proxy.Pool.stream) list;
   mutable state : lifecycle;
@@ -143,7 +143,6 @@ type t = {
   channels : int;
   probe_budget : int;
   standby_k : int;
-  retry : Remote.Retry.t option;
   link_bytes_per_s : float;
   heat : (string, int) Hashtbl.t;  (* affinity-key request counts *)
   obs : Obs.t option;
@@ -190,8 +189,8 @@ let set_state t slot st =
   ignore t;
   Obs.Metrics.Gauge.set slot.g_state (lifecycle_index st)
 
-let make_slot ?obs ?retry ~store ~subject ~channels ~link_bytes_per_s ~state
-    id raw =
+let make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s ~state id
+    raw =
   let g_depth = Obs.Metrics.Gauge.create () in
   Obs.attach_gauge obs (Printf.sprintf "fleet.card%d.queue_depth" id) g_depth;
   let g_state = Obs.Metrics.Gauge.create () in
@@ -213,7 +212,7 @@ let make_slot ?obs ?retry ~store ~subject ~channels ~link_bytes_per_s ~state
   in
   {
     id;
-    pool = Proxy.Pool.create ?obs ~store ~transport ~subject ~channels ?retry ();
+    pool = Proxy.Pool.create ?obs ~store ~transport ~subject ~channels ();
     transport;
     queue = Queue.create ();
     active = [];
@@ -225,7 +224,7 @@ let make_slot ?obs ?retry ~store ~subject ~channels ~link_bytes_per_s ~state
   }
 
 let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
-    ?(channels = Apdu.max_channels) ?retry
+    ?(channels = Apdu.max_channels)
     ?(link_bytes_per_s = Cost.fleet.Cost.link_bytes_per_s) ?(probe_budget = 3)
     ?(standby_k = 0) ~store ~subject transports =
   let n = Array.length transports in
@@ -235,7 +234,7 @@ let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
   if standby_k < 0 then invalid_arg "Fleet.create: standby_k < 0";
   let slots =
     Array.init n (fun i ->
-        make_slot ?obs ?retry ~store ~subject ~channels ~link_bytes_per_s
+        make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s
           ~state:Up i transports.(i))
   in
   {
@@ -251,7 +250,6 @@ let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
     channels;
     probe_budget;
     standby_k;
-    retry;
     link_bytes_per_s;
     heat = Hashtbl.create 64;
     obs;
@@ -535,7 +533,7 @@ let mark_dead (t : t) slot =
 let add_card (t : t) raw =
   let id = Array.length t.slots in
   let slot =
-    make_slot ?obs:t.obs ?retry:t.retry ~store:t.store ~subject:t.subject
+    make_slot ?obs:t.obs ~store:t.store ~subject:t.subject
       ~channels:t.channels ~link_bytes_per_s:t.link_bytes_per_s ~state:Joining
       id raw
   in
@@ -568,7 +566,7 @@ let revive_card (t : t) i =
        hit the surviving prepared cache warm. *)
     slot.pool <-
       Proxy.Pool.create ?obs:t.obs ~store:t.store ~transport:slot.transport
-        ~subject:t.subject ~channels:t.channels ?retry:t.retry ();
+        ~subject:t.subject ~channels:t.channels ();
     set_state t slot Joining;
     t.ring <- Ring.add t.ring i;
     t.revives <- t.revives + 1;

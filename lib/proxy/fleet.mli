@@ -136,20 +136,19 @@ val create :
   ?queue_limit:int ->
   ?max_reroutes:int ->
   ?channels:int ->
-  ?retry:Sdds_soe.Remote_card.Retry.t ->
   ?link_bytes_per_s:float ->
   ?probe_budget:int ->
   ?standby_k:int ->
   store:Sdds_dsp.Store.t ->
   subject:string ->
-  Sdds_soe.Remote_card.Client.transport array ->
+  Sdds_soe.Remote_card.transport array ->
   t
 (** [create ~store ~subject transports] fronts one card per transport
     (the caller owns the hosts and may interpose per-card fault links —
     see {!Sdds_fault.Fault.Schedule.for_card} — and power cutouts,
     {!Sdds_fault.Fault.Cutout}). Defaults: [Affinity] routing,
     [queue_limit] 64 per card, [max_reroutes] 1, [channels]
-    {!Sdds_soe.Apdu.max_channels} per card, the default retry budget,
+    {!Sdds_soe.Apdu.max_channels} per card,
     {!Sdds_soe.Cost.fleet}'s link throughput, [probe_budget] 3, and
     [standby_k] 0 (hot-key replication off). [subject] is the default
     subject; per-request overrides ride in {!Proxy.Request.t.subject}. *)
@@ -178,7 +177,7 @@ val serve : t -> Proxy.Request.t list -> outcome list
     All three are safe mid-run, between {!turn}s of the scheduler —
     that is the point. *)
 
-val add_card : t -> Sdds_soe.Remote_card.Client.transport -> int
+val add_card : t -> Sdds_soe.Remote_card.transport -> int
 (** Grow the fleet by one fresh card ([Joining], immediately routable);
     returns its index. Card indices are stable: a card never changes or
     reuses an index. *)

@@ -201,11 +201,12 @@ module Pool = struct
      a request that matches can skip straight to EVALUATE. *)
   type memo = { m_doc : string; m_rules : string; m_xpath : string option }
 
+  let retry_budget = 16
+
   type t = {
     store : Store.t;
-    transport : Remote.Client.transport;
+    transport : Remote.transport;
     subject : string;
-    retry : Remote.Retry.t;
     mutable free : int list;  (* open channels not serving a stream *)
     mutable opened : int;  (* channels opened so far, basic included *)
     limit : int;  (* channels the pool may open *)
@@ -216,14 +217,13 @@ module Pool = struct
   }
 
   let create ?obs ~store ~transport ~subject ?(channels = Apdu.max_channels)
-      ?(retry = Remote.Retry.default) () =
+      () =
     if channels < 1 || channels > Apdu.max_channels then
       invalid_arg "Pool.create: channels out of range";
     {
       store;
       transport;
       subject;
-      retry;
       free = [ 0 ];
       opened = 1;
       limit = channels;
@@ -341,7 +341,7 @@ module Pool = struct
      pool can always say how the request ended. *)
   let charge t st k =
     if st.budget <= 0 then
-      finish t st (Error (Link_failure { attempts = t.retry.Remote.Retry.budget }))
+      finish t st (Error (Link_failure { attempts = retry_budget }))
     else begin
       st.budget <- st.budget - 1;
       Obs.Metrics.Counter.inc st.retries;
@@ -637,7 +637,7 @@ module Pool = struct
         epoch = t.epoch;
         warm = false;
         phase;
-        budget = t.retry.Remote.Retry.budget;
+        budget = retry_budget;
         rekeyed = false;
         resp_block = 0;
         span;

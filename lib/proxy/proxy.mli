@@ -107,26 +107,34 @@ val run : t -> Request.t -> (outcome, error) result
     replays the setup on the same channel — all bounded by a per-request
     retry budget, all discarding any partially drained response first.
     A request therefore ends in exactly the authorized view or one typed
-    {!error} ([Link_failure] once the budget is spent). *)
+    {!error} ([Link_failure] once the budget is spent).
+
+    The pool is the terminal's only APDU driver. A lone request runs on
+    the basic channel as SELECT, GRANT (when the store holds one), RULES…,
+    QUERY…, EVALUATE and GET RESPONSE…, and over a
+    {!Sdds_soe.Remote_card.Host} it returns the view {!run} returns on a
+    local card. *)
 module Pool : sig
   type t
+
+  val retry_budget : int
+  (** Recovery actions one request may spend (16): each resent frame,
+      failed MANAGE CHANNEL open and session replay costs one. There is
+      no backoff; a resend goes out on the request's next {!step}. *)
 
   val create :
     ?obs:Sdds_obs.Obs.t ->
     store:Sdds_dsp.Store.t ->
-    transport:Sdds_soe.Remote_card.Client.transport ->
+    transport:Sdds_soe.Remote_card.transport ->
     subject:string ->
     ?channels:int ->
-    ?retry:Sdds_soe.Remote_card.Retry.t ->
     unit ->
     t
   (** [channels] (default {!Sdds_soe.Apdu.max_channels}) caps how many
       logical channels the pool opens; channels are opened lazily with
       MANAGE CHANNEL and reused across {!serve} calls, with the channel's
       card-side session remembered so a repeat request skips the
-      select/grant/rules/query upload entirely (warm setup). [retry]
-      (default {!Sdds_soe.Remote_card.Retry.default}) sets each
-      request's fault-recovery budget.
+      select/grant/rules/query upload entirely (warm setup).
 
       [obs] opens one [proxy.request] root span per served request
       (every transport exchange re-roots the implicit span stack at it,

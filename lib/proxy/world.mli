@@ -61,7 +61,7 @@ val make_card :
   profile:Sdds_soe.Cost.profile ->
   t ->
   unit ->
-  Sdds_soe.Remote_card.Client.transport * (unit -> unit)
+  Sdds_soe.Remote_card.transport * (unit -> unit)
 (** A fresh {!host}'s transport and tear hook: the [make_card] callback
     of {!Chaos.run} and {!Chaos.run_slo}. *)
 

@@ -8,7 +8,7 @@ module Obs = Sdds_obs.Obs
 module Ins = Protocol.Ins
 module Sw = Protocol.Sw
 
-let cla = Apdu.base_cla
+type transport = Apdu.command -> Apdu.response
 
 (* One status word per {!Card.error} constructor, so the terminal can act on
    the failure (retry the grant, refetch the document, surface revocation)
@@ -69,18 +69,6 @@ let classify ?doc_id (resp : Apdu.response) =
     match of_sw ?doc_id sw with
     | Some e -> Fatal e
     | None -> Unknown (resp.Apdu.sw1, resp.Apdu.sw2)
-
-module Retry = struct
-  type t = { budget : int; base_backoff_ms : float; max_backoff_ms : float }
-
-  let default = { budget = 16; base_backoff_ms = 1.0; max_backoff_ms = 64.0 }
-
-  (* Simulated, not slept: retries on a deterministic harness must not
-     stall the test clock, so the exponential backoff is accumulated as a
-     cost figure the caller can report. *)
-  let backoff t ~consec =
-    min t.max_backoff_ms (t.base_backoff_ms *. (2.0 ** float_of_int consec))
-end
 
 (* The chained-command reassembly state machine, one per channel session:
    a mutable facade over the pure {!Protocol.Chain}, kept because the
@@ -231,236 +219,3 @@ module Host = struct
     resp
 end
 
-
-module Client = struct
-  type transport = Apdu.command -> Apdu.response
-
-  type error =
-    | Card of Card.error
-    | Link of { attempts : int; sw1 : int; sw2 : int }
-    | Protocol of string
-
-  let pp_error ppf = function
-    | Card e -> Card.pp_error ppf e
-    | Link { attempts; sw1; sw2 } ->
-        Format.fprintf ppf
-          "link failure: retry budget exhausted after %d retries (last SW \
-           %02X%02X)"
-          attempts sw1 sw2
-    | Protocol msg -> Format.fprintf ppf "protocol error: %s" msg
-
-  let string_of_error e = Format.asprintf "%a" pp_error e
-
-  type result = {
-    outputs : Sdds_core.Output.t list;
-    command_frames : int;
-    response_frames : int;
-    wire_bytes : int;
-    retries : int;
-    reestablished : int;
-    backoff_ms : float;
-  }
-
-  type counters = {
-    mutable cmds : int;
-    mutable resps : int;
-    mutable bytes : int;
-  }
-
-  let send counters (transport : transport) cmd =
-    counters.cmds <- counters.cmds + 1;
-    counters.bytes <-
-      counters.bytes + String.length (Apdu.encode_command cmd);
-    let resp = transport cmd in
-    counters.resps <- counters.resps + 1;
-    counters.bytes <-
-      counters.bytes + String.length (Apdu.encode_response resp);
-    resp
-
-  let open_channel (transport : transport) =
-    let resp =
-      transport
-        { Apdu.cla; ins = Ins.manage_channel; p1 = 0; p2 = 0; data = "" }
-    in
-    if
-      (resp.Apdu.sw1, resp.Apdu.sw2) = Sw.ok
-      && String.length resp.Apdu.payload = 1
-    then Ok (Char.code resp.Apdu.payload.[0])
-    else
-      Error
-        (Printf.sprintf "open channel failed: SW %02X%02X" resp.Apdu.sw1
-           resp.Apdu.sw2)
-
-  let close_channel (transport : transport) channel =
-    let resp =
-      transport
-        {
-          Apdu.cla;
-          ins = Ins.manage_channel;
-          p1 = 0x80;
-          p2 = channel;
-          data = "";
-        }
-    in
-    if (resp.Apdu.sw1, resp.Apdu.sw2) = Sw.ok then Ok ()
-    else
-      Error
-        (Printf.sprintf "close channel failed: SW %02X%02X" resp.Apdu.sw1
-           resp.Apdu.sw2)
-
-  (* Internal control flow of [evaluate]; never escapes. *)
-  exception Give_up of error
-  exception Lost_session of int * int
-
-  let evaluate transport ~doc_id ?wrapped_grant ~encrypted_rules ?xpath
-      ?(push = false) ?(use_index = true) ?(channel = 0)
-      ?(retry = Retry.default) () =
-    let counters = { cmds = 0; resps = 0; bytes = 0 } in
-    let budget = ref retry.Retry.budget in
-    let retries = ref 0 and reest = ref 0 and backoff = ref 0.0 in
-    let chan = ref channel in
-    (* Send one frame, absorbing transient link faults under the retry
-       budget; a lost session escapes to the re-establishment loop. *)
-    let exec cmd =
-      let rec go consec =
-        let resp = send counters transport cmd in
-        match classify ~doc_id resp with
-        | Transient ->
-            if !budget <= 0 then
-              raise
-                (Give_up
-                   (Link
-                      {
-                        attempts = retry.Retry.budget;
-                        sw1 = resp.Apdu.sw1;
-                        sw2 = resp.Apdu.sw2;
-                      }))
-            else begin
-              decr budget;
-              incr retries;
-              backoff := !backoff +. Retry.backoff retry ~consec;
-              go (consec + 1)
-            end
-        | Session_lost -> raise (Lost_session (resp.Apdu.sw1, resp.Apdu.sw2))
-        | Done | More _ | Fatal _ | Unknown _ -> resp
-      in
-      go 0
-    in
-    let expect_ok step resp =
-      match classify ~doc_id resp with
-      | Done -> ()
-      | Fatal e -> raise (Give_up (Card e))
-      | More _ ->
-          raise (Give_up (Protocol (step ^ ": unexpected continuation status")))
-      | Unknown (sw1, sw2) ->
-          raise
-            (Give_up
-               (Protocol
-                  (Printf.sprintf "%s failed: SW %02X%02X" step sw1 sw2)))
-      | Transient | Session_lost -> assert false (* absorbed by [exec] *)
-    in
-    let frame ins ?(p1 = 0) ?(p2 = 0) data =
-      { Apdu.cla = Apdu.cla_of_channel !chan; ins; p1; p2; data }
-    in
-    let setup () =
-      expect_ok "select" (exec (frame Ins.select doc_id));
-      (match wrapped_grant with
-      | None -> ()
-      | Some w -> expect_ok "grant" (exec (frame Ins.grant w)));
-      let chained ins payload =
-        List.iter
-          (fun f -> expect_ok "chained command" (exec f))
-          (Apdu.segment ~cla:(Apdu.cla_of_channel !chan) ~ins payload)
-      in
-      chained Ins.rules encrypted_rules;
-      match xpath with None -> () | Some q -> chained Ins.query q
-    in
-    (* Drain with explicit block numbers: a retried GET RESPONSE re-asks
-       for the block whose answer was lost, and the host retransmits it
-       byte-identically — dropped frames never skip response bytes. *)
-    let drain () =
-      let buf = Buffer.create 256 in
-      let rec go block (resp : Apdu.response) =
-        match classify ~doc_id resp with
-        | Done ->
-            Buffer.add_string buf resp.Apdu.payload;
-            Buffer.contents buf
-        | More _ ->
-            Buffer.add_string buf resp.Apdu.payload;
-            go (block + 1)
-              (exec (frame Ins.get_response ~p2:((block + 1) land 0xff) ""))
-        | Fatal e -> raise (Give_up (Card e))
-        | Unknown (sw1, sw2) ->
-            raise
-              (Give_up
-                 (Protocol
-                    (Printf.sprintf "evaluate failed: SW %02X%02X" sw1 sw2)))
-        | Transient | Session_lost -> assert false (* absorbed by [exec] *)
-      in
-      go 0
-        (exec
-           (frame Ins.evaluate
-              ~p1:(if push then 1 else 0)
-              ~p2:(if use_index then 0 else 1)
-              ""))
-    in
-    let reopen () =
-      (* Our logical channel died with the card's volatile state (tear):
-         acquire a fresh one over the always-open basic channel. *)
-      let resp =
-        exec
-          {
-            Apdu.cla = Apdu.base_cla;
-            ins = Ins.manage_channel;
-            p1 = 0;
-            p2 = 0;
-            data = "";
-          }
-      in
-      match classify ~doc_id resp with
-      | Done when String.length resp.Apdu.payload = 1 ->
-          chan := Char.code resp.Apdu.payload.[0]
-      | _ ->
-          raise
-            (Give_up
-               (Protocol "cannot reopen a logical channel after card reset"))
-    in
-    (* Session loop: on evidence that the card lost our session (tear,
-       channel eviction), discard any partial response and replay the
-       whole setup — the card's stable key store and prepared-evaluation
-       cache make the replay cheap — until the budget runs out. *)
-    let rec session () =
-      match
-        setup ();
-        drain ()
-      with
-      | encoded -> encoded
-      | exception Lost_session (sw1, sw2) ->
-          if !budget <= 0 then
-            raise (Give_up (Link { attempts = retry.Retry.budget; sw1; sw2 }))
-          else begin
-            decr budget;
-            incr reest;
-            backoff := !backoff +. Retry.backoff retry ~consec:0;
-            if (sw1, sw2) = Sw.channel_closed && !chan <> 0 then reopen ();
-            session ()
-          end
-    in
-    match session () with
-    | encoded -> (
-        match Output_codec.decode_list encoded with
-        | outputs ->
-            Ok
-              {
-                outputs;
-                command_frames = counters.cmds;
-                response_frames = counters.resps;
-                wire_bytes = counters.bytes;
-                retries = !retries;
-                reestablished = !reest;
-                backoff_ms = !backoff;
-              }
-        | exception Invalid_argument msg ->
-            Error (Protocol ("bad response stream: " ^ msg)))
-    | exception Give_up e -> Error e
-end

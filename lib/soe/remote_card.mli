@@ -1,22 +1,22 @@
-(** The card behind a real APDU transport.
+(** The card behind a real APDU transport: the card end of the
+    terminal–card protocol, and the status-word contract both ends share.
 
     {!Card} exposes an OCaml API; on the demo platform, however, "the
     complexity of the access control, query and security management is
     confined in the smart card and its proxy", and everything crosses an
-    ISO 7816 link in 255-byte frames. This module provides both ends:
+    ISO 7816 link in 255-byte frames. {!Host} is the card-resident
+    command dispatcher: it decodes {!Apdu.command} frames (select
+    document, install grant, load rules, set query, evaluate, drain
+    response), drives {!Card}, and encodes status words + response
+    frames. {!to_sw}, {!of_sw} and {!classify} are the contract the
+    terminal reads those words by.
 
-    - {!Host} is the card-resident command dispatcher: it decodes
-      {!Apdu.command} frames (select document, install grant, load rules,
-      set query, evaluate, drain response), drives {!Card}, and encodes
-      status words + response frames;
-    - {!Client} is the terminal-side stub: it marshals a query into
-      command chains, feeds them to a transport function, reassembles the
-      response stream and decodes it with [Output_codec].
-
-    A [Client] talking to a [Host] over a direct function call must be
-    indistinguishable from calling {!Card.evaluate} — the tests enforce
-    it — while every byte that would cross the wire is visible and
-    countable.
+    The terminal end is {!Sdds_proxy.Proxy.Pool}: it marshals requests
+    into command chains, feeds them to a {!transport}, reassembles the
+    response stream and decodes it with [Output_codec]. A [Pool] talking
+    to a [Host] over a direct function call is indistinguishable from
+    {!Sdds_proxy.Proxy.run} on a local card — the tests enforce it —
+    while every byte that would cross the wire is visible and countable.
 
     {b Logical channels.} The two low CLA bits address one of
     {!Apdu.max_channels} logical channels (ISO 7816-4). Each open channel
@@ -38,12 +38,12 @@
     it wants, so a re-ask after a lost answer gets a byte-identical
     retransmission). A card tear — power loss wiping all volatile
     sessions, modeled by {!Host.tear} — surfaces as
-    [bad_state]/[channel_closed], and {!Client.evaluate} recovers by
-    replaying the whole session setup, which the card's stable
-    prepared-evaluation cache makes cheap. The net effect, enforced by
-    the qcheck harness in [test/test_fault.ml]: the client returns either
-    the exact authorized view or one typed {!Client.error} — never a
-    truncated or corrupted view. *)
+    [bad_state]/[channel_closed], and the [Pool] recovers by replaying
+    the whole session setup, which the card's stable prepared-evaluation
+    cache makes cheap. The net effect, enforced by the qcheck harness in
+    [test/test_fault.ml]: a request ends in either the exact authorized
+    view or one typed {!Sdds_proxy.Proxy.error} — never a truncated or
+    corrupted view. *)
 
 (** Instruction bytes of the command set: [manage_channel] (p1 = 0 open,
     assigned channel returned in the payload; p1 = 0x80 close, target in
@@ -104,6 +104,10 @@ module Sw : sig
       (** Transient: card-side hiccup before processing. *)
 end
 
+type transport = Apdu.command -> Apdu.response
+(** One command-response exchange with the card: {!Host.process}, or a
+    faulty link wrapped around it. *)
+
 val to_sw : Card.error -> int * int
 (** The single error-surface mapping: every layer ({!Host} replies,
     {!Sdds_proxy.Proxy} decoding) goes through this one function, so a
@@ -131,26 +135,10 @@ type verdict =
   | Unknown of int * int  (** a status word outside the protocol *)
 
 val classify : ?doc_id:string -> Apdu.response -> verdict
-(** The one decision point both {!Client} and {!Sdds_proxy.Proxy} use to
-    tell transient faults from fatal refusals. [doc_id] feeds {!of_sw}'s
-    payload reconstruction. *)
-
-(** Retry policy for transient faults and session re-establishment. *)
-module Retry : sig
-  type t = {
-    budget : int;  (** total retries across the whole exchange *)
-    base_backoff_ms : float;
-    max_backoff_ms : float;
-  }
-
-  val default : t
-  (** budget 16, backoff 1 ms doubling to a 64 ms cap. *)
-
-  val backoff : t -> consec:int -> float
-  (** Simulated exponential backoff for the [consec]-th consecutive
-      retry of one frame: [min max (base * 2^consec)]. Accumulated as a
-      cost figure, never slept. *)
-end
+(** The one decision point {!Sdds_proxy.Proxy.Pool} and the protocol
+    model checker ([Sdds_protocol.Model]) use to tell transient faults
+    from fatal refusals. [doc_id] feeds {!of_sw}'s payload
+    reconstruction. *)
 
 (** The host-side chained-command reassembly state machine (one per
     channel session), exposed so its retransmission semantics are
@@ -234,63 +222,4 @@ module Host : sig
 
   val open_channels : t -> int
   (** Channels currently open (≥ 1: the basic channel). *)
-end
-
-module Client : sig
-  type transport = Apdu.command -> Apdu.response
-
-  (** What an exchange can fail with — exactly one of: *)
-  type error =
-    | Card of Card.error  (** the card refused; retrying won't help *)
-    | Link of { attempts : int; sw1 : int; sw2 : int }
-        (** the retry budget ran out; [sw1]/[sw2] is the last transient
-            word seen *)
-    | Protocol of string
-        (** the peer broke the protocol (undecodable response stream,
-            unknown status word) *)
-
-  val pp_error : Format.formatter -> error -> unit
-  val string_of_error : error -> string
-
-  type result = {
-    outputs : Sdds_core.Output.t list;
-    command_frames : int;  (** frames sent terminal to card *)
-    response_frames : int;  (** frames received card to terminal *)
-    wire_bytes : int;  (** total bytes both ways, headers included *)
-    retries : int;  (** frames resent after a transient fault *)
-    reestablished : int;  (** sessions replayed after a tear/eviction *)
-    backoff_ms : float;  (** simulated backoff accumulated over retries *)
-  }
-
-  val open_channel : transport -> (int, string) Result.t
-  (** MANAGE CHANNEL open on the basic channel; returns the assigned
-      channel number. *)
-
-  val close_channel : transport -> int -> (unit, string) Result.t
-
-  val evaluate :
-    transport ->
-    doc_id:string ->
-    ?wrapped_grant:string ->
-    encrypted_rules:string ->
-    ?xpath:string ->
-    ?push:bool ->
-    ?use_index:bool ->
-    ?channel:int ->
-    ?retry:Retry.t ->
-    unit ->
-    (result, error) Result.t
-  (** Full exchange: select, (grant), rules, (query), evaluate, drain —
-      all frames addressed to [channel] (default 0, the basic channel).
-
-      Resilient: transient faults ({!Sw.transport}, {!Sw.internal}) are
-      absorbed by resending the frame; a lost session ([bad_state] /
-      [channel_closed] — card tear or channel eviction) discards any
-      partial response and replays the whole setup, reopening a logical
-      channel if ours died with the card's volatile state. Both spend
-      from [retry]'s budget (a re-establishment costs one unit plus its
-      frames' own retries); when it runs out the exchange fails with
-      [Link]. The guarantee: [Ok r] carries exactly the authorized view
-      — bit-for-bit what a fault-free run returns — and any [Error] is
-      typed. *)
 end

@@ -18,12 +18,15 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== wrapper gate: retired Proxy.query / receive_push must not return =="
+echo "== wrapper gate: retired identifiers must not return =="
 # The unified client (Sdds_proxy.Client) replaced the per-deployment
-# wrappers; a reappearing call site means a regression to the old API.
-if grep -rnE 'Proxy\.query\b|receive_push' \
+# wrappers, and Proxy.Pool is the one terminal-side APDU driver; a
+# reappearing call site means a regression to the old API or a second
+# driver.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
-  echo "error: retired Proxy.query / receive_push identifiers found" >&2
+  echo "error: retired Proxy.query / receive_push /" \
+    "Remote_card.Client / Remote_card.Retry identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"

@@ -6,24 +6,27 @@
 module Json = Sdds_analysis.Json
 
 let sdds = "../bin/sdds_cli.exe"
+let secure_terminal = "../examples/secure_terminal.exe"
 let clinical = "../examples/policies/clinical.xml"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* Run sdds with [args]; fail the test unless it exits 0. Returns
+(* Run [exe] with [args]; fail the test unless it exits 0. Returns
    stdout. *)
-let sdds_ok args =
+let run_ok exe args =
   let out = Filename.temp_file "sdds-cli" ".out" in
   let err = Filename.temp_file "sdds-cli" ".err" in
   let code =
-    Sys.command (Filename.quote_command sdds ~stdout:out ~stderr:err args)
+    Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args)
   in
   let stdout = read out and stderr = read err in
   Sys.remove out;
   Sys.remove err;
   if code <> 0 then
-    Alcotest.failf "sdds %s exited %d\n%s%s" (String.concat " " args) code
+    Alcotest.failf "%s %s exited %d\n%s%s" exe (String.concat " " args) code
       stdout stderr;
   stdout
+
+let sdds_ok = run_ok sdds
 
 let json s =
   match Json.parse s with
@@ -240,8 +243,48 @@ let test_trace_export () =
 (* Byte-parity pins. These commands are deterministic for their default
    seeds, so their exact output is pinned: a refactor that changes a
    single byte of it changes behaviour, and must say so by updating the
-   pin. *)
+   pin. The secure-terminal example's APDU trace pins the frames one
+   request puts on the wire. *)
 let test_stdout_pins () =
+  Alcotest.(check string) "examples/secure_terminal.exe"
+    {|== APDU trace (terminal -> card -> terminal) ==
+#01  > SELECT  p1=0 p2=  0 |   4B data
+     <          SW 9000 |   0B payload
+#02  > GRANT   p1=0 p2=  0 |  64B data
+     <          SW 9000 |   0B payload
+#03  > RULES   p1=0 p2=  0 | 160B data
+     <          SW 9000 |   0B payload
+#04  > QUERY   p1=0 p2=  0 |  14B data
+     <          SW 9000 |   0B payload
+#05  > EVAL    p1=0 p2=  0 |   0B data
+     <          SW 61FF | 255B payload
+#06  > GETRESP p1=0 p2=  1 |   0B data
+     <          SW 61CE | 255B payload
+#07  > GETRESP p1=0 p2=  2 |   0B data
+     <          SW 9000 | 206B payload
+
+7 command frames, 7 response frames, 1007 bytes on the wire
+
+== Reassembled view ==
+<hospital>
+  <department>
+    <patient>
+      <name>jules durand</name>
+    </patient>
+  </department>
+  <department>
+    <patient>
+      <name>alice richard</name>
+    </patient>
+  </department>
+  <department>
+    <patient>
+      <name>oscar lefebvre</name>
+    </patient>
+  </department>
+</hospital>
+|}
+    (run_ok secure_terminal []);
   List.iter
     (fun (args, want) ->
       Alcotest.(check string) ("sdds " ^ String.concat " " args) want

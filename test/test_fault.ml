@@ -47,14 +47,15 @@ let stored_grant w =
 let requests =
   [ Proxy.Request.make doc_id; Proxy.Request.make ~xpath:"//patient/name" doc_id ]
 
-(* Serve [requests] over a transport; [None] on any non-Ok outcome. *)
-let pool_views w transport =
+(* Serve [reqs] (default [requests]) over a transport: each request's
+   view, or its typed error. *)
+let pool_views ?(reqs = requests) w transport =
   let pool =
     Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
   in
   List.map
     (fun r -> Result.map (fun s -> s.Proxy.Pool.xml) r)
-    (Proxy.Pool.serve pool requests)
+    (Proxy.Pool.serve pool reqs)
 
 (* The fault-free reference views, computed once. *)
 let golden =
@@ -67,14 +68,24 @@ let golden =
          | Error e -> Alcotest.failf "golden run failed: %a" Proxy.pp_error e)
        (pool_views w (Remote.Host.process host)))
 
-let faulty_pool_run w schedule =
+let faulty_pool_run ?reqs w schedule =
   let host = fresh_host w in
   let link =
     Fault.Link.wrap ~schedule
       ~tear:(fun () -> Remote.Host.tear host)
       (Remote.Host.process host)
   in
-  (pool_views w (Fault.Link.transport link), link)
+  (pool_views ?reqs w (Fault.Link.transport link), link)
+
+(* One request on a fresh pool: it runs alone on the basic channel, so
+   frames 0 and 1 are SELECT and GRANT and the rules upload starts at
+   frame 2. *)
+let lone_request_view ?xpath w schedule =
+  match
+    fst (faulty_pool_run ~reqs:[ Proxy.Request.make ?xpath doc_id ] w schedule)
+  with
+  | [ view ] -> view
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Headline properties                                                  *)
@@ -106,10 +117,10 @@ let qcheck_soundness =
         views (Lazy.force golden))
 
 (* Convergence: with the fault count under the retry budget, recovery is
-   not just sound but *successful* — the client returns the fault-free
+   not just sound but *successful* — the pool returns the fault-free
    view. Each injected fault costs at most two budget units (a tear is a
-   lost frame plus a session replay), so 7 events fit the default budget
-   of 16 with room to spare. *)
+   lost frame plus a session replay), so 7 events fit the budget of 16
+   with room to spare. *)
 let qcheck_convergence =
   let event_gen =
     QCheck2.Gen.(
@@ -123,31 +134,12 @@ let qcheck_convergence =
     QCheck2.Gen.(list_size (int_bound 7) event_gen)
     (fun events ->
       let w = Lazy.force world in
-      let host = fresh_host w in
-      let link =
-        Fault.Link.wrap
-          ~schedule:(Fault.Schedule.of_events events)
-          ~tear:(fun () -> Remote.Host.tear host)
-          (Remote.Host.process host)
+      let run schedule =
+        match lone_request_view ~xpath:"//patient/name" w schedule with
+        | Ok xml -> xml
+        | Error e -> QCheck2.Test.fail_reportf "%a" Proxy.pp_error e
       in
-      match
-        Remote.Client.evaluate
-          (Fault.Link.transport link)
-          ~doc_id ~wrapped_grant:(stored_grant w)
-          ~encrypted_rules:(stored_rules w) ~xpath:"//patient/name" ()
-      with
-      | Error e -> QCheck2.Test.fail_report (Remote.Client.string_of_error e)
-      | Ok r -> (
-          let clean_host = fresh_host w in
-          match
-            Remote.Client.evaluate
-              (Remote.Host.process clean_host)
-              ~doc_id ~wrapped_grant:(stored_grant w)
-              ~encrypted_rules:(stored_rules w) ~xpath:"//patient/name" ()
-          with
-          | Error e ->
-              QCheck2.Test.fail_report (Remote.Client.string_of_error e)
-          | Ok clean -> r.Remote.Client.outputs = clean.Remote.Client.outputs))
+      run (Fault.Schedule.of_events events) = run Fault.Schedule.none)
 
 (* Determinism: the same seed produces the same injected trace and the
    same outcomes, and replaying the recorded trace as an explicit event
@@ -203,34 +195,11 @@ let test_pool_budget_exhaustion_is_typed () =
   List.iter
     (function
       | Error (Proxy.Link_failure { attempts }) ->
-          Alcotest.(check int) "reports the budget"
-            Remote.Retry.default.Remote.Retry.budget attempts
+          Alcotest.(check int) "reports the budget" Proxy.Pool.retry_budget
+            attempts
       | Error e -> Alcotest.failf "wrong error: %a" Proxy.pp_error e
       | Ok _ -> Alcotest.fail "no frame ever arrives, yet the request won")
     views
-
-let test_client_budget_exhaustion_is_typed () =
-  let w = Lazy.force world in
-  let host = fresh_host w in
-  let link =
-    Fault.Link.wrap
-      ~schedule:
-        (Fault.Schedule.random ~seed:4L ~rate:1.0
-           ~kinds:[| Fault.Drop_command |] ())
-      ~tear:(fun () -> Remote.Host.tear host)
-      (Remote.Host.process host)
-  in
-  match
-    Remote.Client.evaluate
-      (Fault.Link.transport link)
-      ~doc_id ~wrapped_grant:(stored_grant w)
-      ~encrypted_rules:(stored_rules w) ()
-  with
-  | Error (Remote.Client.Link { attempts; _ }) ->
-      Alcotest.(check int) "reports the budget"
-        Remote.Retry.default.Remote.Retry.budget attempts
-  | Error e -> Alcotest.fail (Remote.Client.string_of_error e)
-  | Ok _ -> Alcotest.fail "every frame faults, yet the exchange won"
 
 (* Satellite: after the publisher rotates the document key (revocation),
    a proxy whose card cached the old key must re-fetch the fresh wrapped
@@ -339,20 +308,9 @@ let test_chain_duplicate_is_acked_once () =
   (* Upload the rules twice over a lossy line that duplicates one chain
      frame; the view must equal the clean run (no doubled bytes). *)
   let run schedule =
-    let host = fresh_host w in
-    let link =
-      Fault.Link.wrap ~schedule
-        ~tear:(fun () -> Remote.Host.tear host)
-        (Remote.Host.process host)
-    in
-    match
-      Remote.Client.evaluate
-        (Fault.Link.transport link)
-        ~doc_id ~wrapped_grant:(stored_grant w)
-        ~encrypted_rules:(stored_rules w) ()
-    with
-    | Ok r -> r.Remote.Client.outputs
-    | Error e -> Alcotest.fail (Remote.Client.string_of_error e)
+    match lone_request_view w schedule with
+    | Ok xml -> xml
+    | Error e -> Alcotest.failf "request failed: %a" Proxy.pp_error e
   in
   let clean = run Fault.Schedule.none in
   (* Frames 0–1 are SELECT and GRANT; frame 2 is the first rules frame. *)
@@ -367,11 +325,10 @@ let test_chain_duplicate_is_acked_once () =
 let test_tear_closes_channels_but_keeps_stable_state () =
   let w = Lazy.force world in
   let host = fresh_host w in
-  let transport = Remote.Host.process host in
   let channel =
-    match Remote.Client.open_channel transport with
-    | Ok ch -> ch
-    | Error e -> Alcotest.fail e
+    let resp = send host Remote.Ins.manage_channel "" in
+    check_sw "channel opened" Remote.Sw.ok resp;
+    Char.code resp.Apdu.payload.[0]
   in
   check_sw "select on logical channel" Remote.Sw.ok
     (send host ~channel Remote.Ins.select doc_id);
@@ -425,18 +382,19 @@ let test_transient_words_are_not_card_errors () =
 
 let test_undecodable_stream_is_protocol_error () =
   (* A peer that answers OK with garbage payload on every frame: the
-     client must fail with a typed [Protocol] error, not raise or return
-     a mangled view. *)
+     pool must fail with a typed [Protocol] error, not raise or return a
+     mangled view. *)
   let garbage _ = { Apdu.sw1 = 0x90; sw2 = 0x00; payload = "\xff\xff\xff" } in
   match
-    Remote.Client.evaluate garbage ~doc_id ~encrypted_rules:"rules" ()
+    pool_views ~reqs:[ Proxy.Request.make doc_id ] (Lazy.force world) garbage
   with
-  | Error (Remote.Client.Protocol msg) ->
+  | [ Error (Proxy.Protocol msg) ] ->
       Alcotest.(check bool) "names the decode failure" true
         (String.length msg >= 19
         && String.sub msg 0 19 = "bad response stream")
-  | Error e -> Alcotest.fail (Remote.Client.string_of_error e)
-  | Ok _ -> Alcotest.fail "garbage decoded as a view"
+  | [ Error e ] -> Alcotest.failf "wrong error: %a" Proxy.pp_error e
+  | [ Ok _ ] -> Alcotest.fail "garbage decoded as a view"
+  | _ -> assert false
 
 let fail_parse e = Alcotest.fail (Fault.Schedule.string_of_parse_error e)
 
@@ -763,8 +721,6 @@ let suite =
       test_pool_recovers_from_tear;
     Alcotest.test_case "pool budget exhaustion is typed" `Quick
       test_pool_budget_exhaustion_is_typed;
-    Alcotest.test_case "client budget exhaustion is typed" `Quick
-      test_client_budget_exhaustion_is_typed;
     Alcotest.test_case "run refreshes the grant after rotation" `Quick
       test_run_refreshes_grant_after_rotation;
     Alcotest.test_case "pool refreshes the grant after rotation" `Quick

@@ -129,7 +129,12 @@ let qcheck_chain_exactly_once =
 (* End-to-end: duplicated final frames through the full APDU stack     *)
 (* ------------------------------------------------------------------ *)
 
+(* One request for "ward" on a fresh one-request pool, with [blob] and
+   [grant] as the store's policy for "u": it runs alone on the basic
+   channel, so frames 0 and 1 are SELECT and GRANT. *)
 let run_eval ~store ~user ~grant ~blob schedule =
+  Store.put_rules store ~doc_id:"ward" ~subject:"u" blob;
+  Store.put_grant store ~doc_id:"ward" ~subject:"u" grant;
   let resolve id =
     Option.map
       (fun p -> Publish.to_source p ~delivery:`Pull)
@@ -142,17 +147,17 @@ let run_eval ~store ~user ~grant ~blob schedule =
       ~tear:(fun () -> Remote.Host.tear host)
       (Remote.Host.process host)
   in
-  let r =
-    Remote.Client.evaluate
-      (Fault.Link.transport link)
-      ~doc_id:"ward" ~wrapped_grant:grant ~encrypted_rules:blob ()
+  let pool =
+    Proxy.Pool.create ~store ~transport:(Fault.Link.transport link)
+      ~subject:"u" ()
   in
-  (r, link)
+  match Proxy.Pool.serve pool [ Proxy.Request.make "ward" ] with
+  | [ r ] -> (r, link)
+  | _ -> assert false
 
-let outputs_of name = function
-  | Ok r, _ -> r.Remote.Client.outputs
-  | Error e, _ ->
-      Alcotest.failf "%s failed: %s" name (Remote.Client.string_of_error e)
+let view_of name = function
+  | Ok s, _ -> s.Proxy.Pool.xml
+  | Error e, _ -> Alcotest.failf "%s failed: %a" name Proxy.pp_error e
 
 (* Satellite: a rules blob that fits one frame — the upload IS its own
    final frame (p1 = 0, p2 = 0) — duplicated on the wire. The view must
@@ -176,7 +181,7 @@ let test_single_frame_upload_duplicate_end_to_end () =
     Publish.grant drbg ~doc_key ~doc_id:"ward" ~recipient:user.Rsa.public
   in
   let clean =
-    outputs_of "clean" (run_eval ~store ~user ~grant ~blob Fault.Schedule.none)
+    view_of "clean" (run_eval ~store ~user ~grant ~blob Fault.Schedule.none)
   in
   (* Frames 0–1 are SELECT and GRANT; frame 2 is the whole rules chain. *)
   let r, link =
@@ -186,7 +191,7 @@ let test_single_frame_upload_duplicate_end_to_end () =
   in
   Alcotest.(check int) "the duplicate fired" 1 (Fault.Link.injected link);
   Alcotest.(check bool) "duplicated single-frame upload: exact view" true
-    (outputs_of "duplicated" (r, link) = clean)
+    (view_of "duplicated" (r, link) = clean)
 
 (* Satellite: a 257-frame upload, whose final frame lands on
    p2 = 256 mod 256 = 0, with that final frame duplicated. Pre-fix the
@@ -223,7 +228,7 @@ let test_wraparound_upload_duplicate_end_to_end () =
     Publish.grant drbg ~doc_key ~doc_id:"ward" ~recipient:user.Rsa.public
   in
   let clean =
-    outputs_of "clean" (run_eval ~store ~user ~grant ~blob Fault.Schedule.none)
+    view_of "clean" (run_eval ~store ~user ~grant ~blob Fault.Schedule.none)
   in
   (* SELECT (0), GRANT (1), then 257 rules frames: the final one is
      frame 2 + 256 = 258. *)
@@ -234,7 +239,7 @@ let test_wraparound_upload_duplicate_end_to_end () =
   in
   Alcotest.(check int) "the duplicate fired" 1 (Fault.Link.injected link);
   Alcotest.(check bool) "duplicated wraparound final: exact view" true
-    (outputs_of "duplicated" (r, link) = clean)
+    (view_of "duplicated" (r, link) = clean)
 
 (* ------------------------------------------------------------------ *)
 (* Consistent-hash ring                                                 *)

@@ -15,6 +15,7 @@ module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Fault = Sdds_fault.Fault
+module Proxy = Sdds_proxy.Proxy
 module World = Sdds_proxy.World
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
@@ -140,9 +141,16 @@ let stored_rules w =
 let stored_grant w =
   Option.get (Store.get_grant (World.store w) ~doc_id ~subject:"u")
 
-let run_clean w host =
-  Remote.Client.evaluate (Remote.Host.process host) ~doc_id
-    ~wrapped_grant:(stored_grant w) ~encrypted_rules:(stored_rules w) ()
+(* One request on a fresh pool: it runs alone on the basic channel, so
+   the frames a fault schedule counts are SELECT, GRANT, RULES…,
+   EVALUATE and GET RESPONSE…. *)
+let lone_request w transport =
+  let pool =
+    Proxy.Pool.create ~store:(World.store w) ~transport ~subject:"u" ()
+  in
+  match Proxy.Pool.serve pool [ Proxy.Request.make doc_id ] with
+  | [ r ] -> Result.map (fun s -> s.Proxy.Pool.xml) r
+  | _ -> assert false
 
 (* Upload [blob] as exactly 257 chained frames — 256 single-byte frames
    and a final frame with the remainder — so the final frame's sequence
@@ -223,7 +231,7 @@ let test_real_host_wrap_discrimination () =
 
 (* Every checker-emitted counterexample, pushed through the real FIXED
    stack as a --fault-spec schedule, must leave soundness intact: the
-   client ends with the exact fault-free view or a typed error, never a
+   pool ends with the exact fault-free view or a typed error, never a
    stitched or truncated one. Configurations are drawn around the
    pre-fix fixture so the checker actually emits counterexamples. *)
 let qcheck_cex_replays_sound_on_fixed_stack =
@@ -255,10 +263,9 @@ let qcheck_cex_replays_sound_on_fixed_stack =
                 (Fault.Schedule.string_of_parse_error e));
           let w = Lazy.force world in
           let golden =
-            match run_clean w (fresh_host w) with
-            | Ok r -> r.Remote.Client.outputs
-            | Error e ->
-                QCheck2.Test.fail_report (Remote.Client.string_of_error e)
+            match lone_request w (Remote.Host.process (fresh_host w)) with
+            | Ok xml -> xml
+            | Error e -> QCheck2.Test.fail_reportf "%a" Proxy.pp_error e
           in
           let host = fresh_host w in
           let link =
@@ -267,13 +274,9 @@ let qcheck_cex_replays_sound_on_fixed_stack =
               ~tear:(fun () -> Remote.Host.tear host)
               (Remote.Host.process host)
           in
-          match
-            Remote.Client.evaluate (Fault.Link.transport link) ~doc_id
-              ~wrapped_grant:(stored_grant w)
-              ~encrypted_rules:(stored_rules w) ()
-          with
+          match lone_request w (Fault.Link.transport link) with
           | Error _ -> true (* a typed error is a sound outcome *)
-          | Ok r -> r.Remote.Client.outputs = golden))
+          | Ok xml -> xml = golden))
 
 let suite =
   [

@@ -2,11 +2,11 @@ module Remote_card = Sdds_soe.Remote_card
 module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
-module Publish = Sdds_dsp.Publish
+module Proxy = Sdds_proxy.Proxy
+module World = Sdds_proxy.World
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
 module Oracle = Sdds_core.Oracle
-module Reassembler = Sdds_core.Reassembler
 module Dom = Sdds_xml.Dom
 module Generator = Sdds_xml.Generator
 module Drbg = Sdds_crypto.Drbg
@@ -16,15 +16,16 @@ module Rng = Sdds_util.Rng
 let dom = Alcotest.testable Dom.pp Dom.equal
 let dom_opt = Alcotest.(option dom)
 
-(* One world: a published hospital document and a personalized card behind
-   an APDU host. *)
+(* One world: a published hospital document on a DSP store and a
+   personalized card behind an APDU host. *)
 type world = {
+  store : Store.t;
   doc : Dom.t;
   rules : Rule.t list;
   encrypted_rules : string;
   wrapped : string;
   source : Card.doc_source;
-  transport : Remote_card.Client.transport;
+  transport : Remote_card.transport;
   card : Card.t;
 }
 
@@ -34,83 +35,89 @@ let world =
      let publisher = Rsa.generate drbg ~bits:512 in
      let user = Rsa.generate drbg ~bits:512 in
      let doc = Generator.hospital (Rng.create 41L) ~patients:6 in
-     let published, doc_key =
-       Publish.publish drbg ~publisher ~doc_id:"remote-doc" doc
-     in
      let rules =
        [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]
      in
-     let encrypted_rules =
-       Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id:"remote-doc"
-         ~subject:"u" rules
+     let w =
+       World.create drbg ~publisher ~user [ ("remote-doc", doc, rules) ]
      in
-     let wrapped =
-       Publish.grant drbg ~doc_key ~doc_id:"remote-doc"
-         ~recipient:user.Rsa.public
-     in
-     let source = Publish.to_source published ~delivery:`Pull in
+     let store = World.store w in
      let card = Card.create ~profile:Cost.modern ~subject:"u" user in
-     let host =
-       Remote_card.Host.create ~card
-         ~resolve:(fun id ->
-           if String.equal id "remote-doc" then Some source else None)
-         ()
-     in
+     let host = Remote_card.Host.create ~card ~resolve:(World.resolve w) () in
      {
+       store;
        doc;
        rules;
-       encrypted_rules;
-       wrapped;
-       source;
+       encrypted_rules =
+         Option.get (Store.get_rules store ~doc_id:"remote-doc" ~subject:"u");
+       wrapped =
+         Option.get (Store.get_grant store ~doc_id:"remote-doc" ~subject:"u");
+       source = Option.get (World.resolve w "remote-doc");
        transport = Remote_card.Host.process host;
        card;
      })
 
+(* One request through a fresh pool over the world's host. [rules]
+   replaces the rule blob the store serves. *)
+let serve ?rules w req =
+  let pool =
+    Proxy.Pool.create ~store:w.store ~transport:w.transport ~subject:"u" ()
+  in
+  let st = Proxy.Pool.start pool req in
+  Option.iter
+    (fun rules ->
+      Proxy.Pool.pin st ~rules ~grant:(snd (Proxy.Pool.session_state st)))
+    rules;
+  let rec go () =
+    match Proxy.Pool.result st with
+    | Some r -> r
+    | None ->
+        Proxy.Pool.step pool st;
+        go ()
+  in
+  go ()
+
 let test_remote_equals_direct () =
   let w = Lazy.force world in
-  match
-    Remote_card.Client.evaluate w.transport ~doc_id:"remote-doc"
-      ~wrapped_grant:w.wrapped ~encrypted_rules:w.encrypted_rules ()
-  with
-  | Error e -> Alcotest.fail (Remote_card.Client.string_of_error e)
-  | Ok r ->
-      let view = Reassembler.run ~has_query:false r.Remote_card.Client.outputs in
+  match serve w (Proxy.Request.make "remote-doc") with
+  | Error e -> Alcotest.failf "request failed: %a" Proxy.pp_error e
+  | Ok s ->
       Alcotest.check dom_opt "view through APDU = oracle"
         (Oracle.authorized_view ~rules:w.rules w.doc)
-        view;
+        s.Proxy.Pool.view;
       Alcotest.(check bool) "several frames each way" true
-        (r.Remote_card.Client.command_frames > 2
-        && r.Remote_card.Client.response_frames
-           = r.Remote_card.Client.command_frames);
+        (s.Proxy.Pool.command_frames > 2
+        && s.Proxy.Pool.response_frames = s.Proxy.Pool.command_frames);
       Alcotest.(check bool) "wire bytes counted" true
-        (r.Remote_card.Client.wire_bytes
-        > String.length w.encrypted_rules)
+        (s.Proxy.Pool.wire_bytes > String.length w.encrypted_rules)
 
 let test_remote_with_query () =
   let w = Lazy.force world in
-  match
-    Remote_card.Client.evaluate w.transport ~doc_id:"remote-doc"
-      ~encrypted_rules:w.encrypted_rules ~xpath:"//patient/name" ()
-  with
-  | Error e -> Alcotest.fail (Remote_card.Client.string_of_error e)
-  | Ok r ->
-      let view = Reassembler.run ~has_query:true r.Remote_card.Client.outputs in
+  match serve w (Proxy.Request.make ~xpath:"//patient/name" "remote-doc") with
+  | Error e -> Alcotest.failf "request failed: %a" Proxy.pp_error e
+  | Ok s ->
       Alcotest.check dom_opt "query through APDU"
         (Oracle.authorized_view ~rules:w.rules
            ~query:(Sdds_xpath.Parser.parse "//patient/name")
            w.doc)
-        view
+        s.Proxy.Pool.view
 
 let test_remote_unknown_document () =
   let w = Lazy.force world in
-  match
-    Remote_card.Client.evaluate w.transport ~doc_id:"nope"
-      ~encrypted_rules:w.encrypted_rules ()
-  with
-  | Error (Remote_card.Client.Card (Card.No_key id)) ->
+  let resp =
+    w.transport
+      {
+        Apdu.cla = Apdu.base_cla;
+        ins = Remote_card.Ins.select;
+        p1 = 0;
+        p2 = 0;
+        data = "nope";
+      }
+  in
+  match Remote_card.classify ~doc_id:"nope" resp with
+  | Remote_card.Fatal (Card.No_key id) ->
       Alcotest.(check string) "names the document" "nope" id
-  | Error e -> Alcotest.fail (Remote_card.Client.string_of_error e)
-  | Ok _ -> Alcotest.fail "expected select failure"
+  | _ -> Alcotest.fail "expected select failure"
 
 let test_remote_out_of_sequence () =
   let w = Lazy.force world in
@@ -139,11 +146,10 @@ let test_remote_security_error_mapped () =
   let bad = Bytes.of_string w.encrypted_rules in
   Bytes.set_uint8 bad 20 (Bytes.get_uint8 bad 20 lxor 1);
   match
-    Remote_card.Client.evaluate w.transport ~doc_id:"remote-doc"
-      ~encrypted_rules:(Bytes.to_string bad) ()
+    serve ~rules:(Bytes.to_string bad) w (Proxy.Request.make "remote-doc")
   with
-  | Error (Remote_card.Client.Card (Card.Bad_rules _)) -> ()
-  | Error e -> Alcotest.fail (Remote_card.Client.string_of_error e)
+  | Error (Proxy.Card_error (Card.Bad_rules _)) -> ()
+  | Error e -> Alcotest.failf "wrong error: %a" Proxy.pp_error e
   | Ok _ -> Alcotest.fail "expected security error"
 
 let test_remote_chain_gap () =

@@ -11,8 +11,6 @@ module World = Sdds_proxy.World
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
-module Reassembler = Sdds_core.Reassembler
-module Serializer = Sdds_xml.Serializer
 module Dom = Sdds_xml.Dom
 module Generator = Sdds_xml.Generator
 module Drbg = Sdds_crypto.Drbg
@@ -57,29 +55,6 @@ let stored_rules w doc_id =
 let stored_grant w doc_id =
   Option.get (Store.get_grant (World.store w) ~doc_id ~subject:"u")
 
-let render ~has_query outputs =
-  Option.map
-    (Serializer.to_string ~indent:true)
-    (Reassembler.run ~has_query outputs)
-
-(* The sequential reference for one request: a fresh card behind a fresh
-   host, driven by the plain single-channel client. *)
-let sequential w (r : Proxy.Request.t) =
-  let _, transport = fresh_transport w in
-  match
-    Remote.Client.evaluate transport ~doc_id:r.Proxy.Request.doc_id
-      ~wrapped_grant:(stored_grant w r.Proxy.Request.doc_id)
-      ~encrypted_rules:(stored_rules w r.Proxy.Request.doc_id)
-      ?xpath:r.Proxy.Request.xpath ()
-  with
-  | Error e ->
-      Alcotest.fail
-        ("sequential reference failed: " ^ Remote.Client.string_of_error e)
-  | Ok res ->
-      render
-        ~has_query:(r.Proxy.Request.xpath <> None)
-        res.Remote.Client.outputs
-
 let xpaths = [| None; Some "//patient"; Some "//patient/name" |]
 
 let random_request rng =
@@ -90,7 +65,8 @@ let seed_gen = QCheck2.Gen.(int_bound 1_000_000)
 
 (* K clients multiplexed over one transport (frames interleaved round-
    robin across logical channels, one shared card with a shared cache)
-   must produce views byte-identical to K isolated sequential clients. *)
+   must produce views byte-identical to serving each request alone on a
+   fresh local card, with no APDU in between ({!World.golden}). *)
 let qcheck_interleaved_equals_sequential =
   QCheck2.Test.make ~name:"pool interleaving = sequential serving"
     ~count:25 seed_gen (fun seed ->
@@ -108,7 +84,7 @@ let qcheck_interleaved_equals_sequential =
           match result with
           | Error e ->
               Alcotest.failf "pool request failed: %a" Proxy.pp_error e
-          | Ok s -> s.Proxy.Pool.xml = sequential w req)
+          | Ok s -> s.Proxy.Pool.xml = World.golden w req)
         reqs served)
 
 let test_pool_warm_reuse () =
@@ -172,6 +148,18 @@ let sw (resp : Apdu.response) = (resp.Apdu.sw1, resp.Apdu.sw2)
 let check_sw name expected resp =
   Alcotest.(check bool) name true (sw resp = expected)
 
+(* MANAGE CHANNEL on the basic channel: open answers the assigned
+   channel number, close names its target in p2. *)
+let open_channel transport =
+  let resp = send transport Remote.Ins.manage_channel "" in
+  if sw resp = Remote.Sw.ok && String.length resp.Apdu.payload = 1 then
+    Some (Char.code resp.Apdu.payload.[0])
+  else None
+
+let close_channel transport channel =
+  sw (send transport Remote.Ins.manage_channel ~p1:0x80 ~p2:channel "")
+  = Remote.Sw.ok
+
 (* The cross-channel regression: a chained RULES upload in flight on one
    channel must be invisible to every other channel, and any RULES/QUERY
    frame on a channel with no document selected — first frame, final
@@ -188,9 +176,9 @@ let test_cross_channel_chain_isolation () =
     (send transport Remote.Ins.rules ~p1:1 ~p2:0 "first half ");
   (* Open a second channel; it has no selected document. *)
   let channel =
-    match Remote.Client.open_channel transport with
-    | Ok ch -> ch
-    | Error e -> Alcotest.fail e
+    match open_channel transport with
+    | Some ch -> ch
+    | None -> Alcotest.fail "open channel failed"
   in
   Alcotest.(check bool) "a fresh channel was assigned" true (channel > 0);
   (* Every shape of RULES frame on the never-SELECTed channel: bad_state —
@@ -223,30 +211,27 @@ let test_channel_lifecycle () =
   (* Exhaust the channel table. *)
   let opened =
     List.init (Apdu.max_channels - 1) (fun _ ->
-        match Remote.Client.open_channel transport with
-        | Ok ch -> ch
-        | Error e -> Alcotest.fail e)
+        match open_channel transport with
+        | Some ch -> ch
+        | None -> Alcotest.fail "open channel failed")
   in
   Alcotest.(check (list int)) "channels assigned lowest-first" [ 1; 2; 3 ]
     opened;
-  (match Remote.Client.open_channel transport with
-  | Error _ -> ()
-  | Ok ch -> Alcotest.failf "fifth channel %d on a 4-slot table" ch);
+  (match open_channel transport with
+  | None -> ()
+  | Some ch -> Alcotest.failf "fifth channel %d on a 4-slot table" ch);
   (* Frames to a closed channel bounce. *)
-  (match Remote.Client.close_channel transport 2 with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "close channel 2" true (close_channel transport 2);
   check_sw "frame on a closed channel" Remote.Sw.channel_closed
     (send transport ~channel:2 Remote.Ins.select "ward-1");
   (* The basic channel cannot be closed. *)
-  (match Remote.Client.close_channel transport 0 with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "closed the basic channel");
+  Alcotest.(check bool) "basic channel stays open" false
+    (close_channel transport 0);
   (* The freed slot is reusable. *)
-  match Remote.Client.open_channel transport with
-  | Ok 2 -> ()
-  | Ok ch -> Alcotest.failf "expected slot 2 back, got %d" ch
-  | Error e -> Alcotest.fail e
+  match open_channel transport with
+  | Some 2 -> ()
+  | Some ch -> Alcotest.failf "expected slot 2 back, got %d" ch
+  | None -> Alcotest.fail "open channel failed"
 
 (* --- prepared-evaluation cache ---------------------------------------- *)
 
