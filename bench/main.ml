@@ -1156,7 +1156,7 @@ let e11_guard_overhead () =
   List.iter
     (fun (name, rules) ->
       let outs = Engine.run rules (Dom.to_events doc) in
-      let plain_bytes = String.length (Sdds_core.Output_codec.encode_list outs) in
+      let plain_bytes = Sdds_core.Output_codec.size_list outs in
       let drbg = Drbg.create ~seed:"e11" in
       let protector =
         Sdds_soe.Guard.Protector.create drbg ~has_query:false ()

@@ -118,7 +118,25 @@ let decode_list s =
   in
   go [] 0
 
-let encoded_size out =
-  let buf = Buffer.create 64 in
-  encode buf out;
-  Buffer.length buf
+(* Sizes by arithmetic, mirroring [encode]. Every event and condition
+   tag is below 0x80, so each takes one varint byte. *)
+let string_size s =
+  let n = String.length s in
+  Varint.size n + n
+
+let rec cond_size = function
+  | Cond.True | Cond.False -> 1
+  | Cond.Var v -> 1 + Varint.size v
+  | Cond.And xs | Cond.Or xs -> 1 + conds_size 0 0 xs
+
+and conds_size arity acc = function
+  | [] -> Varint.size arity + acc
+  | x :: xs -> conds_size (arity + 1) (acc + cond_size x) xs
+
+let encoded_size = function
+  | Output.Open_node { tag; neg; pos; query } ->
+      1 + string_size tag + cond_size neg + cond_size pos + cond_size query
+  | Output.Text_node s | Output.Close_node s -> 1 + string_size s
+  | Output.Resolve (v, _) -> 1 + Varint.size v
+
+let size_list outs = List.fold_left (fun acc o -> acc + encoded_size o) 0 outs

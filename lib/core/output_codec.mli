@@ -18,3 +18,11 @@ val decode_list : string -> Output.t list
 (** Raises [Invalid_argument] on trailing or malformed bytes. *)
 
 val encoded_size : Output.t -> int
+(** The number of bytes [encode] appends for one event. Exact, computed
+    by arithmetic over the event's fields: it encodes nothing and does
+    not allocate. *)
+
+val size_list : Output.t list -> int
+(** [size_list outs] is [String.length (encode_list outs)] exactly, and
+    like {!encoded_size} it encodes nothing and does not allocate. The
+    size of a stream crossing the card → terminal link. *)

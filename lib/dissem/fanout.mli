@@ -6,7 +6,8 @@
     predicate-free clusters through one shared {!Mux} walk and each
     predicate-carrying cluster through a private
     {!Sdds_core.Engine}, and demultiplexes: every subscriber receives
-    its cluster's annotated output stream. Decisions are per subscriber
+    its cluster's annotated output stream, one list per cluster that its
+    members share physically ([==]). Decisions are per subscriber
     by construction — a cluster only ever contains subscribers with
     byte-identical rule sets, and the mux walk is output-equivalent to a
     private engine per cluster (the differential property).
@@ -56,4 +57,6 @@ val run_plan :
   Sdds_xml.Event.t list ->
   (string * Sdds_core.Output.t list) list * stats
 (** The evaluation half of {!run}, for callers that planned separately
-    (e.g. to account per-cluster compilation before running). *)
+    (e.g. to account per-cluster compilation before running). One entry
+    per [plan.assignment] entry, in its order; members of one cluster
+    get the same physical list. *)

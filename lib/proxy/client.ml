@@ -6,6 +6,7 @@ module Publish = Sdds_dsp.Publish
 module Card = Sdds_soe.Card
 module Apdu = Sdds_soe.Apdu
 module Reassembler = Sdds_core.Reassembler
+module Output_codec = Sdds_core.Output_codec
 module Serializer = Sdds_xml.Serializer
 module Fanout = Sdds_dissem.Fanout
 
@@ -106,7 +107,7 @@ let ensure_key ~store ~card ~doc_id =
 
 let served_of_outputs outs =
   let view = Reassembler.run ~has_query:false outs in
-  let out_bytes = Card.output_wire_bytes outs in
+  let out_bytes = Output_codec.size_list outs in
   {
     Proxy.Pool.view;
     xml = Option.map (Serializer.to_string ~indent:true) view;
@@ -139,6 +140,17 @@ let deliver_direct ~store ~card ~doc_id subscribers =
           match Card.disseminate card source ~subscribers:present () with
           | Error e -> Error (Proxy.Card_error e)
           | Ok (results, report) ->
+              (* Members of a cluster share one output list, and [served]
+                 depends on the list alone: build one record per list. *)
+              let built = ref [] in
+              let served outs =
+                match List.assq_opt outs !built with
+                | Some r -> r
+                | None ->
+                    let r = served_of_outputs outs in
+                    built := (outs, r) :: !built;
+                    r
+              in
               let per =
                 List.map
                   (fun (s, blob) ->
@@ -146,7 +158,7 @@ let deliver_direct ~store ~card ~doc_id subscribers =
                     | None -> (s, Error Proxy.No_rules)
                     | Some _ -> (
                         match List.assoc_opt s results with
-                        | Some (Ok outs) -> (s, Ok (served_of_outputs outs))
+                        | Some (Ok outs) -> (s, Ok (served outs))
                         | Some (Error e) -> (s, Error (Proxy.Card_error e))
                         | None -> (s, Error Proxy.No_rules)))
                   blobs

@@ -78,11 +78,14 @@ val deliver :
     signature, integrity and decryption once for the whole population,
     identical rule sets clustered and evaluated once, predicate-free
     clusters sharing one merged walk — and the sharing accounting comes
-    back as [Some stats]. Per-subscriber results are in listing order; a
-    subscriber with no rule blob on the DSP fails alone with [No_rules],
-    a broken or rolled-back blob with the card's typed error. A
-    rules-digest collision or duplicated subject refuses the whole
-    publish (the card's [Bad_rules] names the offending pair).
+    back as [Some stats]. The members of a cluster share one output list
+    ({!Sdds_soe.Card.disseminate}), so the session reassembles,
+    serializes and sizes each cluster's view once and hands every member
+    the same immutable [served] record. Per-subscriber results are in
+    listing order; a subscriber with no rule blob on the DSP fails alone
+    with [No_rules], a broken or rolled-back blob with the card's typed
+    error. A rules-digest collision or duplicated subject refuses the
+    whole publish (the card's [Bad_rules] names the offending pair).
 
     On pool and fleet sessions rule blobs are MAC-bound per subject, so
     no evaluation can be shared: delivery is one push stream per

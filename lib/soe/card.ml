@@ -4,6 +4,7 @@ module Merkle = Sdds_crypto.Merkle
 module Rule = Sdds_core.Rule
 module Compile = Sdds_core.Compile
 module Output = Sdds_core.Output
+module Output_codec = Sdds_core.Output_codec
 
 module Indexed_engine = Sdds_index.Indexed_engine
 module Memory_bound = Sdds_analysis.Memory_bound
@@ -174,10 +175,6 @@ type report = {
   output_bytes : int;
   prepared_hit : bool;
 }
-
-(* Exact wire size under the binary output codec. *)
-let output_wire_bytes outs =
-  String.length (Sdds_core.Output_codec.encode_list outs)
 
 let guard_drbg t source =
   (* Guard keys are card-local secrets: seed from the card's own identity
@@ -591,7 +588,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
 
 let evaluate t source ~encrypted_rules ?query ?use_index () =
   evaluate_with t source ~encrypted_rules ?query ?use_index ()
-    ~wire:(fun outputs -> (outputs, output_wire_bytes outputs))
+    ~wire:(fun outputs -> (outputs, Output_codec.size_list outputs))
 
 let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
   evaluate_with t source ~encrypted_rules ?query ?use_index ()
@@ -727,11 +724,18 @@ let disseminate t source ~subscribers () =
                 ~events:(n_events * stats.Sdds_dissem.Fanout.evaluations)
                 ~tokens:stats.Sdds_dissem.Fanout.mux_token_visits;
               (* Sharing saves evaluations, not uploads: every subscriber's
-                 stream crosses the link. *)
+                 stream crosses the link. Members of a cluster share one
+                 list ([delivered] follows [assignment]), sized once. *)
+              let sizes =
+                Array.make (Array.length plan.Sdds_dissem.Cluster.clusters) (-1)
+              in
               let out_bytes =
-                List.fold_left
-                  (fun acc (_, outs) -> acc + output_wire_bytes outs)
-                  0 delivered
+                List.fold_left2
+                  (fun acc (_, i) (_, outs) ->
+                    if sizes.(i) < 0 then
+                      sizes.(i) <- Output_codec.size_list outs;
+                    acc + sizes.(i))
+                  0 plan.Sdds_dissem.Cluster.assignment delivered
               in
               Cost.charge_transfer meter ~bytes:out_bytes;
               let results =

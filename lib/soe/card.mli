@@ -219,10 +219,6 @@ val evaluate :
     query. [use_index] (default true) disables skipping for the no-index
     baseline. *)
 
-val output_wire_bytes : Sdds_core.Output.t list -> int
-(** Serialized size of the output stream crossing the card → terminal
-    link ([Sdds_core.Output_codec]). *)
-
 type dissem_report = {
   dissem_breakdown : Cost.breakdown;
   sharing : Sdds_dissem.Fanout.stats;
@@ -252,6 +248,13 @@ val disseminate :
     predicate-free clusters through one merged walk
     ({!Sdds_dissem.Mux}), then demultiplexes: each subscriber's output
     equals a private {!evaluate} under its own rules.
+
+    Members of one cluster receive one physically shared output list:
+    the lists in their [Ok] results are [==]. A terminal may key per-view
+    work on that identity ([Sdds_proxy.Client.deliver] builds one view
+    per list). Each member's stream is still charged as crossing the link
+    ([dissem_output_bytes]), but its size
+    ({!Sdds_core.Output_codec.size_list}) is computed once per cluster.
 
     Per-subscriber failures (undecryptable blob → [Bad_rules], version
     rollback → [Replayed_rules]) reject that subscriber only; results

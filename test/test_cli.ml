@@ -152,10 +152,9 @@ let test_slo () =
           (fun v -> Json.member "breach" v = Some (Json.Bool false))
           (list "verdicts" recovered) ) ]
 
-(* Three subscribers, two with byte-identical policies: the gateway
-   clusters them, runs strictly fewer evaluations than the
-   per-subscriber baseline, and still delivers a view to everyone. *)
-let test_disseminate () =
+(* [f rules], where [rules] is a rules file for three subscribers, two
+   of them with byte-identical policies. *)
+let with_rules_file f =
   with_temp_dir (fun dir ->
       let rules = Filename.concat dir "rules.txt" in
       Out_channel.with_open_bin rules (fun oc ->
@@ -165,11 +164,17 @@ let test_disseminate () =
              +, bob, //patient\n\
              -, bob, //ssn\n\
              +, carol, //department\n");
-      let r =
-        json
-          (sdds_ok
-             [ "disseminate"; clinical; "--rules-file"; rules; "--json" ])
-      in
+      f rules)
+
+let disseminate rules extra =
+  sdds_ok ([ "disseminate"; clinical; "--rules-file"; rules ] @ extra)
+
+(* The gateway clusters the two identical policies, runs strictly fewer
+   evaluations than the per-subscriber baseline, and still delivers a
+   view to everyone. *)
+let test_disseminate () =
+  with_rules_file (fun rules ->
+      let r = json (disseminate rules [ "--json" ]) in
       let delivered = list "delivered" r in
       expect r
         [ ( "3 subscribers in 2 clusters",
@@ -244,7 +249,8 @@ let test_trace_export () =
    seeds, so their exact output is pinned: a refactor that changes a
    single byte of it changes behaviour, and must say so by updating the
    pin. The secure-terminal example's APDU trace pins the frames one
-   request puts on the wire. *)
+   request puts on the wire; [disseminate] pins each subscriber's view
+   size and wire bytes. *)
 let test_stdout_pins () =
   Alcotest.(check string) "examples/secure_terminal.exe"
     {|== APDU trace (terminal -> card -> terminal) ==
@@ -316,7 +322,15 @@ let test_stdout_pins () =
     </prescription>
   </patient>
 </folder>
-|} ) ]
+|} ) ];
+  with_rules_file (fun rules ->
+      Alcotest.(check string) "sdds disseminate --json"
+        {|{"subscribers":3,"clusters":2,"mux_clusters":2,"solo_clusters":0,"evaluations":1,"naive_evaluations":3,"saved":2,"fanout":3.000,"delivered":[{"subject":"alice","elements":10,"wire_bytes":227},{"subject":"bob","elements":10,"wire_bytes":227},{"subject":"carol","elements":0,"wire_bytes":190}]}
+|}
+        (disseminate rules [ "--json" ]);
+      Alcotest.(check string) "sdds disseminate (MD5)"
+        "00d8bd851c234382270a1aa09ea0b010"
+        (Digest.to_hex (Digest.string (disseminate rules []))))
 
 (* The slo drill's trace and metrics exports run on a manual clock, so
    their bytes are pinned too, by digest. *)

@@ -589,6 +589,23 @@ let suite =
 
 module Output_codec = Sdds_core.Output_codec
 
+(* [events] round-trip, and both sizes equal the bytes [encode] writes. *)
+let check_codec what events =
+  let encoded = Output_codec.encode_list events in
+  Alcotest.(check bool) (what ^ " roundtrip") true
+    (Output_codec.decode_list encoded = events);
+  List.iter
+    (fun e ->
+      let buf = Buffer.create 16 in
+      Output_codec.encode buf e;
+      Alcotest.(check int) (what ^ " encoded_size") (Buffer.length buf)
+        (Output_codec.encoded_size e))
+    events;
+  Alcotest.(check int) (what ^ " sizes agree") (String.length encoded)
+    (List.fold_left (fun a e -> a + Output_codec.encoded_size e) 0 events);
+  Alcotest.(check int) (what ^ " size_list") (String.length encoded)
+    (Output_codec.size_list events)
+
 let test_codec_unit () =
   let events =
     [
@@ -607,11 +624,27 @@ let test_codec_unit () =
   in
   let encoded = Output_codec.encode_list events in
   Alcotest.(check int) "count" 5 (List.length (Output_codec.decode_list encoded));
-  Alcotest.(check bool) "roundtrip" true
-    (Output_codec.decode_list encoded = events);
-  Alcotest.(check int) "sizes agree"
-    (String.length encoded)
-    (List.fold_left (fun a e -> a + Output_codec.encoded_size e) 0 events)
+  check_codec "one-byte" events;
+  (* Engine streams keep every length, id and arity below 128, so their
+     varints are one byte; these need two and three. *)
+  let vars = List.map Cond.var [ 127; 128; 16_383; 16_384 ] in
+  let wide = List.init 130 (fun i -> Cond.var (2 * i)) in
+  check_codec "multi-byte"
+    [
+      Output.Open_node
+        {
+          tag = String.make 200 't';
+          neg = Cond.conj wide;
+          pos = Cond.disj vars;
+          query = Cond.disj wide;
+        };
+      Output.Text_node (String.make 20_000 'x');
+      Output.Resolve (127, false);
+      Output.Resolve (128, true);
+      Output.Resolve (16_383, false);
+      Output.Resolve (16_384, true);
+      Output.Close_node (String.make 200 't');
+    ]
 
 let test_codec_malformed () =
   let expect s =
@@ -630,7 +663,16 @@ let qcheck_codec_roundtrip =
     (fun seed ->
       let doc, rules, query = expand_case ~with_query:true seed in
       let outs = Engine.run ?query rules (Dom.to_events doc) in
-      Output_codec.decode_list (Output_codec.encode_list outs) = outs)
+      let encoded = Output_codec.encode_list outs in
+      let buf = Buffer.create 64 in
+      Output_codec.decode_list encoded = outs
+      && Output_codec.size_list outs = String.length encoded
+      && List.for_all
+           (fun e ->
+             Buffer.clear buf;
+             Output_codec.encode buf e;
+             Output_codec.encoded_size e = Buffer.length buf)
+           outs)
 
 let codec_suite =
   [

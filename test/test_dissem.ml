@@ -217,6 +217,178 @@ let test_stats_saved () =
   Alcotest.(check int) "shared" 1 stats.Fanout.evaluations;
   Alcotest.(check bool) "ratio" true (Fanout.fanout_ratio stats = 4.0)
 
+(* ------------------------------------------------------------------ *)
+(* Client.deliver: one view per cluster                                *)
+(* ------------------------------------------------------------------ *)
+
+module Card = Sdds_soe.Card
+module Cost = Sdds_soe.Cost
+module Apdu = Sdds_soe.Apdu
+module Proxy = Sdds_proxy.Proxy
+module Client = Sdds_proxy.Client
+module World = Sdds_proxy.World
+module Publish = Sdds_dsp.Publish
+module Store = Sdds_dsp.Store
+module Oracle = Sdds_core.Oracle
+module Reassembler = Sdds_core.Reassembler
+module Output_codec = Sdds_core.Output_codec
+module Serializer = Sdds_xml.Serializer
+module Drbg = Sdds_crypto.Drbg
+module Rsa = Sdds_crypto.Rsa
+
+let gateway = "#gateway"
+
+(* Three predicate-free policies for the mux walk, and a value predicate
+   that forces a solo cluster. *)
+let policies =
+  [|
+    (fun s ->
+      [ Rule.allow ~subject:s "//patient"; Rule.deny ~subject:s "//ssn" ]);
+    (fun s -> [ Rule.allow ~subject:s "//patient/name" ]);
+    (fun s -> [ Rule.allow ~subject:s "//admission" ]);
+    (fun s ->
+      [ Rule.allow ~subject:s "//patient";
+        Rule.deny ~subject:s {|//patient[age>"60"]/folder|} ]);
+  |]
+
+(* Subscriber and policy index, clusters interleaved. *)
+let members =
+  [ ("a1", 0); ("b1", 1); ("c1", 2); ("p1", 3); ("a2", 0); ("b2", 1);
+    ("a3", 0); ("c2", 2); ("b3", 1); ("p2", 3) ]
+
+(* The members, plus "nobody", who has no blob on the DSP, and
+   "mallory", whose blob is garbage. *)
+let listing =
+  [ "a1"; "b1"; "c1"; "p1"; "nobody"; "a2"; "b2"; "a3"; "mallory"; "c2";
+    "b3"; "p2" ]
+
+let feed_world () =
+  let d = Drbg.create ~seed:"deliver-world" in
+  let publisher = Rsa.generate d ~bits:512 in
+  let user = Rsa.generate d ~bits:512 in
+  let doc = Generator.hospital (Rng.create 11L) ~patients:6 in
+  let w =
+    World.create (Drbg.create ~seed:"deliver-feed") ~publisher ~user
+      ~subject:gateway [ ("feed", doc, []) ]
+  in
+  let store = World.store w in
+  List.iter
+    (fun (s, k) ->
+      Store.put_rules store ~doc_id:"feed" ~subject:s
+        (Publish.encrypt_rules_for (World.drbg w) ~publisher
+           ~doc_key:(World.doc_key w "feed") ~doc_id:"feed" ~subject:s
+           (policies.(k) s)))
+    members;
+  Store.put_rules store ~doc_id:"feed" ~subject:"mallory" "not a rule blob";
+  (w, doc)
+
+let gateway_card w =
+  Card.create ~profile:Cost.fleet ~subject:gateway (World.user w)
+
+(* The served record built the way every subscriber used to get its
+   own: from the card's outputs, through a fresh gateway card. *)
+let reference_served w =
+  let store = World.store w in
+  let card = gateway_card w in
+  let wrapped =
+    Option.get (Store.get_grant store ~doc_id:"feed" ~subject:gateway)
+  in
+  (match Card.install_wrapped_key card ~doc_id:"feed" ~wrapped with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "grant: %a" Card.pp_error e);
+  let subscribers =
+    List.filter_map
+      (fun s ->
+        Option.map (fun b -> (s, b))
+          (Store.get_rules store ~doc_id:"feed" ~subject:s))
+      listing
+  in
+  let source =
+    Publish.to_source (Option.get (Store.get_document store "feed"))
+      ~delivery:`Push
+  in
+  match Card.disseminate card source ~subscribers () with
+  | Error e -> Alcotest.failf "reference disseminate: %a" Card.pp_error e
+  | Ok (results, _) ->
+      List.filter_map
+        (fun (s, r) ->
+          match r with
+          | Error _ -> None
+          | Ok outs ->
+              let view = Reassembler.run ~has_query:false outs in
+              let bytes = String.length (Output_codec.encode_list outs) in
+              Some
+                ( s,
+                  {
+                    Proxy.Pool.view;
+                    xml = Option.map (Serializer.to_string ~indent:true) view;
+                    channel = 0;
+                    warm_setup = false;
+                    command_frames = 0;
+                    response_frames = Apdu.frame_count ~payload_bytes:bytes;
+                    wire_bytes = bytes;
+                    retries = 0;
+                  } ))
+        results
+
+let dom = Alcotest.testable Dom.pp Dom.equal
+
+let check_served s (want : Proxy.Pool.served) (got : Proxy.Pool.served) =
+  let open Proxy.Pool in
+  Alcotest.(check (option dom)) (s ^ " view") want.view got.view;
+  Alcotest.(check (option string)) (s ^ " xml") want.xml got.xml;
+  Alcotest.(check int) (s ^ " channel") want.channel got.channel;
+  Alcotest.(check bool) (s ^ " warm_setup") want.warm_setup got.warm_setup;
+  Alcotest.(check int) (s ^ " command_frames") want.command_frames
+    got.command_frames;
+  Alcotest.(check int) (s ^ " response_frames") want.response_frames
+    got.response_frames;
+  Alcotest.(check int) (s ^ " wire_bytes") want.wire_bytes got.wire_bytes;
+  Alcotest.(check int) (s ^ " retries") want.retries got.retries
+
+let test_deliver_differential () =
+  let w, doc = feed_world () in
+  let client = Client.direct ~store:(World.store w) ~card:(gateway_card w) in
+  let per, stats =
+    match Client.deliver client ~doc_id:"feed" listing with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "deliver: %a" Proxy.pp_error e
+  in
+  Alcotest.(check (list string)) "listing order" listing (List.map fst per);
+  (match stats with
+  | Some st ->
+      Alcotest.(check int) "subscribers" 10 st.Fanout.subscribers;
+      Alcotest.(check int) "clusters" 4 st.Fanout.clusters;
+      Alcotest.(check int) "solo clusters" 1 st.Fanout.solo_clusters
+  | None -> Alcotest.fail "a direct session reports sharing stats");
+  (match List.assoc "nobody" per with
+  | Error Proxy.No_rules -> ()
+  | _ -> Alcotest.fail "nobody: expected No_rules");
+  (match List.assoc "mallory" per with
+  | Error (Proxy.Card_error (Card.Bad_rules _)) -> ()
+  | _ -> Alcotest.fail "mallory: expected Card_error (Bad_rules _)");
+  let reference = reference_served w in
+  let served =
+    List.map
+      (fun (s, k) ->
+        match List.assoc s per with
+        | Ok r ->
+            check_served s (List.assoc s reference) r;
+            Alcotest.(check (option dom)) (s ^ " = oracle")
+              (Oracle.authorized_view ~rules:(policies.(k) s) doc)
+              r.Proxy.Pool.view;
+            (k, r)
+        | Error e -> Alcotest.failf "%s: %a" s Proxy.pp_error e)
+      members
+  in
+  List.iter
+    (fun (k, r) ->
+      List.iter
+        (fun (k', r') ->
+          Alcotest.(check bool) "one record per cluster" (k = k') (r == r'))
+        served)
+    served
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_differential_pred_free;
@@ -231,4 +403,6 @@ let suite =
     Alcotest.test_case "mux rejects predicates" `Quick
       test_mux_rejects_predicates;
     Alcotest.test_case "sharing stats" `Quick test_stats_saved;
+    Alcotest.test_case "Client.deliver = per-subscriber reference" `Quick
+      test_deliver_differential;
   ]
