@@ -5,8 +5,8 @@
     outstanding predicate instance is a {e condition variable}, resolved to
     a boolean when the subtree of its anchor node closes (or eagerly, as
     soon as it is satisfied). Node decisions are boolean expressions over
-    these variables; the terminal-side reassembler evaluates them as
-    [Resolve] events arrive. *)
+    these variables; the terminal-side view builder ({!Stream_view})
+    evaluates them as [Resolve] events arrive. *)
 
 type var = int
 (** Condition variable identifier, unique within one engine run. *)

@@ -2,10 +2,12 @@
 
     The engine annotates each delivered event with boolean expressions over
     condition variables instead of waiting for pending predicates — that is
-    what keeps its memory footprint independent of document size. A
-    downstream {!Reassembler} (on the terminal, or the SOE wrapper that
-    re-encrypts guarded data) turns this stream plus the [Resolve] events
-    into the final authorized view. *)
+    what keeps its memory footprint independent of document size. On the
+    terminal, {!Stream_view} turns this stream plus the [Resolve] events
+    into the final authorized view, releasing each event once it is
+    determined; {!Reassembler.run} collects that view as a DOM. Between
+    the two, the SOE wrapper [Sdds_soe.Guard] may re-encrypt the text of
+    guarded regions. *)
 
 type t =
   | Open_node of { tag : string; neg : Cond.t; pos : Cond.t; query : Cond.t }

@@ -1,107 +1,23 @@
 module Dom = Sdds_xml.Dom
+module Event = Sdds_xml.Event
 
-type pending_node = {
-  tag : string;
-  neg : Cond.t;
-  pos : Cond.t;
-  query : Cond.t;
-  mutable rev_children : child list;
-}
-
-and child = Node of pending_node | Text of string
-
-type t = {
-  default : Rule.sign;
-  has_query : bool;
-  values : (Cond.var, bool) Hashtbl.t;
-  mutable stack : pending_node list;  (* open elements, top first *)
-  mutable root : pending_node option;  (* set when the root closes *)
-  mutable nodes : int;
-}
-
-let create ?(default = Rule.Deny) ~has_query () =
-  {
-    default;
-    has_query;
-    values = Hashtbl.create 64;
-    stack = [];
-    root = None;
-    nodes = 0;
-  }
-
-let feed t out =
-  match out with
-  | Output.Resolve (v, b) -> Hashtbl.replace t.values v b
-  | Output.Open_node { tag; neg; pos; query } ->
-      if t.root <> None && t.stack = [] then
-        invalid_arg "Reassembler: content after the root closed";
-      let node = { tag; neg; pos; query; rev_children = [] } in
-      t.nodes <- t.nodes + 1;
-      t.stack <- node :: t.stack
-  | Output.Text_node v -> (
-      match t.stack with
-      | [] -> invalid_arg "Reassembler: text outside any element"
-      | top :: _ -> top.rev_children <- Text v :: top.rev_children)
-  | Output.Close_node tag -> (
-      match t.stack with
-      | [] -> invalid_arg "Reassembler: close without open"
-      | top :: rest ->
-          if not (String.equal top.tag tag) then
-            invalid_arg "Reassembler: mismatched close";
-          t.stack <- rest;
-          (match rest with
-          | [] ->
-              if t.root <> None then
-                invalid_arg "Reassembler: several roots";
-              t.root <- Some top
-          | parent :: _ ->
-              parent.rev_children <- Node top :: parent.rev_children))
-
-let finish t =
-  if t.stack <> [] then invalid_arg "Reassembler: stream incomplete";
-  match t.root with
-  | None -> None
-  | Some root ->
-      let eval expr =
-        Cond.eval
-          (fun v ->
-            match Hashtbl.find_opt t.values v with
-            | Some b -> b
-            | None -> invalid_arg "Reassembler: unresolved condition")
-          expr
-      in
-      let rec build inherited in_scope node =
-        let decision =
-          if eval node.neg then Rule.Deny
-          else if eval node.pos then Rule.Allow
-          else inherited
-        in
-        let in_scope =
-          (not t.has_query) || in_scope || eval node.query
-        in
-        let keep_full = decision = Rule.Allow && in_scope in
-        let children =
-          List.filter_map
-            (fun child ->
-              match child with
-              | Text v -> if keep_full then Some (Dom.Text v) else None
-              | Node n -> build decision in_scope n)
-            (List.rev node.rev_children)
-        in
-        let has_element_child =
-          List.exists
-            (function Dom.Element _ -> true | Dom.Text _ -> false)
-            children
-        in
-        if keep_full || has_element_child then
-          Some (Dom.Element (node.tag, children))
-        else None
-      in
-      build t.default false root
+(* An element of the view still open: its tag, its children so far (last
+   first) and the element it sits in. *)
+type frame = { tag : string; mutable kids : Dom.t list; up : frame }
 
 let run ?default ~has_query outs =
-  let t = create ?default ~has_query () in
-  List.iter (feed t) outs;
-  finish t
-
-let buffered_nodes t = t.nodes
+  let rec top = { tag = ""; kids = []; up = top } in
+  let cur = ref top in
+  (* [Stream_view] releases a well-formed sequence with one root. *)
+  let emit = function
+    | Event.Open tag -> cur := { tag; kids = []; up = !cur }
+    | Event.Value v -> !cur.kids <- Dom.Text v :: !cur.kids
+    | Event.Close _ ->
+        let f = !cur in
+        f.up.kids <- Dom.Element (f.tag, List.rev f.kids) :: f.up.kids;
+        cur := f.up
+  in
+  let sv = Stream_view.create ?default ~has_query ~emit () in
+  List.iter (Stream_view.feed sv) outs;
+  Stream_view.finish sv;
+  match top.kids with [ view ] -> Some view | _ -> None

@@ -1,34 +1,16 @@
-(** Terminal-side consumer of the SOE output stream.
+(** The authorized view as a DOM: a sink that builds the tree from the
+    events {!Stream_view} releases, and returns it at end of stream.
 
-    Buffers annotated nodes, applies [Resolve] events, and at end of stream
-    produces the authorized view: nodes whose decision evaluates to Allow
-    (and that lie inside a query match, when a query was given) are kept in
-    full, their ancestors are kept as bare tags, and everything else —
-    including the text of bare-tag ancestors — is pruned.
-
-    The terminal is not memory-constrained (the SOE is), so this module may
-    hold the delivered part of the document; what it may never see is data
+    The terminal is not memory-constrained (the SOE is), so it may hold
+    the delivered part of the document; what it may never see is data
     the access control withholds, which the engine either suppressed or
-    emits under conditions that resolve to false (in the full architecture,
-    such guarded output is additionally re-encrypted by the SOE wrapper —
-    see [Sdds_soe.Card] — so a dishonest terminal learns nothing from
-    it). *)
-
-type t
-
-val create : ?default:Rule.sign -> has_query:bool -> unit -> t
-(** [default] and [has_query] must match the engine's configuration. *)
-
-val feed : t -> Output.t -> unit
-(** Raises [Invalid_argument] on a malformed stream (unbalanced close,
-    text before the root, several roots). *)
-
-val finish : t -> Sdds_xml.Dom.t option
-(** The authorized view; [None] when nothing was delivered.
-    Raises [Invalid_argument] if the stream is incomplete or some
-    condition variable was never resolved. *)
+    emits under conditions that resolve to false (in the full
+    architecture, such guarded output is additionally re-encrypted by the
+    SOE wrapper — see [Sdds_soe.Guard] — so a dishonest terminal learns
+    nothing from it). *)
 
 val run : ?default:Rule.sign -> has_query:bool -> Output.t list -> Sdds_xml.Dom.t option
-
-val buffered_nodes : t -> int
-(** Number of element nodes currently buffered (for instrumentation). *)
+(** The authorized view of a complete output stream; [None] when nothing
+    is delivered. [default] and [has_query] must match the engine's
+    configuration. Raises [Invalid_argument] on whatever
+    {!Stream_view} refuses. *)

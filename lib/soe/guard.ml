@@ -270,29 +270,28 @@ module Unsealer = struct
     t.rev_messages <- msg :: t.rev_messages
 
   let finish t =
-    let reassembler =
-      Reassembler.create ?default:t.default ~has_query:t.has_query ()
-    in
     let seqs = Hashtbl.create 16 in
-    List.iter
-      (fun msg ->
-        match msg with
-        | Clear ev -> Reassembler.feed reassembler ev
-        | Sealed { guard; event = Sealed_text { cipher } } -> (
-            let seq =
-              match Hashtbl.find_opt seqs guard with Some s -> s | None -> 0
-            in
-            Hashtbl.replace seqs guard (seq + 1);
-            match Hashtbl.find_opt t.keys guard with
-            | Some (Some key) ->
-                Reassembler.feed reassembler
-                  (Output.Text_node (unseal ~key ~gid:guard ~seq cipher))
-            | Some None | None ->
-                (* Key withheld: the terminal keeps ciphertext only. *)
-                t.withheld <- t.withheld + String.length cipher)
-        | Release _ | Drop _ -> ())
-      (List.rev t.rev_messages);
-    Reassembler.finish reassembler
+    let outs =
+      List.filter_map
+        (fun msg ->
+          match msg with
+          | Clear ev -> Some ev
+          | Sealed { guard; event = Sealed_text { cipher } } -> (
+              let seq =
+                match Hashtbl.find_opt seqs guard with Some s -> s | None -> 0
+              in
+              Hashtbl.replace seqs guard (seq + 1);
+              match Hashtbl.find_opt t.keys guard with
+              | Some (Some key) ->
+                  Some (Output.Text_node (unseal ~key ~gid:guard ~seq cipher))
+              | Some None | None ->
+                  (* Key withheld: the terminal keeps ciphertext only. *)
+                  t.withheld <- t.withheld + String.length cipher;
+                  None)
+          | Release _ | Drop _ -> None)
+        (List.rev t.rev_messages)
+    in
+    Reassembler.run ?default:t.default ~has_query:t.has_query outs
 
   let sealed_bytes_withheld t = t.withheld
 end

@@ -22,7 +22,8 @@
     are still open, not by the subtree size.
 
     [Protector] runs inside the SOE (downstream of [Engine]);
-    {!Unsealer} runs on the terminal (upstream of the reassembler). *)
+    {!Unsealer} runs on the terminal (upstream of the view builder,
+    {!Sdds_core.Stream_view}). *)
 
 type message =
   | Clear of Sdds_core.Output.t
@@ -66,8 +67,9 @@ module Unsealer : sig
   val feed : t -> message -> unit
 
   val finish : t -> Sdds_xml.Dom.t option
-  (** Decrypt released regions, discard dropped ones, reassemble the
-      authorized view. Raises [Invalid_argument] on malformed streams. *)
+  (** Decrypt released regions, discard dropped ones, and build the
+      authorized view with {!Sdds_core.Reassembler.run}. Raises
+      [Invalid_argument] on malformed streams. *)
 
   val sealed_bytes_withheld : t -> int
   (** Ciphertext bytes whose key was never released — what the terminal

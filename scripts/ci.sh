@@ -20,13 +20,15 @@ dune runtest
 
 echo "== wrapper gate: retired identifiers must not return =="
 # The unified client (Sdds_proxy.Client) replaced the per-deployment
-# wrappers, and Proxy.Pool is the one terminal-side APDU driver; a
-# reappearing call site means a regression to the old API or a second
-# driver.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b' \
+# wrappers, Proxy.Pool is the one terminal-side APDU driver, and
+# Stream_view is the one view builder (Reassembler.run is its DOM sink);
+# a reappearing call site means a regression to the old API, a second
+# driver or a second builder.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
-    "Remote_card.Client / Remote_card.Retry identifiers found" >&2
+    "Remote_card.Client / Remote_card.Retry / Reassembler.create|feed|finish|" \
+    "buffered_nodes / Stream_view.buffered_nodes identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"

@@ -118,6 +118,157 @@ let qcheck_output_codec_fuzz =
         ~allowed:(function Invalid_argument _ -> true | _ -> false);
       true)
 
+(* The view builder. [Pool.finish] feeds it whatever [decode_list] makes
+   of the card's response bytes, so it must refuse a malformed stream
+   with [Invalid_argument] and nothing else; the streaming API and its
+   DOM sink must agree; and what is released must be the DOM's events. *)
+module Output = Sdds_core.Output
+module Event = Sdds_xml.Event
+
+let builder_verdict ~has_query outs =
+  let released = ref [] in
+  let streamed =
+    let sv =
+      Sdds_core.Stream_view.create ~has_query
+        ~emit:(fun ev -> released := ev :: !released)
+        ()
+    in
+    match
+      List.iter (Sdds_core.Stream_view.feed sv) outs;
+      Sdds_core.Stream_view.finish sv
+    with
+    | () -> Some (List.rev !released)
+    | exception Invalid_argument _ -> None
+  in
+  let built =
+    match Sdds_core.Reassembler.run ~has_query outs with
+    | view -> Some view
+    | exception Invalid_argument _ -> None
+  in
+  match (streamed, built) with
+  | None, None -> `Refused
+  | Some evs, Some view ->
+      if not (evs = [] || Event.well_formed evs) then
+        Alcotest.fail "released events are not one rooted document";
+      let want = match view with None -> [] | Some v -> Dom.to_events v in
+      if not (List.equal Event.equal evs want) then
+        Alcotest.fail "released events differ from Reassembler.run's view";
+      `Accepted
+  | Some _, None -> Alcotest.fail "Reassembler.run refused, Stream_view did not"
+  | None, Some _ -> Alcotest.fail "Stream_view refused, Reassembler.run did not"
+
+(* One structural fault: a dropped, duplicated or swapped event, a
+   flipped [Resolve], a renamed close, or a second root appended. *)
+let perturb rng outs =
+  let a = Array.of_list outs in
+  let n = Array.length a in
+  let pick_where p =
+    match List.filter (fun i -> p a.(i)) (List.init n Fun.id) with
+    | [] -> Rng.int rng n
+    | is -> Rng.pick rng (Array.of_list is)
+  in
+  let i = Rng.int rng (max n 1) in
+  let without j = List.filteri (fun k _ -> k <> j) outs in
+  match if n = 0 then 5 else Rng.int rng 6 with
+  | 0 -> without i
+  | 1 -> List.concat (List.mapi (fun k o -> if k = i then [ o; o ] else [ o ]) outs)
+  | 2 ->
+      let j = Rng.int rng n in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x;
+      Array.to_list a
+  | 3 -> (
+      let i = pick_where (function Output.Resolve _ -> true | _ -> false) in
+      match a.(i) with
+      | Output.Resolve (v, b) ->
+          a.(i) <- Output.Resolve (v, not b);
+          Array.to_list a
+      | _ -> without i)
+  | 4 -> (
+      let i = pick_where (function Output.Close_node _ -> true | _ -> false) in
+      match a.(i) with
+      | Output.Close_node tag ->
+          a.(i) <- Output.Close_node (tag ^ "x");
+          Array.to_list a
+      | _ -> without i)
+  | _ ->
+      outs
+      @ [ Output.Open_node
+            { tag = "z"; neg = Sdds_core.Cond.ff; pos = Sdds_core.Cond.tt;
+              query = Sdds_core.Cond.ff };
+          Output.Close_node "z" ]
+
+(* A few byte flips through the codec, retried until the bytes decode;
+   [None] when eight tries fail. *)
+let flip_bytes rng outs =
+  let bytes = Sdds_core.Output_codec.encode_list outs in
+  let rec attempt k =
+    if k = 0 || bytes = "" then None
+    else begin
+      let b = Bytes.of_string bytes in
+      for _ = 0 to Rng.int rng 3 do
+        Bytes.set_uint8 b (Rng.int rng (Bytes.length b)) (Rng.int rng 256)
+      done;
+      match Sdds_core.Output_codec.decode_list (Bytes.to_string b) with
+      | outs -> Some outs
+      | exception Invalid_argument _ -> attempt (k - 1)
+    end
+  in
+  attempt 8
+
+let qcheck_view_builder_fuzz =
+  QCheck2.Test.make ~name:"view builder refuses malformed streams" ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let tags = [| "a"; "b"; "c"; "d"; "e" |] and values = [| "1"; "2"; "x" |] in
+      let cfg =
+        { Sdds_xpath.Random_path.default with
+          max_steps = 3; predicate_probability = 0.5 }
+      in
+      let path () = Sdds_xpath.Random_path.generate rng cfg ~tags ~values in
+      let doc =
+        Generator.random_tree rng ~tags ~max_depth:6 ~max_children:4
+          ~text_probability:0.3
+      in
+      let rules =
+        List.init
+          (1 + Rng.int rng 4)
+          (fun _ ->
+            { Sdds_core.Rule.sign =
+                (if Rng.bool rng then Sdds_core.Rule.Allow
+                 else Sdds_core.Rule.Deny);
+              subject = "u"; path = path () })
+      in
+      let query = if Rng.bool rng then Some (path ()) else None in
+      let outs = Sdds_core.Engine.run ?query rules (Dom.to_events doc) in
+      let has_query = query <> None in
+      ignore (builder_verdict ~has_query outs);
+      (if seed mod 2 = 0 then ignore (builder_verdict ~has_query (perturb rng outs))
+       else
+         match flip_bytes rng outs with
+         | Some outs -> ignore (builder_verdict ~has_query outs)
+         | None -> ());
+      true)
+
+let test_view_builder_directed () =
+  let open Output in
+  let node ?(pos = Sdds_core.Cond.tt) tag =
+    Open_node { tag; neg = Sdds_core.Cond.ff; pos; query = Sdds_core.Cond.ff }
+  in
+  List.iter
+    (fun (label, outs) ->
+      if builder_verdict ~has_query:false outs <> `Refused then
+        Alcotest.failf "%s: accepted" label)
+    [ ("second root", [ node "a"; Close_node "a"; node "b"; Close_node "b" ]);
+      ( "second root, denied",
+        [ node ~pos:Sdds_core.Cond.ff "a"; Close_node "a";
+          node ~pos:Sdds_core.Cond.ff "b"; Close_node "b" ] );
+      ( "repeated resolve",
+        [ node ~pos:(Sdds_core.Cond.var 1) "a"; Resolve (1, true);
+          Resolve (1, false); Close_node "a" ] ) ]
+
 let qcheck_rule_blob_fuzz =
   QCheck2.Test.make ~name:"encrypted rule blobs reject corruption" ~count:300
     QCheck2.Gen.(int_bound 1_000_000)
@@ -469,6 +620,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_xpath_parser_fuzz;
     QCheck_alcotest.to_alcotest qcheck_rule_parse_fuzz;
     QCheck_alcotest.to_alcotest qcheck_output_codec_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_view_builder_fuzz;
+    Alcotest.test_case "view builder refuses the directed inputs" `Quick
+      test_view_builder_directed;
     QCheck_alcotest.to_alcotest qcheck_rule_blob_fuzz;
     QCheck_alcotest.to_alcotest qcheck_apdu_fuzz;
     QCheck_alcotest.to_alcotest qcheck_json_parse_fuzz;
