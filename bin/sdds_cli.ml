@@ -980,7 +980,7 @@ let slo_cmd =
   in
   let threshold_arg =
     Arg.(
-      value & opt int 8191
+      value & opt int 4095
       & info [ "threshold-us" ] ~docv:"US"
           ~doc:"Latency objective threshold in microseconds (snaps to a \
                 log2 bucket bound)")
@@ -1005,13 +1005,13 @@ let slo_cmd =
   in
   let fast_ms_arg =
     Arg.(
-      value & opt int 10
+      value & opt int 2
       & info [ "fast-ms" ] ~docv:"MS"
           ~doc:"Fast burn window, milliseconds of simulated link time")
   in
   let slow_ms_arg =
     Arg.(
-      value & opt int 60
+      value & opt int 12
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:"Slow burn window, milliseconds of simulated link time")
   in

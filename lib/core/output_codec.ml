@@ -1,11 +1,24 @@
 module Varint = Sdds_util.Varint
+module Tags = Hashtbl.Make (String)
 
-(* Event tags *)
-let tag_open = 0
-let tag_text = 1
-let tag_close = 2
-let tag_resolve_true = 3
-let tag_resolve_false = 4
+(* Event headers, each one varint byte. An open's code is [h_open] plus
+   [h_new_tag] when its tag is sent by name, plus the shapes of [neg],
+   [pos] and [query] in base 3. *)
+let h_text = 0
+let h_close = 1
+let h_resolve_true = 2
+let h_resolve_false = 3
+let h_open = 4
+let h_new_tag = 27
+let h_end = h_open + (2 * h_new_tag)
+
+(* Slot shapes: a constant folds into the header; anything else is an
+   expression written after it. *)
+let s_true = 0
+let s_false = 1
+let s_expr = 2
+
+let shape = function Cond.True -> s_true | Cond.False -> s_false | _ -> s_expr
 
 (* Condition expression tags *)
 let c_true = 0
@@ -33,26 +46,51 @@ let rec write_cond buf = function
       Varint.write buf (List.length xs);
       List.iter (write_cond buf) xs
 
-let encode buf = function
-  | Output.Open_node { tag; neg; pos; query } ->
-      Varint.write buf tag_open;
-      write_string buf tag;
-      write_cond buf neg;
-      write_cond buf pos;
-      write_cond buf query
-  | Output.Text_node v ->
-      Varint.write buf tag_text;
-      write_string buf v
-  | Output.Close_node tag ->
-      Varint.write buf tag_close;
-      write_string buf tag
-  | Output.Resolve (v, b) ->
-      Varint.write buf (if b then tag_resolve_true else tag_resolve_false);
-      Varint.write buf v
+let write_slot buf = function
+  | Cond.True | Cond.False -> ()
+  | c -> write_cond buf c
+
+(* The stream index of [tag]; on its first use -1, and [tag] joins the
+   table. *)
+let intern table tag =
+  match Tags.find table tag with
+  | i -> i
+  | exception Not_found ->
+      Tags.add table tag (Tags.length table);
+      -1
 
 let encode_list outs =
   let buf = Buffer.create 1024 in
-  List.iter (encode buf) outs;
+  let table = Tags.create 16 in
+  let rec go opened = function
+    | [] -> ()
+    | Output.Open_node { tag; neg; pos; query } :: rest ->
+        let i = intern table tag in
+        Varint.write buf
+          (h_open
+          + (if i < 0 then h_new_tag else 0)
+          + (9 * shape neg) + (3 * shape pos) + shape query);
+        if i < 0 then write_string buf tag else Varint.write buf i;
+        write_slot buf neg;
+        write_slot buf pos;
+        write_slot buf query;
+        go (tag :: opened) rest
+    | Output.Close_node tag :: rest -> (
+        match opened with
+        | top :: opened when String.equal top tag ->
+            Varint.write buf h_close;
+            go opened rest
+        | _ -> invalid_arg "Output_codec: close does not match its open")
+    | Output.Text_node v :: rest ->
+        Varint.write buf h_text;
+        write_string buf v;
+        go opened rest
+    | Output.Resolve (v, b) :: rest ->
+        Varint.write buf (if b then h_resolve_true else h_resolve_false);
+        Varint.write buf v;
+        go opened rest
+  in
+  go [] outs;
   Buffer.contents buf
 
 let read_string s pos =
@@ -84,42 +122,71 @@ let rec read_cond s pos =
   end
   else invalid_arg "Output_codec: bad condition tag"
 
-let decode s pos =
-  let tag, pos = Varint.read s pos in
-  if tag = tag_open then begin
-    let name, pos = read_string s pos in
-    let neg, pos = read_cond s pos in
-    let pos_e, pos = read_cond s pos in
-    let query, pos = read_cond s pos in
-    (Output.Open_node { tag = name; neg; pos = pos_e; query }, pos)
-  end
-  else if tag = tag_text then begin
-    let v, pos = read_string s pos in
-    (Output.Text_node v, pos)
-  end
-  else if tag = tag_close then begin
-    let name, pos = read_string s pos in
-    (Output.Close_node name, pos)
-  end
-  else if tag = tag_resolve_true || tag = tag_resolve_false then begin
-    let v, pos = Varint.read s pos in
-    (Output.Resolve (v, tag = tag_resolve_true), pos)
-  end
-  else invalid_arg "Output_codec: bad event tag"
+let read_slot s pos shape =
+  if shape = s_true then (Cond.tt, pos)
+  else if shape = s_false then (Cond.ff, pos)
+  else read_cond s pos
 
 let decode_list s =
   let n = String.length s in
-  let rec go acc pos =
+  (* The first-occurrence table: [names.(i)] for [i < !count]. *)
+  let names = ref [||] and count = ref 0 in
+  let learn name =
+    if !count = Array.length !names then begin
+      let grown = Array.make (max 8 (2 * !count)) "" in
+      Array.blit !names 0 grown 0 !count;
+      names := grown
+    end;
+    !names.(!count) <- name;
+    incr count
+  in
+  let rec go acc opened pos =
     if pos = n then List.rev acc
     else begin
-      let ev, pos = decode s pos in
-      go (ev :: acc) pos
+      let h, pos = Varint.read s pos in
+      if h = h_text then begin
+        let v, pos = read_string s pos in
+        go (Output.Text_node v :: acc) opened pos
+      end
+      else if h = h_close then begin
+        match opened with
+        | tag :: opened -> go (Output.Close_node tag :: acc) opened pos
+        | [] -> invalid_arg "Output_codec: close without an open"
+      end
+      else if h = h_resolve_true || h = h_resolve_false then begin
+        let v, pos = Varint.read s pos in
+        go (Output.Resolve (v, h = h_resolve_true) :: acc) opened pos
+      end
+      else if h >= h_open && h < h_end then begin
+        let code = h - h_open in
+        let tag, pos =
+          if code >= h_new_tag then begin
+            let name, pos = read_string s pos in
+            learn name;
+            (name, pos)
+          end
+          else begin
+            let i, pos = Varint.read s pos in
+            if i < 0 || i >= !count then
+              invalid_arg "Output_codec: tag index beyond the table";
+            (!names.(i), pos)
+          end
+        in
+        let code = code mod h_new_tag in
+        let neg, pos = read_slot s pos (code / 9) in
+        let pos_e, pos = read_slot s pos (code / 3 mod 3) in
+        let query, pos = read_slot s pos (code mod 3) in
+        go
+          (Output.Open_node { tag; neg; pos = pos_e; query } :: acc)
+          (tag :: opened) pos
+      end
+      else invalid_arg "Output_codec: bad event header"
     end
   in
-  go [] 0
+  go [] [] 0
 
-(* Sizes by arithmetic, mirroring [encode]. Every event and condition
-   tag is below 0x80, so each takes one varint byte. *)
+(* Sizes by arithmetic, mirroring [encode_list]. Every header and
+   condition tag is below 0x80, so each takes one varint byte. *)
 let string_size s =
   let n = String.length s in
   Varint.size n + n
@@ -133,10 +200,21 @@ and conds_size arity acc = function
   | [] -> Varint.size arity + acc
   | x :: xs -> conds_size (arity + 1) (acc + cond_size x) xs
 
-let encoded_size = function
-  | Output.Open_node { tag; neg; pos; query } ->
-      1 + string_size tag + cond_size neg + cond_size pos + cond_size query
-  | Output.Text_node s | Output.Close_node s -> 1 + string_size s
-  | Output.Resolve (v, _) -> 1 + Varint.size v
+let slot_size = function Cond.True | Cond.False -> 0 | c -> cond_size c
 
-let size_list outs = List.fold_left (fun acc o -> acc + encoded_size o) 0 outs
+let size_list outs =
+  let table = Tags.create 16 in
+  let rec go acc = function
+    | [] -> acc
+    | Output.Open_node { tag; neg; pos; query } :: rest ->
+        let i = intern table tag in
+        let tag_size = if i < 0 then string_size tag else Varint.size i in
+        go
+          (acc + 1 + tag_size + slot_size neg + slot_size pos
+         + slot_size query)
+          rest
+    | Output.Close_node _ :: rest -> go (acc + 1) rest
+    | Output.Text_node s :: rest -> go (acc + 1 + string_size s) rest
+    | Output.Resolve (v, _) :: rest -> go (acc + 1 + Varint.size v) rest
+  in
+  go 0 outs

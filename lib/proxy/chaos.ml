@@ -258,8 +258,8 @@ let run_slo ?(cards = 3) ?(queue_limit = 16) ?(max_reroutes = 2)
     ?(standby_k = 2) ?probe_budget ?(batch = 3)
     ?(churn_fault_seed = 1042L) ?(churn_fault_rate = 0.12)
     ?(availability_target = 99.0) ?(latency_target = 95.0)
-    ?(latency_threshold_us = 8191) ?(fast_window_ns = 10_000_000L)
-    ?(slow_window_ns = 60_000_000L) ?(burn_threshold = 1.0) ~obs ~store
+    ?(latency_threshold_us = 4095) ?(fast_window_ns = 2_000_000L)
+    ?(slow_window_ns = 12_000_000L) ?(burn_threshold = 1.0) ~obs ~store
     ~subject ~make_card ~requests () =
   (* Frame faults are the churn phase's signature: the schedule is armed
      only while the killed card's load is being redistributed, so the

@@ -127,14 +127,14 @@ val run_slo :
 (** [requests phase] supplies each phase's stream. Two objectives are
     registered: [availability] ([fleet.ok] / [fleet.requests], target
     99%) and [latency] ([fleet.latency_us] ≤ [latency_threshold_us],
-    which snaps to a log₂ bucket bound; default 8191 µs, target 95%).
+    which snaps to a log₂ bucket bound; default 4095 µs, target 95%).
     The fleet's retry machinery absorbs frame faults entirely — no
     typed errors surface — so the churn signature is {e latency}:
-    fault-retried serves land in the 16383/32767 µs buckets that
-    steady traffic (all ≤ 8191 µs) never touches. A seeded frame-fault
+    fault-retried serves land in the 8191 µs bucket that steady
+    traffic (all ≤ 4095 µs) never touches. A seeded frame-fault
     schedule ([churn_fault_seed]/[churn_fault_rate], default rate 0.12)
     is armed {e only during churn}, alongside the kill, so the burn is
-    attributable to the incident. Windows default to 10 ms fast / 60 ms
+    attributable to the incident. Windows default to 2 ms fast / 12 ms
     slow of {e simulated} link time with burn threshold 1.0 —
     scaled-down 5m/1h analogues sized to the harness's
     millisecond-scale phases; the multi-window rule means the page

@@ -387,6 +387,20 @@ let charge_blob meter blob =
   Cost.charge_hash meter ~bytes;
   Cost.charge_decrypt meter ~bytes
 
+module Tags = Hashtbl.Make (String)
+
+(* The output encoder's first-occurrence tag table
+   ({!Output_codec}) is card state: one entry per distinct tag the
+   stream opens. *)
+let tag_table_entries outputs =
+  let seen = Tags.create 16 in
+  List.iter
+    (function
+      | Output.Open_node { tag; _ } -> Tags.replace seen tag ()
+      | _ -> ())
+    outputs;
+  Tags.length seen
+
 (* [wire] turns the engine's outputs into the stream that crosses the
    link, with that stream's exact size. *)
 let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
@@ -539,17 +553,19 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               ~tokens:st.Sdds_core.Engine.token_visits;
             let stream, out_bytes = wire res.Indexed_engine.outputs in
             Cost.charge_transfer meter ~bytes:out_bytes;
-            (* 7. RAM budget: engine + reader + chunk buffer + runtime
-               slack. The evaluator state is counted in abstract
-               field-words (token positions, rule ids, condition ids — all
-               small integers); the on-card C implementation the paper
-               prototyped packs such a field in ~2 bytes, which is the
-               factor used here. *)
+            (* 7. RAM budget: engine + reader + output tag table + chunk
+               buffer + runtime slack. The evaluator state is counted in
+               abstract field-words (token positions, rule ids, condition
+               ids — all small integers); the on-card C implementation the
+               paper prototyped packs such a field in ~2 bytes, which is
+               the factor used here. A tag-table entry is one such field:
+               the tag's id in the reader's dictionary. *)
             let packed_bytes_per_word = 2 in
             let ram_bytes =
               (packed_bytes_per_word
               * (st.Sdds_core.Engine.peak_state_words
-                + res.Indexed_engine.reader_peak_words))
+                + res.Indexed_engine.reader_peak_words
+                + tag_table_entries res.Indexed_engine.outputs))
               + source.chunk_plain_bytes + 16 (* chunk buffer *)
               + 128 (* fixed runtime state *)
             in

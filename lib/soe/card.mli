@@ -20,6 +20,15 @@
     ({!Memory}): evaluations that would not fit the paper's 1 KB card fail
     with [Memory_exceeded].
 
+    RAM charge of an evaluation: the engine's peak state and the skip
+    index reader's peak stack, at 2 bytes per field-word; 2 bytes per
+    distinct tag the output stream opens, for the output encoder's
+    first-occurrence table ({!Sdds_core.Output_codec}), whose entries
+    are ids in the reader's tag dictionary — so the table is bounded by
+    the document's dictionary, not by its length; the plaintext chunk
+    buffer plus 16 bytes; and 128 bytes of fixed runtime state. Resident
+    cache entries shrink the budget the sum is checked against.
+
     Simulation note: the simulator decrypts all chunks up front and
     replays the byte ranges the skip index actually touched for
     accounting — behaviourally identical to on-demand fetching because

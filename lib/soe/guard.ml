@@ -30,18 +30,24 @@ let seal ~key ~gid ~seq plain =
 
 let unseal = seal (* CTR is involutive *)
 
+(* The clear events form one compact sub-stream; every message adds its
+   one framing byte. *)
 let wire_bytes messages =
+  let clear =
+    List.filter_map (function Clear ev -> Some ev | _ -> None) messages
+  in
   List.fold_left
     (fun acc msg ->
-      acc
+      acc + 1
       +
       match msg with
-      | Clear ev -> 1 + Sdds_core.Output_codec.encoded_size ev
+      | Clear _ -> 0
       | Sealed { event = Sealed_text { cipher }; _ } ->
-          1 + 4 + 2 + String.length cipher
-      | Release { key; _ } -> 1 + 4 + String.length key
-      | Drop _ -> 1 + 4)
-    0 messages
+          4 + 2 + String.length cipher
+      | Release { key; _ } -> 4 + String.length key
+      | Drop _ -> 4)
+    (Sdds_core.Output_codec.size_list clear)
+    messages
 
 module Protector = struct
   (* A guard record: the one-time key plus everything needed to decide,

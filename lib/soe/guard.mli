@@ -79,6 +79,7 @@ end
 val seal_key_bytes : int
 
 val wire_bytes : message list -> int
-(** Exact size of the message stream on the card → terminal link (clear
-    events under [Sdds_core.Output_codec], sealed payloads and key
-    releases with small framing). *)
+(** Exact size of the message stream on the card → terminal link: the
+    [Clear] events sized as one {!Sdds_core.Output_codec} stream, plus
+    one framing byte per message, and the sealed payloads and key
+    releases with their guard ids. *)

@@ -20,15 +20,18 @@ dune runtest
 
 echo "== wrapper gate: retired identifiers must not return =="
 # The unified client (Sdds_proxy.Client) replaced the per-deployment
-# wrappers, Proxy.Pool is the one terminal-side APDU driver, and
-# Stream_view is the one view builder (Reassembler.run is its DOM sink);
-# a reappearing call site means a regression to the old API, a second
-# driver or a second builder.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b' \
+# wrappers, Proxy.Pool is the one terminal-side APDU driver,
+# Stream_view is the one view builder (Reassembler.run is its DOM sink),
+# and Output_codec sizes and codes whole streams only (an event's bytes
+# depend on the stream before it); a reappearing call site means a
+# regression to the old API, a second driver, a second builder or a
+# per-event size.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Reassembler.create|feed|finish|" \
-    "buffered_nodes / Stream_view.buffered_nodes identifiers found" >&2
+    "buffered_nodes / Stream_view.buffered_nodes /" \
+    "Output_codec.encode|decode|encoded_size identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"

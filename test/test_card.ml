@@ -300,125 +300,125 @@ let disseminate_lines () =
 let evaluate_pins =
   [
     ("e-gate pull index -",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0120570a3d70ap+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate pull index //patient/name",
-     "0x1.0838ap+11 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.189b68b43958p+11 4059 2624 27 1403");
+     "0x1.8dd3cp+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.ae99516872b03p+10 3029 2624 23 373");
     ("e-gate pull index //patient",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0121343958106p+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate pull scan -",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0120570a3d70ap+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate pull scan //patient/name",
-     "0x1.917d4p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.a23262d0e5604p+11 6218 2880 36 3338");
+     "0x1.daf9cp+10 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.fc6405a1cac08p+10 3641 2880 25 761");
     ("e-gate pull scan //patient",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0121343958106p+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate push index -",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0120570a3d70ap+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate push index //patient/name",
-     "0x1.19112p+11 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.2973e8b43958p+11 4315 2624 29 1403");
+     "0x1.af84cp+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.d04a516872b03p+10 3285 2624 25 373");
     ("e-gate push index //patient",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0121343958106p+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate push scan -",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0120570a3d70ap+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate push scan //patient/name",
-     "0x1.917d4p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.a23262d0e5604p+11 6218 2880 36 3338");
+     "0x1.daf9cp+10 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.fc6405a1cac08p+10 3641 2880 25 761");
     ("e-gate push scan //patient",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0121343958106p+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("fleet-se pull index -",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.05b15b573eab4p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se pull index //patient/name",
-     "0x1.0dc28f5c28f5cp+2 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.9086594af4f0ep+3 4059 2624 13 1403");
+     "0x1.97ae147ae147bp+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.6f9096bb98c7ep+3 3029 2624 13 373");
     ("fleet-se pull index //patient",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.05b9f559b3d08p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se pull scan -",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.05b15b573eab4p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se pull scan //patient/name",
-     "0x1.97ef9db22d0e5p+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.dab020c49ba5ep+3 6218 2880 13 3338");
+     "0x1.e604189374bc7p+1 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.88395810624dep+3 3641 2880 13 761");
     ("fleet-se pull scan //patient",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.05b9f559b3d08p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se push index -",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.05b15b573eab4p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se push index //patient/name",
-     "0x1.1ee978d4fdf3bp+2 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.9919ce075f6fdp+3 4315 2624 14 1403");
+     "0x1.b9fbe76c8b439p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.78240b780346ep+3 3285 2624 14 373");
     ("fleet-se push index //patient",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.05b9f559b3d08p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se push scan -",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.05b15b573eab4p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se push scan //patient/name",
-     "0x1.97ef9db22d0e5p+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.dab020c49ba5ep+3 6218 2880 13 3338");
+     "0x1.e604189374bc7p+1 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.88395810624dep+3 3641 2880 13 761");
     ("fleet-se push scan //patient",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.05b9f559b3d08p+4 7732 2880 14 4852")
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275")
   ]
 
 let disseminate_pins =
   [
     ("e-gate alone",
-     "0x1.f18fp+11 0x1.51eb851eb851fp+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.01244cccccccdp+12 7732 2880 42 4852");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e4839999999ap+11 5155 2880 31 2275");
     ("e-gate shared",
-     "0x1.1b728p+13 0x1.770a3d70a3d71p+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.1faa2e147ae14p+13 17756 3200 82 14556");
+     "0x1.4180bp+12 0x1.770a3d70a3d71p+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.49f00c28f5c29p+12 10025 3200 51 6825");
     ("e-gate two",
-     "0x1.7039ap+13 0x1.870a3d70a3d71p+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.7476066666666p+13 23102 3328 103 19774");
+     "0x1.99abp+12 0x1.870a3d70a3d71p+3 0x1.9333333333333p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.a223ccccccccdp+12 12794 3328 63 9466");
     ("e-gate predicate",
-     "0x1.86983p+12 0x1.65c28f5c28f5cp+3 0x1.824dd2f1a9fbep+2 0x1.ep+6 0x1.147ae147ae148p-2 0x1.8f2ff6a7ef9dcp+12 12209 3056 59 9153");
+     "0x1.c6876p+11 0x1.65c28f5c28f5cp+3 0x1.824dd2f1a9fbep+2 0x1.ep+6 0x1.147ae147ae148p-2 0x1.d7b6ed4fdf3b6p+11 7057 3056 39 4001");
     ("fleet-se alone",
-     "0x1.f99999999999ap+2 0x1.b089a02752546p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-9 0x1.05f4f0d844d02p+4 7732 2880 14 4852");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-9 0x1.b910cb295e9e2p+3 5155 2880 13 2275");
     ("fleet-se shared",
-     "0x1.1f8d4fdf3b646p+4 0x1.e00d1b71758e1p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-9 0x1.a77ae147ae148p+4 17756 3200 18 14556");
+     "0x1.46f1a9fbe76c9p+3 0x1.e00d1b71758e1p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-9 0x1.2b66666666667p+4 10025 3200 16 6825");
     ("fleet-se two",
-     "0x1.7578d4fdf3b64p+4 0x1.f487fcb923a28p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-8 0x1.fd9ba5e353f7cp+4 23102 3328 20 19774");
+     "0x1.a051eb851eb85p+3 0x1.f487fcb923a28p-3 0x1.084b5dcc63f14p-2 0x1p+3 0x1.89374bc6a7efap-8 0x1.584bc6a7ef9dcp+4 12794 3328 18 9466");
     ("fleet-se predicate",
-     "0x1.8cd4fdf3b645ap+3 0x1.c9eecbfb15b57p-3 0x1.fe90ff9724746p-2 0x1p+3 0x1.26e978d4fdf3bp-7 0x1.521d7dbf487fcp+4 12209 3056 16 9153")
+     "0x1.ce66666666666p+2 0x1.c9eecbfb15b57p-3 0x1.fe90ff9724746p-2 0x1p+3 0x1.26e978d4fdf3bp-7 0x1.fe9930be0ded2p+3 7057 3056 14 4001")
   ]
 
 let protected_pins =
   [
     ("e-gate pull index -",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0f78370a3d70bp+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
     ("e-gate pull index //patient/name",
-     "0x1.121bep+11 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.227ea8b43958p+11 4211 2624 28 1555");
+     "0x1.a19a4p+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.c25fd16872b03p+10 3181 2624 24 525");
     ("e-gate pull index //patient",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0f79143958107p+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
     ("e-gate pull scan -",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0f78370a3d70bp+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
     ("e-gate pull scan //patient/name",
-     "0x1.a7f34p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.b8a862d0e5604p+11 6576 2880 37 3696");
+     "0x1.048f2p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.154442d0e5604p+11 3999 2880 27 1119");
     ("e-gate pull scan //patient",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0f79143958107p+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
     ("e-gate push index -",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0f78370a3d70bp+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
     ("e-gate push index //patient/name",
-     "0x1.22f46p+11 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.335728b43958p+11 4467 2624 30 1555");
+     "0x1.c34b4p+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.e410d16872b03p+10 3437 2624 26 525");
     ("e-gate push index //patient",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0f79143958107p+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
     ("e-gate push scan -",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.0f78370a3d70bp+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
     ("e-gate push scan //patient/name",
-     "0x1.a7f34p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.b8a862d0e5604p+11 6576 2880 37 3696");
+     "0x1.048f2p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.154442d0e5604p+11 3999 2880 27 1119");
     ("e-gate push scan //patient",
-     "0x1.071f6p+12 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.0f79143958107p+12 8192 2880 43 5312");
+     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
     ("fleet-se pull index -",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.0d0d844d013a9p+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
     ("fleet-se pull index //patient/name",
-     "0x1.177ced916872bp+2 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.9563886594af5p+3 4211 2624 13 1555");
+     "0x1.ab22d0e560419p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.746dc5d638866p+3 3181 2624 13 525");
     ("fleet-se pull index //patient",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.0d161e4f765fep+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
     ("fleet-se pull scan -",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.0d0d844d013a9p+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
     ("fleet-se pull scan //patient/name",
-     "0x1.aed916872b021p+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.e624dd2f1a9fcp+3 6576 2880 13 3696");
+     "0x1.09eb851eb851fp+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.93ae147ae147bp+3 3999 2880 13 1119");
     ("fleet-se pull scan //patient",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.0d161e4f765fep+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
     ("fleet-se push index -",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.0d0d844d013a9p+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
     ("fleet-se push index //patient/name",
-     "0x1.28a3d70a3d70ap+2 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.9df6fd21ff2e4p+3 4467 2624 14 1555");
+     "0x1.cd70a3d70a3d7p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.7d013a92a3055p+3 3437 2624 14 525");
     ("fleet-se push index //patient",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.0d161e4f765fep+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
     ("fleet-se push scan -",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.0d0d844d013a9p+4 8192 2880 14 5312");
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
     ("fleet-se push scan //patient/name",
-     "0x1.aed916872b021p+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.e624dd2f1a9fcp+3 6576 2880 13 3696");
+     "0x1.09eb851eb851fp+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.93ae147ae147bp+3 3999 2880 13 1119");
     ("fleet-se push scan //patient",
-     "0x1.0b851eb851eb8p+3 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.0d161e4f765fep+4 8192 2880 14 5312")
+     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735")
   ]
 
 (* ------------------------------------------------------------------ *)

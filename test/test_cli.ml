@@ -263,13 +263,9 @@ let test_stdout_pins () =
 #04  > QUERY   p1=0 p2=  0 |  14B data
      <          SW 9000 |   0B payload
 #05  > EVAL    p1=0 p2=  0 |   0B data
-     <          SW 61FF | 255B payload
-#06  > GETRESP p1=0 p2=  1 |   0B data
-     <          SW 61CE | 255B payload
-#07  > GETRESP p1=0 p2=  2 |   0B data
-     <          SW 9000 | 206B payload
+     <          SW 9000 | 226B payload
 
-7 command frames, 7 response frames, 1007 bytes on the wire
+5 command frames, 5 response frames, 503 bytes on the wire
 
 == Reassembled view ==
 <hospital>
@@ -296,15 +292,15 @@ let test_stdout_pins () =
       Alcotest.(check string) ("sdds " ^ String.concat " " args) want
         (sdds_ok args))
     [ ( [ "fleet"; "--json" ],
-        {|{"cards":4,"streams":64,"docs":8,"routing":"affinity","seed":42,"ok":64,"errors":0,"rejected":0,"affinity_hits":64,"fallbacks":0,"reroutes":0,"queue_peak":46,"served_by":[46,18,0,0],"faults_injected":0,"p50_ms":30.188,"p95_ms":53.785,"p99_ms":54.412}
+        {|{"cards":4,"streams":64,"docs":8,"routing":"affinity","seed":42,"ok":64,"errors":0,"rejected":0,"affinity_hits":64,"fallbacks":0,"reroutes":0,"queue_peak":46,"served_by":[46,18,0,0],"faults_injected":0,"p50_ms":16.820,"p95_ms":31.364,"p99_ms":31.489}
 |} );
       ( [ "chaos"; "--json"; "--requests"; "120" ],
-        {|{"cards":3,"requests":120,"seed":42,"ok":120,"errors":0,"rejected":0,"divergences":0,"convergence_failures":0,"faults_injected":61,"kills":2,"migrations":14,"deaths":2,"revives":1,"drains":0,"cards_added":1,"standby_hits":16,"probes":6,"campaign":"@24:kill:2,@30:kill:1,@54:add,@56:revive:2","schedule":"seed=1302,rate=0.05"}
+        {|{"cards":3,"requests":120,"seed":42,"ok":120,"errors":0,"rejected":0,"divergences":0,"convergence_failures":0,"faults_injected":42,"kills":2,"migrations":14,"deaths":2,"revives":1,"drains":0,"cards_added":1,"standby_hits":17,"probes":6,"campaign":"@24:kill:2,@30:kill:1,@54:add,@56:revive:2","schedule":"seed=1302,rate=0.05"}
 |} );
       ( [ "slo"; "--json" ],
-        {|{"phase":"steady","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":61049999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false}]}
-{"phase":"churn","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":4,"breached":true,"now_ns":97946999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":20.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":96,"total":96,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":90.909,"fast_burn":0.000,"slow_burn":1.818,"burn_threshold":1.000,"good":90,"total":96,"breach":false}]}
-{"phase":"recovered","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":127244999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":144,"total":144,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":92.424,"fast_burn":0.000,"slow_burn":1.515,"burn_threshold":1.000,"good":138,"total":144,"breach":false}]}
+        {|{"phase":"steady","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":34753999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":48,"total":48,"breach":false}]}
+{"phase":"churn","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":8,"breached":true,"now_ns":51784999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":13.333}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":96,"total":96,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":83.333,"fast_burn":0.000,"slow_burn":3.333,"burn_threshold":1.000,"good":89,"total":96,"breach":false}]}
+{"phase":"recovered","requests":48,"ok":48,"rejected":0,"errors":0,"ticks":16,"breach_ticks":0,"breached":false,"now_ns":72293999,"peak_burns":[{"name":"availability","peak_fast_burn":0.000},{"name":"latency","peak_fast_burn":0.000}],"verdicts":[{"name":"availability","target_pct":99.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":144,"total":144,"breach":false},{"name":"latency","target_pct":95.000,"current_pct":100.000,"fast_burn":0.000,"slow_burn":0.000,"burn_threshold":1.000,"good":137,"total":144,"breach":false}]}
 |} );
       ( [ "demo"; clinical; "--rule"; "+, u, //patient"; "--rule=-, u, //ssn";
           "--subject"; "u" ],
@@ -325,11 +321,11 @@ let test_stdout_pins () =
 |} ) ];
   with_rules_file (fun rules ->
       Alcotest.(check string) "sdds disseminate --json"
-        {|{"subscribers":3,"clusters":2,"mux_clusters":2,"solo_clusters":0,"evaluations":1,"naive_evaluations":3,"saved":2,"fanout":3.000,"delivered":[{"subject":"alice","elements":10,"wire_bytes":227},{"subject":"bob","elements":10,"wire_bytes":227},{"subject":"carol","elements":0,"wire_bytes":190}]}
+        {|{"subscribers":3,"clusters":2,"mux_clusters":2,"solo_clusters":0,"evaluations":1,"naive_evaluations":3,"saved":2,"fanout":3.000,"delivered":[{"subject":"alice","elements":10,"wire_bytes":127},{"subject":"bob","elements":10,"wire_bytes":127},{"subject":"carol","elements":0,"wire_bytes":90}]}
 |}
         (disseminate rules [ "--json" ]);
       Alcotest.(check string) "sdds disseminate (MD5)"
-        "00d8bd851c234382270a1aa09ea0b010"
+        "958fd337f3c68ff940af9b453992e1c2"
         (Digest.to_hex (Digest.string (disseminate rules []))))
 
 (* The slo drill's trace and metrics exports run on a manual clock, so
@@ -341,10 +337,10 @@ let test_slo_export_pins () =
       ignore
         (sdds_ok [ "slo"; "--trace-out"; trace; "--metrics-out"; metrics ]);
       let digest path = Digest.to_hex (Digest.file path) in
-      Alcotest.(check string) "trace export" "bfe0fc90e149c6acfdfa37eaa674dff0"
+      Alcotest.(check string) "trace export" "8b109a8e9c6db2de734860812e6f5f4a"
         (digest trace);
       Alcotest.(check string) "metrics export"
-        "a44331b9baff81f1f3049ab2bd532855" (digest metrics))
+        "38a539e641aa7eb986312582c9b207ce" (digest metrics))
 
 let () =
   Alcotest.run "sdds-cli"

@@ -589,72 +589,108 @@ let suite =
 
 module Output_codec = Sdds_core.Output_codec
 
-(* [events] round-trip, and both sizes equal the bytes [encode] writes. *)
+(* Every prefix of [events] round-trips, and [size_list] of it is the
+   length of its encoding. *)
 let check_codec what events =
-  let encoded = Output_codec.encode_list events in
-  Alcotest.(check bool) (what ^ " roundtrip") true
-    (Output_codec.decode_list encoded = events);
-  List.iter
-    (fun e ->
-      let buf = Buffer.create 16 in
-      Output_codec.encode buf e;
-      Alcotest.(check int) (what ^ " encoded_size") (Buffer.length buf)
-        (Output_codec.encoded_size e))
-    events;
-  Alcotest.(check int) (what ^ " sizes agree") (String.length encoded)
-    (List.fold_left (fun a e -> a + Output_codec.encoded_size e) 0 events);
-  Alcotest.(check int) (what ^ " size_list") (String.length encoded)
-    (Output_codec.size_list events)
+  let rec prefixes acc rev = function
+    | [] -> List.rev (List.rev rev :: acc)
+    | e :: rest -> prefixes (List.rev rev :: acc) (e :: rev) rest
+  in
+  List.iteri
+    (fun i prefix ->
+      let encoded = Output_codec.encode_list prefix in
+      let what = Printf.sprintf "%s[..%d]" what i in
+      Alcotest.(check bool) (what ^ " roundtrip") true
+        (Output_codec.decode_list encoded = prefix);
+      Alcotest.(check int) (what ^ " size_list") (String.length encoded)
+        (Output_codec.size_list prefix))
+    (prefixes [] [] events)
+
+let open_ ?(neg = Cond.ff) ?(pos = Cond.tt) ?(query = Cond.tt) tag =
+  Output.Open_node { tag; neg; pos; query }
 
 let test_codec_unit () =
   let events =
     [
-      Output.Open_node
-        {
-          tag = "a";
-          neg = Cond.ff;
-          pos = Cond.disj [ Cond.var 3; Cond.conj [ Cond.var 1; Cond.var 2 ] ];
-          query = Cond.tt;
-        };
+      open_ "a"
+        ~pos:(Cond.disj [ Cond.var 3; Cond.conj [ Cond.var 1; Cond.var 2 ] ]);
       Output.Text_node "hello & <world>";
+      open_ "b" ~neg:(Cond.var 4) ~query:(Cond.var 5);
+      Output.Close_node "b";
+      open_ "b" ~pos:Cond.ff ~query:Cond.ff;
+      open_ "a";
+      Output.Close_node "a";
+      Output.Close_node "b";
       Output.Resolve (3, true);
       Output.Resolve (1, false);
       Output.Close_node "a";
     ]
   in
   let encoded = Output_codec.encode_list events in
-  Alcotest.(check int) "count" 5 (List.length (Output_codec.decode_list encoded));
+  Alcotest.(check int) "count" 11
+    (List.length (Output_codec.decode_list encoded));
   check_codec "one-byte" events;
-  (* Engine streams keep every length, id and arity below 128, so their
-     varints are one byte; these need two and three. *)
+  (* The layout: header (4 + 27 if the tag is new + 9 neg + 3 pos +
+     query shape, each 0 true, 1 false, 2 expression), the tag by name
+     or by table index, then the expression slots; a bare close. *)
+  Alcotest.(check string) "layout"
+    "\x28\x01a\x00\x01x\x0d\x00\x01\x31\x01b\x02\x03\x01\x01"
+    (Output_codec.encode_list
+       [ open_ "a"; Output.Text_node "x"; open_ "a"; Output.Close_node "a";
+         open_ "b" ~neg:(Cond.var 3); Output.Close_node "b";
+         Output.Close_node "a" ]);
+  (* Engine streams keep every length, id, arity and tag index below
+     128, so their varints are one byte; these need two and three. *)
   let vars = List.map Cond.var [ 127; 128; 16_383; 16_384 ] in
   let wide = List.init 130 (fun i -> Cond.var (2 * i)) in
+  let long = String.make 200 't' in
   check_codec "multi-byte"
     [
-      Output.Open_node
-        {
-          tag = String.make 200 't';
-          neg = Cond.conj wide;
-          pos = Cond.disj vars;
-          query = Cond.disj wide;
-        };
+      open_ long ~neg:(Cond.conj wide) ~pos:(Cond.disj vars)
+        ~query:(Cond.disj wide);
       Output.Text_node (String.make 20_000 'x');
+      open_ long ~neg:(Cond.var 16_384);
+      Output.Close_node long;
       Output.Resolve (127, false);
       Output.Resolve (128, true);
       Output.Resolve (16_383, false);
       Output.Resolve (16_384, true);
-      Output.Close_node (String.make 200 't');
-    ]
+      Output.Close_node long;
+    ];
+  (* 130 distinct tags: the last ones' table indices take two bytes. *)
+  let tags = List.init 130 (Printf.sprintf "t%d") in
+  check_codec "wide table"
+    (List.concat_map (fun t -> [ open_ t; Output.Close_node t ]) tags
+    @ List.concat_map
+        (fun t -> [ open_ t ~query:Cond.ff; Output.Close_node t ])
+        (List.rev tags))
 
 let test_codec_malformed () =
-  let expect s =
+  let expect what s =
     match Output_codec.decode_list s with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected decode failure"
+    | _ -> Alcotest.failf "%s: expected decode failure" what
   in
-  expect "\x63";          (* unknown event tag *)
-  expect "\x01\x05ab";    (* truncated text *)
-  expect "\x00\x01a\x07"  (* bad condition tag *)
+  expect "header out of range" "\x3a";
+  expect "header out of range" "\x63";
+  expect "two-byte header" "\x80\x01";
+  expect "truncated text" "\x00\x05ab";
+  expect "bad condition tag" "\x31\x01a\x07";
+  expect "close without an open" "\x01";
+  expect "close without an open" "\x29\x01a\x01\x01";
+  expect "tag index beyond an empty table" "\x0e\x00";
+  expect "tag index beyond the table" "\x29\x01a\x0e\x01";
+  expect "truncated first-use name" "\x29\x05ab";
+  expect "truncated tag index" "\x29\x01a\x0e";
+  (* The encoder refuses a close that does not match its open. *)
+  let refuses what outs =
+    match Output_codec.encode_list outs with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected encode failure" what
+  in
+  refuses "renamed close" [ open_ "a"; Output.Close_node "b" ];
+  refuses "close without an open" [ Output.Close_node "a" ];
+  refuses "extra close" [ open_ "a"; Output.Close_node "a"; Output.Close_node "a" ]
 
 let qcheck_codec_roundtrip =
   QCheck2.Test.make ~name:"output codec roundtrip on engine streams"
@@ -664,15 +700,8 @@ let qcheck_codec_roundtrip =
       let doc, rules, query = expand_case ~with_query:true seed in
       let outs = Engine.run ?query rules (Dom.to_events doc) in
       let encoded = Output_codec.encode_list outs in
-      let buf = Buffer.create 64 in
       Output_codec.decode_list encoded = outs
-      && Output_codec.size_list outs = String.length encoded
-      && List.for_all
-           (fun e ->
-             Buffer.clear buf;
-             Output_codec.encode buf e;
-             Output_codec.encoded_size e = Buffer.length buf)
-           outs)
+      && Output_codec.size_list outs = String.length encoded)
 
 let codec_suite =
   [

@@ -865,8 +865,8 @@ let test_run_slo_phases () =
         Proxy.Request.make ?xpath doc)
   in
   (* This world's keys make the cards a touch faster than the CLI's
-     default world, so only ~3 fault-retried churn serves cross the
-     8191 µs bucket bound; a 98% objective makes those 3-in-48 a
+     default world, so only 2 fault-retried churn serves cross the
+     4095 µs bucket bound; a 98% objective makes those 2-in-48 a
      page-worthy burn while steady traffic (zero bad) stays silent. *)
   match
     Chaos.run_slo ~cards:3 ~latency_target:98.0 ~obs ~store:(World.store w)
