@@ -416,6 +416,114 @@ let test_dispatch_reduces_token_visits () =
   check ~suppress:true;
   check ~suppress:false
 
+(* The engine's bytes before its hot path was flattened: one MD5 per case
+   over the encoded outputs, every [Engine.stats] field, the skipped
+   ranges of the skip-index cases and, for the direct cases, [state_words]
+   and [depth] after every event. The naive-scan property below compares
+   two modes of one engine; these pins compare the engine with the one it
+   replaced. *)
+let stream_digest ?(trace = "") ?(ranges = []) outs (st : Engine.stats) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Sdds_core.Output_codec.encode_list outs);
+  Printf.bprintf b "|%d %d %d %d %d %d %d %d %d|" st.Engine.events
+    st.Engine.emitted st.Engine.delivered st.Engine.suppressed
+    st.Engine.filtered st.Engine.instances st.Engine.peak_tokens
+    st.Engine.peak_state_words st.Engine.token_visits;
+  List.iter (fun (start, len) -> Printf.bprintf b "%d+%d " start len) ranges;
+  Buffer.add_string b trace;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let traced_digest ~dispatch ?default ?query ?suppress rules events =
+  let t = Engine.create ?default ?query ?suppress ~dispatch rules in
+  let trace = Buffer.create 4096 in
+  let outs =
+    List.concat_map
+      (fun ev ->
+        let outs = Engine.feed t ev in
+        Printf.bprintf trace "%d/%d " (Engine.state_words t) (Engine.depth t);
+        outs)
+      events
+  in
+  Engine.finish t;
+  stream_digest ~trace:(Buffer.contents trace) outs (Engine.stats t)
+
+let test_engine_stream_pins () =
+  let check name want got = Alcotest.(check string) name want got in
+  let e14_doc = Generator.hospital (Rng.create 14L) ~patients:60 in
+  let e14_rules =
+    [ allow "//patient"; deny "//ssn"; allow "//folder/prescription/drug";
+      deny "//comment"; deny {|//patient[age>"80"]|} ]
+  in
+  let e14_events = Dom.to_events e14_doc in
+  List.iter
+    (fun (dispatch, suppress, want) ->
+      check
+        (Printf.sprintf "E14 dispatch=%b suppress=%b" dispatch suppress)
+        want
+        (traced_digest ~dispatch ~suppress e14_rules e14_events))
+    [ (true, true, "78b6e0498db6c13efd04e4494046941d");
+      (true, false, "78b6e0498db6c13efd04e4494046941d");
+      (false, true, "06fb58b0eb3b41543a2765e20420cf20");
+      (false, false, "06fb58b0eb3b41543a2765e20420cf20") ];
+  let encoded =
+    Sdds_index.Encode.encode ~meta_threshold:0
+      ~mode:(Sdds_index.Encode.Indexed { recursive = true })
+      (Generator.hospital (Rng.create 5L) ~patients:20)
+  in
+  let policies =
+    [ ("broad", [ allow "//patient"; deny "//ssn" ]);
+      ("narrow", [ allow "//admission" ]);
+      ("pred", [ allow {|//patient[age>"60"]/admission|} ]) ]
+  in
+  let queries = [ None; Some "//patient/name"; Some "//patient/admission" ] in
+  let want =
+    [ "b79278da88ee6f53b27d3e7ad1e3b1a3"; "16d949388964c65c227028d40ffbb255";
+      "1be39a8cf33bb6e1de53ce6e168d1d19"; "0927a894e41067c4cc3a8c64eac8919c";
+      "c17a2a1b8e8607835f89e11ff3363205"; "b37e42d5bc37b8949d49c0e35704fb81";
+      "7d977dcba0874fc7f0975fe3ed909907"; "24bbbc1b82ac1a5d803e00bf64fd861f";
+      "2173ffa151b98740318ed7187d8df25d" ]
+  in
+  List.iteri
+    (fun i ((pol, rules), q) ->
+      let query = Option.map Xp.parse q in
+      let r = Sdds_index.Indexed_engine.run ?query rules encoded in
+      check
+        (Printf.sprintf "skip index %s %s" pol (Option.value q ~default:"-"))
+        (List.nth want i)
+        (stream_digest ~ranges:r.Sdds_index.Indexed_engine.skipped_ranges
+           r.Sdds_index.Indexed_engine.outputs
+           r.Sdds_index.Indexed_engine.engine_stats))
+    (List.concat_map
+       (fun pol -> List.map (fun q -> (pol, q)) queries)
+       policies);
+  (* Denied folders whose children leave no positive automaton alive: a
+     suppression boundary that carries a predicate automaton across. *)
+  let boundary_rules =
+    [ allow {|/hospital/patient[age>"40"]|}; deny "/hospital/patient/folder";
+      allow "/hospital/patient/folder[.//drug]/analysis"; deny "//ssn" ]
+  in
+  List.iter
+    (fun (dispatch, suppress, want) ->
+      check
+        (Printf.sprintf "boundary dispatch=%b suppress=%b" dispatch suppress)
+        want
+        (traced_digest ~dispatch ~suppress boundary_rules e14_events))
+    [ (true, true, "01cde424f88213fe71a5364d88ef0e86");
+      (true, false, "56e61b63c5546e2ac50e8b8582bb4a2f");
+      (false, true, "418cfeebb8694753a7bc9666be61e415");
+      (false, false, "7b1622a26cb2c89deaa4d7177dba9b2f") ];
+  let feed = Dom.to_events (Generator.feed_tagged (Rng.create 5L) ~events:100) in
+  check "feed channels -//*[rating=R]" "f5543f0f529cef7b7c94a0054bf110af"
+    (traced_digest ~dispatch:true
+       [ allow "//sports"; allow "//news"; deny {|//*[rating="R"]|} ]
+       feed);
+  check "default allow" "ce4db38674c7416b64ebf974d7257a48"
+    (traced_digest ~dispatch:true ~default:Rule.Allow
+       ~query:(Xp.parse "//patient[name]//*")
+       [ deny "//ssn"; deny {|//patient[age>"80"]|};
+         allow {|//patient[age>"80"]/name|} ]
+       e14_events)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests: engine = oracle                                     *)
 (* ------------------------------------------------------------------ *)
@@ -576,6 +684,7 @@ let suite =
       test_engine_stats_reconcile;
     Alcotest.test_case "dispatch reduces token visits" `Quick
       test_dispatch_reduces_token_visits;
+    Alcotest.test_case "engine stream pins" `Quick test_engine_stream_pins;
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle_query;
     QCheck_alcotest.to_alcotest qcheck_engine_default_allow;
