@@ -10,39 +10,37 @@ type source = Rule_src of int | Query_src
 
 type spine = { source : source; sign : Rule.sign; cpath : cpath }
 
-type path_origin = Spine_path of int | Pred_path of pred_id
-type site = { origin : path_origin; spos : int }
+type token = { key : int; path : int; pos : int; conds : int list }
 
-type dispatch = {
-  by_tag : (string, site list) Hashtbl.t;
-  wildcard : site list;
+type t = {
+  spines : spine array;
+  preds : cpred array;
+  paths : cpath array;
+  step_tags : int array array;
+  tag_ids : (string, int) Hashtbl.t;
+  canon : token array array;
 }
 
-type t = { spines : spine array; preds : cpred array; dispatch : dispatch }
-
-(* Invert the compiled paths: for each literal tag, the set of step
-   positions whose [Name] test matches it; [Any] steps form the (small)
-   always-checked wildcard set. The runtime dispatches incoming open
-   events through this index instead of re-testing every live token. *)
-let build_dispatch spines preds =
-  let by_tag = Hashtbl.create 32 in
-  let wildcard = ref [] in
-  let add_path origin path =
-    Array.iteri
-      (fun spos step ->
-        let site = { origin; spos } in
-        match step.test with
-        | Ast.Any -> wildcard := site :: !wildcard
-        | Ast.Name n ->
-            let sites =
-              match Hashtbl.find_opt by_tag n with Some l -> l | None -> []
-            in
-            Hashtbl.replace by_tag n (site :: sites))
-      path
+(* Number every literal tag in first-occurrence order and give each step
+   the id its test matches, -1 for [*]; the engine compares ints on its
+   hot path instead of strings. *)
+let tag_tables paths =
+  let tag_ids = Hashtbl.create 16 in
+  let id_of n =
+    match Hashtbl.find_opt tag_ids n with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length tag_ids in
+        Hashtbl.add tag_ids n id;
+        id
   in
-  Array.iteri (fun i sp -> add_path (Spine_path i) sp.cpath) spines;
-  Array.iteri (fun p cp -> add_path (Pred_path p) cp.ppath) preds;
-  { by_tag; wildcard = List.rev !wildcard }
+  let step_tags =
+    Array.map
+      (Array.map (fun step ->
+           match step.test with Ast.Any -> -1 | Ast.Name n -> id_of n))
+      paths
+  in
+  (tag_ids, step_tags)
 
 let compile ?query rules =
   let preds = ref [] in
@@ -78,30 +76,41 @@ let compile ?query rules =
   in
   let spines = Array.of_list (rule_spines @ query_spines) in
   let preds = Array.of_list (List.rev !preds) in
-  { spines; preds; dispatch = build_dispatch spines preds }
+  let paths =
+    Array.append
+      (Array.map (fun sp -> sp.cpath) spines)
+      (Array.map (fun p -> p.ppath) preds)
+  in
+  let tag_ids, step_tags = tag_tables paths in
+  let canon =
+    Array.mapi
+      (fun i sp ->
+        Array.init (Array.length sp.cpath) (fun pos ->
+            { key = i; path = i; pos; conds = [] }))
+      spines
+  in
+  { spines; preds; paths; step_tags; tag_ids; canon }
 
 let pred t id = t.preds.(id)
 
-let sites_for_tag t tag =
-  match Hashtbl.find_opt t.dispatch.by_tag tag with Some l -> l | None -> []
-
-let wildcard_sites t = t.dispatch.wildcard
-let tag_known t tag = Hashtbl.mem t.dispatch.by_tag tag
+let tag_id t tag =
+  match Hashtbl.find t.tag_ids tag with
+  | id -> id
+  | exception Not_found -> -1
 
 let can_complete path ~from ~tag_possible ~nonempty =
   let n = Array.length path in
-  let rec go i =
-    if i >= n then true
-    else begin
-      let ok =
-        match path.(i).test with
-        | Ast.Name tag -> tag_possible tag
-        | Ast.Any -> nonempty
-      in
-      ok && go (i + 1)
-    end
-  in
-  go (max 0 from)
+  let i = ref (max 0 from) in
+  while
+    !i < n
+    &&
+    match path.(!i).test with
+    | Ast.Name tag -> tag_possible tag
+    | Ast.Any -> nonempty
+  do
+    incr i
+  done;
+  !i >= n
 
 let state_count t =
   let pred_states =

@@ -29,37 +29,43 @@ type source =
 type spine = { source : source; sign : Rule.sign; cpath : cpath }
 (** A query compiles as a positive spine with [source = Query_src]. *)
 
-type path_origin =
-  | Spine_path of int  (** index into [spines] *)
-  | Pred_path of pred_id
-
-type site = { origin : path_origin; spos : int }
-(** One step position inside a compiled path. *)
-
-type dispatch = {
-  by_tag : (string, site list) Hashtbl.t;
-      (** literal tag -> step positions whose [Name] test matches it *)
-  wildcard : site list;  (** [Any]-test step positions, always candidates *)
+type token = {
+  key : int;
+      (** visit order: the spine index, or [Array.length spines + var] for
+          a token of predicate instance [var] *)
+  path : int;  (** index into [paths] *)
+  pos : int;  (** steps already matched *)
+  conds : int list;  (** sorted condition variables the token carries *)
 }
+(** One live state of a compiled automaton, as the engine's token stacks
+    hold it. Tokens order by [key], then [pos], then [conds]. *)
 
 type t = {
   spines : spine array;
   preds : cpred array;  (** shared table of all predicate paths, nested included *)
-  dispatch : dispatch;
+  paths : cpath array;
+      (** every spine's path, then every predicate's: path [i < Array.length
+          spines] is spine [i]'s, path [Array.length spines + p] is
+          predicate [p]'s *)
+  step_tags : int array array;
+      (** per path and step, the id of the literal tag the step's [Name]
+          test matches, or [-1] for [*] *)
+  tag_ids : (string, int) Hashtbl.t;
+      (** every literal tag a step names, numbered from 0 *)
+  canon : token array array;
+      (** per spine and position, the condition-free token: the engine
+          reuses these instead of allocating a token per advance *)
 }
+(** Built once per compile, so a prepared-evaluation cache hit reuses the
+    tag tables and canonical tokens too. *)
 
 val compile : ?query:Sdds_xpath.Ast.t -> Rule.t list -> t
 (** Rules must already be filtered to one subject. *)
 
 val pred : t -> pred_id -> cpred
 
-val sites_for_tag : t -> string -> site list
-(** Step positions whose literal [Name] test equals the tag ([] if none). *)
-
-val wildcard_sites : t -> site list
-
-val tag_known : t -> string -> bool
-(** Whether any compiled step names this tag literally. *)
+val tag_id : t -> string -> int
+(** The id of a literal tag in [tag_ids], [-1] when no step names it. *)
 
 val can_complete :
   cpath -> from:int -> tag_possible:(string -> bool) -> nonempty:bool -> bool

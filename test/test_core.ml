@@ -524,6 +524,27 @@ let test_engine_stream_pins () =
          allow {|//patient[age>"80"]/name|} ]
        e14_events)
 
+(* Gc.minor_words is deterministic, so the engine's allocation is pinned
+   like an output: frames, token stacks and per-open scratch are reused,
+   so what an event allocates is mostly the [Output.t] values it returns
+   (about 5-8 words per delivered event). *)
+let test_engine_allocation () =
+  let events = Dom.to_events (Generator.hospital (Rng.create 14L) ~patients:60) in
+  let t =
+    Engine.create
+      [ allow "//patient"; deny "//ssn"; allow "//folder/prescription/drug";
+        deny "//comment"; deny {|//patient[age>"80"]|} ]
+  in
+  let before = Gc.minor_words () in
+  List.iter (fun ev -> ignore (Sys.opaque_identity (Engine.feed t ev))) events;
+  let per_event =
+    (Gc.minor_words () -. before) /. float_of_int (List.length events)
+  in
+  Engine.finish t;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per event <= 10" per_event)
+    true (per_event <= 10.0)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests: engine = oracle                                     *)
 (* ------------------------------------------------------------------ *)
@@ -685,6 +706,7 @@ let suite =
     Alcotest.test_case "dispatch reduces token visits" `Quick
       test_dispatch_reduces_token_visits;
     Alcotest.test_case "engine stream pins" `Quick test_engine_stream_pins;
+    Alcotest.test_case "engine allocation" `Quick test_engine_allocation;
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle_query;
     QCheck_alcotest.to_alcotest qcheck_engine_default_allow;
