@@ -83,6 +83,17 @@ let ns_of ~name f =
       | Some _ | None -> acc)
     results nan
 
+(* Minor words per event of one unsampled [Engine.feed] pass, the
+   returned outputs included. Allocation is deterministic, so the gate
+   holds it exactly. *)
+let minor_words_per_event ?dispatch rules events =
+  let t = Engine.create ?dispatch rules in
+  let before = Gc.minor_words () in
+  List.iter (fun ev -> ignore (Sys.opaque_identity (Engine.feed t ev))) events;
+  let words = Gc.minor_words () -. before in
+  Engine.finish t;
+  words /. float_of_int (List.length events)
+
 (* ------------------------------------------------------------------ *)
 (* BENCH_engine.json: machine-readable experiment rows                 *)
 (* ------------------------------------------------------------------ *)
@@ -132,7 +143,7 @@ let specs =
       keys = [ "experiment"; "case"; "dispatch" ];
       columns =
         [ "case"; "dispatch"; "events"; "ns_per_event"; "peak_tokens";
-          "token_visits" ];
+          "token_visits"; "minor_words_per_event" ];
       shape = [] };
     { name = "sessions"; owners = [ "E15" ];
       keys = [ "experiment"; "case"; "phase" ];
@@ -253,7 +264,7 @@ let specs =
               < num "storage_events" (pick "mode" "full" rows) ) ] };
   ]
 
-let schema = "sdds-bench-engine/10"
+let schema = "sdds-bench-engine/11"
 
 (* The run as the file holds it: floats keep three decimals and
    non-finite values become null, so the in-memory gate and a later
@@ -647,7 +658,8 @@ let e2_rules_scaling () =
           path = Sdds_xpath.Random_path.generate r cfg ~tags ~values;
         })
   in
-  Printf.printf "%6s %12s %14s %12s %12s\n" "rules" "ns/event" "events/s" "peak_tokens" "token_visits";
+  Printf.printf "%6s %12s %14s %12s %12s %12s\n" "rules" "ns/event" "events/s"
+    "peak_tokens" "token_visits" "words/event";
   List.iter
     (fun n ->
       let rules = mk_rules n in
@@ -663,15 +675,17 @@ let e2_rules_scaling () =
       List.iter (fun ev -> ignore (Engine.feed t ev)) events;
       Engine.finish t;
       let st = Engine.stats t in
+      let words = minor_words_per_event rules events in
       record "records" ~experiment:"E2"
         Json.
           [ ("case", String (Printf.sprintf "rules-%d" n));
             ("dispatch", Bool true); ("events", Int n_events);
             ("ns_per_event", Float per_event);
             ("peak_tokens", Int st.Engine.peak_tokens);
-            ("token_visits", Int st.Engine.token_visits) ];
-      Printf.printf "%6d %12.0f %14.0f %12d %12d\n" n per_event
-        (1e9 /. per_event) st.Engine.peak_tokens st.Engine.token_visits)
+            ("token_visits", Int st.Engine.token_visits);
+            ("minor_words_per_event", Float words) ];
+      Printf.printf "%6d %12.0f %14.0f %12d %12d %12.1f\n" n per_event
+        (1e9 /. per_event) st.Engine.peak_tokens st.Engine.token_visits words)
     [ 1; 2; 4; 8; 16; 32; 64; 128 ];
   print_endline
     "\nshape check: ns/event grows roughly linearly with the number of\n\
@@ -1303,8 +1317,8 @@ let e14_dispatch_ablation () =
   in
   Printf.printf "document: %d events, %d rules\n\n" n_events
     (List.length rules);
-  Printf.printf "%-10s %12s %12s %12s\n" "mode" "ns/event" "peak_tokens"
-    "token_visits";
+  Printf.printf "%-10s %12s %12s %12s %12s\n" "mode" "ns/event" "peak_tokens"
+    "token_visits" "words/event";
   let run dispatch =
     let ns =
       ns_of ~name:(if dispatch then "dispatch" else "naive") (fun () ->
@@ -1319,16 +1333,18 @@ let e14_dispatch_ablation () =
     in
     Engine.finish t;
     let st = Engine.stats t in
+    let words = minor_words_per_event ~dispatch rules events in
     record "records" ~experiment:"E14"
       Json.
         [ ("case", String (if dispatch then "dispatch" else "naive"));
           ("dispatch", Bool dispatch); ("events", Int n_events);
           ("ns_per_event", Float per_event);
           ("peak_tokens", Int st.Engine.peak_tokens);
-          ("token_visits", Int st.Engine.token_visits) ];
-    Printf.printf "%-10s %12.0f %12d %12d\n"
+          ("token_visits", Int st.Engine.token_visits);
+          ("minor_words_per_event", Float words) ];
+    Printf.printf "%-10s %12.0f %12d %12d %12.1f\n"
       (if dispatch then "dispatch" else "naive")
-      per_event st.Engine.peak_tokens st.Engine.token_visits;
+      per_event st.Engine.peak_tokens st.Engine.token_visits words;
     (per_event, st.Engine.token_visits, outs)
   in
   let ns_d, visits_d, outs_d = run true in

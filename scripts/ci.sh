@@ -22,31 +22,34 @@ echo "== wrapper gate: retired identifiers must not return =="
 # The unified client (Sdds_proxy.Client) replaced the per-deployment
 # wrappers, Proxy.Pool is the one terminal-side APDU driver,
 # Stream_view is the one view builder (Reassembler.run is its DOM sink),
-# and Output_codec sizes and codes whole streams only (an event's bytes
-# depend on the stream before it); a reappearing call site means a
-# regression to the old API, a second driver, a second builder or a
-# per-event size.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b' \
+# Output_codec sizes and codes whole streams only (an event's bytes
+# depend on the stream before it), and the engine dispatches through
+# Compile's tag ids, not the deleted per-tag site index; a reappearing
+# call site means a regression to the old API, a second driver, a
+# second builder, a per-event size or a second tag index.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Reassembler.create|feed|finish|" \
     "buffered_nodes / Stream_view.buffered_nodes /" \
-    "Output_codec.encode|decode|encoded_size identifiers found" >&2
+    "Output_codec.encode|decode|encoded_size /" \
+    "Compile.sites_for_tag|wildcard_sites|tag_known identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"
 
-echo "== bench smoke + perf-regression gate (E15..E23 vs BENCH_baseline.json) =="
+echo "== bench smoke + perf-regression gate (E14..E23 vs BENCH_baseline.json) =="
 # The smoke run writes BENCH_engine.json and gates its rows in memory.
 # Each experiment's shape claims (the [specs] table in bench/main.ml:
 # columns, tail retention 100%, error-free chaos phases, ...) must
 # hold, and the compare against the committed baseline must find every
 # baseline row and field, deterministic fields exact, simulated fields
 # within 5%, wall-clock costs grown no more than SDDS_BENCH_WALL_TOL
-# (default 75%; widen on slow shared runners). Regenerate the baseline
-# with:  dune exec bench/main.exe -- --smoke E15 E16 E17 E18 E19 E20 \
-#        E21 E22 E23 --update-baseline
-dune exec bench/main.exe -- --smoke E15 E16 E17 E18 E19 E20 E21 E22 E23 \
+# (default 75%; widen on slow shared runners). Allocation (E14's minor
+# words per event) is deterministic and held exactly. Regenerate the
+# baseline with:  dune exec bench/main.exe -- --smoke E14 E15 E16 E17 \
+#        E18 E19 E20 E21 E22 E23 --update-baseline
+dune exec bench/main.exe -- --smoke E14 E15 E16 E17 E18 E19 E20 E21 E22 E23 \
   --baseline BENCH_baseline.json
 
 echo "== perf gate self-tests: broken runs and bad input must not pass =="
@@ -70,8 +73,9 @@ expect_exit() {
 }
 # A tripled ns/event breaks the wall-clock band. A 97% tail retention
 # sits inside the simulated 5% band: only the E23 claim "tail keeps
-# 100%" catches it.
-for spec in ns_per_event=3 retention_pct=0.97; do
+# 100%" catches it. 10% more minor words per event breaks the exact
+# allocation field.
+for spec in ns_per_event=3 retention_pct=0.97 minor_words_per_event=1.1; do
   expect_exit 1 "$bench" --compare-only --baseline BENCH_baseline.json \
     --inject-regression "$spec"
 done
