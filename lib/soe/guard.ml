@@ -30,22 +30,25 @@ let seal ~key ~gid ~seq plain =
 
 let unseal = seal (* CTR is involutive *)
 
-(* The clear events form one compact sub-stream; every message adds its
-   one framing byte. *)
+(* The clear events form one compact sub-stream, each event behind its
+   own header byte. A guard message takes one header byte too: a code
+   from the codec's unused single-byte range (58-127, above its open
+   codes), so a stream with nothing sealed costs what its plain stream
+   does. *)
 let wire_bytes messages =
   let clear =
     List.filter_map (function Clear ev -> Some ev | _ -> None) messages
   in
   List.fold_left
     (fun acc msg ->
-      acc + 1
+      acc
       +
       match msg with
       | Clear _ -> 0
       | Sealed { event = Sealed_text { cipher }; _ } ->
-          4 + 2 + String.length cipher
-      | Release { key; _ } -> 4 + String.length key
-      | Drop _ -> 4)
+          1 + 4 + 2 + String.length cipher
+      | Release { key; _ } -> 1 + 4 + String.length key
+      | Drop _ -> 1 + 4)
     (Sdds_core.Output_codec.size_list clear)
     messages
 

@@ -80,6 +80,8 @@ val seal_key_bytes : int
 
 val wire_bytes : message list -> int
 (** Exact size of the message stream on the card → terminal link: the
-    [Clear] events sized as one {!Sdds_core.Output_codec} stream, plus
-    one framing byte per message, and the sealed payloads and key
-    releases with their guard ids. *)
+    [Clear] events sized as one {!Sdds_core.Output_codec} stream, and
+    each [Sealed], [Release] and [Drop] message as one header byte (a
+    code from the codec's unused single-byte range) plus its guard id
+    and its sealed payload or key. A stream with nothing sealed costs
+    exactly its plain stream. *)

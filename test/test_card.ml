@@ -372,53 +372,53 @@ let disseminate_pins =
 let protected_pins =
   [
     ("e-gate pull index -",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate pull index //patient/name",
-     "0x1.a19a4p+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.c25fd16872b03p+10 3181 2624 24 525");
+     "0x1.8dd3cp+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.ae99516872b03p+10 3029 2624 23 373");
     ("e-gate pull index //patient",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate pull scan -",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate pull scan //patient/name",
-     "0x1.048f2p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.154442d0e5604p+11 3999 2880 27 1119");
+     "0x1.daf9cp+10 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.fc6405a1cac08p+10 3641 2880 25 761");
     ("e-gate pull scan //patient",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate push index -",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate push index //patient/name",
-     "0x1.c34b4p+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.e410d16872b03p+10 3437 2624 26 525");
+     "0x1.af84cp+10 0x1.35c28f5c28f5cp+3 0x1.3a1cac083126fp+0 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.d04a516872b03p+10 3285 2624 25 373");
     ("e-gate push index //patient",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("e-gate push scan -",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.7b8c4e147ae15p+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.73851eb851eb8p+1 0x1.ep+6 0x1.70a3d70a3d70ap-4 0x1.5e404e147ae15p+11 5155 2880 31 2275");
     ("e-gate push scan //patient/name",
-     "0x1.048f2p+11 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.154442d0e5604p+11 3999 2880 27 1119");
+     "0x1.daf9cp+10 0x1.51eb851eb851fp+3 0x1.75d2f1a9fbe77p+1 0x1.ep+6 0x1.70a3d70a3d70ap-3 0x1.fc6405a1cac08p+10 3641 2880 25 761");
     ("e-gate push scan //patient",
-     "0x1.6adaap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.7b8e0872b020dp+11 5615 2880 33 2735");
+     "0x1.4d8eap+11 0x1.51eb851eb851fp+3 0x1.74ac083126e98p+1 0x1.ep+6 0x1.147ae147ae148p-3 0x1.5e420872b020dp+11 5155 2880 31 2275");
     ("fleet-se pull index -",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se pull index //patient/name",
-     "0x1.ab22d0e560419p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.746dc5d638866p+3 3181 2624 13 525");
+     "0x1.97ae147ae147bp+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.6f9096bb98c7ep+3 3029 2624 13 373");
     ("fleet-se pull index //patient",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se pull scan -",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se pull scan //patient/name",
-     "0x1.09eb851eb851fp+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.93ae147ae147bp+3 3999 2880 13 1119");
+     "0x1.e604189374bc7p+1 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.88395810624dep+3 3641 2880 13 761");
     ("fleet-se pull scan //patient",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se push index -",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se push index //patient/name",
-     "0x1.cd70a3d70a3d7p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.7d013a92a3055p+3 3437 2624 14 525");
+     "0x1.b9fbe76c8b439p+1 0x1.8c7e28240b77fp-3 0x1.a0f9096bb98c8p-4 0x1p+3 0x1.89374bc6a7efap-8 0x1.78240b780346ep+3 3285 2624 14 373");
     ("fleet-se push index //patient",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275");
     ("fleet-se push scan -",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.c741f212d7732p+3 5615 2880 13 2735");
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.eecbfb15b573ep-3 0x1p+3 0x1.89374bc6a7efap-9 0x1.b889a02752546p+3 5155 2880 13 2275");
     ("fleet-se push scan //patient/name",
-     "0x1.09eb851eb851fp+2 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.93ae147ae147bp+3 3999 2880 13 1119");
+     "0x1.e604189374bc7p+1 0x1.b089a02752546p-3 0x1.f141205bc01a4p-3 0x1p+3 0x1.89374bc6a7efap-8 0x1.88395810624dep+3 3641 2880 13 761");
     ("fleet-se push scan //patient",
-     "0x1.715810624dd2fp+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.c7532617c1bdap+3 5615 2880 13 2735")
+     "0x1.53e76c8b43958p+2 0x1.b089a02752546p-3 0x1.f0068db8bac71p-3 0x1p+3 0x1.26e978d4fdf3bp-8 0x1.b89ad42c3c9efp+3 5155 2880 13 2275")
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -617,8 +617,9 @@ let test_protected_breakdown_consistent () =
     | Ok o -> o.Proxy.card_report
     | Error e -> Alcotest.failf "protected failed: %a" Proxy.pp_error e
   in
-  (* Guarded streams are strictly larger (framing + key releases), and the
-     byte delta must appear in the transfer accounting. *)
+  (* Guarded streams are strictly larger (guard messages and key
+     releases), and the byte delta must appear in the transfer
+     accounting. *)
   Alcotest.(check bool) "guarded output larger" true
     (prot.Card.output_bytes > plain.Card.output_bytes);
   Alcotest.(check int) "bytes_transferred reflects the delta"

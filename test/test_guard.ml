@@ -54,6 +54,7 @@ let count p messages = List.length (List.filter p messages)
 let is_sealed = function Guard.Sealed _ -> true | _ -> false
 let is_release = function Guard.Release _ -> true | _ -> false
 let is_drop = function Guard.Drop _ -> true | _ -> false
+let is_clear = function Guard.Clear _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 
@@ -231,6 +232,20 @@ let test_wire_bytes_accounts_everything () =
       Alcotest.(check bool) "monotone" true (Guard.wire_bytes without < total))
     messages
 
+(* Under a static policy nothing is sealed, so the guarded stream is the
+   plain stream byte for byte: no framing is charged on clear events. *)
+let test_static_wire_bytes_are_plain () =
+  let doc = Generator.hospital (Rng.create 11L) ~patients:6 in
+  let rules = [ allow "//patient"; deny "//ssn" ] in
+  let _, messages = protect rules doc in
+  Alcotest.(check int) "sealed messages" 0
+    (count (fun m -> not (is_clear m)) messages);
+  Alcotest.(check int) "guarded bytes = plain bytes"
+    (Sdds_core.Output_codec.size_list (Engine.run rules (Dom.to_events doc)))
+    (Guard.wire_bytes messages)
+
 let wire_suite =
   [ Alcotest.test_case "guard wire bytes monotone" `Quick
-      test_wire_bytes_accounts_everything ]
+      test_wire_bytes_accounts_everything;
+    Alcotest.test_case "static guard wire bytes are plain" `Quick
+      test_static_wire_bytes_are_plain ]
