@@ -91,8 +91,6 @@ let compile ?query rules =
   in
   { spines; preds; paths; step_tags; tag_ids; canon }
 
-let pred t id = t.preds.(id)
-
 let tag_id t tag =
   match Hashtbl.find t.tag_ids tag with
   | id -> id

@@ -3,9 +3,10 @@
     Each XPath becomes a {e spine} (the navigational path, Figure 2's white
     states) whose steps may reference compiled {e predicate paths}
     (Figure 2's gray states). Predicate paths nest. The runtime (see
-    {!Engine}) walks these arrays with a token stack; this module also
-    provides the reachability test the skip index uses to discard automata
-    inside a subtree from its tag bitmap. *)
+    {!Engine}) walks these arrays with a token stack, comparing the
+    integer tag ids this module assigns instead of tag strings; this
+    module also provides the reachability test the skip index uses to
+    discard automata inside a subtree from its tag bitmap. *)
 
 type pred_id = int
 
@@ -61,8 +62,6 @@ type t = {
 
 val compile : ?query:Sdds_xpath.Ast.t -> Rule.t list -> t
 (** Rules must already be filtered to one subject. *)
-
-val pred : t -> pred_id -> cpred
 
 val tag_id : t -> string -> int
 (** The id of a literal tag in [tag_ids], [-1] when no step names it. *)

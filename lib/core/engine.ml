@@ -543,7 +543,7 @@ and resolve_deps t v b = function
       end;
       resolve_deps t v b rest
 
-let add_rdep inst dep t =
+let add_rdep t inst dep =
   match inst.deps with
   | [] ->
       inst.deps <- [ dep ];
@@ -554,7 +554,7 @@ let rec add_rdeps t dep = function
   | [] -> ()
   | v :: rest ->
       let i = live_index t v in
-      if i >= 0 then add_rdep t.live.(i) dep t;
+      if i >= 0 then add_rdep t t.live.(i) dep;
       add_rdeps t dep rest
 
 (* Register a fired candidate (a conjunction of condition vars) on a
@@ -733,11 +733,19 @@ let settle_fresh t =
     t.n_fresh <- !k
   end
 
-let rec fresh_has_allow t i =
-  i < t.n_fresh && (is_allow_spine t t.fresh.(i).path || fresh_has_allow t (i + 1))
+(* The automata the suppression decision and the skip analysis ask
+   about. *)
+type automaton = Pred_automaton | Allow_automaton | Query_automaton
 
-let rec fresh_has_query t i =
-  i < t.n_fresh && (is_query_spine t t.fresh.(i).path || fresh_has_query t (i + 1))
+let is_automaton t kind path =
+  match kind with
+  | Pred_automaton -> path >= t.n_spines
+  | Allow_automaton -> is_allow_spine t path
+  | Query_automaton -> is_query_spine t path
+
+let rec fresh_has t kind i =
+  i < t.n_fresh
+  && (is_automaton t kind t.fresh.(i).path || fresh_has t kind (i + 1))
 
 let fired is_true = function
   | [] -> if is_true then Cond.tt else Cond.ff
@@ -801,9 +809,9 @@ let open_tag t tag =
     parent.suppressed
     || t.suppress_enabled
        && ((det = Det_deny
-           && not (parent.desc_has_allow || fresh_has_allow t 0))
+           && not (parent.desc_has_allow || fresh_has t Allow_automaton 0))
           || (scope = Out_scope
-             && not (parent.desc_has_query || fresh_has_query t 0)))
+             && not (parent.desc_has_query || fresh_has t Query_automaton 0)))
   in
   push_frame t parent ~tag ~det ~scope ~suppressed ~inst_lo;
   bump_peaks t;
@@ -944,14 +952,8 @@ let sim_visit t tok id =
     end
   end
 
-(* The automata the lookahead asks about. *)
-type sim_kind = Pred_automaton | Allow_automaton | Query_automaton
-
 let sim_alive t kind path pos ~tag_possible ~nonempty =
-  (match kind with
-  | Pred_automaton -> path >= t.n_spines
-  | Allow_automaton -> is_allow_spine t path
-  | Query_automaton -> is_query_spine t path)
+  is_automaton t kind path
   && Compile.can_complete t.compiled.Compile.paths.(path) ~from:pos
        ~tag_possible ~nonempty
 

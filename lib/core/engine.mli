@@ -44,11 +44,14 @@ val create :
     ([Deny] — closed world). [suppress] (default [true]) enables the
     suspension optimization; disabling it emits every event annotated,
     which the ablation benchmark uses. [dispatch] (default [true]) enables
-    tag-indexed token dispatch: each frame's tokens are bucketed by their
-    next-step test so an open event only visits the tokens whose next step
-    is [Any], condition-bearing, or literally named after the incoming tag;
-    descendant self-loops become structural sharing of the parent's bucket
-    map. Disabling it reproduces the naive linear scan over every live
+    tag-indexed token dispatch: each token is classed by its next step, so
+    an open event only visits the tokens whose next step is [Any],
+    condition-bearing, or waiting for the incoming tag's id (from
+    {!Compile.tag_id}). Frames are reused records on one stack; each owns
+    a slice of an own-token stack (its visited-every-open and child-axis
+    tokens, in token order) and of a descendant stack, whose slice a
+    child frame inherits and extends — the O(1) descendant self-loop.
+    Disabling dispatch reproduces the naive linear scan over every live
     token — both modes produce byte-identical output streams (the
     differential tests enforce this), and the naive mode serves as the
     oracle.
@@ -127,6 +130,7 @@ val stats : t -> stats
 val state_words : t -> int
 (** Current size of the engine's working state (frames, tokens, predicate
     instances, watchers), in machine words — what must fit in the SOE's
-    secure RAM. *)
+    secure RAM. Kept as running sums updated where the state changes, so
+    reading it (and the gauges every open sets) costs O(1). *)
 
 val depth : t -> int
