@@ -1165,7 +1165,13 @@ let e11_guard_overhead () =
       ("structural predicate ([folder])",
        [ Rule.allow ~subject:"u" "//patient[folder]/name" ]);
       ("predicate never satisfied",
-       [ Rule.allow ~subject:"u" {|//patient[age>"150"]|} ]) ]
+       [ Rule.allow ~subject:"u" {|//patient[age>"150"]|} ]);
+      ("patients, deny any age > 50",
+       [ Rule.allow ~subject:"u" "//patient";
+         Rule.deny ~subject:"u" {|//*[age>"50"]|} ]);
+      ("[folder], deny patient age > 50",
+       [ Rule.allow ~subject:"u" "//patient[folder]";
+         Rule.deny ~subject:"u" {|//patient[age>"50"]|} ]) ]
   in
   List.iter
     (fun (name, rules) ->
