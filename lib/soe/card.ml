@@ -401,8 +401,19 @@ let tag_table_entries outputs =
     outputs;
   Tags.length seen
 
+(* The evaluator state is counted in abstract field-words (token
+   positions, rule ids, condition ids — all small integers); the on-card
+   C implementation the paper prototyped packs such a field in ~2 bytes,
+   which is the factor used here. *)
+let packed_bytes_per_word = 2
+
+(* A live guard holds its one-time key, and its id and message counter
+   as two packed fields. *)
+let guard_bytes = Guard.seal_key_bytes + (2 * packed_bytes_per_word)
+
 (* [wire] turns the engine's outputs into the stream that crosses the
-   link, with that stream's exact size. *)
+   link, with that stream's exact size and the bytes the card held to
+   produce it. *)
 let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
     () =
   Obs.Tracer.with_span (Obs.tracer t.obs)
@@ -551,21 +562,20 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
             let st = res.Indexed_engine.engine_stats in
             Cost.charge_events meter ~events:res.Indexed_engine.events_fed
               ~tokens:st.Sdds_core.Engine.token_visits;
-            let stream, out_bytes = wire res.Indexed_engine.outputs in
+            let stream, out_bytes, held_bytes =
+              wire res.Indexed_engine.outputs
+            in
             Cost.charge_transfer meter ~bytes:out_bytes;
-            (* 7. RAM budget: engine + reader + output tag table + chunk
-               buffer + runtime slack. The evaluator state is counted in
-               abstract field-words (token positions, rule ids, condition
-               ids — all small integers); the on-card C implementation the
-               paper prototyped packs such a field in ~2 bytes, which is
-               the factor used here. A tag-table entry is one such field:
-               the tag's id in the reader's dictionary. *)
-            let packed_bytes_per_word = 2 in
+            (* 7. RAM budget: engine + reader + output tag table + the
+               wire step's held state + chunk buffer + runtime slack. A
+               tag-table entry is one packed field: the tag's id in the
+               reader's dictionary. *)
             let ram_bytes =
               (packed_bytes_per_word
               * (st.Sdds_core.Engine.peak_state_words
                 + res.Indexed_engine.reader_peak_words
                 + tag_table_entries res.Indexed_engine.outputs))
+              + held_bytes
               + source.chunk_plain_bytes + 16 (* chunk buffer *)
               + 128 (* fixed runtime state *)
             in
@@ -604,7 +614,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
 
 let evaluate t source ~encrypted_rules ?query ?use_index () =
   evaluate_with t source ~encrypted_rules ?query ?use_index ()
-    ~wire:(fun outputs -> (outputs, Output_codec.size_list outputs))
+    ~wire:(fun outputs -> (outputs, Output_codec.size_list outputs, 0))
 
 let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
   evaluate_with t source ~encrypted_rules ?query ?use_index ()
@@ -617,7 +627,9 @@ let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
         List.concat_map (Guard.Protector.feed protector) outputs
         @ Guard.Protector.finish protector
       in
-      (messages, Guard.wire_bytes messages))
+      ( messages,
+        Guard.wire_bytes messages,
+        guard_bytes * Guard.Protector.peak_live_guards protector ))
 
 (* ------------------------------------------------------------------ *)
 (* Dissemination: one stream, N subscribers, clustered evaluation      *)

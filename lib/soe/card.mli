@@ -25,9 +25,12 @@
     distinct tag the output stream opens, for the output encoder's
     first-occurrence table ({!Sdds_core.Output_codec}), whose entries
     are ids in the reader's tag dictionary — so the table is bounded by
-    the document's dictionary, not by its length; the plaintext chunk
-    buffer plus 16 bytes; and 128 bytes of fixed runtime state. Resident
-    cache entries shrink the budget the sum is checked against.
+    the document's dictionary, not by its length; on
+    {!evaluate_protected}, 20 bytes per guard at the protector's peak
+    (its 16-byte key, and its id and message counter as two packed
+    fields); the plaintext chunk buffer plus 16 bytes; and 128 bytes of
+    fixed runtime state. Resident cache entries shrink the budget the
+    sum is checked against.
 
     Simulation note: the simulator decrypts all chunks up front and
     replays the byte ranges the skip index actually touched for
@@ -289,4 +292,7 @@ val evaluate_protected :
     under one-time keys, released only on positive resolution. The
     guarded stream is what crosses the link: the breakdown charges its
     transfer, and the report's [output_bytes] and the [card.output_bytes]
-    histogram record its wire size. *)
+    histogram record its wire size. The protector's peak live guards
+    count toward the RAM check, so a policy that keeps many regions
+    pending at once can fail with [Memory_exceeded] here where
+    {!evaluate} fits. *)

@@ -522,6 +522,33 @@ let protected c src ~encrypted_rules ~query ~use_index =
 
 let test_evaluate_pins () = check_exact evaluate_pins (evaluate_lines plain)
 
+(* Guard state is card RAM. On the e-gate, a deny predicate on every
+   element keeps a region pending per patient field until the patient's
+   age is read: the plain evaluation fits, the protected one does not. A
+   single pending rule holds one guard and still fits. *)
+let test_guard_ram () =
+  let w = hospital_world () in
+  let run eval rules =
+    let encrypted_rules =
+      blob w ~doc_id:"hospital" ~subject:"u" (rules ~subject:"u")
+    in
+    eval
+      (card ~profile:Cost.egate w ~doc_id:"hospital")
+      (source w ~doc_id:"hospital") ~encrypted_rules ~query:None
+      ~use_index:true
+  in
+  let deny_old ~subject =
+    [ Rule.allow ~subject "//patient"; Rule.deny ~subject {|//*[age>"50"]|} ]
+  in
+  let old_only ~subject = [ Rule.allow ~subject {|//patient[age>"50"]|} ] in
+  let report = or_fail Card.pp_error (run plain deny_old) in
+  Alcotest.(check int) "plain RAM" 804 report.Card.ram_peak_bytes;
+  (match run protected deny_old with
+  | Error (Card.Memory_exceeded _) -> ()
+  | Ok r -> Alcotest.failf "protected fits at %d B" r.Card.ram_peak_bytes
+  | Error e -> Alcotest.failf "%a" Card.pp_error e);
+  ignore (or_fail Card.pp_error (run protected old_only))
+
 let test_disseminate_pins () =
   check_exact disseminate_pins (disseminate_lines ())
 
@@ -543,4 +570,5 @@ let suite =
       Alcotest.test_case "evaluate breakdown pins" `Quick test_evaluate_pins;
       Alcotest.test_case "disseminate breakdown pins" `Quick
         test_disseminate_pins;
-      Alcotest.test_case "protected breakdown pins" `Quick test_protected_pins ]
+      Alcotest.test_case "protected breakdown pins" `Quick test_protected_pins;
+      Alcotest.test_case "guard state charged as RAM" `Quick test_guard_ram ]
