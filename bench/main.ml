@@ -1183,8 +1183,8 @@ let e11_guard_overhead () =
       in
       let messages =
         List.concat_map (Sdds_soe.Guard.Protector.feed protector) outs
-        @ Sdds_soe.Guard.Protector.finish protector
       in
+      Sdds_soe.Guard.Protector.finish protector;
       let guarded_bytes = Sdds_soe.Guard.wire_bytes messages in
       let unsealer = Sdds_soe.Guard.Unsealer.create ~has_query:false () in
       List.iter (Sdds_soe.Guard.Unsealer.feed unsealer) messages;

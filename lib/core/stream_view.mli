@@ -1,5 +1,7 @@
 (** The authorized view, built incrementally: the one implementation of
-    the view semantics. {!Reassembler.run} is a DOM sink over it.
+    the view semantics, whose status rule ({!Settle}) also drives the
+    card's guard statuses ([Sdds_soe.Guard.Protector]).
+    {!Reassembler.run} is a DOM sink over it.
 
     The view keeps the nodes whose decision is Allow (and that lie inside
     a query match, when a query was given) in full, keeps their ancestors
@@ -16,7 +18,8 @@
     unresolved regions of the stream — O(depth) when no rule is pending —
     instead of the whole document. The work is amortized O(1) per event
     when no condition is pending: a node's status is computed once, when
-    it settles, and each buffered item is released or dropped once. *)
+    it settles ({!Settle}), and each buffered item is released or dropped
+    once. *)
 
 type t
 

@@ -623,10 +623,8 @@ let evaluate_protected t source ~encrypted_rules ?query ?use_index () =
         Guard.Protector.create (guard_drbg t source)
           ~has_query:(query <> None) ()
       in
-      let messages =
-        List.concat_map (Guard.Protector.feed protector) outputs
-        @ Guard.Protector.finish protector
-      in
+      let messages = List.concat_map (Guard.Protector.feed protector) outputs in
+      Guard.Protector.finish protector;
       ( messages,
         Guard.wire_bytes messages,
         guard_bytes * Guard.Protector.peak_live_guards protector ))

@@ -1,10 +1,10 @@
 module Output = Sdds_core.Output
-module Cond = Sdds_core.Cond
 module Rule = Sdds_core.Rule
 module Mode = Sdds_crypto.Mode
 module Aes = Sdds_crypto.Aes
 module Drbg = Sdds_crypto.Drbg
 module Reassembler = Sdds_core.Reassembler
+module Settle = Sdds_core.Settle
 
 let seal_key_bytes = 16
 
@@ -53,209 +53,101 @@ let wire_bytes messages =
     messages
 
 module Protector = struct
-  (* A guard record: the one-time key plus everything needed to decide,
-     once its conditions resolve, whether the region is visible. *)
-  type grecord = {
-    gid : int;
-    key : string;
-    mutable g_neg : Cond.t;
-    mutable g_pos : Cond.t;
-    mutable g_query : Cond.t;
-    parent : parent_link;
-    mutable outcome : (Rule.sign * bool) option;
-        (* (decision, in_scope) once finalized *)
-    mutable seq : int;  (* sealed-message counter *)
+  (* A one-time key. The unsettled node that opened it owns it; its
+     descendants whose status is purely inherited share it. *)
+  type guard = { gid : int; key : string; mutable seq : int (* sealed *) }
+
+  (* The data of a node settled when it opened. *)
+  let no_guard = { gid = -1; key = ""; seq = 0 }
+
+  type book = {
+    drbg : Drbg.t;
+    mutable out : message list;  (* this event's messages, last first *)
+    mutable next_gid : int;
+    mutable live : int;
+    mutable peak : int;
   }
-
-  and parent_link = P_det of Rule.sign * bool | P_rec of grecord
-
-  type frame_status = F_det of Rule.sign * bool | F_pending of grecord
 
   type t = {
-    drbg : Drbg.t;
-    has_query : bool;
-    mutable frames : frame_status list;  (* top first; root sentinel last *)
-    mutable live : grecord list;
-    mutable next_gid : int;
-    mutable peak : int;
-    values : (Cond.var, bool) Hashtbl.t;
+    book : book;
+    settle : guard Settle.t;
+    mutable stack : guard Settle.node list;  (* open, innermost first *)
   }
 
-  let create drbg ?(default = Rule.Deny) ~has_query () =
-    {
-      drbg;
-      has_query;
-      frames = [ F_det (default, not has_query) ];
-      live = [];
-      next_gid = 0;
-      peak = 0;
-      values = Hashtbl.create 32;
-    }
-
-  let live_guards t = List.length t.live
-  let peak_live_guards t = t.peak
-
-  let lookup t v = Hashtbl.find_opt t.values v
-
-  let parent_outcome = function
-    | F_det (d, s) -> Some (d, s)
-    | F_pending r -> r.outcome
-
-  (* Status of a node being opened, given its (already substituted)
-     expressions and its parent's status. Creates a guard record when the
-     visibility is not yet determined by this node's own conditions. *)
-  let open_status t parent ~neg ~pos ~query =
-    let pout = parent_outcome parent in
-    let decision =
-      match (Cond.to_bool neg, Cond.to_bool pos) with
-      | Some true, _ -> Some Rule.Deny
-      | Some false, Some true -> Some Rule.Allow
-      | Some false, Some false -> Option.map fst pout
-      | Some false, None | None, _ -> None
-    in
-    let scope =
-      if not t.has_query then Some true
-      else
-        match (pout, Cond.to_bool query) with
-        | Some (_, true), _ -> Some true
-        | _, Some true -> Some true
-        | Some (_, false), Some false -> Some false
-        | _, _ -> None
-    in
-    match (decision, scope) with
-    | Some d, Some s -> F_det (d, s)
-    | _ -> (
-        let own_trivial =
-          Cond.to_bool neg = Some false
-          && Cond.to_bool pos = Some false
-          && ((not t.has_query) || Cond.to_bool query = Some false)
-        in
-        match (parent, own_trivial) with
-        | F_pending r, true ->
-            (* Pendingness is purely inherited: same condition, same key. *)
-            F_pending r
-        | (F_det _ | F_pending _), _ ->
-            let r =
-              {
-                gid = t.next_gid;
-                key = Drbg.generate t.drbg seal_key_bytes;
-                g_neg = neg;
-                g_pos = pos;
-                g_query = query;
-                parent =
-                  (match parent with
-                  | F_det (d, s) -> P_det (d, s)
-                  | F_pending p -> P_rec p);
-                outcome = None;
-                seq = 0;
-              }
-            in
-            t.next_gid <- t.next_gid + 1;
-            t.live <- r :: t.live;
-            if List.length t.live > t.peak then t.peak <- List.length t.live;
-            F_pending r)
-
-  (* Try to finalize [r]: possible when its own expressions are constant
-     and its parent is decided. Cascades into records whose parent was
-     [r]. *)
-  let rec finalize t out r =
-    if r.outcome = None then begin
-      let pout =
-        match r.parent with P_det (d, s) -> Some (d, s) | P_rec p -> p.outcome
-      in
-      match
-        (Cond.to_bool r.g_neg, Cond.to_bool r.g_pos, Cond.to_bool r.g_query, pout)
-      with
-      | Some neg, Some pos, query_const, Some (pdec, pscope) ->
-          let query_known =
-            (not t.has_query) || pscope || query_const <> None
-          in
-          if query_known then begin
-            let decision =
-              if neg then Rule.Deny else if pos then Rule.Allow else pdec
-            in
-            let in_scope =
-              (not t.has_query) || pscope || query_const = Some true
-            in
-            r.outcome <- Some (decision, in_scope);
-            t.live <- List.filter (fun x -> x.gid <> r.gid) t.live;
-            let visible = decision = Rule.Allow && in_scope in
-            out :=
-              (if visible then Release { guard = r.gid; key = r.key }
-               else Drop { guard = r.gid })
-              :: !out;
-            (* Children waiting on this outcome can now settle. *)
-            List.iter (fun child -> finalize t out child) t.live
-          end
-      | _, _, _, _ -> ()
+  (* A guard goes when its owner settles; its sharers settle with it. *)
+  let on_settle b (n : guard Settle.node) =
+    let g = n.data in
+    if g != no_guard && g != n.parent.data then begin
+      b.out <-
+        (if Settle.visible n then Release { guard = g.gid; key = g.key }
+         else Drop { guard = g.gid })
+        :: b.out;
+      b.live <- b.live - 1
     end
 
-  let on_resolve t out v b =
-    Hashtbl.replace t.values v b;
-    let subst = Cond.subst (fun v' -> if v' = v then Some b else None) in
-    List.iter
-      (fun r ->
-        r.g_neg <- subst r.g_neg;
-        r.g_pos <- subst r.g_pos;
-        r.g_query <- subst r.g_query)
-      t.live;
-    List.iter (fun r -> finalize t out r) t.live
+  let create drbg ?default ~has_query () =
+    let book = { drbg; out = []; next_gid = 0; live = 0; peak = 0 } in
+    let on_settle = on_settle book in
+    { book; settle = Settle.create ?default ~has_query ~on_settle no_guard;
+      stack = [] }
+
+  let live_guards t = t.book.live
+  let peak_live_guards t = t.book.peak
+
+  let new_guard b =
+    let key = Drbg.generate b.drbg seal_key_bytes in
+    let g = { gid = b.next_gid; key; seq = 0 } in
+    b.next_gid <- b.next_gid + 1;
+    b.live <- b.live + 1;
+    if b.live > b.peak then b.peak <- b.live;
+    g
 
   let feed t ev =
-    let out = ref [] in
+    let b = t.book in
     (match ev with
-    | Output.Open_node { tag = _; neg; pos; query } -> (
-        match t.frames with
-        | [] -> invalid_arg "Guard.Protector: no frames"
-        | parent :: _ ->
-            (* Conditions may have resolved since the engine emitted the
-               event; substitute with everything seen so far. *)
-            let neg = Cond.subst (lookup t) neg in
-            let pos = Cond.subst (lookup t) pos in
-            let query = Cond.subst (lookup t) query in
-            let status = open_status t parent ~neg ~pos ~query in
-            t.frames <- status :: t.frames;
-            out := Clear ev :: !out)
+    | Output.Open_node { tag = _; neg; pos; query } ->
+        let parent =
+          match t.stack with p :: _ -> p | [] -> Settle.root t.settle
+        in
+        let n = Settle.add t.settle ~parent ~neg ~pos ~query no_guard in
+        if not (Settle.settled n) then
+          Settle.set_data n
+            (if Settle.inherits t.settle n then parent.data else new_guard b);
+        t.stack <- n :: t.stack;
+        b.out <- Clear ev :: b.out
     | Output.Text_node v -> (
-        match t.frames with
-        | [] | [ _ ] -> invalid_arg "Guard.Protector: text outside elements"
-        | top :: _ -> (
-            match top with
-            | F_det (Rule.Allow, true) -> out := Clear ev :: !out
-            | F_det (_, _) ->
-                (* Determinately invisible: nothing to protect, nothing to
-                   deliver (the engine drops these anyway). *)
-                ()
-            | F_pending r -> (
-                match r.outcome with
-                | Some (Rule.Allow, true) -> out := Clear ev :: !out
-                | Some _ -> ()
-                | None ->
-                    let cipher = seal ~key:r.key ~gid:r.gid ~seq:r.seq v in
-                    r.seq <- r.seq + 1;
-                    out :=
-                      Sealed { guard = r.gid; event = Sealed_text { cipher } }
-                      :: !out)))
+        match t.stack with
+        | [] -> invalid_arg "Guard.Protector: text outside elements"
+        | n :: _ ->
+            if Settle.visible n then b.out <- Clear ev :: b.out
+            else if not (Settle.settled n) then begin
+              let g = n.data in
+              let cipher = seal ~key:g.key ~gid:g.gid ~seq:g.seq v in
+              g.seq <- g.seq + 1;
+              b.out <-
+                Sealed { guard = g.gid; event = Sealed_text { cipher } }
+                :: b.out
+            end
+            (* else determinately invisible: nothing to protect, nothing
+               to deliver (the engine drops these anyway). *))
     | Output.Close_node _ -> (
-        match t.frames with
-        | [] | [ _ ] -> invalid_arg "Guard.Protector: close without open"
+        match t.stack with
+        | [] -> invalid_arg "Guard.Protector: close without open"
         | _ :: rest ->
-            t.frames <- rest;
-            out := Clear ev :: !out)
-    | Output.Resolve (v, b) ->
-        out := Clear ev :: !out;
-        on_resolve t out v b);
-    List.rev !out
+            t.stack <- rest;
+            b.out <- Clear ev :: b.out)
+    | Output.Resolve (v, value) ->
+        b.out <- Clear ev :: b.out;
+        Settle.resolve t.settle v value);
+    let messages = List.rev b.out in
+    b.out <- [];
+    messages
 
   let finish t =
-    (match t.frames with
-    | [ F_det _ ] -> ()
-    | _ -> invalid_arg "Guard.Protector.finish: elements still open");
-    (* On a complete stream every condition has resolved, so no live
-       record can remain. *)
-    if t.live <> [] then
-      invalid_arg "Guard.Protector.finish: unresolved guards";
-    []
+    if t.stack != [] then
+      invalid_arg "Guard.Protector.finish: elements still open";
+    if t.book.live > 0 then
+      invalid_arg "Guard.Protector.finish: unresolved guards"
 end
 
 module Unsealer = struct

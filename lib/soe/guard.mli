@@ -15,11 +15,17 @@
     clear — the same structural disclosure the access-control model
     already accepts for the bare-tag ancestors of authorized nodes (and
     that the skip index's structural metadata implies). What is protected
-    is the data: text content. A guard is opened per node whose visibility
-    becomes undetermined {e by its own conditions}; descendants whose
-    pendingness is purely inherited share the ancestor's guard, so the
-    number of live guards is bounded by the pending nodes whose conditions
-    are still open, not by the subtree size.
+    is the data: text content. Visibility settles by the view builder's
+    own rule ({!Sdds_core.Settle}, which {!Sdds_core.Stream_view} runs
+    too): a node settles Deny as soon as its deny condition holds, and
+    Allow as soon as that fails and its allow condition holds, without
+    waiting for its ancestors' decision (under a query, its scope must be
+    known too). Text under a settled node goes in clear when visible and
+    is not sent at all otherwise. A guard is opened per node still
+    unsettled when it opens; descendants whose own conditions are all
+    false inherit its status and share its guard. A guard is released or
+    dropped the moment its node settles, so the live guards are the
+    unsettled nodes that own one, not the subtree size.
 
     [Protector] runs inside the SOE (downstream of [Engine]);
     {!Unsealer} runs on the terminal (upstream of the view builder,
@@ -44,17 +50,20 @@ module Protector : sig
   (** Configuration must match the engine producing the stream. *)
 
   val feed : t -> Sdds_core.Output.t -> message list
-  (** Raises [Invalid_argument] on a malformed stream. *)
+  (** The event's own message, then the [Release] and [Drop] of every
+      guard it settles. Raises [Invalid_argument] on a malformed stream,
+      including a second [Resolve] of one variable. *)
 
-  val finish : t -> message list
-  (** Flush: resolves any guard still undecided (cannot happen on a
-      complete stream — every condition resolves by document end — but
-      kept total). Raises [Invalid_argument] if elements are still
-      open. *)
+  val finish : t -> unit
+  (** Checks completeness: every guard is released or dropped by the
+      end of a complete stream, since every condition resolves by the
+      document's end. Raises [Invalid_argument] if elements are still
+      open or a guard is unsettled. *)
 
   val live_guards : t -> int
-  (** Currently-held guard records (keys + visibility conditions) — part
-      of the SOE working set. *)
+  (** Guards currently held: a key, an id and a message counter each,
+      part of the SOE working set ({!Card.evaluate_protected} charges
+      the peak). *)
 
   val peak_live_guards : t -> int
 end

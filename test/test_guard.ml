@@ -33,7 +33,7 @@ let protect ?default ?query rules doc =
         (Engine.feed engine ev))
     (Dom.to_events doc);
   Engine.finish engine;
-  messages := List.rev_append (Guard.Protector.finish protector) !messages;
+  Guard.Protector.finish protector;
   (protector, List.rev !messages)
 
 let unseal_view ?default ?query messages =
@@ -138,6 +138,20 @@ let test_shared_guard_for_inherited_pendingness () =
   let view, _ = unseal_view messages in
   Alcotest.check dom_opt "view" (Oracle.authorized_view ~rules doc) view
 
+(* b is denied once x is seen, before y could allow it: "secret" arrives
+   under a region already known invisible, so nothing of it is sent,
+   neither in clear nor sealed. *)
+let test_settled_deny_sends_nothing () =
+  let doc = Xml_parser.dom_of_string "<a><b><x/><t>secret</t><y/></b></a>" in
+  let rules = [ allow "//b[y]"; deny "//b[x]" ] in
+  let _, messages = protect rules doc in
+  Alcotest.(check int) "no sealed" 0 (count is_sealed messages);
+  Alcotest.(check (list string)) "no clear text" [] (clear_texts messages);
+  let view, u = unseal_view messages in
+  Alcotest.check dom_opt "view" (Oracle.authorized_view ~rules doc) view;
+  Alcotest.(check int) "nothing withheld" 0
+    (Guard.Unsealer.sealed_bytes_withheld u)
+
 let expand_case ~with_query seed =
   let rng = Rng.create (Int64.of_int seed) in
   let tags = [| "a"; "b"; "c"; "d"; "e" |] in
@@ -166,15 +180,20 @@ let expand_case ~with_query seed =
   in
   (doc, rules, query)
 
+(* A seed and the default decision, Deny or Allow. *)
+let gen_case =
+  QCheck2.Gen.(
+    pair (int_bound 1_000_000)
+      (map (fun b -> if b then Rule.Allow else Rule.Deny) bool))
+
 let qcheck_guard_preserves_view =
   QCheck2.Test.make ~name:"protect/unseal preserves the authorized view"
-    ~count:400
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
+    ~count:400 gen_case
+    (fun (seed, default) ->
       let doc, rules, query = expand_case ~with_query:true seed in
-      let _, messages = protect ?query rules doc in
-      let view, _ = unseal_view ?query messages in
-      let expected = Oracle.authorized_view ?query ~rules doc in
+      let _, messages = protect ~default ?query rules doc in
+      let view, _ = unseal_view ~default ?query messages in
+      let expected = Oracle.authorized_view ~default ?query ~rules doc in
       match (expected, view) with
       | None, None -> true
       | Some a, Some b -> Dom.equal a b
@@ -184,12 +203,12 @@ let qcheck_guard_secrecy =
   (* Whatever text the oracle view does NOT contain must never cross the
      boundary in clear. *)
   QCheck2.Test.make ~name:"hidden text never flows in clear" ~count:400
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
+    gen_case
+    (fun (seed, default) ->
       let doc, rules, query = expand_case ~with_query:true seed in
-      let _, messages = protect ?query rules doc in
+      let _, messages = protect ~default ?query rules doc in
       let visible_texts =
-        match Oracle.authorized_view ?query ~rules doc with
+        match Oracle.authorized_view ~default ?query ~rules doc with
         | None -> []
         | Some v ->
             let acc = ref [] in
@@ -216,6 +235,8 @@ let suite =
       test_determinate_allow_inside_pending_is_clear;
     Alcotest.test_case "shared guard" `Quick
       test_shared_guard_for_inherited_pendingness;
+    Alcotest.test_case "settled deny sends nothing" `Quick
+      test_settled_deny_sends_nothing;
     QCheck_alcotest.to_alcotest qcheck_guard_preserves_view;
     QCheck_alcotest.to_alcotest qcheck_guard_secrecy;
   ]
