@@ -417,7 +417,8 @@ let wall_tolerance () =
           exit 2)
 
 (* --inject-regression FIELD=FACTOR: the self-test for the gate (CI
-   asserts the gate then fails). *)
+   asserts the gate then fails). It needs a baseline: the injected value
+   is FACTOR times the baseline's. *)
 let parse_injection spec =
   match String.index_opt spec '=' with
   | None ->
@@ -433,21 +434,36 @@ let parse_injection spec =
           Printf.eprintf "bench: bad --inject-regression factor in %S\n" spec;
           exit 2)
 
-(* Multiply every numeric field named [field] of the gated document. *)
-let inject_regression (field, factor) j =
-  let rec go = function
-    | Json.Obj fields ->
+(* Set every field named [field] of a gated row to [factor] times its
+   value in the baseline's matching row, so the injected regression has
+   the same size however fast the host ran this time. Rows and fields the
+   baseline lacks keep their value. *)
+let inject_regression ~base (field, factor) doc =
+  let inject spec row =
+    let key = row_key spec.keys row in
+    let same b = row_key spec.keys b = key in
+    match (List.find_opt same (rows_of spec.name base), row) with
+    | Some brow, Json.Obj fields ->
         Json.Obj
           (List.map
              (fun (k, v) ->
-               match Json.to_float_opt v with
-               | Some f when k = field -> (k, Json.Float (f *. factor))
-               | _ -> (k, go v))
+               match Option.bind (Json.member k brow) Json.to_float_opt with
+               | Some b when k = field -> (k, Json.Float (b *. factor))
+               | _ -> (k, v))
              fields)
-    | Json.List l -> Json.List (List.map go l)
-    | v -> v
+    | _ -> row
   in
-  go j
+  match doc with
+  | Json.Obj members ->
+      Json.Obj
+        (List.map
+           (fun (name, v) ->
+             match List.find_opt (fun s -> s.name = name) specs with
+             | Some spec ->
+                 (name, Json.List (List.map (inject spec) (rows_of name doc)))
+             | None -> (name, v))
+           members)
+  | j -> j
 
 (* Compare [current] against the baseline document: each field of a
    matched row by its class, and every baseline row and field of a
@@ -2546,21 +2562,26 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (Array.to_list Sys.argv |> List.tl) in
+  if !injection <> None && (!baseline = None || !update_baseline) then begin
+    prerr_endline "--inject-regression requires --baseline FILE to compare";
+    exit 2
+  end;
   let tol = wall_tolerance () in
   (* The gate: the shape claims of the [selected] experiments' arrays,
      then (unless promoting) the compare against the baseline. Returns
      the number of failures. *)
   let gate ~selected doc =
-    let doc =
-      Option.fold ~none:doc ~some:(fun i -> inject_regression i doc) !injection
-    in
-    let failures = check_shape ~selected doc in
     match !baseline with
     | Some path when not !update_baseline ->
-        failures
-        + compare_baseline ~tol ~selected ~baseline_path:path
-            (load_bench_json path) doc
-    | _ -> failures
+        let base = load_bench_json path in
+        let doc =
+          Option.fold ~none:doc
+            ~some:(fun i -> inject_regression ~base i doc)
+            !injection
+        in
+        check_shape ~selected doc
+        + compare_baseline ~tol ~selected ~baseline_path:path base doc
+    | _ -> check_shape ~selected doc
   in
   (* After the selected experiments ran: write their rows, gate them,
      and promote them to the baseline when asked. *)
