@@ -58,14 +58,6 @@ let rec vars_acc acc = function
 
 let vars t = List.sort_uniq compare (vars_acc [] t)
 
-let rec subst lookup = function
-  | True -> True
-  | False -> False
-  | Var v -> (
-      match lookup v with Some b -> of_bool b | None -> Var v)
-  | And xs -> conj (List.map (subst lookup) xs)
-  | Or xs -> disj (List.map (subst lookup) xs)
-
 let rec eval lookup = function
   | True -> true
   | False -> false

@@ -5,8 +5,8 @@
     outstanding predicate instance is a {e condition variable}, resolved to
     a boolean when the subtree of its anchor node closes (or eagerly, as
     soon as it is satisfied). Node decisions are boolean expressions over
-    these variables; the terminal-side view builder ({!Stream_view})
-    evaluates them as [Resolve] events arrive. *)
+    these variables; {!Settle}, the status rule of the view builder and
+    the card's guards, evaluates them as [Resolve] events arrive. *)
 
 type var = int
 (** Condition variable identifier, unique within one engine run. *)
@@ -35,9 +35,6 @@ val to_bool : t -> bool option
 
 val vars : t -> var list
 (** Sorted, without duplicates. *)
-
-val subst : (var -> bool option) -> t -> t
-(** Partial evaluation under a partial assignment. *)
 
 val eval : (var -> bool) -> t -> bool
 

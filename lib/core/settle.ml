@@ -8,14 +8,13 @@ module Vars = Hashtbl.Make (struct
   let hash v = v land max_int
 end)
 
-(* Field comments are in the interface. *)
 type 'a node = {
   mutable neg : Cond.t;
   mutable pos : Cond.t;
   mutable query : Cond.t;
   parent : 'a node;
   mutable bits : int;
-  mutable waiters : 'a node list;  (* unsettled children awaiting this status *)
+  mutable waiters : 'a node list;
   mutable data : 'a;
 }
 

@@ -1,56 +1,47 @@
 (** When a streamed node's status settles: the one copy of the decision
-    and scope rules. {!Stream_view} builds the terminal's view with it,
-    and the card's [Guard.Protector] decides with it when a sealed
-    region's key is released or destroyed.
+    and scope rules. {!Stream_view} builds the view with it, and the
+    card's [Guard.Protector] releases or destroys a sealed region's key
+    with it.
 
-    A node's status is the pair (decision, in query scope). Its decision
-    is [if neg then Deny else if pos then Allow else parent's] (the root
-    carries [default]); it is in scope when there is no query, its parent
-    is in scope, or its own query condition is true. Each is
-    three-valued under the variables resolved so far, and the status
-    {e settles} once both are known. Conditions only ever resolve, so a
-    settled status never changes: it is computed once, and [on_settle]
-    runs once per node. A node is retried only when a variable it
+    A node's status is its decision, [if neg then Deny else if pos then
+    Allow else parent's] (the root carries [default]), and whether it is
+    in scope: no query, its parent in scope, or its own query condition
+    true. Both are three-valued under the variables resolved so far; the
+    status settles once both are known, and never changes after, since
+    conditions only resolve. A node is retried only when a variable it
     mentions resolves or its parent settles. *)
 
 type 'a node = private {
-  mutable neg : Cond.t;
-      (** each condition is replaced by its constant once known *)
+  mutable neg : Cond.t;  (** replaced by its constant once known *)
   mutable pos : Cond.t;
   mutable query : Cond.t;
   parent : 'a node;  (** the root is its own parent *)
   mutable bits : int;
-  mutable waiters : 'a node list;
+  mutable waiters : 'a node list;  (** unsettled children awaiting it *)
   mutable data : 'a;  (** the client's own state for this node *)
 }
 
 type 'a t
 
 val create :
-  ?default:Rule.sign ->
-  has_query:bool ->
-  on_settle:('a node -> unit) ->
-  'a ->
+  ?default:Rule.sign -> has_query:bool -> on_settle:('a node -> unit) -> 'a ->
   'a t
-(** A settled root carrying the given data. [default] and [has_query]
-    must match the engine's configuration. *)
+(** A settled root carrying the given data. [on_settle] runs once for
+    every other node, when it settles. *)
 
 val root : 'a t -> 'a node
 
 val add :
   'a t -> parent:'a node -> neg:Cond.t -> pos:Cond.t -> query:Cond.t -> 'a ->
   'a node
-(** A child of [parent] under the given conditions, settled at once when
-    the values resolved so far decide it (running [on_settle] before
-    [add] returns). *)
+(** A child of [parent], settled (and [on_settle] run) before [add]
+    returns if the values resolved so far decide it. *)
 
 val resolve : 'a t -> Cond.var -> bool -> unit
-(** Settles every node this value decides, parents before children.
-    Raises [Invalid_argument] when the variable was already resolved. *)
+(** Raises [Invalid_argument] when the variable was resolved already. *)
 
 val settled : 'a node -> bool
-val visible : 'a node -> bool
-(** Settled as Allow and in scope. *)
+val visible : 'a node -> bool  (** settled as Allow and in scope *)
 
 val inherits : 'a t -> 'a node -> bool
 (** Its own conditions are constant false, so its status is its

@@ -404,16 +404,12 @@ let tag_table_entries outputs =
 (* The evaluator state is counted in abstract field-words (token
    positions, rule ids, condition ids — all small integers); the on-card
    C implementation the paper prototyped packs such a field in ~2 bytes,
-   which is the factor used here. *)
+   which is the factor used here. A guard is its key plus two fields. *)
 let packed_bytes_per_word = 2
-
-(* A live guard holds its one-time key, and its id and message counter
-   as two packed fields. *)
 let guard_bytes = Guard.seal_key_bytes + (2 * packed_bytes_per_word)
 
 (* [wire] turns the engine's outputs into the stream that crosses the
-   link, with that stream's exact size and the bytes the card held to
-   produce it. *)
+   link, with that stream's exact size and the bytes held to make it. *)
 let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
     () =
   Obs.Tracer.with_span (Obs.tracer t.obs)
@@ -567,7 +563,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
             in
             Cost.charge_transfer meter ~bytes:out_bytes;
             (* 7. RAM budget: engine + reader + output tag table + the
-               wire step's held state + chunk buffer + runtime slack. A
+               wire step's held bytes + chunk buffer + runtime slack. A
                tag-table entry is one packed field: the tag's id in the
                reader's dictionary. *)
             let ram_bytes =

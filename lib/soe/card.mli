@@ -292,7 +292,5 @@ val evaluate_protected :
     under one-time keys, released only on positive resolution. The
     guarded stream is what crosses the link: the breakdown charges its
     transfer, and the report's [output_bytes] and the [card.output_bytes]
-    histogram record its wire size. The protector's peak live guards
-    count toward the RAM check, so a policy that keeps many regions
-    pending at once can fail with [Memory_exceeded] here where
-    {!evaluate} fits. *)
+    histogram record its wire size. Its guards count toward the RAM
+    check (see the top of this page). *)

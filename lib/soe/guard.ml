@@ -71,7 +71,8 @@ module Protector = struct
   type t = {
     book : book;
     settle : guard Settle.t;
-    mutable stack : guard Settle.node list;  (* open, innermost first *)
+    root : guard Settle.node;
+    mutable top : guard Settle.node;  (* innermost open element *)
   }
 
   (* A guard goes when its owner settles; its sharers settle with it. *)
@@ -88,8 +89,9 @@ module Protector = struct
   let create drbg ?default ~has_query () =
     let book = { drbg; out = []; next_gid = 0; live = 0; peak = 0 } in
     let on_settle = on_settle book in
-    { book; settle = Settle.create ?default ~has_query ~on_settle no_guard;
-      stack = [] }
+    let settle = Settle.create ?default ~has_query ~on_settle no_guard in
+    let root = Settle.root settle in
+    { book; settle; root; top = root }
 
   let live_guards t = t.book.live
   let peak_live_guards t = t.book.peak
@@ -103,48 +105,40 @@ module Protector = struct
     g
 
   let feed t ev =
-    let b = t.book in
+    let b = t.book and n = t.top in
     (match ev with
+    | Output.Text_node _ when n == t.root ->
+        invalid_arg "Guard.Protector: text outside elements"
+    | Output.Text_node v ->
+        if Settle.visible n then b.out <- [ Clear ev ]
+        else if not (Settle.settled n) then begin
+          let g = n.data in
+          let cipher = seal ~key:g.key ~gid:g.gid ~seq:g.seq v in
+          g.seq <- g.seq + 1;
+          b.out <- [ Sealed { guard = g.gid; event = Sealed_text { cipher } } ]
+        end
+        (* else determinately invisible: nothing to protect, nothing to
+           deliver (the engine drops these anyway). *)
     | Output.Open_node { tag = _; neg; pos; query } ->
-        let parent =
-          match t.stack with p :: _ -> p | [] -> Settle.root t.settle
-        in
-        let n = Settle.add t.settle ~parent ~neg ~pos ~query no_guard in
-        if not (Settle.settled n) then
-          Settle.set_data n
-            (if Settle.inherits t.settle n then parent.data else new_guard b);
-        t.stack <- n :: t.stack;
-        b.out <- Clear ev :: b.out
-    | Output.Text_node v -> (
-        match t.stack with
-        | [] -> invalid_arg "Guard.Protector: text outside elements"
-        | n :: _ ->
-            if Settle.visible n then b.out <- Clear ev :: b.out
-            else if not (Settle.settled n) then begin
-              let g = n.data in
-              let cipher = seal ~key:g.key ~gid:g.gid ~seq:g.seq v in
-              g.seq <- g.seq + 1;
-              b.out <-
-                Sealed { guard = g.gid; event = Sealed_text { cipher } }
-                :: b.out
-            end
-            (* else determinately invisible: nothing to protect, nothing
-               to deliver (the engine drops these anyway). *))
-    | Output.Close_node _ -> (
-        match t.stack with
-        | [] -> invalid_arg "Guard.Protector: close without open"
-        | _ :: rest ->
-            t.stack <- rest;
-            b.out <- Clear ev :: b.out)
+        b.out <- [ Clear ev ];
+        let c = Settle.add t.settle ~parent:n ~neg ~pos ~query no_guard in
+        if not (Settle.settled c) then
+          Settle.set_data c
+            (if Settle.inherits t.settle c then n.data else new_guard b);
+        t.top <- c
+    | Output.Close_node _ ->
+        if n == t.root then invalid_arg "Guard.Protector: close without open";
+        b.out <- [ Clear ev ];
+        t.top <- n.parent
     | Output.Resolve (v, value) ->
-        b.out <- Clear ev :: b.out;
+        b.out <- [ Clear ev ];
         Settle.resolve t.settle v value);
     let messages = List.rev b.out in
     b.out <- [];
     messages
 
   let finish t =
-    if t.stack != [] then
+    if t.top != t.root then
       invalid_arg "Guard.Protector.finish: elements still open";
     if t.book.live > 0 then
       invalid_arg "Guard.Protector.finish: unresolved guards"

@@ -15,17 +15,11 @@
     clear — the same structural disclosure the access-control model
     already accepts for the bare-tag ancestors of authorized nodes (and
     that the skip index's structural metadata implies). What is protected
-    is the data: text content. Visibility settles by the view builder's
-    own rule ({!Sdds_core.Settle}, which {!Sdds_core.Stream_view} runs
-    too): a node settles Deny as soon as its deny condition holds, and
-    Allow as soon as that fails and its allow condition holds, without
-    waiting for its ancestors' decision (under a query, its scope must be
-    known too). Text under a settled node goes in clear when visible and
-    is not sent at all otherwise. A guard is opened per node still
-    unsettled when it opens; descendants whose own conditions are all
-    false inherit its status and share its guard. A guard is released or
-    dropped the moment its node settles, so the live guards are the
-    unsettled nodes that own one, not the subtree size.
+    is the data: text content. A node settles by the view builder's own
+    rule ({!Sdds_core.Settle}); text under a settled node goes in clear
+    if visible and not at all otherwise. A guard is opened per node still
+    unsettled when it opens, shared by descendants whose own conditions
+    are all false, and released or dropped the moment the node settles.
 
     [Protector] runs inside the SOE (downstream of [Engine]);
     {!Unsealer} runs on the terminal (upstream of the view builder,
@@ -50,20 +44,17 @@ module Protector : sig
   (** Configuration must match the engine producing the stream. *)
 
   val feed : t -> Sdds_core.Output.t -> message list
-  (** The event's own message, then the [Release] and [Drop] of every
-      guard it settles. Raises [Invalid_argument] on a malformed stream,
-      including a second [Resolve] of one variable. *)
+  (** The event's own message, then the [Release] or [Drop] of every
+      guard it settles. Raises [Invalid_argument] on a malformed stream. *)
 
   val finish : t -> unit
-  (** Checks completeness: every guard is released or dropped by the
-      end of a complete stream, since every condition resolves by the
-      document's end. Raises [Invalid_argument] if elements are still
-      open or a guard is unsettled. *)
+  (** Every condition resolves by the document's end, so every guard is
+      settled by then. Raises [Invalid_argument] if elements are still
+      open or a guard is not. *)
 
   val live_guards : t -> int
-  (** Guards currently held: a key, an id and a message counter each,
-      part of the SOE working set ({!Card.evaluate_protected} charges
-      the peak). *)
+  (** Guards held (a key, an id and a message counter each): SOE working
+      set, charged at its peak by {!Card.evaluate_protected}. *)
 
   val peak_live_guards : t -> int
 end
