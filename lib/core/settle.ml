@@ -18,7 +18,7 @@ type 'a node = {
   mutable data : 'a;
 }
 
-(* [bits] *)
+(* [bits] below 8; a client may keep flags of its own above ([mark]). *)
 let settled_bit = 1 (* the status is known: [allow] and [in_scope] hold it *)
 let allow = 2
 let in_scope = 4
@@ -28,6 +28,7 @@ let has_all n bits = n.bits land bits = bits
 let settled n = has n settled_bit
 let visible n = has_all n (settled_bit lor allow lor in_scope)
 let set_data n d = n.data <- d
+let mark n bits = n.bits <- n.bits lor bits
 
 type tri = F | T | U
 

@@ -49,5 +49,9 @@ val inherits : 'a t -> 'a node -> bool
 
 val set_data : 'a node -> 'a -> unit
 
+val mark : 'a node -> int -> unit
+(** Sets flags of the client's own in [bits], from 8 up; the status
+    uses the bits below. *)
+
 val unresolved : 'a t -> int
 (** Variables some [add] mentioned that are not resolved yet. *)

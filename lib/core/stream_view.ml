@@ -6,7 +6,6 @@ type node = elem Settle.node
 
 and elem = {
   tag : string;
-  mutable flags : int;
   mutable live : int;  (** element children not known dead *)
   mutable size : int;  (** element nodes in the subtree, summed at close *)
   mutable first : item;  (** items not yet released, in document order *)
@@ -18,12 +17,12 @@ and item =
   | Elem of { node : node; mutable next : item }
   | Text of { text : string; mutable next : item }
 
-(* [flags] *)
-let is_open = 1 (* still receiving events *)
-let shown = 2 (* this node or a descendant is known visible *)
-let dead = 4 (* closed, and known invisible through its whole subtree *)
+(* The view builder's bits of [Settle.node.bits]. *)
+let closed = 8 (* received its close *)
+let shown = 16 (* this node or a descendant is known visible *)
+let dead = 32 (* closed, and known invisible through its whole subtree *)
 
-let has (n : node) flag = n.data.flags land flag <> 0
+let has (n : node) flag = n.bits land flag <> 0
 
 type t = {
   emit : Event.t -> unit;
@@ -37,7 +36,7 @@ type t = {
 
 let rec show (n : node) =
   if not (has n shown) then begin
-    n.data.flags <- n.data.flags lor shown;
+    Settle.mark n shown;
     show n.parent
   end
 
@@ -45,10 +44,10 @@ let rec show (n : node) =
    can appear. The sentinel never closes, so never dies. *)
 let rec die (n : node) =
   let e = n.data in
-  if Settle.settled n && e.flags land (is_open lor shown lor dead) = 0
+  if Settle.settled n && n.bits land (closed lor shown lor dead) = closed
      && e.live = 0
   then begin
-    e.flags <- e.flags lor dead;
+    Settle.mark n dead;
     n.parent.data.live <- n.parent.data.live - 1;
     die n.parent
   end
@@ -58,8 +57,7 @@ let on_settle n = if Settle.visible n then show n else die n
 let create ?default ~has_query ~emit () =
   let settle =
     Settle.create ?default ~has_query ~on_settle
-      { tag = "#root"; flags = is_open; live = 0; size = 0; first = Nil;
-        last = Nil }
+      { tag = "#root"; live = 0; size = 0; first = Nil; last = Nil }
   in
   let root = Settle.root settle in
   { emit; settle; root; top = root; cursor = root; buffered = 0; peak = 0 }
@@ -83,7 +81,7 @@ let rec pump t =
   let e = c.data in
   match e.first with
   | Nil ->
-      if e.flags land is_open = 0 then begin
+      if has c closed then begin
         t.emit (Event.Close e.tag);
         t.buffered <- t.buffered - 1;
         t.cursor <- c.parent;
@@ -122,7 +120,7 @@ let open_node t tag neg pos query =
   p.data.live <- p.data.live + 1;
   let n =
     Settle.add t.settle ~parent:p ~neg ~pos ~query
-      { tag; flags = is_open; live = 0; size = 1; first = Nil; last = Nil }
+      { tag; live = 0; size = 1; first = Nil; last = Nil }
   in
   t.top <- n;
   if at_frontier t p && has n shown then begin
@@ -150,7 +148,7 @@ let feed t out =
       if n == t.root then invalid_arg "Stream_view: close without open";
       if not (String.equal e.tag tag) then
         invalid_arg "Stream_view: mismatched close";
-      e.flags <- e.flags land lnot is_open;
+      Settle.mark n closed;
       t.top <- n.parent;
       n.parent.data.size <- n.parent.data.size + e.size;
       die n;
