@@ -5,7 +5,7 @@
     outstanding predicate instance is a {e condition variable}, resolved to
     a boolean when the subtree of its anchor node closes (or eagerly, as
     soon as it is satisfied). Node decisions are boolean expressions over
-    these variables; {!Settle}, the status rule of the view builder and
+    these variables; {!Settle}, the status rule of {!Stream_view} and of
     the card's guards, evaluates them as [Resolve] events arrive. *)
 
 type var = int

@@ -1,7 +1,7 @@
 module Event = Sdds_xml.Event
 
 (* A buffered element. Its status lives in its [Settle.node]; this is
-   what the view builder keeps beside it. *)
+   what the view keeps beside it. *)
 type node = elem Settle.node
 
 and elem = {
@@ -17,7 +17,7 @@ and item =
   | Elem of { node : node; mutable next : item }
   | Text of { text : string; mutable next : item }
 
-(* The view builder's bits of [Settle.node.bits]. *)
+(* This module's flags in [Settle.node.bits]. *)
 let closed = 8 (* received its close *)
 let shown = 16 (* this node or a descendant is known visible *)
 let dead = 32 (* closed, and known invisible through its whole subtree *)

@@ -15,11 +15,12 @@
     clear — the same structural disclosure the access-control model
     already accepts for the bare-tag ancestors of authorized nodes (and
     that the skip index's structural metadata implies). What is protected
-    is the data: text content. A node settles by the view builder's own
-    rule ({!Sdds_core.Settle}); text under a settled node goes in clear
-    if visible and not at all otherwise. A guard is opened per node still
-    unsettled when it opens, shared by descendants whose own conditions
-    are all false, and released or dropped the moment the node settles.
+    is the data: text content. A node settles by the rule
+    {!Sdds_core.Stream_view} runs too ({!Sdds_core.Settle}); text under a
+    settled node goes in clear if visible and not at all otherwise. A
+    guard is opened per node still unsettled when it opens, shared by
+    descendants whose own conditions are all false, and released or
+    dropped the moment the node settles.
 
     [Protector] runs inside the SOE (downstream of [Engine]);
     {!Unsealer} runs on the terminal (upstream of the view builder,
