@@ -537,17 +537,19 @@ let test_guard_ram () =
       (source w ~doc_id:"hospital") ~encrypted_rules ~query:None
       ~use_index:true
   in
-  let deny_old ~subject =
+  let deny_over_50 ~subject =
     [ Rule.allow ~subject "//patient"; Rule.deny ~subject {|//*[age>"50"]|} ]
   in
-  let old_only ~subject = [ Rule.allow ~subject {|//patient[age>"50"]|} ] in
-  let report = or_fail Card.pp_error (run plain deny_old) in
+  let allow_over_50 ~subject =
+    [ Rule.allow ~subject {|//patient[age>"50"]|} ]
+  in
+  let report = or_fail Card.pp_error (run plain deny_over_50) in
   Alcotest.(check int) "plain RAM" 804 report.Card.ram_peak_bytes;
-  (match run protected deny_old with
+  (match run protected deny_over_50 with
   | Error (Card.Memory_exceeded _) -> ()
   | Ok r -> Alcotest.failf "protected fits at %d B" r.Card.ram_peak_bytes
   | Error e -> Alcotest.failf "%a" Card.pp_error e);
-  ignore (or_fail Card.pp_error (run protected old_only))
+  ignore (or_fail Card.pp_error (run protected allow_over_50))
 
 let test_disseminate_pins () =
   check_exact disseminate_pins (disseminate_lines ())
