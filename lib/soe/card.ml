@@ -310,22 +310,27 @@ let root_signed meter source =
     ~signature:source.root_signature
 
 (* Simulation: every chunk is decrypted up front, and the callers charge
-   only what they consume. A chunk the key does not open is zero-filled,
-   so later chunks stay in place, and its index is returned. *)
+   only what they consume. Chunk [i] must open to its place's length: the
+   rest of the signed plaintext, up to [chunk_plain_bytes]. A chunk the
+   key does not open, or opens to another length, is zero-filled, so
+   later chunks stay in place, and its index is returned. The two are
+   never told apart: a terminal that splices blocks into a chunk learns
+   nothing from whether their padding was valid. *)
 let open_chunks ~key source =
   let bad = ref [] in
   let parts =
     Array.mapi
       (fun i cipher ->
+        let len =
+          max 0
+            (min source.chunk_plain_bytes
+               (source.plain_length - (i * source.chunk_plain_bytes)))
+        in
         match Wire.decrypt_chunk ~key ~doc_id:source.doc_id ~index:i cipher with
-        | Some plain -> plain
-        | None ->
+        | Some plain when String.length plain = len -> plain
+        | Some _ | None ->
             bad := i :: !bad;
-            let len =
-              min source.chunk_plain_bytes
-                (source.plain_length - (i * source.chunk_plain_bytes))
-            in
-            String.make (max 0 len) '\000')
+            String.make len '\000')
       source.chunks
   in
   (String.concat "" (Array.to_list parts), !bad)

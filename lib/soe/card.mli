@@ -49,11 +49,21 @@
     proof gives [Integrity_failure] with its index; if none does, the
     request goes ahead, charged for both proofs. An authentic consumed
     chunk (ahead of any failing one) that the installed key does not
-    open gives [Stale_key]. A plaintext whose length differs from the
-    signed one gives [Integrity_failure] with the chunk count.
+    open gives [Stale_key]. Chunks too few to fill the signed plaintext
+    length give [Integrity_failure] with the chunk count.
     {!evaluate} checks the length before the engine runs, then checks
     the chunks the engine consumed, or all of them if the decoder fails.
     {!disseminate} checks every chunk, then the length.
+
+    A chunk opens only to its place's length: the rest of the signed
+    plaintext from [i * chunk_plain_bytes], up to [chunk_plain_bytes].
+    One that decrypts to another length, valid padding or not, counts as
+    a chunk the key does not open, so no verdict tells the terminal
+    whether a block it spliced in had valid padding (a CBC padding
+    oracle would let it decrypt any block, whatever the rules grant it).
+    Two consequences: such a chunk is invisible when the index skips it,
+    like any other tampering with a skipped chunk; and an authentic chunk
+    that the installed key opens to a wrong length reads [Stale_key].
 
     Charges: the multiproof's digests cross the link once per request,
     each consumed chunk's leaf is hashed, and each interior node the

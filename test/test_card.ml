@@ -15,6 +15,7 @@ module Rule = Sdds_core.Rule
 module Generator = Sdds_xml.Generator
 module Drbg = Sdds_crypto.Drbg
 module Rsa = Sdds_crypto.Rsa
+module Aes = Sdds_crypto.Aes
 module Rng = Sdds_util.Rng
 
 let keys =
@@ -107,20 +108,50 @@ let test_forged_root () =
   expect w ~src:{ src with Card.root_signature = forged } Card.Bad_signature
 
 let tampers =
-  [ ("substituted chunk 3", 3, fun s ->
-        Store.tamper_substitute s ~doc_id:"ward" ~chunk:3 (String.make 64 'x'));
-    ("flipped chunk 5", 5, fun s ->
-        Store.tamper_flip_bit s ~doc_id:"ward" ~chunk:5 ~bit:11);
-    ("swapped chunks 2 and 4", 2, fun s ->
-        Store.tamper_swap s ~doc_id:"ward" 2 4);
-    ("truncated to 6 chunks", 6, fun s ->
-        Store.tamper_truncate s ~doc_id:"ward" ~keep_chunks:6) ]
+  [ ("substituted chunk 3", 3, fun w ->
+        Store.tamper_substitute (World.store w) ~doc_id:"ward" ~chunk:3
+          (String.make 64 'x'));
+    ("flipped chunk 5", 5, fun w ->
+        Store.tamper_flip_bit (World.store w) ~doc_id:"ward" ~chunk:5 ~bit:11);
+    ("swapped chunks 2 and 4", 2, fun w ->
+        Store.tamper_swap (World.store w) ~doc_id:"ward" 2 4);
+    ("truncated to 6 chunks", 6, fun w ->
+        Store.tamper_truncate (World.store w) ~doc_id:"ward" ~keep_chunks:6) ]
+
+(* Chunk [chunk] replaced by X || C, where C is chunk 0's first
+   ciphertext block: it opens to a garbage block, then to C's decryption
+   XOR X. X makes that block 15 'A's and [last], so 0x01 is valid padding
+   (a 31-byte plaintext where the chunk's place holds 64) and 0x00 is
+   not. A card that answered the two differently would be a padding
+   oracle: the terminal picks X, so each answer tells it whether the
+   block it spliced in decrypts to something ending in 0x01. *)
+let splice ~chunk ~last w =
+  let store = World.store w in
+  let key = World.doc_key w "ward" in
+  let c =
+    String.sub (Option.get (Store.get_document store "ward")).Publish.chunks.(0)
+      0 16
+  in
+  let d = Aes.decrypt_block_string (Aes.expand_key key) c in
+  let want = String.make 15 'A' ^ String.make 1 last in
+  let x = String.init 16 (fun j -> Char.chr (Char.code d.[j] lxor Char.code want.[j])) in
+  let spliced = x ^ c in
+  Alcotest.(check (option int)) "spliced plaintext length"
+    (if last = '\x01' then Some 31 else None)
+    (Option.map String.length
+       (Wire.decrypt_chunk ~key ~doc_id:"ward" ~index:chunk spliced));
+  Store.tamper_substitute store ~doc_id:"ward" ~chunk spliced
+
+(* Run after the rest of the suite, so no earlier case is renumbered. *)
+let splices =
+  [ ("spliced 5, valid padding", 5, splice ~chunk:5 ~last:'\x01');
+    ("spliced 5, invalid padding", 5, splice ~chunk:5 ~last:'\x00') ]
 
 let test_tamper (_, chunk, tamper) () =
   let w = ward () in
   Alcotest.(check int) "8 chunks" 8
     (Array.length (source w ~doc_id:"ward").Card.chunks);
-  tamper (World.store w);
+  tamper w;
   expect w (Card.Integrity_failure { chunk })
 
 let rotate w =
@@ -574,3 +605,7 @@ let suite =
         test_disseminate_pins;
       Alcotest.test_case "protected breakdown pins" `Quick test_protected_pins;
       Alcotest.test_case "guard state charged as RAM" `Quick test_guard_ram ]
+  @ List.map
+      (fun ((name, _, _) as t) ->
+        Alcotest.test_case name `Quick (test_tamper t))
+      splices
