@@ -174,6 +174,26 @@ let test_sha256_vectors () =
       Alcotest.(check string) "digest" want (Hex.encode (Sha256.digest msg)))
     cases
 
+(* Every padding boundary of the last block: 55 bytes leave room for the
+   0x80 byte and the length, 56 to 63 push the length into a block of its
+   own, 64 and 65 straddle a whole block, 119 and 120 do it again one
+   block later. Message [n] is the bytes 0, 1, ..., n - 1; the digests
+   come from Python's hashlib. *)
+let test_sha256_padding_boundaries () =
+  List.iter
+    (fun (n, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes" n)
+        want
+        (Hex.encode (Sha256.digest (String.init n Char.chr))))
+    [ (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c") ]
+
 let test_sha256_incremental () =
   let msg = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
   let whole = Sha256.digest msg in
@@ -288,6 +308,17 @@ let test_merkle_rejects () =
   Alcotest.(check bool) "substituted root" false
     (Merkle.verify ~root:(String.make 32 '\000') ~leaf_count:8 ~index:3
        ~leaf:(List.nth leaves 3) proof)
+
+(* The tree's byte format: publisher and card share the hashing code, so
+   no round trip would see it move. Five leaves: the fifth is promoted
+   twice, and the root is node(node(node(l0, l1), node(l2, l3)), l4) with
+   leaf l = SHA-256(0x00 || l) and node(a, b) = SHA-256(0x01 || a || b),
+   recomputed independently with Python's hashlib. *)
+let test_merkle_pinned_root () =
+  let t = Merkle.build (List.init 5 (Printf.sprintf "leaf-%d")) in
+  Alcotest.(check string) "root"
+    "00d21829a5503145348abcf712513eacf2a274211ad83e970202bb5b6d80b286"
+    (Hex.encode (Merkle.root t))
 
 let test_merkle_root_sensitive () =
   let t1 = Merkle.build (chunks 9) in
@@ -782,4 +813,7 @@ let suite =
     Alcotest.test_case "chunk pinned identity" `Quick
       test_chunk_pinned_identity;
     Alcotest.test_case "rsa fingerprint" `Quick test_rsa_fingerprint;
+    Alcotest.test_case "sha256 padding boundaries" `Quick
+      test_sha256_padding_boundaries;
+    Alcotest.test_case "merkle pinned root" `Quick test_merkle_pinned_root;
   ]
