@@ -4,8 +4,8 @@
 
 type tree = { levels : string array array }
 
-let leaf_hash s = Sha256.digest ("\x00" ^ s)
-let node_hash l r = Sha256.digest ("\x01" ^ l ^ r)
+let leaf_hash s = Sha256.digest3 "\x00" s ""
+let node_hash l r = Sha256.digest3 "\x01" l r
 
 let build leaves =
   if leaves = [] then invalid_arg "Merkle.build: no leaves";

@@ -19,37 +19,44 @@ let k =
 
 type ctx = {
   h : int array;  (* 8 words *)
-  buf : Bytes.t;  (* 64-byte block buffer *)
+  buf : Bytes.t;  (* 64-byte block buffer; the padding is written here *)
   mutable buf_len : int;
   mutable total : int;  (* total bytes fed *)
   mutable finalized : bool;
 }
 
+let iv =
+  [|
+    0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+    0x1f83d9ab; 0x5be0cd19;
+  |]
+
 let init () =
   {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
+    h = Array.copy iv;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
     finalized = false;
   }
 
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0;
+  ctx.finalized <- false
+
 let mask = 0xffffffff
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
+(* The message schedule, shared by every context. *)
 let w = Array.make 64 0
 
+(* One block of [block] from [pos]: big-endian word loads straight from
+   the input, the state in int locals. Allocates nothing. *)
 let compress h block pos =
   for t = 0 to 15 do
-    w.(t) <-
-      (Char.code (Bytes.get block (pos + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get block (pos + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (pos + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (pos + (4 * t) + 3))
+    w.(t) <- Int32.to_int (String.get_int32_be block (pos + (4 * t))) land mask
   done;
   for t = 16 to 63 do
     let s0 =
@@ -87,6 +94,9 @@ let compress h block pos =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+(* [compress] only reads the block, and the string view does not escape. *)
+let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0
+
 let feed ctx s =
   if ctx.finalized then invalid_arg "Sha256.feed: finalized";
   let n = String.length s in
@@ -99,15 +109,13 @@ let feed ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
-  let tmp = Bytes.create 64 in
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress ctx.h tmp 0;
+    compress ctx.h s !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin
@@ -115,30 +123,35 @@ let feed ctx s =
     ctx.buf_len <- n - !pos
   end
 
+(* The padding goes into the context's own block: 0x80, zeros, and the
+   bit length in the last 8 bytes, a block later if it does not fit. *)
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: already finalized";
   ctx.finalized <- true;
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let r = (ctx.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
+  let b = ctx.buf and n = ctx.buf_len in
+  Bytes.set b n '\x80';
+  Bytes.fill b (n + 1) (63 - n) '\000';
+  if n >= 56 then begin
+    compress_buf ctx;
+    Bytes.fill b 0 56 '\000'
+  end;
+  Bytes.set_int64_be b 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx;
+  let out = Bytes.create digest_size in
   for i = 0 to 7 do
-    Bytes.set_uint8 tail
-      (1 + pad_len + i)
-      ((bit_len lsr (8 * (7 - i))) land 0xff)
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  (* Feed the padding through the block machinery manually. *)
-  ctx.finalized <- false;
-  feed ctx (Bytes.to_string tail);
-  ctx.finalized <- true;
-  assert (ctx.buf_len = 0);
-  String.init 32 (fun i ->
-      Char.chr ((ctx.h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+  Bytes.unsafe_to_string out
 
-let digest s =
-  let ctx = init () in
-  feed ctx s;
-  finalize ctx
+(* One-shot digests run on one context; nothing in the library hashes
+   from two threads. *)
+let scratch = init ()
+
+let digest3 a b c =
+  reset scratch;
+  feed scratch a;
+  feed scratch b;
+  feed scratch c;
+  finalize scratch
+
+let digest s = digest3 s "" ""

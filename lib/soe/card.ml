@@ -1,3 +1,4 @@
+module Aes = Sdds_crypto.Aes
 module Rsa = Sdds_crypto.Rsa
 module Sha256 = Sdds_crypto.Sha256
 module Merkle = Sdds_crypto.Merkle
@@ -309,31 +310,37 @@ let root_signed meter source =
        ~merkle_root:source.merkle_root ~plain_length:source.plain_length)
     ~signature:source.root_signature
 
-(* Simulation: every chunk is decrypted up front, and the callers charge
-   only what they consume. Chunk [i] must open to its place's length: the
-   rest of the signed plaintext, up to [chunk_plain_bytes]. A chunk the
-   key does not open, or opens to another length, is zero-filled, so
-   later chunks stay in place, and its index is returned. The two are
-   never told apart: a terminal that splices blocks into a chunk learns
-   nothing from whether their padding was valid. *)
+(* Simulation: every chunk is decrypted up front, under one key schedule,
+   into its place in one buffer, and the callers charge only what they
+   consume. Chunk [i]'s place starts at [i * chunk_plain_bytes] and holds
+   the rest of the signed plaintext, up to [chunk_plain_bytes]; the
+   buffer ends with the last place the chunks reach. A chunk the key does
+   not open, or opens to another length, is zero-filled, so later chunks
+   stay in place, and its index is returned. The two are never told
+   apart: a terminal that splices blocks into a chunk learns nothing from
+   whether their padding was valid. *)
 let open_chunks ~key source =
-  let bad = ref [] in
-  let parts =
-    Array.mapi
-      (fun i cipher ->
-        let len =
-          max 0
-            (min source.chunk_plain_bytes
-               (source.plain_length - (i * source.chunk_plain_bytes)))
-        in
-        match Wire.decrypt_chunk ~key ~doc_id:source.doc_id ~index:i cipher with
-        | Some plain when String.length plain = len -> plain
-        | Some _ | None ->
-            bad := i :: !bad;
-            String.make len '\000')
-      source.chunks
+  let k = Aes.expand_key key in
+  let cpb = max 0 source.chunk_plain_bytes in
+  let total =
+    max 0 (min source.plain_length (Array.length source.chunks * cpb))
   in
-  (String.concat "" (Array.to_list parts), !bad)
+  let plain = Bytes.create total in
+  let bad = ref [] in
+  Array.iteri
+    (fun i cipher ->
+      let pos = min (i * cpb) total in
+      let len = min cpb (total - pos) in
+      match
+        Wire.decrypt_chunk_into k ~doc_id:source.doc_id ~index:i cipher plain
+          pos len
+      with
+      | Some n when n = len -> ()
+      | Some _ | None ->
+          bad := i :: !bad;
+          Bytes.fill plain pos len '\000')
+    source.chunks;
+  (Bytes.unsafe_to_string plain, !bad)
 
 (* Verify the wanted chunks against the signed root, using proofs the
    (untrusted) server provides. A tampering server can at best serve the
@@ -366,9 +373,11 @@ let check_chunks meter source ~bad wanted =
       else per_chunk (i + 1)
     end
   in
-  let leaves =
-    List.filteri (fun i _ -> wanted.(i)) (Array.to_list source.chunks)
-  in
+  let leaves = ref [] in
+  for i = Array.length wanted - 1 downto 0 do
+    if wanted.(i) then leaves := source.chunks.(i) :: !leaves
+  done;
+  let leaves = !leaves in
   let proof = try source.multiprove wanted with Invalid_argument _ -> [] in
   Cost.charge_transfer meter ~bytes:(Merkle.proof_size_bytes proof);
   List.iter

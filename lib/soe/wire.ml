@@ -10,16 +10,21 @@ let key_bytes = 16
 
 let fresh_doc_key drbg = Drbg.generate drbg key_bytes
 
+(* SHA-256("chunk-iv|" ^ doc_id ^ "|" ^ decimal index), first 16 bytes. *)
 let chunk_iv ~doc_id ~index =
-  String.sub (Sha256.digest (Printf.sprintf "chunk-iv|%s|%d" doc_id index)) 0 16
+  String.sub
+    (Sha256.digest3 "chunk-iv|" doc_id ("|" ^ string_of_int index))
+    0 16
 
 let encrypt_chunk ~key ~doc_id ~index plain =
   let k = Aes.expand_key key in
   Mode.encrypt_cbc k ~iv:(chunk_iv ~doc_id ~index) plain
 
+let decrypt_chunk_into k ~doc_id ~index cipher dst pos len =
+  Mode.decrypt_cbc_into k ~iv:(chunk_iv ~doc_id ~index) cipher dst pos len
+
 let decrypt_chunk ~key ~doc_id ~index cipher =
-  let k = Aes.expand_key key in
-  Mode.decrypt_cbc k ~iv:(chunk_iv ~doc_id ~index) cipher
+  Mode.decrypt_cbc (Aes.expand_key key) ~iv:(chunk_iv ~doc_id ~index) cipher
 
 let wrap_doc_key drbg pub ~doc_id key =
   Rsa.encrypt drbg pub (doc_id ^ "\x00" ^ key)

@@ -22,7 +22,24 @@ val decrypt_chunk :
   key:string -> doc_id:string -> index:int -> string -> string option
 (** [None] on corrupt ciphertext (bad length or padding). A chunk moved to
     a different position decrypts under the wrong IV and is rejected by the
-    Merkle check (and usually by padding too). *)
+    Merkle check (and usually by padding too). It expands [key] on every
+    call; a reader of many chunks expands it once and calls
+    {!decrypt_chunk_into}. *)
+
+val decrypt_chunk_into :
+  Sdds_crypto.Aes.key ->
+  doc_id:string ->
+  index:int ->
+  string ->
+  bytes ->
+  int ->
+  int ->
+  int option
+(** [decrypt_chunk_into k ~doc_id ~index cipher dst pos len] is
+    {!decrypt_chunk} under an expanded key, writing the plaintext into
+    [dst] from [pos] as {!Sdds_crypto.Mode.decrypt_cbc_into} does: its
+    length, or [None] if the chunk does not open to at most [len]
+    bytes. *)
 
 val wrap_doc_key :
   Sdds_crypto.Drbg.t -> Sdds_crypto.Rsa.public -> doc_id:string -> string -> string
