@@ -66,6 +66,12 @@ let qcheck_aes_roundtrip =
       Aes.decrypt_block_string key (Aes.encrypt_block_string key block)
       = block)
 
+(* Minor words [f ()] allocates. *)
+let words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 (* Gc.minor_words is deterministic, so allocation is pinned exactly like
    an output: the table-driven rounds keep the state in registers. *)
 let test_aes_allocation () =
@@ -130,6 +136,31 @@ let test_cbc_tampered () =
     | Some p -> if p <> plain then incr rejected
   done;
   Alcotest.(check int) "all tampered rejected or changed" 21 !rejected
+
+(* Decrypting into a caller's buffer reads the ciphertext and IV in
+   place and writes the plaintext at an offset: nothing is allocated per
+   block, and the bytes around the plaintext are left alone. *)
+let test_cbc_into () =
+  let plain = String.init 4000 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  let c = Mode.encrypt_cbc cbc_key ~iv:cbc_iv plain in
+  let dst = Bytes.make 4010 '#' in
+  let got = ref None in
+  let w =
+    words (fun () ->
+        got := Mode.decrypt_cbc_into cbc_key ~iv:cbc_iv c dst 7 4000)
+  in
+  Alcotest.(check (option int)) "length" (Some 4000) !got;
+  Alcotest.(check string) "plaintext" plain (Bytes.sub_string dst 7 4000);
+  Alcotest.(check string) "untouched around it" "##########"
+    (Bytes.sub_string dst 0 7 ^ Bytes.sub_string dst 4007 3);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 8" w) true (w < 8.);
+  (* A plaintext longer than the room given is refused, and nothing past
+     the room is written. *)
+  let dst = Bytes.make 4010 '#' in
+  Alcotest.(check (option int)) "no room" None
+    (Mode.decrypt_cbc_into cbc_key ~iv:cbc_iv c dst 0 3999);
+  Alcotest.(check string) "past the room" "###########"
+    (Bytes.sub_string dst 3999 11)
 
 let test_ctr_nist_vector () =
   (* NIST SP 800-38A F.5.1, first block. *)
@@ -211,6 +242,22 @@ let test_sha256_incremental () =
       Alcotest.(check string) "same digest" (Hex.encode whole)
         (Hex.encode (Sha256.finalize ctx)))
     [ [ 1; 62; 1; 64; 128 ]; [ 63; 1; 65 ]; [ 64; 64 ]; [ 5 ]; [] ]
+
+(* The kernel loads words straight from the message and pads in the
+   context's own block, so a digest allocates its 32-byte result and
+   nothing per block. *)
+let test_sha256_allocation () =
+  let big = String.make 65_536 'm' and small = "m" in
+  let per_block = words (fun () -> Sha256.digest big) /. 1024. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per block < 1" per_block)
+    true (per_block < 1.0);
+  Alcotest.(check (float 0.)) "one-shot allocation independent of length"
+    (words (fun () -> Sha256.digest small))
+    (words (fun () -> Sha256.digest big));
+  let ctx = Sha256.init () in
+  let fed = words (fun () -> Sha256.feed ctx big) in
+  Alcotest.(check (float 0.)) "feeding 64 KB allocates nothing" 0. fed
 
 let test_sha1_vectors () =
   Alcotest.(check string) "abc" "a9993e364706816aba3e25717850c26c9cd0d89d"
@@ -473,6 +520,23 @@ let qcheck_multiproof_rejects =
             QCheck2.Test.fail_reportf "n=%d, %d digests: %s accepted" n k what)
         cases;
       true)
+
+(* The card's per-request check: 64 leaves, 48 wanted. Each leaf and
+   node hash allocates only its digest: 923 words in all, 10,639 when
+   every hash concatenated its parts first and fed the kernel a fresh
+   block buffer. *)
+let test_multiverify_allocation () =
+  let leaves =
+    List.init 64 (fun i -> Printf.sprintf "leaf-%d-%s" i (String.make 200 'c'))
+  in
+  let t = Merkle.build leaves in
+  let wanted = Array.init 64 (fun i -> i mod 4 <> 3) in
+  let proof = Merkle.multiprove t wanted in
+  let ok = ref None in
+  let w = words (fun () -> ok := multiverify t ~wanted leaves proof) in
+  Alcotest.(check bool) "verifies" true (!ok <> None);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 1000" w) true
+    (w < 1000.)
 
 (* ------------------------------------------------------------------ *)
 (* Bignum                                                              *)
@@ -816,4 +880,8 @@ let suite =
     Alcotest.test_case "sha256 padding boundaries" `Quick
       test_sha256_padding_boundaries;
     Alcotest.test_case "merkle pinned root" `Quick test_merkle_pinned_root;
+    Alcotest.test_case "sha256 allocation" `Quick test_sha256_allocation;
+    Alcotest.test_case "cbc into a buffer" `Quick test_cbc_into;
+    Alcotest.test_case "multiverify allocation" `Quick
+      test_multiverify_allocation;
   ]
