@@ -149,7 +149,8 @@ let specs =
       keys = [ "experiment"; "case"; "phase" ];
       columns =
         [ "case"; "phase"; "requests"; "command_frames"; "wire_bytes";
-          "warm_setups"; "cache_hits"; "total_ms"; "rsa_ms"; "compile_ms" ];
+          "warm_setups"; "cache_hits"; "total_ms"; "rsa_ms"; "compile_ms";
+          "minor_words_per_request" ];
       shape = [] };
     { name = "analysis"; owners = [ "E16" ]; keys = [ "case"; "depth" ];
       columns =
@@ -264,7 +265,7 @@ let specs =
               < num "storage_events" (pick "mode" "full" rows) ) ] };
   ]
 
-let schema = "sdds-bench-engine/11"
+let schema = "sdds-bench-engine/12"
 
 (* The run as the file holds it: floats keep three decimals and
    non-finite values become null, so the in-memory gate and a later
@@ -1403,9 +1404,9 @@ let e15_session_cache () =
   Printf.printf "document: %d bytes XML; %d logical channels\n\n"
     (String.length (Serializer.to_string doc))
     Sdds_soe.Apdu.max_channels;
-  Printf.printf "%7s %5s | %9s %9s %9s %9s | %8s %9s %5s %5s\n" "streams"
-    "phase" "ms/req" "rsa_ms" "comp_ms" "xfer_ms" "frames" "bytes" "warm"
-    "hits";
+  Printf.printf "%7s %5s | %9s %9s %9s %9s | %8s %9s %5s %5s | %9s\n"
+    "streams" "phase" "ms/req" "rsa_ms" "comp_ms" "xfer_ms" "frames" "bytes"
+    "warm" "hits" "words/req";
   List.iter
     (fun n ->
       let reqs =
@@ -1418,27 +1419,35 @@ let e15_session_cache () =
          the meter shows what the warm round no longer pays. *)
       let w, card = make_world ~profile:Cost.fleet ~doc ~rules () in
       let proxy = Proxy.create ~store:(World.store w) ~card in
+      (* A round's totals, and its minor words per request: allocation
+         is deterministic, so the gate holds it exactly. *)
       let round () =
-        List.fold_left
-          (fun (ms, rsa, comp, xfer, hits, views) req ->
-            match Proxy.run proxy req with
-            | Error e -> failwith (Format.asprintf "%a" Proxy.pp_error e)
-            | Ok o ->
-                let r = o.Proxy.card_report in
-                let b = r.Card.breakdown in
-                ( ms +. b.Cost.total_ms,
-                  rsa +. b.Cost.rsa_ms,
-                  comp +. b.Cost.compile_ms,
-                  xfer +. b.Cost.transfer_ms,
-                  (if r.Card.prepared_hit then hits + 1 else hits),
-                  o.Proxy.xml :: views ))
-          (0., 0., 0., 0., 0, [])
-          reqs
+        let before = Gc.minor_words () in
+        let totals =
+          List.fold_left
+            (fun (ms, rsa, comp, xfer, hits, views) req ->
+              match Proxy.run proxy req with
+              | Error e -> failwith (Format.asprintf "%a" Proxy.pp_error e)
+              | Ok o ->
+                  let r = o.Proxy.card_report in
+                  let b = r.Card.breakdown in
+                  ( ms +. b.Cost.total_ms,
+                    rsa +. b.Cost.rsa_ms,
+                    comp +. b.Cost.compile_ms,
+                    xfer +. b.Cost.transfer_ms,
+                    (if r.Card.prepared_hit then hits + 1 else hits),
+                    o.Proxy.xml :: views ))
+            (0., 0., 0., 0., 0, [])
+            reqs
+        in
+        (totals, (Gc.minor_words () -. before) /. float_of_int n)
       in
-      let cold_ms, cold_rsa, cold_comp, cold_xfer, cold_hits, cold_views =
+      let ( (cold_ms, cold_rsa, cold_comp, cold_xfer, cold_hits, cold_views),
+            cold_words ) =
         round ()
       in
-      let warm_ms, warm_rsa, warm_comp, warm_xfer, warm_hits, warm_views =
+      let ( (warm_ms, warm_rsa, warm_comp, warm_xfer, warm_hits, warm_views),
+            warm_words ) =
         round ()
       in
       let identical = cold_views = warm_views in
@@ -1465,11 +1474,12 @@ let e15_session_cache () =
       in
       let cf, cb, cw = pool_round () in
       let wf, wb, ww = pool_round () in
-      let row phase ms rsa comp xfer frames bytes warm hits =
+      let row phase ms rsa comp xfer frames bytes warm hits words =
         Printf.printf
-          "%7d %5s | %9.1f %9.3f %9.3f %9.1f | %8d %9d %5d %5d\n" n phase
+          "%7d %5s | %9.1f %9.3f %9.3f %9.1f | %8d %9d %5d %5d | %9.0f\n" n
+          phase
           (ms /. float_of_int n)
-          rsa comp xfer frames bytes warm hits;
+          rsa comp xfer frames bytes warm hits words;
         record "sessions" ~experiment:"E15"
           Json.
             [ ("case", String (Printf.sprintf "streams-%d" n));
@@ -1477,10 +1487,13 @@ let e15_session_cache () =
               ("command_frames", Int frames); ("wire_bytes", Int bytes);
               ("warm_setups", Int warm); ("cache_hits", Int hits);
               ("total_ms", Float ms); ("rsa_ms", Float rsa);
-              ("compile_ms", Float comp) ]
+              ("compile_ms", Float comp);
+              ("minor_words_per_request", Float words) ]
       in
-      row "cold" cold_ms cold_rsa cold_comp cold_xfer cf cb cw cold_hits;
-      row "warm" warm_ms warm_rsa warm_comp warm_xfer wf wb ww warm_hits;
+      row "cold" cold_ms cold_rsa cold_comp cold_xfer cf cb cw cold_hits
+        cold_words;
+      row "warm" warm_ms warm_rsa warm_comp warm_xfer wf wb ww warm_hits
+        warm_words;
       Printf.printf "%31s views byte-identical across rounds: %b\n" ""
         identical;
       if not identical then failwith "E15: warm round changed a view")
