@@ -27,10 +27,9 @@ type ctx
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** Incremental interface: a context hashes a message fed in pieces.
-    {!digest} and {!digest3} are this interface run on the shared
-    scratch context; a caller that holds a message in pieces of its own
-    (the tests feed awkward splits) makes its own context with
-    {!init}. *)
+    Within the library, only {!digest} and {!digest3} use it, on the
+    shared scratch context; a caller holding a message in pieces of its
+    own makes a context with {!init}. *)
 
 val finalize : ctx -> string
 (** Returns the digest; the context must not be fed afterwards. The

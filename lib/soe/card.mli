@@ -37,7 +37,12 @@
     accounting — behaviourally identical to on-demand fetching because
     skip decisions depend only on consumed data, and integrity failures on
     consumed chunks are still rejected (tampering on chunks the index
-    skips is invisible, exactly as on the real card).
+    skips is invisible, exactly as on the real card). On the host, a
+    request expands the document key once and decrypts every chunk into
+    its place in one buffer of the signed plaintext length: no string,
+    list or concatenation per chunk. The cost model charges consumed
+    bytes and blocks, not host calls, so none of this moves a
+    figure.
 
     {!evaluate} and {!disseminate} share one integrity rule. The
     publisher's signature must cover the Merkle root and the plaintext

@@ -134,7 +134,10 @@ let splice ~chunk ~last w =
   in
   let d = Aes.decrypt_block_string (Aes.expand_key key) c in
   let want = String.make 15 'A' ^ String.make 1 last in
-  let x = String.init 16 (fun j -> Char.chr (Char.code d.[j] lxor Char.code want.[j])) in
+  let x =
+    String.init 16 (fun j ->
+        Char.chr (Char.code d.[j] lxor Char.code want.[j]))
+  in
   let spliced = x ^ c in
   Alcotest.(check (option int)) "spliced plaintext length"
     (if last = '\x01' then Some 31 else None)

@@ -522,7 +522,7 @@ let qcheck_multiproof_rejects =
       true)
 
 (* The card's per-request check: 64 leaves, 48 wanted. Each leaf and
-   node hash allocates only its digest: 923 words in all, 10,639 when
+   node hash allocates only its digest: 923 words in all, 10,788 when
    every hash concatenated its parts first and fed the kernel a fresh
    block buffer. *)
 let test_multiverify_allocation () =
