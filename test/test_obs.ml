@@ -616,8 +616,11 @@ let traced_pool_run ?(schedule = Fault.Schedule.none) ?policy () =
   let served = Proxy.Pool.serve pool requests in
   (obs, card, link, served)
 
+let md5 s = Digest.to_hex (Digest.string s)
+
 (* Determinism: fixed clock + fixed fault seed => byte-identical trace
-   exports across two independent runs. *)
+   exports across two independent runs, and across changes to the
+   tracer: the digests were recorded before head sampling was removed. *)
 let test_deterministic_trace () =
   let run () =
     let obs, _, _, _ =
@@ -631,12 +634,16 @@ let test_deterministic_trace () =
   let j2, c2 = run () in
   Alcotest.(check string) "identical JSONL" j1 j2;
   Alcotest.(check string) "identical Chrome trace" c1 c2;
+  Alcotest.(check string) "JSONL digest"
+    "41d15b854bf8075f8d03ff3a25f4c13a" (md5 j1);
+  Alcotest.(check string) "Chrome digest"
+    "41027a23d7b06841dbe48c7ee2025059" (md5 c1);
   Alcotest.(check bool) "trace is non-trivial" true
     (contains j1 "\"name\":\"proxy.request\"" && contains j1 "\"name\":\"apdu\"")
 
 (* The same determinism guarantee holds in tail mode: the policy decision
    path (buffer, evaluate, flush) introduces no ordering or accounting
-   nondeterminism. *)
+   nondeterminism. The digests are pinned the same way. *)
 let test_deterministic_tail_trace () =
   let run () =
     let obs, _, _, _ =
@@ -651,6 +658,10 @@ let test_deterministic_tail_trace () =
   let j2, c2 = run () in
   Alcotest.(check string) "identical tail JSONL" j1 j2;
   Alcotest.(check string) "identical tail Chrome trace" c1 c2;
+  Alcotest.(check string) "tail JSONL digest"
+    "2f37bb19600f6f8824e92e17245c6d2c" (md5 j1);
+  Alcotest.(check string) "tail Chrome digest"
+    "3123097df91fbe822c92df6815493f1a" (md5 c1);
   (* Under a 10% fault schedule at least one tree is interesting, and
      the export says why it was kept. *)
   Alcotest.(check bool) "a retained tree names its reason" true
