@@ -21,7 +21,7 @@ type prepared = {
   p_rules : Rule.t list;  (* subject-filtered *)
   p_compiled : Compile.t;
   mutable p_root : string;  (* Merkle root whose signature was verified *)
-  p_bytes : int;  (* residency charge against the cache budget *)
+  mutable p_length : int;  (* the plaintext length that signature bound *)
   mutable p_tick : int;  (* LRU clock at last use *)
 }
 
@@ -194,14 +194,15 @@ let cache_key ~doc_id ~encrypted_rules query =
   ^ "\x00"
   ^ Option.fold ~none:"" ~some:Sdds_xpath.Ast.to_string query
 
-(* Residency charge: the packed automaton (2 bytes per state field, as the
-   evaluator accounting) plus the document key and fixed entry framing. *)
-let entry_bytes compiled = 64 + (2 * Compile.state_count compiled)
+(* An entry's residency charge against the cache budget: the packed
+   automaton (2 bytes per state field, as the evaluator accounting) plus
+   the document key and fixed entry framing. *)
+let entry_bytes p = 64 + (2 * Compile.state_count p.p_compiled)
 
 let drop_entry t key p =
   Hashtbl.remove t.cache key;
   match t.cache_mem with
-  | Some mem -> Memory.release mem ~bytes:p.p_bytes
+  | Some mem -> Memory.release mem ~bytes:(entry_bytes p)
   | None -> ()
 
 let evict_lru t =
@@ -226,7 +227,7 @@ let admit t ~key:ckey prepared_entry =
   match t.cache_mem with
   | None -> ()
   | Some mem ->
-      let bytes = prepared_entry.p_bytes in
+      let bytes = entry_bytes prepared_entry in
       if bytes <= Memory.budget_bytes mem then begin
         (match Hashtbl.find_opt t.cache ckey with
         | Some old -> drop_entry t ckey old
@@ -448,8 +449,9 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
       (* 1+2. Prepare the evaluation: publisher signature over the Merkle
          root, then the rule blob (transferred, MAC-checked, decrypted,
          parsed, compiled). A resident prepared entry skips all of it —
-         except that an unseen root still pays its signature check — while
-         the anti-rollback high-water mark is enforced on both paths. *)
+         except that a root or plaintext length other than the one it last
+         verified pays the signature check again — while the
+         anti-rollback high-water mark is enforced on both paths. *)
       let prepare () =
         let ckey =
           cache_key ~doc_id:source.doc_id ~encrypted_rules query
@@ -476,11 +478,14 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               Error (Replayed_rules { seen; offered = p.p_version })
             end
             else if
-              (not (String.equal p.p_root source.merkle_root))
+              (not
+                 (String.equal p.p_root source.merkle_root
+                 && p.p_length = source.plain_length))
               && not (root_signed meter source)
             then Error Bad_signature
             else begin
               p.p_root <- source.merkle_root;
+              p.p_length <- source.plain_length;
               Hashtbl.replace t.rule_versions source.doc_id
                 (max seen p.p_version);
               Obs.Metrics.Counter.inc t.c_hits;
@@ -520,7 +525,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
                         p_rules = rules;
                         p_compiled = compiled;
                         p_root = source.merkle_root;
-                        p_bytes = entry_bytes compiled;
+                        p_length = source.plain_length;
                         p_tick = t.cache_clock;
                       };
                     Ok (rules, compiled, false)

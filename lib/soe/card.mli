@@ -133,9 +133,11 @@ type cache_stats = {
 val cache_stats : t -> cache_stats
 (** Counters of the prepared-evaluation cache: entries are keyed by
     (document, rule-blob digest, query) and hold the subject-filtered
-    rules, the compiled automata and the verified Merkle root, so a warm
-    {!evaluate} skips the blob MAC/decrypt/parse, the automaton
-    compilation and the root signature check. Eviction is LRU; an entry
+    rules, the compiled automata and the Merkle root and plaintext length
+    the root signature was verified over, so a warm {!evaluate} skips the
+    blob MAC/decrypt/parse, the automaton compilation and the root
+    signature check. A source with another root or another plaintext
+    length pays the signature check again. Eviction is LRU; an entry
     never survives a policy-version bump (anti-rollback) or a re-grant
     under a different document key. *)
 
@@ -231,7 +233,8 @@ type report = {
   prepared_hit : bool;
       (** this evaluation reused a resident prepared entry: no rule-blob
           transfer/MAC/decrypt/parse, no automaton compilation, and no
-          root signature RSA (unless the root changed) were charged *)
+          root signature RSA (unless the root or plaintext length
+          changed) were charged *)
 }
 
 val evaluate :

@@ -591,6 +591,43 @@ let test_disseminate_pins () =
 let test_protected_pins () =
   check_exact protected_pins (evaluate_lines protected)
 
+(* The root signature binds the plaintext length as well as the root. A
+   terminal that serves the first [k] chunks and claims a plaintext of
+   [k] whole chunks changes the length alone: a card whose prepared
+   cache verified the honest root must check the signature again and
+   refuse, as a cold card does. An honest repeat still skips the RSA. *)
+let test_warm_truncated_length () =
+  let w = ward () in
+  let src = source w ~doc_id:"ward" in
+  let encrypted_rules =
+    Option.get (Store.get_rules (World.store w) ~doc_id:"ward" ~subject:"u")
+  in
+  let evaluate c s = Card.evaluate c s ~encrypted_rules () in
+  let fresh () = card ~profile:Cost.fleet w ~doc_id:"ward" in
+  List.iter
+    (fun k ->
+      let cut =
+        { src with
+          Card.chunks = Array.sub src.Card.chunks 0 k;
+          plain_length = k * src.Card.chunk_plain_bytes }
+      in
+      Alcotest.check verdict
+        (Printf.sprintf "cold card, %d chunks" k)
+        (Error Card.Bad_signature)
+        (Result.map ignore (evaluate (fresh ()) cut));
+      let warm = fresh () in
+      ignore (or_fail Card.pp_error (evaluate warm src));
+      let _, hit = or_fail Card.pp_error (evaluate warm src) in
+      Alcotest.(check bool) "honest repeat hits the cache" true
+        hit.Card.prepared_hit;
+      Alcotest.(check (float 0.0)) "and pays no RSA" 0.0
+        hit.Card.breakdown.Cost.rsa_ms;
+      Alcotest.check verdict
+        (Printf.sprintf "warm card, %d chunks" k)
+        (Error Card.Bad_signature)
+        (Result.map ignore (evaluate warm cut)))
+    [ 1; 4; 7 ]
+
 let suite =
   [ Alcotest.test_case "forged root signature" `Quick test_forged_root ]
   @ List.map
@@ -612,3 +649,5 @@ let suite =
       (fun ((name, _, _) as t) ->
         Alcotest.test_case name `Quick (test_tamper t))
       splices
+  @ [ Alcotest.test_case "warm card, truncated length" `Quick
+        test_warm_truncated_length ]
