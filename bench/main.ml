@@ -245,20 +245,10 @@ let specs =
         [ ( "every exemplar resolves",
             List.for_all (fun r ->
                 Json.member "exemplar_ok" r = Some (Json.Bool true)) );
-          ( "modes are full, head and tail",
-            fun rows -> values "mode" rows = [ "full"; "head"; "tail" ] );
-          ( "head and tail share one baseline budget",
-            fun rows ->
-              num "budget" (pick "mode" "head" rows)
-              = num "budget" (pick "mode" "tail" rows) );
+          ( "modes are full and tail",
+            fun rows -> values "mode" rows = [ "full"; "tail" ] );
           ( "tail keeps 100% of the interesting trees",
             fun rows -> num "retention_pct" (pick "mode" "tail" rows) = 100.0 );
-          (* Calibrated on the smoke drill's 21 interesting trees; the
-             full drill's 34 put head at 20.6%. *)
-          ( "on a smoke run, head keeps under 20% of them",
-            fun rows ->
-              (not !smoke)
-              || num "retention_pct" (pick "mode" "head" rows) < 20.0 );
           ( "tail stores fewer events than full",
             fun rows ->
               num "storage_events" (pick "mode" "tail" rows)
@@ -1724,7 +1714,7 @@ let e17_resilience () =
 let e18_observability () =
   header "E18"
     "observability overhead: indexed evaluation with tracing off / \
-     metrics-only / sampled / full (wall clock)";
+     metrics-only / tail-sampled / full (wall clock)";
   let rng = Rng.create 14L in
   (* The E14 document and rule set, so the prune histogram below reads
      against the dispatch-ablation numbers. *)
@@ -1744,7 +1734,8 @@ let e18_observability () =
   let mk_obs = function
     | "off" -> None
     | "metrics" -> Some (Obs.create ~tracing:false ())
-    | "sampled" -> Some (Obs.create ~sample_1_in:8 ())
+    | "sampled" ->
+        Some (Obs.create ~policy:(Obs.Policy.default ~baseline_1_in:8 ()) ())
     | "full" -> Some (Obs.create ())
     | m -> invalid_arg m
   in
@@ -1835,8 +1826,9 @@ let e18_observability () =
   print_endline
     "\nshape check: the metrics-only path stays within noise of tracing\n\
      off (a cell update is a single store; the registry is only read at\n\
-     snapshot time); full tracing pays a ring write per span/instant and\n\
-     sampling sits in between, scaling with the kept fraction."
+     snapshot time); full tracing pays a ring write per span/instant, and\n\
+     tail sampling records every tree before its policy decides, so it\n\
+     costs about what full tracing does."
 
 (* ------------------------------------------------------------------ *)
 (* E19: fleet-scale sharded serving                                    *)
@@ -2358,17 +2350,16 @@ let e22_chaos () =
 (* E23: sampling retention quality                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The same three-phase incident drill as [sdds slo], traced three ways
+(* The same three-phase incident drill as [sdds slo], traced two ways
    from identical seeds: in full (the ground truth for which trees are
-   interesting), head-sampled 1-in-8 (the decision taken blind at root
-   start) and tail-sampled at the same 1-in-8 baseline budget (the
+   interesting) and tail-sampled at a 1-in-8 baseline budget (the
    decision deferred to root completion, when the policy can see the
    error outcomes, fault instants and migration spans). The score is
    what fraction of the interesting trees each mode's export retains. *)
 let e23_sampling () =
   header "E23"
-    "sampling retention: head vs tail at an equal 1-in-8 baseline budget \
-     over the steady -> churn -> recovered incident drill";
+    "sampling retention: tail sampling at a 1-in-8 baseline budget vs \
+     full tracing over the steady -> churn -> recovered incident drill";
   let budget = 8 in
   let per_phase = if !smoke then 24 else 48 in
   let run_mode mode =
@@ -2382,8 +2373,6 @@ let e23_sampling () =
       match mode with
       | "full" ->
           Obs.create ~clock:(Obs.Clock.manual ()) ~capacity:(1 lsl 18) ()
-      | "head" ->
-          Obs.create ~clock:(Obs.Clock.manual ()) ~sample_1_in:budget ()
       | "tail" ->
           Obs.create
             ~clock:(Obs.Clock.manual ())
@@ -2530,14 +2519,13 @@ let e23_sampling () =
             ("retention_pct", Float retention_pct);
             ("storage_events", Int storage_events);
             ("exemplar_ok", Bool exemplar_ok) ])
-    [ "full"; "head"; "tail" ];
+    [ "full"; "tail" ];
   print_endline
     "\nshape check: the tail sampler keeps every interesting tree (the\n\
-     policy sees the whole tree before deciding) at the same baseline\n\
-     budget where head sampling keeps roughly 1-in-8 of them; both\n\
-     exports' exemplars resolve, because an observation can only carry\n\
-     an exemplar when its span was recorded, and a bucket-max\n\
-     observation pins the owning trace."
+     policy sees the whole tree before deciding) while storing a fraction\n\
+     of full tracing's events; both exports' exemplars resolve, because\n\
+     an observation can only carry an exemplar when its span was\n\
+     recorded, and a bucket-max observation pins the owning trace."
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -458,14 +458,11 @@ module Tracer = struct
     o_args : (string * string) list;
   }
 
-  type mode = Head | Tail of Policy.t
-
   type t = {
     on : bool;
     clock : Clock.t;
     cap : int;
-    sample : int;
-    mode : mode;
+    policy : Policy.t option;  (* None: every tree is recorded *)
     ring : ev array;
     mutable head : int;  (* index of the oldest event *)
     mutable len : int;
@@ -473,9 +470,8 @@ module Tracer = struct
     mutable next_id : int;
     mutable stack : int list;  (* implicit current-span path *)
     opens : (int, open_span) Hashtbl.t;
-    mutable roots_seen : int;  (* root candidates, for head sampling *)
-    (* Tail mode: finished descendants buffered per open root until the
-       root finishes and the policy decides. *)
+    (* Under a policy: finished descendants buffered per open root until
+       the root finishes and the policy decides. *)
     pending : (int, ev list ref) Hashtbl.t;
     pinned : (int, unit) Hashtbl.t;  (* roots forced kept by exemplars *)
     mutable roots_done : int;  (* completed roots, for the tail baseline *)
@@ -494,8 +490,7 @@ module Tracer = struct
       on = false;
       clock = (fun () -> 0L);
       cap = 0;
-      sample = 1;
-      mode = Head;
+      policy = None;
       ring = [||];
       head = 0;
       len = 0;
@@ -503,7 +498,6 @@ module Tracer = struct
       next_id = 1;
       stack = [];
       opens = Hashtbl.create 1;
-      roots_seen = 0;
       pending = Hashtbl.create 1;
       pinned = Hashtbl.create 1;
       roots_done = 0;
@@ -514,21 +508,14 @@ module Tracer = struct
       on_evict = nop;
     }
 
-  let create ?(clock = Clock.system) ?(capacity = 65536) ?sample_1_in ?policy
+  let create ?(clock = Clock.system) ?(capacity = 65536) ?policy
       ?(on_keep = nop_keep) ?(on_drop = nop) ?(on_evict = nop) () =
-    (match (sample_1_in, policy) with
-    | Some _, Some _ ->
-        invalid_arg "Tracer.create: sample_1_in and policy are mutually exclusive"
-    | _ -> ());
-    let sample = Option.value ~default:1 sample_1_in in
     if capacity < 1 then invalid_arg "Tracer.create: capacity < 1";
-    if sample < 1 then invalid_arg "Tracer.create: sample_1_in < 1";
     {
       on = true;
       clock;
       cap = capacity;
-      sample;
-      mode = (match policy with Some p -> Tail p | None -> Head);
+      policy;
       ring = Array.make capacity dummy_ev;
       head = 0;
       len = 0;
@@ -536,7 +523,6 @@ module Tracer = struct
       next_id = 1;
       stack = [];
       opens = Hashtbl.create 64;
-      roots_seen = 0;
       pending = Hashtbl.create 16;
       pinned = Hashtbl.create 16;
       roots_done = 0;
@@ -564,11 +550,8 @@ module Tracer = struct
 
   let current t = match t.stack with s :: _ -> s | [] -> none
 
-  (* Negative ids are head-sampled-out spans: they propagate through
-     [parent]/[current] so a sampled-out root suppresses its whole
-     subtree, and every operation on them is a no-op. Tail mode never
-     produces them — every span records and the decision happens when
-     the root stops. *)
+  (* Every span records; under a policy the keep/drop decision happens
+     when the root stops. *)
   let fresh t ~parent name args =
     let id = t.next_id in
     t.next_id <- id + 1;
@@ -582,36 +565,14 @@ module Tracer = struct
     Hashtbl.replace t.opens id
       { o_name = name; o_parent = parent; o_root = root; o_start = t.clock ();
         o_args = args };
-    (match t.mode with
-    | Tail _ when root = id -> Hashtbl.replace t.pending id (ref [])
-    | _ -> ());
+    if t.policy <> None && root = id then Hashtbl.replace t.pending id (ref []);
     id
 
   let start t ?parent ?(args = []) name =
     if not t.on then none
     else
       let parent = match parent with Some p -> p | None -> current t in
-      if parent < 0 then -1
-      else if parent = none then begin
-        match t.mode with
-        | Tail _ -> fresh t ~parent:none name args
-        | Head ->
-            let n = t.roots_seen in
-            t.roots_seen <- n + 1;
-            if t.sample > 1 && n mod t.sample <> 0 then begin
-              t.dropped_trees <- t.dropped_trees + 1;
-              t.on_drop ();
-              -1
-            end
-            else begin
-              if t.sample > 1 then begin
-                t.kept_trees <- t.kept_trees + 1;
-                t.on_keep "head"
-              end;
-              fresh t ~parent:none name args
-            end
-      end
-      else fresh t ~parent name args
+      fresh t ~parent name args
 
   let view_of ev =
     { Policy.v_span = ev.e_span; v_name = ev.e_name; v_dur_ns = ev.e_dur;
@@ -659,7 +620,7 @@ module Tracer = struct
         t.on_drop ()
 
   let stop t ?(args = []) span =
-    if t.on && span > 0 then
+    if t.on && span <> none then
       match Hashtbl.find_opt t.opens span with
       | None -> ()
       | Some o -> (
@@ -676,9 +637,9 @@ module Tracer = struct
               e_args = o.o_args @ args;
             }
           in
-          match t.mode with
-          | Head -> push t ev
-          | Tail policy ->
+          match t.policy with
+          | None -> push t ev
+          | Some policy ->
               if o.o_root = span then finish_root t policy ev
               else (
                 match Hashtbl.find_opt t.pending o.o_root with
@@ -710,63 +671,48 @@ module Tracer = struct
         f
     end
 
+  (* Root ancestor of an open span; [none] for anything else (ids start
+     at 1, so [none] is never open). *)
+  let root_of t span =
+    match Hashtbl.find_opt t.opens span with
+    | Some o -> o.o_root
+    | None -> none
+
   let instant t ?(args = []) name =
     if t.on then begin
       let parent = current t in
-      if parent >= 0 then begin
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let ev =
-          {
-            e_span = false;
-            e_id = id;
-            e_parent = parent;
-            e_name = name;
-            e_start = t.clock ();
-            e_dur = 0L;
-            e_args = args;
-          }
-        in
-        match t.mode with
-        | Head -> push t ev
-        | Tail _ -> (
-            let root =
-              if parent = none then none
-              else
-                match Hashtbl.find_opt t.opens parent with
-                | Some o -> o.o_root
-                | None -> none
-            in
-            match Hashtbl.find_opt t.pending root with
-            | Some r -> r := ev :: !r
-            | None -> push t ev)
-      end
+      let id = t.next_id in
+      t.next_id <- id + 1;
+      let ev =
+        {
+          e_span = false;
+          e_id = id;
+          e_parent = parent;
+          e_name = name;
+          e_start = t.clock ();
+          e_dur = 0L;
+          e_args = args;
+        }
+      in
+      match Hashtbl.find_opt t.pending (root_of t parent) with
+      | Some r -> r := ev :: !r
+      | None -> push t ev
     end
 
-  let root_of t span =
-    if (not t.on) || span <= 0 then none
-    else
-      match Hashtbl.find_opt t.opens span with
-      | Some o -> o.o_root
-      | None -> none
-
+  (* A no-op without a policy: nothing is pending. *)
   let pin t span =
-    if t.on && span > 0 then
-      match t.mode with
-      | Head -> ()
-      | Tail _ -> (
-          match Hashtbl.find_opt t.opens span with
-          | Some o ->
-              if Hashtbl.mem t.pending o.o_root then
-                Hashtbl.replace t.pinned o.o_root ()
-          | None -> ())
+    match Hashtbl.find_opt t.opens span with
+    | Some o ->
+        if Hashtbl.mem t.pending o.o_root then
+          Hashtbl.replace t.pinned o.o_root ()
+    | None -> ()
 
   let events t = List.init t.len (fun i -> t.ring.((t.head + i) mod t.cap))
   let recorded t = t.len
   let evicted t = t.evicted
   let dropped_trees t = t.dropped_trees
   let kept_trees t = t.kept_trees
-  let tail_mode t = match t.mode with Tail _ -> true | Head -> false
+  let tail_mode t = t.policy <> None
 
   let root_spans t =
     List.length (List.filter (fun e -> e.e_span && e.e_parent = none) (events t))
@@ -774,10 +720,9 @@ module Tracer = struct
   (* Retention accounting belongs in the export: a reader of a sampled
      trace must be able to tell "nothing else happened" from "the rest
      was dropped". Only emitted once there is something to account for
-     (tail mode, evictions, or head-sampled drops) so full traces stay
-     byte-compatible with pre-sampling exports. *)
-  let meta_wanted t =
-    tail_mode t || t.evicted > 0 || t.dropped_trees > 0
+     (a policy, or evictions) so full traces stay byte-compatible with
+     pre-sampling exports. *)
+  let meta_wanted t = tail_mode t || t.evicted > 0
 
   let meta_fields t =
     Printf.sprintf
@@ -983,11 +928,11 @@ end
 
 type t = { tracer : Tracer.t; metrics : Metrics.t }
 
-let create ?clock ?(tracing = true) ?capacity ?sample_1_in ?policy () =
+let create ?clock ?(tracing = true) ?capacity ?policy () =
   let metrics = Metrics.create () in
   let tracer =
     if tracing then
-      Tracer.create ?clock ?capacity ?sample_1_in ?policy
+      Tracer.create ?clock ?capacity ?policy
         ~on_keep:(fun _ ->
           Metrics.Counter.inc (Metrics.counter metrics "trace.retained"))
         ~on_drop:(fun () ->
@@ -1019,17 +964,12 @@ let observe ?span o name v =
       let sp =
         match span with Some s -> s | None -> Tracer.current o.tracer
       in
-      if sp > 0 then begin
-        let root = Tracer.root_of o.tracer sp in
-        if root > 0 then begin
-          (* A new bucket max pins the owning trace (tail mode), so
-             every exported exemplar resolves to a retained trace. *)
-          if Metrics.Histogram.observe_exemplar h ~trace:root ~span:sp v then
-            Tracer.pin o.tracer root
-        end
-        else Metrics.Histogram.observe h v
-      end
-      else Metrics.Histogram.observe h v
+      let root = Tracer.root_of o.tracer sp in
+      if root = Tracer.none then Metrics.Histogram.observe h v
+      else if Metrics.Histogram.observe_exemplar h ~trace:root ~span:sp v then
+        (* A new bucket max pins the owning trace (under a policy), so
+           every exported exemplar resolves to a retained trace. *)
+        Tracer.pin o.tracer root
 
 let attach_counter o name c =
   match o with None -> () | Some o -> Metrics.attach_counter o.metrics name c

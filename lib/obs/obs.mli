@@ -11,10 +11,10 @@
       into a bounded ring buffer, with an injected clock so traces are
       deterministic under test, and exports both JSONL and the Chrome
       [trace_event] format (opens directly in [about:tracing] / Perfetto).
-      Sampling is either {e head} (1-in-N decided when the root opens) or
-      {e tail}: whole span trees are buffered until the root finishes and
-      a {!Policy} decides keep/drop — so the slow, faulted and migrated
-      requests that matter are retained even under a tight storage budget;
+      It records every span tree, or samples by {e tail}: whole trees are
+      buffered until the root finishes and a {!Policy} decides keep/drop
+      — so the slow, faulted and migrated requests that matter are
+      retained even under a tight storage budget;
     - {!Metrics} is a registry of named counters, gauges and log-bucketed
       histograms with a Prometheus-style text exporter and a JSON
       snapshot. Histogram buckets optionally carry {e exemplars} — the
@@ -237,10 +237,9 @@ end
 (** Spans and instants in a bounded ring buffer. *)
 module Tracer : sig
   type span = int
-  (** A span id. [0] ({!none}) means "no span"; negative ids are
-      head-sampled-out spans — both are accepted everywhere and recorded
-      nowhere, so instrumentation never branches on the sampling
-      decision. *)
+  (** A span id, from 1 up. [0] ({!none}) means "no span": it is accepted
+      everywhere and recorded nowhere, so instrumentation never branches
+      on whether tracing is on. *)
 
   val none : span
 
@@ -254,7 +253,6 @@ module Tracer : sig
   val create :
     ?clock:Clock.t ->
     ?capacity:int ->
-    ?sample_1_in:int ->
     ?policy:Policy.t ->
     ?on_keep:(string -> unit) ->
     ?on_drop:(unit -> unit) ->
@@ -264,17 +262,12 @@ module Tracer : sig
   (** [capacity] (default 65536) bounds the ring buffer: once full, the
       oldest events are overwritten and counted in {!evicted}.
 
-      [sample_1_in] (default 1 = keep everything) is {e head} sampling:
-      every n-th root span is kept, decided when the root opens — a
-      sampled-out root suppresses its whole subtree, so sampled traces
-      contain only complete request trees. The decision is a
-      deterministic counter, not a coin flip.
-
-      [policy] switches to {e tail} sampling (mutually exclusive with
-      [sample_1_in]): every tree records into a per-root buffer and the
+      Without [policy] every span tree is recorded. With one, the tracer
+      {e tail}-samples: every tree records into a per-root buffer and the
       policy decides keep/drop when the root finishes, so retention can
-      depend on outcome, latency, faults or tree shape. Retained roots
-      carry a [sampled.reason] arg naming the rule (or ["baseline"] /
+      depend on outcome, latency, faults or tree shape, and exports hold
+      only complete request trees. Retained roots carry a
+      [sampled.reason] arg naming the rule (or ["baseline"] /
       ["exemplar"]).
 
       [on_keep]/[on_drop]/[on_evict] fire on tree retention, tree drop
@@ -288,13 +281,13 @@ module Tracer : sig
   (** Open a span. [parent] defaults to the {!current} span; pass
       [~parent:none] to force a root (the per-request root spans of the
       pool, whose streams interleave and cannot use the implicit stack).
-      Returns a non-positive id when disabled or sampled out. *)
+      Returns {!none} when disabled. *)
 
   val stop : t -> ?args:(string * string) list -> span -> unit
   (** Close a span and commit it ([args] are appended to the start args).
-      In tail mode, closing a root runs the policy over the buffered tree
-      and either commits it whole or drops it whole. No-op on {!none} /
-      sampled-out ids. *)
+      Under a policy, closing a root runs the policy over the buffered
+      tree and either commits it whole or drops it whole. No-op on
+      {!none}. *)
 
   val with_span : t -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
   (** [start] + push on the implicit stack + run + pop + [stop],
@@ -315,13 +308,12 @@ module Tracer : sig
 
   val root_of : t -> span -> span
   (** Root ancestor of an {e open} span (itself for roots); {!none} for
-      closed, sampled-out or unknown ids. Exemplars use it as the trace
-      id. *)
+      closed or unknown ids. Exemplars use it as the trace id. *)
 
   val pin : t -> span -> unit
-  (** Tail mode: force the (open) tree containing this span to be
-      retained regardless of policy, with reason ["exemplar"]. No-op in
-      head mode or after the root closed. *)
+  (** Under a policy: force the (open) tree containing this span to be
+      retained regardless of the rules, with reason ["exemplar"]. No-op
+      without a policy or after the root closed. *)
 
   val recorded : t -> int
   (** Events currently resident in the ring. *)
@@ -331,14 +323,13 @@ module Tracer : sig
       [trace.evicted] and in both exporters' metadata). *)
 
   val dropped_trees : t -> int
-  (** Whole trees discarded by sampling — head-sampled-out roots and
-      tail-policy drops. *)
+  (** Whole trees the policy discarded. *)
 
   val kept_trees : t -> int
-  (** Trees retained by an explicit sampling decision (tail policy, or
-      head sampling with [sample_1_in > 1]). *)
+  (** Trees the policy retained; 0 without a policy. *)
 
   val tail_mode : t -> bool
+  (** The tracer samples by a policy. *)
 
   val root_spans : t -> int
   (** Completed spans with no parent currently in the ring. *)
@@ -347,15 +338,16 @@ module Tracer : sig
   (** One JSON object per line, oldest first; spans commit on [stop], so
       children precede their parent. Span lines carry
       [type/id/parent/name/ts_ns/dur_ns/args], instants the same minus
-      [dur_ns]. When anything was sampled or evicted, the first line is
-      [{"type":"meta",...}] with
-      [recorded]/[evicted]/[kept_trees]/[dropped_trees]. *)
+      [dur_ns]. Under a policy, or once anything was evicted, the first
+      line is [{"type":"meta",...}] with
+      [recorded]/[evicted]/[kept_trees]/[dropped_trees]; a tracer that
+      records everything and evicted nothing writes none. *)
 
   val to_chrome : t -> string
   (** Chrome [trace_event] JSON ([{"traceEvents":[...]}]): spans as
       complete ([ph:"X"]) events with microsecond [ts]/[dur], instants as
-      [ph:"i"]. Sampling/eviction accounting appears as a top-level
-      ["metadata"] object. Load the file in [about:tracing] or
+      [ph:"i"]. The same accounting appears, in the same cases, as a
+      top-level ["metadata"] object. Load the file in [about:tracing] or
       {{:https://ui.perfetto.dev}Perfetto}. *)
 end
 
@@ -436,15 +428,15 @@ val create :
   ?clock:Clock.t ->
   ?tracing:bool ->
   ?capacity:int ->
-  ?sample_1_in:int ->
   ?policy:Policy.t ->
   unit ->
   t
 (** Fresh scope. [tracing:false] pairs a {e disabled} tracer with a live
-    registry — metrics without trace overhead. [sample_1_in] enables head
-    sampling, [policy] tail sampling (mutually exclusive); either way the
-    sampling outcome is accounted in the [trace.retained] /
-    [trace.dropped] / [trace.evicted] counters. *)
+    registry — metrics without trace overhead. Without [policy] the
+    tracer records every tree; with one it tail-samples
+    ({!Tracer.create}). Retained and dropped trees count in
+    [trace.retained] / [trace.dropped], ring overwrites in
+    [trace.evicted]. *)
 
 (** {2 [Obs.t option] conveniences}
 

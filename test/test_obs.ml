@@ -111,8 +111,8 @@ let test_exporters () =
 (* Tracer                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let manual_tracer ?capacity ?sample_1_in () =
-  Obs.Tracer.create ~clock:(Obs.Clock.manual ()) ?capacity ?sample_1_in ()
+let manual_tracer ?capacity () =
+  Obs.Tracer.create ~clock:(Obs.Clock.manual ()) ?capacity ()
 
 let test_disabled_tracer_is_inert () =
   let tr = Obs.Tracer.disabled in
@@ -155,16 +155,6 @@ let test_nesting_and_exports () =
     (contains chrome "\"traceEvents\":[");
   Alcotest.(check bool) "complete span events" true
     (contains chrome "\"ph\":\"X\"" && contains chrome "\"ph\":\"i\"")
-
-let test_sampling_keeps_whole_trees () =
-  let tr = manual_tracer ~sample_1_in:2 () in
-  for _ = 1 to 6 do
-    Obs.Tracer.with_span tr "root" (fun () ->
-        Obs.Tracer.with_span tr "child" (fun () -> ()))
-  done;
-  (* Every other root is kept, each with its child — never an orphan. *)
-  Alcotest.(check int) "half the roots" 3 (Obs.Tracer.root_spans tr);
-  Alcotest.(check int) "children follow their root" 6 (Obs.Tracer.recorded tr)
 
 let test_ring_is_bounded () =
   let tr = manual_tracer ~capacity:8 () in
@@ -302,11 +292,6 @@ let test_tail_meta_and_eviction () =
   | [] -> Alcotest.fail "empty export");
   Alcotest.(check bool) "chrome metadata object" true
     (contains (Obs.Tracer.to_chrome tr) "\"metadata\":{\"recorded\":")
-
-let test_create_rejects_head_and_tail () =
-  match Obs.create ~sample_1_in:4 ~policy:(Obs.Policy.default ()) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "head + tail sampling together must be rejected"
 
 (* Every non-baseline retained tree satisfies the rule that kept it, and
    every interesting tree is retained — across random mixes of error /
@@ -776,8 +761,6 @@ let suite =
       test_disabled_tracer_is_inert;
     Alcotest.test_case "nesting and both export formats" `Quick
       test_nesting_and_exports;
-    Alcotest.test_case "sampling keeps whole trees" `Quick
-      test_sampling_keeps_whole_trees;
     Alcotest.test_case "ring buffer is bounded" `Quick test_ring_is_bounded;
     Alcotest.test_case "tail policy names its retention reasons" `Quick
       test_tail_policy_reasons;
@@ -785,8 +768,6 @@ let suite =
       test_tail_baseline_and_children;
     Alcotest.test_case "sampling accounting in meta line and metadata" `Quick
       test_tail_meta_and_eviction;
-    Alcotest.test_case "head and tail sampling are exclusive" `Quick
-      test_create_rejects_head_and_tail;
     QCheck_alcotest.to_alcotest qcheck_tail_policy_sound;
     Alcotest.test_case "exemplars aggregate and export" `Quick
       test_exemplars_and_snapshot;
