@@ -39,11 +39,11 @@ let xml_of (served : Proxy.Pool.served) = served.Proxy.Pool.xml
    in: [Cutout] (a killed card answers the transport word regardless of
    the frame schedule) over [Fault.Link] (seeded frame faults, salted
    per card) over the raw host transport. [faults_on] switches the
-   frame-fault layer only, never the cutout: dead is dead. Returns the
-   fleet, the stacks by card index, and a hook that grows the fleet by
-   one stacked card. *)
-let fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
-    ~max_reroutes ?probe_budget ~standby_k ~store ~subject () =
+   frame-fault layer only, never the cutout: dead is dead. A request may
+   be re-routed twice. Returns the fleet, the stacks by card index, and a
+   hook that grows the fleet by one stacked card. *)
+let fault_fleet ?obs ?queue_limit ~standby_k ~faults_on ~schedule ~make_card
+    ~cards ~store ~subject () =
   let stacks = ref [] in
   let make_stack i =
     let raw, tear = make_card () in
@@ -58,8 +58,7 @@ let fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
       Fault.Cutout.wrap cutout (if !faults_on then faulty else raw) cmd
   in
   let fleet =
-    Fleet.create ?obs ~queue_limit ~max_reroutes ?probe_budget ~standby_k
-      ~store ~subject
+    Fleet.create ?obs ?queue_limit ~max_reroutes:2 ~standby_k ~store ~subject
       (Array.init cards make_stack)
   in
   let add_card () =
@@ -69,13 +68,12 @@ let fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
 
 (* One deterministic soak. The gate drops the frame-fault layer — never
    the cutout — for the convergence phase. *)
-let run ?obs ?(cards = 3) ?(queue_limit = 64) ?(max_reroutes = 2)
-    ?(standby_k = 2) ?probe_budget ~store ~subject ~make_card ~golden
-    ~schedule ~campaign requests =
+let run ?obs ?(cards = 3) ?(standby_k = 2) ~store ~subject ~make_card
+    ~golden ~schedule ~campaign requests =
   let faults_on = ref true in
   let fleet, stacks, add_card =
-    fault_fleet ?obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
-      ~max_reroutes ?probe_budget ~standby_k ~store ~subject ()
+    fault_fleet ?obs ~standby_k ~faults_on ~schedule ~make_card ~cards ~store
+      ~subject ()
   in
   let apply = function
     | Fault.Campaign.Kill c -> (
@@ -254,8 +252,7 @@ let slo_phase_json p =
     (String.concat "," peaks)
     (String.concat "," verdicts)
 
-let run_slo ?(cards = 3) ?(queue_limit = 16) ?(max_reroutes = 2)
-    ?(standby_k = 2) ?probe_budget ?(batch = 3)
+let run_slo ?(cards = 3) ?(batch = 3)
     ?(churn_fault_seed = 1042L) ?(churn_fault_rate = 0.12)
     ?(availability_target = 99.0) ?(latency_target = 95.0)
     ?(latency_threshold_us = 4095) ?(fast_window_ns = 2_000_000L)
@@ -269,8 +266,8 @@ let run_slo ?(cards = 3) ?(queue_limit = 16) ?(max_reroutes = 2)
   in
   let faults_on = ref false in
   let fleet, stacks, _ =
-    fault_fleet ~obs ~faults_on ~schedule ~make_card ~cards ~queue_limit
-      ~max_reroutes ?probe_budget ~standby_k ~store ~subject ()
+    fault_fleet ~obs ~queue_limit:16 ~standby_k:2 ~faults_on ~schedule
+      ~make_card ~cards ~store ~subject ()
   in
   let slo = Obs.Slo.create obs.Obs.metrics in
   Obs.Slo.register slo ~name:"availability" ~target_pct:availability_target

@@ -46,10 +46,7 @@ type report = {
 val run :
   ?obs:Sdds_obs.Obs.t ->
   ?cards:int ->
-  ?queue_limit:int ->
-  ?max_reroutes:int ->
   ?standby_k:int ->
-  ?probe_budget:int ->
   store:Sdds_dsp.Store.t ->
   subject:string ->
   make_card:(unit -> Sdds_soe.Remote_card.transport * (unit -> unit)) ->
@@ -64,7 +61,8 @@ val run :
     gets the stack cutout-over-fault-link-over-raw, the link's schedule
     salted per card ({!Sdds_fault.Fault.Schedule.for_card}). [golden]
     is the fault-free reference view, typically the single-card
-    [Proxy.run] memoized. Defaults: [max_reroutes] 2, [standby_k] 2.
+    [Proxy.run] memoized. [standby_k] defaults to 2. The fleet queues up
+    to 64 requests per card and re-routes a request at most twice.
     The admission loop interleaves one {!Fleet.start} and one
     {!Fleet.turn} per request, so campaign events land while earlier
     requests are in flight. *)
@@ -104,10 +102,6 @@ val slo_phase_json : slo_phase -> string
 
 val run_slo :
   ?cards:int ->
-  ?queue_limit:int ->
-  ?max_reroutes:int ->
-  ?standby_k:int ->
-  ?probe_budget:int ->
   ?batch:int ->
   ?churn_fault_seed:int64 ->
   ?churn_fault_rate:float ->
@@ -141,8 +135,10 @@ val run_slo :
     fires mid-churn ([sp_breach_ticks] > 0) and clears once the fast
     window drains, so recovery shows as a clean [recovered] phase.
     Requests are admitted in batches of [batch] (default 3) with a
-    tick and an evaluation after each batch. Returns the three phases
-    in order. *)
+    tick and an evaluation after each batch. The fleet queues up to 16
+    requests per card, re-routes a request at most twice and keeps the
+    two hottest keys warm on a standby. Returns the three phases in
+    order. *)
 
 val minimize :
   rerun:(Sdds_fault.Fault.Campaign.t -> int -> report) ->

@@ -15,23 +15,23 @@ module Obs = Sdds_obs.Obs
 (* ------------------------------------------------------------------ *)
 
 module Ring = struct
-  (* [vnodes] virtual points per member, FNV-1a-hashed onto an unsigned
-     64-bit circle. Immutable: [add]/[remove] rebuild from the member
-     list, and because every member's points stay where they are, a
-     resize only moves the keys whose successor point changed — the
+  (* [points_per_member] virtual points per member, FNV-1a-hashed onto an
+     unsigned 64-bit circle. Immutable: [add]/[remove] rebuild from the
+     member list, and because every member's points stay where they are,
+     a resize only moves the keys whose successor point changed — the
      property test pins it. *)
-  type t = { vnodes : int; members : int list; points : (int64 * int) array }
+  type t = { members : int list; points : (int64 * int) array }
 
   let fnv1a64 = Sdds_util.Fnv.fnv1a64
+  let points_per_member = 64
 
-  let create ?(vnodes = 64) members =
-    if vnodes < 1 then invalid_arg "Ring.create: vnodes < 1";
+  let create members =
     let members = List.sort_uniq compare members in
     let points =
       Array.of_list
         (List.concat_map
            (fun m ->
-             List.init vnodes (fun r ->
+             List.init points_per_member (fun r ->
                  (fnv1a64 (Printf.sprintf "card-%d/%d" m r), m)))
            members)
     in
@@ -39,11 +39,11 @@ module Ring = struct
       (fun (a, ma) (b, mb) ->
         match Int64.unsigned_compare a b with 0 -> compare ma mb | c -> c)
       points;
-    { vnodes; members; points }
+    { members; points }
 
   let members t = t.members
-  let add t m = create ~vnodes:t.vnodes (m :: t.members)
-  let remove t m = create ~vnodes:t.vnodes (List.filter (( <> ) m) t.members)
+  let add t m = create (m :: t.members)
+  let remove t m = create (List.filter (( <> ) m) t.members)
 
   (* Successor point of the key's hash, wrapping past the top of the
      circle back to the first point. *)
@@ -140,10 +140,7 @@ type t = {
   subject : string;
   queue_limit : int;
   max_reroutes : int;
-  channels : int;
-  probe_budget : int;
   standby_k : int;
-  link_bytes_per_s : float;
   heat : (string, int) Hashtbl.t;  (* affinity-key request counts *)
   obs : Obs.t option;
   mutable requests : int;
@@ -189,8 +186,7 @@ let set_state t slot st =
   ignore t;
   Obs.Metrics.Gauge.set slot.g_state (lifecycle_index st)
 
-let make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s ~state id
-    raw =
+let make_slot ?obs ~store ~subject ~state id raw =
   let g_depth = Obs.Metrics.Gauge.create () in
   Obs.attach_gauge obs (Printf.sprintf "fleet.card%d.queue_depth" id) g_depth;
   let g_state = Obs.Metrics.Gauge.create () in
@@ -207,12 +203,12 @@ let make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s ~state id
       +. float_of_int
            (String.length (Apdu.encode_command cmd)
            + String.length (Apdu.encode_response resp))
-         /. link_bytes_per_s;
+         /. Cost.fleet.Cost.link_bytes_per_s;
     resp
   in
   {
     id;
-    pool = Proxy.Pool.create ?obs ~store ~transport ~subject ~channels ();
+    pool = Proxy.Pool.create ?obs ~store ~transport ~subject ();
     transport;
     queue = Queue.create ();
     active = [];
@@ -224,18 +220,14 @@ let make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s ~state id
   }
 
 let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
-    ?(channels = Apdu.max_channels)
-    ?(link_bytes_per_s = Cost.fleet.Cost.link_bytes_per_s) ?(probe_budget = 3)
     ?(standby_k = 0) ~store ~subject transports =
   let n = Array.length transports in
   if n < 1 then invalid_arg "Fleet.create: no cards";
   if queue_limit < 1 then invalid_arg "Fleet.create: queue_limit < 1";
-  if probe_budget < 1 then invalid_arg "Fleet.create: probe_budget < 1";
   if standby_k < 0 then invalid_arg "Fleet.create: standby_k < 0";
   let slots =
     Array.init n (fun i ->
-        make_slot ?obs ~store ~subject ~channels ~link_bytes_per_s
-          ~state:Up i transports.(i))
+        make_slot ?obs ~store ~subject ~state:Up i transports.(i))
   in
   {
     slots;
@@ -247,10 +239,7 @@ let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
     subject;
     queue_limit;
     max_reroutes;
-    channels;
-    probe_budget;
     standby_k;
-    link_bytes_per_s;
     heat = Hashtbl.create 64;
     obs;
     requests = 0;
@@ -448,9 +437,11 @@ let reroute (t : t) st failed =
 (* Liveness probe: an instruction no card implements, on the basic
    channel. A live card answers the [bad_ins] word — proof of life that
    touches no session state; only a dead link (or a frame fault) yields
-   the transient transport word. The typed budget bounds what a dead
-   card can cost: [probe_budget] tiny frames once, instead of every
-   subsequent request's full retry budget. *)
+   the transient transport word. The budget bounds what a dead card can
+   cost: [probe_attempts] tiny frames once, instead of every subsequent
+   request's full retry budget. *)
+let probe_attempts = 3
+
 let probe_frame =
   { Apdu.cla = Apdu.base_cla; ins = 0xEE; p1 = 0; p2 = 0; data = "" }
 
@@ -466,7 +457,7 @@ let probe_alive (t : t) slot =
       else true
     end
   in
-  go t.probe_budget
+  go probe_attempts
 
 (* Re-plan one stream away from [from] (dying or draining): the ring —
    which no longer contains [from] — names the successor that inherits
@@ -533,9 +524,8 @@ let mark_dead (t : t) slot =
 let add_card (t : t) raw =
   let id = Array.length t.slots in
   let slot =
-    make_slot ?obs:t.obs ~store:t.store ~subject:t.subject
-      ~channels:t.channels ~link_bytes_per_s:t.link_bytes_per_s ~state:Joining
-      id raw
+    make_slot ?obs:t.obs ~store:t.store ~subject:t.subject ~state:Joining id
+      raw
   in
   t.slots <- Array.append t.slots [| slot |];
   t.ring <- Ring.add t.ring id;
@@ -566,7 +556,7 @@ let revive_card (t : t) i =
        hit the surviving prepared cache warm. *)
     slot.pool <-
       Proxy.Pool.create ?obs:t.obs ~store:t.store ~transport:slot.transport
-        ~subject:t.subject ~channels:t.channels ();
+        ~subject:t.subject ();
     set_state t slot Joining;
     t.ring <- Ring.add t.ring i;
     t.revives <- t.revives + 1;
@@ -628,7 +618,7 @@ let start (t : t) req =
   st
 
 (* One scheduler turn: round-robin over the live cards; each feeds its
-   pool up to [channels] concurrent streams from its FIFO queue and
+   pool up to [Apdu.max_channels] concurrent streams from its FIFO queue and
    advances every active stream by one frame — the same frame
    interleaving N independent terminals would produce, except across N
    cards at once. A request finishing in [Link_failure] triggers the
@@ -639,7 +629,7 @@ let turn t =
     (fun slot ->
       if live slot then begin
         while
-          List.length slot.active < t.channels
+          List.length slot.active < Apdu.max_channels
           && not (Queue.is_empty slot.queue)
         do
           let st = Queue.take slot.queue in

@@ -38,13 +38,12 @@
     request ending in [Link_failure] triggers a health probe cycle: an
     unimplemented instruction on the basic channel, answered by any live
     card with the [bad_ins] status word and by a dead link with the
-    transient transport word. A card failing [probe_budget] consecutive
-    probes is declared [Dead] {e once} — [probe_budget] tiny frames,
-    instead of every subsequent request burning its full retry budget —
-    leaves the ring, and is evacuated. {!remove_card} drains a card
-    gracefully ([Draining]); {!add_card} and {!revive_card} bring
-    capacity in as [Joining], promoted to [Up] on the first successful
-    serve.
+    transient transport word. A card failing three consecutive probes is
+    declared [Dead] {e once} — three tiny frames, instead of every
+    subsequent request burning its full retry budget — leaves the ring,
+    and is evacuated. {!remove_card} drains a card gracefully
+    ([Draining]); {!add_card} and {!revive_card} bring capacity in as
+    [Joining], promoted to [Up] on the first successful serve.
 
     {b Session migration.} Evacuating a card (death or drain) re-plans
     its queued streams in FIFO order and aborts its in-flight pool
@@ -69,11 +68,12 @@
     client-visible [Link_failure], no cold re-upload storm.
 
     {b Simulated time.} Each card advances its own clock by the wire
-    time of every frame it exchanges ([link_bytes_per_s]) — health
-    probes included; a request's [latency_s] is its serving card's clock
-    at completion (never less than the time already burned on cards it
-    was re-routed or migrated away from), so queueing delay surfaces as
-    tail latency deterministically, with no wall clock involved.
+    time of every frame it exchanges at {!Sdds_soe.Cost.fleet}'s link
+    throughput — health probes included; a request's [latency_s] is its
+    serving card's clock at completion (never less than the time already
+    burned on cards it was re-routed or migrated away from), so queueing
+    delay surfaces as tail latency deterministically, with no wall clock
+    involved.
 
     [obs] wiring: [fleet.request] root spans (outcome, card, re-route
     and migration counts as args) with [fleet.migrate] child spans
@@ -91,9 +91,9 @@
 module Ring : sig
   type t
 
-  val create : ?vnodes:int -> int list -> t
-  (** [vnodes] virtual points per member (default 64); duplicates in the
-      member list are dropped. *)
+  val create : int list -> t
+  (** 64 virtual points per member; duplicates in the member list are
+      dropped. *)
 
   val members : t -> int list
   (** Sorted, unique. *)
@@ -135,9 +135,6 @@ val create :
   ?routing:routing ->
   ?queue_limit:int ->
   ?max_reroutes:int ->
-  ?channels:int ->
-  ?link_bytes_per_s:float ->
-  ?probe_budget:int ->
   ?standby_k:int ->
   store:Sdds_dsp.Store.t ->
   subject:string ->
@@ -147,11 +144,11 @@ val create :
     (the caller owns the hosts and may interpose per-card fault links —
     see {!Sdds_fault.Fault.Schedule.for_card} — and power cutouts,
     {!Sdds_fault.Fault.Cutout}). Defaults: [Affinity] routing,
-    [queue_limit] 64 per card, [max_reroutes] 1, [channels]
-    {!Sdds_soe.Apdu.max_channels} per card,
-    {!Sdds_soe.Cost.fleet}'s link throughput, [probe_budget] 3, and
-    [standby_k] 0 (hot-key replication off). [subject] is the default
-    subject; per-request overrides ride in {!Proxy.Request.t.subject}. *)
+    [queue_limit] 64 per card, [max_reroutes] 1 and [standby_k] 0
+    (hot-key replication off). Each card serves up to
+    {!Sdds_soe.Apdu.max_channels} streams at once through its own
+    {!Proxy.Pool}. [subject] is the default subject; per-request
+    overrides ride in {!Proxy.Request.t.subject}. *)
 
 type outcome = {
   result : (Proxy.Pool.served, Proxy.error) result;

@@ -209,24 +209,19 @@ module Pool = struct
     subject : string;
     mutable free : int list;  (* open channels not serving a stream *)
     mutable opened : int;  (* channels opened so far, basic included *)
-    limit : int;  (* channels the pool may open *)
     mutable epoch : int;  (* bumped on evidence of a card tear *)
     memos : (int, memo) Hashtbl.t;
     granted : (string, unit) Hashtbl.t;  (* grants already installed *)
     obs : Obs.t option;
   }
 
-  let create ?obs ~store ~transport ~subject ?(channels = Apdu.max_channels)
-      () =
-    if channels < 1 || channels > Apdu.max_channels then
-      invalid_arg "Pool.create: channels out of range";
+  let create ?obs ~store ~transport ~subject () =
     {
       store;
       transport;
       subject;
       free = [ 0 ];
       opened = 1;
-      limit = channels;
       epoch = 0;
       memos = Hashtbl.create 4;
       granted = Hashtbl.create 8;
@@ -406,16 +401,16 @@ module Pool = struct
 
   type acquired = Got of int | Wait | Soft | Hard of error
 
-  (* Take a free channel, or open one with MANAGE CHANNEL if the pool is
-     still under its limit. The open frames are charged to the stream
-     that triggered them — amortized away once the channel is reused. *)
+  (* Take a free channel, or open one with MANAGE CHANNEL while the card
+     has one left. The open frames are charged to the stream that
+     triggered them — amortized away once the channel is reused. *)
   let acquire t st =
     match t.free with
     | ch :: rest ->
         t.free <- rest;
         Got ch
     | [] ->
-        if t.opened >= t.limit then Wait
+        if t.opened >= Apdu.max_channels then Wait
         else begin
           let resp =
             send t st

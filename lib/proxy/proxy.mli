@@ -127,14 +127,13 @@ module Pool : sig
     store:Sdds_dsp.Store.t ->
     transport:Sdds_soe.Remote_card.transport ->
     subject:string ->
-    ?channels:int ->
     unit ->
     t
-  (** [channels] (default {!Sdds_soe.Apdu.max_channels}) caps how many
-      logical channels the pool opens; channels are opened lazily with
-      MANAGE CHANNEL and reused across {!serve} calls, with the channel's
-      card-side session remembered so a repeat request skips the
-      select/grant/rules/query upload entirely (warm setup).
+  (** The pool opens up to {!Sdds_soe.Apdu.max_channels} logical
+      channels, lazily with MANAGE CHANNEL, and reuses them across
+      {!serve} calls, with the channel's card-side session remembered so
+      a repeat request skips the select/grant/rules/query upload
+      entirely (warm setup).
 
       [obs] opens one [proxy.request] root span per served request
       (every transport exchange re-roots the implicit span stack at it,
