@@ -95,16 +95,6 @@ let query t ?xpath ?protect ?subject doc_id =
 (* Dissemination                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_key ~store ~card ~doc_id =
-  if Card.has_key card ~doc_id then Ok ()
-  else
-    match Store.get_grant store ~doc_id ~subject:(Card.subject card) with
-    | None -> Error Proxy.No_grant
-    | Some wrapped -> (
-        match Card.install_wrapped_key card ~doc_id ~wrapped with
-        | Ok () -> Ok ()
-        | Error e -> Error (Proxy.Card_error e))
-
 let served_of_outputs outs =
   let view = Reassembler.run ~has_query:false outs in
   let out_bytes = Output_codec.size_list outs in
@@ -119,11 +109,11 @@ let served_of_outputs outs =
     retries = 0;
   }
 
-let deliver_direct ~store ~card ~doc_id subscribers =
+let deliver_direct ~proxy ~store ~card ~doc_id subscribers =
   match Store.get_document store doc_id with
   | None -> Error (Proxy.Unknown_document doc_id)
   | Some published -> (
-      match ensure_key ~store ~card ~doc_id with
+      match Proxy.ensure_key proxy ~doc_id ~subject:(Card.subject card) with
       | Error e -> Error e
       | Ok () -> (
           let source = Publish.to_source published ~delivery:`Push in
@@ -167,7 +157,17 @@ let deliver_direct ~store ~card ~doc_id subscribers =
 
 let deliver t ~doc_id subscribers =
   match t with
-  | Direct { store; card; _ } -> deliver_direct ~store ~card ~doc_id subscribers
+  | Direct { proxy; store; card } -> (
+      (* A rotation leaves the gateway holding the old key: refresh the
+         grant and retry once, as [Proxy.run] does for a query. *)
+      match deliver_direct ~proxy ~store ~card ~doc_id subscribers with
+      | Error (Proxy.Card_error e) as stale when Proxy.stale_evidence e -> (
+          match
+            Proxy.refresh_key proxy ~doc_id ~subject:(Card.subject card)
+          with
+          | Ok () -> deliver_direct ~proxy ~store ~card ~doc_id subscribers
+          | Error () -> stale)
+      | result -> result)
   | Pooled _ | Fleeted _ ->
       (* Rule blobs are MAC-bound per subject, so a remote card cannot
          share one evaluation across subscribers: dissemination over the

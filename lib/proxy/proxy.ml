@@ -379,25 +379,25 @@ module Pool = struct
       charge t st (fun () -> cold_setup t st setup_frames)
 
   let fatal t st ~clear_memo e setup_frames =
-    match e with
-    | (Card.Stale_key _ | Card.Bad_rules _) when not st.rekeyed -> (
-        (* Revocation: the card's cached key predates a rotation. Fetch
-           the fresh wrapped grant and replay cold; without a usable
-           fresh grant the staleness is the real answer. *)
-        match
-          Store.get_grant t.store ~doc_id:st.req.Request.doc_id
-            ~subject:(stream_subject t st.req)
-        with
-        | None -> finish t st (Error (Card_error e))
-        | Some w ->
-            st.rekeyed <- true;
-            st.grant <- Some w;
-            Obs.inc t.obs "pool.rekeys" 1;
-            Hashtbl.remove t.granted st.req.Request.doc_id;
-            cold_setup t st setup_frames)
-    | _ ->
-        if clear_memo then Hashtbl.remove t.memos st.channel;
-        finish t st (Error (Card_error e))
+    if stale_evidence e && not st.rekeyed then
+      (* Revocation: the card's cached key predates a rotation. Fetch
+         the fresh wrapped grant and replay cold; without a usable
+         fresh grant the staleness is the real answer. *)
+      match
+        Store.get_grant t.store ~doc_id:st.req.Request.doc_id
+          ~subject:(stream_subject t st.req)
+      with
+      | None -> finish t st (Error (Card_error e))
+      | Some w ->
+          st.rekeyed <- true;
+          st.grant <- Some w;
+          Obs.inc t.obs "pool.rekeys" 1;
+          Hashtbl.remove t.granted st.req.Request.doc_id;
+          cold_setup t st setup_frames
+    else begin
+      if clear_memo then Hashtbl.remove t.memos st.channel;
+      finish t st (Error (Card_error e))
+    end
 
   type acquired = Got of int | Wait | Soft | Hard of error
 

@@ -92,6 +92,24 @@ val run : t -> Request.t -> (outcome, error) result
     negatively. Raises [Sdds_xpath.Parser.Error] on a malformed [xpath]
     (the application's bug, reported synchronously). *)
 
+val ensure_key :
+  t -> doc_id:string -> subject:string -> (unit, error) result
+(** Install [subject]'s wrapped grant for the document on the proxy's
+    card, unless the card already holds a key for it. [No_grant] when
+    the DSP has none. *)
+
+val stale_evidence : Sdds_soe.Card.error -> bool
+(** The card's answer indicates a possibly outdated key: [Stale_key], or
+    [Bad_rules], which a rotation's re-keyed rule blob produces. {!run},
+    {!Pool} and a direct {!Sdds_proxy.Client.deliver} then refresh the
+    grant once ({!refresh_key}) and retry. *)
+
+val refresh_key :
+  t -> doc_id:string -> subject:string -> (unit, unit) result
+(** Install [subject]'s wrapped grant from the DSP even though the card
+    holds a key for the document. [Error ()] when the store has no grant
+    or the card refuses it. *)
+
 (** Multi-client serving: N request streams multiplexed over {e one} APDU
     transport to one card, using ISO 7816 logical channels
     ({!Sdds_soe.Remote_card}). The pool round-robins the streams at frame

@@ -389,6 +389,47 @@ let test_deliver_differential () =
         served)
     served
 
+(* A rotation re-keys the feed and every blob, and grants the gateway
+   the new key. The gateway card that delivered before still holds the
+   old key: the session must fetch the fresh grant once and deliver the
+   same views, as a query through [Proxy.run] does. *)
+let rotate_feed w =
+  let store = World.store w and drbg = World.drbg w in
+  let publisher = World.publisher w in
+  let rotated, key =
+    Publish.rotate drbg ~publisher ~old_key:(World.doc_key w "feed")
+      (Option.get (Store.get_document store "feed"))
+  in
+  Store.put_document store rotated;
+  List.iter
+    (fun (s, k) ->
+      Store.put_rules store ~doc_id:"feed" ~subject:s
+        (Publish.encrypt_rules_for drbg ~publisher ~doc_key:key ~doc_id:"feed"
+           ~subject:s (policies.(k) s)))
+    members;
+  Store.put_grant store ~doc_id:"feed" ~subject:gateway
+    (Publish.grant drbg ~doc_key:key ~doc_id:"feed"
+       ~recipient:(World.user w).Rsa.public)
+
+let test_deliver_after_rotation () =
+  let w, _ = feed_world () in
+  let client = Client.direct ~store:(World.store w) ~card:(gateway_card w) in
+  let views () =
+    match Client.deliver client ~doc_id:"feed" listing with
+    | Ok (per, _) ->
+        List.map
+          (fun (s, r) ->
+            ( s,
+              Result.map_error (Format.asprintf "%a" Proxy.pp_error)
+                (Result.map (fun r -> r.Proxy.Pool.xml) r) ))
+          per
+    | Error e -> Alcotest.failf "deliver: %a" Proxy.pp_error e
+  in
+  let before = views () in
+  rotate_feed w;
+  Alcotest.(check (list (pair string (result (option string) string))))
+    "same views across the rotation" before (views ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_differential_pred_free;
@@ -405,4 +446,6 @@ let suite =
     Alcotest.test_case "sharing stats" `Quick test_stats_saved;
     Alcotest.test_case "Client.deliver = per-subscriber reference" `Quick
       test_deliver_differential;
+    Alcotest.test_case "Client.deliver refreshes a rotated key" `Quick
+      test_deliver_after_rotation;
   ]
