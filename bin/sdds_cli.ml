@@ -79,6 +79,12 @@ let query_arg =
     value & opt (some string) None
     & info [ "q"; "query" ] ~docv:"XPATH" ~doc:"Query composed with the rules")
 
+(* --json, defined once per help text. *)
+let json_flag doc = Arg.(value & flag & info [ "json" ] ~doc)
+let json_line_arg = json_flag "Single-line JSON output"
+let json_machine_arg = json_flag "Machine-readable output"
+let json_phases_arg = json_flag "One JSON object per phase, one per line"
+
 let or_die = function
   | Ok v -> v
   | Error msg ->
@@ -448,6 +454,16 @@ let fault_arg =
            spurious-status, tear). Same seed, same faults - failures \
            replay deterministically.")
 
+(* The one reader of a --fault-spec value: a bad spec exits 1. *)
+let fault_schedule spec =
+  match Sdds_fault.Fault.Schedule.of_spec spec with
+  | Ok s -> s
+  | Error e ->
+      or_die
+        (Error
+           ("bad --fault-spec: "
+           ^ Sdds_fault.Fault.Schedule.string_of_parse_error e))
+
 let cards_arg =
   Arg.(
     value & opt int 1
@@ -481,16 +497,8 @@ let query_run ~force_trace store_dir doc_id subject key_path query fault_spec
   let kp = or_die_io (Sdds_dsp.Store_io.Keyfile.load_keypair ~path:key_path) in
   let store = or_die_io (Sdds_dsp.Store_io.load ~dir:store_dir) in
   let schedule =
-    match fault_spec with
-    | None -> Sdds_fault.Fault.Schedule.none
-    | Some spec -> (
-        match Sdds_fault.Fault.Schedule.of_spec spec with
-        | Ok s -> s
-        | Error e ->
-            or_die
-              (Error
-                 ("bad --fault-spec: "
-                 ^ Sdds_fault.Fault.Schedule.string_of_parse_error e)))
+    Option.fold ~none:Sdds_fault.Fault.Schedule.none ~some:fault_schedule
+      fault_spec
   in
   let resolve id =
     Option.map
@@ -628,24 +636,13 @@ let fleet_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Deterministic seed for keys, documents and the request mix")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Single-line JSON output")
-  in
   let run cards streams docs routing seed fault_spec json =
     if cards < 1 || streams < 1 || docs < 1 then
       or_die (Error "--cards, --streams and --docs must be at least 1");
     let world = ward_world "sdds-fleet" ~seed ~docs in
     let schedule =
-      match fault_spec with
-      | None -> Sdds_fault.Fault.Schedule.none
-      | Some spec -> (
-          match Sdds_fault.Fault.Schedule.of_spec spec with
-          | Ok s -> s
-          | Error e ->
-            or_die
-              (Error
-                 ("bad --fault-spec: "
-                 ^ Sdds_fault.Fault.Schedule.string_of_parse_error e)))
+      Option.fold ~none:Sdds_fault.Fault.Schedule.none ~some:fault_schedule
+        fault_spec
     in
     let links =
       Array.init cards (fun i ->
@@ -749,7 +746,7 @@ let fleet_cmd =
           per-card fault schedule.")
     Term.(
       const run $ fleet_cards_arg $ streams_arg $ docs_arg $ routing_arg
-      $ seed_arg $ fault_arg $ json_arg)
+      $ seed_arg $ fault_arg $ json_line_arg)
 
 (* chaos: the fleet survivability soak — a seeded campaign of kills,
    revives, resizes and tears against a steady stream, differentially
@@ -812,23 +809,13 @@ let chaos_cmd =
                 instead of the seeded random one — the spec a failing run \
                 prints")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Single-line JSON output")
-  in
   let run cards requests docs seed rate kills revives resizes standby_k
       campaign_spec fault_spec json =
     if cards < 1 || requests < 10 || docs < 1 then
       or_die (Error "--cards >= 1, --requests >= 10, --docs >= 1 required");
     let schedule =
       match fault_spec with
-      | Some spec -> (
-          match Sdds_fault.Fault.Schedule.of_spec spec with
-          | Ok s -> s
-          | Error e ->
-              or_die
-                (Error
-                   ("bad --fault-spec: "
-                   ^ Sdds_fault.Fault.Schedule.string_of_parse_error e)))
+      | Some spec -> fault_schedule spec
       | None ->
           Sdds_fault.Fault.Schedule.random
             ~seed:(Int64.of_int (seed * 31))
@@ -938,7 +925,7 @@ let chaos_cmd =
     Term.(
       const run $ cards_arg $ requests_arg $ docs_arg $ seed_arg $ rate_arg
       $ kills_arg $ revives_arg $ resizes_arg $ standby_arg $ campaign_arg
-      $ fault_arg $ json_arg)
+      $ fault_arg $ json_line_arg)
 
 (* slo: the three-phase incident drill — steady / churn / recovered —
    with burn-rate verdicts over fleet availability and latency. *)
@@ -1014,11 +1001,6 @@ let slo_cmd =
       value & opt int 12
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:"Slow burn window, milliseconds of simulated link time")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"One JSON object per phase, one per line")
   in
   let run cards per_phase docs seed rate batch threshold_us latency_target
       availability_target burn fast_ms slow_ms json trace_out metrics_out =
@@ -1120,7 +1102,7 @@ let slo_cmd =
       const run $ cards_arg $ per_phase_arg $ docs_arg $ seed_arg $ rate_arg
       $ batch_arg $ threshold_arg $ latency_target_arg
       $ availability_target_arg $ burn_arg $ fast_ms_arg $ slow_ms_arg
-      $ json_arg $ trace_out_arg $ metrics_out_arg)
+      $ json_phases_arg $ trace_out_arg $ metrics_out_arg)
 
 (* disseminate: publish once, deliver to every subject named in the
    rules through the gateway card's clustered fan-out. *)
@@ -1140,9 +1122,6 @@ let load_rules_file = function
       |> List.filter (fun l -> l <> "" && l.[0] <> '#')
 
 let disseminate_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Single-line JSON output")
-  in
   let run doc_path rules rules_file json trace trace_out metrics_out =
     let obs = obs_scope ~trace ~trace_out ~metrics_out in
     let doc = or_die (load_doc doc_path) in
@@ -1272,7 +1251,7 @@ let disseminate_cmd =
           duplicated subject refuses the whole publish, naming the \
           offending subscriber pair.")
     Term.(
-      const run $ doc_arg $ rules_arg $ rules_file_arg $ json_arg
+      const run $ doc_arg $ rules_arg $ rules_file_arg $ json_line_arg
       $ trace_flag $ trace_out_arg $ metrics_out_arg)
 
 (* analyze *)
@@ -1308,9 +1287,6 @@ let analyze_cmd =
       & info [ "depth" ] ~docv:"N"
           ~doc:"Document depth for the memory bound (default: schema's \
                 bound if finite, else 16)")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output")
   in
   let subject_filter_arg =
     Arg.(
@@ -1379,8 +1355,8 @@ let analyze_cmd =
           failure, or bound over the profile's budget).")
     Term.(
       const run $ rules_arg $ rules_file_arg $ subject_filter_arg $ query_arg
-      $ analyze_doc_arg $ schema_arg $ profile_arg $ depth_arg $ json_arg
-      $ trace_flag $ trace_out_arg $ metrics_out_arg)
+      $ analyze_doc_arg $ schema_arg $ profile_arg $ depth_arg
+      $ json_machine_arg $ trace_flag $ trace_out_arg $ metrics_out_arg)
 
 let check_cmd =
   let module Model = Sdds_protocol.Model in
@@ -1455,9 +1431,6 @@ let check_cmd =
       value & opt int Explore.default_max_states
       & info [ "max-states" ] ~docv:"N"
           ~doc:"Stop after expanding N states (safety cap)")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable output")
   in
   let run depth model faults fault_budget frames modulus block query rollback
       max_states json =
@@ -1577,7 +1550,7 @@ let check_cmd =
     Term.(
       const run $ depth_arg $ model_arg $ faults_arg $ fault_budget_arg
       $ frames_arg $ modulus_arg $ block_arg $ query_flag $ rollback_flag
-      $ max_states_arg $ json_arg)
+      $ max_states_arg $ json_machine_arg)
 
 let () =
   let info =
