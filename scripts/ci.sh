@@ -24,16 +24,20 @@ echo "== wrapper gate: retired identifiers must not return =="
 # Stream_view is the one view builder (Reassembler.run is its DOM sink),
 # Output_codec sizes and codes whole streams only (an event's bytes
 # depend on the stream before it), and the engine dispatches through
-# Compile's tag ids, not the deleted per-tag site index; a reappearing
-# call site means a regression to the old API, a second driver, a
-# second builder, a per-event size or a second tag index.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b' \
+# Compile's tag ids, not the deleted per-tag site index. The tracer has
+# one sampling mode (tail, by a Policy), and the ring's points per
+# member and the fleet's probe count are constants. A reappearing name
+# means a regression to the old API, a second driver, a second builder,
+# a per-event size, a second tag index, head sampling or a knob that no
+# caller sets.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|sample_1_in|probe_budget|vnodes' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Reassembler.create|feed|finish|" \
     "buffered_nodes / Stream_view.buffered_nodes /" \
     "Output_codec.encode|decode|encoded_size /" \
-    "Compile.sites_for_tag|wildcard_sites|tag_known identifiers found" >&2
+    "Compile.sites_for_tag|wildcard_sites|tag_known /" \
+    "sample_1_in / probe_budget / vnodes identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"
