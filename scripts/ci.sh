@@ -122,11 +122,13 @@ expect_exit 2 env SDDS_BENCH_WALL_TOL=0,2 \
 echo "perf gate self-tests: every broken run tripped"
 
 echo "== fault soak: fixed-seed lossy links must converge to the golden view =="
-# End-to-end through the CLI: publish a store, take the fault-free view
-# as golden, then serve the same query over fault-injecting links. Every
-# run must exit 0 with stdout byte-identical to golden (the qcheck
-# properties in test/test_fault.ml cover the randomized version; this
-# pins a few deterministic seeds in CI).
+# End-to-end through the CLI: publish a store, take the golden view from
+# `sdds view` on the plaintext (the engine over the DOM, with no card,
+# crypto or link), check the fault-free query against it with and
+# without a user query, then serve the same query over fault-injecting
+# links. Every run must exit 0 with stdout byte-identical to golden (the
+# qcheck properties in test/test_fault.ml cover the randomized version;
+# this pins a few deterministic seeds in CI).
 soak="$tmp/soak"
 mkdir "$soak"
 dune exec bin/sdds_cli.exe -- keygen -o "$soak/pub" >/dev/null
@@ -135,8 +137,19 @@ dune exec bin/sdds_cli.exe -- publish examples/policies/clinical.xml \
   --store "$soak/store" --id clinical --publisher "$soak/pub.sk" \
   --rule "+, alice, //patient" --rule="-, alice, //ssn" \
   --grant "alice=$soak/alice.pk" >/dev/null
-dune exec bin/sdds_cli.exe -- query --store "$soak/store" --id clinical \
-  -s alice --key "$soak/alice.sk" >"$soak/golden.xml" 2>/dev/null
+# The last pass leaves the golden view without a user query.
+for q in "//patient/name" ""; do
+  dune exec bin/sdds_cli.exe -- view examples/policies/clinical.xml \
+    --rule "+, alice, //patient" --rule="-, alice, //ssn" -s alice \
+    ${q:+-q "$q"} >"$soak/golden.xml"
+  dune exec bin/sdds_cli.exe -- query --store "$soak/store" --id clinical \
+    -s alice --key "$soak/alice.sk" ${q:+-q "$q"} \
+    >"$soak/out.xml" 2>/dev/null
+  cmp -s "$soak/golden.xml" "$soak/out.xml" || {
+    echo "error: query ${q:+-q $q }differs from sdds view" >&2
+    exit 1
+  }
+done
 for spec in "seed=1,rate=0.3" "seed=2,rate=0.3" "seed=3,rate=0.3" "@3:tear"; do
   dune exec bin/sdds_cli.exe -- query --store "$soak/store" --id clinical \
     -s alice --key "$soak/alice.sk" --fault-spec "$spec" \

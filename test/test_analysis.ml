@@ -70,12 +70,14 @@ let qcheck_dead_rules_removable =
       List.for_all
         (fun _ ->
           let doc = random_doc rng in
-          (* Per-node decisions under both default policies, and the
-             engine's reassembled view (the raw event streams are allowed
-             to differ in predicate-resolution bookkeeping). *)
+          (* Per-node decisions closed and open world (the rule +/* in
+             front), and the engine's reassembled view (the raw event
+             streams are allowed to differ in predicate-resolution
+             bookkeeping). *)
+          let open_world rules = Rule.allow ~subject:"u" "/*" :: rules in
           Oracle.decisions ~rules doc = Oracle.decisions ~rules:pruned doc
-          && Oracle.decisions ~default:Rule.Allow ~rules doc
-             = Oracle.decisions ~default:Rule.Allow ~rules:pruned doc
+          && Oracle.decisions ~rules:(open_world rules) doc
+             = Oracle.decisions ~rules:(open_world pruned) doc
           && Sdds.authorized_view ~rules doc
              = Sdds.authorized_view ~rules:pruned doc)
         [ (); (); () ])

@@ -186,20 +186,29 @@ let test_disseminate () =
             && List.for_all (fun s -> Json.member "error" s = None) delivered
           ) ])
 
-(* A traced query over a faulty link still produces the golden view,
-   and both exports are well formed: a Chrome trace with a
-   proxy.request root span and apdu spans, and a metrics snapshot whose
-   engine counters reconcile. *)
+(* The golden view comes from [sdds view] on the plaintext: the engine
+   over the DOM, with no card, crypto or link. The plain query prints it
+   byte for byte, with and without a user query; a traced query over a
+   faulty link still prints it, and both exports are well formed: a
+   Chrome trace with a proxy.request root span and apdu spans, and a
+   metrics snapshot whose engine counters reconcile. *)
 let test_trace_export () =
   with_temp_dir (fun dir ->
       let path f = Filename.concat dir f in
+      let rules =
+        [ "--rule"; "+, alice, //patient"; "--rule=-, alice, //ssn" ]
+      in
       ignore (sdds_ok [ "keygen"; "-o"; path "pub" ]);
       ignore (sdds_ok [ "keygen"; "-o"; path "alice" ]);
       ignore
         (sdds_ok
-           [ "publish"; clinical; "--store"; path "store"; "--id"; "clinical";
-             "--publisher"; path "pub.sk"; "--rule"; "+, alice, //patient";
-             "--rule=-, alice, //ssn"; "--grant"; "alice=" ^ path "alice.pk" ]);
+           ([ "publish"; clinical; "--store"; path "store"; "--id";
+              "clinical"; "--publisher"; path "pub.sk"; "--grant";
+              "alice=" ^ path "alice.pk" ]
+           @ rules));
+      let view extra =
+        sdds_ok ([ "view"; clinical; "-s"; "alice" ] @ rules @ extra)
+      in
       let query extra =
         sdds_ok
           ([ "query"; "--store"; path "store"; "--id"; "clinical"; "-s";
@@ -207,7 +216,13 @@ let test_trace_export () =
              "--key"; path "alice.sk" ]
           @ extra)
       in
-      let golden = query [] in
+      List.iter
+        (fun q ->
+          Alcotest.(check string)
+            ("query = view " ^ String.concat " " q)
+            (view q) (query q))
+        [ []; [ "-q"; "//patient/name" ] ];
+      let golden = view [] in
       let traced =
         query
           [ "--fault-spec"; "seed=7,rate=0.2"; "--trace-out"; path "trace.json";

@@ -129,10 +129,12 @@ let test_oracle_most_specific () =
     [ 0; 1; 3; 4; 5 ]
     (Oracle.allowed_ids ~rules:[ allow "//a"; deny "//c" ] doc1)
 
+(* Open world is a policy, not a mode: the rule +/* under the closed
+   default allows every node no other rule reaches. *)
 let test_oracle_default_allow () =
   Alcotest.(check (list int)) "open world"
     [ 0; 1; 2; 3; 4; 5 ]
-    (Oracle.allowed_ids ~default:Rule.Allow ~rules:[] doc1)
+    (Oracle.allowed_ids ~rules:[ allow "/*" ] doc1)
 
 let test_oracle_query () =
   (* Allow everything, query selects first-b subtree. *)
@@ -156,8 +158,8 @@ let test_oracle_query () =
 (* Engine vs hand-computed outputs                                     *)
 (* ------------------------------------------------------------------ *)
 
-let view ?default ?query ?suppress rules doc =
-  Sdds.authorized_view ?default ?query ?suppress ~rules doc
+let view ?query ?suppress rules doc =
+  Sdds.authorized_view ?query ?suppress ~rules doc
 
 let test_engine_figure2 () =
   Alcotest.check dom_opt "engine matches oracle on Figure 2"
@@ -333,8 +335,8 @@ let test_output_is_static_without_predicates () =
   let outs = Engine.run [ allow "//b"; deny "//d" ] (Dom.to_events doc) in
   Alcotest.(check bool) "no conditions" true (Output.is_static outs)
 
-let run_mode ~dispatch ?default ?query ?suppress rules events =
-  let t = Engine.create ?default ?query ?suppress ~dispatch rules in
+let run_mode ~dispatch ?query ?suppress rules events =
+  let t = Engine.create ?query ?suppress ~dispatch rules in
   let outs = List.concat_map (Engine.feed t) events in
   Engine.finish t;
   (outs, Engine.stats t)
@@ -430,8 +432,8 @@ let stream_digest ?(trace = "") ?(ranges = []) outs (st : Engine.stats) =
   Buffer.add_string b trace;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let traced_digest ~dispatch ?default ?query ?suppress rules events =
-  let t = Engine.create ?default ?query ?suppress ~dispatch rules in
+let traced_digest ~dispatch ?query ?suppress rules events =
+  let t = Engine.create ?query ?suppress ~dispatch rules in
   let trace = Buffer.create 4096 in
   let outs =
     List.concat_map
@@ -514,10 +516,11 @@ let test_engine_stream_pins () =
     (traced_digest ~dispatch:true
        [ allow "//sports"; allow "//news"; deny {|//*[rating="R"]|} ]
        feed);
-  check "default allow" "ce4db38674c7416b64ebf974d7257a48"
-    (traced_digest ~dispatch:true ~default:Rule.Allow
+  (* Open world, written as the rule +/* under the closed default. *)
+  check "default allow" "2466184a5099204bc7f388dddd1d672c"
+    (traced_digest ~dispatch:true
        ~query:(Xp.parse "//patient[name]//*")
-       [ deny "//ssn"; deny {|//patient[age>"80"]|};
+       [ allow "/*"; deny "//ssn"; deny {|//patient[age>"80"]|};
          allow {|//patient[age>"80"]/name|} ]
        e14_events)
 
@@ -612,9 +615,8 @@ let qcheck_engine_default_allow =
   QCheck2.Test.make ~name:"engine = oracle under open world" ~count:200
     gen_case (fun seed ->
       let doc, rules, _ = expand_case ~with_query:false seed in
-      equal_view
-        (Oracle.authorized_view ~default:Rule.Allow ~rules doc)
-        (view ~default:Rule.Allow rules doc))
+      let rules = allow "/*" :: rules in
+      equal_view (Oracle.authorized_view ~rules doc) (view rules doc))
 
 let qcheck_suppression_equivalence =
   QCheck2.Test.make ~name:"suppression does not change the view" ~count:300

@@ -17,12 +17,10 @@ let allow p = Rule.allow ~subject:"u" p
 let deny p = Rule.deny ~subject:"u" p
 
 (* Run engine -> protector, returning the protector and all messages. *)
-let protect ?default ?query rules doc =
+let protect ?query rules doc =
   let drbg = Drbg.create ~seed:"guard-tests" in
-  let engine = Engine.create ?default ?query rules in
-  let protector =
-    Guard.Protector.create drbg ?default ~has_query:(query <> None) ()
-  in
+  let engine = Engine.create ?query rules in
+  let protector = Guard.Protector.create drbg ~has_query:(query <> None) () in
   let messages = ref [] in
   List.iter
     (fun ev ->
@@ -36,8 +34,8 @@ let protect ?default ?query rules doc =
   Guard.Protector.finish protector;
   (protector, List.rev !messages)
 
-let unseal_view ?default ?query messages =
-  let u = Guard.Unsealer.create ?default ~has_query:(query <> None) () in
+let unseal_view ?query messages =
+  let u = Guard.Unsealer.create ~has_query:(query <> None) () in
   List.iter (Guard.Unsealer.feed u) messages;
   (Guard.Unsealer.finish u, u)
 
@@ -180,20 +178,22 @@ let expand_case ~with_query seed =
   in
   (doc, rules, query)
 
-(* A seed and the default decision, Deny or Allow. *)
-let gen_case =
-  QCheck2.Gen.(
-    pair (int_bound 1_000_000)
-      (map (fun b -> if b then Rule.Allow else Rule.Deny) bool))
+(* A seed and whether the world is open: an open world is the rule +/*
+   in front of the case's rules. *)
+let gen_case = QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+
+let case_rules ~open_world rules =
+  if open_world then allow "/*" :: rules else rules
 
 let qcheck_guard_preserves_view =
   QCheck2.Test.make ~name:"protect/unseal preserves the authorized view"
     ~count:400 gen_case
-    (fun (seed, default) ->
+    (fun (seed, open_world) ->
       let doc, rules, query = expand_case ~with_query:true seed in
-      let _, messages = protect ~default ?query rules doc in
-      let view, _ = unseal_view ~default ?query messages in
-      let expected = Oracle.authorized_view ~default ?query ~rules doc in
+      let rules = case_rules ~open_world rules in
+      let _, messages = protect ?query rules doc in
+      let view, _ = unseal_view ?query messages in
+      let expected = Oracle.authorized_view ?query ~rules doc in
       match (expected, view) with
       | None, None -> true
       | Some a, Some b -> Dom.equal a b
@@ -204,11 +204,12 @@ let qcheck_guard_secrecy =
      boundary in clear. *)
   QCheck2.Test.make ~name:"hidden text never flows in clear" ~count:400
     gen_case
-    (fun (seed, default) ->
+    (fun (seed, open_world) ->
       let doc, rules, query = expand_case ~with_query:true seed in
-      let _, messages = protect ~default ?query rules doc in
+      let rules = case_rules ~open_world rules in
+      let _, messages = protect ?query rules doc in
       let visible_texts =
-        match Oracle.authorized_view ~default ?query ~rules doc with
+        match Oracle.authorized_view ?query ~rules doc with
         | None -> []
         | Some v ->
             let acc = ref [] in

@@ -17,14 +17,14 @@ let deny p = Rule.deny ~subject:"u" p
 
 (* Run engine output through Stream_view, collecting emitted events and
    the number emitted before the stream ended. *)
-let stream ?default ?query rules doc =
+let stream ?query rules doc =
   let events = ref [] in
   let sv =
-    Stream_view.create ?default ~has_query:(query <> None)
+    Stream_view.create ~has_query:(query <> None)
       ~emit:(fun ev -> events := ev :: !events)
       ()
   in
-  let engine = Engine.create ?default ?query rules in
+  let engine = Engine.create ?query rules in
   let before_finish = ref 0 in
   List.iter
     (fun ev ->
@@ -37,14 +37,14 @@ let stream ?default ?query rules doc =
 
 (* The declarative view, computed on the DOM without the engine or this
    module. *)
-let expected_events ?default ?query rules doc =
-  match Oracle.authorized_view ?default ?query ~rules doc with
+let expected_events ?query rules doc =
+  match Oracle.authorized_view ?query ~rules doc with
   | None -> []
   | Some view -> Dom.to_events view
 
-let check_same ?default ?query rules doc label =
-  let got, _, _ = stream ?default ?query rules doc in
-  let want = expected_events ?default ?query rules doc in
+let check_same ?query rules doc label =
+  let got, _, _ = stream ?query rules doc in
+  let want = expected_events ?query rules doc in
   Alcotest.(check bool)
     (label ^ ": same events")
     true
