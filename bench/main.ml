@@ -154,8 +154,9 @@ let specs =
       shape = [] };
     { name = "analysis"; owners = [ "E16" ]; keys = [ "case"; "depth" ];
       columns =
-        [ "case"; "rules"; "pruned"; "diagnostics"; "analyze_ns"; "depth";
-          "bound_state_words"; "engine_peak_words" ];
+        [ "case"; "rules"; "pruned"; "diagnostics"; "analyze_ns";
+          "minor_words_per_analysis"; "depth"; "bound_state_words";
+          "engine_peak_words" ];
       shape = [] };
     { name = "resilience"; owners = [ "E17" ]; keys = [ "case"; "fault_rate" ];
       columns =
@@ -255,7 +256,7 @@ let specs =
               < num "storage_events" (pick "mode" "full" rows) ) ] };
   ]
 
-let schema = "sdds-bench-engine/12"
+let schema = "sdds-bench-engine/13"
 
 (* The run as the file holds it: floats keep three decimals and
    non-finite values become null, so the in-memory gate and a later
@@ -1558,14 +1559,18 @@ let e16_static_analysis () =
           subject = "u";
           path = Random_path.generate rng cfg ~tags ~values:[| "1"; "2" |] })
   in
-  Printf.printf "%-16s %5s %6s %5s | %10s | %5s %11s %10s %6s\n" "case"
-    "rules" "pruned" "diags" "analyze_us" "depth" "bound_words"
-    "peak_words" "ratio";
+  Printf.printf "%-16s %5s %6s %5s | %10s %10s | %5s %11s %10s %6s\n"
+    "case" "rules" "pruned" "diags" "analyze_us" "words" "depth"
+    "bound_words" "peak_words" "ratio";
   List.iter
     (fun (case, doc, rules) ->
       let dict = Dom.distinct_tags doc in
       let analyze () = Analyzer.run ~dictionary:dict rules in
+      (* The minor words of one call: allocation is deterministic, so
+         the gate holds it exactly. *)
+      let before = Gc.minor_words () in
       let report = analyze () in
+      let words = Gc.minor_words () -. before in
       let ns = ns_of ~name:case (fun () -> ignore (analyze ())) in
       let pruned = List.length rules - report.Analyzer.kept in
       let diags = List.length report.Analyzer.diagnostics in
@@ -1585,14 +1590,16 @@ let e16_static_analysis () =
       let peak = (Engine.stats eng).Engine.peak_state_words in
       let bw = bound.Memory_bound.state_words in
       if bw < peak then failwith (case ^ ": static bound below observed peak");
-      Printf.printf "%-16s %5d %6d %5d | %10.1f | %5d %11d %10d %6.1f\n"
-        case (List.length rules) pruned diags (ns /. 1e3) depth bw peak
+      Printf.printf
+        "%-16s %5d %6d %5d | %10.1f %10.0f | %5d %11d %10d %6.1f\n" case
+        (List.length rules) pruned diags (ns /. 1e3) words depth bw peak
         (float_of_int bw /. float_of_int (max 1 peak));
       record "analysis" ~experiment:"E16"
         Json.
           [ ("case", String case); ("rules", Int (List.length rules));
             ("pruned", Int pruned); ("diagnostics", Int diags);
-            ("analyze_ns", Float ns); ("depth", Int depth);
+            ("analyze_ns", Float ns);
+            ("minor_words_per_analysis", Float words); ("depth", Int depth);
             ("bound_state_words", Int bw); ("engine_peak_words", Int peak) ])
     [ ("agenda-redundant", agenda_doc, agenda_rules);
       ("hospital", hospital_doc, hospital_rules);
