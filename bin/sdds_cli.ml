@@ -94,6 +94,15 @@ let or_die = function
 let or_die_io r =
   or_die (Result.map_error Sdds_dsp.Store_io.string_of_error r)
 
+(* The one reader of a --query value: the parsed path, or exit 1 with
+   the parser's message. *)
+let read_query =
+  Option.map (fun q ->
+      match Sdds_xpath.Parser.parse q with
+      | path -> path
+      | exception Sdds_xpath.Parser.Error (_, msg) ->
+          or_die (Error (Printf.sprintf "bad --query: %s: %s" q msg)))
+
 (* Observability plumbing shared by query / trace / analyze. *)
 
 let trace_flag =
@@ -180,11 +189,11 @@ let obs_export obs ~trace_out ~metrics_out =
 
 let view_cmd =
   let run doc_path rules subject query =
+    let query = read_query query in
     let doc = or_die (load_doc doc_path) in
     let rules = or_die (parse_rules rules) in
-    match
-      Sdds_core.Sdds.authorized_view_for ~subject ?query ~rules doc
-    with
+    let rules = Sdds_core.Rule.for_subject subject rules in
+    match Sdds_core.Sdds.authorized_view ?query ~rules doc with
     | Some view ->
         print_endline (Sdds_xml.Serializer.to_string ~indent:true view)
     | None -> print_endline "<!-- nothing authorized -->"
@@ -245,6 +254,7 @@ let seeded_world ?subject label docs =
 
 let demo_cmd =
   let run doc_path rules subject query =
+    ignore (read_query query);
     let doc = or_die (load_doc doc_path) in
     let rules = or_die (parse_rules rules) in
     let world = seeded_world ~subject "sdds-cli" [ ("cli-doc", doc, rules) ] in
@@ -470,23 +480,24 @@ let cards_arg =
     & info [ "cards" ] ~docv:"N"
         ~doc:
           "Serve through a fleet of N simulated cards behind the \
-           affinity-routing scheduler instead of a single card (N > 1 \
-           implies the APDU path; with $(b,--fault-spec), each card \
-           suffers an independent per-card derivation of the schedule).")
+           affinity-routing scheduler instead of one card's channel pool \
+           (with $(b,--fault-spec), each card suffers an independent \
+           per-card derivation of the schedule).")
 
-(* Shared body of [query] and [trace]. Every deployment shape is served
-   through the same unified client session: a plain query rides a local
-   card ([Client.direct]); with a fault spec or an observability scope
-   it goes over the APDU host through the resilient pool
-   ([Client.pooled]), so traced runs show the full nesting
-   (proxy.request > apdu > card.evaluate > engine.stream) the paper's
-   architecture actually has; with --cards N (N > 1) it is admitted,
-   routed and served by the multi-card fleet scheduler
-   ([Client.fleet]). Only the session construction differs — the
-   serving and reporting path is one. Stdout is the authorized view in
-   every mode; stats go to stderr. *)
+(* Shared body of [query] and [trace]. The request is served as the
+   paper's terminal serves it, over APDU: through the resilient pool
+   ([Proxy.Pool]) on a local card host, or with --cards N (N > 1)
+   admitted, routed and served by the multi-card fleet scheduler. The
+   link passes through the fault injector, which injects nothing
+   without --fault-spec. Traced runs show the full nesting
+   (proxy.request > apdu > card.evaluate > engine.stream). Stdout is the
+   authorized view; the frame counts and the executor's stats go to
+   stderr. *)
 let query_run ~force_trace store_dir doc_id subject key_path query fault_spec
     cards trace trace_out metrics_out =
+  (* The request carries the query's text to the card: read it here
+     first, so a malformed one exits before any card is built. *)
+  ignore (read_query query);
   let trace_out =
     (* [sdds trace] without --trace-out still owes the user a file. *)
     if force_trace && trace_out = None then Some "trace.json" else trace_out
@@ -513,7 +524,8 @@ let query_run ~force_trace store_dir doc_id subject key_path query fault_spec
       ~tear:(fun () -> Sdds_soe.Remote_card.Host.tear host)
       (Sdds_soe.Remote_card.Host.process host)
   in
-  let client, report_extra =
+  let req = Sdds_proxy.Proxy.Request.make ?xpath:query doc_id in
+  let executor, result, report_extra =
     if cards > 1 then begin
       let links =
         Array.init cards (faulty_link ~profile:Sdds_soe.Cost.fleet)
@@ -522,7 +534,9 @@ let query_run ~force_trace store_dir doc_id subject key_path query fault_spec
         Sdds_proxy.Fleet.create ?obs ~store ~subject
           (Array.map Sdds_fault.Fault.Link.transport links)
       in
-      ( Sdds_proxy.Client.fleet fleet,
+      let o = List.hd (Sdds_proxy.Fleet.serve fleet [ req ]) in
+      ( "fleet",
+        o.Sdds_proxy.Fleet.result,
         fun () ->
           let st = Sdds_proxy.Fleet.stats fleet in
           Format.eprintf
@@ -532,33 +546,28 @@ let query_run ~force_trace store_dir doc_id subject key_path query fault_spec
             st.Sdds_proxy.Fleet.fallbacks st.Sdds_proxy.Fleet.reroutes
             st.Sdds_proxy.Fleet.rejected )
     end
-    else if fault_spec <> None || Option.is_some obs then begin
+    else begin
       let link = faulty_link ~profile:Sdds_soe.Cost.egate 0 in
       let pool =
         Sdds_proxy.Proxy.Pool.create ?obs ~store
           ~transport:(Sdds_fault.Fault.Link.transport link) ~subject ()
       in
-      ( Sdds_proxy.Client.pooled pool,
+      ( "pool",
+        List.hd (Sdds_proxy.Proxy.Pool.serve pool [ req ]),
         fun () ->
           Format.eprintf "link: %d frames, %d faults injected@."
             (Sdds_fault.Fault.Link.frames link)
             (Sdds_fault.Fault.Link.injected link) )
     end
-    else
-      let card =
-        Sdds_soe.Card.create ?obs ~profile:Sdds_soe.Cost.egate ~subject kp
-      in
-      (Sdds_proxy.Client.direct ~store ~card, fun () -> ())
   in
-  match Sdds_proxy.Client.query client ?xpath:query doc_id with
+  match result with
   | Ok s ->
       (match s.Sdds_proxy.Proxy.Pool.xml with
       | Some xml -> print_endline xml
       | None -> print_endline "<!-- nothing authorized -->");
       Format.eprintf
         "served (%s): channel %d%s, %d+%d frames, %dB wire, %d retries@."
-        (Sdds_proxy.Client.backend_name client)
-        s.Sdds_proxy.Proxy.Pool.channel
+        executor s.Sdds_proxy.Proxy.Pool.channel
         (if s.Sdds_proxy.Proxy.Pool.warm_setup then " warm" else "")
         s.Sdds_proxy.Proxy.Pool.command_frames
         s.Sdds_proxy.Proxy.Pool.response_frames
@@ -1173,9 +1182,7 @@ let disseminate_cmd =
         Format.eprintf "sdds: %a@." Sdds_proxy.Proxy.pp_error e;
         obs_export obs ~trace_out ~metrics_out;
         exit 1
-    | Ok (per, stats) ->
-        (* A direct session always reports sharing stats. *)
-        let st = Option.get stats in
+    | Ok (per, st) ->
         let elements (s : Sdds_proxy.Proxy.Pool.served) =
           match s.Sdds_proxy.Proxy.Pool.view with
           | Some v -> Sdds_xml.Dom.node_count v
@@ -1304,14 +1311,7 @@ let analyze_cmd =
       | None -> rules
       | Some s -> Sdds_core.Rule.for_subject s rules
     in
-    let query =
-      Option.map
-        (fun q ->
-          match Sdds_xpath.Parser.parse q with
-          | ast -> ast
-          | exception Sdds_xpath.Parser.Error (_, msg) -> or_die (Error msg))
-        query
-    in
+    let query = read_query query in
     let schema =
       Option.map
         (fun path ->

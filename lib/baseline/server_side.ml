@@ -4,8 +4,8 @@ type result = {
   server_events : int;
 }
 
-let evaluate ?default ?query ~rules doc =
-  let view = Sdds_core.Oracle.authorized_view ?default ?query ~rules doc in
+let evaluate ?query ~rules doc =
+  let view = Sdds_core.Oracle.authorized_view ?query ~rules doc in
   let view_bytes =
     match view with
     | None -> 0

@@ -13,7 +13,6 @@ type result = {
 }
 
 val evaluate :
-  ?default:Sdds_core.Rule.sign ->
   ?query:Sdds_xpath.Ast.t ->
   rules:Sdds_core.Rule.t list ->
   Sdds_xml.Dom.t ->

@@ -398,8 +398,8 @@ let push_frame t parent ~tag ~det ~scope ~suppressed ~inst_lo =
   t.live_tokens <- t.live_tokens + f.n_tokens;
   t.n_frames <- t.n_frames + 1
 
-let create ?obs ?(default = Rule.Deny) ?query ?(suppress = true)
-    ?(dispatch = true) ?compiled rules =
+let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled rules
+    =
   let compiled =
     match compiled with
     | Some c -> c
@@ -455,9 +455,9 @@ let create ?obs ?(default = Rule.Deny) ?query ?(suppress = true)
   Array.iter
     (fun canon -> if Array.length canon > 0 then push_fresh t canon.(0))
     compiled.Compile.canon;
-  (* The virtual root sits on an empty parent. *)
-  push_frame t (new_frame ()) ~tag:"#root"
-    ~det:(match default with Rule.Deny -> Det_deny | Rule.Allow -> Det_allow)
+  (* The virtual root sits on an empty parent, under the closed-world
+     default. *)
+  push_frame t (new_frame ()) ~tag:"#root" ~det:Det_deny
     ~scope:(if has_query then Out_scope else In_scope)
     ~suppressed:false ~inst_lo:0;
   t
@@ -906,8 +906,8 @@ let finish t =
   if not (t.n_frames = 1 && t.closed_root) then
     invalid_arg "Engine.finish: document incomplete"
 
-let run ?obs ?default ?query ?suppress ?dispatch rules events =
-  let t = create ?obs ?default ?query ?suppress ?dispatch rules in
+let run ?obs ?query ?suppress ?dispatch rules events =
+  let t = create ?obs ?query ?suppress ?dispatch rules in
   let outs = List.concat_map (feed t) events in
   finish t;
   outs

@@ -28,7 +28,6 @@ type t
 
 val create :
   ?obs:Sdds_obs.Obs.t ->
-  ?default:Rule.sign ->
   ?query:Sdds_xpath.Ast.t ->
   ?suppress:bool ->
   ?dispatch:bool ->
@@ -40,8 +39,8 @@ val create :
     and skips {!Compile.compile} — the prepared-evaluation cache hook; it
     must have been compiled from exactly these [rules] and [query] (the
     caller's responsibility — [query] is still needed to mark the stream as
-    query-scoped). [default] is the sign above any rule
-    ([Deny] — closed world). [suppress] (default [true]) enables the
+    query-scoped). A node no rule reaches is denied (closed world,
+    {!Rule}). [suppress] (default [true]) enables the
     suspension optimization; disabling it emits every event annotated,
     which the ablation benchmark uses. [dispatch] (default [true]) enables
     tag-indexed token dispatch: each token is classed by its next step, so
@@ -76,7 +75,6 @@ val finish : t -> unit
 
 val run :
   ?obs:Sdds_obs.Obs.t ->
-  ?default:Rule.sign ->
   ?query:Sdds_xpath.Ast.t ->
   ?suppress:bool ->
   ?dispatch:bool ->

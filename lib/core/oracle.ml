@@ -12,11 +12,11 @@ let mark_ids doc paths =
       arr)
     paths
 
-let decisions ?(default = Rule.Deny) ~rules doc =
+let decisions ~rules doc =
   let n = Dom.node_count doc in
   let marks = mark_ids doc (List.map (fun r -> r.Rule.path) rules) in
   let signed = List.combine (List.map (fun r -> r.Rule.sign) rules) marks in
-  let out = Array.make n default in
+  let out = Array.make n Rule.Deny in
   let direct id sign =
     List.exists (fun (s, arr) -> s = sign && arr.(id)) signed
   in
@@ -34,7 +34,7 @@ let decisions ?(default = Rule.Deny) ~rules doc =
         out.(id) <- decision;
         List.iter (go decision) kids
   in
-  go default doc;
+  go Rule.Deny doc;
   out
 
 let selected ~query doc =
@@ -59,8 +59,8 @@ let selected ~query doc =
       go false doc;
       out
 
-let authorized_view ?(default = Rule.Deny) ?query ~rules doc =
-  let decs = decisions ~default ~rules doc in
+let authorized_view ?query ~rules doc =
+  let decs = decisions ~rules doc in
   let sels = selected ~query doc in
   let counter = ref 0 in
   let rec build = function
@@ -87,8 +87,8 @@ let authorized_view ?(default = Rule.Deny) ?query ~rules doc =
   in
   build doc
 
-let allowed_ids ?default ~rules doc =
-  let decs = decisions ?default ~rules doc in
+let allowed_ids ~rules doc =
+  let decs = decisions ~rules doc in
   let ids = ref [] in
   Array.iteri (fun i d -> if d = Rule.Allow then ids := i :: !ids) decs;
   List.rev !ids

@@ -5,7 +5,7 @@ module Event = Sdds_xml.Event
    first) and the element it sits in. *)
 type frame = { tag : string; mutable kids : Dom.t list; up : frame }
 
-let run ?default ~has_query outs =
+let run ~has_query outs =
   let rec top = { tag = ""; kids = []; up = top } in
   let cur = ref top in
   (* [Stream_view] releases a well-formed sequence with one root. *)
@@ -17,7 +17,7 @@ let run ?default ~has_query outs =
         f.up.kids <- Dom.Element (f.tag, List.rev f.kids) :: f.up.kids;
         cur := f.up
   in
-  let sv = Stream_view.create ?default ~has_query ~emit () in
+  let sv = Stream_view.create ~has_query ~emit () in
   List.iter (Stream_view.feed sv) outs;
   Stream_view.finish sv;
   match top.kids with [ view ] -> Some view | _ -> None

@@ -9,8 +9,8 @@
     SOE wrapper — see [Sdds_soe.Guard] — so a dishonest terminal learns
     nothing from it). *)
 
-val run : ?default:Rule.sign -> has_query:bool -> Output.t list -> Sdds_xml.Dom.t option
+val run : has_query:bool -> Output.t list -> Sdds_xml.Dom.t option
 (** The authorized view of a complete output stream; [None] when nothing
-    is delivered. [default] and [has_query] must match the engine's
-    configuration. Raises [Invalid_argument] on whatever
+    is delivered. [has_query] must match the engine's configuration.
+    Raises [Invalid_argument] on whatever
     {!Stream_view} refuses. *)

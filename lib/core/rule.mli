@@ -3,8 +3,10 @@
     The [object] is an XP{[],*,//} expression; rules propagate to the
     descendants of the nodes they target, conflicts are resolved by
     Denial-Takes-Precedence and Most-Specific-Object-Takes-Precedence, and
-    the default policy for nodes no rule reaches is closed (deny) unless
-    stated otherwise. *)
+    a node no rule reaches is denied: the world is closed. A policy that
+    wants an open world says so with one more rule, [+, s, /*], which
+    allows the document element and, by propagation, everything no other
+    rule reaches. *)
 
 type sign = Allow | Deny
 

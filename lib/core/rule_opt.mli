@@ -39,8 +39,7 @@ val subsumes : by:Rule.t -> Rule.t -> bool
 
 val simplify : Rule.t list -> Rule.t list
 (** Returns a sublist of the input (order preserved) producing the same
-    authorized view on every document, for every subject and default
-    policy. *)
+    authorized view on every document, for every subject. *)
 
 val simplify_stats : Rule.t list -> Rule.t list * int
 (** The kept sublist and the number of dropped rules, from one

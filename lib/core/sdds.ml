@@ -1,10 +1,8 @@
-let authorized_view ?default ?query ?suppress ~rules doc =
-  let outs =
-    Engine.run ?default ?query ?suppress rules (Sdds_xml.Dom.to_events doc)
-  in
-  Reassembler.run ?default ~has_query:(query <> None) outs
+let authorized_view ?query ?suppress ~rules doc =
+  let outs = Engine.run ?query ?suppress rules (Sdds_xml.Dom.to_events doc) in
+  Reassembler.run ~has_query:(query <> None) outs
 
-let authorized_view_for ?default ?query ~subject ~rules doc =
+let authorized_view_for ?query ~subject ~rules doc =
   let rules = Rule.for_subject subject rules in
   let query = Option.map Sdds_xpath.Parser.parse query in
-  authorized_view ?default ?query ~rules doc
+  authorized_view ?query ~rules doc

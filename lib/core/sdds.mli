@@ -5,7 +5,6 @@
     tests use as reference). *)
 
 val authorized_view :
-  ?default:Rule.sign ->
   ?query:Sdds_xpath.Ast.t ->
   ?suppress:bool ->
   rules:Rule.t list ->
@@ -15,7 +14,6 @@ val authorized_view :
     the authorized view. *)
 
 val authorized_view_for :
-  ?default:Rule.sign ->
   ?query:string ->
   subject:string ->
   rules:Rule.t list ->

@@ -44,12 +44,9 @@ type 'a t = {
   root : 'a node;
 }
 
-let create ?(default = Rule.Deny) ~has_query ~on_settle data =
-  let bits =
-    settled_bit
-    lor (if default = Rule.Allow then allow else 0)
-    lor if has_query then 0 else in_scope
-  in
+(* The root is settled as Deny: the closed-world default. *)
+let create ~has_query ~on_settle data =
+  let bits = settled_bit lor if has_query then 0 else in_scope in
   let rec root =
     { neg = Cond.ff; pos = Cond.ff; query = Cond.ff; parent = root; bits;
       waiters = []; data }

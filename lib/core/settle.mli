@@ -4,7 +4,8 @@
     with it.
 
     A node's status is its decision, [if neg then Deny else if pos then
-    Allow else parent's] (the root carries [default]), and whether it is
+    Allow else parent's] (the root carries [Deny], the closed-world
+    default of {!Rule}), and whether it is
     in scope: no query, its parent in scope, or its own query condition
     true. Both are three-valued under the variables resolved so far; the
     status settles once both are known, and never changes after, since
@@ -23,9 +24,7 @@ type 'a node = private {
 
 type 'a t
 
-val create :
-  ?default:Rule.sign -> has_query:bool -> on_settle:('a node -> unit) -> 'a ->
-  'a t
+val create : has_query:bool -> on_settle:('a node -> unit) -> 'a -> 'a t
 (** A settled root carrying the given data. [on_settle] runs once for
     every other node, when it settles. *)
 

@@ -54,9 +54,9 @@ let rec die (n : node) =
 
 let on_settle n = if Settle.visible n then show n else die n
 
-let create ?default ~has_query ~emit () =
+let create ~has_query ~emit () =
   let settle =
-    Settle.create ?default ~has_query ~on_settle
+    Settle.create ~has_query ~on_settle
       { tag = "#root"; live = 0; size = 0; first = Nil; last = Nil }
   in
   let root = Settle.root settle in

@@ -8,7 +8,7 @@
     as bare tags, and prunes everything else, including the text of
     bare-tag ancestors. A node's decision is
     [if neg then Deny else if pos then Allow else parent's] (the root
-    inherits [default]).
+    is denied: the closed-world default of {!Rule}).
 
     The dissemination application needs an item the moment its fate is
     known, not when the feed ends, so this module emits the view's events
@@ -24,12 +24,8 @@
 type t
 
 val create :
-  ?default:Rule.sign ->
-  has_query:bool ->
-  emit:(Sdds_xml.Event.t -> unit) ->
-  unit ->
-  t
-(** [default] and [has_query] must match the engine's configuration. The
+  has_query:bool -> emit:(Sdds_xml.Event.t -> unit) -> unit -> t
+(** [has_query] must match the engine's configuration. The
     events passed to [emit], when there are any, form one well-formed
     rooted document. *)
 

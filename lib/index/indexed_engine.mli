@@ -23,7 +23,6 @@ type result = {
 
 val run :
   ?obs:Sdds_obs.Obs.t ->
-  ?default:Sdds_core.Rule.sign ->
   ?query:Sdds_xpath.Ast.t ->
   ?suppress:bool ->
   ?dispatch:bool ->

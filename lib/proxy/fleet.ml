@@ -691,10 +691,6 @@ let turn t =
       end)
     t.slots
 
-(* The fleet is a shared scheduler: advancing one stream means running a
-   whole turn — every active stream moves, which is exactly what any
-   single caller waiting on its own stream wants anyway. *)
-let step t (_ : stream) = turn t
 let result st = st.outcome
 
 let serve t reqs =

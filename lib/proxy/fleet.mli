@@ -196,25 +196,22 @@ val state : t -> int -> lifecycle
 
 (** {2 Incremental serving}
 
-    The {!Proxy.BACKEND} spelling of {!serve}, for the unified client:
     [start] admits and routes one request (a refusal surfaces as an
-    already-finished stream with [Overloaded]), [step] runs one turn of
+    already-finished stream with [Overloaded]), {!turn} runs one turn of
     the fleet's cooperative scheduler — the fleet is a shared scheduler,
-    so {e every} active stream advances, which is what a caller waiting
-    on its own stream wants anyway — and [result] is [Some] once the
+    so {e every} active stream advances — and [result] is [Some] once the
     request finished. [serve] is admission of the whole batch followed
     by turns until done; the interleaving is identical. *)
 
 type stream
 
 val start : t -> Proxy.Request.t -> stream
-val step : t -> stream -> unit
 val result : stream -> outcome option
 
 val turn : t -> unit
-(** One scheduler turn, explicitly — what {!step} runs. Chaos harnesses
-    alternate [start]s and [turn]s to keep a steady stream in flight
-    while killing and resizing between turns. *)
+(** One scheduler turn. Chaos harnesses alternate [start]s and [turn]s to
+    keep a steady stream in flight while killing and resizing between
+    turns. *)
 
 type stats = {
   requests : int;

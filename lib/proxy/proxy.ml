@@ -17,20 +17,17 @@ module Request = struct
     xpath : string option;
     protect : bool;
     delivery : [ `Pull | `Push ];
-    use_index : bool;
     subject : string option;
   }
 
-  let make ?xpath ?(protect = false) ?(delivery = `Pull) ?(use_index = true)
-      ?subject doc_id =
-    { doc_id; xpath; protect; delivery; use_index; subject }
+  let make ?xpath ?(protect = false) ?(delivery = `Pull) ?subject doc_id =
+    { doc_id; xpath; protect; delivery; subject }
 end
 
 type outcome = {
   view : Sdds_xml.Dom.t option;
   xml : string option;
   card_report : Card.report;
-  request_apdu_frames : int;
 }
 
 type error =
@@ -85,26 +82,12 @@ let with_context t ~doc_id ~subject ~delivery ~xpath run =
           | Error e -> Error (Card_error e)
           | Ok (view, card_report) ->
               let xml = Option.map (Serializer.to_string ~indent:true) view in
-              let request_bytes =
-                String.length encrypted_rules
-                + (match xpath with Some q -> String.length q | None -> 0)
-              in
-              Ok
-                {
-                  view;
-                  xml;
-                  card_report;
-                  request_apdu_frames =
-                    Apdu.frame_count ~payload_bytes:request_bytes;
-                }))
+              Ok { view; xml; card_report }))
 
-let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath ~use_index =
+let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath =
   with_context t ~doc_id ~subject ~delivery ~xpath
     (fun ~source ~encrypted_rules ~query ->
-      match
-        Card.evaluate_protected t.card source ~encrypted_rules ?query
-          ~use_index ()
-      with
+      match Card.evaluate_protected t.card source ~encrypted_rules ?query () with
       | Error e -> Error e
       | Ok (messages, card_report) ->
           let unsealer =
@@ -113,10 +96,10 @@ let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath ~use_index =
           List.iter (Sdds_soe.Guard.Unsealer.feed unsealer) messages;
           Ok (Sdds_soe.Guard.Unsealer.finish unsealer, card_report))
 
-let evaluate t ~doc_id ~subject ~delivery ~xpath ~use_index =
+let evaluate t ~doc_id ~subject ~delivery ~xpath =
   with_context t ~doc_id ~subject ~delivery ~xpath
     (fun ~source ~encrypted_rules ~query ->
-      match Card.evaluate t.card source ~encrypted_rules ?query ~use_index () with
+      match Card.evaluate t.card source ~encrypted_rules ?query () with
       | Error e -> Error e
       | Ok (outputs, card_report) ->
           Ok (Reassembler.run ~has_query:(query <> None) outputs, card_report))
@@ -134,11 +117,9 @@ let run_once t (r : Request.t) =
   if r.Request.protect then
     evaluate_protected_inner t ~doc_id:r.Request.doc_id ~subject
       ~delivery:r.Request.delivery ~xpath:r.Request.xpath
-      ~use_index:r.Request.use_index
   else
     evaluate t ~doc_id:r.Request.doc_id ~subject
       ~delivery:r.Request.delivery ~xpath:r.Request.xpath
-      ~use_index:r.Request.use_index
 
 (* Force-refresh the card's key from the DSP. [ensure_key] skips the
    install when the card already holds *a* key for the document, so after
@@ -499,7 +480,7 @@ module Pool = struct
       Apdu.cla = Apdu.cla_of_channel st.channel;
       ins = Remote.Ins.evaluate;
       p1 = (match st.req.Request.delivery with `Push -> 1 | `Pull -> 0);
-      p2 = (if st.req.Request.use_index then 0 else 1);
+      p2 = 0;
       data = "";
     }
 
@@ -734,16 +715,4 @@ module Pool = struct
           ~args:[ ("outcome", "aborted") ]
           st.span;
         st.phase <- Finished (Error (Protocol "aborted"))
-end
-
-(* The executor contract {!Sdds_proxy.Client} dispatches over: admit a
-   request, advance it, collect its result. {!Pool} satisfies it
-   directly; the single-card and fleet executors adapt to it. *)
-module type BACKEND = sig
-  type t
-  type stream
-
-  val start : t -> Request.t -> stream
-  val step : t -> stream -> unit
-  val result : stream -> (Pool.served, error) result option
 end

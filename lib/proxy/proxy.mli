@@ -27,7 +27,6 @@ module Request : sig
     xpath : string option;  (** user query composed with the access rules *)
     protect : bool;  (** seal pending regions ({!Sdds_soe.Guard}) *)
     delivery : [ `Pull | `Push ];
-    use_index : bool;  (** [false] = no-skip baseline *)
     subject : string option;
         (** fetch this subject's (rules, grant) from the DSP instead of
             the executor's default ({!run} defaults to the card's own
@@ -43,20 +42,22 @@ module Request : sig
     ?xpath:string ->
     ?protect:bool ->
     ?delivery:[ `Pull | `Push ] ->
-    ?use_index:bool ->
     ?subject:string ->
     string ->
     t
-  (** [make doc_id] with defaults: no query, no protection, [`Pull],
-      index on, the executor's default subject. *)
+  (** [make doc_id] with defaults: no query, no protection, [`Pull], the
+      executor's default subject. The card always evaluates with its skip
+      index; the no-index baseline is [Sdds_soe.Card.evaluate
+      ~use_index:false], which no request selects. *)
 end
 
+(** What {!run} returns: the in-process card's view and its report. The
+    request crossed no wire, so there is no frame or byte count here;
+    {!Pool.served} carries the counts of a framed exchange. *)
 type outcome = {
   view : Sdds_xml.Dom.t option;  (** authorized (possibly query-filtered) view *)
   xml : string option;  (** the view serialized, as the XML API returns it *)
   card_report : Sdds_soe.Card.report;
-  request_apdu_frames : int;
-      (** frames spent shipping the request (rule blob, query) to the card *)
 }
 
 type error =
@@ -101,7 +102,7 @@ val ensure_key :
 val stale_evidence : Sdds_soe.Card.error -> bool
 (** The card's answer indicates a possibly outdated key: [Stale_key], or
     [Bad_rules], which a rotation's re-keyed rule blob produces. {!run},
-    {!Pool} and a direct {!Sdds_proxy.Client.deliver} then refresh the
+    {!Pool} and {!Sdds_proxy.Client.deliver} then refresh the
     grant once ({!refresh_key}) and retry. *)
 
 val refresh_key :
@@ -222,20 +223,4 @@ module Pool : sig
       discarded, the request span closes with outcome ["aborted"], and
       [result] becomes a [Protocol] error. Idempotent; a no-op on
       finished streams. *)
-end
-
-(** The executor contract the unified client ({!Sdds_proxy.Client})
-    dispatches over — the incremental-serving triple, uniform across a
-    single local card, a channel {!Pool} and a multi-card
-    {!Sdds_proxy.Fleet}: [start] admits a {!Request.t} (pre-admission
-    failures surface as an already-finished stream), [step] advances it,
-    [result] is [Some] once it finished. {!Pool} satisfies the signature
-    as-is. *)
-module type BACKEND = sig
-  type t
-  type stream
-
-  val start : t -> Request.t -> stream
-  val step : t -> stream -> unit
-  val result : stream -> (Pool.served, error) result option
 end

@@ -86,10 +86,10 @@ module Protector = struct
       b.live <- b.live - 1
     end
 
-  let create drbg ?default ~has_query () =
+  let create drbg ~has_query () =
     let book = { drbg; out = []; next_gid = 0; live = 0; peak = 0 } in
     let on_settle = on_settle book in
-    let settle = Settle.create ?default ~has_query ~on_settle no_guard in
+    let settle = Settle.create ~has_query ~on_settle no_guard in
     let root = Settle.root settle in
     { book; settle; root; top = root }
 
@@ -146,7 +146,6 @@ end
 
 module Unsealer = struct
   type t = {
-    default : Rule.sign option;
     has_query : bool;
     mutable rev_messages : message list;
     keys : (int, string option) Hashtbl.t;
@@ -154,8 +153,8 @@ module Unsealer = struct
     mutable withheld : int;
   }
 
-  let create ?default ~has_query () =
-    { default; has_query; rev_messages = []; keys = Hashtbl.create 16; withheld = 0 }
+  let create ~has_query () =
+    { has_query; rev_messages = []; keys = Hashtbl.create 16; withheld = 0 }
 
   let feed t msg =
     (match msg with
@@ -186,7 +185,7 @@ module Unsealer = struct
           | Release _ | Drop _ -> None)
         (List.rev t.rev_messages)
     in
-    Reassembler.run ?default:t.default ~has_query:t.has_query outs
+    Reassembler.run ~has_query:t.has_query outs
 
   let sealed_bytes_withheld t = t.withheld
 end

@@ -41,7 +41,7 @@ and sealed_event = Sealed_text of { cipher : string }
 module Protector : sig
   type t
 
-  val create : Sdds_crypto.Drbg.t -> ?default:Sdds_core.Rule.sign -> has_query:bool -> unit -> t
+  val create : Sdds_crypto.Drbg.t -> has_query:bool -> unit -> t
   (** Configuration must match the engine producing the stream. *)
 
   val feed : t -> Sdds_core.Output.t -> message list
@@ -63,7 +63,7 @@ end
 module Unsealer : sig
   type t
 
-  val create : ?default:Sdds_core.Rule.sign -> has_query:bool -> unit -> t
+  val create : has_query:bool -> unit -> t
 
   val feed : t -> message -> unit
 

@@ -10,9 +10,8 @@ let secure_terminal = "../examples/secure_terminal.exe"
 let clinical = "../examples/policies/clinical.xml"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* Run [exe] with [args]; fail the test unless it exits 0. Returns
-   stdout. *)
-let run_ok exe args =
+(* Run [exe] with [args]: its exit code, stdout and stderr. *)
+let run exe args =
   let out = Filename.temp_file "sdds-cli" ".out" in
   let err = Filename.temp_file "sdds-cli" ".err" in
   let code =
@@ -21,6 +20,12 @@ let run_ok exe args =
   let stdout = read out and stderr = read err in
   Sys.remove out;
   Sys.remove err;
+  (code, stdout, stderr)
+
+(* Run [exe] with [args]; fail the test unless it exits 0. Returns
+   stdout. *)
+let run_ok exe args =
+  let code, stdout, stderr = run exe args in
   if code <> 0 then
     Alcotest.failf "%s %s exited %d\n%s%s" exe (String.concat " " args) code
       stdout stderr;
@@ -186,13 +191,11 @@ let test_disseminate () =
             && List.for_all (fun s -> Json.member "error" s = None) delivered
           ) ])
 
-(* The golden view comes from [sdds view] on the plaintext: the engine
-   over the DOM, with no card, crypto or link. The plain query prints it
-   byte for byte, with and without a user query; a traced query over a
-   faulty link still prints it, and both exports are well formed: a
-   Chrome trace with a proxy.request root span and apdu spans, and a
-   metrics snapshot whose engine counters reconcile. *)
-let test_trace_export () =
+(* [f ~path ~view ~query] in a directory holding alice's keys and a
+   store of the clinical document under [+//patient -//ssn]: [path]
+   names a file there, [view] and [query] are the arguments of [sdds
+   view] on the plaintext and of [sdds query] on the store. *)
+let with_alice_store f =
   with_temp_dir (fun dir ->
       let path f = Filename.concat dir f in
       let rules =
@@ -206,16 +209,22 @@ let test_trace_export () =
               "clinical"; "--publisher"; path "pub.sk"; "--grant";
               "alice=" ^ path "alice.pk" ]
            @ rules));
-      let view extra =
-        sdds_ok ([ "view"; clinical; "-s"; "alice" ] @ rules @ extra)
-      in
-      let query extra =
-        sdds_ok
-          ([ "query"; "--store"; path "store"; "--id"; "clinical"; "-s";
-             "alice";
-             "--key"; path "alice.sk" ]
-          @ extra)
-      in
+      f ~path
+        ~view:([ "view"; clinical; "-s"; "alice" ] @ rules)
+        ~query:
+          [ "query"; "--store"; path "store"; "--id"; "clinical"; "-s";
+            "alice"; "--key"; path "alice.sk" ])
+
+(* The golden view comes from [sdds view] on the plaintext: the engine
+   over the DOM, with no card, crypto or link. The plain query prints it
+   byte for byte, with and without a user query; a traced query over a
+   faulty link still prints it, and both exports are well formed: a
+   Chrome trace with a proxy.request root span and apdu spans, and a
+   metrics snapshot whose engine counters reconcile. *)
+let test_trace_export () =
+  with_alice_store (fun ~path ~view ~query ->
+      let view extra = sdds_ok (view @ extra) in
+      let query extra = sdds_ok (query @ extra) in
       List.iter
         (fun q ->
           Alcotest.(check string)
@@ -259,6 +268,22 @@ let test_trace_export () =
               +. c "engine.filtered" );
           ( "frames reached the card",
             c "pool.command_frames" >= 1.0 && c "apdu.commands" >= 1.0 ) ])
+
+(* A malformed --query is the user's error, not the program's: one
+   [sdds:] line and exit 1, as a malformed --rule gets. *)
+let test_bad_query () =
+  with_alice_store (fun ~path:_ ~view ~query ->
+      List.iter
+        (fun (name, args) ->
+          let code, _, stderr = run sdds (args @ [ "-q"; "//[" ]) in
+          Alcotest.(check int) (name ^ ": exit") 1 code;
+          match String.split_on_char '\n' (String.trim stderr) with
+          | [ line ] when String.starts_with ~prefix:"sdds: bad --query: " line
+            ->
+              ()
+          | _ -> Alcotest.failf "%s: want one sdds: line, got\n%s" name stderr)
+        [ ("view", view); ("query", query);
+          ("query --fault-spec none", query @ [ "--fault-spec"; "none" ]) ])
 
 (* Byte-parity pins. These commands are deterministic for their default
    seeds, so their exact output is pinned: a refactor that changes a
@@ -368,6 +393,7 @@ let () =
           Alcotest.test_case "slo drill" `Quick test_slo;
           Alcotest.test_case "disseminate smoke" `Quick test_disseminate;
           Alcotest.test_case "trace export" `Quick test_trace_export;
+          Alcotest.test_case "malformed query" `Quick test_bad_query;
           Alcotest.test_case "stdout parity pins" `Quick test_stdout_pins;
           Alcotest.test_case "slo export pins" `Quick test_slo_export_pins;
         ] );

@@ -349,18 +349,15 @@ let check_served s (want : Proxy.Pool.served) (got : Proxy.Pool.served) =
 let test_deliver_differential () =
   let w, doc = feed_world () in
   let client = Client.direct ~store:(World.store w) ~card:(gateway_card w) in
-  let per, stats =
+  let per, st =
     match Client.deliver client ~doc_id:"feed" listing with
     | Ok r -> r
     | Error e -> Alcotest.failf "deliver: %a" Proxy.pp_error e
   in
   Alcotest.(check (list string)) "listing order" listing (List.map fst per);
-  (match stats with
-  | Some st ->
-      Alcotest.(check int) "subscribers" 10 st.Fanout.subscribers;
-      Alcotest.(check int) "clusters" 4 st.Fanout.clusters;
-      Alcotest.(check int) "solo clusters" 1 st.Fanout.solo_clusters
-  | None -> Alcotest.fail "a direct session reports sharing stats");
+  Alcotest.(check int) "subscribers" 10 st.Fanout.subscribers;
+  Alcotest.(check int) "clusters" 4 st.Fanout.clusters;
+  Alcotest.(check int) "solo clusters" 1 st.Fanout.solo_clusters;
   (match List.assoc "nobody" per with
   | Error Proxy.No_rules -> ()
   | _ -> Alcotest.fail "nobody: expected No_rules");
