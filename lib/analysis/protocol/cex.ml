@@ -8,6 +8,8 @@ type t = {
   trace : string list;
 }
 
+(* Per-frame adversary choices -> the fault events, frame numbers being
+   list positions. *)
 let events_of_choices choices =
   List.concat
     (List.mapi

@@ -15,10 +15,6 @@ type t = {
   trace : string list;  (** one narrated line per frame *)
 }
 
-val events_of_choices : Fault.kind option list -> Fault.event list
-(** Per-frame adversary choices → the fault events, frame numbers being
-    list positions. *)
-
 val make :
   violation:Invariant.violation ->
   choices:Fault.kind option list ->

@@ -34,6 +34,3 @@ val replay : Model.config -> Fault.kind option list -> Invariant.violation optio
     state: the first violation it produces (with a convergence check on
     the final state), or [None] if every invariant holds — the oracle
     counterexample tests and minimization both use. *)
-
-val narrate : Model.config -> Fault.kind option list -> string list
-(** One human-readable line per frame of a schedule. *)

@@ -55,10 +55,14 @@ let pre_fix =
 let doc_id = "doc"
 let query_payload = "q"
 
+(* The rules blob for one policy version: a version digit followed by
+   filler, one byte per chain frame. *)
 let rules_payload config v =
   String.init config.rules_frames (fun i ->
       if i = 0 then Char.chr (Char.code '0' + (v mod 10)) else 'r')
 
+(* Every payload the host legitimately uploads: the exactly-once monitor
+   flags any executed payload outside this set. *)
 let intents config =
   List.map (rules_payload config) config.versions @ [ query_payload ]
 

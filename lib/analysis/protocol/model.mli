@@ -45,17 +45,6 @@ val pre_fix : config
     find a violation here. *)
 
 val doc_id : string
-val query_payload : string
-
-val rules_payload : config -> int -> string
-(** The rules blob for one policy version: a version digit followed by
-    filler, one byte per chain frame. *)
-
-val intents : config -> string list
-(** Every payload the host legitimately uploads: the exactly-once
-    monitor flags any executed payload outside this set. *)
-
-val version_of : string -> int option
 val view : config -> version:int -> query:string option -> string
 
 (** The model host driver: the terminal side of one (or several,

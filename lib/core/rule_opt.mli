@@ -41,9 +41,5 @@ val simplify : Rule.t list -> Rule.t list
 (** Returns a sublist of the input (order preserved) producing the same
     authorized view on every document, for every subject. *)
 
-val simplify_stats : Rule.t list -> Rule.t list * int
-(** The kept sublist and the number of dropped rules, from one
-    containment pass. *)
-
 val redundant_count : Rule.t list -> int
 (** [List.length rules - List.length (simplify rules)]. *)

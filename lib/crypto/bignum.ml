@@ -234,8 +234,6 @@ let mod_pow ~base ~exp ~modulus =
     !result
   end
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
-
 (* Extended Euclid over naturals, tracking the sign of the Bezout
    coefficient for [a] explicitly. Returns x with a*x ≡ gcd (mod m). *)
 let mod_inverse a ~modulus =

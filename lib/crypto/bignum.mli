@@ -31,7 +31,6 @@ val to_bytes_be_padded : t -> int -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
-val is_odd : t -> bool
 
 val bit_length : t -> int
 (** 0 for zero. *)
@@ -53,16 +52,12 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation by square-and-multiply.
     Raises [Division_by_zero] on a zero modulus. *)
 
-val gcd : t -> t -> t
-
 val mod_inverse : t -> modulus:t -> t option
 (** Multiplicative inverse, [None] when not coprime. *)
 
 val is_probable_prime : Drbg.t -> rounds:int -> t -> bool
 (** Miller–Rabin with random bases drawn from the DRBG. *)
 
-val random_bits : Drbg.t -> int -> t
-(** Uniform value with at most the given number of bits. *)
 
 val generate_prime : Drbg.t -> bits:int -> t
 (** A probable prime with its top bit set (exactly [bits] bits). *)

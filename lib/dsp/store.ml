@@ -18,11 +18,6 @@ let put_rules t ~doc_id ~subject blob =
 
 let get_rules t ~doc_id ~subject = Hashtbl.find_opt t.rules (doc_id, subject)
 
-let rules_bytes t ~doc_id ~subject =
-  match get_rules t ~doc_id ~subject with
-  | Some blob -> String.length blob
-  | None -> 0
-
 let put_grant t ~doc_id ~subject wrapped =
   Hashtbl.replace t.grants (doc_id, subject) wrapped
 

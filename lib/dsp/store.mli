@@ -27,9 +27,6 @@ val put_rules : t -> doc_id:string -> subject:string -> string -> unit
 
 val get_rules : t -> doc_id:string -> subject:string -> string option
 
-val rules_bytes : t -> doc_id:string -> subject:string -> int
-(** Stored size of the blob (0 when absent) — measured by E8. *)
-
 (** {1 Key grants} *)
 
 val put_grant : t -> doc_id:string -> subject:string -> string -> unit

@@ -191,9 +191,6 @@ module Schedule = struct
   let string_of_parse_error e =
     Printf.sprintf "at char %d: %s" e.pos e.msg
 
-  let pp_parse_error ppf e =
-    Format.pp_print_string ppf (string_of_parse_error e)
-
   let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
   (* Comma-split with byte offsets into the original string, each field

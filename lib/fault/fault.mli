@@ -46,9 +46,6 @@ type event = { frame : int; kind : kind }
 (** One injected fault: [kind] hit the [frame]-th frame (0-based) sent
     over the link. *)
 
-val event_to_string : event -> string
-(** ["@FRAME:KIND"], the [--fault-spec] event syntax. *)
-
 val deliver :
   kind option ->
   send:(unit -> Sdds_soe.Apdu.response) ->
@@ -111,7 +108,6 @@ module Schedule : sig
       it), [msg] says what was expected. *)
 
   val string_of_parse_error : parse_error -> string
-  val pp_parse_error : Format.formatter -> parse_error -> unit
 
   val of_spec : string -> (t, parse_error) result
   (** Parse the [--fault-spec] syntax: ["none"], an explicit event list
@@ -249,8 +245,6 @@ module Campaign : sig
       ["none"]); [of_spec (to_spec t)] yields the same events. *)
 
   val of_spec : string -> (t, Schedule.parse_error) result
-
-  val event_to_string : event -> string
 end
 
 (** Deterministic disk faults, armed on {!Sdds_dsp.Store_io}'s global

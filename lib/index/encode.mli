@@ -30,7 +30,6 @@
 type mode = Plain | Indexed of { recursive : bool }
 
 val magic : string
-val mode_byte : mode -> char
 val mode_of_byte : char -> mode option
 
 val close_marker : char
@@ -39,8 +38,6 @@ val text_marker : char
 val tag_token_offset : int
 (** Tag tokens hold [(tag_id lsl 1) lor has_metadata], shifted by this
     much to reserve the two markers. *)
-
-val default_meta_threshold : int
 
 val encode : ?meta_threshold:int -> mode:mode -> Sdds_xml.Dom.t -> string
 (** Serialize a document (builds the dictionary, computes subtree tag sets

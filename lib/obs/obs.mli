@@ -210,10 +210,6 @@ module Policy : sig
   (** Keeps trees whose root (or any span in the tree) finished with an
       [outcome] arg other than ["ok"]. Reason ["error"]. *)
 
-  val latency_at_least : int64 -> rule
-  (** Keeps trees whose root duration is ≥ the threshold (ns on the
-      injected clock). Reason ["latency"]. *)
-
   val fault_instant : rule
   (** Keeps trees containing a fault-injection instant (the [Fault.Link]
       correlation events). Reason ["fault"]. *)
@@ -230,8 +226,10 @@ module Policy : sig
       only). *)
 
   val default : ?baseline_1_in:int -> ?latency_ns:int64 -> unit -> t
-  (** [error_outcome]; [latency_at_least latency_ns] when given;
-      [fault_instant]; [span_named "fleet.migrate"]; baseline 1-in-8. *)
+  (** [error_outcome]; when [latency_ns] is given, a rule keeping trees
+      whose root duration is ≥ it (ns on the injected clock, reason
+      ["latency"]); [fault_instant]; [span_named "fleet.migrate"];
+      baseline 1-in-8. *)
 end
 
 (** Spans and instants in a bounded ring buffer. *)
@@ -327,9 +325,6 @@ module Tracer : sig
 
   val kept_trees : t -> int
   (** Trees the policy retained; 0 without a policy. *)
-
-  val tail_mode : t -> bool
-  (** The tracer samples by a policy. *)
 
   val root_spans : t -> int
   (** Completed spans with no parent currently in the ring. *)

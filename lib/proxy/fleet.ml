@@ -70,12 +70,6 @@ end
 
 type lifecycle = Up | Draining | Dead | Joining
 
-let lifecycle_to_string = function
-  | Up -> "up"
-  | Draining -> "draining"
-  | Dead -> "dead"
-  | Joining -> "joining"
-
 (* The gauge encoding of a card's state (documented in the mli). *)
 let lifecycle_index = function Up -> 0 | Draining -> 1 | Dead -> 2 | Joining -> 3
 

@@ -127,9 +127,6 @@ type lifecycle =
   | Dead  (** failed a full probe budget; revivable *)
   | Joining  (** fresh or revived; [Up] after its first successful serve *)
 
-val lifecycle_to_string : lifecycle -> string
-(** ["up"], ["draining"], ["dead"], ["joining"]. *)
-
 val create :
   ?obs:Sdds_obs.Obs.t ->
   ?routing:routing ->

@@ -1,7 +1,6 @@
 type command = { cla : int; ins : int; p1 : int; p2 : int; data : string }
 type response = { sw1 : int; sw2 : int; payload : string }
 
-let sw_ok = (0x90, 0x00)
 let max_data = 255
 let base_cla = 0x80
 let max_channels = 4

@@ -16,9 +16,6 @@ type command = {
 
 type response = { sw1 : int; sw2 : int; payload : string }
 
-val sw_ok : int * int
-(** 0x90, 0x00. *)
-
 (** {1 Logical channels}
 
     Per ISO 7816-4, the two low bits of the class byte address one of four

@@ -84,8 +84,6 @@ let meter prof =
     apdu_frames = 0;
   }
 
-let profile_of m = m.prof
-
 let transfer_cost prof ~bytes =
   if bytes <= 0 then (0.0, 0)
   else begin
@@ -156,10 +154,3 @@ let read m =
     bytes_decrypted = m.bytes_decrypted;
     apdu_frames = m.apdu_frames;
   }
-
-let pp_breakdown ppf b =
-  Format.fprintf ppf
-    "total=%.1fms (xfer=%.1f crypto=%.1f cpu=%.1f rsa=%.1f compile=%.1f) \
-     bytes: xfer=%d dec=%d frames=%d"
-    b.total_ms b.transfer_ms b.crypto_ms b.cpu_ms b.rsa_ms b.compile_ms
-    b.bytes_transferred b.bytes_decrypted b.apdu_frames

@@ -46,7 +46,6 @@ val fleet : profile
 type meter
 
 val meter : profile -> meter
-val profile_of : meter -> profile
 
 val charge_transfer : meter -> bytes:int -> unit
 (** Framed transfer: charges link time for payload plus APDU overhead of
@@ -82,5 +81,3 @@ val transfer_cost :
   profile -> bytes:int -> float * int
 (** [(milliseconds, frames)] that {!charge_transfer} accounts for a
     framed transfer of [bytes]. *)
-
-val pp_breakdown : Format.formatter -> breakdown -> unit

@@ -17,7 +17,7 @@
     One function, two drivers: what the checker verifies is what runs.
 
     The sequence/block moduli and the response block size are parameters
-    (defaulting to the wire's 256 and {!max_response}) so the checker can
+    (defaulting to the wire's 256 and 255 bytes) so the checker can
     downscale them and reach the mod-256 wraparound states at tiny
     exploration depths. *)
 
@@ -61,9 +61,6 @@ module Sw : sig
   val transport : int * int
   val internal : int * int
 end
-
-val max_response : int
-(** Wire response block size (255 bytes). *)
 
 (** Which completion marker the chain reassembler keeps. *)
 type chain_semantics =
@@ -184,6 +181,6 @@ val step :
   event ->
   'd state * action list
 (** One transition. [modulus] (default 256) scales the chain sequence and
-    response block numbering; [block] (default {!max_response}) the
+    response block numbering; [block] (default 255 bytes) the
     response block size; both exist so the checker can downscale. Never
     raises: protocol violations map to status-word replies. *)

@@ -4,19 +4,13 @@
     access-rule blobs. These are the "communication protocol" and "access
     rights update protocol" pieces the demonstration adds around [2]. *)
 
-val key_bytes : int
-(** Document keys are 16-byte AES-128 keys. *)
-
 val fresh_doc_key : Sdds_crypto.Drbg.t -> string
-
-val chunk_iv : doc_id:string -> index:int -> string
-(** Deterministic per-chunk IV, derived from the document id and chunk
-    position — what makes every chunk independently decryptable (and
-    skippable). *)
+(** A 16-byte AES-128 document key. *)
 
 val encrypt_chunk : key:string -> doc_id:string -> index:int -> string -> string
-(** AES-128-CBC under the per-chunk IV. Raises [Invalid_argument] on a bad
-    key size. *)
+(** AES-128-CBC under the per-chunk IV, derived from the document id and
+    chunk position — what makes every chunk independently decryptable
+    (and skippable). Raises [Invalid_argument] on a bad key size. *)
 
 val decrypt_chunk :
   key:string -> doc_id:string -> index:int -> string -> string option

@@ -78,10 +78,6 @@ let find_all p doc =
   go [] doc;
   List.rev !acc
 
-let rec map_text f = function
-  | Text v -> Text (f v)
-  | Element (tag, kids) -> Element (tag, List.map (map_text f) kids)
-
 let rec pp ppf = function
   | Text v -> Format.fprintf ppf "%S" v
   | Element (tag, kids) ->

@@ -44,7 +44,5 @@ val find_all : (string list -> t -> bool) -> t -> t list
     which [p rev_path n] holds, where [rev_path] is the list of ancestor tags
     innermost-first (excluding [n] itself). *)
 
-val map_text : (string -> string) -> t -> t
-
 val pp : Format.formatter -> t -> unit
 (** Compact single-line rendering, for debugging and test failure output. *)

@@ -11,12 +11,9 @@ exception Error of int * string
 (** [Error (offset, message)]: byte offset in the input where parsing
     failed. *)
 
-val events_of_string : string -> Event.t list
-(** Parse a complete document into its event stream.
-    Raises {!Error} on malformed input. *)
-
 val dom_of_string : string -> Dom.t
-(** [dom_of_string s] is [Dom.of_events (events_of_string s)]. *)
+(** Parse a complete document into its tree.
+    Raises {!Error} on malformed input. *)
 
 val fold : string -> ('a -> Event.t -> 'a) -> 'a -> 'a
 (** [fold s f init] runs [f] over each event without materializing the

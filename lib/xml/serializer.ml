@@ -83,8 +83,3 @@ let to_string ?(indent = false) doc =
   let b = Buffer.create 1024 in
   render b ~indent 0 doc;
   Buffer.contents b
-
-let events_to_string ?(indent = false) evs =
-  if not (Event.well_formed evs) then
-    invalid_arg "Serializer.events_to_string: not well-formed";
-  to_string ~indent (Dom.of_events evs)

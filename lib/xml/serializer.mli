@@ -1,4 +1,4 @@
-(** Rendering event streams and DOM trees back to XML text.
+(** Rendering DOM trees back to XML text.
 
     ['@'-tagged] pseudo-elements produced by the parser are rendered back as
     real attributes, so [to_string (Parser.dom_of_string s)] round-trips
@@ -10,9 +10,6 @@ val escape_text : string -> string
 val escape_attribute : string -> string
 (** Escape ampersand, [<] and double quote for attribute values. *)
 
-val events_to_string : ?indent:bool -> Event.t list -> string
-(** Render an event stream. With [~indent:true] (default [false]), elements
-    are placed on their own indented lines. Raises [Invalid_argument] on a
-    non-well-formed stream. *)
-
 val to_string : ?indent:bool -> Dom.t -> string
+(** Render a tree. With [~indent:true] (default [false]), elements are
+    placed on their own indented lines. *)

@@ -83,5 +83,3 @@ and equal_step a b =
 and equal_pred a b = a.target = b.target && equal_steps a.ppath b.ppath
 
 let equal a b = equal_steps a.steps b.steps
-
-let has_predicates t = List.exists (fun s -> s.preds <> []) t.steps

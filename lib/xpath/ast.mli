@@ -51,5 +51,3 @@ val equal : t -> t -> bool
 val size : t -> int
 (** Total number of steps, nested predicate paths included — a complexity
     measure used by the benchmarks. *)
-
-val has_predicates : t -> bool

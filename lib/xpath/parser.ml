@@ -164,5 +164,3 @@ let parse input =
   skip_spaces st;
   if st.pos <> String.length input then fail st "trailing characters";
   { Ast.steps }
-
-let parse_opt input = try Some (parse input) with Error _ -> None

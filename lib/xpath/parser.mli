@@ -16,5 +16,3 @@ exception Error of int * string
 
 val parse : string -> Ast.t
 (** Raises {!Error} on malformed input. *)
-
-val parse_opt : string -> Ast.t option
