@@ -19,25 +19,30 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== wrapper gate: retired identifiers must not return =="
-# The unified client (Sdds_proxy.Client) replaced the per-deployment
-# wrappers, Proxy.Pool is the one terminal-side APDU driver,
-# Stream_view is the one view builder (Reassembler.run is its DOM sink),
-# Output_codec sizes and codes whole streams only (an event's bytes
-# depend on the stream before it), and the engine dispatches through
-# Compile's tag ids, not the deleted per-tag site index. The tracer has
-# one sampling mode (tail, by a Policy), and the ring's points per
-# member and the fleet's probe count are constants. A reappearing name
-# means a regression to the old API, a second driver, a second builder,
-# a per-event size, a second tag index, head sampling or a knob that no
+# A pull request is served by Proxy.run on a local card, or over APDU
+# by Proxy.Pool, the one terminal-side APDU driver, and Fleet; Client is
+# the dissemination gateway only, with no backends, executor contract or
+# synthesized wire counts of its own. A node no rule reaches is denied:
+# open world is the rule +/*, not a default sign. Stream_view is the one
+# view builder (Reassembler.run is its DOM sink), Output_codec sizes and
+# codes whole streams only (an event's bytes depend on the stream before
+# it), and the engine dispatches through Compile's tag ids, not the
+# deleted per-tag site index. The tracer has one sampling mode (tail, by
+# a Policy), and the ring's points per member and the fleet's probe
+# count are constants. A reappearing name means a regression to the old
+# API, a second request path, a second policy mode, a second builder, a
+# per-event size, a second tag index, head sampling or a knob that no
 # caller sets.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|sample_1_in|probe_budget|vnodes' \
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Reassembler.create|feed|finish|" \
     "buffered_nodes / Stream_view.buffered_nodes /" \
     "Output_codec.encode|decode|encoded_size /" \
     "Compile.sites_for_tag|wildcard_sites|tag_known /" \
-    "sample_1_in / probe_budget / vnodes identifiers found" >&2
+    "sample_1_in / probe_budget / vnodes / Direct_backend / Fleet_backend /" \
+    "backend_name / fleet_handle / request_apdu_frames / Proxy.BACKEND /" \
+    "Client.query|serve|pooled|fleet / ~default:Rule. identifiers found" >&2
   exit 1
 fi
 echo "wrapper gate: clean"
