@@ -398,8 +398,8 @@ let push_frame t parent ~tag ~det ~scope ~suppressed ~inst_lo =
   t.live_tokens <- t.live_tokens + f.n_tokens;
   t.n_frames <- t.n_frames + 1
 
-let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled rules
-    =
+let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled
+    rules =
   let compiled =
     match compiled with
     | Some c -> c

@@ -87,7 +87,9 @@ let with_context t ~doc_id ~subject ~delivery ~xpath run =
 let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath =
   with_context t ~doc_id ~subject ~delivery ~xpath
     (fun ~source ~encrypted_rules ~query ->
-      match Card.evaluate_protected t.card source ~encrypted_rules ?query () with
+      match
+        Card.evaluate_protected t.card source ~encrypted_rules ?query ()
+      with
       | Error e -> Error e
       | Ok (messages, card_report) ->
           let unsealer =

@@ -1,5 +1,4 @@
 module Output = Sdds_core.Output
-module Rule = Sdds_core.Rule
 module Mode = Sdds_crypto.Mode
 module Aes = Sdds_crypto.Aes
 module Drbg = Sdds_crypto.Drbg
