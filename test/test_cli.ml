@@ -8,6 +8,7 @@ module Json = Sdds_analysis.Json
 let sdds = "../bin/sdds_cli.exe"
 let secure_terminal = "../examples/secure_terminal.exe"
 let clinical = "../examples/policies/clinical.xml"
+let example name = "../examples/" ^ name ^ ".exe"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 (* Run [exe] with [args]: its exit code, stdout and stderr. *)
@@ -368,6 +369,21 @@ let test_stdout_pins () =
         "958fd337f3c68ff940af9b453992e1c2"
         (Digest.to_hex (Digest.string (disseminate rules []))))
 
+(* The examples that print authorized views: each is deterministic, so
+   its stdout is pinned by digest, and it writes nothing to stderr. *)
+let test_example_pins () =
+  List.iter
+    (fun (name, want) ->
+      let code, stdout, stderr = run (example name) [] in
+      if code <> 0 || stderr <> "" then
+        Alcotest.failf "examples/%s.exe exited %d\n%s" name code stderr;
+      Alcotest.(check string) ("examples/" ^ name ^ ".exe (MD5)") want
+        (Digest.to_hex (Digest.string stdout)))
+    [ ("quickstart", "6324e7aee3601cb5d6740ca5dfa9d561");
+      ("collaborative", "a71a0778002aecf457ad80339ba0845d");
+      ("dissemination", "d3ebb1f0376deff7288cf0cf1c636d57");
+      ("parental_control", "87a390e266784a62b443fac3cebdcf29") ]
+
 (* The slo drill's trace and metrics exports run on a manual clock, so
    their bytes are pinned too, by digest. *)
 let test_slo_export_pins () =
@@ -396,5 +412,6 @@ let () =
           Alcotest.test_case "malformed query" `Quick test_bad_query;
           Alcotest.test_case "stdout parity pins" `Quick test_stdout_pins;
           Alcotest.test_case "slo export pins" `Quick test_slo_export_pins;
+          Alcotest.test_case "example stdout pins" `Quick test_example_pins;
         ] );
     ]

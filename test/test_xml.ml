@@ -159,6 +159,84 @@ let test_serialize_indent_reparses () =
   let s = Serializer.to_string ~indent:true sample in
   Alcotest.check dom "indented reparses" sample (Parser.dom_of_string s)
 
+(* Byte pins: MD5s of [to_string], flat and indented. Generator sizing
+   and the benchmark's document choice read these lengths, so every byte
+   is behaviour. The directed trees reach each rule of the rendering: an
+   [@]-child folds into its parent's open tag wherever it sits, only its
+   direct text counts, an element without content closes as [/>], a lone
+   text renders inline, and a root tagged [@x] is an ordinary element. *)
+let serializer_pins =
+  let e = Dom.element and t = Dom.text in
+  [ ( "hospital",
+      Generator.hospital (Rng.create 5L) ~patients:6,
+      "2ee885869ccb5341179129f09ed5291c",
+      "9f11aa81faa3e0122087ca22fd4da60b" );
+    ( "feed_tagged",
+      Generator.feed_tagged (Rng.create 6L) ~events:24,
+      "2697a21385ae75171107ed4c51ee876f",
+      "b83b534c2ac260a13bcff03fd334ff7b" );
+    ( "agenda",
+      Generator.agenda (Rng.create 7L) ~courses:12,
+      "ece7c9585586b95eaa3b4641d48857f9",
+      "fc5ba49bc2bab01f2b5208c1f45e544b" );
+    ( "auction",
+      Generator.auction (Rng.create 8L) ~items:4,
+      "2d512215e445d4243578c07c7fc4135c",
+      "0ef1512810b13f0d5e300d0110ed3bad" );
+    ( "attribute only",
+      e "a" [ e "@k" [ t "v" ] ],
+      "663049c02f128aeb0d67594245d5b311",
+      "663049c02f128aeb0d67594245d5b311" );
+    ( "attribute after text and after an element",
+      e "r"
+        [ e "p" [ t "x"; e "@a" [ t "1" ] ];
+          e "q" [ e "b" []; e "@a" [ t "2" ]; e "@c" [ t "3" ] ];
+          e "s" [ t "y"; e "c" [ t "z" ]; e "@a" [ t "4" ]; t "w" ] ],
+      "39752bc4fd9711c51a23ab59ed2cb24e",
+      "419d5fae267e45660e3b5ccd206055f1" );
+    ( "element inside an attribute",
+      e "a"
+        [ e "@k" [ t "v"; e "b" [ t "hidden"; e "@j" [ t "h" ] ]; t "w" ];
+          e "c" [] ],
+      "dedd5691b60a53c474b6d326465945e4",
+      "8be78e4019db5d174b4be4d7e2438980" );
+    ( "root @x",
+      e "@x" [ e "@y" [ t "1" ]; t "t"; e "@z" [] ],
+      "beab904fb08ab54798f645b071502019",
+      "beab904fb08ab54798f645b071502019" );
+    ( "bare text",
+      t "a & <b>",
+      "8d04ac1558baffdcd8139572aa27a73c",
+      "8d04ac1558baffdcd8139572aa27a73c" );
+    ( "escapes in text and attributes",
+      e "a"
+        [ e "@k" [ t {|& < > "|} ]; t {|& < > "|};
+          e "b" [ e "@q" [ t {|"'"|} ]; t "<&>" ] ],
+      "502361ca7aac0d4428e3a5f07f532c0f",
+      "86221cc598395bdc8711f5c5141ec089" );
+    ( "empty text",
+      e "a" [ t ""; e "b" [ t "" ]; e "@k" [ t "" ]; e "c" [ e "@j" [] ] ],
+      "3c52db4e5057a6243f0931b48515021d",
+      "1003277c2bf2a94b25d81e0d20fa4edd" );
+    ( "two adjacent texts",
+      e "a" [ t "x"; t "y"; e "b" [ t "p"; t "q" ]; e "c" [ t "r" ] ],
+      "2f8d9033bb4d33fe2f53acd9e827b989",
+      "20940ad0beacd0b605bd148732f440c9" );
+    ( "mixed content",
+      sample,
+      "934d8d24d5727d9fd5a4f3db34aa3e11",
+      "b6c35b9ca8d44bead2028fb8d11793fa" ) ]
+
+let test_serializer_pins () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (label, d, flat, indented) ->
+      Alcotest.(check string) (label ^ ", flat") flat
+        (md5 (Serializer.to_string d));
+      Alcotest.(check string) (label ^ ", indented") indented
+        (md5 (Serializer.to_string ~indent:true d)))
+    serializer_pins
+
 let qcheck_random_tree_roundtrip =
   QCheck2.Test.make ~name:"random tree: parse(serialize(d)) = d" ~count:200
     QCheck2.Gen.(int_bound 10000)
@@ -246,6 +324,7 @@ let suite =
       test_serialize_attributes_roundtrip;
     Alcotest.test_case "serialize escape" `Quick test_serialize_escape;
     Alcotest.test_case "serialize indent" `Quick test_serialize_indent_reparses;
+    Alcotest.test_case "serializer byte pins" `Quick test_serializer_pins;
     QCheck_alcotest.to_alcotest qcheck_random_tree_roundtrip;
     Alcotest.test_case "generators well formed" `Quick
       test_generators_well_formed;
