@@ -150,7 +150,7 @@ let specs =
       columns =
         [ "case"; "phase"; "requests"; "command_frames"; "wire_bytes";
           "warm_setups"; "cache_hits"; "total_ms"; "rsa_ms"; "compile_ms";
-          "minor_words_per_request" ];
+          "minor_words_per_request"; "pool_minor_words_per_request" ];
       shape = [] };
     { name = "analysis"; owners = [ "E16" ]; keys = [ "case"; "depth" ];
       columns =
@@ -256,7 +256,7 @@ let specs =
               < num "storage_events" (pick "mode" "full" rows) ) ] };
   ]
 
-let schema = "sdds-bench-engine/13"
+let schema = "sdds-bench-engine/14"
 
 (* The run as the file holds it: floats keep three decimals and
    non-finite values become null, so the in-memory gate and a later
@@ -1411,9 +1411,9 @@ let e15_session_cache () =
   Printf.printf "document: %d bytes XML; %d logical channels\n\n"
     (String.length (Serializer.to_string doc))
     Sdds_soe.Apdu.max_channels;
-  Printf.printf "%7s %5s | %9s %9s %9s %9s | %8s %9s %5s %5s | %9s\n"
+  Printf.printf "%7s %5s | %9s %9s %9s %9s | %8s %9s %5s %5s | %9s %9s\n"
     "streams" "phase" "ms/req" "rsa_ms" "comp_ms" "xfer_ms" "frames" "bytes"
-    "warm" "hits" "words/req";
+    "warm" "hits" "words/req" "pool w/r";
   List.iter
     (fun n ->
       let reqs =
@@ -1469,24 +1469,28 @@ let e15_session_cache () =
           ~transport:(Remote_card.Host.process host) ~subject:"u" ()
       in
       let pool_round () =
-        List.fold_left
-          (fun (frames, bytes, warm) -> function
-            | Error e -> failwith (Format.asprintf "%a" Proxy.pp_error e)
-            | Ok s ->
-                ( frames + s.Proxy.Pool.command_frames,
-                  bytes + s.Proxy.Pool.wire_bytes,
-                  if s.Proxy.Pool.warm_setup then warm + 1 else warm ))
-          (0, 0, 0)
-          (Proxy.Pool.serve pool reqs)
+        let before = Gc.minor_words () in
+        let totals =
+          List.fold_left
+            (fun (frames, bytes, warm) -> function
+              | Error e -> failwith (Format.asprintf "%a" Proxy.pp_error e)
+              | Ok s ->
+                  ( frames + s.Proxy.Pool.command_frames,
+                    bytes + s.Proxy.Pool.wire_bytes,
+                    if s.Proxy.Pool.warm_setup then warm + 1 else warm ))
+            (0, 0, 0)
+            (Proxy.Pool.serve pool reqs)
+        in
+        (totals, (Gc.minor_words () -. before) /. float_of_int n)
       in
-      let cf, cb, cw = pool_round () in
-      let wf, wb, ww = pool_round () in
-      let row phase ms rsa comp xfer frames bytes warm hits words =
+      let (cf, cb, cw), cold_pool_words = pool_round () in
+      let (wf, wb, ww), warm_pool_words = pool_round () in
+      let row phase ms rsa comp xfer frames bytes warm hits words pool_words =
         Printf.printf
-          "%7d %5s | %9.1f %9.3f %9.3f %9.1f | %8d %9d %5d %5d | %9.0f\n" n
-          phase
+          "%7d %5s | %9.1f %9.3f %9.3f %9.1f | %8d %9d %5d %5d | %9.0f %9.0f\n"
+          n phase
           (ms /. float_of_int n)
-          rsa comp xfer frames bytes warm hits words;
+          rsa comp xfer frames bytes warm hits words pool_words;
         record "sessions" ~experiment:"E15"
           Json.
             [ ("case", String (Printf.sprintf "streams-%d" n));
@@ -1495,12 +1499,13 @@ let e15_session_cache () =
               ("warm_setups", Int warm); ("cache_hits", Int hits);
               ("total_ms", Float ms); ("rsa_ms", Float rsa);
               ("compile_ms", Float comp);
-              ("minor_words_per_request", Float words) ]
+              ("minor_words_per_request", Float words);
+              ("pool_minor_words_per_request", Float pool_words) ]
       in
       row "cold" cold_ms cold_rsa cold_comp cold_xfer cf cb cw cold_hits
-        cold_words;
+        cold_words cold_pool_words;
       row "warm" warm_ms warm_rsa warm_comp warm_xfer wf wb ww warm_hits
-        warm_words;
+        warm_words warm_pool_words;
       Printf.printf "%31s views byte-identical across rounds: %b\n" ""
         identical;
       if not identical then failwith "E15: warm round changed a view")

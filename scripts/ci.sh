@@ -55,8 +55,8 @@ echo "== bench smoke + perf-regression gate (E14..E23 vs BENCH_baseline.json) ==
 # baseline row and field, deterministic fields exact, simulated fields
 # within 5%, wall-clock costs grown no more than SDDS_BENCH_WALL_TOL
 # (default 75%; widen on slow shared runners). Allocation (E14's minor
-# words per event, E15's per request, E16's per analysis) is
-# deterministic and held exactly. Regenerate the
+# words per event, E15's per request in process and over the pool,
+# E16's per analysis) is deterministic and held exactly. Regenerate the
 # baseline with:  dune exec bench/main.exe -- --smoke E14 E15 E16 E17 \
 #        E18 E19 E20 E21 E22 E23 --update-baseline
 dune exec bench/main.exe -- --smoke E14 E15 E16 E17 E18 E19 E20 E21 E22 E23 \
@@ -83,10 +83,12 @@ expect_exit() {
 }
 # A tripled ns/event breaks the wall-clock band. A 97% tail retention
 # sits inside the simulated 5% band: only the E23 claim "tail keeps
-# 100%" catches it. 10% more minor words per event, per request or per
-# analysis breaks an exact allocation field.
+# 100%" catches it. 10% more minor words per event, per request (in
+# process or over the pool) or per analysis breaks an exact allocation
+# field.
 for spec in ns_per_event=3 retention_pct=0.97 minor_words_per_event=1.1 \
-  minor_words_per_request=1.1 minor_words_per_analysis=1.1; do
+  minor_words_per_request=1.1 pool_minor_words_per_request=1.1 \
+  minor_words_per_analysis=1.1; do
   expect_exit 1 "$bench" --compare-only --baseline BENCH_baseline.json \
     --inject-regression "$spec"
 done
