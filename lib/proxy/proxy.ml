@@ -273,15 +273,16 @@ module Pool = struct
   let finish t st result =
     let result =
       match result with
-      | Ok () ->
+      | Ok () -> (
           let encoded = Buffer.contents st.buf in
-          (match Sdds_core.Output_codec.decode_list encoded with
-          | outputs ->
-              let view =
-                Reassembler.run
-                  ~has_query:(st.req.Request.xpath <> None)
-                  outputs
-              in
+          (* The bytes are the card's word only: the decoder's and the
+             view builder's refusals alike are protocol errors. *)
+          match
+            Reassembler.run
+              ~has_query:(st.req.Request.xpath <> None)
+              (Sdds_core.Output_codec.decode_list encoded)
+          with
+          | view ->
               Ok
                 {
                   view;

@@ -396,6 +396,30 @@ let test_undecodable_stream_is_protocol_error () =
   | [ Ok _ ] -> Alcotest.fail "garbage decoded as a view"
   | _ -> assert false
 
+let test_refused_stream_is_protocol_error () =
+  (* Streams that decode but that the view builder refuses: an element
+     never closed, text before any open, and a second root. Each must
+     end the request in a typed [Protocol] error, like an undecodable
+     stream, and never escape the pool as an exception. *)
+  List.iter
+    (fun (label, payload, refusal) ->
+      let peer _ = { Apdu.sw1 = 0x90; sw2 = 0x00; payload } in
+      match
+        pool_views ~reqs:[ Proxy.Request.make doc_id ] (Lazy.force world) peer
+      with
+      | [ Error (Proxy.Protocol msg) ] ->
+          Alcotest.(check string) label ("bad response stream: " ^ refusal) msg
+      | [ Error e ] -> Alcotest.failf "%s: wrong error: %a" label Proxy.pp_error e
+      | [ Ok _ ] -> Alcotest.failf "%s: served as a view" label
+      | _ -> assert false
+      | exception e ->
+          Alcotest.failf "%s: escaped the pool: %s" label (Printexc.to_string e))
+    [ ( "unclosed element", "\x1f\x01a",
+        "Stream_view.finish: elements still open" );
+      ("text before any open", "\x00\x01t", "Stream_view: text outside elements");
+      ( "second root", "\x1f\x01a\x01\x04\x00\x01",
+        "Stream_view: several roots" ) ]
+
 let fail_parse e = Alcotest.fail (Fault.Schedule.string_of_parse_error e)
 
 let test_fault_spec_parsing () =
@@ -737,6 +761,8 @@ let suite =
       test_transient_words_are_not_card_errors;
     Alcotest.test_case "undecodable stream is a protocol error" `Quick
       test_undecodable_stream_is_protocol_error;
+    Alcotest.test_case "refused stream is a protocol error" `Quick
+      test_refused_stream_is_protocol_error;
     Alcotest.test_case "fault-spec parsing" `Quick test_fault_spec_parsing;
     Alcotest.test_case "fault-spec errors carry a position" `Quick
       test_fault_spec_errors_positioned;
