@@ -1,13 +1,21 @@
 let escape buf ~quot s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when quot -> Buffer.add_string buf "&quot;"
-      | _ -> Buffer.add_char buf c)
-    s
+  let flushed = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let entity =
+      match String.unsafe_get s i with
+      | '&' -> "&amp;"
+      | '<' -> "&lt;"
+      | '>' -> "&gt;"
+      | '"' when quot -> "&quot;"
+      | _ -> ""
+    in
+    if String.length entity > 0 then begin
+      Buffer.add_substring buf s !flushed (i - !flushed);
+      Buffer.add_string buf entity;
+      flushed := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !flushed (String.length s - !flushed)
 
 let escape_text s =
   let b = Buffer.create (String.length s) in
@@ -19,67 +27,184 @@ let escape_attribute s =
   escape b ~quot:true s;
   Buffer.contents b
 
-(* Render from the DOM: attributes need lookahead (they must be folded into
-   the opening tag), which is awkward event-by-event, so the event entry
-   point goes through the DOM. *)
+module Writer = struct
+  (* What an open element has written so far. *)
+  let bare = 0 (* no content child: its open tag is unterminated *)
+  let held = 1 (* one text child, held back: it may be inline *)
+  let full = 2 (* its open tag ends in '>' and content follows it *)
 
-let rec render buf ~indent level node =
-  let pad () =
-    if indent then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * level) ' ')
+  (* An open element. Frames are reused from one element to the next at
+     the same depth, so a stream allocates none per event. *)
+  type frame = {
+    mutable tag : string;
+    mutable at : int;  (** where its open tag ends, before any '>' *)
+    mutable state : int;
+    mutable text : string;  (** the held text *)
+  }
+
+  type t = {
+    buf : Buffer.t;
+    indent : bool;
+    mutable frames : frame array;  (** the open elements, root first *)
+    mutable depth : int;
+    mutable attr : int;
+        (** 0 outside an attribute; inside one, 1 + the depth of nesting
+            below it (only the attribute's own text counts) *)
+    late : Buffer.t;
+        (** an attribute read after its element's content, to be spliced
+            in at the open tag's end *)
+    mutable is_late : bool;
+  }
+
+  let create ?(indent = false) () =
+    {
+      buf = Buffer.create 1024;
+      indent;
+      frames = [||];
+      depth = 0;
+      attr = 0;
+      late = Buffer.create 64;
+      is_late = false;
+    }
+
+  let contents t = Buffer.contents t.buf
+
+  (* A node at [level] starts on its own indented line. *)
+  let pad t level =
+    if t.indent then begin
+      if Buffer.length t.buf > 0 then Buffer.add_char t.buf '\n';
+      for _ = 1 to 2 * level do
+        Buffer.add_char t.buf ' '
+      done
     end
-  in
-  match node with
-  | Dom.Text v ->
-      pad ();
-      escape buf ~quot:false v
-  | Dom.Element (tag, kids) ->
-      let is_attr = function
-        | Dom.Element (t, _) -> Event.is_attribute_tag t
-        | Dom.Text _ -> false
-      in
-      let attrs, content = List.partition is_attr kids in
-      pad ();
-      Buffer.add_char buf '<';
-      Buffer.add_string buf tag;
-      List.iter
-        (fun a ->
-          match a with
-          | Dom.Element (atag, avs) ->
-              let name = String.sub atag 1 (String.length atag - 1) in
-              let value =
-                String.concat ""
-                  (List.filter_map
-                     (function Dom.Text v -> Some v | Dom.Element _ -> None)
-                     avs)
-              in
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf name;
-              Buffer.add_string buf "=\"";
-              escape buf ~quot:true value;
-              Buffer.add_char buf '"'
-          | Dom.Text _ -> assert false)
-        attrs;
-      if content = [] then Buffer.add_string buf "/>"
+
+  (* A content child of the element at [level] arrives: terminate its
+     open tag and write the text held back, which is now not inline. *)
+  let content t level =
+    let f = t.frames.(level) in
+    if f.state <> full then begin
+      Buffer.add_char t.buf '>';
+      if f.state = held then begin
+        pad t (level + 1);
+        escape t.buf ~quot:false f.text;
+        f.text <- ""
+      end;
+      f.state <- full
+    end
+
+  let push t tag =
+    if t.depth = Array.length t.frames then
+      t.frames <-
+        Array.init
+          (max 8 (2 * t.depth))
+          (fun i ->
+            if i < t.depth then t.frames.(i)
+            else { tag = ""; at = 0; state = bare; text = "" });
+    let f = t.frames.(t.depth) in
+    f.tag <- tag;
+    f.at <- Buffer.length t.buf;
+    f.state <- bare;
+    t.depth <- t.depth + 1
+
+  let open_element t tag =
+    if t.attr > 0 then t.attr <- t.attr + 1
+    else if t.depth > 0 && Event.is_attribute_tag tag then begin
+      (* Folded into the open tag: written in place while the tag is
+         still the buffer's end, else kept aside until its close. *)
+      t.attr <- 1;
+      t.is_late <- t.frames.(t.depth - 1).state = full;
+      let b = if t.is_late then t.late else t.buf in
+      Buffer.add_char b ' ';
+      Buffer.add_substring b tag 1 (String.length tag - 1);
+      Buffer.add_string b "=\""
+    end
+    else begin
+      if t.depth > 0 then content t (t.depth - 1);
+      pad t t.depth;
+      Buffer.add_char t.buf '<';
+      Buffer.add_string t.buf tag;
+      push t tag
+    end
+
+  let text t v =
+    if t.attr = 1 then
+      escape (if t.is_late then t.late else t.buf) ~quot:true v
+    else if t.attr = 0 then
+      if t.depth = 0 then escape t.buf ~quot:false v
       else begin
-        Buffer.add_char buf '>';
-        let inline =
-          match content with [ Dom.Text _ ] -> true | _ -> false
-        in
-        if inline then
-          List.iter (render buf ~indent:false (level + 1)) content
-        else List.iter (render buf ~indent (level + 1)) content;
-        if indent && not inline then begin
-          Buffer.add_char buf '\n';
-          Buffer.add_string buf (String.make (2 * level) ' ')
-        end;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>'
+        let level = t.depth - 1 in
+        let f = t.frames.(level) in
+        if f.state = bare then begin
+          f.state <- held;
+          f.text <- v
+        end
+        else begin
+          content t level;
+          pad t (level + 1);
+          escape t.buf ~quot:false v
+        end
       end
 
-let to_string ?(indent = false) doc =
-  let b = Buffer.create 1024 in
-  render b ~indent 0 doc;
-  Buffer.contents b
+  let close_attribute t =
+    let f = t.frames.(t.depth - 1) in
+    if t.is_late then begin
+      Buffer.add_char t.late '"';
+      let tail = Buffer.sub t.buf f.at (Buffer.length t.buf - f.at) in
+      Buffer.truncate t.buf f.at;
+      Buffer.add_buffer t.buf t.late;
+      Buffer.add_string t.buf tail;
+      f.at <- f.at + Buffer.length t.late;
+      Buffer.clear t.late;
+      t.is_late <- false
+    end
+    else begin
+      Buffer.add_char t.buf '"';
+      f.at <- Buffer.length t.buf
+    end
+
+  let close_element t =
+    if t.depth = 0 then invalid_arg "Serializer.Writer: close without open";
+    t.depth <- t.depth - 1;
+    let f = t.frames.(t.depth) in
+    if f.state = bare then Buffer.add_string t.buf "/>"
+    else begin
+      if f.state = held then begin
+        Buffer.add_char t.buf '>';
+        escape t.buf ~quot:false f.text;
+        f.text <- ""
+      end
+      else if t.indent then begin
+        Buffer.add_char t.buf '\n';
+        for _ = 1 to 2 * t.depth do
+          Buffer.add_char t.buf ' '
+        done
+      end;
+      Buffer.add_string t.buf "</";
+      Buffer.add_string t.buf f.tag;
+      Buffer.add_char t.buf '>'
+    end
+
+  let close t =
+    if t.attr > 0 then begin
+      t.attr <- t.attr - 1;
+      if t.attr = 0 then close_attribute t
+    end
+    else close_element t
+
+  let event t = function
+    | Event.Open tag -> open_element t tag
+    | Event.Value v -> text t v
+    | Event.Close _ -> close t
+end
+
+let to_string ?indent doc =
+  let w = Writer.create ?indent () in
+  let rec walk = function
+    | Dom.Text v -> Writer.text w v
+    | Dom.Element (tag, kids) ->
+        Writer.open_element w tag;
+        List.iter walk kids;
+        Writer.close w
+  in
+  walk doc;
+  Writer.contents w

@@ -237,6 +237,114 @@ let test_serializer_pins () =
         (md5 (Serializer.to_string ~indent:true d)))
     serializer_pins
 
+(* The renderer [Serializer] had before the writer: the reference the
+   writer must match byte for byte. *)
+module Reference = struct
+  let escape buf ~quot s =
+    String.iter
+      (fun c ->
+        match c with
+        | '&' -> Buffer.add_string buf "&amp;"
+        | '<' -> Buffer.add_string buf "&lt;"
+        | '>' -> Buffer.add_string buf "&gt;"
+        | '"' when quot -> Buffer.add_string buf "&quot;"
+        | _ -> Buffer.add_char buf c)
+      s
+
+  let rec render buf ~indent level node =
+    let pad () =
+      if indent then begin
+        if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make (2 * level) ' ')
+      end
+    in
+    match node with
+    | Dom.Text v ->
+        pad ();
+        escape buf ~quot:false v
+    | Dom.Element (tag, kids) ->
+        let is_attr = function
+          | Dom.Element (t, _) -> Event.is_attribute_tag t
+          | Dom.Text _ -> false
+        in
+        let attrs, content = List.partition is_attr kids in
+        pad ();
+        Buffer.add_char buf '<';
+        Buffer.add_string buf tag;
+        List.iter
+          (fun a ->
+            match a with
+            | Dom.Element (atag, avs) ->
+                let name = String.sub atag 1 (String.length atag - 1) in
+                let value =
+                  String.concat ""
+                    (List.filter_map
+                       (function Dom.Text v -> Some v | Dom.Element _ -> None)
+                       avs)
+                in
+                Buffer.add_char buf ' ';
+                Buffer.add_string buf name;
+                Buffer.add_string buf "=\"";
+                escape buf ~quot:true value;
+                Buffer.add_char buf '"'
+            | Dom.Text _ -> assert false)
+          attrs;
+        if content = [] then Buffer.add_string buf "/>"
+        else begin
+          Buffer.add_char buf '>';
+          let inline =
+            match content with [ Dom.Text _ ] -> true | _ -> false
+          in
+          if inline then
+            List.iter (render buf ~indent:false (level + 1)) content
+          else List.iter (render buf ~indent (level + 1)) content;
+          if indent && not inline then begin
+            Buffer.add_char buf '\n';
+            Buffer.add_string buf (String.make (2 * level) ' ')
+          end;
+          Buffer.add_string buf "</";
+          Buffer.add_string buf tag;
+          Buffer.add_char buf '>'
+        end
+
+  let to_string ?(indent = false) doc =
+    let b = Buffer.create 1024 in
+    render b ~indent 0 doc;
+    Buffer.contents b
+end
+
+(* Random trees whose attributes sit anywhere among the children, hold
+   elements and other attributes, and need escaping; the root may be a
+   text or an attribute tag. *)
+let gen_attributed_tree =
+  let open QCheck2.Gen in
+  let tag = oneofl [ "a"; "b"; "c"; "@k"; "@j" ] in
+  let text = oneofl [ ""; "x"; "y z"; "&"; "<>"; {|"q"|}; {|a&b<c>"d|} ] in
+  sized_size (int_bound 60)
+  @@ fix (fun self n ->
+         if n = 0 then
+           frequency
+             [ (1, map Dom.text text); (2, map (fun t -> Dom.element t []) tag) ]
+         else
+           frequency
+             [ (1, map Dom.text text);
+               ( 3,
+                 map2 Dom.element tag
+                   (list_size (int_bound 5) (self (n / 3))) ) ])
+
+let qcheck_writer_matches_reference =
+  QCheck2.Test.make ~name:"writer over to_events = the previous renderer"
+    ~count:2000 ~print:(Format.asprintf "%a" Dom.pp) gen_attributed_tree
+    (fun d ->
+      List.for_all
+        (fun indent ->
+          let w = Serializer.Writer.create ~indent () in
+          List.iter (Serializer.Writer.event w) (Dom.to_events d);
+          let want = Reference.to_string ~indent d in
+          String.equal want (Serializer.Writer.contents w)
+          && String.equal want (Serializer.to_string ~indent d))
+        [ false; true ])
+
 let qcheck_random_tree_roundtrip =
   QCheck2.Test.make ~name:"random tree: parse(serialize(d)) = d" ~count:200
     QCheck2.Gen.(int_bound 10000)
@@ -326,6 +434,7 @@ let suite =
     Alcotest.test_case "serialize indent" `Quick test_serialize_indent_reparses;
     Alcotest.test_case "serializer byte pins" `Quick test_serializer_pins;
     QCheck_alcotest.to_alcotest qcheck_random_tree_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_writer_matches_reference;
     Alcotest.test_case "generators well formed" `Quick
       test_generators_well_formed;
     Alcotest.test_case "generator deterministic" `Quick
