@@ -951,7 +951,7 @@ let e7_dissemination () =
         | Ok o ->
             let r = o.Proxy.card_report in
             let items =
-              match o.Proxy.view with
+              match Lazy.force o.Proxy.view with
               | Some v -> List.length (Dom.children v)
               | None -> 0
             in
@@ -1084,7 +1084,7 @@ let e9_tampering () =
           (* Undetected is acceptable only if the data was never used and
              the view is still correct. *)
           match
-            (Oracle.authorized_view ~rules doc, o.Proxy.view)
+            (Oracle.authorized_view ~rules doc, Lazy.force o.Proxy.view)
           with
           | None, None -> "unused - view unaffected"
           | Some a, Some b when Dom.equal a b -> "unused - view unaffected"

@@ -1184,7 +1184,7 @@ let disseminate_cmd =
         exit 1
     | Ok (per, st) ->
         let elements (s : Sdds_proxy.Proxy.Pool.served) =
-          match s.Sdds_proxy.Proxy.Pool.view with
+          match Lazy.force s.Sdds_proxy.Proxy.Pool.view with
           | Some v -> Sdds_xml.Dom.node_count v
           | None -> 0
         in

@@ -100,7 +100,7 @@ let () =
           let r = o.Proxy.card_report in
           let b = r.Card.breakdown in
           let view_elems =
-            match o.Proxy.view with
+            match Lazy.force o.Proxy.view with
             | Some v -> Sdds_xml.Dom.node_count v
             | None -> 0
           in
@@ -158,7 +158,7 @@ let () =
   let researcher_card = List.assoc "researcher" users in
   let proxy = Proxy.create ~store ~card:researcher_card in
   match Proxy.run proxy (Proxy.Request.make ~xpath:"//prescription" "ward-db") with
-  | Ok { Proxy.view = None; _ } ->
+  | Ok { Proxy.xml = None; _ } ->
       print_endline "researcher now sees no prescriptions - policy enforced"
   | Ok _ -> print_endline "UNEXPECTED: prescriptions still visible"
   | Error e -> Format.printf "ERROR: %a@." Proxy.pp_error e

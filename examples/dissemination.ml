@@ -82,7 +82,7 @@ let () =
           let r = o.Proxy.card_report in
           let b = r.Card.breakdown in
           let items =
-            match o.Proxy.view with
+            match Lazy.force o.Proxy.view with
             | Some v ->
                 List.length
                   (Sdds_xml.Dom.find_all
@@ -103,15 +103,17 @@ let () =
   let proxy = Proxy.create ~store ~card:sports_card in
   match Proxy.run proxy (Proxy.Request.make ~delivery:`Push "feed-2026-07-05") with
   | Error e -> Format.printf "ERROR: %a@." Proxy.pp_error e
-  | Ok { Proxy.view = Some v; _ } ->
-      let items =
-        Sdds_xml.Dom.find_all
-          (fun _ n -> Sdds_xml.Dom.tag n = Some "item")
-          v
-      in
-      List.iteri
-        (fun i item ->
-          if i < 3 then
-            print_endline (Sdds_xml.Serializer.to_string ~indent:true item))
-        items
-  | Ok { Proxy.view = None; _ } -> print_endline "(nothing matched)"
+  | Ok o -> (
+      match Lazy.force o.Proxy.view with
+      | Some v ->
+          let items =
+            Sdds_xml.Dom.find_all
+              (fun _ n -> Sdds_xml.Dom.tag n = Some "item")
+              v
+          in
+          List.iteri
+            (fun i item ->
+              if i < 3 then
+                print_endline (Sdds_xml.Serializer.to_string ~indent:true item))
+            items
+      | None -> print_endline "(nothing matched)")

@@ -35,7 +35,8 @@ let show store card label =
   | Error e -> Format.printf "%-18s ERROR: %a@." label Proxy.pp_error e
   | Ok o ->
       Printf.printf "%-18s sees %3d items (%d of %d chunks decrypted)\n" label
-        (count_items o.Proxy.view) o.Proxy.card_report.Card.chunks_consumed
+        (count_items (Lazy.force o.Proxy.view))
+        o.Proxy.card_report.Card.chunks_consumed
         o.Proxy.card_report.Card.chunks_total
 
 let () =

@@ -93,97 +93,141 @@ let encode_list outs =
   go [] outs;
   Buffer.contents buf
 
-let read_string s pos =
-  let len, pos = Varint.read s pos in
-  if pos + len > String.length s then
-    invalid_arg "Output_codec: truncated string";
-  (String.sub s pos len, pos + len)
+(* The decoder's cursor: each read advances [pos], so no read returns a
+   (value, position) pair. [names.(i)] and the shared [closes.(i)], for
+   [i < count], are the first-occurrence table; [opened.(0 .. depth-1)]
+   are the table indices of the elements still open. *)
+type cursor = {
+  s : string;
+  mutable pos : int;
+  mutable names : string array;
+  mutable closes : Output.t array;
+  mutable count : int;
+  mutable opened : int array;
+  mutable depth : int;
+}
 
-let rec read_cond s pos =
-  let tag, pos = Varint.read s pos in
-  if tag = c_true then (Cond.tt, pos)
-  else if tag = c_false then (Cond.ff, pos)
-  else if tag = c_var then begin
-    let v, pos = Varint.read s pos in
-    (Cond.var v, pos)
+(* [Varint.read], advancing the cursor. *)
+let rec varint_from c acc shift pos =
+  if pos >= String.length c.s then invalid_arg "Varint.read: truncated";
+  if shift >= Sys.int_size then invalid_arg "Varint.read: overflow";
+  let b = Char.code (String.unsafe_get c.s pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then begin
+    c.pos <- pos + 1;
+    acc
   end
+  else varint_from c acc (shift + 7) (pos + 1)
+
+let varint c = varint_from c 0 0 c.pos
+
+let read_string c =
+  let len = varint c in
+  let pos = c.pos in
+  if pos + len > String.length c.s then
+    invalid_arg "Output_codec: truncated string";
+  c.pos <- pos + len;
+  String.sub c.s pos len
+
+let rec read_cond c =
+  let tag = varint c in
+  if tag = c_true then Cond.tt
+  else if tag = c_false then Cond.ff
+  else if tag = c_var then Cond.var (varint c)
   else if tag = c_and || tag = c_or then begin
-    let n, pos = Varint.read s pos in
+    let n = varint c in
     if n < 0 || n > 100_000 then invalid_arg "Output_codec: absurd arity";
-    let rec go acc pos i =
-      if i = n then (List.rev acc, pos)
-      else begin
-        let x, pos = read_cond s pos in
-        go (x :: acc) pos (i + 1)
-      end
-    in
-    let xs, pos = go [] pos 0 in
-    ((if tag = c_and then Cond.conj xs else Cond.disj xs), pos)
+    let xs = read_conds c n [] in
+    if tag = c_and then Cond.conj xs else Cond.disj xs
   end
   else invalid_arg "Output_codec: bad condition tag"
 
-let read_slot s pos shape =
-  if shape = s_true then (Cond.tt, pos)
-  else if shape = s_false then (Cond.ff, pos)
-  else read_cond s pos
+and read_conds c n acc =
+  if n = 0 then List.rev acc
+  else begin
+    let x = read_cond c in
+    read_conds c (n - 1) (x :: acc)
+  end
+
+let read_slot c shape =
+  if shape = s_true then Cond.tt
+  else if shape = s_false then Cond.ff
+  else read_cond c
+
+(* The table index of the open's tag: a new name joins the table. *)
+let read_tag c ~is_new =
+  if is_new then begin
+    let name = read_string c in
+    if c.count = Array.length c.names then begin
+      let size = max 8 (2 * c.count) in
+      let grow a fill =
+        let b = Array.make size fill in
+        Array.blit a 0 b 0 c.count;
+        b
+      in
+      c.names <- grow c.names "";
+      c.closes <- grow c.closes (Output.Close_node "")
+    end;
+    c.names.(c.count) <- name;
+    c.closes.(c.count) <- Output.Close_node name;
+    c.count <- c.count + 1;
+    c.count - 1
+  end
+  else begin
+    let i = varint c in
+    if i < 0 || i >= c.count then
+      invalid_arg "Output_codec: tag index beyond the table";
+    i
+  end
+
+let push_open c i =
+  if c.depth = Array.length c.opened then begin
+    let grown = Array.make (max 16 (2 * c.depth)) 0 in
+    Array.blit c.opened 0 grown 0 c.depth;
+    c.opened <- grown
+  end;
+  c.opened.(c.depth) <- i;
+  c.depth <- c.depth + 1
+
+let iter f s =
+  let c =
+    {
+      s;
+      pos = 0;
+      names = [||];
+      closes = [||];
+      count = 0;
+      opened = [||];
+      depth = 0;
+    }
+  in
+  while c.pos < String.length s do
+    let h = varint c in
+    if h = h_text then f (Output.Text_node (read_string c))
+    else if h = h_close then begin
+      if c.depth = 0 then invalid_arg "Output_codec: close without an open";
+      c.depth <- c.depth - 1;
+      f c.closes.(c.opened.(c.depth))
+    end
+    else if h = h_resolve_true || h = h_resolve_false then
+      f (Output.Resolve (varint c, h = h_resolve_true))
+    else if h >= h_open && h < h_end then begin
+      let code = h - h_open in
+      let i = read_tag c ~is_new:(code >= h_new_tag) in
+      let code = code mod h_new_tag in
+      let neg = read_slot c (code / 9) in
+      let pos = read_slot c (code / 3 mod 3) in
+      let query = read_slot c (code mod 3) in
+      push_open c i;
+      f (Output.Open_node { tag = c.names.(i); neg; pos; query })
+    end
+    else invalid_arg "Output_codec: bad event header"
+  done
 
 let decode_list s =
-  let n = String.length s in
-  (* The first-occurrence table: [names.(i)] for [i < !count]. *)
-  let names = ref [||] and count = ref 0 in
-  let learn name =
-    if !count = Array.length !names then begin
-      let grown = Array.make (max 8 (2 * !count)) "" in
-      Array.blit !names 0 grown 0 !count;
-      names := grown
-    end;
-    !names.(!count) <- name;
-    incr count
-  in
-  let rec go acc opened pos =
-    if pos = n then List.rev acc
-    else begin
-      let h, pos = Varint.read s pos in
-      if h = h_text then begin
-        let v, pos = read_string s pos in
-        go (Output.Text_node v :: acc) opened pos
-      end
-      else if h = h_close then begin
-        match opened with
-        | tag :: opened -> go (Output.Close_node tag :: acc) opened pos
-        | [] -> invalid_arg "Output_codec: close without an open"
-      end
-      else if h = h_resolve_true || h = h_resolve_false then begin
-        let v, pos = Varint.read s pos in
-        go (Output.Resolve (v, h = h_resolve_true) :: acc) opened pos
-      end
-      else if h >= h_open && h < h_end then begin
-        let code = h - h_open in
-        let tag, pos =
-          if code >= h_new_tag then begin
-            let name, pos = read_string s pos in
-            learn name;
-            (name, pos)
-          end
-          else begin
-            let i, pos = Varint.read s pos in
-            if i < 0 || i >= !count then
-              invalid_arg "Output_codec: tag index beyond the table";
-            (!names.(i), pos)
-          end
-        in
-        let code = code mod h_new_tag in
-        let neg, pos = read_slot s pos (code / 9) in
-        let pos_e, pos = read_slot s pos (code / 3 mod 3) in
-        let query, pos = read_slot s pos (code mod 3) in
-        go
-          (Output.Open_node { tag; neg; pos = pos_e; query } :: acc)
-          (tag :: opened) pos
-      end
-      else invalid_arg "Output_codec: bad event header"
-    end
-  in
-  go [] [] 0
+  let outs = ref [] in
+  iter (fun o -> outs := o :: !outs) s;
+  List.rev !outs
 
 (* Sizes by arithmetic, mirroring [encode_list]. Every header and
    condition tag is below 0x80, so each takes one varint byte. *)

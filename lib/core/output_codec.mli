@@ -28,11 +28,21 @@ val encode_list : Output.t list -> string
     the open element it closes, or that closes nothing. The engine and
     the mux never emit one. *)
 
+val iter : (Output.t -> unit) -> string -> unit
+(** [iter f bytes] decodes the stream with a cursor and passes each
+    event to [f] as soon as it is read, so the terminal can feed the
+    view builder straight from the wire. Decoding allocates the events
+    and the texts, no (value, position) pair per varint, and one shared
+    [Close_node] per table tag. Raises [Invalid_argument] on malformed
+    bytes: a header out of range, a close with no open element, a tag
+    index beyond the table, a truncated string or varint, or a bad
+    condition; [f] has then seen the events before the fault. A stream
+    that ends with elements still open decodes; the view builder
+    refuses it. *)
+
 val decode_list : string -> Output.t list
-(** Raises [Invalid_argument] on malformed bytes: a header out of range,
-    a close with no open element, a tag index beyond the table, a
-    truncated string or varint, or a bad condition. A stream that ends
-    with elements still open decodes; the view builder refuses it. *)
+(** {!iter} collecting the events into a list, with the same
+    refusals. *)
 
 val size_list : Output.t list -> int
 (** [size_list outs] is [String.length (encode_list outs)] exactly, on

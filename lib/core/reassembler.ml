@@ -1,5 +1,17 @@
 module Dom = Sdds_xml.Dom
 module Event = Sdds_xml.Event
+module Writer = Sdds_xml.Serializer.Writer
+
+(* Feed every output [outputs] passes on through one view builder. *)
+let release ~has_query ~emit outputs =
+  let sv = Stream_view.create ~has_query ~emit () in
+  outputs (Stream_view.feed sv);
+  Stream_view.finish sv
+
+let xml ~has_query outputs =
+  let w = Writer.create ~indent:true () in
+  release ~has_query ~emit:(Writer.event w) outputs;
+  match Writer.contents w with "" -> None | s -> Some s
 
 (* An element of the view still open: its tag, its children so far (last
    first) and the element it sits in. *)
@@ -17,7 +29,5 @@ let run ~has_query outs =
         f.up.kids <- Dom.Element (f.tag, List.rev f.kids) :: f.up.kids;
         cur := f.up
   in
-  let sv = Stream_view.create ~has_query ~emit () in
-  List.iter (Stream_view.feed sv) outs;
-  Stream_view.finish sv;
+  release ~has_query ~emit (fun feed -> List.iter feed outs);
   match top.kids with [ view ] -> Some view | _ -> None

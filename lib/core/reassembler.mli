@@ -1,5 +1,6 @@
-(** The authorized view as a DOM: a sink that builds the tree from the
-    events {!Stream_view} releases, and returns it at end of stream.
+(** The authorized view as the terminal hands it out: XML text written
+    straight from the events {!Stream_view} releases, or a DOM built
+    from them when a caller asks for one.
 
     The terminal is not memory-constrained (the SOE is), so it may hold
     the delivered part of the document; what it may never see is data
@@ -9,8 +10,18 @@
     SOE wrapper — see [Sdds_soe.Guard] — so a dishonest terminal learns
     nothing from it). *)
 
+val xml :
+  has_query:bool -> ((Output.t -> unit) -> unit) -> string option
+(** [xml ~has_query outputs] feeds each event [outputs] passes on
+    (a list's [List.iter], or {!Output_codec.iter} over the card's
+    bytes) through the view builder into one
+    {!Sdds_xml.Serializer.Writer}, and returns the view as
+    [Serializer.to_string ~indent:true] renders it; [None] when nothing
+    is delivered. No list of outputs and no DOM is built. [has_query]
+    must match the engine's configuration. Raises [Invalid_argument] on
+    whatever {!Stream_view} or the source refuses. *)
+
 val run : has_query:bool -> Output.t list -> Sdds_xml.Dom.t option
-(** The authorized view of a complete output stream; [None] when nothing
-    is delivered. [has_query] must match the engine's configuration.
-    Raises [Invalid_argument] on whatever
-    {!Stream_view} refuses. *)
+(** The authorized view of a complete output stream as a DOM; [None]
+    when nothing is delivered. The terminal builds it only when a
+    caller forces a request's [view]. Refuses what {!xml} refuses. *)

@@ -6,18 +6,16 @@ module Card = Sdds_soe.Card
 module Apdu = Sdds_soe.Apdu
 module Reassembler = Sdds_core.Reassembler
 module Output_codec = Sdds_core.Output_codec
-module Serializer = Sdds_xml.Serializer
 
 type t = { proxy : Proxy.t; store : Store.t; card : Card.t }
 
 let direct ~store ~card = { proxy = Proxy.create ~store ~card; store; card }
 
 let served_of_outputs outs =
-  let view = Reassembler.run ~has_query:false outs in
   let out_bytes = Output_codec.size_list outs in
   {
-    Proxy.Pool.view;
-    xml = Option.map (Serializer.to_string ~indent:true) view;
+    Proxy.Pool.view = lazy (Reassembler.run ~has_query:false outs);
+    xml = Reassembler.xml ~has_query:false (fun f -> List.iter f outs);
     channel = 0;
     warm_setup = false;
     command_frames = 0;

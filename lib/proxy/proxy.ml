@@ -4,6 +4,7 @@ module Card = Sdds_soe.Card
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
 module Reassembler = Sdds_core.Reassembler
+module Output_codec = Sdds_core.Output_codec
 module Serializer = Sdds_xml.Serializer
 module Obs = Sdds_obs.Obs
 
@@ -25,7 +26,7 @@ module Request = struct
 end
 
 type outcome = {
-  view : Sdds_xml.Dom.t option;
+  view : Sdds_xml.Dom.t option Lazy.t;
   xml : string option;
   card_report : Card.report;
 }
@@ -67,7 +68,7 @@ let ensure_key t ~doc_id ~subject =
 (* Shared prelude of every request: locate the document, make sure the
    card holds its key, fetch the encrypted policy, parse the query, then
    hand (source, rules, query) to the evaluation strategy, which returns
-   the view and the card report. *)
+   the outcome. *)
 let with_context t ~doc_id ~subject ~delivery ~xpath run =
   match Store.get_document t.store doc_id with
   | None -> Error (Unknown_document doc_id)
@@ -78,11 +79,9 @@ let with_context t ~doc_id ~subject ~delivery ~xpath run =
       | Some encrypted_rules -> (
           let query = Option.map Sdds_xpath.Parser.parse xpath in
           let source = Publish.to_source published ~delivery in
-          match run ~source ~encrypted_rules ~query with
-          | Error e -> Error (Card_error e)
-          | Ok (view, card_report) ->
-              let xml = Option.map (Serializer.to_string ~indent:true) view in
-              Ok { view; xml; card_report }))
+          Result.map_error
+            (fun e -> Card_error e)
+            (run ~source ~encrypted_rules ~query)))
 
 let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath =
   with_context t ~doc_id ~subject ~delivery ~xpath
@@ -96,7 +95,13 @@ let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath =
             Sdds_soe.Guard.Unsealer.create ~has_query:(query <> None) ()
           in
           List.iter (Sdds_soe.Guard.Unsealer.feed unsealer) messages;
-          Ok (Sdds_soe.Guard.Unsealer.finish unsealer, card_report))
+          let view = Sdds_soe.Guard.Unsealer.finish unsealer in
+          Ok
+            {
+              view = Lazy.from_val view;
+              xml = Option.map (Serializer.to_string ~indent:true) view;
+              card_report;
+            })
 
 let evaluate t ~doc_id ~subject ~delivery ~xpath =
   with_context t ~doc_id ~subject ~delivery ~xpath
@@ -104,7 +109,13 @@ let evaluate t ~doc_id ~subject ~delivery ~xpath =
       match Card.evaluate t.card source ~encrypted_rules ?query () with
       | Error e -> Error e
       | Ok (outputs, card_report) ->
-          Ok (Reassembler.run ~has_query:(query <> None) outputs, card_report))
+          let has_query = query <> None in
+          Ok
+            {
+              view = lazy (Reassembler.run ~has_query outputs);
+              xml = Reassembler.xml ~has_query (fun f -> List.iter f outputs);
+              card_report;
+            })
 
 (* The request's subject defaults to the card's own identity; a fleet
    front-end serving a whole population overrides it per request (the
@@ -170,7 +181,7 @@ let run t (r : Request.t) =
 
 module Pool = struct
   type served = {
-    view : Sdds_xml.Dom.t option;
+    view : Sdds_xml.Dom.t option Lazy.t;
     xml : string option;
     channel : int;
     warm_setup : bool;
@@ -275,18 +286,22 @@ module Pool = struct
       match result with
       | Ok () -> (
           let encoded = Buffer.contents st.buf in
+          let has_query = st.req.Request.xpath <> None in
           (* The bytes are the card's word only: the decoder's and the
-             view builder's refusals alike are protocol errors. *)
+             view builder's refusals alike are protocol errors. The XML
+             is written as the bytes decode; the DOM is rebuilt from the
+             same bytes only if a caller forces it. *)
           match
-            Reassembler.run
-              ~has_query:(st.req.Request.xpath <> None)
-              (Sdds_core.Output_codec.decode_list encoded)
+            Reassembler.xml ~has_query (fun f -> Output_codec.iter f encoded)
           with
-          | view ->
+          | xml ->
               Ok
                 {
-                  view;
-                  xml = Option.map (Serializer.to_string ~indent:true) view;
+                  view =
+                    lazy
+                      (Reassembler.run ~has_query
+                         (Output_codec.decode_list encoded));
+                  xml;
                   channel = st.channel;
                   warm_setup = st.warm;
                   command_frames = Obs.Metrics.Counter.value st.cmds;

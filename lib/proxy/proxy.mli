@@ -53,9 +53,17 @@ end
 
 (** What {!run} returns: the in-process card's view and its report. The
     request crossed no wire, so there is no frame or byte count here;
-    {!Pool.served} carries the counts of a framed exchange. *)
+    {!Pool.served} carries the counts of a framed exchange.
+
+    [xml] is written straight from the view builder's events
+    ({!Sdds_core.Reassembler.xml}), with no DOM in between. [view] is
+    that view as a DOM, rebuilt from the same card outputs only when it
+    is forced; a protected request's view is the tree the unsealer
+    built. A lazy field makes [=] on the record raise: compare [xml],
+    or forced views. *)
 type outcome = {
-  view : Sdds_xml.Dom.t option;  (** authorized (possibly query-filtered) view *)
+  view : Sdds_xml.Dom.t option Lazy.t;
+      (** authorized (possibly query-filtered) view, on demand *)
   xml : string option;  (** the view serialized, as the XML API returns it *)
   card_report : Sdds_soe.Card.report;
 }
@@ -163,8 +171,14 @@ module Pool : sig
       ([pool.channels_opened], [pool.warm_setups], [pool.rekeys],
       [pool.tear_evidence]). *)
 
+  (** One request's result. [xml] is written as the response bytes
+      decode ({!Sdds_core.Output_codec.iter} into
+      {!Sdds_core.Reassembler.xml}); [view] rebuilds the DOM from the
+      same bytes only when it is forced, so [=] on the record raises. A
+      stream that the decoder or the view builder refuses ends the
+      request in [Protocol "bad response stream: ..."]. *)
   type served = {
-    view : Sdds_xml.Dom.t option;
+    view : Sdds_xml.Dom.t option Lazy.t;
     xml : string option;
     channel : int;  (** logical channel that served this request *)
     warm_setup : bool;  (** setup upload skipped — channel already primed *)

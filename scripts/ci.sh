@@ -24,9 +24,10 @@ echo "== wrapper gate: retired identifiers must not return =="
 # the dissemination gateway only, with no backends, executor contract or
 # synthesized wire counts of its own. A node no rule reaches is denied:
 # open world is the rule +/*, not a default sign. Stream_view is the one
-# view builder (Reassembler.run is its DOM sink), Output_codec sizes and
-# codes whole streams only (an event's bytes depend on the stream before
-# it), and the engine dispatches through Compile's tag ids, not the
+# view builder (Reassembler.xml writes its events through Serializer's
+# one writer, Reassembler.run builds them into a DOM), Output_codec sizes
+# and codes whole streams only (an event's bytes depend on the stream
+# before it), and the engine dispatches through Compile's tag ids, not the
 # deleted per-tag site index. The tracer has one sampling mode (tail, by
 # a Policy), and the ring's points per member and the fleet's probe
 # count are constants. A reappearing name means a regression to the old

@@ -833,9 +833,44 @@ let qcheck_codec_roundtrip =
       Output_codec.decode_list encoded = outs
       && Output_codec.size_list outs = String.length encoded)
 
+(* The terminal's XML is written from the builder's events, from a list
+   or straight from the bytes: it must be the DOM view's rendering.
+   Renaming [c] to [@c] in the outputs leaves the view's shape alone and
+   puts attributes anywhere in it, the root included. *)
+let qcheck_streamed_xml =
+  QCheck2.Test.make ~name:"streamed xml = to_string of the DOM view"
+    ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let doc, rules, query = expand_case ~with_query:true seed in
+      let outs = Engine.run ?query rules (Dom.to_events doc) in
+      let has_query = query <> None in
+      let attributed =
+        List.map
+          (function
+            | Output.Open_node o when o.tag = "c" ->
+                Output.Open_node { o with tag = "@c" }
+            | Output.Close_node "c" -> Output.Close_node "@c"
+            | o -> o)
+          outs
+      in
+      List.for_all
+        (fun outs ->
+          let want =
+            Option.map
+              (Sdds_xml.Serializer.to_string ~indent:true)
+              (Reassembler.run ~has_query outs)
+          in
+          let encoded = Output_codec.encode_list outs in
+          Reassembler.xml ~has_query (fun f -> List.iter f outs) = want
+          && Reassembler.xml ~has_query (fun f -> Output_codec.iter f encoded)
+             = want)
+        [ outs; attributed ])
+
 let codec_suite =
   [
     Alcotest.test_case "codec unit" `Quick test_codec_unit;
     Alcotest.test_case "codec malformed" `Quick test_codec_malformed;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_streamed_xml;
   ]

@@ -129,7 +129,7 @@ let test_pull_view_matches_oracle () =
   | Ok outcome ->
       Alcotest.check dom_opt "view = oracle"
         (Oracle.authorized_view ~rules:alice_rules w.doc)
-        outcome.Proxy.view;
+        (Lazy.force outcome.Proxy.view);
       let r = outcome.Proxy.card_report in
       (* Alice's policy delivers most of the document, so nothing can be
          skipped — delivered data must be decrypted. *)
@@ -150,7 +150,7 @@ let test_narrow_policy_skips_chunks () =
         (r.Card.chunks_consumed < r.Card.chunks_total);
       Alcotest.check dom_opt "bob view = oracle"
         (Oracle.authorized_view ~rules:bob_rules w.doc)
-        outcome.Proxy.view
+        (Lazy.force outcome.Proxy.view)
 
 let test_pull_with_query () =
   let w = Lazy.force world in
@@ -164,18 +164,18 @@ let test_pull_with_query () =
         (Oracle.authorized_view ~rules:alice_rules
            ~query:(Sdds_xpath.Parser.parse "//patient/name")
            w.doc)
-        outcome.Proxy.view
+        (Lazy.force outcome.Proxy.view)
 
 let test_per_subject_views_differ () =
   let w = Lazy.force world in
   let va =
     match Proxy.run (Proxy.create ~store:w.store ~card:w.alice) (Proxy.Request.make "hospital-1") with
-    | Ok o -> o.Proxy.view
+    | Ok o -> Lazy.force o.Proxy.view
     | Error e -> Alcotest.failf "alice failed: %a" Proxy.pp_error e
   in
   let vb =
     match Proxy.run (Proxy.create ~store:w.store ~card:w.bob) (Proxy.Request.make "hospital-1") with
-    | Ok o -> o.Proxy.view
+    | Ok o -> Lazy.force o.Proxy.view
     | Error e -> Alcotest.failf "bob failed: %a" Proxy.pp_error e
   in
   Alcotest.check dom_opt "bob = oracle"
@@ -247,7 +247,7 @@ let test_policy_update_no_reencryption () =
   | Ok outcome ->
       Alcotest.check dom_opt "new policy enforced"
         (Oracle.authorized_view ~rules:new_rules w.doc)
-        outcome.Proxy.view
+        (Lazy.force outcome.Proxy.view)
 
 (* ------------------------------------------------------------------ *)
 (* Tamper detection (E9 behaviours)                                    *)
@@ -364,12 +364,12 @@ let test_protected_query_same_view () =
   let proxy = Proxy.create ~store:w.store ~card:w.alice in
   let plain =
     match Proxy.run proxy (Proxy.Request.make "hospital-1") with
-    | Ok o -> o.Proxy.view
+    | Ok o -> Lazy.force o.Proxy.view
     | Error e -> Alcotest.failf "plain failed: %a" Proxy.pp_error e
   in
   let protected_view =
     match Proxy.run proxy (Proxy.Request.make ~protect:true "hospital-1") with
-    | Ok o -> o.Proxy.view
+    | Ok o -> Lazy.force o.Proxy.view
     | Error e -> Alcotest.failf "protected failed: %a" Proxy.pp_error e
   in
   Alcotest.check dom_opt "same view" plain protected_view;
@@ -437,7 +437,7 @@ let test_rotation_revokes () =
   | Ok o ->
       Alcotest.check dom_opt "bob still reads"
         (Oracle.authorized_view ~rules:bob_rules w.doc)
-        o.Proxy.view
+        (Lazy.force o.Proxy.view)
   | Error e -> Alcotest.failf "bob failed after rotation: %a" Proxy.pp_error e
 
 let revocation_suite =
@@ -533,7 +533,7 @@ let test_store_roundtrip () =
       | Ok o ->
           Alcotest.check dom_opt "view survives persistence"
             (Oracle.authorized_view ~rules:alice_rules w.doc)
-            o.Proxy.view
+            (Lazy.force o.Proxy.view)
       | Error e -> Alcotest.failf "query failed: %a" Proxy.pp_error e)
 
 let test_store_disk_tampering_detected () =

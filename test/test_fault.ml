@@ -225,14 +225,14 @@ let test_run_refreshes_grant_after_rotation () =
   let proxy = Proxy.create ~store:(World.store w) ~card in
   let before =
     match Proxy.run proxy (Proxy.Request.make doc_id) with
-    | Ok o -> o.Proxy.view
+    | Ok o -> Lazy.force o.Proxy.view
     | Error e -> Alcotest.failf "pre-rotation query failed: %a" Proxy.pp_error e
   in
   rotate_in_store w;
   match Proxy.run proxy (Proxy.Request.make doc_id) with
   | Ok o ->
       Alcotest.(check bool) "same authorized view across rotation" true
-        (Option.equal Dom.equal before o.Proxy.view)
+        (Option.equal Dom.equal before (Lazy.force o.Proxy.view))
   | Error e -> Alcotest.failf "post-rotation query failed: %a" Proxy.pp_error e
 
 let test_pool_refreshes_grant_after_rotation () =

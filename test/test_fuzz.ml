@@ -269,6 +269,64 @@ let test_view_builder_directed () =
         [ node ~pos:(Sdds_core.Cond.var 1) "a"; Resolve (1, true);
           Resolve (1, false); Close_node "a" ] ) ]
 
+(* The pool's path: the card's bytes, decoded with a cursor straight into
+   the view builder and the XML writer. Whatever the bytes, it refuses
+   with [Invalid_argument] (the pool's [Protocol] error) exactly when
+   decoding to a list and building the DOM refuses, and otherwise writes
+   that DOM's rendering; it never raises anything else. *)
+let pool_verdict ~has_query bytes =
+  let streamed =
+    match
+      Sdds_core.Reassembler.xml ~has_query (fun f ->
+          Sdds_core.Output_codec.iter f bytes)
+    with
+    | xml -> Some xml
+    | exception Invalid_argument _ -> None
+  in
+  let built =
+    match
+      Sdds_core.Reassembler.run ~has_query
+        (Sdds_core.Output_codec.decode_list bytes)
+    with
+    | view -> Some (Option.map (Sdds_xml.Serializer.to_string ~indent:true) view)
+    | exception Invalid_argument _ -> None
+  in
+  match (streamed, built) with
+  | None, None -> ()
+  | Some a, Some b ->
+      if a <> b then Alcotest.fail "streamed xml differs from the DOM's"
+  | Some _, None -> Alcotest.fail "the DOM path refused, the stream did not"
+  | None, Some _ -> Alcotest.fail "the stream refused, the DOM path did not"
+
+let qcheck_pool_path_random_bytes =
+  QCheck2.Test.make ~name:"pool decode-view-xml path on random bytes"
+    ~count:500
+    QCheck2.Gen.(pair bool (string_size (0 -- 64)))
+    (fun (has_query, bytes) ->
+      pool_verdict ~has_query bytes;
+      true)
+
+let qcheck_pool_path_perturbed =
+  QCheck2.Test.make ~name:"pool decode-view-xml path on perturbed streams"
+    ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let doc = base_doc seed in
+      let rules =
+        [ Sdds_core.Rule.allow ~subject:"u" "//a[b]";
+          Sdds_core.Rule.deny ~subject:"u" "//c" ]
+      in
+      let query =
+        if Rng.bool rng then Some (Sdds_xpath.Parser.parse "//a") else None
+      in
+      let outs = Sdds_core.Engine.run ?query rules (Dom.to_events doc) in
+      let bytes = Sdds_core.Output_codec.encode_list outs in
+      let has_query = query <> None in
+      pool_verdict ~has_query bytes;
+      pool_verdict ~has_query (mutate rng bytes);
+      true)
+
 let qcheck_rule_blob_fuzz =
   QCheck2.Test.make ~name:"encrypted rule blobs reject corruption" ~count:300
     QCheck2.Gen.(int_bound 1_000_000)
@@ -623,6 +681,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_view_builder_fuzz;
     Alcotest.test_case "view builder refuses the directed inputs" `Quick
       test_view_builder_directed;
+    QCheck_alcotest.to_alcotest qcheck_pool_path_random_bytes;
+    QCheck_alcotest.to_alcotest qcheck_pool_path_perturbed;
     QCheck_alcotest.to_alcotest qcheck_rule_blob_fuzz;
     QCheck_alcotest.to_alcotest qcheck_apdu_fuzz;
     QCheck_alcotest.to_alcotest qcheck_json_parse_fuzz;

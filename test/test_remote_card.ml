@@ -84,7 +84,7 @@ let test_remote_equals_direct () =
   | Ok s ->
       Alcotest.check dom_opt "view through APDU = oracle"
         (Oracle.authorized_view ~rules:w.rules w.doc)
-        s.Proxy.Pool.view;
+        (Lazy.force s.Proxy.Pool.view);
       Alcotest.(check bool) "several frames each way" true
         (s.Proxy.Pool.command_frames > 2
         && s.Proxy.Pool.response_frames = s.Proxy.Pool.command_frames);
@@ -100,7 +100,7 @@ let test_remote_with_query () =
         (Oracle.authorized_view ~rules:w.rules
            ~query:(Sdds_xpath.Parser.parse "//patient/name")
            w.doc)
-        s.Proxy.Pool.view
+        (Lazy.force s.Proxy.Pool.view)
 
 let test_remote_unknown_document () =
   let w = Lazy.force world in
