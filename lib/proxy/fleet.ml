@@ -194,9 +194,7 @@ let make_slot ?obs ~store ~subject ~state id raw =
     let resp = raw cmd in
     clock :=
       !clock
-      +. float_of_int
-           (String.length (Apdu.encode_command cmd)
-           + String.length (Apdu.encode_response resp))
+      +. float_of_int (Apdu.command_bytes cmd + Apdu.response_bytes resp)
          /. Cost.fleet.Cost.link_bytes_per_s;
     resp
   in

@@ -257,15 +257,13 @@ module Pool = struct
      exchange — host-side APDU spans then nest under the right request. *)
   let send t st cmd =
     Obs.Metrics.Counter.inc st.cmds;
-    Obs.Metrics.Counter.add st.bytes
-      (String.length (Apdu.encode_command cmd));
+    Obs.Metrics.Counter.add st.bytes (Apdu.command_bytes cmd);
     let resp =
       Obs.Tracer.with_parent (Obs.tracer t.obs) st.span (fun () ->
           t.transport cmd)
     in
     Obs.Metrics.Counter.inc st.resps;
-    Obs.Metrics.Counter.add st.bytes
-      (String.length (Apdu.encode_response resp));
+    Obs.Metrics.Counter.add st.bytes (Apdu.response_bytes resp);
     resp
 
   let release t st =

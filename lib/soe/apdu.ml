@@ -16,12 +16,16 @@ let valid_cla cla = cla land lnot 0x03 = base_cla
 let check_byte name v =
   if v < 0 || v > 0xff then invalid_arg ("Apdu: " ^ name ^ " out of range")
 
-let encode_command c =
+let command_bytes c =
   check_byte "cla" c.cla;
   check_byte "ins" c.ins;
   check_byte "p1" c.p1;
   check_byte "p2" c.p2;
   if String.length c.data > max_data then invalid_arg "Apdu: data too long";
+  5 + String.length c.data
+
+let encode_command c =
+  ignore (command_bytes c);
   let b = Buffer.create (5 + String.length c.data) in
   Buffer.add_char b (Char.chr c.cla);
   Buffer.add_char b (Char.chr c.ins);
@@ -47,9 +51,13 @@ let decode_command s =
         }
   end
 
-let encode_response r =
+let response_bytes r =
   check_byte "sw1" r.sw1;
   check_byte "sw2" r.sw2;
+  String.length r.payload + 2
+
+let encode_response r =
+  ignore (response_bytes r);
   r.payload ^ String.init 2 (fun i -> Char.chr (if i = 0 then r.sw1 else r.sw2))
 
 let decode_response s =

@@ -46,7 +46,17 @@ val encode_command : command -> string
 val decode_command : string -> command option
 
 val encode_response : response -> string
+(** Raises [Invalid_argument] if a status byte is out of range. *)
+
 val decode_response : string -> response option
+
+val command_bytes : command -> int
+(** [String.length (encode_command c)], by arithmetic: [5 + |data|].
+    Raises what {!encode_command} raises. *)
+
+val response_bytes : response -> int
+(** [String.length (encode_response r)], by arithmetic: [|payload| + 2].
+    Raises what {!encode_response} raises. *)
 
 val segment : cla:int -> ins:int -> string -> command list
 (** Split an arbitrarily long payload into a command chain; [p1] carries a

@@ -211,8 +211,7 @@ module Host = struct
           { Apdu.sw1 = fst Sw.internal; sw2 = snd Sw.internal; payload = "" }
     in
     Obs.Metrics.Histogram.observe t.h_frame_bytes
-      (String.length (Apdu.encode_command cmd)
-      + String.length (Apdu.encode_response resp));
+      (Apdu.command_bytes cmd + Apdu.response_bytes resp);
     if Obs.Tracer.enabled tr then
       Obs.Metrics.Histogram.observe t.h_rtt_ns
         (Int64.to_int (Int64.sub (Obs.Tracer.now tr) t0));

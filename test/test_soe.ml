@@ -83,6 +83,40 @@ let test_apdu_response_roundtrip () =
   Alcotest.(check bool) "roundtrip" true
     (Apdu.decode_response (Apdu.encode_response r) = Some r)
 
+(* The byte counts the pool, the fleet's clocks and the host's histogram
+   read: the encodings' lengths, with the encoders' range checks. *)
+let test_apdu_byte_counts () =
+  let c = { Apdu.cla = 0x81; ins = 0x20; p1 = 1; p2 = 255; data = "" } in
+  let r = { Apdu.sw1 = 0x61; sw2 = 0x10; payload = "" } in
+  List.iter
+    (fun data ->
+      let c = { c with Apdu.data } and r = { r with Apdu.payload = data } in
+      Alcotest.(check int) "command" (String.length (Apdu.encode_command c))
+        (Apdu.command_bytes c);
+      Alcotest.(check int) "response" (String.length (Apdu.encode_response r))
+        (Apdu.response_bytes r))
+    [ ""; "x"; String.make 254 'a'; String.make 255 'b' ];
+  Alcotest.(check int) "long response" 1002
+    (Apdu.response_bytes { r with Apdu.payload = String.make 1000 'r' });
+  let refuses what f =
+    Alcotest.check_raises what (Invalid_argument ("Apdu: " ^ what)) (fun () ->
+        ignore (f ()))
+  in
+  refuses "cla out of range" (fun () ->
+      Apdu.command_bytes { c with Apdu.cla = 256 });
+  refuses "ins out of range" (fun () ->
+      Apdu.command_bytes { c with Apdu.ins = -1 });
+  refuses "p1 out of range" (fun () ->
+      Apdu.command_bytes { c with Apdu.p1 = 300 });
+  refuses "p2 out of range" (fun () ->
+      Apdu.command_bytes { c with Apdu.p2 = 256 });
+  refuses "data too long" (fun () ->
+      Apdu.command_bytes { c with Apdu.data = String.make 256 'x' });
+  refuses "sw1 out of range" (fun () ->
+      Apdu.response_bytes { r with Apdu.sw1 = 256 });
+  refuses "sw2 out of range" (fun () ->
+      Apdu.response_bytes { r with Apdu.sw2 = -1 })
+
 let test_apdu_segmentation () =
   let payload = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
   let frames = Apdu.segment ~cla:0x80 ~ins:0x10 payload in
@@ -214,6 +248,7 @@ let suite =
       test_apdu_command_roundtrip;
     Alcotest.test_case "apdu response roundtrip" `Quick
       test_apdu_response_roundtrip;
+    Alcotest.test_case "apdu byte counts" `Quick test_apdu_byte_counts;
     Alcotest.test_case "apdu segmentation" `Quick test_apdu_segmentation;
     Alcotest.test_case "apdu reassemble errors" `Quick
       test_apdu_reassemble_errors;
