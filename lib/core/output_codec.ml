@@ -154,20 +154,22 @@ let read_slot c shape =
   else if shape = s_false then Cond.ff
   else read_cond c
 
+(* [a], or a copy of its first [n] entries with room for more, so that
+   index [n] exists. *)
+let room a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 8 (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
 (* The table index of the open's tag: a new name joins the table. *)
 let read_tag c ~is_new =
   if is_new then begin
     let name = read_string c in
-    if c.count = Array.length c.names then begin
-      let size = max 8 (2 * c.count) in
-      let grow a fill =
-        let b = Array.make size fill in
-        Array.blit a 0 b 0 c.count;
-        b
-      in
-      c.names <- grow c.names "";
-      c.closes <- grow c.closes (Output.Close_node "")
-    end;
+    c.names <- room c.names c.count "";
+    c.closes <- room c.closes c.count (Output.Close_node "");
     c.names.(c.count) <- name;
     c.closes.(c.count) <- Output.Close_node name;
     c.count <- c.count + 1;
@@ -181,11 +183,7 @@ let read_tag c ~is_new =
   end
 
 let push_open c i =
-  if c.depth = Array.length c.opened then begin
-    let grown = Array.make (max 16 (2 * c.depth)) 0 in
-    Array.blit c.opened 0 grown 0 c.depth;
-    c.opened <- grown
-  end;
+  c.opened <- room c.opened c.depth 0;
   c.opened.(c.depth) <- i;
   c.depth <- c.depth + 1
 

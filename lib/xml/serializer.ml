@@ -50,10 +50,7 @@ module Writer = struct
     mutable attr : int;
         (** 0 outside an attribute; inside one, 1 + the depth of nesting
             below it (only the attribute's own text counts) *)
-    late : Buffer.t;
-        (** an attribute read after its element's content, to be spliced
-            in at the open tag's end *)
-    mutable is_late : bool;
+    attr_buf : Buffer.t;  (** the attribute being read *)
   }
 
   let create ?(indent = false) () =
@@ -63,8 +60,7 @@ module Writer = struct
       frames = [||];
       depth = 0;
       attr = 0;
-      late = Buffer.create 64;
-      is_late = false;
+      attr_buf = Buffer.create 64;
     }
 
   let contents t = Buffer.contents t.buf
@@ -109,14 +105,10 @@ module Writer = struct
   let open_element t tag =
     if t.attr > 0 then t.attr <- t.attr + 1
     else if t.depth > 0 && Event.is_attribute_tag tag then begin
-      (* Folded into the open tag: written in place while the tag is
-         still the buffer's end, else kept aside until its close. *)
       t.attr <- 1;
-      t.is_late <- t.frames.(t.depth - 1).state = full;
-      let b = if t.is_late then t.late else t.buf in
-      Buffer.add_char b ' ';
-      Buffer.add_substring b tag 1 (String.length tag - 1);
-      Buffer.add_string b "=\""
+      Buffer.add_char t.attr_buf ' ';
+      Buffer.add_substring t.attr_buf tag 1 (String.length tag - 1);
+      Buffer.add_string t.attr_buf "=\""
     end
     else begin
       if t.depth > 0 then content t (t.depth - 1);
@@ -127,8 +119,7 @@ module Writer = struct
     end
 
   let text t v =
-    if t.attr = 1 then
-      escape (if t.is_late then t.late else t.buf) ~quot:true v
+    if t.attr = 1 then escape t.attr_buf ~quot:true v
     else if t.attr = 0 then
       if t.depth = 0 then escape t.buf ~quot:false v
       else begin
@@ -145,22 +136,21 @@ module Writer = struct
         end
       end
 
+  (* The attribute joins its element's open tag. Until content follows
+     the tag, the tag is the buffer's end; after, the attribute is
+     spliced in at the tag's recorded end. *)
   let close_attribute t =
     let f = t.frames.(t.depth - 1) in
-    if t.is_late then begin
-      Buffer.add_char t.late '"';
+    Buffer.add_char t.attr_buf '"';
+    if f.state = full then begin
       let tail = Buffer.sub t.buf f.at (Buffer.length t.buf - f.at) in
       Buffer.truncate t.buf f.at;
-      Buffer.add_buffer t.buf t.late;
-      Buffer.add_string t.buf tail;
-      f.at <- f.at + Buffer.length t.late;
-      Buffer.clear t.late;
-      t.is_late <- false
+      Buffer.add_buffer t.buf t.attr_buf;
+      Buffer.add_string t.buf tail
     end
-    else begin
-      Buffer.add_char t.buf '"';
-      f.at <- Buffer.length t.buf
-    end
+    else Buffer.add_buffer t.buf t.attr_buf;
+    f.at <- f.at + Buffer.length t.attr_buf;
+    Buffer.clear t.attr_buf
 
   let close_element t =
     if t.depth = 0 then invalid_arg "Serializer.Writer: close without open";
@@ -173,12 +163,7 @@ module Writer = struct
         escape t.buf ~quot:false f.text;
         f.text <- ""
       end
-      else if t.indent then begin
-        Buffer.add_char t.buf '\n';
-        for _ = 1 to 2 * t.depth do
-          Buffer.add_char t.buf ' '
-        done
-      end;
+      else pad t t.depth;
       Buffer.add_string t.buf "</";
       Buffer.add_string t.buf f.tag;
       Buffer.add_char t.buf '>'
