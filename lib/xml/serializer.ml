@@ -1,19 +1,17 @@
 let escape buf ~quot s =
   let flushed = ref 0 in
   for i = 0 to String.length s - 1 do
-    let entity =
-      match String.unsafe_get s i with
-      | '&' -> "&amp;"
-      | '<' -> "&lt;"
-      | '>' -> "&gt;"
-      | '"' when quot -> "&quot;"
-      | _ -> ""
-    in
-    if String.length entity > 0 then begin
-      Buffer.add_substring buf s !flushed (i - !flushed);
-      Buffer.add_string buf entity;
-      flushed := i + 1
-    end
+    match String.unsafe_get s i with
+    | ('&' | '<' | '>' | '"') as c when c <> '"' || quot ->
+        Buffer.add_substring buf s !flushed (i - !flushed);
+        Buffer.add_string buf
+          (match c with
+          | '&' -> "&amp;"
+          | '<' -> "&lt;"
+          | '>' -> "&gt;"
+          | _ -> "&quot;");
+        flushed := i + 1
+    | _ -> ()
   done;
   Buffer.add_substring buf s !flushed (String.length s - !flushed)
 
@@ -65,13 +63,18 @@ module Writer = struct
 
   let contents t = Buffer.contents t.buf
 
+  let spaces = String.make 64 ' '
+
   (* A node at [level] starts on its own indented line. *)
   let pad t level =
     if t.indent then begin
       if Buffer.length t.buf > 0 then Buffer.add_char t.buf '\n';
-      for _ = 1 to 2 * level do
-        Buffer.add_char t.buf ' '
-      done
+      let n = ref (2 * level) in
+      while !n > 64 do
+        Buffer.add_string t.buf spaces;
+        n := !n - 64
+      done;
+      Buffer.add_substring t.buf spaces 0 !n
     end
 
   (* A content child of the element at [level] arrives: terminate its
