@@ -32,9 +32,12 @@ val deliver :
     evaluated once, predicate-free clusters sharing one merged walk, and
     the sharing accounting comes back beside the views. The members of a
     cluster share one output list ({!Sdds_soe.Card.disseminate}), so the
-    session reassembles, serializes and sizes each cluster's view once
-    and hands every member the same immutable [served] record: channel
-    0, no command frames, the output stream's bytes and frames.
+    session writes each cluster's XML once, straight from the view
+    builder's events ({!Sdds_core.Reassembler.xml}), sizes its stream
+    once, and hands every member the same immutable [served] record:
+    channel 0, no command frames, the output stream's bytes and frames.
+    The record's [view] builds the cluster's DOM from the same list only
+    when it is forced.
 
     Per-subscriber results are in listing order; a subscriber with no
     rule blob on the DSP fails alone with [No_rules], a broken or
