@@ -41,25 +41,48 @@ module Ins : sig
   (** Mnemonic for traces and counterexamples ([INS_xx] if unknown). *)
 end
 
-(** Status words (see {!Remote_card.Sw} for the classification layer). *)
+(** Status words: [ok] (0x9000), [more_data] (0x61xx — response bytes
+    remain), and one word per {!Card.error} constructor
+    ({!Remote_card.to_sw}), plus [bad_state] (command out of sequence on
+    this channel), [bad_ins] (unknown instruction or class),
+    [channel_closed] (frame addressed to a channel that is not open) and
+    [no_channel] (MANAGE CHANNEL open with every channel in use), and two
+    {e transient} words: [transport] (0x6400 — the link layer detected
+    loss or corruption; the frame was not processed and may safely be
+    resent) and [internal] (0x6F00 — the card hiccuped before
+    processing; equally safe to resend). {!Remote_card.classify} sorts
+    them into the action each calls for. *)
 module Sw : sig
   val ok : int * int
   val more_data : int * int
-  val not_found : int * int
-  val stale_key : int * int
+  val not_found : int * int  (** [No_key] *)
+
+  val stale_key : int * int  (** [Stale_key] — revocation in action *)
+
   val bad_grant : int * int
   val bad_signature : int * int
-  val security : int * int
-  val replayed : int * int
-  val memory : int * int
+  val security : int * int  (** [Bad_rules] (0x6982) *)
+
+  val replayed : int * int  (** [Replayed_rules] — anti-rollback *)
+
+  val memory : int * int  (** [Memory_exceeded] *)
+
   val rules_too_large : int * int
+      (** [Rules_too_large] — static admission refused the policy *)
+
   val integrity_sw1 : int
+      (** [Integrity_failure]: sw1 = 0x66, sw2 = failing chunk mod 256 *)
+
   val bad_state : int * int
   val bad_ins : int * int
   val channel_closed : int * int
   val no_channel : int * int
+
   val transport : int * int
+      (** Transient: link-layer loss/corruption, nothing processed. *)
+
   val internal : int * int
+      (** Transient: card-side hiccup before processing. *)
 end
 
 (** Which completion marker the chain reassembler keeps. *)
@@ -78,7 +101,16 @@ type chain_semantics =
           checker must find this hole — and never used in production. *)
 
 (** The chained-command reassembly automaton, pure: one value per
-    channel session, keyed by instruction byte. *)
+    channel session, keyed by instruction byte.
+
+    The invariant the fault tolerance rests on: feeding the frames of one
+    {!Apdu.segment} run, with any frame retransmitted any number of times
+    (adjacent duplicates — the link layer's failure mode), completes the
+    chain {e exactly once} with the exact payload. The completion marker
+    records the final frame's identity — sequence number {e and} payload
+    — not just its p2: a single-frame chain finishes at p2 = 0, and a
+    257-frame chain finishes at p2 ≡ 0 (mod 256), both of which a
+    p2-keyed marker would confuse with a fresh chain opener. *)
 module Chain : sig
   type t
 

@@ -3,8 +3,7 @@ module Obs = Sdds_obs.Obs
 
 (* Ins, Sw and the chain automaton live in {!Protocol}: the protocol
    logic is a pure transition function there, and this module is the
-   imperative production driver over it. The aliases keep this module's
-   public face (and every call site) unchanged. *)
+   imperative production driver over it. *)
 module Ins = Protocol.Ins
 module Sw = Protocol.Sw
 
@@ -69,34 +68,6 @@ let classify ?doc_id (resp : Apdu.response) =
     match of_sw ?doc_id sw with
     | Some e -> Fatal e
     | None -> Unknown (resp.Apdu.sw1, resp.Apdu.sw2)
-
-(* The chained-command reassembly state machine, one per channel session:
-   a mutable facade over the pure {!Protocol.Chain}, kept because the
-   regression properties drive [feed] directly with frame counts spanning
-   the 256-frame sequence-number wraparound, which would need >64 KiB
-   observable uploads through the full card stack otherwise. *)
-module Chain = struct
-  type t = { mutable state : Protocol.Chain.t }
-
-  type verdict =
-    | Accepted  (* continuation frame appended *)
-    | Completed of string  (* final frame arrived: the whole payload *)
-    | Duplicate  (* retransmission recognized: ack again, execute nothing *)
-    | Rejected  (* sequence gap or stale continuation *)
-
-  let create () = { state = Protocol.Chain.empty }
-  let reset t = t.state <- Protocol.Chain.empty
-  let forget t ins = t.state <- Protocol.Chain.forget t.state ins
-
-  let feed t (cmd : Apdu.command) =
-    let state, verdict = Protocol.Chain.feed t.state cmd in
-    t.state <- state;
-    match verdict with
-    | Protocol.Chain.Accepted -> Accepted
-    | Protocol.Chain.Completed payload -> Completed payload
-    | Protocol.Chain.Duplicate -> Duplicate
-    | Protocol.Chain.Rejected -> Rejected
-end
 
 module Host = struct
   type t = {

@@ -45,64 +45,12 @@
     view or one typed {!Sdds_proxy.Proxy.error} — never a truncated or
     corrupted view. *)
 
-(** Instruction bytes of the command set: [manage_channel] (p1 = 0 open,
-    assigned channel returned in the payload; p1 = 0x80 close, target in
-    p2), [select] a document by id, install a wrapped key [grant], load
-    the encrypted [rules] blob (chained frames), set the optional XPath
-    [query] (chained), [evaluate] (p1 = 0 pull / 1 push; p2 = 0 with
-    index / 1 without), and [get_response] to drain the pending response
-    (p2 = requested block index mod 256). *)
-module Ins : sig
-  val manage_channel : int
-  val select : int
-  val grant : int
-  val rules : int
-  val query : int
-  val evaluate : int
-  val get_response : int
-end
+(** The command set's instruction bytes and the status words, as
+    {!Protocol} defines them: the card end and the terminal end read one
+    table. *)
+module Ins = Protocol.Ins
 
-(** Status words: [ok] (0x9000), [more_data] (0x61xx — response bytes
-    remain), and one word per {!Card.error} constructor (see {!to_sw}),
-    plus [bad_state] (command out of sequence on this channel), [bad_ins]
-    (unknown instruction or class), [channel_closed] (frame addressed to a
-    channel that is not open) and [no_channel] (MANAGE CHANNEL open with
-    every channel in use), and two {e transient} words: [transport]
-    (0x6400 — the link layer detected loss or corruption; the frame was
-    not processed and may safely be resent) and [internal] (0x6F00 — the
-    card hiccuped before processing; equally safe to resend). *)
-module Sw : sig
-  val ok : int * int
-  val more_data : int * int
-  val not_found : int * int  (** [No_key] *)
-
-  val stale_key : int * int  (** [Stale_key] — revocation in action *)
-
-  val bad_grant : int * int
-  val bad_signature : int * int
-  val security : int * int  (** [Bad_rules] (0x6982) *)
-
-  val replayed : int * int  (** [Replayed_rules] — anti-rollback *)
-
-  val memory : int * int  (** [Memory_exceeded] *)
-
-  val rules_too_large : int * int
-      (** [Rules_too_large] — static admission refused the policy *)
-
-  val integrity_sw1 : int
-      (** [Integrity_failure]: sw1 = 0x66, sw2 = failing chunk mod 256 *)
-
-  val bad_state : int * int
-  val bad_ins : int * int
-  val channel_closed : int * int
-  val no_channel : int * int
-
-  val transport : int * int
-      (** Transient: link-layer loss/corruption, nothing processed. *)
-
-  val internal : int * int
-      (** Transient: card-side hiccup before processing. *)
-end
+module Sw = Protocol.Sw
 
 type transport = Apdu.command -> Apdu.response
 (** One command-response exchange with the card: {!Host.process}, or a
@@ -139,45 +87,6 @@ val classify : ?doc_id:string -> Apdu.response -> verdict
     model checker ([Sdds_protocol.Model]) use to tell transient faults
     from fatal refusals. [doc_id] feeds {!of_sw}'s payload
     reconstruction. *)
-
-(** The host-side chained-command reassembly state machine (one per
-    channel session), exposed so its retransmission semantics are
-    directly testable: the regression properties drive {!Chain.feed} with
-    frame counts spanning the 256-frame sequence-number wraparound.
-
-    The invariant the fault tolerance rests on: feeding the frames of one
-    {!Apdu.segment} run, with any frame retransmitted any number of times
-    (adjacent duplicates — the link layer's failure mode), completes the
-    chain {e exactly once} with the exact payload. The completion marker
-    records the final frame's identity — sequence number {e and} payload
-    — not just its p2: a single-frame chain finishes at p2 = 0, and a
-    257-frame chain finishes at p2 ≡ 0 (mod 256), both of which a
-    p2-keyed marker would confuse with a fresh chain opener, silently
-    re-executing the instruction on a duplicate. *)
-module Chain : sig
-  type t
-
-  type verdict =
-    | Accepted  (** continuation frame appended *)
-    | Completed of string  (** final frame arrived: the whole payload *)
-    | Duplicate
-        (** retransmitted frame recognized: ack again, execute nothing *)
-    | Rejected  (** sequence gap or stale continuation *)
-
-  val create : unit -> t
-
-  val reset : t -> unit
-  (** Forget every open chain and completion marker (what a SELECT does). *)
-
-  val forget : t -> int -> unit
-  (** Drop the completion marker for one instruction: the completed
-      upload was refused for good (e.g. static admission), so a
-      retransmitted final frame must not be re-acked as a success. *)
-
-  val feed : t -> Apdu.command -> verdict
-  (** Feed one chained frame (sequence number in p2 mod 256; p1 = 1
-      continuation, 0 final), keyed by the command's instruction byte. *)
-end
 
 module Host : sig
   type t

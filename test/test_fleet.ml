@@ -9,6 +9,7 @@ module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Remote = Sdds_soe.Remote_card
+module Chain = Sdds_soe.Protocol.Chain
 module Proxy = Sdds_proxy.Proxy
 module Fleet = Sdds_proxy.Fleet
 module World = Sdds_proxy.World
@@ -30,17 +31,18 @@ module Json = Sdds_analysis.Json
 let chain_frame ?(p1 = 0) ?(p2 = 0) data =
   { Apdu.cla = Apdu.base_cla; ins = Remote.Ins.rules; p1; p2; data }
 
-(* The replay hole this PR closes: a single-frame chain finishes at
-   p2 = 0, which a p2-keyed completion marker cannot tell from a fresh
-   chain opener — the duplicated final frame silently re-executed. *)
+(* The replay hole the identity marker closes: a single-frame chain
+   finishes at p2 = 0, which a p2-keyed completion marker cannot tell
+   from a fresh chain opener — the duplicated final frame silently
+   re-executed. *)
 let test_chain_single_frame_duplicate () =
-  let ch = Remote.Chain.create () in
-  (match Remote.Chain.feed ch (chain_frame "abc") with
-  | Remote.Chain.Completed p -> Alcotest.(check string) "payload" "abc" p
+  let ch, v = Chain.feed Chain.empty (chain_frame "abc") in
+  (match v with
+  | Chain.Completed p -> Alcotest.(check string) "payload" "abc" p
   | _ -> Alcotest.fail "single final frame must complete");
-  match Remote.Chain.feed ch (chain_frame "abc") with
-  | Remote.Chain.Duplicate -> ()
-  | Remote.Chain.Completed _ ->
+  match snd (Chain.feed ch (chain_frame "abc")) with
+  | Chain.Duplicate -> ()
+  | Chain.Completed _ ->
       Alcotest.fail "duplicated final frame re-executed the instruction"
   | _ -> Alcotest.fail "duplicated final frame must be re-acked"
 
@@ -53,39 +55,43 @@ let test_chain_wraparound_duplicate () =
   Alcotest.(check int) "spans the wraparound" 257 (List.length frames);
   let final = List.nth frames 256 in
   Alcotest.(check int) "final frame lands on p2 = 0" 0 final.Apdu.p2;
-  let ch = Remote.Chain.create () in
   let completed = ref None in
-  List.iter
-    (fun f ->
-      match Remote.Chain.feed ch f with
-      | Remote.Chain.Completed p -> completed := Some p
-      | Remote.Chain.Accepted -> ()
-      | Remote.Chain.Duplicate | Remote.Chain.Rejected ->
-          Alcotest.fail "clean chain must be accepted")
-    frames;
+  let ch =
+    List.fold_left
+      (fun ch f ->
+        let ch, v = Chain.feed ch f in
+        (match v with
+        | Chain.Completed p -> completed := Some p
+        | Chain.Accepted -> ()
+        | Chain.Duplicate | Chain.Rejected ->
+            Alcotest.fail "clean chain must be accepted");
+        ch)
+      Chain.empty frames
+  in
   Alcotest.(check bool) "completed with the exact payload" true
     (!completed = Some payload);
-  (match Remote.Chain.feed ch final with
-  | Remote.Chain.Duplicate -> ()
-  | Remote.Chain.Completed _ ->
+  let ch, v = Chain.feed ch final in
+  (match v with
+  | Chain.Duplicate -> ()
+  | Chain.Completed _ ->
       Alcotest.fail "retransmitted wraparound final started a fresh chain"
   | _ -> Alcotest.fail "retransmitted final must be re-acked");
   (* A stale mid-chain continuation after completion is a protocol
      error, not a silent restart. *)
-  match Remote.Chain.feed ch (chain_frame ~p1:1 ~p2:5 "stale") with
-  | Remote.Chain.Rejected -> ()
+  match snd (Chain.feed ch (chain_frame ~p1:1 ~p2:5 "stale")) with
+  | Chain.Rejected -> ()
   | _ -> Alcotest.fail "stale continuation must be rejected"
 
 (* [forget] exists for uploads refused for good (static admission): the
    marker is dropped, so the "same" frame executes afresh. *)
 let test_chain_forget_clears_marker () =
-  let ch = Remote.Chain.create () in
-  (match Remote.Chain.feed ch (chain_frame "abc") with
-  | Remote.Chain.Completed _ -> ()
+  let ch, v = Chain.feed Chain.empty (chain_frame "abc") in
+  (match v with
+  | Chain.Completed _ -> ()
   | _ -> Alcotest.fail "must complete");
-  Remote.Chain.forget ch Remote.Ins.rules;
-  match Remote.Chain.feed ch (chain_frame "abc") with
-  | Remote.Chain.Completed p -> Alcotest.(check string) "payload" "abc" p
+  let ch = Chain.forget ch Remote.Ins.rules in
+  match snd (Chain.feed ch (chain_frame "abc")) with
+  | Chain.Completed p -> Alcotest.(check string) "payload" "abc" p
   | _ -> Alcotest.fail "forgotten marker must not re-ack"
 
 (* The invariant, property-tested across the 256-frame boundary: feeding
@@ -110,17 +116,19 @@ let qcheck_chain_exactly_once =
       in
       assert (List.length cmds = frames);
       let rng = Rng.create (Int64.of_int (seed + 1)) in
-      let ch = Remote.Chain.create () in
+      let ch = ref Chain.empty in
       let completions = ref [] in
       let ok = ref true in
       List.iter
         (fun f ->
           let deliveries = 1 + (if Rng.int rng 100 < 30 then 1 else 0) in
           for _ = 1 to deliveries do
-            match Remote.Chain.feed ch f with
-            | Remote.Chain.Completed p -> completions := p :: !completions
-            | Remote.Chain.Accepted | Remote.Chain.Duplicate -> ()
-            | Remote.Chain.Rejected -> ok := false
+            let next, v = Chain.feed !ch f in
+            ch := next;
+            match v with
+            | Chain.Completed p -> completions := p :: !completions
+            | Chain.Accepted | Chain.Duplicate -> ()
+            | Chain.Rejected -> ok := false
           done)
         cmds;
       !ok && !completions = [ payload ])
