@@ -564,6 +564,12 @@ let revive_card (t : t) i =
    immediately with a typed error — the bounded per-card queues are the
    admission control. *)
 let start (t : t) req =
+  (* A malformed query is the application's bug, reported here and
+     synchronously: raised later, inside [turn], it would lose the
+     stream and skip every card after the raising one. *)
+  Option.iter
+    (fun q -> ignore (Sdds_xpath.Parser.parse q))
+    req.Proxy.Request.xpath;
   t.requests <- t.requests + 1;
   Obs.inc t.obs "fleet.requests" 1;
   let span =

@@ -427,6 +427,37 @@ let test_fleet_reroutes_off_a_dead_card () =
         (st.Fleet.states.(0) = Fleet.Dead)
   | _ -> Alcotest.fail "one request, one outcome"
 
+(* A malformed query raises at admission and leaves no trace in the
+   fleet: no stream, no request counted, and a stream admitted before it
+   is still served. Raised later, from the pool inside [turn], it would
+   lose its stream and skip the cards after the raising one. *)
+let test_fleet_malformed_query_raises_at_start () =
+  let w = Lazy.force fleet_world in
+  let fleet =
+    Fleet.create ~store:(World.store w) ~subject:"u"
+      (Array.map Remote.Host.process (fresh_hosts w 2))
+  in
+  let before = Fleet.start fleet (Proxy.Request.make (fdoc 0)) in
+  let requests = (Fleet.stats fleet).Fleet.requests in
+  (match Fleet.start fleet (Proxy.Request.make ~xpath:"//[" (fdoc 1)) with
+  | _ -> Alcotest.fail "a malformed query must raise at Fleet.start"
+  | exception Sdds_xpath.Parser.Error _ -> ());
+  Alcotest.(check int) "the malformed request is not counted" requests
+    (Fleet.stats fleet).Fleet.requests;
+  let turns = ref 0 in
+  while Fleet.result before = None && !turns < 200 do
+    Fleet.turn fleet;
+    incr turns
+  done;
+  match Fleet.result before with
+  | Some { Fleet.result = Ok s; _ } ->
+      Alcotest.(check (option string)) "the earlier stream is served"
+        (World.golden w (Proxy.Request.make (fdoc 0)))
+        s.Proxy.Pool.xml
+  | Some { Fleet.result = Error e; _ } ->
+      Alcotest.failf "the earlier stream failed: %a" Proxy.pp_error e
+  | None -> Alcotest.fail "the earlier stream was never served"
+
 (* The fleet differential oracle: under arbitrary seeded per-card fault
    schedules, every fleet-served request is the exact single-card golden
    view or one typed error — sharding plus re-routing never stitches,
@@ -929,6 +960,8 @@ let suite =
       test_fleet_admission_control;
     Alcotest.test_case "fleet declares a dead card and migrates off it"
       `Quick test_fleet_reroutes_off_a_dead_card;
+    Alcotest.test_case "a malformed query raises at admission" `Quick
+      test_fleet_malformed_query_raises_at_start;
     QCheck_alcotest.to_alcotest qcheck_fleet_differential;
     Alcotest.test_case "tear cannot cross-serve a stale channel" `Quick
       test_tear_stale_channel_regression;
