@@ -7,9 +7,9 @@ module Apdu = Sdds_soe.Apdu
 module Reassembler = Sdds_core.Reassembler
 module Output_codec = Sdds_core.Output_codec
 
-type t = { proxy : Proxy.t; store : Store.t; card : Card.t }
+type t = { store : Store.t; card : Card.t }
 
-let direct ~store ~card = { proxy = Proxy.create ~store ~card; store; card }
+let direct ~store ~card = { store; card }
 
 let served_of_outputs outs =
   let out_bytes = Output_codec.size_list outs in
@@ -24,60 +24,50 @@ let served_of_outputs outs =
     retries = 0;
   }
 
-let deliver_once { proxy; store; card } ~doc_id subscribers =
+(* The DSP is read as a ticket is: the document, the subscribers' rule
+   blobs, then the gateway's own grant; the publish runs under the key
+   rule, so a rotation costs one grant refresh and one retry. *)
+let deliver { store; card } ~doc_id subscribers =
   match Store.get_document store doc_id with
   | None -> Error (Proxy.Unknown_document doc_id)
   | Some published -> (
-      match Proxy.ensure_key proxy ~doc_id ~subject:(Card.subject card) with
+      let source = Publish.to_source published ~delivery:`Push in
+      let blobs =
+        List.map
+          (fun s -> (s, Store.get_rules store ~doc_id ~subject:s))
+          subscribers
+      in
+      let present =
+        List.filter_map (fun (s, b) -> Option.map (fun b -> (s, b)) b) blobs
+      in
+      let grant = Store.get_grant store ~doc_id ~subject:(Card.subject card) in
+      match
+        Proxy.keyed card ~doc_id ~grant (fun () ->
+            Card.disseminate card source ~subscribers:present ())
+      with
       | Error e -> Error e
-      | Ok () -> (
-          let source = Publish.to_source published ~delivery:`Push in
-          let blobs =
-            List.map
-              (fun s -> (s, Store.get_rules store ~doc_id ~subject:s))
-              subscribers
+      | Ok (results, report) ->
+          (* Members of a cluster share one output list, and [served]
+             depends on the list alone: build one record per list. *)
+          let built = ref [] in
+          let served outs =
+            match List.assq_opt outs !built with
+            | Some r -> r
+            | None ->
+                let r = served_of_outputs outs in
+                built := (outs, r) :: !built;
+                r
           in
-          let present =
-            List.filter_map
-              (fun (s, b) -> Option.map (fun b -> (s, b)) b)
+          let per =
+            List.map
+              (fun (s, blob) ->
+                match blob with
+                | None -> (s, Error Proxy.No_rules)
+                | Some _ -> (
+                    match List.assoc_opt s results with
+                    | Some (Ok outs) -> (s, Ok (served outs))
+                    | Some (Error e) -> (s, Error (Proxy.Card_error e))
+                    | None -> (s, Error Proxy.No_rules)))
               blobs
           in
-          match Card.disseminate card source ~subscribers:present () with
-          | Error e -> Error (Proxy.Card_error e)
-          | Ok (results, report) ->
-              (* Members of a cluster share one output list, and [served]
-                 depends on the list alone: build one record per list. *)
-              let built = ref [] in
-              let served outs =
-                match List.assq_opt outs !built with
-                | Some r -> r
-                | None ->
-                    let r = served_of_outputs outs in
-                    built := (outs, r) :: !built;
-                    r
-              in
-              let per =
-                List.map
-                  (fun (s, blob) ->
-                    match blob with
-                    | None -> (s, Error Proxy.No_rules)
-                    | Some _ -> (
-                        match List.assoc_opt s results with
-                        | Some (Ok outs) -> (s, Ok (served outs))
-                        | Some (Error e) -> (s, Error (Proxy.Card_error e))
-                        | None -> (s, Error Proxy.No_rules)))
-                  blobs
-              in
-              Ok (per, report.Card.sharing)))
-
-let deliver t ~doc_id subscribers =
-  (* A rotation leaves the gateway holding the old key: refresh the
-     grant and retry once, as [Proxy.run] does for a query. *)
-  match deliver_once t ~doc_id subscribers with
-  | Error (Proxy.Card_error e) as stale when Proxy.stale_evidence e -> (
-      match
-        Proxy.refresh_key t.proxy ~doc_id ~subject:(Card.subject t.card)
-      with
-      | Ok () -> deliver_once t ~doc_id subscribers
-      | Error () -> stale)
-  | result -> result
+          Ok (per, report.Card.sharing))

@@ -13,8 +13,9 @@
 type t
 
 val direct : store:Sdds_dsp.Store.t -> card:Sdds_soe.Card.t -> t
-(** A gateway session on a local card. The card's own subject must hold
-    a key grant for the documents it disseminates. *)
+(** A gateway session on a local card. The card must hold the key of
+    the documents it disseminates, or its own subject a key grant for
+    them. *)
 
 val deliver :
   t ->
@@ -43,7 +44,12 @@ val deliver :
     rule blob on the DSP fails alone with [No_rules], a broken or
     rolled-back blob with the card's typed error. A rules-digest
     collision or duplicated subject refuses the whole publish (the
-    card's [Bad_rules] names the offending pair). When the card's answer
-    points to an outdated key ({!Proxy.stale_evidence}), the gateway's
-    grant is fetched again once and the publish retried, as {!Proxy.run}
-    does for a query. *)
+    card's [Bad_rules] names the offending pair).
+
+    The DSP is read in a {!Proxy.ticket}'s order: the document
+    ([Unknown_document] without one), the subscribers' rule blobs, then
+    the gateway subject's grant. The publish runs under the key rule
+    ({!Proxy.keyed}), as {!Proxy.run} does for a query: a gateway that
+    holds the document key needs no grant, one without it reads
+    [No_grant] or [Card_error Bad_grant], and stale evidence installs the
+    grant and retries the publish once. *)

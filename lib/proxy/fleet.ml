@@ -84,14 +84,17 @@ type outcome = {
   latency_s : float;
 }
 
-(* One request in flight. [floor] carries simulated time already spent
-   on a card that failed the request away (re-route or migration), so
-   the reported latency never goes backwards when the request restarts
-   on a less-loaded card. [key] is the affinity key, computed once at
-   admission so migration re-plans onto the same ring successor the
-   routing would pick. *)
+(* One request in flight. [tk] is its ticket, taken at admission: every
+   card the request is planned on, after a re-route or a migration too,
+   starts it from this ticket, so a store rollback mid-flight can never
+   downgrade the policy a re-planned session uploads. [floor] carries
+   simulated time already spent on a card that failed the request away
+   (re-route or migration), so the reported latency never goes
+   backwards when the request restarts on a less-loaded card. [key] is
+   the affinity key, computed once at admission so migration re-plans
+   onto the same ring successor the routing would pick. *)
 type job = {
-  req : Proxy.Request.t;
+  tk : Proxy.ticket;
   key : string option;  (* [Affinity] routing only *)
   mutable j_affinity : bool;
   mutable j_reroutes : int;
@@ -103,21 +106,22 @@ type job = {
 (* A request admitted through the incremental API. [starts] snapshots
    every card's clock at admission: latency is measured against the
    serving card's clock then, so clocks carried over from earlier work
-   do not inflate it. [pinned] is the (rules, grant) pair the stream was
-   first planned with — migration re-uploads exactly this policy. *)
-type stream = {
+   do not inflate it. *)
+type flight = {
   s_job : job;
   starts : float array;
-  mutable pinned : (string * string option) option;
   mutable outcome : outcome option;
 }
+
+(* A request its ticket refuses finishes at admission, on no card. *)
+type stream = Refused of outcome | Admitted of flight
 
 type slot = {
   id : int;
   mutable pool : Proxy.Pool.t;  (* replaced on revive (fresh epochs) *)
   transport : Remote.transport;  (* clock-wrapped; probes use it too *)
-  queue : stream Queue.t;  (* admitted, waiting for a pool slot *)
-  mutable active : (stream * Proxy.Pool.stream) list;
+  queue : flight Queue.t;  (* admitted, waiting for a pool slot *)
+  mutable active : (flight * Proxy.Pool.stream) list;
   mutable state : lifecycle;
   clock : float ref;  (* simulated seconds of link time *)
   mutable served : int;
@@ -264,20 +268,13 @@ let note_depth t s =
 let start_of st (slot : slot) =
   if slot.id < Array.length st.starts then st.starts.(slot.id) else 0.0
 
-(* The affinity key: the document and the digest of this subject's rule
+(* The affinity key: the document and the digest of the ticket's rule
    blob — exactly what keys the card's prepared-evaluation cache, so
    repeat requests for a (document, subject) pair land on the card whose
    cache is already warm for them. *)
-let affinity_key t (r : Proxy.Request.t) =
-  let subject = Option.value ~default:t.subject r.Proxy.Request.subject in
-  let digest =
-    match
-      Store.get_rules t.store ~doc_id:r.Proxy.Request.doc_id ~subject
-    with
-    | Some rules -> Printf.sprintf "%Lx" (Ring.fnv1a64 rules)
-    | None -> subject  (* no rules: routing is moot, stay deterministic *)
-  in
-  r.Proxy.Request.doc_id ^ "\x00" ^ digest
+let affinity_key (tk : Proxy.ticket) =
+  tk.Proxy.request.Proxy.Request.doc_id ^ "\x00"
+  ^ Printf.sprintf "%Lx" (Ring.fnv1a64 tk.Proxy.rules)
 
 let least_loaded ?excluding t =
   let best = ref None in
@@ -379,30 +376,34 @@ let route (t : t) (job : job) =
             end
           else fallback ()))
 
-let finish (t : t) st card latency result outcome_tag =
-  let job = st.s_job in
-  st.outcome <-
-    Some
-      {
-        result;
-        card;
-        affinity = job.j_affinity;
-        reroutes = job.j_reroutes;
-        migrations = job.j_migrations;
-        latency_s = latency;
-      };
-  (* SLO feed: before the root span stops, so the latency exemplar can
-     still resolve (and pin) the owning trace. *)
+(* A request's end: the SLO feed, before the root span stops, so the
+   latency exemplar can still resolve (and pin) the owning trace. *)
+let close (t : t) span (o : outcome) outcome_tag =
   if outcome_tag = "ok" then Obs.inc t.obs "fleet.ok" 1;
-  Obs.observe ~span:job.span t.obs "fleet.latency_us"
-    (int_of_float (latency *. 1e6));
+  Obs.observe ~span t.obs "fleet.latency_us"
+    (int_of_float (o.latency_s *. 1e6));
   Obs.Tracer.stop (Obs.tracer t.obs)
     ~args:
       [ ("outcome", outcome_tag);
-        ("card", string_of_int card);
-        ("reroutes", string_of_int job.j_reroutes);
-        ("migrations", string_of_int job.j_migrations) ]
-    job.span
+        ("card", string_of_int o.card);
+        ("reroutes", string_of_int o.reroutes);
+        ("migrations", string_of_int o.migrations) ]
+    span
+
+let finish (t : t) st card latency result outcome_tag =
+  let job = st.s_job in
+  let o =
+    {
+      result;
+      card;
+      affinity = job.j_affinity;
+      reroutes = job.j_reroutes;
+      migrations = job.j_migrations;
+      latency_s = latency;
+    }
+  in
+  st.outcome <- Some o;
+  close t job.span o outcome_tag
 
 (* A budget-exhausted request (its card kept tearing or its link kept
    faulting past the pool's per-card epoch recovery) is re-routed to
@@ -456,7 +457,7 @@ let probe_alive (t : t) slot =
    the request's affinity key, so a migrated hot key lands exactly on
    its (pre-warmed) standby. The move is a migration, not a re-route: it
    does not spend the job's re-route allowance, and the re-planned
-   stream re-uploads the policy pinned at admission. *)
+   stream starts from the ticket taken at admission. *)
 let migrate_stream (t : t) st ~(from : slot) ~reason =
   let job = st.s_job in
   job.floor <- max job.floor (!(from.clock) -. start_of st from);
@@ -493,9 +494,9 @@ let migrate_stream (t : t) st ~(from : slot) ~reason =
 (* Evacuate a card: queued streams re-plan in FIFO order; in-flight pool
    streams are aborted (their channel state dies with the card anyway)
    and re-plan after them. Warm re-establishment happens on the target:
-   re-SELECT, rules re-upload — against the pinned policy — and the
-   card-side prepared cache make the replay cheap when the target is the
-   key's pre-warmed standby. *)
+   re-SELECT, rules re-upload — of the admission ticket's policy — and
+   the card-side prepared cache make the replay cheap when the target is
+   the key's pre-warmed standby. *)
 let migrate_all t slot ~reason =
   let queued = List.rev (Queue.fold (fun acc st -> st :: acc) [] slot.queue) in
   Queue.clear slot.queue;
@@ -559,17 +560,15 @@ let revive_card (t : t) i =
 (* Scheduling                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Admission: route the request now (it "arrives" at the current
-   simulated time); a request no live card has queue room for is refused
+(* Admission: take the request's ticket first — a malformed query
+   raises here, the application's bug reported synchronously, before the
+   fleet counts anything — then route the request now (it "arrives" at
+   the current simulated time). A request its ticket refuses finishes at
+   once on no card; one no live card has queue room for is refused
    immediately with a typed error — the bounded per-card queues are the
    admission control. *)
 let start (t : t) req =
-  (* A malformed query is the application's bug, reported here and
-     synchronously: raised later, inside [turn], it would lose the
-     stream and skip every card after the raising one. *)
-  Option.iter
-    (fun q -> ignore (Sdds_xpath.Parser.parse q))
-    req.Proxy.Request.xpath;
+  let tk = Proxy.ticket t.store ~subject:t.subject req in
   t.requests <- t.requests + 1;
   Obs.inc t.obs "fleet.requests" 1;
   let span =
@@ -580,40 +579,54 @@ let start (t : t) req =
             Option.value ~default:t.subject req.Proxy.Request.subject ) ]
       "fleet.request"
   in
-  let key =
-    match t.routing with
-    | Affinity -> Some (affinity_key t req)
-    | Least_loaded | Random _ -> None
-  in
-  let job =
-    {
-      req;
-      key;
-      j_affinity = false;
-      j_reroutes = 0;
-      j_migrations = 0;
-      floor = 0.0;
-      span;
-    }
-  in
-  let st =
-    {
-      s_job = job;
-      starts = Array.map (fun s -> !(s.clock)) t.slots;
-      pinned = None;
-      outcome = None;
-    }
-  in
-  (match route t job with
-  | None ->
-      t.rejected <- t.rejected + 1;
-      Obs.inc t.obs "fleet.rejected" 1;
-      finish t st (-1) 0.0 (Error Proxy.Overloaded) "rejected"
-  | Some (slot, aff) ->
-      job.j_affinity <- aff;
-      Queue.add st slot.queue;
-      note_depth t slot);
-  st
+  match tk with
+  | Error e ->
+      let o =
+        {
+          result = Error e;
+          card = -1;
+          affinity = false;
+          reroutes = 0;
+          migrations = 0;
+          latency_s = 0.0;
+        }
+      in
+      close t span o "error";
+      Refused o
+  | Ok tk ->
+      let key =
+        match t.routing with
+        | Affinity -> Some (affinity_key tk)
+        | Least_loaded | Random _ -> None
+      in
+      let job =
+        {
+          tk;
+          key;
+          j_affinity = false;
+          j_reroutes = 0;
+          j_migrations = 0;
+          floor = 0.0;
+          span;
+        }
+      in
+      let st =
+        {
+          s_job = job;
+          starts = Array.map (fun s -> !(s.clock)) t.slots;
+          outcome = None;
+        }
+      in
+      (match route t job with
+      | None ->
+          t.rejected <- t.rejected + 1;
+          Obs.inc t.obs "fleet.rejected" 1;
+          finish t st (-1) 0.0 (Error Proxy.Overloaded) "rejected"
+      | Some (slot, aff) ->
+          job.j_affinity <- aff;
+          Queue.add st slot.queue;
+          note_depth t slot);
+      Admitted st
 
 (* One scheduler turn: round-robin over the live cards; each feeds its
    pool up to [Apdu.max_channels] concurrent streams from its FIFO queue and
@@ -631,17 +644,8 @@ let turn t =
           && not (Queue.is_empty slot.queue)
         do
           let st = Queue.take slot.queue in
-          let stream = Proxy.Pool.start slot.pool st.s_job.req in
-          (match st.pinned with
-          | None ->
-              (* First planning: pin the policy this request will carry
-                 through any migration. Streams that failed admission
-                 inside the pool (no rules, unknown doc) finish before
-                 ever uploading — nothing to pin. *)
-              if Proxy.Pool.result stream = None then
-                st.pinned <- Some (Proxy.Pool.session_state stream)
-          | Some (rules, grant) -> Proxy.Pool.pin stream ~rules ~grant);
-          slot.active <- slot.active @ [ (st, stream) ]
+          slot.active <-
+            slot.active @ [ (st, Proxy.Pool.start slot.pool st.s_job.tk) ]
         done;
         set_depth slot;
         List.iter
@@ -689,16 +693,14 @@ let turn t =
       end)
     t.slots
 
-let result st = st.outcome
+let result = function Refused o -> Some o | Admitted st -> st.outcome
 
 let serve t reqs =
   let streams = List.map (start t) reqs in
-  while List.exists (fun st -> st.outcome = None) streams do
+  while List.exists (fun st -> result st = None) streams do
     turn t
   done;
-  List.map
-    (fun st -> match st.outcome with Some o -> o | None -> assert false)
-    streams
+  List.map (fun st -> Option.get (result st)) streams
 
 let stats (t : t) =
   {

@@ -53,108 +53,109 @@ let pp_error ppf = function
         "overloaded: admission control refused the request (every queue full)"
   | Protocol msg -> Format.fprintf ppf "protocol error: %s" msg
 
-let ( let* ) = Result.bind
+type ticket = {
+  request : Request.t;
+  subject : string;
+  document : Publish.published;
+  rules : string;
+  query : Sdds_xpath.Ast.t option;
+  grant : string option;
+}
 
-let ensure_key t ~doc_id ~subject =
-  if Card.has_key t.card ~doc_id then Ok ()
-  else
-    match Store.get_grant t.store ~doc_id ~subject with
-    | None -> Error No_grant
-    | Some wrapped -> (
-        match Card.install_wrapped_key t.card ~doc_id ~wrapped with
-        | Ok () -> Ok ()
-        | Error e -> Error (Card_error e))
-
-(* Shared prelude of every request: locate the document, make sure the
-   card holds its key, fetch the encrypted policy, parse the query, then
-   hand (source, rules, query) to the evaluation strategy, which returns
-   the outcome. *)
-let with_context t ~doc_id ~subject ~delivery ~xpath run =
-  match Store.get_document t.store doc_id with
+(* Everything the terminal reads from the DSP for one request, once and
+   in one order: the document, the subject's rule blob, the parsed query
+   (a malformed one raises: the application's bug, reported
+   synchronously), then the subject's grant, whose absence is not an
+   error yet — a card that holds the key needs none. *)
+let ticket store ~subject (r : Request.t) =
+  let doc_id = r.Request.doc_id in
+  match Store.get_document store doc_id with
   | None -> Error (Unknown_document doc_id)
-  | Some published -> (
-      let* () = ensure_key t ~doc_id ~subject in
-      match Store.get_rules t.store ~doc_id ~subject with
+  | Some document -> (
+      let subject = Option.value ~default:subject r.Request.subject in
+      match Store.get_rules store ~doc_id ~subject with
       | None -> Error No_rules
-      | Some encrypted_rules -> (
-          let query = Option.map Sdds_xpath.Parser.parse xpath in
-          let source = Publish.to_source published ~delivery in
-          Result.map_error
-            (fun e -> Card_error e)
-            (run ~source ~encrypted_rules ~query)))
-
-let evaluate_protected_inner t ~doc_id ~subject ~delivery ~xpath =
-  with_context t ~doc_id ~subject ~delivery ~xpath
-    (fun ~source ~encrypted_rules ~query ->
-      match
-        Card.evaluate_protected t.card source ~encrypted_rules ?query ()
-      with
-      | Error e -> Error e
-      | Ok (messages, card_report) ->
-          let unsealer =
-            Sdds_soe.Guard.Unsealer.create ~has_query:(query <> None) ()
-          in
-          List.iter (Sdds_soe.Guard.Unsealer.feed unsealer) messages;
-          let view = Sdds_soe.Guard.Unsealer.finish unsealer in
+      | Some rules ->
+          let query = Option.map Sdds_xpath.Parser.parse r.Request.xpath in
           Ok
             {
-              view = Lazy.from_val view;
-              xml = Option.map (Serializer.to_string ~indent:true) view;
-              card_report;
+              request = r;
+              subject;
+              document;
+              rules;
+              query;
+              grant = Store.get_grant store ~doc_id ~subject;
             })
 
-let evaluate t ~doc_id ~subject ~delivery ~xpath =
-  with_context t ~doc_id ~subject ~delivery ~xpath
-    (fun ~source ~encrypted_rules ~query ->
-      match Card.evaluate t.card source ~encrypted_rules ?query () with
-      | Error e -> Error e
-      | Ok (outputs, card_report) ->
-          let has_query = query <> None in
-          Ok
-            {
-              view = lazy (Reassembler.run ~has_query outputs);
-              xml = Reassembler.xml ~has_query (fun f -> List.iter f outputs);
-              card_report;
-            })
+(* Evidence that the card's key may predate a rotation: [Stale_key], or
+   [Bad_rules], because a rotation re-keys the rule blob too and the
+   blob's MAC failure under the outdated key is, on the card,
+   indistinguishable from tampering. *)
+let stale = function Card.Stale_key _ | Card.Bad_rules _ -> true | _ -> false
+
+(* The key rule on a local card (proxy.mli states it). *)
+let keyed card ~doc_id ~grant attempt =
+  let card_error r = Result.map_error (fun e -> Card_error e) r in
+  let installed =
+    if Card.has_key card ~doc_id then Ok ()
+    else
+      match grant with
+      | None -> Error No_grant
+      | Some wrapped ->
+          card_error (Card.install_wrapped_key card ~doc_id ~wrapped)
+  in
+  match installed with
+  | Error e -> Error e
+  | Ok () -> (
+      match attempt () with
+      | Error e as first when stale e -> (
+          match grant with
+          | Some wrapped
+            when Result.is_ok (Card.install_wrapped_key card ~doc_id ~wrapped)
+            ->
+              Obs.inc (Card.obs card) "proxy.rekeys" 1;
+              card_error (attempt ())
+          | _ -> card_error first)
+      | result -> card_error result)
+
+let evaluate card source (tk : ticket) () =
+  match
+    Card.evaluate card source ~encrypted_rules:tk.rules ?query:tk.query ()
+  with
+  | Error e -> Error e
+  | Ok (outputs, card_report) ->
+      let has_query = tk.query <> None in
+      Ok
+        {
+          view = lazy (Reassembler.run ~has_query outputs);
+          xml = Reassembler.xml ~has_query (fun f -> List.iter f outputs);
+          card_report;
+        }
+
+let evaluate_protected card source (tk : ticket) () =
+  match
+    Card.evaluate_protected card source ~encrypted_rules:tk.rules
+      ?query:tk.query ()
+  with
+  | Error e -> Error e
+  | Ok (messages, card_report) ->
+      let unsealer =
+        Sdds_soe.Guard.Unsealer.create ~has_query:(tk.query <> None) ()
+      in
+      List.iter (Sdds_soe.Guard.Unsealer.feed unsealer) messages;
+      let view = Sdds_soe.Guard.Unsealer.finish unsealer in
+      Ok
+        {
+          view = Lazy.from_val view;
+          xml = Option.map (Serializer.to_string ~indent:true) view;
+          card_report;
+        }
 
 (* The request's subject defaults to the card's own identity; a fleet
    front-end serving a whole population overrides it per request (the
    store's rules and grants are per (document, subject), but every
    subject's grant wraps the same document key, so any card can serve any
    subject it holds a usable grant for). *)
-let request_subject t (r : Request.t) =
-  Option.value ~default:(Card.subject t.card) r.Request.subject
-
-let run_once t (r : Request.t) =
-  let subject = request_subject t r in
-  if r.Request.protect then
-    evaluate_protected_inner t ~doc_id:r.Request.doc_id ~subject
-      ~delivery:r.Request.delivery ~xpath:r.Request.xpath
-  else
-    evaluate t ~doc_id:r.Request.doc_id ~subject
-      ~delivery:r.Request.delivery ~xpath:r.Request.xpath
-
-(* Force-refresh the card's key from the DSP. [ensure_key] skips the
-   install when the card already holds *a* key for the document, so after
-   the publisher rotates (revocation) the card would keep failing with
-   [Stale_key] forever even though a fresh grant sits in the store. *)
-let stale_evidence = function
-  | Card.Stale_key _ -> true
-  (* A rotation re-keys the rule blob too; decrypting the fresh blob
-     with the outdated key is a MAC failure, indistinguishable on the
-     card from tampering — so it is treated as possible staleness and
-     given the same one refresh. *)
-  | Card.Bad_rules _ -> true
-  | _ -> false
-
-let refresh_key t ~doc_id ~subject =
-  match Store.get_grant t.store ~doc_id ~subject with
-  | None -> Error ()
-  | Some wrapped -> (
-      match Card.install_wrapped_key t.card ~doc_id ~wrapped with
-      | Ok () -> Ok ()
-      | Error _ -> Error ())
-
 let run t (r : Request.t) =
   let obs = Card.obs t.card in
   Obs.inc obs "proxy.requests" 1;
@@ -164,20 +165,13 @@ let run t (r : Request.t) =
         ("xpath", Option.value ~default:"" r.Request.xpath) ]
     "proxy.request"
   @@ fun () ->
-  match run_once t r with
-  | Error (Card_error e) as stale when stale_evidence e -> (
-      (* Revocation in action: re-fetch the wrapped key and retry once.
-         If the store has no usable fresh grant (this subject was cut
-         off), report the original staleness, not the refresh's own
-         failure. *)
-      match
-        refresh_key t ~doc_id:r.Request.doc_id ~subject:(request_subject t r)
-      with
-      | Ok () ->
-          Obs.inc obs "proxy.rekeys" 1;
-          run_once t r
-      | Error () -> stale)
-  | result -> result
+  match ticket t.store ~subject:(Card.subject t.card) r with
+  | Error e -> Error e
+  | Ok tk ->
+      let source = Publish.to_source tk.document ~delivery:r.Request.delivery in
+      keyed t.card ~doc_id:r.Request.doc_id ~grant:tk.grant
+        ((if r.Request.protect then evaluate_protected else evaluate)
+           t.card source tk)
 
 module Pool = struct
   type served = {
@@ -230,15 +224,14 @@ module Pool = struct
     | Finished of (served, error) result
 
   type stream = {
-    req : Request.t;
-    mutable rules : string;
-    mutable grant : string option;
+    tk : ticket;
     mutable channel : int;  (* -1 until assigned *)
     mutable epoch : int;  (* pool epoch when the channel was assigned *)
     mutable warm : bool;
     mutable phase : phase;
     mutable budget : int;  (* transient-fault retries left *)
-    mutable rekeyed : bool;  (* one grant refresh per request *)
+    mutable stale : Card.error option;
+        (* the first stale answer, once the grant was re-sent for it *)
     mutable resp_block : int;  (* next GET RESPONSE block to ask for *)
     span : Obs.Tracer.span;  (* per-request root span; stopped in finish *)
     cmds : Obs.Metrics.Counter.t;
@@ -248,8 +241,7 @@ module Pool = struct
     buf : Buffer.t;  (* response accumulation *)
   }
 
-  let stream_subject t (r : Request.t) =
-    Option.value ~default:t.subject r.Request.subject
+  let doc st = st.tk.request.Request.doc_id
 
   (* The serve loop interleaves frames of many streams on one transport,
      so the implicit span stack cannot know which request a frame belongs
@@ -284,7 +276,7 @@ module Pool = struct
       match result with
       | Ok () -> (
           let encoded = Buffer.contents st.buf in
-          let has_query = st.req.Request.xpath <> None in
+          let has_query = st.tk.query <> None in
           (* The bytes are the card's word only: the decoder's and the
              view builder's refusals alike are protocol errors. The XML
              is written as the bytes decode; the DOM is rebuilt from the
@@ -322,7 +314,7 @@ module Pool = struct
 
   let sw_error st (resp : Apdu.response) =
     let sw = (resp.Apdu.sw1, resp.Apdu.sw2) in
-    match Remote.of_sw ~doc_id:st.req.Request.doc_id sw with
+    match Remote.of_sw ~doc_id:(doc st) sw with
     | Some e -> Card_error e
     | None ->
         Protocol
@@ -354,47 +346,6 @@ module Pool = struct
     Hashtbl.reset t.memos;
     t.free <- (if List.mem 0 t.free then [ 0 ] else []);
     t.opened <- 1
-
-  let cold_setup t st setup_frames =
-    Hashtbl.remove t.memos st.channel;
-    reset_partial st;
-    st.phase <-
-      (match setup_frames t st with [] -> Eval | fs -> Setup fs)
-
-  let session_lost t st (resp : Apdu.response) setup_frames =
-    if (resp.Apdu.sw1, resp.Apdu.sw2) = Remote.Sw.channel_closed then begin
-      tear_evidence t;
-      (* The channel is dead — it must not go back to the free list. *)
-      st.channel <- -1;
-      reset_partial st;
-      charge t st (fun () -> st.phase <- Wait_channel)
-    end
-    else
-      (* [bad_state]: the channel is open but its session is fresh (a
-         tear took the basic channel's state, or a stale continuation) —
-         replay the whole setup on the same channel. *)
-      charge t st (fun () -> cold_setup t st setup_frames)
-
-  let fatal t st ~clear_memo e setup_frames =
-    if stale_evidence e && not st.rekeyed then
-      (* Revocation: the card's cached key predates a rotation. Fetch
-         the fresh wrapped grant and replay cold; without a usable
-         fresh grant the staleness is the real answer. *)
-      match
-        Store.get_grant t.store ~doc_id:st.req.Request.doc_id
-          ~subject:(stream_subject t st.req)
-      with
-      | None -> finish t st (Error (Card_error e))
-      | Some w ->
-          st.rekeyed <- true;
-          st.grant <- Some w;
-          Obs.inc t.obs "pool.rekeys" 1;
-          Hashtbl.remove t.granted st.req.Request.doc_id;
-          cold_setup t st setup_frames
-    else begin
-      if clear_memo then Hashtbl.remove t.memos st.channel;
-      finish t st (Error (Card_error e))
-    end
 
   type acquired = Got of int | Wait | Soft | Hard of error
 
@@ -451,14 +402,29 @@ module Pool = struct
           else Hard (sw_error st resp)
         end
 
+  (* The frames that bring the channel's session to this request. A grant
+     is pending while the ticket has one and the card has not accepted a
+     grant for the document through this pool. The setup is warm, and
+     sends nothing, when no grant is pending and the channel's memo
+     matches; otherwise it is SELECT, the pending GRANT, RULES… and
+     QUERY…. *)
   let setup_frames t st =
+    let doc_id = doc st and xpath = st.tk.request.Request.xpath in
     let cla = Apdu.cla_of_channel st.channel in
+    let grant =
+      match st.tk.grant with
+      | Some w when not (Hashtbl.mem t.granted doc_id) ->
+          [ { Apdu.cla; ins = Remote.Ins.grant; p1 = 0; p2 = 0; data = w } ]
+      | _ -> []
+    in
     let warm =
+      grant = []
+      &&
       match Hashtbl.find_opt t.memos st.channel with
       | Some m ->
-          String.equal m.m_doc st.req.Request.doc_id
-          && String.equal m.m_rules st.rules
-          && m.m_xpath = st.req.Request.xpath
+          String.equal m.m_doc doc_id
+          && String.equal m.m_rules st.tk.rules
+          && m.m_xpath = xpath
       | None -> false
     in
     st.warm <- warm;
@@ -468,34 +434,71 @@ module Pool = struct
     end
     else begin
       let sel =
-        {
-          Apdu.cla;
-          ins = Remote.Ins.select;
-          p1 = 0;
-          p2 = 0;
-          data = st.req.Request.doc_id;
-        }
+        { Apdu.cla; ins = Remote.Ins.select; p1 = 0; p2 = 0; data = doc_id }
       in
-      let grant =
-        match st.grant with
-        | Some w when not (Hashtbl.mem t.granted st.req.Request.doc_id) ->
-            [ { Apdu.cla; ins = Remote.Ins.grant; p1 = 0; p2 = 0; data = w } ]
-        | _ -> []
-      in
-      let rules = Apdu.segment ~cla ~ins:Remote.Ins.rules st.rules in
+      let rules = Apdu.segment ~cla ~ins:Remote.Ins.rules st.tk.rules in
       let query =
-        match st.req.Request.xpath with
+        match xpath with
         | None -> []
         | Some q -> Apdu.segment ~cla ~ins:Remote.Ins.query q
       in
       (sel :: grant) @ rules @ query
     end
 
+  let setup t st =
+    st.phase <- (match setup_frames t st with [] -> Eval | fs -> Setup fs)
+
+  let cold_setup t st =
+    Hashtbl.remove t.memos st.channel;
+    reset_partial st;
+    setup t st
+
+  let session_lost t st (resp : Apdu.response) =
+    if (resp.Apdu.sw1, resp.Apdu.sw2) = Remote.Sw.channel_closed then begin
+      tear_evidence t;
+      (* The channel is dead — it must not go back to the free list. *)
+      st.channel <- -1;
+      reset_partial st;
+      charge t st (fun () -> st.phase <- Wait_channel)
+    end
+    else
+      (* [bad_state]: the channel is open but its session is fresh (a
+         tear took the basic channel's state, or a stale continuation) —
+         replay the whole setup on the same channel. *)
+      charge t st (fun () -> cold_setup t st)
+
+  (* A card refusal, under the key rule: stale evidence re-sends the
+     ticket's grant and replays cold, once per request; without a grant
+     to send, and on any other refusal, the card's answer stands. *)
+  let fatal t st ~clear_memo e =
+    match (st.stale, st.tk.grant) with
+    | None, Some _ when stale e ->
+        st.stale <- Some e;
+        Obs.inc t.obs "pool.rekeys" 1;
+        Hashtbl.remove t.granted (doc st);
+        cold_setup t st
+    | _ ->
+        if clear_memo then Hashtbl.remove t.memos st.channel;
+        finish t st (Error (Card_error e))
+
+  (* A setup frame accepted: on to the next, or, after the last, record
+     what the channel's session now holds. *)
+  let setup_next t st = function
+    | [] ->
+        Hashtbl.replace t.memos st.channel
+          {
+            m_doc = doc st;
+            m_rules = st.tk.rules;
+            m_xpath = st.tk.request.Request.xpath;
+          };
+        st.phase <- Eval
+    | rest -> st.phase <- Setup rest
+
   let eval_frame st =
     {
       Apdu.cla = Apdu.cla_of_channel st.channel;
       ins = Remote.Ins.evaluate;
-      p1 = (match st.req.Request.delivery with `Push -> 1 | `Pull -> 0);
+      p1 = (match st.tk.request.Request.delivery with `Push -> 1 | `Pull -> 0);
       p2 = 0;
       data = "";
     }
@@ -532,28 +535,30 @@ module Pool = struct
         | Got ch ->
             st.channel <- ch;
             st.epoch <- t.epoch;
-            st.phase <-
-              (match setup_frames t st with [] -> Eval | fs -> Setup fs))
+            setup t st)
     | Setup [] -> st.phase <- Eval
     | Setup (cmd :: rest) -> (
         let resp = send t st cmd in
-        match Remote.classify ~doc_id:st.req.Request.doc_id resp with
-        | Remote.Done -> (
+        match Remote.classify ~doc_id:(doc st) resp with
+        | Remote.Done ->
             if cmd.Apdu.ins = Remote.Ins.grant then
-              Hashtbl.replace t.granted st.req.Request.doc_id ();
-            match rest with
-            | [] ->
-                Hashtbl.replace t.memos st.channel
-                  {
-                    m_doc = st.req.Request.doc_id;
-                    m_rules = st.rules;
-                    m_xpath = st.req.Request.xpath;
-                  };
-                st.phase <- Eval
-            | _ -> st.phase <- Setup rest)
+              Hashtbl.replace t.granted (doc st) ();
+            setup_next t st rest
+        | Remote.Fatal _ when cmd.Apdu.ins = Remote.Ins.grant -> (
+            match st.stale with
+            | None ->
+                (* The key rule: a refused grant is not the answer. The
+                   card left the session as it was, and a card that holds
+                   the key still serves: EVALUATE decides. *)
+                setup_next t st rest
+            | Some first ->
+                (* The grant re-sent for stale evidence was refused: the
+                   first answer stands. *)
+                Hashtbl.remove t.memos st.channel;
+                finish t st (Error (Card_error first)))
         | Remote.Transient -> charge t st (fun () -> ())
-        | Remote.Session_lost -> session_lost t st resp setup_frames
-        | Remote.Fatal e -> fatal t st ~clear_memo:true e setup_frames
+        | Remote.Session_lost -> session_lost t st resp
+        | Remote.Fatal e -> fatal t st ~clear_memo:true e
         | Remote.More _ | Remote.Unknown _ ->
             (* Half-done setup: whatever the channel session holds no
                longer matches any memo. *)
@@ -561,7 +566,7 @@ module Pool = struct
             finish t st (Error (sw_error st resp)))
     | Eval -> (
         let resp = send t st (eval_frame st) in
-        match Remote.classify ~doc_id:st.req.Request.doc_id resp with
+        match Remote.classify ~doc_id:(doc st) resp with
         | Remote.Done ->
             Buffer.add_string st.buf resp.Apdu.payload;
             finish t st (Ok ())
@@ -570,11 +575,21 @@ module Pool = struct
             st.resp_block <- 1;
             st.phase <- Drain
         | Remote.Transient -> charge t st (fun () -> reset_partial st)
-        | Remote.Session_lost -> session_lost t st resp setup_frames
+        | Remote.Session_lost -> session_lost t st resp
+        | Remote.Fatal (Card.No_key _) ->
+            (* The card holds no key. A setup that owes the card a grant
+               is never warm, and a grant the card accepted leaves it
+               holding the key: so either the ticket has no grant, or
+               the card refused the one it was sent. *)
+            finish t st
+              (Error
+                 (match st.tk.grant with
+                 | None -> No_grant
+                 | Some _ -> Card_error Card.Bad_grant))
         | Remote.Fatal e ->
             (* An EVALUATE failure leaves the channel's setup intact —
                the memo stays valid for the next request. *)
-            fatal t st ~clear_memo:false e setup_frames
+            fatal t st ~clear_memo:false e
         | Remote.Unknown _ -> finish t st (Error (sw_error st resp)))
     | Drain -> (
         let resp =
@@ -587,7 +602,7 @@ module Pool = struct
               data = "";
             }
         in
-        match Remote.classify ~doc_id:st.req.Request.doc_id resp with
+        match Remote.classify ~doc_id:(doc st) resp with
         | Remote.Done ->
             Buffer.add_string st.buf resp.Apdu.payload;
             finish t st (Ok ())
@@ -599,38 +614,54 @@ module Pool = struct
             (* Re-ask for the same block: the host retransmits it
                byte-identically if it had already been served. *)
             charge t st (fun () -> ())
-        | Remote.Session_lost -> session_lost t st resp setup_frames
-        | Remote.Fatal e -> fatal t st ~clear_memo:false e setup_frames
+        | Remote.Session_lost -> session_lost t st resp
+        | Remote.Fatal e -> fatal t st ~clear_memo:false e
         | Remote.Unknown _ -> finish t st (Error (sw_error st resp)))
 
-  let init (t : t) (r : Request.t) =
-    let fresh phase =
-      let cmds = Obs.Metrics.Counter.create () in
-      let resps = Obs.Metrics.Counter.create () in
-      let bytes = Obs.Metrics.Counter.create () in
-      let retries = Obs.Metrics.Counter.create () in
-      Obs.attach_counter t.obs "pool.command_frames" cmds;
-      Obs.attach_counter t.obs "pool.response_frames" resps;
-      Obs.attach_counter t.obs "pool.wire_bytes" bytes;
-      Obs.attach_counter t.obs "pool.retries" retries;
-      Obs.inc t.obs "pool.requests" 1;
-      let span =
-        Obs.Tracer.start (Obs.tracer t.obs) ~parent:Obs.Tracer.none
-          ~args:
-            [ ("doc_id", r.Request.doc_id);
-              ("xpath", Option.value ~default:"" r.Request.xpath) ]
-          "proxy.request"
-      in
+  (* The bookkeeping of every request the pool is handed, refused or
+     not: its frame, byte and retry cells under the [pool.*] names, one
+     [pool.requests] and its root span. *)
+  let open_request t (r : Request.t) =
+    let cell name =
+      let c = Obs.Metrics.Counter.create () in
+      Obs.attach_counter t.obs name c;
+      c
+    in
+    let cmds = cell "pool.command_frames" in
+    let resps = cell "pool.response_frames" in
+    let bytes = cell "pool.wire_bytes" in
+    let retries = cell "pool.retries" in
+    Obs.inc t.obs "pool.requests" 1;
+    let span =
+      Obs.Tracer.start (Obs.tracer t.obs) ~parent:Obs.Tracer.none
+        ~args:
+          [ ("doc_id", r.Request.doc_id);
+            ("xpath", Option.value ~default:"" r.Request.xpath) ]
+        "proxy.request"
+    in
+    (span, cmds, resps, bytes, retries)
+
+  (* Refused before any frame: the root span closes here, since the
+     request never reaches [finish]. *)
+  let reject t span =
+    Obs.Tracer.stop (Obs.tracer t.obs) ~args:[ ("outcome", "rejected") ] span
+
+  (* Incremental serving, for external schedulers (the {!Fleet}) that
+     interleave this pool's streams with other pools': [start] admits a
+     ticketed request, each [step] advances it by at most one frame, and
+     [result] is [Some] once it finished. [serve] is their round-robin
+     closure. *)
+  let start t tk =
+    let span, cmds, resps, bytes, retries = open_request t tk.request in
+    let st =
       {
-        req = r;
-        rules = "";
-        grant = None;
+        tk;
         channel = -1;
         epoch = t.epoch;
         warm = false;
-        phase;
+        phase = Wait_channel;
         budget = retry_budget;
-        rekeyed = false;
+        stale = None;
         resp_block = 0;
         span;
         cmds;
@@ -640,74 +671,47 @@ module Pool = struct
         buf = Buffer.create 256;
       }
     in
-    let fail e =
-      let st = fresh (Finished (Error e)) in
-      (* Rejected before any frame: close the root span here, since the
-         stream never reaches [finish]. *)
-      Obs.Tracer.stop (Obs.tracer t.obs)
-        ~args:[ ("outcome", "rejected") ]
-        st.span;
-      st
-    in
-    if r.Request.protect then
-      fail
-        (Protocol
-           "protect requires a local card: Guard messages have no wire codec")
-    else
-      match Store.get_document t.store r.Request.doc_id with
-      | None -> fail (Unknown_document r.Request.doc_id)
-      | Some _ -> (
-          let subject = stream_subject t r in
-          match
-            Store.get_rules t.store ~doc_id:r.Request.doc_id ~subject
-          with
-          | None -> fail No_rules
-          | Some rules ->
-              (* Malformed queries are the application's bug, reported
-                 synchronously — same contract as [run]. *)
-              (match r.Request.xpath with
-              | Some q -> ignore (Sdds_xpath.Parser.parse q)
-              | None -> ());
-              let st = fresh Wait_channel in
-              st.rules <- rules;
-              st.grant <-
-                Store.get_grant t.store ~doc_id:r.Request.doc_id ~subject;
-              st)
+    if tk.request.Request.protect then begin
+      reject t span;
+      st.phase <-
+        Finished
+          (Error
+             (Protocol
+                "protect requires a local card: Guard messages have no wire \
+                 codec"))
+    end;
+    st
+
+  let result st = match st.phase with Finished r -> Some r | _ -> None
 
   let serve t reqs =
-    let streams = List.map (init t) reqs in
-    let active st =
-      match st.phase with Finished _ -> false | _ -> true
+    let tickets = List.map (ticket t.store ~subject:t.subject) reqs in
+    let streams =
+      List.map2
+        (fun r -> function
+          | Ok tk -> Ok (start t tk)
+          | Error e ->
+              let span, _, _, _, _ = open_request t r in
+              reject t span;
+              Error e)
+        reqs tickets
     in
+    let live = List.filter_map Result.to_option streams in
+    let active st = match st.phase with Finished _ -> false | _ -> true in
     let rec loop () =
-      let live = List.filter active streams in
-      if live <> [] then begin
-        List.iter (step t) live;
-        loop ()
-      end
+      match List.filter active live with
+      | [] -> ()
+      | live ->
+          List.iter (step t) live;
+          loop ()
     in
     loop ();
     List.map
-      (fun st ->
-        match st.phase with Finished r -> r | _ -> assert false)
+      (function
+        | Ok { phase = Finished r; _ } -> r
+        | Ok _ -> assert false
+        | Error e -> Error e)
       streams
-
-  (* Incremental spelling of [serve], for external schedulers (the
-     {!Fleet}) that interleave this pool's streams with other pools':
-     [start] admits a request, each [step] advances it by at most one
-     frame, [result] is [Some] once it finished. *)
-  let start = init
-  let result st = match st.phase with Finished r -> Some r | _ -> None
-
-  (* Migration hooks ({!Fleet}): a stream abandoned on a dying card is
-     re-planned on another card's pool, re-uploading the same policy
-     blob it was admitted with. *)
-
-  let session_state st = (st.rules, st.grant)
-
-  let pin st ~rules ~grant =
-    st.rules <- rules;
-    st.grant <- grant
 
   let abort t st =
     match st.phase with

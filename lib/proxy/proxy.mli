@@ -12,7 +12,11 @@
 
     Requests are described by a {!Request.t} value and executed with
     {!run}; {!Pool} additionally multiplexes several requests over one
-    APDU transport using the card's logical channels. *)
+    APDU transport using the card's logical channels. Every front door
+    ({!run}, {!Pool}, {!Sdds_proxy.Fleet} and
+    {!Sdds_proxy.Client.deliver}) reads the DSP through one {!ticket} and
+    treats the card's key by one rule ({!keyed}), so a request gets the
+    same answer whichever path serves it. *)
 
 type t
 
@@ -87,37 +91,71 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+(** What the terminal reads from the DSP for one request, once and in
+    this order ({!ticket}):
+    + the document, or [Unknown_document];
+    + the subject's rule blob, or [No_rules];
+    + the query, parsed: a malformed one raises
+      [Sdds_xpath.Parser.Error] (the application's bug, reported
+      synchronously);
+    + the subject's grant, which may be absent: a card that holds the
+      document key needs none.
+
+    A {!Sdds_proxy.Fleet} takes the ticket at admission and carries it
+    through routing and migration: a re-planned stream uploads the policy
+    its request was admitted with, so a store rollback mid-flight cannot
+    downgrade it. *)
+type ticket = private {
+  request : Request.t;
+  subject : string;  (** [request.subject], or the executor's default *)
+  document : Sdds_dsp.Publish.published;
+  rules : string;  (** the subject's encrypted rule blob *)
+  query : Sdds_xpath.Ast.t option;  (** [request.xpath], parsed *)
+  grant : string option;  (** the subject's wrapped document key *)
+}
+
+val ticket :
+  Sdds_dsp.Store.t -> subject:string -> Request.t -> (ticket, error) result
+(** [ticket store ~subject r] reads [r]'s ticket for [r.subject], or for
+    [subject] when the request names none: the card's subject for {!run},
+    the pool's or the fleet's otherwise. *)
+
+(** {b The key rule}, which every path follows.
+    - A card that holds the document key is never refused because of its
+      grant. In process the grant is not installed. Over APDU a GRANT the
+      card refuses is not the answer: setup goes on, the card having left
+      the session as it was, and EVALUATE decides.
+    - A card without the key answers [No_grant] when the ticket has no
+      grant (over APDU, the card's [No_key] after no GRANT was sent), and
+      [Card_error Bad_grant] when it refuses the grant it was sent.
+    - Stale evidence is [Stale_key] (the publisher rotated the document's
+      key: revocation), or [Bad_rules], which a rotation's re-keyed rule
+      blob produces and which the card cannot tell from tampering. On
+      stale evidence the ticket's grant is installed and the request
+      retried, once per request, so surviving subjects keep working
+      across a rotation without the application doing anything. If the
+      ticket has no grant, or the card refuses it, the first answer
+      stands. *)
+
+val keyed :
+  Sdds_soe.Card.t ->
+  doc_id:string ->
+  grant:string option ->
+  (unit -> ('a, Sdds_soe.Card.error) result) ->
+  ('a, error) result
+(** [keyed card ~doc_id ~grant attempt] runs [attempt] on a local card
+    under the key rule, [grant] being the subject's wrapped key for
+    [doc_id]. {!run} and {!Sdds_proxy.Client.deliver} both use it; a
+    re-key counts once in the card scope's [proxy.rekeys]. *)
+
 val run : t -> Request.t -> (outcome, error) result
-(** Execute one request against the proxy's local card. Installs the key
-    grant on the card on first use; if the card's answer indicates a
-    possibly outdated key — [Stale_key] (the publisher rotated the
-    document's key, i.e. revocation), or [Bad_rules] (a rotation re-keys
-    the rule blob too, and the MAC failure is indistinguishable from
-    tampering on the card) — the fresh wrapped grant is re-fetched from
-    the DSP and the request retried once, so surviving subjects keep
-    working across a rotation without the application doing anything. With [protect] the card
-    seals pending text under one-time guard keys so this proxy — an
-    untrusted component — never sees data whose conditions resolve
-    negatively. Raises [Sdds_xpath.Parser.Error] on a malformed [xpath]
-    (the application's bug, reported synchronously). *)
-
-val ensure_key :
-  t -> doc_id:string -> subject:string -> (unit, error) result
-(** Install [subject]'s wrapped grant for the document on the proxy's
-    card, unless the card already holds a key for it. [No_grant] when
-    the DSP has none. *)
-
-val stale_evidence : Sdds_soe.Card.error -> bool
-(** The card's answer indicates a possibly outdated key: [Stale_key], or
-    [Bad_rules], which a rotation's re-keyed rule blob produces. {!run},
-    {!Pool} and {!Sdds_proxy.Client.deliver} then refresh the
-    grant once ({!refresh_key}) and retry. *)
-
-val refresh_key :
-  t -> doc_id:string -> subject:string -> (unit, unit) result
-(** Install [subject]'s wrapped grant from the DSP even though the card
-    holds a key for the document. [Error ()] when the store has no grant
-    or the card refuses it. *)
+(** Execute one request against the proxy's local card: its {!ticket},
+    for the card's own subject unless the request names another, then
+    the card's evaluation under the key rule ({!keyed}). With [protect]
+    the card seals pending text under one-time guard keys so this proxy —
+    an untrusted component — never sees data whose conditions resolve
+    negatively. Raises [Sdds_xpath.Parser.Error] on a malformed
+    [xpath]. *)
 
 (** Multi-client serving: N request streams multiplexed over {e one} APDU
     transport to one card, using ISO 7816 logical channels
@@ -137,10 +175,13 @@ val refresh_key :
     {!error} ([Link_failure] once the budget is spent).
 
     The pool is the terminal's only APDU driver. A lone request runs on
-    the basic channel as SELECT, GRANT (when the store holds one), RULES…,
-    QUERY…, EVALUATE and GET RESPONSE…, and over a
-    {!Sdds_soe.Remote_card.Host} it returns the view {!run} returns on a
-    local card. *)
+    the basic channel as SELECT, GRANT (when the ticket has one the card
+    has not accepted through this pool), RULES…, QUERY…, EVALUATE and GET
+    RESPONSE…, and over a {!Sdds_soe.Remote_card.Host} it returns the
+    view, or the error, {!run} returns on a local card. The key rule
+    applies frame by frame: a refused GRANT lets the setup go on, the
+    card's [No_key] reads [No_grant] or [Card_error Bad_grant], and stale
+    evidence re-sends the grant and replays the setup once. *)
 module Pool : sig
   type t
 
@@ -189,11 +230,15 @@ module Pool : sig
   }
 
   val serve : t -> Request.t list -> (served, error) result list
-  (** Run the requests concurrently (frame-interleaved) and return their
+  (** Take every request's {!ticket} (the pool's [subject] the default),
+      run the requests concurrently (frame-interleaved) and return their
       results in request order. Requests beyond the channel budget queue
-      until a channel frees up. [protect] requests fail with {!Protocol}:
-      guard messages have no wire codec, protection needs a local card.
-      Raises [Sdds_xpath.Parser.Error] on a malformed [xpath]. *)
+      until a channel frees up. A request its ticket refuses, or a
+      [protect] request (refused with {!Protocol} after its ticket: guard
+      messages have no wire codec, protection needs a local card), ends
+      before any frame, with one [pool.requests] and a root span stopped
+      with outcome ["rejected"]. Raises [Sdds_xpath.Parser.Error] on a
+      malformed [xpath], before any request is counted. *)
 
   (** {2 Incremental serving}
 
@@ -202,39 +247,25 @@ module Pool : sig
       a request as a stream, each [step] advances it by at most one APDU
       frame (a no-op once finished, or while every channel is busy), and
       [result] is [Some] once the stream finished. [serve] is the
-      round-robin closure of these three. *)
+      round-robin closure of these three over the tickets it takes. *)
 
   type stream
 
-  val start : t -> Request.t -> stream
-  (** Admit one request. Failures detected before any frame (unknown
-      document, no rules, [protect]) surface as an already-finished
-      stream, not an exception — same contract as {!serve}. Raises
-      [Sdds_xpath.Parser.Error] on a malformed [xpath]. *)
+  val start : t -> ticket -> stream
+  (** Admit one ticketed request ({!Sdds_proxy.Fleet} takes the ticket
+      at admission and starts it again on each card the request is
+      planned on). A [protect] request surfaces as an already-finished
+      stream with [Protocol], not an exception, counted as {!serve}
+      counts it. *)
 
   val step : t -> stream -> unit
   val result : stream -> (served, error) result option
 
-  (** {2 Migration hooks}
-
-      Used by {!Sdds_proxy.Fleet} to re-plan a stream from a dying card
-      onto another card's pool. *)
-
-  val session_state : stream -> string * string option
-  (** The (rules blob, wrapped grant) the stream was admitted with —
-      captured so a migrated session re-uploads the {e same} policy. *)
-
-  val pin : stream -> rules:string -> grant:string option -> unit
-  (** Override the policy a (not-yet-started) stream will upload.
-      Migration carries the blob pinned at first admission, so a store
-      rollback happening mid-flight can never downgrade the re-planned
-      session below what the original card enforced (anti-rollback
-      watermark carry-over, terminal side). *)
-
   val abort : t -> stream -> unit
-  (** Abandon an unfinished stream: its channel is released (or dropped
-      if a tear already invalidated it), any half-drained response is
-      discarded, the request span closes with outcome ["aborted"], and
-      [result] becomes a [Protocol] error. Idempotent; a no-op on
-      finished streams. *)
+  (** Abandon an unfinished stream, as {!Sdds_proxy.Fleet} does when it
+      evacuates a card: its channel is released (or dropped if a tear
+      already invalidated it), any half-drained response is discarded,
+      the request span closes with outcome ["aborted"], and [result]
+      becomes a [Protocol] error. Idempotent; a no-op on finished
+      streams. *)
 end

@@ -286,6 +286,40 @@ let test_bad_query () =
         [ ("view", view); ("query", query);
           ("query --fault-spec none", query @ [ "--fault-spec"; "none" ]) ])
 
+(* Every front door refuses in one order, the rules before the grant:
+   a subject with neither reads "no access rules", one published with a
+   rule but no grant reads "no key grant", through the pool and through
+   a fleet alike. *)
+let test_refusals () =
+  with_temp_dir (fun dir ->
+      let path f = Filename.concat dir f in
+      List.iter
+        (fun k -> ignore (sdds_ok [ "keygen"; "-o"; path k ]))
+        [ "pub"; "alice"; "carol" ];
+      ignore
+        (sdds_ok
+           [ "publish"; clinical; "--store"; path "store"; "--id";
+             "clinical"; "--publisher"; path "pub.sk"; "--grant";
+             "alice=" ^ path "alice.pk"; "--rule"; "+, alice, //patient";
+             "--rule"; "+, carol, //patient" ]);
+      List.iter
+        (fun (subject, key, extra, want) ->
+          let args =
+            [ "query"; "--store"; path "store"; "--id"; "clinical"; "-s";
+              subject; "--key"; path key ]
+            @ extra
+          in
+          let name = String.concat " " ("query -s" :: subject :: extra) in
+          let code, stdout, stderr = run sdds args in
+          Alcotest.(check int) (name ^ ": exit") 1 code;
+          Alcotest.(check string) (name ^ ": no view") "" stdout;
+          Alcotest.(check string) (name ^ ": error line") want
+            (List.hd (String.split_on_char '\n' stderr)))
+        [ ("bob", "alice.sk", [], "sdds: no access rules for this subject");
+          ("carol", "carol.sk", [], "sdds: no key grant for this subject");
+          ( "carol", "carol.sk", [ "--cards"; "2" ],
+            "sdds: no key grant for this subject" ) ])
+
 (* Byte-parity pins. These commands are deterministic for their default
    seeds, so their exact output is pinned: a refactor that changes a
    single byte of it changes behaviour, and must say so by updating the
@@ -410,6 +444,7 @@ let () =
           Alcotest.test_case "disseminate smoke" `Quick test_disseminate;
           Alcotest.test_case "trace export" `Quick test_trace_export;
           Alcotest.test_case "malformed query" `Quick test_bad_query;
+          Alcotest.test_case "refusals read alike" `Quick test_refusals;
           Alcotest.test_case "stdout parity pins" `Quick test_stdout_pins;
           Alcotest.test_case "slo export pins" `Quick test_slo_export_pins;
           Alcotest.test_case "example stdout pins" `Quick test_example_pins;

@@ -189,11 +189,27 @@ let test_unknown_document_and_missing_grants () =
   (match Proxy.run proxy (Proxy.Request.make "nope") with
   | Error (Proxy.Unknown_document "nope") -> ()
   | _ -> Alcotest.fail "expected Unknown_document");
-  (* A stranger with no grant. *)
+  (* A stranger with neither rules nor a grant: the rules are read
+     first. *)
   let d = Drbg.create ~seed:"eve" in
   let eve = Card.create ~subject:"eve" (Rsa.generate d ~bits:512) in
-  let proxy_eve = Proxy.create ~store:w.store ~card:eve in
-  match Proxy.run proxy_eve (Proxy.Request.make "hospital-1") with
+  (match
+     Proxy.run (Proxy.create ~store:w.store ~card:eve)
+       (Proxy.Request.make "hospital-1")
+   with
+  | Error Proxy.No_rules -> ()
+  | _ -> Alcotest.fail "expected No_rules");
+  (* The stranger with a rule blob but no grant, on a world of its own:
+     other cases mutate the shared one. *)
+  let w = make_world () in
+  Store.put_rules w.store ~doc_id:"hospital-1" ~subject:"eve"
+    (Publish.encrypt_rules_for w.drbg ~publisher:w.publisher
+       ~doc_key:w.doc_key ~doc_id:"hospital-1" ~subject:"eve"
+       [ Rule.allow ~subject:"eve" "//patient" ]);
+  match
+    Proxy.run (Proxy.create ~store:w.store ~card:eve)
+      (Proxy.Request.make "hospital-1")
+  with
   | Error Proxy.No_grant -> ()
   | _ -> Alcotest.fail "expected No_grant"
 

@@ -3,6 +3,8 @@ module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Apdu = Sdds_soe.Apdu
 module Proxy = Sdds_proxy.Proxy
+module Fleet = Sdds_proxy.Fleet
+module Publish = Sdds_dsp.Publish
 module World = Sdds_proxy.World
 module Store = Sdds_dsp.Store
 module Rule = Sdds_core.Rule
@@ -58,24 +60,21 @@ let world =
      })
 
 (* One request through a fresh pool over the world's host. [rules]
-   replaces the rule blob the store serves. *)
+   replaces the rule blob the store serves for this one request; the
+   original is put back afterwards. *)
 let serve ?rules w req =
   let pool =
     Proxy.Pool.create ~store:w.store ~transport:w.transport ~subject:"u" ()
   in
-  let st = Proxy.Pool.start pool req in
-  Option.iter
-    (fun rules ->
-      Proxy.Pool.pin st ~rules ~grant:(snd (Proxy.Pool.session_state st)))
-    rules;
-  let rec go () =
-    match Proxy.Pool.result st with
-    | Some r -> r
-    | None ->
-        Proxy.Pool.step pool st;
-        go ()
+  let serve_one () =
+    match Proxy.Pool.serve pool [ req ] with [ r ] -> r | _ -> assert false
   in
-  go ()
+  let put = Store.put_rules w.store ~doc_id:"remote-doc" ~subject:"u" in
+  match rules with
+  | None -> serve_one ()
+  | Some rules ->
+      put rules;
+      Fun.protect ~finally:(fun () -> put w.encrypted_rules) serve_one
 
 let test_remote_equals_direct () =
   let w = Lazy.force world in
@@ -214,6 +213,133 @@ let test_select_clears_chain_state () =
   Alcotest.(check bool) "evaluate succeeds after re-upload" true
     (ok resp || resp.Apdu.sw1 = fst Remote_card.Sw.more_data)
 
+(* ------------------------------------------------------------------ *)
+(* One ticket and one key rule: every front door answers alike          *)
+(* ------------------------------------------------------------------ *)
+
+(* A result's constructor: string payloads do not cross the wire
+   ([Remote_card.of_sw] rebuilds them), so the paths are compared by
+   constructor. *)
+let constructor = function
+  | Ok _ -> "view"
+  | Error (Proxy.Card_error e) -> (
+      "Card_error "
+      ^
+      match e with
+      | Card.No_key _ -> "No_key"
+      | Card.Stale_key _ -> "Stale_key"
+      | Card.Bad_grant -> "Bad_grant"
+      | Card.Bad_signature -> "Bad_signature"
+      | Card.Integrity_failure _ -> "Integrity_failure"
+      | Card.Memory_exceeded _ -> "Memory_exceeded"
+      | Card.Bad_rules _ -> "Bad_rules"
+      | Card.Replayed_rules _ -> "Replayed_rules"
+      | Card.Rules_too_large _ -> "Rules_too_large")
+  | Error (Proxy.Unknown_document _) -> "Unknown_document"
+  | Error Proxy.No_grant -> "No_grant"
+  | Error Proxy.No_rules -> "No_rules"
+  | Error (Proxy.Link_failure _) -> "Link_failure"
+  | Error Proxy.Overloaded -> "Overloaded"
+  | Error (Proxy.Protocol _) -> "Protocol"
+
+(* What the DSP holds for subject "u" of a 2-patient hospital "d", and
+   whether u's card already holds d's key, against the answer
+   [Proxy.run], [Pool.serve] over an in-process host and a one-card
+   [Fleet] must all give. *)
+let test_front_doors_agree () =
+  let drbg = Drbg.create ~seed:"front-doors" in
+  let publisher = Rsa.generate drbg ~bits:512 in
+  let user = Rsa.generate drbg ~bits:512 in
+  let other = Rsa.generate drbg ~bits:512 in
+  let doc = Generator.hospital (Rng.create 43L) ~patients:2 in
+  let published, key = Publish.publish drbg ~publisher ~doc_id:"d" doc in
+  let rotated, new_key =
+    Publish.rotate drbg ~publisher ~old_key:key published
+  in
+  let rules_under doc_key =
+    Publish.encrypt_rules_for drbg ~publisher ~doc_key ~doc_id:"d"
+      ~subject:"u"
+      [ Rule.allow ~subject:"u" "//patient"; Rule.deny ~subject:"u" "//ssn" ]
+  in
+  let grant_under doc_key (kp : Rsa.keypair) =
+    Publish.grant drbg ~doc_key ~doc_id:"d" ~recipient:kp.Rsa.public
+  in
+  let good = grant_under key user in
+  let rows =
+    [ ("rules + grant", published, Some (rules_under key), Some good, false,
+       "view");
+      ("neither", published, None, None, false, "No_rules");
+      ("rules only", published, Some (rules_under key), None, false,
+       "No_grant");
+      ("grant only", published, None, Some good, false, "No_rules");
+      ( "grant for another key", published, Some (rules_under key),
+        Some (grant_under key other), false, "Card_error Bad_grant" );
+      ( "key held, grant it cannot unwrap", published, Some (rules_under key),
+        Some (grant_under key other), true, "view" );
+      ( "rotated: fresh rules, fresh grant it cannot unwrap", rotated,
+        Some (rules_under new_key), Some (grant_under new_key other), true,
+        "Card_error Bad_rules" ) ]
+  in
+  List.iter
+    (fun (row, document, rules, grant, holds_key, target) ->
+      let store = Store.create () in
+      Store.put_document store document;
+      Option.iter (Store.put_rules store ~doc_id:"d" ~subject:"u") rules;
+      Option.iter (Store.put_grant store ~doc_id:"d" ~subject:"u") grant;
+      let card () =
+        let card = Card.create ~profile:Cost.fleet ~subject:"u" user in
+        if holds_key then
+          Alcotest.(check bool) (row ^ ": key installed") true
+            (Result.is_ok
+               (Card.install_wrapped_key card ~doc_id:"d" ~wrapped:good));
+        card
+      in
+      let host () =
+        Remote_card.Host.process
+          (Remote_card.Host.create ~card:(card ())
+             ~resolve:(fun id ->
+               Option.map
+                 (fun p -> Publish.to_source p ~delivery:`Pull)
+                 (Store.get_document store id))
+             ())
+      in
+      let req = Proxy.Request.make "d" in
+      let xml r = Result.map (fun s -> s.Proxy.Pool.xml) r in
+      let answers =
+        [ ( "Proxy.run",
+            Result.map
+              (fun o -> o.Proxy.xml)
+              (Proxy.run (Proxy.create ~store ~card:(card ())) req) );
+          ( "Pool.serve",
+            xml
+              (List.hd
+                 (Proxy.Pool.serve
+                    (Proxy.Pool.create ~store ~transport:(host ())
+                       ~subject:"u" ())
+                    [ req ])) );
+          ( "Fleet",
+            xml
+              (List.hd
+                 (Fleet.serve
+                    (Fleet.create ~store ~subject:"u" [| host () |])
+                    [ req ]))
+                .Fleet.result ) ]
+      in
+      List.iter
+        (fun (path, answer) ->
+          Alcotest.(check string) (row ^ ": " ^ path) target
+            (constructor answer))
+        answers;
+      match answers with
+      | (_, (Ok _ as view)) :: rest ->
+          List.iter
+            (fun (path, answer) ->
+              Alcotest.(check bool) (row ^ ": " ^ path ^ " view") true
+                (answer = view))
+            rest
+      | _ -> ())
+    rows
+
 let suite =
   [
     Alcotest.test_case "remote = direct" `Quick test_remote_equals_direct;
@@ -226,6 +352,8 @@ let suite =
       test_remote_bad_class_and_ins;
     Alcotest.test_case "remote security mapping" `Quick
       test_remote_security_error_mapped;
+    Alcotest.test_case "every front door answers alike" `Quick
+      test_front_doors_agree;
     Alcotest.test_case "remote chain gap" `Quick test_remote_chain_gap;
     Alcotest.test_case "select clears chain state" `Quick
       test_select_clears_chain_state;
