@@ -53,11 +53,12 @@
     contains the evacuated card, so a migrated hot key lands exactly on
     its pre-warmed standby. Re-establishment on the target is the normal
     warm path (re-SELECT, rules re-upload, prepared-cache hit), and the
-    re-uploaded policy is the one pinned at first admission
-    ({!Proxy.Pool.pin}): a store rollback mid-flight can never downgrade
-    a migrated session. Migration does not spend the request's re-route
-    allowance; a stream with nowhere to go (every surviving queue full,
-    or no survivor) is refused with the typed [Overloaded], never hung.
+    re-planned stream starts from the request's {!Proxy.ticket}, taken
+    at admission: it re-uploads the policy the request was admitted
+    with, so a store rollback mid-flight can never downgrade a migrated
+    session. Migration does not spend the request's re-route allowance;
+    a stream with nowhere to go (every surviving queue full, or no
+    survivor) is refused with the typed [Overloaded], never hung.
 
     {b Hot-key standby.} With [standby_k] > 0, the [standby_k] hottest
     affinity keys (by request count — the zipf head) are replicated: the
