@@ -55,7 +55,6 @@ let pp_error ppf = function
 
 type ticket = {
   request : Request.t;
-  subject : string;
   document : Publish.published;
   rules : string;
   query : Sdds_xpath.Ast.t option;
@@ -80,7 +79,6 @@ let ticket store ~subject (r : Request.t) =
           Ok
             {
               request = r;
-              subject;
               document;
               rules;
               query;

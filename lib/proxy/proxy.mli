@@ -107,7 +107,6 @@ val pp_error : Format.formatter -> error -> unit
     downgrade it. *)
 type ticket = private {
   request : Request.t;
-  subject : string;  (** [request.subject], or the executor's default *)
   document : Sdds_dsp.Publish.published;
   rules : string;  (** the subject's encrypted rule blob *)
   query : Sdds_xpath.Ast.t option;  (** [request.xpath], parsed *)
