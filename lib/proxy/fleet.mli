@@ -145,8 +145,9 @@ val create :
     [queue_limit] 64 per card, [max_reroutes] 1 and [standby_k] 0
     (hot-key replication off). Each card serves up to
     {!Sdds_soe.Apdu.max_channels} streams at once through its own
-    {!Proxy.Pool}. [subject] is the default subject; per-request
-    overrides ride in {!Proxy.Request.t.subject}. *)
+    {!Proxy.Pool}. [subject] is the default subject of a request's
+    {!Proxy.ticket}; per-request overrides ride in
+    {!Proxy.Request.t.subject}. *)
 
 type outcome = {
   result : (Proxy.Pool.served, Proxy.error) result;
@@ -195,7 +196,7 @@ val state : t -> int -> lifecycle
 (** {2 Incremental serving}
 
     [start] admits and routes one request (a refusal surfaces as an
-    already-finished stream with [Overloaded]), {!turn} runs one turn of
+    already-finished stream), {!turn} runs one turn of
     the fleet's cooperative scheduler — the fleet is a shared scheduler,
     so {e every} active stream advances — and [result] is [Some] once the
     request finished. [serve] is admission of the whole batch followed
@@ -204,6 +205,15 @@ val state : t -> int -> lifecycle
 type stream
 
 val start : t -> Proxy.Request.t -> stream
+(** Admit one request. Its {!Proxy.ticket} (the fleet's [subject] the
+    default) is taken first, before anything is counted: a malformed
+    query raises [Sdds_xpath.Parser.Error] and leaves no trace in the
+    fleet. The request is then counted and opens its [fleet.request]
+    span. One its ticket refuses finishes at once on card -1, and is not
+    counted in [rejected]; one no live card has queue room for finishes
+    with [Overloaded]; any other is routed, and every card it is planned
+    on starts it from that ticket. *)
+
 val result : stream -> outcome option
 
 val turn : t -> unit
