@@ -1379,12 +1379,40 @@ let e14_dispatch_ablation () =
   in
   let ns_d, visits_d, outs_d = run true in
   let ns_n, visits_n, outs_n = run false in
+  (* The same pass read through the skip index. These rules touch every
+     department, so nothing is skippable (E18): every event goes through
+     the reader, and its words per event are the reader's and the
+     engine's together. *)
+  let encoded = Encode.encode ~mode:(Encode.Indexed { recursive = true }) doc in
+  let ns_i =
+    ns_of ~name:"indexed" (fun () -> ignore (Indexed_engine.run rules encoded))
+  in
+  let before = Gc.minor_words () in
+  let res = Indexed_engine.run rules encoded in
+  let words = Gc.minor_words () -. before in
+  let fed = res.Indexed_engine.events_fed in
+  let st = res.Indexed_engine.engine_stats in
+  let per_event = ns_i /. float_of_int fed in
+  let words = words /. float_of_int fed in
+  record "records" ~experiment:"E14"
+    Json.
+      [ ("case", String "indexed"); ("dispatch", Bool true);
+        ("events", Int fed); ("ns_per_event", Float per_event);
+        ("peak_tokens", Int st.Engine.peak_tokens);
+        ("token_visits", Int st.Engine.token_visits);
+        ("minor_words_per_event", Float words) ];
+  Printf.printf "%-10s %12.0f %12d %12d %12.1f\n" "indexed" per_event
+    st.Engine.peak_tokens st.Engine.token_visits words;
   Printf.printf
-    "\ntoken visits: %.2fx fewer; ns/event: %.2fx; outputs identical: %b\n"
+    "\ntoken visits: %.2fx fewer; ns/event: %.2fx; outputs identical: %b \
+     (indexed: %b, %d of %d events fed)\n"
     (float_of_int visits_n /. float_of_int (max 1 visits_d))
     (ns_n /. ns_d)
     (Sdds_core.Output_codec.encode_list outs_d
-    = Sdds_core.Output_codec.encode_list outs_n);
+    = Sdds_core.Output_codec.encode_list outs_n)
+    (Sdds_core.Output_codec.encode_list outs_d
+    = Sdds_core.Output_codec.encode_list res.Indexed_engine.outputs)
+    fed n_events;
   print_endline
     "\nshape check: bucketing tokens by their next name test means an\n\
      open only touches tokens that can actually react to the tag, so\n\

@@ -93,13 +93,14 @@ let encode_list outs =
   go [] outs;
   Buffer.contents buf
 
-(* The decoder's cursor: each read advances [pos], so no read returns a
-   (value, position) pair. [names.(i)] and the shared [closes.(i)], for
-   [i < count], are the first-occurrence table; [opened.(0 .. depth-1)]
-   are the table indices of the elements still open. *)
+(* The decoder's cursor: each read advances [pos] ([Varint.next]), so no
+   read returns a (value, position) pair. [names.(i)] and the shared
+   [closes.(i)], for [i < count], are the first-occurrence table;
+   [opened.(0 .. depth-1)] are the table indices of the elements still
+   open. *)
 type cursor = {
   s : string;
-  mutable pos : int;
+  pos : int ref;
   mutable names : string array;
   mutable closes : Output.t array;
   mutable count : int;
@@ -107,26 +108,14 @@ type cursor = {
   mutable depth : int;
 }
 
-(* [Varint.read], advancing the cursor. *)
-let rec varint_from c acc shift pos =
-  if pos >= String.length c.s then invalid_arg "Varint.read: truncated";
-  if shift >= Sys.int_size then invalid_arg "Varint.read: overflow";
-  let b = Char.code (String.unsafe_get c.s pos) in
-  let acc = acc lor ((b land 0x7f) lsl shift) in
-  if b < 0x80 then begin
-    c.pos <- pos + 1;
-    acc
-  end
-  else varint_from c acc (shift + 7) (pos + 1)
-
-let varint c = varint_from c 0 0 c.pos
+let varint c = Varint.next c.s c.pos
 
 let read_string c =
   let len = varint c in
-  let pos = c.pos in
+  let pos = !(c.pos) in
   if pos + len > String.length c.s then
     invalid_arg "Output_codec: truncated string";
-  c.pos <- pos + len;
+  c.pos := pos + len;
   String.sub c.s pos len
 
 let rec read_cond c =
@@ -191,7 +180,7 @@ let iter f s =
   let c =
     {
       s;
-      pos = 0;
+      pos = ref 0;
       names = [||];
       closes = [||];
       count = 0;
@@ -199,7 +188,7 @@ let iter f s =
       depth = 0;
     }
   in
-  while c.pos < String.length s do
+  while !(c.pos) < String.length s do
     let h = varint c in
     if h = h_text then f (Output.Text_node (read_string c))
     else if h = h_close then begin

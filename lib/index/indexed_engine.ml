@@ -1,5 +1,5 @@
 module Engine = Sdds_core.Engine
-module Event = Sdds_xml.Event
+module Bitset = Sdds_util.Bitset
 module Obs = Sdds_obs.Obs
 
 type result = {
@@ -23,6 +23,7 @@ let run ?obs ?query ?(suppress = true) ?dispatch ?(use_index = true) ?compiled
   let engine =
     Engine.create ?obs ?query ~suppress ?dispatch ?compiled rules
   in
+  let dict = Reader.dict reader in
   let outputs = ref [] in
   let skipped_subtrees = ref 0 in
   let skipped_bytes = ref 0 in
@@ -32,41 +33,42 @@ let run ?obs ?query ?(suppress = true) ?dispatch ?(use_index = true) ?compiled
     incr events_fed;
     outputs := List.rev_append (Engine.feed engine ev) !outputs
   in
+  (* One predicate for every skip check: it reads the summary of the
+     element just opened. *)
+  let tag_possible tag =
+    match Dict.id_of_tag dict tag with
+    | Some id -> Bitset.mem (Reader.summary reader) id
+    | None -> false
+  in
+  let skippable () =
+    indexed && Reader.has_summary reader
+    && begin
+         Obs.inc obs "skip.considered" 1;
+         Engine.subtree_skippable engine ~tag:(Reader.tag reader)
+           ~tag_possible ~nonempty:true
+       end
+  in
   let rec loop () =
-    match Reader.next reader with
-    | None -> ()
-    | Some item ->
-        (match item with
-        | Reader.Elem { tag; tags; _ } -> (
-            let skippable =
-              indexed
-              &&
-              match tags with
-              | Some tags ->
-                  Obs.inc obs "skip.considered" 1;
-                  Engine.subtree_skippable engine ~tag
-                    ~tag_possible:(Reader.tag_possible reader tags)
-                    ~nonempty:true
-              | None -> false
-            in
-            if skippable then begin
-              let start = Reader.byte_pos reader in
-              let len = Reader.skip_subtree reader in
-              skipped_bytes := !skipped_bytes + len;
-              skipped_ranges := (start, len) :: !skipped_ranges;
-              incr skipped_subtrees;
-              Obs.inc obs "skip.pruned_subtrees" 1;
-              Obs.inc obs "skip.pruned_bytes" len;
-              Obs.observe obs "skip.subtree_bytes" len;
-              Obs.Tracer.instant tr
-                ~args:
-                  [ ("tag", tag); ("offset", string_of_int start);
-                    ("bytes", string_of_int len) ]
-                "skip.prune"
-            end
-            else feed (Event.Open tag))
-        | Reader.Text v -> feed (Event.Value v)
-        | Reader.Close tag -> feed (Event.Close tag));
+    match Reader.advance reader with
+    | Reader.End -> ()
+    | Reader.Open when skippable () ->
+        let start = Reader.byte_pos reader in
+        let len = Reader.skip_subtree reader in
+        skipped_bytes := !skipped_bytes + len;
+        skipped_ranges := (start, len) :: !skipped_ranges;
+        incr skipped_subtrees;
+        Obs.inc obs "skip.pruned_subtrees" 1;
+        Obs.inc obs "skip.pruned_bytes" len;
+        Obs.observe obs "skip.subtree_bytes" len;
+        if Obs.Tracer.enabled tr then
+          Obs.Tracer.instant tr
+            ~args:
+              [ ("tag", Reader.tag reader); ("offset", string_of_int start);
+                ("bytes", string_of_int len) ]
+            "skip.prune";
+        loop ()
+    | Reader.Open | Reader.Text | Reader.Close ->
+        feed (Reader.event reader);
         loop ()
   in
   let span = Obs.Tracer.start tr "engine.stream" in
@@ -75,12 +77,13 @@ let run ?obs ?query ?(suppress = true) ?dispatch ?(use_index = true) ?compiled
       (* The root subtree itself may have been skipped — the engine then
          saw nothing at all, and the view is empty. *)
       if !events_fed > 0 then Engine.finish engine);
-  Obs.Tracer.stop tr
-    ~args:
-      [ ("events", string_of_int !events_fed);
-        ("skipped_subtrees", string_of_int !skipped_subtrees);
-        ("skipped_bytes", string_of_int !skipped_bytes) ]
-    span;
+  if Obs.Tracer.enabled tr then
+    Obs.Tracer.stop tr
+      ~args:
+        [ ("events", string_of_int !events_fed);
+          ("skipped_subtrees", string_of_int !skipped_subtrees);
+          ("skipped_bytes", string_of_int !skipped_bytes) ]
+      span;
   {
     outputs = List.rev !outputs;
     skipped_subtrees = !skipped_subtrees;

@@ -2,30 +2,48 @@ module Varint = Sdds_util.Varint
 module Bitset = Sdds_util.Bitset
 module Event = Sdds_xml.Event
 
-type item =
-  | Elem of {
-      tag : string;
-      tags : Bitset.t option;
-      subtree_bytes : int option;
-    }
-  | Text of string
-  | Close of string
-
-type open_elem = { otag : string; oset : Bitset.t option }
+type kind = Open | Text | Close | End
 
 type t = {
   input : string;
   rmode : Encode.mode;
   rdict : Dict.t;
-  mutable pos : int;
-  mutable stack : open_elem list;
+  pos : int ref;
+  opens : Event.t array;  (** [Event.Open] of each dictionary id *)
+  closes : Event.t array;  (** [Event.Close] of each dictionary id *)
+  full : Bitset.t;  (** every tag: the projection basis above the root *)
+  elem_words : int;  (** {!peak_stack_words}' charge per open element *)
+  (* The open stack, for depths [0 .. depth-1]: [ids.(d)] is the element's
+     dictionary id, [sets.(d)] the summary it carried (if it did; the slot
+     is that depth's own set, allocated with the slot), and [basis.(d)]
+     the depth whose set its children are projected onto: [d] itself when
+     it carried a summary, its parent's basis otherwise, [-1] for
+     [full]. *)
+  mutable ids : int array;
+  mutable basis : int array;
+  mutable sets : Bitset.t array;
+  mutable depth : int;
   mutable started : bool;  (** the root element has been entered *)
-  mutable skip_target : int option;
-      (** jump destination for the element just returned by [next] *)
+  (* The facts of the last step. *)
+  mutable step : kind;
+  mutable id : int;
+  mutable text_pos : int;
+  mutable text_len : int;
+  mutable has_summary : bool;
+      (** the element just opened carried a summary and was not skipped *)
+  mutable skip_target : int;
+  mutable subtree_bytes : int;
   mutable meta_bytes : int;
   mutable peak_stack_words : int;
   header_bytes : int;
 }
+
+(* A depth's tag set. A [Plain] encoding carries no summary, so its slots
+   all share [full], which nothing writes. *)
+let new_slot rmode dict full =
+  match rmode with
+  | Encode.Plain -> full
+  | Encode.Indexed _ -> Bitset.create (Dict.size dict)
 
 let create input =
   let mlen = String.length Encode.magic in
@@ -39,170 +57,193 @@ let create input =
     | None -> invalid_arg "Reader.create: unknown mode"
   in
   let rdict, pos = Dict.decode input (mlen + 1) in
+  let n = Dict.size rdict in
+  let full = Bitset.create n in
+  for i = 0 to n - 1 do
+    Bitset.set full i
+  done;
+  let slots = 8 in
   {
     input;
     rmode;
     rdict;
-    pos;
-    stack = [];
+    pos = ref pos;
+    opens = Array.init n (fun i -> Event.Open (Dict.tag_of_id rdict i));
+    closes = Array.init n (fun i -> Event.Close (Dict.tag_of_id rdict i));
+    full;
+    elem_words =
+      (match rmode with
+      | Encode.Plain -> 3
+      | Encode.Indexed _ -> 3 + ((n + 31) / 32));
+    ids = Array.make slots 0;
+    basis = Array.make slots 0;
+    sets = Array.init slots (fun _ -> new_slot rmode rdict full);
+    depth = 0;
     started = false;
-    skip_target = None;
+    step = End;
+    id = 0;
+    text_pos = 0;
+    text_len = 0;
+    has_summary = false;
+    skip_target = 0;
+    subtree_bytes = 0;
     meta_bytes = 0;
     peak_stack_words = 0;
     header_bytes = pos;
   }
 
-let stack_words t =
-  List.fold_left
-    (fun acc { oset; _ } ->
-      acc + 3
-      + match oset with
-        | None -> 0
-        | Some s -> (Sdds_util.Bitset.capacity s + 31) / 32)
-    0 t.stack
-
-let bump_peak t =
-  let w = stack_words t in
-  if w > t.peak_stack_words then t.peak_stack_words <- w
-
 let mode t = t.rmode
 let dict t = t.rdict
-let byte_pos t = t.pos
+let byte_pos t = !(t.pos)
 let peak_stack_words t = t.peak_stack_words
 
-let full_set dict =
-  let s = Bitset.create (Dict.size dict) in
-  List.iter (Bitset.set s) (List.init (Dict.size dict) Fun.id);
-  s
+let grow t =
+  let n = Array.length t.ids in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.ids <- extend t.ids 0;
+  t.basis <- extend t.basis 0;
+  t.sets <-
+    Array.init (2 * n) (fun d ->
+        if d < n then t.sets.(d) else new_slot t.rmode t.rdict t.full)
 
-(* Tag set of the nearest enclosing element that carried metadata — the
-   projection basis used by the encoder. *)
-let projection_set t =
-  match t.stack with
-  | [] -> full_set t.rdict
-  | { oset; _ } :: _ -> (
-      match oset with
-      | Some s -> s
-      | None -> assert false (* maintained below: oset is inherited *))
-
-let read_elem t ~with_meta tag_id =
-  let tag = Dict.tag_of_id t.rdict tag_id in
-  match t.rmode with
-  | Encode.Plain ->
-      t.stack <- { otag = tag; oset = None } :: t.stack;
-      t.skip_target <- None;
-      Elem { tag; tags = None; subtree_bytes = None }
+(* Push the element [id]; in [Indexed] mode, read its summary when its
+   token carries the metadata flag. *)
+let open_elem t ~with_meta id =
+  if id >= Array.length t.opens then
+    invalid_arg "Reader: tag id beyond the dictionary";
+  let d = t.depth in
+  if d = Array.length t.ids then grow t;
+  t.ids.(d) <- id;
+  t.id <- id;
+  (match t.rmode with
+  | Encode.Plain -> ()
   | Encode.Indexed { recursive } ->
-      if not with_meta then begin
+      let parent = if d = 0 then -1 else t.basis.(d - 1) in
+      if not with_meta then
         (* Below the indexing threshold: summarized by the nearest indexed
            ancestor; not individually skippable. *)
-        let inherited =
-          match t.stack with [] -> Some (full_set t.rdict) | { oset; _ } :: _ -> oset
-        in
-        t.stack <- { otag = tag; oset = inherited } :: t.stack;
-        t.skip_target <- None;
-        Elem { tag; tags = None; subtree_bytes = None }
-      end
+        t.basis.(d) <- parent
       else begin
-        let meta_start = t.pos in
-        let size, p = Varint.read t.input t.pos in
-        let parent = projection_set t in
-        let capacity =
-          if recursive then Bitset.cardinal parent else Dict.size t.rdict
+        let meta_start = !(t.pos) in
+        let size = Varint.next t.input t.pos in
+        let p = !(t.pos) in
+        let set = t.sets.(d) in
+        let p' =
+          if recursive then
+            Bitset.inject_into set
+              ~parent:(if parent < 0 then t.full else t.sets.(parent))
+              t.input p
+          else Bitset.decode_into set t.input p
         in
-        let packed, p' = Bitset.decode ~capacity t.input p in
-        let set = if recursive then Bitset.inject ~parent packed else packed in
-        t.pos <- p';
+        t.pos := p';
         t.meta_bytes <- t.meta_bytes + (p' - meta_start);
-        t.stack <- { otag = tag; oset = Some set } :: t.stack;
+        t.basis.(d) <- d;
+        t.has_summary <- true;
         (* [size] counts from just after the size varint. *)
-        t.skip_target <- Some (p + size);
-        Elem
-          { tag; tags = Some set; subtree_bytes = Some (p + size - meta_start) }
-      end
+        t.skip_target <- p + size;
+        t.subtree_bytes <- p + size - meta_start
+      end);
+  t.depth <- d + 1;
+  t.started <- true;
+  let words = t.depth * t.elem_words in
+  if words > t.peak_stack_words then t.peak_stack_words <- words
 
-let item_of_token t =
-  let byte = t.input.[t.pos] in
-  if byte = Encode.close_marker then begin
-    t.pos <- t.pos + 1;
-    match t.stack with
-    | [] -> invalid_arg "Reader: close marker at top level"
-    | { otag; _ } :: rest ->
-        t.stack <- rest;
-        Close otag
+let next_step t =
+  let len = String.length t.input in
+  let pos = !(t.pos) in
+  if t.started && t.depth = 0 then begin
+    if pos <> len then invalid_arg "Reader: trailing bytes after root";
+    End
   end
-  else if byte = Encode.text_marker then begin
-    if t.stack = [] then invalid_arg "Reader: text at top level";
-    let len, p = Varint.read t.input (t.pos + 1) in
-    if p + len > String.length t.input then invalid_arg "Reader: truncated text";
-    t.pos <- p + len;
-    Text (String.sub t.input p len)
-  end
+  else if pos >= len then invalid_arg "Reader: truncated document"
   else begin
-    let token, p = Varint.read t.input t.pos in
-    t.pos <- p;
-    if token < Encode.tag_token_offset then
-      invalid_arg "Reader: invalid tag token";
-    let v = token - Encode.tag_token_offset in
-    read_elem t ~with_meta:(v land 1 = 1) (v lsr 1)
+    (* Checked access: a hostile size varint can send a skip anywhere. *)
+    let byte = t.input.[pos] in
+    if byte = Encode.close_marker then begin
+      if t.depth = 0 then invalid_arg "Reader: close marker at top level";
+      t.pos := pos + 1;
+      t.depth <- t.depth - 1;
+      t.id <- t.ids.(t.depth);
+      Close
+    end
+    else if byte = Encode.text_marker then begin
+      if t.depth = 0 then invalid_arg "Reader: text at top level";
+      t.pos := pos + 1;
+      let n = Varint.next t.input t.pos in
+      let p = !(t.pos) in
+      if n < 0 || n > len - p then invalid_arg "Reader: truncated text";
+      t.text_pos <- p;
+      t.text_len <- n;
+      t.pos := p + n;
+      Text
+    end
+    else begin
+      let token = Varint.next t.input t.pos in
+      if token < Encode.tag_token_offset then
+        invalid_arg "Reader: invalid tag token";
+      let v = token - Encode.tag_token_offset in
+      open_elem t ~with_meta:(v land 1 = 1) (v lsr 1);
+      Open
+    end
   end
 
-let next t =
-  t.skip_target <- None;
-  if t.started && t.stack = [] then begin
-    if t.pos <> String.length t.input then
-      invalid_arg "Reader: trailing bytes after root";
-    None
-  end
-  else if t.pos >= String.length t.input then
-    invalid_arg "Reader: truncated document"
-  else begin
-    let item = item_of_token t in
-    (match item with
-    | Elem _ ->
-        t.started <- true;
-        bump_peak t
-    | Text _ | Close _ -> ());
-    Some item
-  end
+let advance t =
+  t.has_summary <- false;
+  let k = next_step t in
+  t.step <- k;
+  k
+
+let tag_id t =
+  match t.step with
+  | Open | Close -> t.id
+  | Text | End -> invalid_arg "Reader.tag_id: not on an open or a close"
+
+let tag t = Dict.tag_of_id t.rdict (tag_id t)
+
+let text t =
+  match t.step with
+  | Text -> String.sub t.input t.text_pos t.text_len
+  | Open | Close | End -> invalid_arg "Reader.text: not on a text"
+
+let event t =
+  match t.step with
+  | Open -> t.opens.(t.id)
+  | Close -> t.closes.(t.id)
+  | Text -> Event.Value (text t)
+  | End -> invalid_arg "Reader.event: at the end"
+
+let has_summary t = t.has_summary
+
+let summary t =
+  if not t.has_summary then invalid_arg "Reader.summary: no summary here";
+  t.sets.(t.depth - 1)
+
+let subtree_bytes t =
+  if not t.has_summary then
+    invalid_arg "Reader.subtree_bytes: no summary here";
+  t.subtree_bytes
 
 let skip_subtree t =
-  match t.skip_target with
-  | None ->
-      invalid_arg
-        "Reader.skip_subtree: not positioned on a just-opened element"
-  | Some target ->
-      let skipped = target - t.pos in
-      t.pos <- target;
-      t.skip_target <- None;
-      (match t.stack with
-      | [] -> assert false
-      | _ :: rest -> t.stack <- rest);
-      skipped
-
-let tag_possible t tags tag =
-  match Dict.id_of_tag t.rdict tag with
-  | Some id -> Bitset.mem tags id
-  | None -> false
-
-let fold_items encoded f init =
-  let r = create encoded in
-  let rec go acc =
-    match next r with None -> (acc, r) | Some item -> go (f acc item)
-  in
-  go init
+  if not t.has_summary then
+    invalid_arg "Reader.skip_subtree: not positioned on a just-opened element";
+  let skipped = t.skip_target - !(t.pos) in
+  t.pos := t.skip_target;
+  t.has_summary <- false;
+  t.depth <- t.depth - 1;
+  skipped
 
 let to_events encoded =
-  let rev, _ =
-    fold_items encoded
-      (fun acc item ->
-        match item with
-        | Elem { tag; _ } -> Event.Open tag :: acc
-        | Text v -> Event.Value v :: acc
-        | Close tag -> Event.Close tag :: acc)
-      []
+  let r = create encoded in
+  let rec go acc =
+    match advance r with
+    | End -> List.rev acc
+    | Open | Text | Close -> go (event r :: acc)
   in
-  List.rev rev
+  go []
 
 let to_dom encoded = Sdds_xml.Dom.of_events (to_events encoded)
 
@@ -214,7 +255,10 @@ type size_stats = {
 }
 
 let size_stats encoded =
-  let (), r = fold_items encoded (fun () _ -> ()) () in
+  let r = create encoded in
+  while advance r <> End do
+    ()
+  done;
   let total = String.length encoded in
   {
     total_bytes = total;

@@ -103,28 +103,45 @@ let project ~parent sub =
     parent;
   packed
 
-let inject ~parent packed =
-  if capacity packed <> cardinal parent then
-    invalid_arg "Bitset.inject: capacity mismatch";
-  let t = create parent.capacity in
+(* Bit [i] of the raw bytes at offset [pos] of [s]. *)
+let string_bit s pos i =
+  Char.code (String.unsafe_get s (pos + (i lsr 3))) land (1 lsl (i land 7))
+  <> 0
+
+let check_room s pos nbytes =
+  if pos < 0 || pos > String.length s - nbytes then
+    invalid_arg "Bitset: truncated encoding"
+
+let inject_into t ~parent s pos =
+  same_capacity t parent;
+  let nbytes = bytes_for (cardinal parent) in
+  check_room s pos nbytes;
+  Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
   let rank = ref 0 in
-  iter
-    (fun i ->
-      if mem packed !rank then set t i;
-      incr rank)
-    parent;
-  t
+  for i = 0 to t.capacity - 1 do
+    if mem parent i then begin
+      if string_bit s pos !rank then set t i;
+      incr rank
+    end
+  done;
+  pos + nbytes
 
 let encode buf t = Buffer.add_bytes buf t.bits
 
 let encoded_size ~capacity = bytes_for capacity
 
-let decode ~capacity s pos =
-  let nbytes = bytes_for capacity in
-  if pos + nbytes > String.length s then invalid_arg "Bitset.decode: truncated";
-  let t = create capacity in
+let decode_into t s pos =
+  let nbytes = Bytes.length t.bits in
+  check_room s pos nbytes;
   Bytes.blit_string s pos t.bits 0 nbytes;
-  (t, pos + nbytes)
+  (* Bits past the capacity are padding: drop them, so the set holds only
+     members. *)
+  if t.capacity land 7 <> 0 then begin
+    let last = Bytes.get_uint8 t.bits (nbytes - 1) in
+    Bytes.set_uint8 t.bits (nbytes - 1)
+      (last land ((1 lsl (t.capacity land 7)) - 1))
+  end;
+  pos + nbytes
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -2,8 +2,9 @@
 
     Used for the skip index's descendant-tag bitmaps: one bit per entry of
     the document's tag dictionary. The recursive compression of the index
-    relies on {!project} / {!inject}, which re-express a subset bitmap using
-    only the positions set in a parent bitmap. *)
+    relies on {!project} / {!inject_into}, which re-express a subset bitmap
+    using only the positions set in a parent bitmap. The decoders write
+    into a set the caller owns, so reading a bitmap allocates nothing. *)
 
 type t
 
@@ -45,18 +46,23 @@ val project : parent:t -> t -> t
     [subset sub parent]) into a bitset of capacity [cardinal parent] whose
     [i]-th bit tells whether the [i]-th member of [parent] is in [sub]. *)
 
-val inject : parent:t -> t -> t
-(** [inject ~parent packed] undoes {!project}: expands a packed bitset of
-    capacity [cardinal parent] back to a subset of [parent] at full
-    capacity. *)
+val inject_into : t -> parent:t -> string -> int -> int
+(** [inject_into t ~parent s pos] undoes {!project} in place: it reads at
+    offset [pos] of [s] the {!encode}d bytes of a packed set of capacity
+    [cardinal parent], overwrites [t] with its expansion (a subset of
+    [parent]) and returns the offset just past those bytes. Raises
+    [Invalid_argument] if [t] and [parent] differ in capacity or [s] is too
+    short. [t] must not be [parent]. *)
 
 val encode : Buffer.t -> t -> unit
 (** Append [ceil (capacity / 8)] raw bytes. The capacity itself is not
     written; the reader must know it. *)
 
-val decode : capacity:int -> string -> int -> t * int
-(** [decode ~capacity s pos] reads the raw byte representation written by
-    {!encode} and returns the set and the next offset. *)
+val decode_into : t -> string -> int -> int
+(** [decode_into t s pos] overwrites [t] with the raw bytes {!encode} wrote
+    for a set of [t]'s capacity, read at offset [pos] of [s], and returns
+    the offset just past them. Padding bits past the capacity are dropped.
+    Raises [Invalid_argument] if [s] is too short. *)
 
 val encoded_size : capacity:int -> int
 

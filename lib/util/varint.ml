@@ -9,16 +9,25 @@ let write buf n =
   in
   go n
 
+(* The one decoding loop. Every argument is passed, so no call builds a
+   closure, and the end offset goes to [pos], so none builds a pair. *)
+let rec next_from s pos acc shift i =
+  if i >= String.length s then invalid_arg "Varint.read: truncated";
+  if shift >= Sys.int_size then invalid_arg "Varint.read: overflow";
+  let b = Char.code s.[i] in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then begin
+    pos := i + 1;
+    acc
+  end
+  else next_from s pos acc (shift + 7) (i + 1)
+
+let next s pos = next_from s pos 0 0 !pos
+
 let read s pos =
-  let len = String.length s in
-  let rec go acc shift pos =
-    if pos >= len then invalid_arg "Varint.read: truncated";
-    if shift >= Sys.int_size then invalid_arg "Varint.read: overflow";
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
+  let p = ref pos in
+  let v = next s p in
+  (v, !p)
 
 let size n =
   if n < 0 then invalid_arg "Varint.size: negative";

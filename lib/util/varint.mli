@@ -13,6 +13,12 @@ val read : string -> int -> int * int
     [(value, next_pos)]. Raises [Invalid_argument] on truncated input or an
     encoding wider than [Sys.int_size] bits. *)
 
+val next : string -> int ref -> int
+(** [next s pos] is {!read} for a cursor: it decodes the varint at offset
+    [!pos], moves [pos] just past it and returns the value, allocating
+    nothing. It reads the same bytes and raises the same errors as
+    {!read}, which is written over it; on an error [pos] is unchanged. *)
+
 val size : int -> int
 (** [size n] is the number of bytes [write] would emit for [n]. *)
 

@@ -54,6 +54,36 @@ let test_varint_concat () =
   Alcotest.(check (list int)) "values" [ 5; 1000; 0; 77777 ] [ v1; v2; v3; v4 ];
   check "consumed all" (String.length s) p
 
+(* The cursor form reads what [read] reads, leaves the cursor where [read]
+   returns, allocates nothing, and leaves the cursor alone on an error. *)
+let test_varint_next () =
+  let buf = Buffer.create 16 in
+  List.iter (Varint.write buf) [ 5; 1000; 0; max_int ];
+  Buffer.add_string buf "\x80\x00";
+  let s = Buffer.contents buf in
+  let pos = ref 0 in
+  let before = Gc.minor_words () in
+  let v1 = Varint.next s pos in
+  let v2 = Varint.next s pos in
+  let v3 = Varint.next s pos in
+  let v4 = Varint.next s pos in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list int))
+    "values" [ 5; 1000; 0; max_int ] [ v1; v2; v3; v4 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for four reads" words)
+    true (words < 8.0);
+  let at = !pos in
+  check "non-canonical zero" 0 (Varint.next s pos);
+  check "consumed all" (String.length s) !pos;
+  Alcotest.(check (pair int int)) "= read" (Varint.read s at) (0, !pos);
+  Alcotest.check_raises "truncated" (Invalid_argument "Varint.read: truncated")
+    (fun () -> ignore (Varint.next "\x80" (ref 0)));
+  let pos = ref 1 in
+  Alcotest.check_raises "overflow" (Invalid_argument "Varint.read: overflow")
+    (fun () -> ignore (Varint.next ("\x00" ^ String.make 10 '\xff') pos));
+  check "unmoved on error" 1 !pos
+
 let qcheck_varint =
   QCheck2.Test.make ~name:"varint roundtrip" ~count:500
     QCheck2.Gen.(map abs int)
@@ -98,8 +128,19 @@ let test_bitset_project_inject () =
   let packed = Bitset.project ~parent sub in
   check "packed capacity" 4 (Bitset.capacity packed);
   Alcotest.(check (list int)) "packed bits" [ 1; 3 ] (Bitset.elements packed);
-  let back = Bitset.inject ~parent packed in
-  Alcotest.(check bool) "roundtrip" true (Bitset.equal back sub)
+  let buf = Buffer.create 1 in
+  Bitset.encode buf packed;
+  (* The target starts full of other members: injection overwrites it. *)
+  let back = Bitset.of_list 32 [ 0; 2; 11; 31 ] in
+  let next = Bitset.inject_into back ~parent (Buffer.contents buf ^ "!") 0 in
+  check "consumed" 1 next;
+  Alcotest.(check bool) "roundtrip" true (Bitset.equal back sub);
+  Alcotest.check_raises "capacity mismatch"
+    (Invalid_argument "Bitset: capacity mismatch") (fun () ->
+      ignore (Bitset.inject_into (Bitset.create 8) ~parent "\x00" 0));
+  Alcotest.check_raises "truncated"
+    (Invalid_argument "Bitset: truncated encoding") (fun () ->
+      ignore (Bitset.inject_into back ~parent "" 0))
 
 let test_bitset_project_not_subset () =
   let parent = Bitset.of_list 8 [ 1 ] in
@@ -114,9 +155,17 @@ let test_bitset_encode_decode () =
   Bitset.encode buf b;
   Alcotest.(check int) "encoded size" (Bitset.encoded_size ~capacity:19)
     (Buffer.length buf);
-  let decoded, next = Bitset.decode ~capacity:19 (Buffer.contents buf) 0 in
+  let decoded = Bitset.of_list 19 [ 1; 2; 3 ] in
+  let next = Bitset.decode_into decoded ("#" ^ Buffer.contents buf) 1 in
   Alcotest.(check bool) "equal" true (Bitset.equal decoded b);
-  check "next" (Buffer.length buf) next
+  check "next" (Buffer.length buf + 1) next;
+  (* Padding past the capacity is not a member. *)
+  let padded = Bitset.create 19 in
+  ignore (Bitset.decode_into padded "\xff\xff\xff" 0);
+  check "padding dropped" 19 (Bitset.cardinal padded);
+  Alcotest.check_raises "truncated"
+    (Invalid_argument "Bitset: truncated encoding") (fun () ->
+      ignore (Bitset.decode_into padded "\xff\xff" 0))
 
 let qcheck_bitset_project =
   QCheck2.Test.make ~name:"bitset project/inject roundtrip" ~count:300
@@ -132,7 +181,11 @@ let qcheck_bitset_project =
       in
       let sub = Bitset.of_list cap sub_l in
       let packed = Bitset.project ~parent sub in
-      Bitset.equal (Bitset.inject ~parent packed) sub)
+      let buf = Buffer.create 8 in
+      Bitset.encode buf packed;
+      let back = Bitset.create cap in
+      let next = Bitset.inject_into back ~parent (Buffer.contents buf) 0 in
+      next = Buffer.length buf && Bitset.equal back sub)
 
 let test_hex () =
   Alcotest.(check string) "encode" "00ff10" (Hex.encode "\x00\xff\x10");
@@ -221,6 +274,19 @@ let test_fnv_incremental_matches_one_shot () =
     (Fnv.to_hex (Fnv.fnv1a64 s))
     (Fnv.to_hex by_char)
 
+(* The fleet hashes every request's rule blob: the fold boxes no [Int64]
+   per byte. *)
+let test_fnv_allocation () =
+  let rng = Rng.create 4L in
+  let s = Rng.bytes rng 4096 in
+  ignore (Fnv.fnv1a64 s);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Fnv.fnv1a64 s));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 4 KB < 8" words)
+    true (words < 8.0)
+
 (* Splitting the input anywhere and feeding the pieces in order gives
    the hash of the concatenation: the property streaming callers rely
    on. *)
@@ -239,6 +305,8 @@ let suite =
     Alcotest.test_case "varint truncated" `Quick test_varint_truncated;
     Alcotest.test_case "varint write_bytes" `Quick test_varint_write_bytes;
     Alcotest.test_case "varint concat" `Quick test_varint_concat;
+    Alcotest.test_case "varint next = read, no allocation" `Quick
+      test_varint_next;
     QCheck_alcotest.to_alcotest qcheck_varint;
     Alcotest.test_case "bitset basic" `Quick test_bitset_basic;
     Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
@@ -259,5 +327,7 @@ let suite =
       test_fnv_reference_vectors;
     Alcotest.test_case "fnv incremental = one-shot" `Quick
       test_fnv_incremental_matches_one_shot;
+    Alcotest.test_case "fnv over 4 KB allocates < 8 words" `Quick
+      test_fnv_allocation;
     QCheck_alcotest.to_alcotest qcheck_fnv_split_equivalence;
   ]
