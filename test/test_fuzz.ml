@@ -75,6 +75,35 @@ let qcheck_reader_fuzz =
         ~allowed:(function Invalid_argument _ -> true | _ -> false);
       true)
 
+(* The skip path: summary decoding and injection, [skip_subtree] on a
+   hostile size varint and the skip check's tag predicate all run on
+   corrupted bytes here. [-/*] denies everything and [+//t] keeps an
+   automaton alive, so subtrees without [t] are skip candidates. *)
+let qcheck_skip_path_fuzz =
+  QCheck2.Test.make ~name:"indexed engine survives corrupted encodings"
+    ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let doc = base_doc seed in
+      let tags = [| "a"; "b"; "c"; "d" |] in
+      let mode = Encode.Indexed { recursive = Rng.bool rng } in
+      let meta_threshold = if Rng.bool rng then Some 0 else None in
+      let rules =
+        [ Sdds_core.Rule.deny ~subject:"u" "/*";
+          Sdds_core.Rule.allow ~subject:"u" ("//" ^ Rng.pick rng tags) ]
+      in
+      let query =
+        if Rng.bool rng then
+          Some (Sdds_xpath.Parser.parse ("//" ^ Rng.pick rng tags))
+        else None
+      in
+      let encoded = mutate rng (Encode.encode ?meta_threshold ~mode doc) in
+      well_behaved ~name:"Indexed_engine.run"
+        (fun () -> ignore (Sdds_index.Indexed_engine.run ?query rules encoded))
+        ~allowed:(function Invalid_argument _ -> true | _ -> false);
+      true)
+
 let qcheck_xml_parser_fuzz =
   QCheck2.Test.make ~name:"xml parser survives corrupted documents"
     ~count:500
@@ -674,6 +703,7 @@ let test_store_io_fuzz () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_reader_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_skip_path_fuzz;
     QCheck_alcotest.to_alcotest qcheck_xml_parser_fuzz;
     QCheck_alcotest.to_alcotest qcheck_xpath_parser_fuzz;
     QCheck_alcotest.to_alcotest qcheck_rule_parse_fuzz;
