@@ -31,14 +31,16 @@ echo "== wrapper gate: retired identifiers must not return =="
 # through Serializer's one writer, Reassembler.run builds them into a
 # DOM), Output_codec sizes and codes whole streams only (an event's bytes
 # depend on the stream before it), and the engine dispatches through
-# Compile's tag ids, not the deleted per-tag site index. The tracer has
-# one sampling mode (tail, by a Policy), and the ring's points per member
-# and the fleet's probe count are constants. A reappearing name means a
-# regression to the old API, a second request path, a second policy mode,
-# a second builder, a per-event size, a second tag index, head sampling or
-# a knob that no caller sets, a second DSP prelude or key rule, or a
-# second chain automaton.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.' \
+# Compile's tag ids, not the deleted per-tag site index. There is one
+# cursor over the skip index (Reader.advance), not an item stream beside
+# it. The tracer has one sampling mode (tail, by a Policy), and the ring's
+# points per member and the fleet's probe count are constants. A
+# reappearing name means a regression to the old API, a second request
+# path, a second policy mode, a second builder, a per-event size, a second
+# tag index, a second reader over the skip index, head sampling or a knob
+# that no caller sets, a second DSP prelude or key rule, or a second chain
+# automaton.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Remote_card.Chain /" \
@@ -47,6 +49,7 @@ if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b
     "buffered_nodes / Stream_view.buffered_nodes /" \
     "Output_codec.encode|decode|encoded_size /" \
     "Compile.sites_for_tag|wildcard_sites|tag_known /" \
+    "Reader.next|Elem|tag_possible|fold_items /" \
     "sample_1_in / probe_budget / vnodes / Direct_backend / Fleet_backend /" \
     "backend_name / fleet_handle / request_apdu_frames / Proxy.BACKEND /" \
     "Client.query|serve|pooled|fleet / ~default:Rule. identifiers found" >&2
