@@ -15,7 +15,6 @@
 module Rule = Sdds_core.Rule
 module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
-module Pki = Sdds_dsp.Pki
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
 module Proxy = Sdds_proxy.Proxy
@@ -38,13 +37,11 @@ let () =
     stats.Sdds_xml.Stats.max_depth;
 
   (* Identities. 512-bit RSA keeps the example fast; see DESIGN.md. *)
-  let pki = Pki.create () in
   let publisher = Rsa.generate drbg ~bits:512 in
   let users =
     List.map
       (fun name ->
         let kp = Rsa.generate drbg ~bits:512 in
-        Pki.register pki ~name kp.Rsa.public;
         (name, Card.create ~profile:Cost.egate ~subject:name kp))
       [ "doctor"; "nurse"; "researcher" ]
   in
@@ -87,7 +84,7 @@ let () =
            ~subject rules);
       Store.put_grant store ~doc_id:"ward-db" ~subject
         (Publish.grant drbg ~doc_key ~doc_id:"ward-db"
-           ~recipient:(Option.get (Pki.lookup pki subject))))
+           ~recipient:(Card.public_key (List.assoc subject users))))
     policies;
 
   section "Each user pulls their view through their card (e-gate profile)";

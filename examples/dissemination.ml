@@ -14,7 +14,6 @@
 module Rule = Sdds_core.Rule
 module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
-module Pki = Sdds_dsp.Pki
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
 module Proxy = Sdds_proxy.Proxy
@@ -55,12 +54,10 @@ let () =
   let store = Store.create () in
   Store.put_document store published;
 
-  let pki = Pki.create () in
   let cards =
     List.map
       (fun (subject, rules) ->
         let kp = Rsa.generate drbg ~bits:512 in
-        Pki.register pki ~name:subject kp.Rsa.public;
         Store.put_rules store ~doc_id:"feed-2026-07-05" ~subject
           (Publish.encrypt_rules_for drbg ~publisher:provider ~doc_key
              ~doc_id:"feed-2026-07-05" ~subject rules);

@@ -22,6 +22,7 @@ val xml :
     whatever {!Stream_view} or the source refuses. *)
 
 val run : has_query:bool -> Output.t list -> Sdds_xml.Dom.t option
-(** The authorized view of a complete output stream as a DOM; [None]
-    when nothing is delivered. The terminal builds it only when a
+(** The authorized view of a complete output stream as a DOM: the events
+    the view builder releases, rebuilt by {!Sdds_xml.Dom.of_events};
+    [None] when nothing is delivered. The terminal builds it only when a
     caller forces a request's [view]. Refuses what {!xml} refuses. *)

@@ -96,4 +96,4 @@ let verify (pub : public) msg ~signature =
 
 let fingerprint (pub : public) =
   let encoded = Bignum.to_bytes_be pub.n ^ "|" ^ Bignum.to_bytes_be pub.e in
-  String.sub (Sdds_util.Hex.encode (Sha1.digest encoded)) 0 16
+  String.sub (Sdds_util.Hex.encode (Sha256.digest encoded)) 0 16

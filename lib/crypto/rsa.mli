@@ -35,5 +35,5 @@ val verify : public -> string -> signature:string -> bool
     to hold that block (under 43 bytes). *)
 
 val fingerprint : public -> string
-(** Short hex identifier (SHA-1 of the encoded public key), used to name
-    principals in the key-exchange protocol. *)
+(** Short hex identifier of a public key: the first 16 hex digits of the
+    SHA-256 of its encoding. *)

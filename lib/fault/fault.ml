@@ -108,10 +108,8 @@ module Schedule = struct
   (* Stateless per-frame randomness: the decision for frame [n] depends
      only on [seed] and [n], so a schedule replays identically however
      many frames the recovering host ends up sending, and a failing run
-     is reproducible from its seed alone. [ramp] varies the rate over
-     time — the effective rate at frame [n] is
-     [clamp 0 1 (rate + ramp * n / 1000)] — still stateless in [n]. *)
-  let rec random ~seed ~rate ?(ramp = 0.0) ?(kinds = all_kinds) () =
+     is reproducible from its seed alone. *)
+  let rec random ~seed ~rate ?(kinds = all_kinds) () =
     let kinds = Array.copy kinds in
     {
       decide =
@@ -123,62 +121,18 @@ module Schedule = struct
                     (Int64.of_int (frame + 1))
                     0x9E3779B97F4A7C15L))
           in
-          let eff =
-            min 1.0
-              (max 0.0 (rate +. (ramp *. float_of_int frame /. 1000.0)))
-          in
-          if Array.length kinds > 0 && Rng.float rng 1.0 < eff then
+          if Array.length kinds > 0 && Rng.float rng 1.0 < rate then
             Some (Rng.pick rng kinds)
           else None);
       describe =
-        Printf.sprintf "seed=%Ld,rate=%g%s%s" seed rate
-          (if ramp = 0.0 then "" else Printf.sprintf ",ramp=%g" ramp)
+        Printf.sprintf "seed=%Ld,rate=%g%s" seed rate
           (if kinds = all_kinds then ""
            else
              ",kinds="
              ^ String.concat "+"
                  (Array.to_list (Array.map kind_to_string kinds)));
       salted =
-        (fun salt ->
-          random ~seed:(Int64.logxor seed salt) ~rate ~ramp ~kinds ());
-    }
-
-  (* Time-phased composition: frames 0..len1-1 go to the first segment
-     (frame numbers as the segment sees them restart at 0), the next
-     len2 to the second, and so on; [tail] decides every frame past the
-     segments, likewise renumbered from 0. Campaigns use this to turn
-     fault pressure on and off across a long run. *)
-  let rec concat segments tail =
-    List.iter
-      (fun (len, s) ->
-        if len < 1 then invalid_arg "Schedule.concat: segment length < 1";
-        (* A concat *tail* nests fine (its spec flattens into the same
-           segment list), but a concat segment would put ';' inside a
-           segment and break the spec round-trip. *)
-        if String.contains s.describe ';' then
-          invalid_arg "Schedule.concat: a segment cannot itself be a concat")
-      segments;
-    let decide frame =
-      let rec go frame = function
-        | [] -> tail.decide frame
-        | (len, s) :: rest ->
-            if frame < len then s.decide frame else go (frame - len) rest
-      in
-      go frame segments
-    in
-    {
-      decide;
-      describe =
-        String.concat ";"
-          (List.map
-             (fun (len, s) -> Printf.sprintf "#%d:%s" len s.describe)
-             segments
-          @ [ tail.describe ]);
-      salted =
-        (fun salt ->
-          concat
-            (List.map (fun (len, s) -> (len, s.salted salt)) segments)
-            (tail.salted salt));
+        (fun salt -> random ~seed:(Int64.logxor seed salt) ~rate ~kinds ());
     }
 
   (* Distinct odd multiplier from the per-frame one, so card i's frame
@@ -214,10 +168,8 @@ module Schedule = struct
         (off + !a, String.sub f !a (!b - !a)))
       (go 0 [])
 
-  (* One segmentless spec ("none" | "@F:KIND,..." | "seed=,rate=,...");
-     [outer] is the byte offset of [spec] within the caller's string, so
-     error positions stay accurate inside concat segments. *)
-  let of_spec_simple ~outer spec =
+  (* "none" | "@F:KIND,..." | "seed=,rate=[,kinds=]". *)
+  let of_spec spec =
     let err pos msg = Error { pos; msg } in
     let n = String.length spec in
     let lead = ref 0 in
@@ -225,7 +177,7 @@ module Schedule = struct
     let stop = ref n in
     while !stop > !lead && is_space spec.[!stop - 1] do decr stop done;
     let body = String.sub spec !lead (!stop - !lead) in
-    let base = outer + !lead in
+    let base = !lead in
     if body = "" || body = "none" then Ok none
     else if body.[0] = '@' then begin
       (* "@FRAME:KIND,@FRAME:KIND,..." — an explicit event list. *)
@@ -260,9 +212,8 @@ module Schedule = struct
       go [] (fields_of body)
     end
     else begin
-      (* "seed=N,rate=F[,ramp=G][,kinds=a+b+c]" — a random schedule. *)
+      (* "seed=N,rate=F[,kinds=a+b+c]" — a random schedule. *)
       let seed = ref None and rate = ref None and kinds = ref None in
-      let ramp = ref 0.0 in
       let parse_field (off, field) =
         let off = base + off in
         match String.index_opt field '=' with
@@ -288,12 +239,6 @@ module Schedule = struct
                     rate := Some r;
                     Ok ()
                 | _ -> err voff (Printf.sprintf "bad rate %S (want 0..1)" v))
-            | "ramp" -> (
-                match float_of_string_opt v with
-                | Some g when Float.is_finite g ->
-                    ramp := g;
-                    Ok ()
-                | _ -> err voff (Printf.sprintf "bad ramp %S" v))
             | "kinds" -> (
                 let names = String.split_on_char '+' v in
                 let rec collect acc = function
@@ -315,7 +260,7 @@ module Schedule = struct
         | [] -> (
             match (!seed, !rate) with
             | Some seed, Some rate ->
-                Ok (random ~seed ~rate ~ramp:!ramp ?kinds:!kinds ())
+                Ok (random ~seed ~rate ?kinds:!kinds ())
             | _ -> err base "fault spec needs both seed= and rate=")
         | f :: rest -> (
             match parse_field f with Ok () -> all rest | Error e -> Error e)
@@ -323,68 +268,7 @@ module Schedule = struct
       all (fields_of body)
     end
 
-  (* ';' splits concat segments: every chunk but the last must be
-     "#LEN:SPEC"; the last is the tail schedule. A spec without ';' is a
-     plain segmentless schedule. *)
-  let of_spec spec =
-    let err pos msg = Error { pos; msg } in
-    let chunks =
-      let rec go start acc =
-        match String.index_from_opt spec start ';' with
-        | None ->
-            List.rev
-              ((start, String.sub spec start (String.length spec - start))
-              :: acc)
-        | Some i -> go (i + 1) ((start, String.sub spec start (i - start)) :: acc)
-      in
-      go 0 []
-    in
-    match chunks with
-    | [ (_, whole) ] -> of_spec_simple ~outer:0 whole
-    | chunks -> (
-        let rec split_last acc = function
-          | [] -> assert false
-          | [ last ] -> (List.rev acc, last)
-          | c :: rest -> split_last (c :: acc) rest
-        in
-        let segs, (tail_off, tail_s) = split_last [] chunks in
-        let parse_segment (off, chunk) =
-          let m = String.length chunk in
-          let a = ref 0 in
-          while !a < m && is_space chunk.[!a] do incr a done;
-          if !a >= m || chunk.[!a] <> '#' then
-            err (off + !a) "expected #LEN:SPEC before ';'"
-          else
-            match String.index_from_opt chunk !a ':' with
-            | None -> err (off + !a) "missing ':' after segment length"
-            | Some i -> (
-                let len_s = String.sub chunk (!a + 1) (i - !a - 1) in
-                match int_of_string_opt (String.trim len_s) with
-                | Some len when len >= 1 -> (
-                    let rest = String.sub chunk (i + 1) (m - i - 1) in
-                    match of_spec_simple ~outer:(off + i + 1) rest with
-                    | Ok s -> Ok (len, s)
-                    | Error e -> Error e)
-                | _ ->
-                    err (off + !a + 1)
-                      (Printf.sprintf "bad segment length %S" len_s))
-        in
-        let rec all acc = function
-          | [] -> Ok (List.rev acc)
-          | c :: rest -> (
-              match parse_segment c with
-              | Ok seg -> all (seg :: acc) rest
-              | Error e -> Error e)
-        in
-        match all [] segs with
-        | Error e -> Error e
-        | Ok segs -> (
-            match of_spec_simple ~outer:tail_off tail_s with
-            | Ok tail -> Ok (concat segs tail)
-            | Error e -> Error e))
-
-  let describe t = t.describe
-  let to_spec = describe
+  let to_spec t = t.describe
   let decide t frame = t.decide frame
 end
 
@@ -578,12 +462,7 @@ module Campaign = struct
     let kills = min kills cards in
     let killed =
       let pool = Array.init cards Fun.id in
-      for i = cards - 1 downto 1 do
-        let j = Rng.int rng (i + 1) in
-        let tmp = pool.(i) in
-        pool.(i) <- pool.(j);
-        pool.(j) <- tmp
-      done;
+      Rng.shuffle rng pool;
       Array.to_list (Array.sub pool 0 kills)
     in
     let kill_evs =

@@ -72,26 +72,11 @@ module Schedule : sig
       entries for the same frame win). Turning a {!Link.trace} back into
       a schedule replays a recorded run. *)
 
-  val random :
-    seed:int64 -> rate:float -> ?ramp:float -> ?kinds:kind array -> unit -> t
+  val random : seed:int64 -> rate:float -> ?kinds:kind array -> unit -> t
   (** Each frame independently faults with probability [rate], the kind
       drawn uniformly from [kinds] (default {!all_kinds}). Stateless in
       the frame number: replays identically regardless of how many
-      frames the recovering host ends up sending. [ramp] (default 0)
-      makes the rate time-varying: the effective rate at frame [n] is
-      [rate + ramp * n / 1000], clamped to [0, 1] — a campaign can turn
-      the screw gradually instead of hammering from frame 0. *)
-
-  val concat : (int * t) list -> t -> t
-  (** [concat [(len1, s1); ...] tail] — time-phased composition: the
-      first [len1] frames are decided by [s1] (which sees frames
-      renumbered from 0), the next [len2] by [s2], and every frame past
-      the segments by [tail] (renumbered likewise). Spec syntax:
-      segments joined with [';'], each segment ["#LEN:SPEC"], the tail a
-      plain spec — ["#200:none;#50:seed=1,rate=0.3;seed=1,rate=0.05"]
-      runs clean for 200 frames, hammers for 50, then settles. Raises
-      [Invalid_argument] on a segment length < 1 or a segment that is
-      itself a concat (the tail may be — it flattens). *)
+      frames the recovering host ends up sending. *)
 
   val for_card : t -> int -> t
   (** [for_card t i] is the schedule card [i] of a fleet sees behind a
@@ -100,7 +85,7 @@ module Schedule : sig
       replayable) fault stream; [none] and explicit {!of_events}
       schedules apply to every card as-is — they are positional, and a
       directed test wants the same event on whichever card it targets.
-      [describe] of a derived schedule shows the mixed seed. *)
+      [to_spec] of a derived schedule shows the mixed seed. *)
 
   type parse_error = { pos : int; msg : string }
   (** A malformed spec: [pos] is the byte offset of the offending token
@@ -112,17 +97,16 @@ module Schedule : sig
   val of_spec : string -> (t, parse_error) result
   (** Parse the [--fault-spec] syntax: ["none"], an explicit event list
       ["@3:tear,@10:drop-response"], or a random schedule
-      ["seed=42,rate=0.05"] / ["seed=42,rate=0.1,kinds=tear+drop-command"]. *)
-
-  val describe : t -> string
-  (** A spec string round-trippable through {!of_spec}. *)
+      ["seed=42,rate=0.05"] / ["seed=42,rate=0.1,kinds=tear+drop-command"].
+      Anything else, an unknown field included, is an [Error] at the
+      offending token. *)
 
   val to_spec : t -> string
-  (** Alias of {!describe}, named for the contract: for any schedule
-      built by {!none}, {!of_events} or {!random},
-      [of_spec (to_spec t)] succeeds and the result takes the same
-      {!decide} decision on every frame — the protocol checker's
-      counterexamples rely on it to be copy-pasteable. *)
+  (** A spec string for the schedule: for any schedule built by {!none},
+      {!of_events} or {!random}, [of_spec (to_spec t)] succeeds and the
+      result takes the same {!decide} decision on every frame — the
+      protocol checker's counterexamples rely on it to be
+      copy-pasteable. *)
 
   val decide : t -> int -> kind option
 end

@@ -8,6 +8,7 @@ module Apdu = Sdds_soe.Apdu
 module Cost = Sdds_soe.Cost
 module Remote = Sdds_soe.Remote_card
 module Rng = Sdds_util.Rng
+module Fnv = Sdds_util.Fnv
 module Obs = Sdds_obs.Obs
 
 (* ------------------------------------------------------------------ *)
@@ -22,7 +23,6 @@ module Ring = struct
      property test pins it. *)
   type t = { members : int list; points : (int64 * int) array }
 
-  let fnv1a64 = Sdds_util.Fnv.fnv1a64
   let points_per_member = 64
 
   let create members =
@@ -32,7 +32,7 @@ module Ring = struct
         (List.concat_map
            (fun m ->
              List.init points_per_member (fun r ->
-                 (fnv1a64 (Printf.sprintf "card-%d/%d" m r), m)))
+                 (Fnv.fnv1a64 (Printf.sprintf "card-%d/%d" m r), m)))
            members)
     in
     Array.sort
@@ -50,7 +50,7 @@ module Ring = struct
   let lookup t key =
     let n = Array.length t.points in
     if n = 0 then invalid_arg "Ring.lookup: empty ring";
-    let h = fnv1a64 key in
+    let h = Fnv.fnv1a64 key in
     let rec search lo hi =
       if lo >= hi then lo
       else
@@ -274,7 +274,7 @@ let start_of st (slot : slot) =
    cache is already warm for them. *)
 let affinity_key (tk : Proxy.ticket) =
   tk.Proxy.request.Proxy.Request.doc_id ^ "\x00"
-  ^ Printf.sprintf "%Lx" (Ring.fnv1a64 tk.Proxy.rules)
+  ^ Printf.sprintf "%Lx" (Fnv.fnv1a64 tk.Proxy.rules)
 
 let least_loaded ?excluding t =
   let best = ref None in

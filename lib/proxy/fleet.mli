@@ -103,12 +103,9 @@ module Ring : sig
   val remove : t -> int -> t
 
   val lookup : t -> string -> int
-  (** The member owning the key: successor point of the key's hash on
-      the circle. Raises [Invalid_argument] on an empty ring. *)
-
-  val fnv1a64 : string -> int64
-  (** The ring's hash (FNV-1a, 64-bit), exposed so callers can digest
-      payloads (e.g. rule blobs) consistently with the ring. *)
+  (** The member owning the key: successor point of the key's
+      {!Sdds_util.Fnv.fnv1a64} hash on the circle. Raises
+      [Invalid_argument] on an empty ring. *)
 end
 
 type t

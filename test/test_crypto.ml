@@ -1,7 +1,6 @@
 module Aes = Sdds_crypto.Aes
 module Mode = Sdds_crypto.Mode
 module Sha256 = Sdds_crypto.Sha256
-module Sha1 = Sdds_crypto.Sha1
 module Hmac = Sdds_crypto.Hmac
 module Drbg = Sdds_crypto.Drbg
 module Merkle = Sdds_crypto.Merkle
@@ -258,12 +257,6 @@ let test_sha256_allocation () =
   let ctx = Sha256.init () in
   let fed = words (fun () -> Sha256.feed ctx big) in
   Alcotest.(check (float 0.)) "feeding 64 KB allocates nothing" 0. fed
-
-let test_sha1_vectors () =
-  Alcotest.(check string) "abc" "a9993e364706816aba3e25717850c26c9cd0d89d"
-    (Hex.encode (Sha1.digest "abc"));
-  Alcotest.(check string) "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    (Hex.encode (Sha1.digest ""))
 
 let test_hmac_rfc4231 () =
   Alcotest.(check string) "case 1"
@@ -812,10 +805,14 @@ let test_chunk_pinned_identity () =
           ~key:(hex "000102030405060708090a0b0c0d0e0f")
           ~doc_id:"pinned-doc" ~index:3 plain))
 
+(* The value is the first 16 hex digits of Python's
+   hashlib.sha256(n || "|" || e), both big-endian and unpadded. *)
 let test_rsa_fingerprint () =
   let kp = Lazy.force keypair in
   Alcotest.(check int) "16 hex chars" 16
-    (String.length (Rsa.fingerprint kp.Rsa.public))
+    (String.length (Rsa.fingerprint kp.Rsa.public));
+  Alcotest.(check string) "first 16 hex digits of SHA-256" "58663445f42db6da"
+    (Rsa.fingerprint kp.Rsa.public)
 
 let suite =
   [
@@ -835,7 +832,6 @@ let suite =
     Alcotest.test_case "pkcs7" `Quick test_pkcs7;
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
-    Alcotest.test_case "sha1 vectors" `Quick test_sha1_vectors;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
     Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
     Alcotest.test_case "drbg deterministic" `Quick test_drbg_deterministic;

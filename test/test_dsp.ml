@@ -1,4 +1,3 @@
-module Pki = Sdds_dsp.Pki
 module Publish = Sdds_dsp.Publish
 module Store = Sdds_dsp.Store
 module Card = Sdds_soe.Card
@@ -42,9 +41,6 @@ let identities =
 let make_world ?(profile = Cost.modern) ?(patients = 6) () =
   let drbg = Drbg.create ~seed:"dsp-world" in
   let publisher, alice_kp, bob_kp = Lazy.force identities in
-  let pki = Pki.create () in
-  Pki.register pki ~name:"alice" alice_kp.Rsa.public;
-  Pki.register pki ~name:"bob" bob_kp.Rsa.public;
   let doc = Generator.hospital (Rng.create 31L) ~patients in
   let published, doc_key =
     Publish.publish drbg ~publisher ~doc_id:"hospital-1" doc
@@ -52,14 +48,14 @@ let make_world ?(profile = Cost.modern) ?(patients = 6) () =
   let store = Store.create () in
   Store.put_document store published;
   List.iter
-    (fun (subject, rules) ->
+    (fun (subject, rules, kp) ->
       Store.put_rules store ~doc_id:"hospital-1" ~subject
         (Publish.encrypt_rules_for drbg ~publisher ~doc_key
            ~doc_id:"hospital-1" ~subject rules);
-      let recipient = Option.get (Pki.lookup pki subject) in
       Store.put_grant store ~doc_id:"hospital-1" ~subject
-        (Publish.grant drbg ~doc_key ~doc_id:"hospital-1" ~recipient))
-    [ ("alice", alice_rules); ("bob", bob_rules) ];
+        (Publish.grant drbg ~doc_key ~doc_id:"hospital-1"
+           ~recipient:kp.Rsa.public))
+    [ ("alice", alice_rules, alice_kp); ("bob", bob_rules, bob_kp) ];
   {
     store;
     drbg;
@@ -71,23 +67,6 @@ let make_world ?(profile = Cost.modern) ?(patients = 6) () =
   }
 
 let world = lazy (make_world ())
-
-(* ------------------------------------------------------------------ *)
-(* PKI                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_pki () =
-  let d = Drbg.create ~seed:"pki" in
-  let k1 = Rsa.generate d ~bits:256 in
-  let k2 = Rsa.generate d ~bits:256 in
-  let pki = Pki.create () in
-  Pki.register pki ~name:"u1" k1.Rsa.public;
-  Pki.register pki ~name:"u1" k1.Rsa.public (* idempotent *);
-  Alcotest.(check bool) "lookup" true (Pki.lookup pki "u1" = Some k1.Rsa.public);
-  Alcotest.(check bool) "missing" true (Pki.lookup pki "u2" = None);
-  Alcotest.check_raises "rebind" (Invalid_argument "Pki.register: u1 already bound")
-    (fun () -> Pki.register pki ~name:"u1" k2.Rsa.public);
-  Alcotest.(check (list string)) "names" [ "u1" ] (Pki.names pki)
 
 (* ------------------------------------------------------------------ *)
 (* Publish                                                             *)
@@ -345,7 +324,6 @@ let test_egate_ram_budget_enforced () =
 
 let suite =
   [
-    Alcotest.test_case "pki" `Quick test_pki;
     Alcotest.test_case "publish shape" `Quick test_publish_shape;
     Alcotest.test_case "pull view = oracle" `Quick test_pull_view_matches_oracle;
     Alcotest.test_case "pull with query" `Quick test_pull_with_query;

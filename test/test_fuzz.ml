@@ -479,9 +479,9 @@ module Fault = Sdds_fault.Fault
 module Store_io = Sdds_dsp.Store_io
 
 (* Fault and campaign specs drawn from their grammar (events, random
-   fields, concat segments), then half of them perturbed by one
-   inserted or deleted byte, so both the accepting paths and every
-   error path are reached. *)
+   fields) and from syntax neither accepts ("#LEN:" segments, a "ramp="
+   field), then half of them perturbed by one inserted or deleted byte,
+   so both the accepting paths and every error path are reached. *)
 let gen_spec =
   let open QCheck2.Gen in
   let num =
