@@ -712,16 +712,17 @@ let fleet_cmd =
     in
     if json then
       Printf.printf
-        "{\"cards\":%d,\"streams\":%d,\"docs\":%d,\"routing\":%S,\"seed\":%d,\
+        "{\"cards\":%d,\"streams\":%d,\"docs\":%d,\"routing\":%s,\"seed\":%d,\
          \"ok\":%d,\"errors\":%d,\"rejected\":%d,\"affinity_hits\":%d,\
          \"fallbacks\":%d,\"reroutes\":%d,\"queue_peak\":%d,\
          \"served_by\":[%s],\"faults_injected\":%d,\"p50_ms\":%.3f,\
          \"p95_ms\":%.3f,\"p99_ms\":%.3f}\n"
         cards streams docs
-        (match routing with
-        | Sdds_proxy.Fleet.Affinity -> "affinity"
-        | Sdds_proxy.Fleet.Least_loaded -> "least-loaded"
-        | Sdds_proxy.Fleet.Random _ -> "random")
+        (Sdds_obs.Obs.json_string
+           (match routing with
+           | Sdds_proxy.Fleet.Affinity -> "affinity"
+           | Sdds_proxy.Fleet.Least_loaded -> "least-loaded"
+           | Sdds_proxy.Fleet.Random _ -> "random"))
         seed ok errors st.Sdds_proxy.Fleet.rejected
         st.Sdds_proxy.Fleet.affinity_hits st.Sdds_proxy.Fleet.fallbacks
         st.Sdds_proxy.Fleet.reroutes st.Sdds_proxy.Fleet.queue_peak served_by
@@ -870,7 +871,7 @@ let chaos_cmd =
          \"rejected\":%d,\"divergences\":%d,\"convergence_failures\":%d,\
          \"faults_injected\":%d,\"kills\":%d,\"migrations\":%d,\
          \"deaths\":%d,\"revives\":%d,\"drains\":%d,\"cards_added\":%d,\
-         \"standby_hits\":%d,\"probes\":%d,\"campaign\":%S,\"schedule\":%S}\n"
+         \"standby_hits\":%d,\"probes\":%d,\"campaign\":%s,\"schedule\":%s}\n"
         cards report.Sdds_proxy.Chaos.requests seed
         report.Sdds_proxy.Chaos.ok
         (List.length report.Sdds_proxy.Chaos.errors)
@@ -882,8 +883,8 @@ let chaos_cmd =
         st.Sdds_proxy.Fleet.revives st.Sdds_proxy.Fleet.drains
         st.Sdds_proxy.Fleet.added st.Sdds_proxy.Fleet.standby_hits
         st.Sdds_proxy.Fleet.probes
-        (Sdds_fault.Fault.Campaign.to_spec campaign)
-        (Sdds_fault.Fault.Schedule.to_spec schedule)
+        (Sdds_obs.Obs.json_string (Sdds_fault.Fault.Campaign.to_spec campaign))
+        (Sdds_obs.Obs.json_string (Sdds_fault.Fault.Schedule.to_spec schedule))
     else begin
       Printf.printf
         "chaos: %d requests over %d cards (seed %d)\n  campaign: %s\n  \
@@ -1196,12 +1197,14 @@ let disseminate_cmd =
                    match r with
                    | Ok s ->
                        Printf.sprintf
-                         "{\"subject\":%S,\"elements\":%d,\"wire_bytes\":%d}"
-                         subject (elements s)
+                         "{\"subject\":%s,\"elements\":%d,\"wire_bytes\":%d}"
+                         (Sdds_obs.Obs.json_string subject) (elements s)
                          s.Sdds_proxy.Proxy.Pool.wire_bytes
                    | Error e ->
-                       Printf.sprintf "{\"subject\":%S,\"error\":%S}" subject
-                         (Format.asprintf "%a" Sdds_proxy.Proxy.pp_error e))
+                       Printf.sprintf "{\"subject\":%s,\"error\":%s}"
+                         (Sdds_obs.Obs.json_string subject)
+                         (Sdds_obs.Obs.json_string
+                            (Format.asprintf "%a" Sdds_proxy.Proxy.pp_error e)))
                  per)
           in
           Printf.printf

@@ -192,6 +192,20 @@ let test_disseminate () =
             && List.for_all (fun s -> Json.member "error" s = None) delivered
           ) ])
 
+(* String fields are JSON strings: a subject outside ASCII reads back
+   as itself, not as OCaml's decimal escapes. *)
+let test_json_strings () =
+  let r =
+    json
+      (sdds_ok
+         [ "disseminate"; clinical; "-r"; "+, zo\xc3\xa9, //patient"; "-r";
+           "+, bob, //name"; "--json" ])
+  in
+  Alcotest.(check (list string)) "subjects" [ "bob"; "zo\xc3\xa9" ]
+    (List.filter_map
+       (fun s -> Option.bind (Json.member "subject" s) Json.to_string_opt)
+       (list "delivered" r))
+
 (* [f ~path ~view ~query] in a directory holding alice's keys and a
    store of the clinical document under [+//patient -//ssn]: [path]
    names a file there, [view] and [query] are the arguments of [sdds
@@ -442,6 +456,7 @@ let () =
           Alcotest.test_case "tear replay" `Quick test_tear_replay;
           Alcotest.test_case "slo drill" `Quick test_slo;
           Alcotest.test_case "disseminate smoke" `Quick test_disseminate;
+          Alcotest.test_case "json strings" `Quick test_json_strings;
           Alcotest.test_case "trace export" `Quick test_trace_export;
           Alcotest.test_case "malformed query" `Quick test_bad_query;
           Alcotest.test_case "refusals read alike" `Quick test_refusals;
