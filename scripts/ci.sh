@@ -28,19 +28,24 @@ echo "== wrapper gate: retired identifiers must not return =="
 # admission; Remote_card keeps only what it adds to Protocol. A node no
 # rule reaches is denied: open world is the rule +/*, not a default sign.
 # Stream_view is the one view builder (Reassembler.xml writes its events
-# through Serializer's one writer, Reassembler.run builds them into a
-# DOM), Output_codec sizes and codes whole streams only (an event's bytes
-# depend on the stream before it), and the engine dispatches through
-# Compile's tag ids, not the deleted per-tag site index. There is one
-# cursor over the skip index (Reader.advance), not an item stream beside
-# it. The tracer has one sampling mode (tail, by a Policy), and the ring's
-# points per member and the fleet's probe count are constants. A
+# through Serializer's one writer, Reassembler.run rebuilds them with
+# Dom.of_events, the one events-to-DOM builder), Output_codec sizes and
+# codes whole streams only (an event's bytes depend on the stream before
+# it), and the engine dispatches through Compile's tag ids, not the
+# deleted per-tag site index. There is one cursor over the skip index
+# (Reader.advance), not an item stream beside it. The tracer has one
+# sampling mode (tail, by a Policy), and the ring's points per member and
+# the fleet's probe count are constants. The store's grants are the one
+# key directory (no PKI stand-in), SHA-256 the one cryptographic hash and
+# Fnv.fnv1a64 the one other, and a fault spec is none, an @FRAME:KIND list
+# or seed=,rate=[,kinds=] (no ramp, no time-phased segments). A
 # reappearing name means a regression to the old API, a second request
 # path, a second policy mode, a second builder, a per-event size, a second
 # tag index, a second reader over the skip index, head sampling or a knob
-# that no caller sets, a second DSP prelude or key rule, or a second chain
-# automaton.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.' \
+# that no caller sets, a second DSP prelude or key rule, a second chain
+# automaton, a second key directory, a second hash or a second fault
+# grammar.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.|Sdds_dsp\.Pki|\bPki\.|Sdds_crypto\.Sha1|\bSha1\.|Schedule\.(concat|describe)\b|~ramp|Ring\.fnv1a64' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Remote_card.Chain /" \
@@ -52,7 +57,10 @@ if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b
     "Reader.next|Elem|tag_possible|fold_items /" \
     "sample_1_in / probe_budget / vnodes / Direct_backend / Fleet_backend /" \
     "backend_name / fleet_handle / request_apdu_frames / Proxy.BACKEND /" \
-    "Client.query|serve|pooled|fleet / ~default:Rule. identifiers found" >&2
+    "Client.query|serve|pooled|fleet / ~default:Rule. / Sdds_dsp.Pki /" \
+    "Sdds_crypto.Sha1 / Schedule.concat|describe / ~ramp / Ring.fnv1a64" \
+    "identifiers found (one key directory, the store's grants; one hash;" \
+    "one fault grammar; one events-to-DOM builder)" >&2
   exit 1
 fi
 echo "wrapper gate: clean"
