@@ -14,54 +14,6 @@ type stats = {
   mutable token_visits : int;
 }
 
-(* The accounting cells: plain mutable counters/gauges from the metrics
-   registry. The engine increments them directly (same cost as the record
-   fields they replaced) and, when an [Obs.t] scope is supplied, attaches
-   them so the registry aggregates across evaluations — {!stats} is a
-   view over these cells, not a second set of increments. *)
-type cells = {
-  c_events : Obs.Metrics.Counter.t;
-  c_emitted : Obs.Metrics.Counter.t;
-  c_delivered : Obs.Metrics.Counter.t;
-  c_suppressed : Obs.Metrics.Counter.t;
-  c_filtered : Obs.Metrics.Counter.t;
-  c_instances : Obs.Metrics.Counter.t;
-  c_token_visits : Obs.Metrics.Counter.t;
-  g_tokens : Obs.Metrics.Gauge.t;
-  g_state_words : Obs.Metrics.Gauge.t;
-  g_depth : Obs.Metrics.Gauge.t;
-  g_pending : Obs.Metrics.Gauge.t;
-}
-
-let make_cells obs =
-  let cells =
-    {
-      c_events = Obs.Metrics.Counter.create ();
-      c_emitted = Obs.Metrics.Counter.create ();
-      c_delivered = Obs.Metrics.Counter.create ();
-      c_suppressed = Obs.Metrics.Counter.create ();
-      c_filtered = Obs.Metrics.Counter.create ();
-      c_instances = Obs.Metrics.Counter.create ();
-      c_token_visits = Obs.Metrics.Counter.create ();
-      g_tokens = Obs.Metrics.Gauge.create ();
-      g_state_words = Obs.Metrics.Gauge.create ();
-      g_depth = Obs.Metrics.Gauge.create ();
-      g_pending = Obs.Metrics.Gauge.create ();
-    }
-  in
-  Obs.attach_counter obs "engine.events" cells.c_events;
-  Obs.attach_counter obs "engine.emitted" cells.c_emitted;
-  Obs.attach_counter obs "engine.delivered" cells.c_delivered;
-  Obs.attach_counter obs "engine.suppressed" cells.c_suppressed;
-  Obs.attach_counter obs "engine.filtered" cells.c_filtered;
-  Obs.attach_counter obs "engine.instances" cells.c_instances;
-  Obs.attach_counter obs "engine.token_visits" cells.c_token_visits;
-  Obs.attach_gauge obs "engine.live_tokens" cells.g_tokens;
-  Obs.attach_gauge obs "engine.state_words" cells.g_state_words;
-  Obs.attach_gauge obs "engine.frame_depth" cells.g_depth;
-  Obs.attach_gauge obs "engine.pending_instances" cells.g_pending;
-  cells
-
 type truth = Pending | Holds | Fails
 
 type inst = {
@@ -135,7 +87,6 @@ type t = {
   compiled : Compile.t;
   n_spines : int;
   has_query : bool;
-  suppress_enabled : bool;
   dispatch : bool;
   mutable frames : frame array;
   mutable n_frames : int;
@@ -174,7 +125,13 @@ type t = {
   mutable sim_pos : int array;
   mutable n_sim : int;
   mutable closed_root : bool;
-  st : cells;
+  (* The evaluation's own accounting: {!stats} copies [st], and
+     [bump_peaks] keeps the levels' peaks. {!finish} adds them to the
+     scope's [engine.*] cells, once. *)
+  st : stats;
+  mutable peak_depth : int;
+  mutable peak_pending : int;
+  obs : Obs.t option;
 }
 
 let no_pred = { Compile.ppath = [||]; target = Ast.Exists }
@@ -398,8 +355,7 @@ let push_frame t parent ~tag ~det ~scope ~suppressed ~inst_lo =
   t.live_tokens <- t.live_tokens + f.n_tokens;
   t.n_frames <- t.n_frames + 1
 
-let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled
-    rules =
+let create ?obs ?query ?(dispatch = true) ?compiled rules =
   let compiled =
     match compiled with
     | Some c -> c
@@ -412,7 +368,6 @@ let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled
       compiled;
       n_spines = Array.length compiled.Compile.spines;
       has_query;
-      suppress_enabled = suppress;
       dispatch;
       frames = Array.init 8 (fun _ -> new_frame ());
       n_frames = 0;
@@ -449,7 +404,13 @@ let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled
       sim_pos = Array.make 16 0;
       n_sim = 0;
       closed_root = false;
-      st = make_cells obs;
+      st =
+        { events = 0; emitted = 0; delivered = 0; suppressed = 0;
+          filtered = 0; instances = 0; peak_tokens = 0; peak_state_words = 0;
+          token_visits = 0 };
+      peak_depth = 0;
+      peak_pending = 0;
+      obs;
     }
   in
   Array.iter
@@ -475,10 +436,12 @@ let create ?obs ?query ?(suppress = true) ?(dispatch = true) ?compiled
 let state_words t = t.frame_words + t.inst_words + (2 * t.n_rdeps)
 
 let bump_peaks t =
-  Obs.Metrics.Gauge.set t.st.g_tokens t.live_tokens;
-  Obs.Metrics.Gauge.set t.st.g_state_words (state_words t);
-  Obs.Metrics.Gauge.set t.st.g_depth (t.n_frames - 1);
-  Obs.Metrics.Gauge.set t.st.g_pending t.n_live
+  let st = t.st in
+  if t.live_tokens > st.peak_tokens then st.peak_tokens <- t.live_tokens;
+  let words = state_words t in
+  if words > st.peak_state_words then st.peak_state_words <- words;
+  if t.n_frames - 1 > t.peak_depth then t.peak_depth <- t.n_frames - 1;
+  if t.n_live > t.peak_pending then t.peak_pending <- t.n_live
 
 (* ------------------------------------------------------------------ *)
 (* Condition resolution                                                *)
@@ -643,7 +606,7 @@ let instantiate t pid =
         cand_words = 0; deps = [] }
     in
     t.next_var <- t.next_var + 1;
-    Obs.Metrics.Counter.inc t.st.c_instances;
+    t.st.instances <- t.st.instances + 1;
     t.created_at.(pid) <- t.epoch;
     t.created.(pid) <- inst;
     if t.n_live = Array.length t.live then t.live <- grown t.live no_inst;
@@ -753,11 +716,11 @@ let fired is_true = function
 
 (* The event's output: its Resolve events, then [last]. *)
 let emit t =
-  Obs.Metrics.Counter.add t.st.c_emitted t.n_out;
+  t.st.emitted <- t.st.emitted + t.n_out;
   List.rev t.out
 
 let emit_with t last =
-  Obs.Metrics.Counter.add t.st.c_emitted (t.n_out + 1);
+  t.st.emitted <- t.st.emitted + t.n_out + 1;
   List.rev_append t.out [ last ]
 
 let open_tag t tag =
@@ -775,7 +738,7 @@ let open_tag t tag =
   t.fired_query <- [];
   let inst_lo = t.n_live in
   collect_visited t parent id;
-  Obs.Metrics.Counter.add t.st.c_token_visits t.n_visited;
+  t.st.token_visits <- t.st.token_visits + t.n_visited;
   for i = 0 to t.n_visited - 1 do
     advance t t.visited.(i) id
   done;
@@ -807,20 +770,19 @@ let open_tag t tag =
      summarize (the naive engine scans the self-loop copies instead). *)
   let suppressed =
     parent.suppressed
-    || t.suppress_enabled
-       && ((det = Det_deny
-           && not (parent.desc_has_allow || fresh_has t Allow_automaton 0))
-          || (scope = Out_scope
-             && not (parent.desc_has_query || fresh_has t Query_automaton 0)))
+    || (det = Det_deny
+       && not (parent.desc_has_allow || fresh_has t Allow_automaton 0))
+    || (scope = Out_scope
+       && not (parent.desc_has_query || fresh_has t Query_automaton 0))
   in
   push_frame t parent ~tag ~det ~scope ~suppressed ~inst_lo;
   bump_peaks t;
   if suppressed then begin
-    Obs.Metrics.Counter.inc t.st.c_suppressed;
+    t.st.suppressed <- t.st.suppressed + 1;
     emit t
   end
   else begin
-    Obs.Metrics.Counter.inc t.st.c_delivered;
+    t.st.delivered <- t.st.delivered + 1;
     emit_with t (Output.Open_node { tag; neg; pos; query })
   end
 
@@ -847,15 +809,15 @@ let value t v =
      the accounting reconciles: events = delivered + suppressed +
      filtered. *)
   if f.suppressed then begin
-    Obs.Metrics.Counter.inc t.st.c_suppressed;
+    t.st.suppressed <- t.st.suppressed + 1;
     emit t
   end
   else if f.det <> Det_deny && f.scope <> Out_scope then begin
-    Obs.Metrics.Counter.inc t.st.c_delivered;
+    t.st.delivered <- t.st.delivered + 1;
     emit_with t (Output.Text_node v)
   end
   else begin
-    Obs.Metrics.Counter.inc t.st.c_filtered;
+    t.st.filtered <- t.st.filtered + 1;
     emit t
   end
 
@@ -885,16 +847,16 @@ let close t tag =
   t.n_live <- f.inst_lo;
   if t.n_frames = 1 then t.closed_root <- true;
   if f.suppressed then begin
-    Obs.Metrics.Counter.inc t.st.c_suppressed;
+    t.st.suppressed <- t.st.suppressed + 1;
     emit t
   end
   else begin
-    Obs.Metrics.Counter.inc t.st.c_delivered;
+    t.st.delivered <- t.st.delivered + 1;
     emit_with t (Output.Close_node tag)
   end
 
 let feed t ev =
-  Obs.Metrics.Counter.inc t.st.c_events;
+  t.st.events <- t.st.events + 1;
   t.out <- [];
   t.n_out <- 0;
   match ev with
@@ -902,12 +864,29 @@ let feed t ev =
   | Event.Value v -> value t v
   | Event.Close tag -> close t tag
 
+(* The evaluation ends here: its counts join the scope's cells and each
+   level gauge is set to the evaluation's peak. *)
+let publish t =
+  let st = t.st and obs = t.obs in
+  Obs.inc obs "engine.events" st.events;
+  Obs.inc obs "engine.emitted" st.emitted;
+  Obs.inc obs "engine.delivered" st.delivered;
+  Obs.inc obs "engine.suppressed" st.suppressed;
+  Obs.inc obs "engine.filtered" st.filtered;
+  Obs.inc obs "engine.instances" st.instances;
+  Obs.inc obs "engine.token_visits" st.token_visits;
+  Obs.set_gauge obs "engine.live_tokens" st.peak_tokens;
+  Obs.set_gauge obs "engine.state_words" st.peak_state_words;
+  Obs.set_gauge obs "engine.frame_depth" t.peak_depth;
+  Obs.set_gauge obs "engine.pending_instances" t.peak_pending
+
 let finish t =
   if not (t.n_frames = 1 && t.closed_root) then
-    invalid_arg "Engine.finish: document incomplete"
+    invalid_arg "Engine.finish: document incomplete";
+  publish t
 
-let run ?obs ?query ?suppress ?dispatch rules events =
-  let t = create ?obs ?query ?suppress ?dispatch rules in
+let run ?obs ?query ?dispatch rules events =
+  let t = create ?obs ?query ?dispatch rules in
   let outs = List.concat_map (feed t) events in
   finish t;
   outs
@@ -1013,19 +992,7 @@ let subtree_skippable t ~tag ~tag_possible ~nonempty =
          || (scope = Out_scope
             && not (sim_exists t f id Query_automaton ~tag_possible ~nonempty)))
 
-(* The legacy record, built fresh from the cells: a compatibility view,
-   not live state. *)
-let stats t =
-  {
-    events = Obs.Metrics.Counter.value t.st.c_events;
-    emitted = Obs.Metrics.Counter.value t.st.c_emitted;
-    delivered = Obs.Metrics.Counter.value t.st.c_delivered;
-    suppressed = Obs.Metrics.Counter.value t.st.c_suppressed;
-    filtered = Obs.Metrics.Counter.value t.st.c_filtered;
-    instances = Obs.Metrics.Counter.value t.st.c_instances;
-    peak_tokens = Obs.Metrics.Gauge.peak t.st.g_tokens;
-    peak_state_words = Obs.Metrics.Gauge.peak t.st.g_state_words;
-    token_visits = Obs.Metrics.Counter.value t.st.c_token_visits;
-  }
+(* A copy: the caller's record is not live state. *)
+let stats t = { t.st with events = t.st.events }
 
 let depth t = t.n_frames - 1

@@ -19,7 +19,9 @@
       determined (denied with no positive automaton alive, or outside the
       query scope with no query automaton alive), rule evaluation is
       suspended and output suppressed — only predicate automata keep
-      running, since they can affect nodes outside the subtree.
+      running, since they can affect nodes outside the subtree. It is
+      always on: suspension changes no view (the oracle tests hold it),
+      so it is not a mode.
 
     An optional query (same XPath fragment) is evaluated in the same pass;
     delivered nodes are those both authorized and inside a query match. *)
@@ -29,7 +31,6 @@ type t
 val create :
   ?obs:Sdds_obs.Obs.t ->
   ?query:Sdds_xpath.Ast.t ->
-  ?suppress:bool ->
   ?dispatch:bool ->
   ?compiled:Compile.t ->
   Rule.t list ->
@@ -40,9 +41,7 @@ val create :
     must have been compiled from exactly these [rules] and [query] (the
     caller's responsibility — [query] is still needed to mark the stream as
     query-scoped). A node no rule reaches is denied (closed world,
-    {!Rule}). [suppress] (default [true]) enables the
-    suspension optimization; disabling it emits every event annotated,
-    which the ablation benchmark uses. [dispatch] (default [true]) enables
+    {!Rule}). [dispatch] (default [true]) enables
     tag-indexed token dispatch: each token is classed by its next step, so
     an open event only visits the tokens whose next step is [Any],
     condition-bearing, or waiting for the incoming tag's id (from
@@ -55,14 +54,16 @@ val create :
     differential tests enforce this), and the naive mode serves as the
     oracle.
 
-    [obs] attaches the engine's accounting cells to a metrics registry
-    (names [engine.events], [engine.delivered], [engine.suppressed],
-    [engine.filtered], [engine.emitted], [engine.instances],
-    [engine.token_visits]; gauges [engine.live_tokens],
-    [engine.state_words], [engine.frame_depth],
-    [engine.pending_instances]). The cells exist either way — {!stats} is
-    a view over them — so instrumented and uninstrumented runs are
-    behaviourally identical. *)
+    The engine keeps its own counts, which {!stats} reads. With [obs],
+    {!finish} adds them to the scope's cells once, when the evaluation
+    ends: counters [engine.events], [engine.delivered],
+    [engine.suppressed], [engine.filtered], [engine.emitted],
+    [engine.instances] and [engine.token_visits] add the evaluation's
+    counts, and gauges [engine.live_tokens], [engine.state_words],
+    [engine.frame_depth] and [engine.pending_instances] are set to its
+    peaks. An evaluation that never reaches {!finish} (it raised, or the
+    skip index jumped its root) publishes nothing. Instrumented and
+    uninstrumented runs are behaviourally identical. *)
 
 val feed : t -> Sdds_xml.Event.t -> Output.t list
 (** Process one event. Raises [Invalid_argument] on a non-well-formed
@@ -70,13 +71,13 @@ val feed : t -> Sdds_xml.Event.t -> Output.t list
     closed). *)
 
 val finish : t -> unit
-(** Asserts the stream ended at depth zero.
-    Raises [Invalid_argument] otherwise. *)
+(** Asserts the stream ended at depth zero, then publishes the
+    evaluation's counts to its [obs] scope, if any. Raises
+    [Invalid_argument], publishing nothing, otherwise. Call it once. *)
 
 val run :
   ?obs:Sdds_obs.Obs.t ->
   ?query:Sdds_xpath.Ast.t ->
-  ?suppress:bool ->
   ?dispatch:bool ->
   Rule.t list ->
   Sdds_xml.Event.t list ->

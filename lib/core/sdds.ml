@@ -1,5 +1,5 @@
-let authorized_view ?query ?suppress ~rules doc =
-  let outs = Engine.run ?query ?suppress rules (Sdds_xml.Dom.to_events doc) in
+let authorized_view ?query ~rules doc =
+  let outs = Engine.run ?query rules (Sdds_xml.Dom.to_events doc) in
   Reassembler.run ~has_query:(query <> None) outs
 
 let authorized_view_for ?query ~subject ~rules doc =

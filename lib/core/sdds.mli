@@ -6,7 +6,6 @@
 
 val authorized_view :
   ?query:Sdds_xpath.Ast.t ->
-  ?suppress:bool ->
   rules:Rule.t list ->
   Sdds_xml.Dom.t ->
   Sdds_xml.Dom.t option

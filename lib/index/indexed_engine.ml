@@ -13,16 +13,13 @@ type result = {
   reader_peak_words : int;
 }
 
-let run ?obs ?query ?(suppress = true) ?dispatch ?(use_index = true) ?compiled
-    rules encoded =
+let run ?obs ?query ?dispatch ?(use_index = true) ?compiled rules encoded =
   let tr = Obs.tracer obs in
   let reader = Reader.create encoded in
   let indexed =
     use_index && (match Reader.mode reader with Encode.Indexed _ -> true | Encode.Plain -> false)
   in
-  let engine =
-    Engine.create ?obs ?query ~suppress ?dispatch ?compiled rules
-  in
+  let engine = Engine.create ?obs ?query ?dispatch ?compiled rules in
   let dict = Reader.dict reader in
   let outputs = ref [] in
   let skipped_subtrees = ref 0 in

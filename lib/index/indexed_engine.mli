@@ -24,7 +24,6 @@ type result = {
 val run :
   ?obs:Sdds_obs.Obs.t ->
   ?query:Sdds_xpath.Ast.t ->
-  ?suppress:bool ->
   ?dispatch:bool ->
   ?use_index:bool ->
   ?compiled:Sdds_core.Compile.t ->
@@ -42,4 +41,6 @@ val run :
     [obs] wraps the pass in an [engine.stream] span (one [skip.prune]
     instant per jumped subtree) and feeds the [skip.*] metrics
     ([considered], [pruned_subtrees], [pruned_bytes], and the
-    [subtree_bytes] histogram) alongside the engine's own cells. *)
+    [subtree_bytes] histogram) alongside the engine's [engine.*]
+    metrics, which the engine publishes when it finishes (not when the
+    index jumped the root and the engine saw no event). *)

@@ -42,18 +42,18 @@ let json_args args =
 
 module Metrics = struct
   module Counter = struct
-    type t = { mutable n : int; mutable registered : bool }
+    type t = { mutable n : int }
 
-    let create () = { n = 0; registered = false }
+    let create () = { n = 0 }
     let inc c = c.n <- c.n + 1
     let add c k = c.n <- c.n + k
     let value c = c.n
   end
 
   module Gauge = struct
-    type t = { mutable v : int; mutable p : int; mutable registered : bool }
+    type t = { mutable v : int; mutable p : int }
 
-    let create () = { v = 0; p = 0; registered = false }
+    let create () = { v = 0; p = 0 }
 
     let set g x =
       g.v <- x;
@@ -72,13 +72,11 @@ module Metrics = struct
       counts : int array;
       mutable total : int;
       mutable sum : int;
-      mutable registered : bool;
       mutable ex : exemplar option array;  (* [||] until the first exemplar *)
     }
 
     let create () =
-      { counts = Array.make max_buckets 0; total = 0; sum = 0;
-        registered = false; ex = [||] }
+      { counts = Array.make max_buckets 0; total = 0; sum = 0; ex = [||] }
 
     (* Smallest [i] with [v < 2^i]: 0 -> 0, 1 -> 1, 255 -> 8, ... *)
     let bucket_of v =
@@ -133,26 +131,20 @@ module Metrics = struct
           (List.init max_buckets Fun.id)
   end
 
-  (* Per kind: registry-owned cells (get-or-create) and attached
-     component cells (multi-bound). The hot path touches only the cell;
-     the registry is read at snapshot time. *)
+  (* One cell per name and kind. The hot path touches only the cell; the
+     registry is read at snapshot time, in time and space proportional to
+     its names. *)
   type t = {
-    own_c : (string, Counter.t) Hashtbl.t;
-    own_g : (string, Gauge.t) Hashtbl.t;
-    own_h : (string, Histogram.t) Hashtbl.t;
-    att_c : (string, Counter.t list ref) Hashtbl.t;
-    att_g : (string, Gauge.t list ref) Hashtbl.t;
-    att_h : (string, Histogram.t list ref) Hashtbl.t;
+    counters : (string, Counter.t) Hashtbl.t;
+    gauges : (string, Gauge.t) Hashtbl.t;
+    histograms : (string, Histogram.t) Hashtbl.t;
   }
 
   let create () =
     {
-      own_c = Hashtbl.create 32;
-      own_g = Hashtbl.create 16;
-      own_h = Hashtbl.create 16;
-      att_c = Hashtbl.create 32;
-      att_g = Hashtbl.create 16;
-      att_h = Hashtbl.create 16;
+      counters = Hashtbl.create 32;
+      gauges = Hashtbl.create 16;
+      histograms = Hashtbl.create 16;
     }
 
   let get_or_create tbl make name =
@@ -163,37 +155,9 @@ module Metrics = struct
         Hashtbl.add tbl name c;
         c
 
-  let counter t name = get_or_create t.own_c Counter.create name
-  let gauge t name = get_or_create t.own_g Gauge.create name
-  let histogram t name = get_or_create t.own_h Histogram.create name
-
-  (* O(1): long-lived scopes attach a fresh set of cells per evaluation
-     (every [Engine.create]), so a membership scan of the per-name list
-     would turn the hot path quadratic over a session. The flag on the
-     cell carries the only promise we need — a registered cell is never
-     double-counted. *)
-  let attach tbl name cell =
-    match Hashtbl.find_opt tbl name with
-    | Some l -> l := cell :: !l
-    | None -> Hashtbl.add tbl name (ref [ cell ])
-
-  let attach_counter t name (c : Counter.t) =
-    if not c.Counter.registered then begin
-      c.Counter.registered <- true;
-      attach t.att_c name c
-    end
-
-  let attach_gauge t name (g : Gauge.t) =
-    if not g.Gauge.registered then begin
-      g.Gauge.registered <- true;
-      attach t.att_g name g
-    end
-
-  let attach_histogram t name (h : Histogram.t) =
-    if not h.Histogram.registered then begin
-      h.Histogram.registered <- true;
-      attach t.att_h name h
-    end
+  let counter t name = get_or_create t.counters Counter.create name
+  let gauge t name = get_or_create t.gauges Gauge.create name
+  let histogram t name = get_or_create t.histograms Histogram.create name
 
   type value =
     | Counter_v of int
@@ -212,70 +176,35 @@ module Metrics = struct
     h_exemplars : (int * Histogram.exemplar) list;
   }
 
-  let cells tbl att name =
-    Option.to_list (Hashtbl.find_opt tbl name)
-    @ (match Hashtbl.find_opt att name with Some l -> !l | None -> [])
-
   let counter_value t name =
-    List.fold_left (fun a c -> a + Counter.value c) 0 (cells t.own_c t.att_c name)
+    match Hashtbl.find_opt t.counters name with
+    | Some c -> Counter.value c
+    | None -> 0
 
   let gauge_value t name =
-    List.fold_left
-      (fun (v, p) g -> (v + Gauge.value g, max p (Gauge.peak g)))
-      (0, 0)
-      (cells t.own_g t.att_g name)
+    match Hashtbl.find_opt t.gauges name with
+    | Some g -> (Gauge.value g, Gauge.peak g)
+    | None -> (0, 0)
 
   let histogram_snapshot t name =
-    let hs = cells t.own_h t.att_h name in
-    let h_count = List.fold_left (fun a h -> a + Histogram.count h) 0 hs in
-    let h_sum = List.fold_left (fun a h -> a + Histogram.sum h) 0 hs in
-    let hi =
-      List.fold_left (fun a h -> max a (Histogram.last_nonempty h)) (-1) hs
-    in
-    let h_buckets =
-      List.init (hi + 1) (fun i ->
-          ( (1 lsl i) - 1,
-            List.fold_left (fun a h -> a + h.Histogram.counts.(i)) 0 hs ))
-    in
-    (* Max-value exemplar per bucket across all cells bound to the name. *)
-    let h_exemplars =
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        (List.fold_left
-           (fun acc (ub, e) ->
-             match List.assoc_opt ub acc with
-             | Some e' when e'.Histogram.ex_value >= e.Histogram.ex_value ->
-                 acc
-             | _ -> (ub, e) :: List.remove_assoc ub acc)
-           []
-           (List.concat_map Histogram.exemplars hs))
-    in
-    { h_count; h_sum; h_buckets; h_exemplars }
-
-  let names tbl att =
-    Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-    @ Hashtbl.fold (fun k _ acc -> k :: acc) att []
+    match Hashtbl.find_opt t.histograms name with
+    | Some h ->
+        { h_count = Histogram.count h; h_sum = Histogram.sum h;
+          h_buckets = Histogram.buckets h; h_exemplars = Histogram.exemplars h }
+    | None -> { h_count = 0; h_sum = 0; h_buckets = []; h_exemplars = [] }
 
   let snapshot t =
-    let c = List.sort_uniq String.compare (names t.own_c t.att_c) in
-    let g = List.sort_uniq String.compare (names t.own_g t.att_g) in
-    let h = List.sort_uniq String.compare (names t.own_h t.att_h) in
+    let values tbl f = Hashtbl.fold (fun n c acc -> (n, f c) :: acc) tbl [] in
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
-      (List.map (fun n -> (n, Counter_v (counter_value t n))) c
-      @ List.map
-          (fun n ->
-            let value, peak = gauge_value t n in
-            (n, Gauge_v { value; peak }))
-          g
-      @ List.map
-          (fun n ->
-            let s = histogram_snapshot t n in
-            ( n,
-              Histogram_v
-                { count = s.h_count; sum = s.h_sum; buckets = s.h_buckets;
-                  exemplars = s.h_exemplars } ))
-          h)
+      (values t.counters (fun c -> Counter_v (Counter.value c))
+      @ values t.gauges (fun g ->
+            Gauge_v { value = Gauge.value g; peak = Gauge.peak g })
+      @ values t.histograms (fun h ->
+            Histogram_v
+              { count = Histogram.count h; sum = Histogram.sum h;
+                buckets = Histogram.buckets h;
+                exemplars = Histogram.exemplars h }))
 
   let mangle name =
     "sdds_"
@@ -971,11 +900,17 @@ let observe ?span o name v =
            every exported exemplar resolves to a retained trace. *)
         Tracer.pin o.tracer root
 
-let attach_counter o name c =
-  match o with None -> () | Some o -> Metrics.attach_counter o.metrics name c
+let counter o name =
+  match o with
+  | None -> Metrics.Counter.create ()
+  | Some o -> Metrics.counter o.metrics name
 
-let attach_gauge o name g =
-  match o with None -> () | Some o -> Metrics.attach_gauge o.metrics name g
+let gauge o name =
+  match o with
+  | None -> Metrics.Gauge.create ()
+  | Some o -> Metrics.gauge o.metrics name
 
-let attach_histogram o name h =
-  match o with None -> () | Some o -> Metrics.attach_histogram o.metrics name h
+let histogram o name =
+  match o with
+  | None -> Metrics.Histogram.create ()
+  | Some o -> Metrics.histogram o.metrics name

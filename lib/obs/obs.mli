@@ -20,12 +20,17 @@
       snapshot. Histogram buckets optionally carry {e exemplars} — the
       (trace id, span id, value) of the max observation per bucket — so a
       p99 bucket links straight to the retained trace that produced it.
-      Components keep their own increment {e cells} (a plain mutable int —
-      the hot path stays a single store) and {e attach} them to the
-      registry, which aggregates at snapshot time; the legacy stats
-      records ([Engine.stats], [Card.cache_stats], [Pool.served]) are thin
-      views over the same cells, so there is one accounting source of
-      truth;
+      The registry holds exactly one cell per name and kind, so its size
+      and a snapshot's cost follow the names, never the traffic. A
+      component that lives as long as its scope (a card's host, a
+      fleet) increments the scope's cell for its name directly — a
+      single store on the hot path. A request-scoped component (an
+      engine evaluation, a pool stream) keeps its own counts, which its
+      stats record reads ([Engine.stats], [Pool.served]), and adds them
+      to the scope's cells once, when the request ends: counters add,
+      and a gauge contributes its peak. A card keeps its own cache
+      counts for [Card.cache_stats] and adds each one to the scope's
+      cell as it happens;
     - {!Slo} computes windowed availability / latency objectives and
       multi-window burn rates over registry cells, on the injected clock.
 
@@ -49,8 +54,8 @@ end
 (** Named counters, gauges and log₂-bucketed histograms. *)
 module Metrics : sig
   (** A monotonic event count. The cell is what instrumented code holds
-      and increments directly; registration is separate ({!attach_counter})
-      so the hot path never touches a hash table. *)
+      and increments directly, so the hot path never touches a hash
+      table. *)
   module Counter : sig
     type t
 
@@ -107,29 +112,18 @@ module Metrics : sig
 
   type t
   (** A registry: a mutable map from metric names (dotted lowercase, e.g.
-      ["engine.token_visits"]) to cells. A name aggregates {e all} cells
-      registered under it — the registry-owned cell created by
-      {!counter}/{!gauge}/{!histogram} plus every attached component
-      cell — at snapshot time: counters and histogram buckets sum, gauges
-      sum their current values and take the max of their peaks. *)
+      ["engine.token_visits"]) to cells, exactly one counter, gauge or
+      histogram per name. Nothing is kept per request: a request-scoped
+      component adds its counts to these cells when the request ends, so
+      the registry costs the same after 10 requests as after 10,000. *)
 
   val create : unit -> t
 
   val counter : t -> string -> Counter.t
-  (** Get or create the registry-owned cell for this name. *)
+  (** Get or create the cell for this name. *)
 
   val gauge : t -> string -> Gauge.t
   val histogram : t -> string -> Histogram.t
-
-  val attach_counter : t -> string -> Counter.t -> unit
-  (** Register a component-owned cell under a name. The component keeps
-      incrementing its own cell; the registry only reads it at snapshot
-      time. O(1): attaching a cell that is already registered (anywhere)
-      is a no-op, so per-evaluation components can attach unconditionally
-      without scanning. *)
-
-  val attach_gauge : t -> string -> Gauge.t -> unit
-  val attach_histogram : t -> string -> Histogram.t -> unit
 
   type value =
     | Counter_v of int
@@ -147,21 +141,24 @@ module Metrics : sig
     h_buckets : (int * int) list;
     h_exemplars : (int * Histogram.exemplar) list;
   }
-  (** Aggregated view of one histogram name: counts and buckets sum over
-      every bound cell; exemplars keep the max-value entry per bucket. *)
+  (** One histogram's count, sum, buckets and per-bucket max-value
+      exemplars. *)
 
   val snapshot : t -> (string * value) list
-  (** Aggregated view of every registered name, sorted by name. *)
+  (** Every name's value, sorted by name. *)
 
   val counter_value : t -> string -> int
-  (** Aggregated count for one name; 0 when absent. *)
+  (** The count for one name; 0 when absent. *)
 
   val gauge_value : t -> string -> int * int
-  (** Combined (value, peak) over every cell — owned and attached —
-      registered under the name. Like {!counter_value}, this is the
-      registry-as-source-of-truth read path: component-owned cells
-      (e.g. the fleet's per-card state gauges) are visible here without
-      the component exposing its own accessor. *)
+  (** (value, peak) for one name; (0, 0) when absent. A gauge a
+      long-lived component sets (e.g. the fleet's per-card state) reads
+      its current level. A request gauge ([engine.*]) is set once per
+      request, to that request's peak, when the request ends: its value
+      is the peak of the request that ended last, and its peak the
+      largest over every request that ended. Like {!counter_value}, this
+      is the registry-as-source-of-truth read path: components need not
+      expose their own accessors. *)
 
   val histogram_snapshot : t -> string -> histogram_snapshot
   (** Typed single-name histogram reader, completing the
@@ -435,20 +432,24 @@ val create :
 
 (** {2 [Obs.t option] conveniences}
 
-    Instrumented code holds an [t option] and calls these; all of them
-    are no-ops on [None]. *)
+    Instrumented code holds an [t option] and calls these. On [None]
+    the updates are no-ops and the cell getters return a fresh cell. *)
 
 val tracer : t option -> Tracer.t
 val inc : t option -> string -> int -> unit
 val set_gauge : t option -> string -> int -> unit
 
 val observe : ?span:Tracer.span -> t option -> string -> int -> unit
-(** Observe into the registry-owned histogram. When the observation
+(** Observe into the name's histogram. When the observation
     happens under an open span ([span] overrides {!Tracer.current}), it
     is recorded with an exemplar pointing at the span's root trace, and a
     new bucket max {!Tracer.pin}s that trace so the exemplar always
     resolves to a retained trace. *)
 
-val attach_counter : t option -> string -> Metrics.Counter.t -> unit
-val attach_gauge : t option -> string -> Metrics.Gauge.t -> unit
-val attach_histogram : t option -> string -> Metrics.Histogram.t -> unit
+val counter : t option -> string -> Metrics.Counter.t
+(** The scope's cell for this name, for a component that lives as long
+    as its scope to increment directly; on [None], a fresh cell no
+    registry reads. *)
+
+val gauge : t option -> string -> Metrics.Gauge.t
+val histogram : t option -> string -> Metrics.Histogram.t

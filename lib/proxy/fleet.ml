@@ -185,10 +185,8 @@ let set_state t slot st =
   Obs.Metrics.Gauge.set slot.g_state (lifecycle_index st)
 
 let make_slot ?obs ~store ~subject ~state id raw =
-  let g_depth = Obs.Metrics.Gauge.create () in
-  Obs.attach_gauge obs (Printf.sprintf "fleet.card%d.queue_depth" id) g_depth;
-  let g_state = Obs.Metrics.Gauge.create () in
-  Obs.attach_gauge obs (Printf.sprintf "fleet.card%d.state" id) g_state;
+  let g_depth = Obs.gauge obs (Printf.sprintf "fleet.card%d.queue_depth" id) in
+  let g_state = Obs.gauge obs (Printf.sprintf "fleet.card%d.state" id) in
   Obs.Metrics.Gauge.set g_state (lifecycle_index state);
   let clock = ref 0.0 in
   (* Every frame exchanged with this card — requests and health probes

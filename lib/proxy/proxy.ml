@@ -232,10 +232,12 @@ module Pool = struct
         (* the first stale answer, once the grant was re-sent for it *)
     mutable resp_block : int;  (* next GET RESPONSE block to ask for *)
     span : Obs.Tracer.span;  (* per-request root span; stopped in finish *)
-    cmds : Obs.Metrics.Counter.t;
-    resps : Obs.Metrics.Counter.t;
-    bytes : Obs.Metrics.Counter.t;
-    retries : Obs.Metrics.Counter.t;
+    (* The stream's own counts, which [served] reads; [publish] adds them
+       to the scope's [pool.*] cells when the stream ends. *)
+    mutable cmds : int;
+    mutable resps : int;
+    mutable bytes : int;
+    mutable retries : int;
     buf : Buffer.t;  (* response accumulation *)
   }
 
@@ -246,14 +248,14 @@ module Pool = struct
      to: re-root it at the stream's span for the duration of the
      exchange — host-side APDU spans then nest under the right request. *)
   let send t st cmd =
-    Obs.Metrics.Counter.inc st.cmds;
-    Obs.Metrics.Counter.add st.bytes (Apdu.command_bytes cmd);
+    st.cmds <- st.cmds + 1;
+    st.bytes <- st.bytes + Apdu.command_bytes cmd;
     let resp =
       Obs.Tracer.with_parent (Obs.tracer t.obs) st.span (fun () ->
           t.transport cmd)
     in
-    Obs.Metrics.Counter.inc st.resps;
-    Obs.Metrics.Counter.add st.bytes (Apdu.response_bytes resp);
+    st.resps <- st.resps + 1;
+    st.bytes <- st.bytes + Apdu.response_bytes resp;
     resp
 
   let release t st =
@@ -268,6 +270,18 @@ module Pool = struct
   let reset_partial st =
     Buffer.clear st.buf;
     st.resp_block <- 0
+
+  (* Every path that ends a request — served, failed, aborted or
+     refused — adds its counts to the scope's [pool.*] cells, once. *)
+  let publish t ~cmds ~resps ~bytes ~retries =
+    Obs.inc t.obs "pool.command_frames" cmds;
+    Obs.inc t.obs "pool.response_frames" resps;
+    Obs.inc t.obs "pool.wire_bytes" bytes;
+    Obs.inc t.obs "pool.retries" retries
+
+  let publish_stream t st =
+    publish t ~cmds:st.cmds ~resps:st.resps ~bytes:st.bytes
+      ~retries:st.retries
 
   let finish t st result =
     let result =
@@ -292,16 +306,17 @@ module Pool = struct
                   xml;
                   channel = st.channel;
                   warm_setup = st.warm;
-                  command_frames = Obs.Metrics.Counter.value st.cmds;
-                  response_frames = Obs.Metrics.Counter.value st.resps;
-                  wire_bytes = Obs.Metrics.Counter.value st.bytes;
-                  retries = Obs.Metrics.Counter.value st.retries;
+                  command_frames = st.cmds;
+                  response_frames = st.resps;
+                  wire_bytes = st.bytes;
+                  retries = st.retries;
                 }
           | exception Invalid_argument msg ->
               Error (Protocol ("bad response stream: " ^ msg)))
       | Error e -> Error e
     in
     release t st;
+    publish_stream t st;
     Obs.Tracer.stop (Obs.tracer t.obs)
       ~args:
         [ ( "outcome",
@@ -326,7 +341,7 @@ module Pool = struct
       finish t st (Error (Link_failure { attempts = retry_budget }))
     else begin
       st.budget <- st.budget - 1;
-      Obs.Metrics.Counter.inc st.retries;
+      st.retries <- st.retries + 1;
       k ()
     end
 
@@ -617,31 +632,19 @@ module Pool = struct
         | Remote.Unknown _ -> finish t st (Error (sw_error st resp)))
 
   (* The bookkeeping of every request the pool is handed, refused or
-     not: its frame, byte and retry cells under the [pool.*] names, one
-     [pool.requests] and its root span. *)
+     not: one [pool.requests] and its root span. *)
   let open_request t (r : Request.t) =
-    let cell name =
-      let c = Obs.Metrics.Counter.create () in
-      Obs.attach_counter t.obs name c;
-      c
-    in
-    let cmds = cell "pool.command_frames" in
-    let resps = cell "pool.response_frames" in
-    let bytes = cell "pool.wire_bytes" in
-    let retries = cell "pool.retries" in
     Obs.inc t.obs "pool.requests" 1;
-    let span =
-      Obs.Tracer.start (Obs.tracer t.obs) ~parent:Obs.Tracer.none
-        ~args:
-          [ ("doc_id", r.Request.doc_id);
-            ("xpath", Option.value ~default:"" r.Request.xpath) ]
-        "proxy.request"
-    in
-    (span, cmds, resps, bytes, retries)
+    Obs.Tracer.start (Obs.tracer t.obs) ~parent:Obs.Tracer.none
+      ~args:
+        [ ("doc_id", r.Request.doc_id);
+          ("xpath", Option.value ~default:"" r.Request.xpath) ]
+      "proxy.request"
 
-  (* Refused before any frame: the root span closes here, since the
-     request never reaches [finish]. *)
+  (* Refused before any frame: the request ends here, since it never
+     reaches [finish], having sent nothing. *)
   let reject t span =
+    publish t ~cmds:0 ~resps:0 ~bytes:0 ~retries:0;
     Obs.Tracer.stop (Obs.tracer t.obs) ~args:[ ("outcome", "rejected") ] span
 
   (* Incremental serving, for external schedulers (the {!Fleet}) that
@@ -650,7 +653,7 @@ module Pool = struct
      [result] is [Some] once it finished. [serve] is their round-robin
      closure. *)
   let start t tk =
-    let span, cmds, resps, bytes, retries = open_request t tk.request in
+    let span = open_request t tk.request in
     let st =
       {
         tk;
@@ -662,10 +665,10 @@ module Pool = struct
         stale = None;
         resp_block = 0;
         span;
-        cmds;
-        resps;
-        bytes;
-        retries;
+        cmds = 0;
+        resps = 0;
+        bytes = 0;
+        retries = 0;
         buf = Buffer.create 256;
       }
     in
@@ -689,8 +692,7 @@ module Pool = struct
         (fun r -> function
           | Ok tk -> Ok (start t tk)
           | Error e ->
-              let span, _, _, _, _ = open_request t r in
-              reject t span;
+              reject t (open_request t r);
               Error e)
         reqs tickets
     in
@@ -729,6 +731,7 @@ module Pool = struct
              st.channel <- -1
            end);
         reset_partial st;
+        publish_stream t st;
         Obs.Tracer.stop (Obs.tracer t.obs)
           ~args:[ ("outcome", "aborted") ]
           st.span;

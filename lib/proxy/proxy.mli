@@ -205,11 +205,13 @@ module Pool : sig
       [obs] opens one [proxy.request] root span per served request
       (every transport exchange re-roots the implicit span stack at it,
       so host-side [apdu] spans nest under the right request even though
-      the streams interleave), attaches each stream's frame/byte/retry
-      cells under the [pool.*] metric names — {!served} is a view over
-      the same cells — and counts channel churn
+      the streams interleave), counts [pool.requests] and channel churn
       ([pool.channels_opened], [pool.warm_setups], [pool.rekeys],
-      [pool.tear_evidence]). *)
+      [pool.tear_evidence]). Each stream keeps its own frame, byte and
+      retry counts, which {!served} reads, and adds them to
+      [pool.command_frames], [pool.response_frames], [pool.wire_bytes]
+      and [pool.retries] once, when it ends: served, failed, aborted or
+      refused. *)
 
   (** One request's result. [xml] is written as the response bytes
       decode ({!Sdds_core.Output_codec.iter} into

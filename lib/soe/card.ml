@@ -50,6 +50,11 @@ type t = {
   cache_mem : Memory.t option;  (* None: caching disabled *)
   mutable cache_clock : int;
   obs : Obs.t option;
+  (* The card's own cache counts, which [cache_stats] reads; each event
+     is also added to the scope's cell for its name. *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
   c_hits : Obs.Metrics.Counter.t;
   c_misses : Obs.Metrics.Counter.t;
   c_evictions : Obs.Metrics.Counter.t;
@@ -62,12 +67,6 @@ let create ?obs ?(profile = Cost.egate) ?cache_budget_bytes ?preflight_depth
     | Some b -> b
     | None -> profile.Cost.ram_bytes / 4
   in
-  let c_hits = Obs.Metrics.Counter.create () in
-  let c_misses = Obs.Metrics.Counter.create () in
-  let c_evictions = Obs.Metrics.Counter.create () in
-  Obs.attach_counter obs "card.cache.hits" c_hits;
-  Obs.attach_counter obs "card.cache.misses" c_misses;
-  Obs.attach_counter obs "card.cache.evictions" c_evictions;
   {
     prof = profile;
     subj = subject;
@@ -81,9 +80,12 @@ let create ?obs ?(profile = Cost.egate) ?cache_budget_bytes ?preflight_depth
        else Some (Memory.create ~budget_bytes:cache_budget));
     cache_clock = 0;
     obs;
-    c_hits;
-    c_misses;
-    c_evictions;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    c_hits = Obs.counter obs "card.cache.hits";
+    c_misses = Obs.counter obs "card.cache.misses";
+    c_evictions = Obs.counter obs "card.cache.evictions";
   }
 
 let cache_stats t =
@@ -93,9 +95,9 @@ let cache_stats t =
       (match t.cache_mem with Some m -> Memory.used_bytes m | None -> 0);
     cache_budget_bytes =
       (match t.cache_mem with Some m -> Memory.budget_bytes m | None -> 0);
-    hits = Obs.Metrics.Counter.value t.c_hits;
-    misses = Obs.Metrics.Counter.value t.c_misses;
-    evictions = Obs.Metrics.Counter.value t.c_evictions;
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
   }
 
 let subject t = t.subj
@@ -199,6 +201,18 @@ let cache_key ~doc_id ~encrypted_rules query =
    the document key and fixed entry framing. *)
 let entry_bytes p = 64 + (2 * Compile.state_count p.p_compiled)
 
+let count_hit t =
+  t.hits <- t.hits + 1;
+  Obs.Metrics.Counter.inc t.c_hits
+
+let count_miss t =
+  t.misses <- t.misses + 1;
+  Obs.Metrics.Counter.inc t.c_misses
+
+let count_eviction t =
+  t.evictions <- t.evictions + 1;
+  Obs.Metrics.Counter.inc t.c_evictions
+
 let drop_entry t key p =
   Hashtbl.remove t.cache key;
   match t.cache_mem with
@@ -217,7 +231,7 @@ let evict_lru t =
   match victim with
   | Some (k, p) ->
       drop_entry t k p;
-      Obs.Metrics.Counter.inc t.c_evictions
+      count_eviction t
   | None -> ()
 
 (* Admit a freshly prepared entry, evicting least-recently-used residents
@@ -463,7 +477,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               (* the document was re-granted under a different key: the
                  entry can never serve again *)
               drop_entry t ckey p;
-              Obs.Metrics.Counter.inc t.c_evictions;
+              count_eviction t;
               None
           | None -> None
         in
@@ -474,7 +488,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               (* a version bump was enforced since this entry was built:
                  it must never serve again (rollback through the cache) *)
               drop_entry t ckey p;
-              Obs.Metrics.Counter.inc t.c_evictions;
+              count_eviction t;
               Error (Replayed_rules { seen; offered = p.p_version })
             end
             else if
@@ -488,7 +502,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               p.p_length <- source.plain_length;
               Hashtbl.replace t.rule_versions source.doc_id
                 (max seen p.p_version);
-              Obs.Metrics.Counter.inc t.c_hits;
+              count_hit t;
               t.cache_clock <- t.cache_clock + 1;
               p.p_tick <- t.cache_clock;
               Ok (p.p_rules, p.p_compiled, true)
@@ -516,7 +530,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
                     in
                     Cost.charge_compile meter
                       ~states:(Compile.state_count compiled);
-                    Obs.Metrics.Counter.inc t.c_misses;
+                    count_miss t;
                     t.cache_clock <- t.cache_clock + 1;
                     admit t ~key:ckey
                       {

@@ -89,11 +89,12 @@ val create :
 (** A personalized card: the subject's identity and keypair live in secure
     stable storage. Default profile: {!Cost.egate}.
 
-    [obs] attaches the card's cache counters to the metrics registry
-    ([card.cache.hits]/[misses]/[evictions] — {!cache_stats} is a view
-    over the same cells), wraps each {!evaluate} in a [card.evaluate]
-    span, and threads the scope into the engine run, so engine spans and
-    metrics land in the same trace.
+    The card keeps its own cache counts, which {!cache_stats} reads.
+    [obs] adds each cache event to the scope's [card.cache.hits],
+    [card.cache.misses] or [card.cache.evictions] cell as it happens (so
+    cards sharing a scope sum there), wraps each {!evaluate} in a
+    [card.evaluate] span, and threads the scope into the engine run, so
+    engine spans and metrics land in the same trace.
 
     [cache_budget_bytes] bounds the prepared-evaluation cache (see
     {!cache_stats}); it defaults to a quarter of the profile's RAM and

@@ -123,24 +123,18 @@ module Host = struct
           | Error e -> Error (to_sw e));
     }
 
+  (* A host lives as long as its scope: it counts into the scope's cells
+     directly. *)
   let create ?obs ?(semantics = Protocol.Identity_marker) ~card ~resolve () =
-    let c_cmds = Obs.Metrics.Counter.create () in
-    let c_tears = Obs.Metrics.Counter.create () in
-    let h_frame_bytes = Obs.Metrics.Histogram.create () in
-    let h_rtt_ns = Obs.Metrics.Histogram.create () in
-    Obs.attach_counter obs "apdu.commands" c_cmds;
-    Obs.attach_counter obs "card.tears" c_tears;
-    Obs.attach_histogram obs "apdu.frame_bytes" h_frame_bytes;
-    Obs.attach_histogram obs "apdu.rtt_ns" h_rtt_ns;
     {
       backend = backend ~card ~resolve;
       semantics;
       state = Protocol.initial ();
       obs;
-      c_cmds;
-      c_tears;
-      h_frame_bytes;
-      h_rtt_ns;
+      c_cmds = Obs.counter obs "apdu.commands";
+      c_tears = Obs.counter obs "card.tears";
+      h_frame_bytes = Obs.histogram obs "apdu.frame_bytes";
+      h_rtt_ns = Obs.histogram obs "apdu.rtt_ns";
     }
 
   let open_channels t = Protocol.open_channels t.state

@@ -23,24 +23,30 @@ let to_events doc =
   in
   List.rev (go [] doc)
 
+(* One frame per open element; its children are added in place, newest
+   first. *)
+type frame = { ftag : string; mutable kids : t list }
+
 let of_events evs =
-  (* Stack of (tag, reversed children built so far). *)
   let rec go stack evs =
     match (evs, stack) with
     | [], [] -> invalid_arg "Dom.of_events: empty stream"
     | [], _ :: _ -> invalid_arg "Dom.of_events: unclosed elements"
-    | Event.Open tag :: rest, _ -> go ((tag, []) :: stack) rest
-    | Event.Value v :: rest, (tag, kids) :: stack' ->
-        go ((tag, Text v :: kids) :: stack') rest
+    | Event.Open tag :: rest, _ -> go ({ ftag = tag; kids = [] } :: stack) rest
+    | Event.Value v :: rest, f :: _ ->
+        f.kids <- Text v :: f.kids;
+        go stack rest
     | Event.Value _ :: _, [] -> invalid_arg "Dom.of_events: text at top level"
-    | Event.Close tag :: rest, (tag', kids) :: stack' ->
-        if not (String.equal tag tag') then
+    | Event.Close tag :: rest, f :: up -> (
+        if not (String.equal tag f.ftag) then
           invalid_arg "Dom.of_events: mismatched close";
-        let node = Element (tag, List.rev kids) in
-        (match (stack', rest) with
+        let node = Element (tag, List.rev f.kids) in
+        match (up, rest) with
         | [], [] -> node
         | [], _ :: _ -> invalid_arg "Dom.of_events: trailing events"
-        | (ptag, pkids) :: up, _ -> go ((ptag, node :: pkids) :: up) rest)
+        | parent :: _, _ ->
+            parent.kids <- node :: parent.kids;
+            go up rest)
     | Event.Close _ :: _, [] -> invalid_arg "Dom.of_events: close at top level"
   in
   go [] evs

@@ -158,8 +158,7 @@ let test_oracle_query () =
 (* Engine vs hand-computed outputs                                     *)
 (* ------------------------------------------------------------------ *)
 
-let view ?query ?suppress rules doc =
-  Sdds.authorized_view ?query ?suppress ~rules doc
+let view ?query rules doc = Sdds.authorized_view ?query ~rules doc
 
 let test_engine_figure2 () =
   Alcotest.check dom_opt "engine matches oracle on Figure 2"
@@ -255,8 +254,9 @@ let test_engine_suppression_stats () =
   let st = Engine.stats t in
   Alcotest.(check int) "everything suppressed" (List.length events)
     st.Engine.suppressed;
-  (* With suppression disabled every event is processed visibly. *)
-  let t2 = Engine.create ~suppress:false [ deny "/hospital" ] in
+  (* An allow that could still match below keeps every frame visible,
+     though it never fires. *)
+  let t2 = Engine.create [ deny "/hospital"; allow "//nothing" ] in
   List.iter (fun ev -> ignore (Engine.feed t2 ev)) events;
   Engine.finish t2;
   Alcotest.(check int) "no suppression" 0 (Engine.stats t2).Engine.suppressed
@@ -335,8 +335,8 @@ let test_output_is_static_without_predicates () =
   let outs = Engine.run [ allow "//b"; deny "//d" ] (Dom.to_events doc) in
   Alcotest.(check bool) "no conditions" true (Output.is_static outs)
 
-let run_mode ~dispatch ?query ?suppress rules events =
-  let t = Engine.create ?query ?suppress ~dispatch rules in
+let run_mode ~dispatch ?query rules events =
+  let t = Engine.create ?query ~dispatch rules in
   let outs = List.concat_map (Engine.feed t) events in
   Engine.finish t;
   (outs, Engine.stats t)
@@ -357,32 +357,29 @@ let test_engine_stats_reconcile () =
       Event.Close "a";
     ]
   in
-  (* Text under a determined denial on an UNSUPPRESSED frame (suppression
-     off) is dropped without being delivered — it must count as filtered,
-     not vanish from the books. *)
-  let _, st = run_mode ~dispatch:true ~suppress:false [ deny "//b" ] events in
+  (* Text under a determined denial on an UNSUPPRESSED frame (an allow
+     can still reach inside b, so b stays visible) is dropped without
+     being delivered — it must count as filtered, not vanish from the
+     books. *)
+  let _, st =
+    run_mode ~dispatch:true [ deny "//b"; allow "//b/c" ] events
+  in
   Alcotest.(check int) "filtered text counted" 1 st.Engine.filtered;
   Alcotest.(check int) "rest delivered" 4 st.Engine.delivered;
-  check_reconciles "deny, no suppression" st;
-  (* With suppression on and an allow that cannot reach inside b, the b
-     subtree is consumed under suspension instead. *)
-  let _, st =
-    run_mode ~dispatch:true ~suppress:true
-      [ allow "/a"; deny "/a/b" ]
-      events
-  in
+  check_reconciles "deny, unsuppressed frame" st;
+  (* With an allow that cannot reach inside b, the b subtree is consumed
+     under suspension instead. *)
+  let _, st = run_mode ~dispatch:true [ allow "/a"; deny "/a/b" ] events in
   Alcotest.(check int) "subtree suppressed" 3 st.Engine.suppressed;
   Alcotest.(check int) "nothing filtered" 0 st.Engine.filtered;
   check_reconciles "deny, suppression" st;
   (* Out-of-query-scope text on an unsuppressed frame hits the same leak:
-     the element is allowed but outside the query, suppression is off. *)
-  let query = Xp.parse "/a/zzz" in
-  let _, st =
-    run_mode ~dispatch:true ~suppress:false ~query [ allow "//a" ] events
-  in
-  Alcotest.(check bool) "out-of-scope text filtered" true
-    (st.Engine.filtered >= 1);
-  check_reconciles "query, no suppression" st
+     b is allowed but outside the query, which can still reach inside
+     it. *)
+  let query = Xp.parse "/a/b/zzz" in
+  let _, st = run_mode ~dispatch:true ~query [ allow "//a" ] events in
+  Alcotest.(check int) "out-of-scope text filtered" 1 st.Engine.filtered;
+  check_reconciles "query, unsuppressed frame" st
 
 (* The acceptance criterion for the dispatch layer: on a tag-rich document
    with rules naming only a few tags, the tokens actually visited must drop
@@ -399,21 +396,16 @@ let test_dispatch_reduces_token_visits () =
       deny {|//patient[age>"80"]|};
     ]
   in
-  let check ~suppress =
-    let outs_d, st_d = run_mode ~dispatch:true ~suppress rules events in
-    let outs_n, st_n = run_mode ~dispatch:false ~suppress rules events in
-    Alcotest.(check string)
-      (Printf.sprintf "identical output (suppress=%b)" suppress)
-      (Sdds_core.Output_codec.encode_list outs_n)
-      (Sdds_core.Output_codec.encode_list outs_d);
-    Alcotest.(check bool)
-      (Printf.sprintf "visits %d -> %d is >= 2x (suppress=%b)"
-         st_n.Engine.token_visits st_d.Engine.token_visits suppress)
-      true
-      (st_n.Engine.token_visits >= 2 * st_d.Engine.token_visits)
-  in
-  check ~suppress:true;
-  check ~suppress:false
+  let outs_d, st_d = run_mode ~dispatch:true rules events in
+  let outs_n, st_n = run_mode ~dispatch:false rules events in
+  Alcotest.(check string) "identical output"
+    (Sdds_core.Output_codec.encode_list outs_n)
+    (Sdds_core.Output_codec.encode_list outs_d);
+  Alcotest.(check bool)
+    (Printf.sprintf "visits %d -> %d is >= 2x" st_n.Engine.token_visits
+       st_d.Engine.token_visits)
+    true
+    (st_n.Engine.token_visits >= 2 * st_d.Engine.token_visits)
 
 (* The engine's bytes before its hot path was flattened: one MD5 per case
    over the encoded outputs, every [Engine.stats] field, the skipped
@@ -432,8 +424,8 @@ let stream_digest ?(trace = "") ?(ranges = []) outs (st : Engine.stats) =
   Buffer.add_string b trace;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let traced_digest ~dispatch ?query ?suppress rules events =
-  let t = Engine.create ?query ?suppress ~dispatch rules in
+let traced_digest ~dispatch ?query rules events =
+  let t = Engine.create ?query ~dispatch rules in
   let trace = Buffer.create 4096 in
   let outs =
     List.concat_map
@@ -455,15 +447,13 @@ let test_engine_stream_pins () =
   in
   let e14_events = Dom.to_events e14_doc in
   List.iter
-    (fun (dispatch, suppress, want) ->
+    (fun (dispatch, want) ->
       check
-        (Printf.sprintf "E14 dispatch=%b suppress=%b" dispatch suppress)
+        (Printf.sprintf "E14 dispatch=%b" dispatch)
         want
-        (traced_digest ~dispatch ~suppress e14_rules e14_events))
-    [ (true, true, "78b6e0498db6c13efd04e4494046941d");
-      (true, false, "78b6e0498db6c13efd04e4494046941d");
-      (false, true, "06fb58b0eb3b41543a2765e20420cf20");
-      (false, false, "06fb58b0eb3b41543a2765e20420cf20") ];
+        (traced_digest ~dispatch e14_rules e14_events))
+    [ (true, "78b6e0498db6c13efd04e4494046941d");
+      (false, "06fb58b0eb3b41543a2765e20420cf20") ];
   let encoded =
     Sdds_index.Encode.encode ~meta_threshold:0
       ~mode:(Sdds_index.Encode.Indexed { recursive = true })
@@ -502,15 +492,13 @@ let test_engine_stream_pins () =
       allow "/hospital/patient/folder[.//drug]/analysis"; deny "//ssn" ]
   in
   List.iter
-    (fun (dispatch, suppress, want) ->
+    (fun (dispatch, want) ->
       check
-        (Printf.sprintf "boundary dispatch=%b suppress=%b" dispatch suppress)
+        (Printf.sprintf "boundary dispatch=%b" dispatch)
         want
-        (traced_digest ~dispatch ~suppress boundary_rules e14_events))
-    [ (true, true, "01cde424f88213fe71a5364d88ef0e86");
-      (true, false, "56e61b63c5546e2ac50e8b8582bb4a2f");
-      (false, true, "418cfeebb8694753a7bc9666be61e415");
-      (false, false, "7b1622a26cb2c89deaa4d7177dba9b2f") ];
+        (traced_digest ~dispatch boundary_rules e14_events))
+    [ (true, "01cde424f88213fe71a5364d88ef0e86");
+      (false, "418cfeebb8694753a7bc9666be61e415") ];
   let feed = Dom.to_events (Generator.feed_tagged (Rng.create 5L) ~events:100) in
   check "feed channels -//*[rating=R]" "f5543f0f529cef7b7c94a0054bf110af"
     (traced_digest ~dispatch:true
@@ -618,49 +606,35 @@ let qcheck_engine_default_allow =
       let rules = allow "/*" :: rules in
       equal_view (Oracle.authorized_view ~rules doc) (view rules doc))
 
-let qcheck_suppression_equivalence =
-  QCheck2.Test.make ~name:"suppression does not change the view" ~count:300
-    gen_case (fun seed ->
-      let doc, rules, query = expand_case ~with_query:true seed in
-      equal_view
-        (view ?query ~suppress:false rules doc)
-        (view ?query ~suppress:true rules doc))
-
 (* The differential guarantee behind the dispatch layer: the bucketed
    engine's output stream is byte-for-byte the naive engine's (same
    events, same condition-variable numbering, same order), its stats agree
    except that it visits no MORE tokens, and both runs' accounting
-   reconciles. Run with suppression both on and off: 700 seeds x 2
-   configurations = 1400 fuzzed (document, ruleset, query) triples. *)
+   reconciles, over 700 fuzzed (document, ruleset, query) triples. *)
 let qcheck_dispatch_equals_naive =
   QCheck2.Test.make ~name:"dispatch = naive scan, byte-identical" ~count:700
     gen_case (fun seed ->
       let doc, rules, query = expand_case ~with_query:true seed in
       let events = Dom.to_events doc in
-      let check suppress =
-        let outs_d, s_d = run_mode ~dispatch:true ?query ~suppress rules events in
-        let outs_n, s_n =
-          run_mode ~dispatch:false ?query ~suppress rules events
-        in
-        let reconciles (st : Engine.stats) =
-          st.Engine.events
-          = st.Engine.delivered + st.Engine.suppressed + st.Engine.filtered
-        in
-        String.equal
-          (Sdds_core.Output_codec.encode_list outs_d)
-          (Sdds_core.Output_codec.encode_list outs_n)
-        && reconciles s_d && reconciles s_n
-        && s_d.Engine.events = s_n.Engine.events
-        && s_d.Engine.emitted = s_n.Engine.emitted
-        && s_d.Engine.delivered = s_n.Engine.delivered
-        && s_d.Engine.suppressed = s_n.Engine.suppressed
-        && s_d.Engine.filtered = s_n.Engine.filtered
-        && s_d.Engine.instances = s_n.Engine.instances
-        && s_d.Engine.peak_tokens = s_n.Engine.peak_tokens
-        && s_d.Engine.peak_state_words = s_n.Engine.peak_state_words
-        && s_d.Engine.token_visits <= s_n.Engine.token_visits
+      let outs_d, s_d = run_mode ~dispatch:true ?query rules events in
+      let outs_n, s_n = run_mode ~dispatch:false ?query rules events in
+      let reconciles (st : Engine.stats) =
+        st.Engine.events
+        = st.Engine.delivered + st.Engine.suppressed + st.Engine.filtered
       in
-      check true && check false)
+      String.equal
+        (Sdds_core.Output_codec.encode_list outs_d)
+        (Sdds_core.Output_codec.encode_list outs_n)
+      && reconciles s_d && reconciles s_n
+      && s_d.Engine.events = s_n.Engine.events
+      && s_d.Engine.emitted = s_n.Engine.emitted
+      && s_d.Engine.delivered = s_n.Engine.delivered
+      && s_d.Engine.suppressed = s_n.Engine.suppressed
+      && s_d.Engine.filtered = s_n.Engine.filtered
+      && s_d.Engine.instances = s_n.Engine.instances
+      && s_d.Engine.peak_tokens = s_n.Engine.peak_tokens
+      && s_d.Engine.peak_state_words = s_n.Engine.peak_state_words
+      && s_d.Engine.token_visits <= s_n.Engine.token_visits)
 
 let suite =
   [
@@ -709,7 +683,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_engine_matches_oracle_query;
     QCheck_alcotest.to_alcotest qcheck_engine_default_allow;
-    QCheck_alcotest.to_alcotest qcheck_suppression_equivalence;
     QCheck_alcotest.to_alcotest qcheck_dispatch_equals_naive;
   ]
 

@@ -13,6 +13,7 @@ module Random_path = Sdds_xpath.Random_path
 module Rule = Sdds_core.Rule
 module Encode = Sdds_index.Encode
 module Indexed_engine = Sdds_index.Indexed_engine
+module Engine = Sdds_core.Engine
 module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
 module Remote = Sdds_soe.Remote_card
@@ -53,31 +54,36 @@ let test_counter_gauge_histogram () =
     [ (0, 2); (1, 2); (3, 1); (7, 0); (15, 0); (31, 0); (63, 0); (127, 1) ]
     (Obs.Metrics.Histogram.buckets h)
 
-let test_registry_aggregates_attached_cells () =
+let test_registry_one_cell_per_name () =
   let m = Obs.Metrics.create () in
-  let a = Obs.Metrics.Counter.create () and b = Obs.Metrics.Counter.create () in
-  Obs.Metrics.attach_counter m "x.count" a;
-  Obs.Metrics.attach_counter m "x.count" b;
-  (* Attaching the same cell twice must not double-count it. *)
-  Obs.Metrics.attach_counter m "x.count" a;
-  Obs.Metrics.Counter.add a 2;
-  Obs.Metrics.Counter.add b 3;
-  Alcotest.(check int) "counters sum" 5 (Obs.Metrics.counter_value m "x.count");
+  let c = Obs.Metrics.counter m "x.count" in
+  Alcotest.(check bool) "a name has one cell" true
+    (c == Obs.Metrics.counter m "x.count");
+  Obs.Metrics.Counter.add c 2;
+  Obs.Metrics.Counter.add (Obs.Metrics.counter m "x.count") 3;
+  Alcotest.(check int) "its count" 5 (Obs.Metrics.counter_value m "x.count");
   Alcotest.(check int) "absent name is 0" 0 (Obs.Metrics.counter_value m "y");
-  let g1 = Obs.Metrics.Gauge.create () and g2 = Obs.Metrics.Gauge.create () in
-  Obs.Metrics.attach_gauge m "x.level" g1;
-  Obs.Metrics.attach_gauge m "x.level" g2;
-  Obs.Metrics.Gauge.set g1 10;
-  Obs.Metrics.Gauge.set g1 4;
-  Obs.Metrics.Gauge.set g2 6;
+  Alcotest.(check (pair int int)) "absent gauge is (0, 0)" (0, 0)
+    (Obs.Metrics.gauge_value m "y");
+  let g = Obs.Metrics.gauge m "x.level" in
+  Obs.Metrics.Gauge.set g 10;
+  Obs.Metrics.Gauge.set (Obs.Metrics.gauge m "x.level") 4;
   (match List.assoc_opt "x.level" (Obs.Metrics.snapshot m) with
   | Some (Obs.Metrics.Gauge_v { value; peak }) ->
-      Alcotest.(check int) "gauges sum values" 10 value;
-      Alcotest.(check int) "gauges max peaks" 10 peak
+      Alcotest.(check int) "gauge value is the last set" 4 value;
+      Alcotest.(check int) "gauge peak is the max set" 10 peak
   | _ -> Alcotest.fail "gauge missing from snapshot");
-  let snap = Obs.Metrics.snapshot m in
+  Obs.Metrics.Histogram.observe (Obs.Metrics.histogram m "a.lat") 1;
   Alcotest.(check (list string))
-    "snapshot sorted by name" [ "x.count"; "x.level" ] (List.map fst snap)
+    "snapshot sorted by name" [ "a.lat"; "x.count"; "x.level" ]
+    (List.map fst (Obs.Metrics.snapshot m));
+  (* The scope conveniences hand out the scope's cell; with no scope, a
+     cell of their own. *)
+  let o = Obs.create ~tracing:false () in
+  Alcotest.(check bool) "Obs.counter is the scope's cell" true
+    (Obs.counter (Some o) "x" == Obs.Metrics.counter o.Obs.metrics "x");
+  Alcotest.(check bool) "no scope, a fresh cell" false
+    (Obs.counter None "x" == Obs.counter None "x")
 
 let test_exporters () =
   let m = Obs.Metrics.create () in
@@ -358,38 +364,27 @@ let qcheck_tail_policy_sound =
 
 let test_exemplars_and_snapshot () =
   let m = Obs.Metrics.create () in
-  let h1 = Obs.Metrics.Histogram.create ()
-  and h2 = Obs.Metrics.Histogram.create () in
-  Obs.Metrics.attach_histogram m "lat" h1;
-  Obs.Metrics.attach_histogram m "lat" h2;
+  let h = Obs.Metrics.histogram m "lat" in
   Alcotest.(check bool) "first observation installs an exemplar" true
-    (Obs.Metrics.Histogram.observe_exemplar h1 ~trace:7 ~span:8 100);
+    (Obs.Metrics.Histogram.observe_exemplar h ~trace:7 ~span:8 100);
   Alcotest.(check bool) "smaller value in the same bucket does not" false
-    (Obs.Metrics.Histogram.observe_exemplar h1 ~trace:9 ~span:10 80);
+    (Obs.Metrics.Histogram.observe_exemplar h ~trace:9 ~span:10 80);
   Alcotest.(check bool) "larger value replaces it" true
-    (Obs.Metrics.Histogram.observe_exemplar h1 ~trace:11 ~span:12 120);
-  Alcotest.(check bool) "other cell, other bucket" true
-    (Obs.Metrics.Histogram.observe_exemplar h2 ~trace:13 ~span:14 3000);
-  (* The aggregated snapshot reconciles with the cells it sums. *)
+    (Obs.Metrics.Histogram.observe_exemplar
+       (Obs.Metrics.histogram m "lat")
+       ~trace:11 ~span:12 120);
+  Alcotest.(check bool) "other bucket" true
+    (Obs.Metrics.Histogram.observe_exemplar h ~trace:13 ~span:14 3000);
+  (* The snapshot is the name's one cell. *)
   let s = Obs.Metrics.histogram_snapshot m "lat" in
-  Alcotest.(check int) "snapshot count sums cells"
-    (Obs.Metrics.Histogram.count h1 + Obs.Metrics.Histogram.count h2)
-    s.Obs.Metrics.h_count;
-  Alcotest.(check int) "snapshot sum sums cells"
-    (Obs.Metrics.Histogram.sum h1 + Obs.Metrics.Histogram.sum h2)
-    s.Obs.Metrics.h_sum;
-  let cell_count cell ub =
-    Option.value ~default:0
-      (List.assoc_opt ub (Obs.Metrics.Histogram.buckets cell))
-  in
-  List.iter
-    (fun (ub, n) ->
-      Alcotest.(check int)
-        (Printf.sprintf "bucket %d sums cells" ub)
-        (cell_count h1 ub + cell_count h2 ub)
-        n)
+  Alcotest.(check int) "snapshot count" 4 s.Obs.Metrics.h_count;
+  Alcotest.(check int) "snapshot sum" 3300 s.Obs.Metrics.h_sum;
+  Alcotest.(check (list (pair int int)))
+    "snapshot buckets" (Obs.Metrics.Histogram.buckets h)
     s.Obs.Metrics.h_buckets;
-  (* Max-value exemplar per bucket across cells. *)
+  Alcotest.(check int) "absent histogram is empty" 0
+    (Obs.Metrics.histogram_snapshot m "nope").Obs.Metrics.h_count;
+  (* A bucket keeps its max-value exemplar. *)
   (match
      List.assoc_opt 127 s.Obs.Metrics.h_exemplars,
      List.assoc_opt 4095 s.Obs.Metrics.h_exemplars
@@ -719,6 +714,80 @@ let test_engine_cells_are_the_stats () =
   Alcotest.(check int) "pruned bytes" res.Indexed_engine.skipped_bytes
     (cv "skip.pruned_bytes")
 
+(* Two evaluations finish on one scope, the bigger first: each engine.*
+   gauge is set to an evaluation's peak when it finishes, so its value
+   reads the last one's peak and its peak the larger. *)
+let test_request_gauges_keep_peaks () =
+  let obs = Obs.create ~tracing:false () in
+  let rules =
+    [ Rule.allow ~subject:"u" "//*[name]"; Rule.deny ~subject:"u" "//ssn" ]
+  in
+  let finish doc =
+    let t = Engine.create ~obs rules in
+    List.iter (fun ev -> ignore (Engine.feed t ev)) (Dom.to_events doc);
+    Engine.finish t;
+    Engine.stats t
+  in
+  let big = finish (Generator.hospital (Rng.create 5L) ~patients:4) in
+  let small =
+    finish
+      (Dom.element "hospital"
+         [ Dom.element "patient" [ Dom.element "name" [ Dom.text "x" ] ] ])
+  in
+  let gv = Obs.Metrics.gauge_value obs.Obs.metrics in
+  Alcotest.(check (pair int int)) "live tokens"
+    (small.Engine.peak_tokens, big.Engine.peak_tokens)
+    (gv "engine.live_tokens");
+  Alcotest.(check (pair int int)) "state words"
+    (small.Engine.peak_state_words, big.Engine.peak_state_words)
+    (gv "engine.state_words");
+  Alcotest.(check (pair int int)) "pinned live tokens" (11, 23)
+    (gv "engine.live_tokens");
+  Alcotest.(check (pair int int)) "pinned state words" (64, 136)
+    (gv "engine.state_words");
+  (* Every element anchors one [*[name]] instance, so both levels follow
+     the documents' depths: 3 for the small one, 7 for the hospital. *)
+  Alcotest.(check (pair int int)) "frame depth" (3, 7) (gv "engine.frame_depth");
+  Alcotest.(check (pair int int)) "pending instances" (3, 7)
+    (gv "engine.pending_instances");
+  Alcotest.(check int) "counters add" (big.Engine.events + small.Engine.events)
+    (Obs.Metrics.counter_value obs.Obs.metrics "engine.events")
+
+(* One long-lived scope over a fleet-profile card, its host and a pool:
+   the registry holds one cell per name, so it is no bigger after 1,000
+   requests than after 100. *)
+let test_registry_flat_in_requests () =
+  let drbg = Drbg.create ~seed:"obs-flat" in
+  let publisher = Rsa.generate drbg ~bits:512 in
+  let user = Rsa.generate drbg ~bits:512 in
+  let w =
+    World.create drbg ~publisher ~user
+      (World.wards ~doc_id:(Printf.sprintf "doc%d") ~seed:(( + ) 101) 2)
+  in
+  let obs = Obs.create ~tracing:false () in
+  let card = Card.create ~obs ~profile:Cost.fleet ~subject:"u" (World.user w) in
+  let host = Remote.Host.create ~obs ~card ~resolve:(World.resolve w) () in
+  let pool =
+    Proxy.Pool.create ~obs ~store:(World.store w)
+      ~transport:(Remote.Host.process host) ~subject:"u" ()
+  in
+  let serve_until n =
+    for i = Obs.Metrics.counter_value obs.Obs.metrics "pool.requests" to n - 1 do
+      match
+        Proxy.Pool.serve pool
+          [ Proxy.Request.make (Printf.sprintf "doc%d" (i mod 2)) ]
+      with
+      | [ Ok _ ] -> ()
+      | _ -> Alcotest.failf "request %d failed" i
+    done;
+    Obj.reachable_words (Obj.repr obs.Obs.metrics)
+  in
+  let at_100 = serve_until 100 in
+  let at_1000 = serve_until 1000 in
+  Alcotest.(check int) "requests served" 1000
+    (Obs.Metrics.counter_value obs.Obs.metrics "pool.requests");
+  Alcotest.(check int) "registry words at 1,000 = at 100" at_100 at_1000
+
 (* Fault/span correlation: an injected fault lands on the request span
    that was active, and that span is a recorded proxy.request root. *)
 let test_fault_correlates_with_request_span () =
@@ -754,8 +823,8 @@ let suite =
   [
     Alcotest.test_case "counter, gauge, histogram cells" `Quick
       test_counter_gauge_histogram;
-    Alcotest.test_case "registry aggregates attached cells" `Quick
-      test_registry_aggregates_attached_cells;
+    Alcotest.test_case "registry keeps one cell per name" `Quick
+      test_registry_one_cell_per_name;
     Alcotest.test_case "prometheus and json exporters" `Quick test_exporters;
     Alcotest.test_case "disabled tracer is inert" `Quick
       test_disabled_tracer_is_inert;
@@ -786,6 +855,10 @@ let suite =
       test_registry_reconciles_with_legacy_views;
     Alcotest.test_case "engine cells are the stats record" `Quick
       test_engine_cells_are_the_stats;
+    Alcotest.test_case "request gauges keep each request's peak" `Quick
+      test_request_gauges_keep_peaks;
+    Alcotest.test_case "registry size is flat in requests served" `Quick
+      test_registry_flat_in_requests;
     Alcotest.test_case "faults correlate with request spans" `Quick
       test_fault_correlates_with_request_span;
   ]
