@@ -2,8 +2,8 @@
    ring bounds, the two export formats, and the subsystem's contract with
    the rest of the pipeline — zero behavioural overhead (qcheck),
    deterministic exports under a fixed clock and fault seed, one
-   accounting source of truth (legacy stats records = registry cells),
-   and fault/span correlation. *)
+   accounting source of truth (legacy stats records = registry values)
+   in a registry sized by its names, and fault/span correlation. *)
 
 module Obs = Sdds_obs.Obs
 module Rng = Sdds_util.Rng
@@ -647,8 +647,9 @@ let test_deterministic_tail_trace () =
   Alcotest.(check bool) "a retained tree names its reason" true
     (contains j1 "\"sampled.reason\"")
 
-(* One accounting source of truth: the legacy stats records and the
-   registry aggregate the very same cells. *)
+(* One accounting source of truth: the registry holds exactly what the
+   legacy stats records count, each request's counts added when it
+   ends. *)
 let test_registry_reconciles_with_legacy_views () =
   let obs, card, _, served = traced_pool_run () in
   let served =
