@@ -24,8 +24,10 @@
 
     Summing over frame depths [0..depth] yields a bound that dominates
     every reachable [state_words] on documents of that element depth —
-    the property the differential tests check against the engine, and the
-    admission check {!Sdds_soe.Card} runs at rule-upload time. *)
+    the property the differential tests check against the engine. Against
+    a card profile's RAM ([sdds analyze --profile]) it is the static RAM
+    check, run before a policy is uploaded; the card's own check is the
+    runtime one, at evaluation. *)
 
 type t = {
   depth : int;  (** element depth the bound is evaluated at *)

@@ -88,7 +88,7 @@ let view config ~version ~query =
     (fun i -> base.[i mod String.length base])
 
 (* The synthetic card backend: rule blobs are "<version digit>rr…r";
-   admission refuses anything else (what a fragment re-executed from a
+   [accept_rules] refuses anything else (what a fragment re-executed from a
    duplicated final frame looks like); evaluation enforces anti-rollback
    against the stable high-water mark [nv] and answers a deterministic
    view. [nv] is threaded as a ref so one backend value can serve the
@@ -100,10 +100,10 @@ let backend config nv =
       (fun id -> if String.equal id doc_id then Some id else None);
     install_grant = (fun _ ~wrapped:_ -> Ok ());
     accept_rules =
-      (fun _ ~query:_ rules ->
+      (fun _ rules ->
         if valid_rules config rules then Ok () else Error Protocol.Sw.security);
     evaluate =
-      (fun _ ~rules ~query ~push:_ ~use_index:_ ->
+      (fun _ ~rules ~query ~push:_ ->
         match version_of rules with
         | None -> Error Protocol.Sw.security
         | Some v ->
@@ -161,7 +161,7 @@ let command config h =
           data = query_payload;
         }
   | Evaluate ->
-      Some { Apdu.cla; ins = Protocol.Ins.evaluate; p1 = 0; p2 = 1; data = "" }
+      Some { Apdu.cla; ins = Protocol.Ins.evaluate; p1 = 0; p2 = 0; data = "" }
   | Drain b ->
       Some
         {

@@ -8,7 +8,6 @@ module Output = Sdds_core.Output
 module Output_codec = Sdds_core.Output_codec
 
 module Indexed_engine = Sdds_index.Indexed_engine
-module Memory_bound = Sdds_analysis.Memory_bound
 module Obs = Sdds_obs.Obs
 
 (* A resident prepared evaluation: everything the card derives from one
@@ -37,17 +36,13 @@ type cache_stats = {
 type t = {
   prof : Cost.profile;
   subj : string;
-  preflight_depth : int option;
-      (* static-admission document depth: when set, rule sets whose
-         analyzer memory bound at this depth exceeds the profile's RAM
-         are refused before any document byte is processed *)
   keypair : Rsa.keypair;
   doc_keys : (string, string) Hashtbl.t;
   rule_versions : (string, int) Hashtbl.t;
       (* per document: highest policy version enforced so far (secure
          stable storage) — the anti-rollback high-water mark *)
   cache : (string, prepared) Hashtbl.t;
-  cache_mem : Memory.t option;  (* None: caching disabled *)
+  cache_mem : Memory.t;  (* a quarter of the profile's RAM *)
   mutable cache_clock : int;
   obs : Obs.t option;
   (* The card's own cache counts, which [cache_stats] reads; each event
@@ -60,24 +55,15 @@ type t = {
   c_evictions : Obs.Metrics.Counter.t;
 }
 
-let create ?obs ?(profile = Cost.egate) ?cache_budget_bytes ?preflight_depth
-    ~subject keypair =
-  let cache_budget =
-    match cache_budget_bytes with
-    | Some b -> b
-    | None -> profile.Cost.ram_bytes / 4
-  in
+let create ?obs ?(profile = Cost.egate) ~subject keypair =
   {
     prof = profile;
     subj = subject;
-    preflight_depth;
     keypair;
     doc_keys = Hashtbl.create 8;
     rule_versions = Hashtbl.create 8;
     cache = Hashtbl.create 8;
-    cache_mem =
-      (if cache_budget <= 0 then None
-       else Some (Memory.create ~budget_bytes:cache_budget));
+    cache_mem = Memory.create ~budget_bytes:(profile.Cost.ram_bytes / 4);
     cache_clock = 0;
     obs;
     hits = 0;
@@ -91,10 +77,8 @@ let create ?obs ?(profile = Cost.egate) ?cache_budget_bytes ?preflight_depth
 let cache_stats t =
   {
     entries = Hashtbl.length t.cache;
-    resident_bytes =
-      (match t.cache_mem with Some m -> Memory.used_bytes m | None -> 0);
-    cache_budget_bytes =
-      (match t.cache_mem with Some m -> Memory.budget_bytes m | None -> 0);
+    resident_bytes = Memory.used_bytes t.cache_mem;
+    cache_budget_bytes = Memory.budget_bytes t.cache_mem;
     hits = t.hits;
     misses = t.misses;
     evictions = t.evictions;
@@ -114,7 +98,6 @@ type error =
   | Memory_exceeded of { need_bytes : int; budget_bytes : int }
   | Bad_rules of string
   | Replayed_rules of { seen : int; offered : int }
-  | Rules_too_large of { bound_bytes : int; budget_bytes : int }
 
 let pp_error ppf = function
   | No_key id -> Format.fprintf ppf "no key for document %s" id
@@ -135,11 +118,6 @@ let pp_error ppf = function
         "stale policy: version %d offered after version %d was enforced \
          (rollback attempt)"
         offered seen
-  | Rules_too_large { bound_bytes; budget_bytes } ->
-      Format.fprintf ppf
-        "rule set refused: static memory bound %dB exceeds the %dB RAM \
-         budget"
-        bound_bytes budget_bytes
 
 let install_wrapped_key t ~doc_id ~wrapped =
   match Wire.unwrap_doc_key t.keypair.Rsa.secret ~doc_id wrapped with
@@ -173,7 +151,6 @@ type report = {
   consumed_mask : bool array;
   skipped_bytes : int;
   events : int;
-  suppressed_events : int;
   token_visits : int;
   output_bytes : int;
   prepared_hit : bool;
@@ -215,9 +192,7 @@ let count_eviction t =
 
 let drop_entry t key p =
   Hashtbl.remove t.cache key;
-  match t.cache_mem with
-  | Some mem -> Memory.release mem ~bytes:(entry_bytes p)
-  | None -> ()
+  Memory.release t.cache_mem ~bytes:(entry_bytes p)
 
 let evict_lru t =
   let victim =
@@ -238,63 +213,18 @@ let evict_lru t =
    until it fits; an entry larger than the whole budget is simply not
    cached (the evaluation itself already succeeded). *)
 let admit t ~key:ckey prepared_entry =
-  match t.cache_mem with
-  | None -> ()
-  | Some mem ->
-      let bytes = entry_bytes prepared_entry in
-      if bytes <= Memory.budget_bytes mem then begin
-        (match Hashtbl.find_opt t.cache ckey with
-        | Some old -> drop_entry t ckey old
-        | None -> ());
-        while Memory.used_bytes mem + bytes > Memory.budget_bytes mem do
-          evict_lru t
-        done;
-        Memory.alloc mem ~bytes;
-        Hashtbl.replace t.cache ckey prepared_entry
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Static admission (analyzer memory bound)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* When the card was created with a preflight depth, a compiled rule set
-   is admitted only if the static worst-case bound of the analyzer fits
-   the profile's RAM — the upload-time refusal of §"provable SOE memory
-   bounds". Disabled by default: the bound is a worst case over ALL
-   documents of that depth, far above what typical documents reach. *)
-let check_bound t ~chunk_plain_bytes compiled =
-  match t.preflight_depth with
-  | None -> Ok ()
-  | Some depth ->
-      let b = Memory_bound.compute ~depth ~chunk_plain_bytes compiled in
-      let budget_bytes = t.prof.Cost.ram_bytes in
-      if b.Memory_bound.bound_bytes <= budget_bytes then Ok ()
-      else
-        Error
-          (Rules_too_large
-             { bound_bytes = b.Memory_bound.bound_bytes; budget_bytes })
-
-(* Upload-time admission: decrypt, compile and bound the offered blob
-   without touching any document state. Skipped silently (Ok) when
-   preflight is off, the key is not yet granted, or the blob is broken —
-   those paths keep their existing failure points in {!evaluate}. *)
-let preflight t ~doc_id ~publisher ?query ?(chunk_plain_bytes = 240)
-    ~encrypted_rules () =
-  match t.preflight_depth with
-  | None -> Ok ()
-  | Some _ -> (
-      match Hashtbl.find_opt t.doc_keys doc_id with
-      | None -> Ok ()
-      | Some key -> (
-          match
-            Wire.decrypt_rules ~key ~doc_id ~subject:t.subj ~publisher
-              encrypted_rules
-          with
-          | Error _ -> Ok ()
-          | Ok (_version, rules) ->
-              let rules = Rule.for_subject t.subj rules in
-              let compiled = Compile.compile ?query rules in
-              check_bound t ~chunk_plain_bytes compiled))
+  let mem = t.cache_mem in
+  let bytes = entry_bytes prepared_entry in
+  if bytes <= Memory.budget_bytes mem then begin
+    (match Hashtbl.find_opt t.cache ckey with
+    | Some old -> drop_entry t ckey old
+    | None -> ());
+    while Memory.used_bytes mem + bytes > Memory.budget_bytes mem do
+      evict_lru t
+    done;
+    Memory.alloc mem ~bytes;
+    Hashtbl.replace t.cache ckey prepared_entry
+  end
 
 (* Chunks fully contained in a skipped byte range are never consumed. *)
 let consumed_chunks ~n_chunks ~chunk_plain_bytes ~skipped_ranges =
@@ -453,9 +383,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
       (* Cache residents squeeze the evaluator's budget; entries admitted
          by THIS evaluation only count from the next one (the automaton in
          use is the evaluator's own working state either way). *)
-      let resident_before =
-        match t.cache_mem with Some m -> Memory.used_bytes m | None -> 0
-      in
+      let resident_before = Memory.used_bytes t.cache_mem in
       let seen_version () =
         Option.value ~default:(-1)
           (Hashtbl.find_opt t.rule_versions source.doc_id)
@@ -524,10 +452,6 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
                     Hashtbl.replace t.rule_versions source.doc_id version;
                     let rules = Rule.for_subject t.subj rules in
                     let compiled = Compile.compile ?query rules in
-                    let* () =
-                      check_bound t
-                        ~chunk_plain_bytes:source.chunk_plain_bytes compiled
-                    in
                     Cost.charge_compile meter
                       ~states:(Compile.state_count compiled);
                     count_miss t;
@@ -633,7 +557,6 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
                     consumed_mask = consumed;
                     skipped_bytes = res.Indexed_engine.skipped_bytes;
                     events = res.Indexed_engine.events_fed;
-                    suppressed_events = st.Sdds_core.Engine.suppressed;
                     token_visits = st.Sdds_core.Engine.token_visits;
                     output_bytes = out_bytes;
                     prepared_hit;
@@ -666,7 +589,6 @@ type dissem_report = {
   dissem_breakdown : Cost.breakdown;
   sharing : Sdds_dissem.Fanout.stats;
   dissem_output_bytes : int;  (* sum over all subscriber streams *)
-  dissem_events : int;  (* events in the single decode pass *)
   rejected : int;  (* subscribers refused before clustering *)
 }
 
@@ -812,6 +734,5 @@ let disseminate t source ~subscribers () =
                     dissem_breakdown = Cost.read meter;
                     sharing = stats;
                     dissem_output_bytes = out_bytes;
-                    dissem_events = n_events;
                     rejected = List.length prepared - List.length population;
                   } ))

@@ -18,7 +18,9 @@
     transition taken is charged to a {!Cost.meter}, and the evaluator's
     working set is checked against the card's RAM budget after processing
     ({!Memory}): evaluations that would not fit the paper's 1 KB card fail
-    with [Memory_exceeded].
+    with [Memory_exceeded]. That is the card's one RAM check. The static
+    one is the analyzer's worst-case bound ([Sdds_analysis.Memory_bound],
+    [sdds analyze --profile]), run before a policy is uploaded.
 
     RAM charge of an evaluation: the engine's peak state and the skip
     index reader's peak stack, at 2 bytes per field-word; 2 bytes per
@@ -81,8 +83,6 @@ type t
 val create :
   ?obs:Sdds_obs.Obs.t ->
   ?profile:Cost.profile ->
-  ?cache_budget_bytes:int ->
-  ?preflight_depth:int ->
   subject:string ->
   Sdds_crypto.Rsa.keypair ->
   t
@@ -96,21 +96,12 @@ val create :
     [card.evaluate] span, and threads the scope into the engine run, so
     engine spans and metrics land in the same trace.
 
-    [cache_budget_bytes] bounds the prepared-evaluation cache (see
-    {!cache_stats}); it defaults to a quarter of the profile's RAM and
-    [0] disables caching. Resident entries are charged against the card's
-    RAM, so on the 1 KB e-gate the cache can hold at most a couple of
-    small policies — the {!Cost.fleet} profile is what lifts the
-    constraint for multi-client serving.
-
-    [preflight_depth] turns on static admission: rule sets whose
-    analyzer memory bound ({!Sdds_analysis.Memory_bound}) at that
-    document depth exceeds the profile's RAM are refused with
-    {!Rules_too_large} — at upload time through {!preflight}, and again
-    when an unprepared blob reaches {!evaluate}. Off by default: the
-    bound is a worst case over every document of that depth, so tight
-    budgets (the 1 KB e-gate) would refuse policies that evaluate fine
-    on shallow real documents. *)
+    The prepared-evaluation cache (see {!cache_stats}) is bounded by a
+    quarter of the profile's RAM. Resident entries are charged against
+    the card's RAM, so on the 1 KB e-gate the cache can hold at most a
+    couple of small policies — the {!Cost.fleet} profile is what lifts
+    the constraint for multi-client serving. Raises [Invalid_argument]
+    for a profile with less than 4 bytes of RAM. *)
 
 val subject : t -> string
 val public_key : t -> Sdds_crypto.Rsa.public
@@ -124,7 +115,8 @@ val obs : t -> Sdds_obs.Obs.t option
 type cache_stats = {
   entries : int;  (** resident prepared evaluations *)
   resident_bytes : int;  (** RAM currently held by the cache *)
-  cache_budget_bytes : int;  (** cache bound carved out of the RAM budget *)
+  cache_budget_bytes : int;
+      (** cache bound carved out of the RAM budget: a quarter of it *)
   hits : int;
   misses : int;
   evictions : int;
@@ -156,15 +148,13 @@ type error =
           ([chunk] is the chunk count), or authentic chunks decode to no
           document ([chunk] is 0) *)
   | Memory_exceeded of { need_bytes : int; budget_bytes : int }
+      (** the evaluation's working set, plus the resident cache, did not
+          fit the profile's RAM (see the top of this page) *)
   | Bad_rules of string  (** rule blob failed integrity or parsing *)
   | Replayed_rules of { seen : int; offered : int }
       (** anti-rollback: a genuinely-signed but older policy version was
           offered after a newer one had been enforced — the DSP replaying
           a stale blob to restore withdrawn access *)
-  | Rules_too_large of { bound_bytes : int; budget_bytes : int }
-      (** static admission refusal: the analyzer's worst-case memory
-          bound for the compiled rule set exceeds the card's RAM budget
-          (only with [preflight_depth], see {!create}) *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -175,24 +165,6 @@ val install_wrapped_key :
     meaningful here; key installation is out of the per-query path). *)
 
 val has_key : t -> doc_id:string -> bool
-
-val preflight :
-  t ->
-  doc_id:string ->
-  publisher:Sdds_crypto.Rsa.public ->
-  ?query:Sdds_xpath.Ast.t ->
-  ?chunk_plain_bytes:int ->
-  encrypted_rules:string ->
-  unit ->
-  (unit, error) result
-(** Upload-time static admission of a rule blob: decrypt, compile, and
-    check the analyzer memory bound against the profile's RAM, without
-    touching any document or cache state. Returns [Ok ()] when admission
-    is off ([preflight_depth] not set at {!create}), when no key for
-    [doc_id] is installed yet, or when the blob does not decrypt — those
-    cases keep their existing failure points in {!evaluate}. The only
-    error is {!Rules_too_large}. [chunk_plain_bytes] defaults to the
-    publisher's default chunk size. *)
 
 type doc_source = {
   doc_id : string;
@@ -228,7 +200,6 @@ type report = {
           decrypted (push)? *)
   skipped_bytes : int;
   events : int;
-  suppressed_events : int;
   token_visits : int;  (** automaton transitions the engine actually ran *)
   output_bytes : int;
   prepared_hit : bool;
@@ -257,7 +228,6 @@ type dissem_report = {
   dissem_output_bytes : int;
       (** sum of every subscriber's serialized output stream — sharing
           saves evaluations, not uploads *)
-  dissem_events : int;  (** events in the single decode pass *)
   rejected : int;
       (** subscribers refused individually (bad blob, stale version)
           before clustering *)

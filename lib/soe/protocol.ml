@@ -33,7 +33,7 @@ module Sw = struct
   let security = (0x69, 0x82)
   let replayed = (0x69, 0x87)
   let memory = (0x6A, 0x84)
-  let rules_too_large = (0x6A, 0x80)
+  let bad_query = (0x6A, 0x80)
   let integrity_sw1 = 0x66
   let bad_state = (0x69, 0x85)
   let bad_ins = (0x6D, 0x00)
@@ -157,13 +157,12 @@ let session state ch =
 type 'd backend = {
   resolve : string -> 'd option;
   install_grant : 'd -> wrapped:string -> (unit, int * int) result;
-  accept_rules : 'd -> query:string option -> string -> (unit, int * int) result;
+  accept_rules : 'd -> string -> (unit, int * int) result;
   evaluate :
     'd ->
     rules:string ->
     query:string option ->
     push:bool ->
-    use_index:bool ->
     (string, int * int) result;
 }
 
@@ -178,7 +177,6 @@ type action =
       rules : string;
       query : string option;
       push : bool;
-      use_index : bool;
     }
   | Torn
 
@@ -270,13 +268,13 @@ let dispatch ~backend ~semantics ~modulus ~block ch s (cmd : Apdu.command) =
         | Chain.Rejected -> (s, reply Sw.bad_state, [])
         | Chain.Accepted | Chain.Duplicate -> (s, reply Sw.ok, [])
         | Chain.Completed blob -> (
-            (* The chain consumed its frames and ran — whether admission
+            (* The chain consumed its frames and ran — whether the backend
                then accepts the blob or not. The [Executed] action is the
                exactly-once witness the model checker monitors. *)
             let executed =
               Executed { channel = ch; ins = cmd.Apdu.ins; payload = blob }
             in
-            match backend.accept_rules doc ~query:s.pending_query blob with
+            match backend.accept_rules doc blob with
             | Error sw ->
                 (* The upload failed for good: a retransmitted final
                    frame must not be acked as if it had succeeded. *)
@@ -306,9 +304,8 @@ let dispatch ~backend ~semantics ~modulus ~block ch s (cmd : Apdu.command) =
     | None, _ | _, None -> (s, reply Sw.bad_state, [])
     | Some doc, Some rules -> (
         let push = cmd.Apdu.p1 = 1 in
-        let use_index = cmd.Apdu.p2 = 0 in
         let query = s.pending_query in
-        match backend.evaluate doc ~rules ~query ~push ~use_index with
+        match backend.evaluate doc ~rules ~query ~push with
         | Ok encoded ->
             let s =
               {
@@ -320,7 +317,7 @@ let dispatch ~backend ~semantics ~modulus ~block ch s (cmd : Apdu.command) =
               }
             in
             let s, resp = serve_block ~block s in
-            (s, resp, [ Evaluated { channel = ch; rules; query; push; use_index } ])
+            (s, resp, [ Evaluated { channel = ch; rules; query; push } ])
         | Error sw -> (s, reply sw, []))
   end
   else if cmd.Apdu.ins = Ins.get_response then begin

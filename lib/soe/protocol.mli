@@ -3,8 +3,8 @@
     Everything the card does with a frame — channel management, document
     selection, chained rules/query reassembly, evaluation, block-sequenced
     response draining — is the deterministic function {!step} over an
-    immutable {!state}. Card-level effects (key installation, rule-blob
-    admission, policy evaluation) are abstracted behind a {!backend}
+    immutable {!state}. Card-level effects (key installation, accepting a
+    rule blob, policy evaluation) are abstracted behind a {!backend}
     record, so the machine is polymorphic in the document handle ['d]:
 
     - {!Remote_card.Host} instantiates it with ['d = Card.doc_source] and
@@ -25,9 +25,9 @@
     assigned channel returned in the payload; p1 = 0x80 close, target in
     p2), [select] a document by id, install a wrapped key [grant], load
     the encrypted [rules] blob (chained frames), set the optional XPath
-    [query] (chained), [evaluate] (p1 = 0 pull / 1 push; p2 = 0 with
-    index / 1 without), and [get_response] to drain the pending response
-    (p2 = requested block index mod 256). *)
+    [query] (chained), [evaluate] (p1 = 0 pull / 1 push; p2 = 0, not
+    read), and [get_response] to drain the pending response (p2 =
+    requested block index mod 256). *)
 module Ins : sig
   val manage_channel : int
   val select : int
@@ -43,8 +43,9 @@ end
 
 (** Status words: [ok] (0x9000), [more_data] (0x61xx — response bytes
     remain), and one word per {!Card.error} constructor
-    ({!Remote_card.to_sw}), plus [bad_state] (command out of sequence on
-    this channel), [bad_ins] (unknown instruction or class),
+    ({!Remote_card.to_sw}), plus [bad_query] (the query does not parse),
+    [bad_state] (command out of sequence on this channel), [bad_ins]
+    (unknown instruction or class),
     [channel_closed] (frame addressed to a channel that is not open) and
     [no_channel] (MANAGE CHANNEL open with every channel in use), and two
     {e transient} words: [transport] (0x6400 — the link layer detected
@@ -67,8 +68,10 @@ module Sw : sig
 
   val memory : int * int  (** [Memory_exceeded] *)
 
-  val rules_too_large : int * int
-      (** [Rules_too_large] — static admission refused the policy *)
+  val bad_query : int * int
+      (** 0x6A80, ISO 7816-4's "incorrect data": EVALUATE refused a
+          query that does not parse. No {!Card.error} carries it, so the
+          terminal reads it as a protocol error. *)
 
   val integrity_sw1 : int
       (** [Integrity_failure]: sw1 = 0x66, sw2 = failing chunk mod 256 *)
@@ -132,9 +135,9 @@ module Chain : sig
       default 256; p1 = 1 continuation, 0 final). *)
 
   val forget : t -> int -> t
-  (** Drop the completion marker for one instruction: the completed
-      upload was refused for good (e.g. static admission), so a
-      retransmitted final frame must not be re-acked as a success. *)
+  (** Drop the completion marker for one instruction: the backend
+      refused the completed upload for good, so a retransmitted final
+      frame must not be re-acked as a success. *)
 end
 
 (** The per-channel slice of the protocol state: everything a SELECT
@@ -165,15 +168,16 @@ val session : 'd state -> int -> 'd session option
 type 'd backend = {
   resolve : string -> 'd option;  (** SELECT: document id → handle *)
   install_grant : 'd -> wrapped:string -> (unit, int * int) result;
-  accept_rules :
-    'd -> query:string option -> string -> (unit, int * int) result;
-      (** upload-time admission of a completed rules chain *)
+  accept_rules : 'd -> string -> (unit, int * int) result;
+      (** a completed rules chain: [Error] refuses the blob for good. The
+          real card accepts every blob here and judges it at EVALUATE;
+          the model checker's backend refuses the fragments a re-executed
+          chain would leave. *)
   evaluate :
     'd ->
     rules:string ->
     query:string option ->
     push:bool ->
-    use_index:bool ->
     (string, int * int) result;
       (** policy evaluation; [Ok] carries the encoded response stream *)
 }
@@ -189,7 +193,7 @@ type action =
       (** a SELECT succeeded: the channel's session restarted fresh *)
   | Executed of { channel : int; ins : int; payload : string }
       (** a chained command (rules/query) completed and consumed its
-          payload — emitted even if admission then refuses the blob,
+          payload — emitted even if the backend then refuses the blob,
           because the chain ran regardless; the exactly-once invariant
           counts these *)
   | Evaluated of {
@@ -197,7 +201,6 @@ type action =
       rules : string;
       query : string option;
       push : bool;
-      use_index : bool;
     }  (** an EVALUATE ran the backend and armed the response stream *)
   | Torn  (** a tear reset every volatile session *)
 

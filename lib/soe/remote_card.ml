@@ -23,7 +23,6 @@ let to_sw = function
   | Card.Bad_rules _ -> Sw.security
   | Card.Replayed_rules _ -> Sw.replayed
   | Card.Memory_exceeded _ -> Sw.memory
-  | Card.Rules_too_large _ -> Sw.rules_too_large
   | Card.Integrity_failure { chunk } -> (Sw.integrity_sw1, chunk land 0xff)
 
 let of_sw ?(doc_id = "?") (sw1, sw2) =
@@ -37,8 +36,6 @@ let of_sw ?(doc_id = "?") (sw1, sw2) =
     Some (Card.Replayed_rules { seen = 0; offered = 0 })
   else if sw = Sw.memory then
     Some (Card.Memory_exceeded { need_bytes = 0; budget_bytes = 0 })
-  else if sw = Sw.rules_too_large then
-    Some (Card.Rules_too_large { bound_bytes = 0; budget_bytes = 0 })
   else if sw1 = Sw.integrity_sw1 then
     Some (Card.Integrity_failure { chunk = sw2 })
   else None
@@ -81,17 +78,11 @@ module Host = struct
     h_rtt_ns : Obs.Metrics.Histogram.t;
   }
 
-  let parse_query = function
-    | None -> None
-    | Some q -> (
-        match Sdds_xpath.Parser.parse q with
-        | ast -> Some ast
-        | exception Sdds_xpath.Parser.Error _ -> None)
-
   (* The card-level effects behind the pure machine: SELECT resolution,
-     grant installation, upload-time static admission (a no-op unless the
-     card enables preflight) and policy evaluation, each mapped to its
-     status word through [to_sw]. *)
+     grant installation and policy evaluation, each mapped to its status
+     word through [to_sw]. A rules blob is judged when it is evaluated,
+     and a query that does not parse is refused there, before the card
+     runs. *)
   let backend ~card ~resolve : Card.doc_source Protocol.backend =
     {
       Protocol.resolve;
@@ -102,25 +93,19 @@ module Host = struct
           with
           | Ok () -> Ok ()
           | Error e -> Error (to_sw e));
-      accept_rules =
-        (fun doc ~query blob ->
-          match
-            Card.preflight card ~doc_id:doc.Card.doc_id
-              ~publisher:doc.Card.publisher ?query:(parse_query query)
-              ~chunk_plain_bytes:doc.Card.chunk_plain_bytes
-              ~encrypted_rules:blob ()
-          with
-          | Ok () -> Ok ()
-          | Error e -> Error (to_sw e));
+      accept_rules = (fun _ _ -> Ok ());
       evaluate =
-        (fun doc ~rules ~query ~push ~use_index ->
-          let delivery = if push then `Push else `Pull in
-          match
-            Card.evaluate card { doc with Card.delivery }
-              ~encrypted_rules:rules ?query:(parse_query query) ~use_index ()
-          with
-          | Ok (outputs, _report) -> Ok (Output_codec.encode_list outputs)
-          | Error e -> Error (to_sw e));
+        (fun doc ~rules ~query ~push ->
+          match Option.map Sdds_xpath.Parser.parse query with
+          | exception Sdds_xpath.Parser.Error _ -> Error Sw.bad_query
+          | query -> (
+              let delivery = if push then `Push else `Pull in
+              match
+                Card.evaluate card { doc with Card.delivery }
+                  ~encrypted_rules:rules ?query ()
+              with
+              | Ok (outputs, _report) -> Ok (Output_codec.encode_list outputs)
+              | Error e -> Error (to_sw e)));
     }
 
   (* A host lives as long as its scope: it counts into the scope's cells

@@ -80,7 +80,9 @@ type verdict =
       (** [bad_state]/[channel_closed] — volatile session gone (tear or
           eviction): replay the session setup *)
   | Fatal of Card.error  (** a card-level refusal; retrying won't help *)
-  | Unknown of int * int  (** a status word outside the protocol *)
+  | Unknown of int * int
+      (** a status word no {!Card.error} carries: {!Sw.bad_query}, or one
+          outside the protocol *)
 
 val classify : ?doc_id:string -> Apdu.response -> verdict
 (** The one decision point {!Sdds_proxy.Proxy.Pool} and the protocol
@@ -121,7 +123,10 @@ module Host : sig
       RULES/QUERY frame — first, continuation or stale — on a channel
       with no document selected gets [Sw.bad_state]; a GET RESPONSE
       before any EVALUATE on the session gets [Sw.bad_state] (never a
-      silent empty view). *)
+      silent empty view). The card takes a rules blob as uploaded and
+      judges it at EVALUATE. An EVALUATE whose query does not parse gets
+      [Sw.bad_query] and arms no response: the card never evaluates a
+      request without the query it was sent. *)
 
   val tear : t -> unit
   (** Card tear (power loss / extraction): every volatile session dies —

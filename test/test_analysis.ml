@@ -2,8 +2,8 @@
    the runtime it speaks about — dead rules against the oracle's
    authorized view, containment witnesses against node selection, overlap
    witnesses against the conflict-resolution oracle, the static memory
-   bound against the engine's measured peak, and the admission check
-   against the card and its APDU surface. *)
+   bound against the engine's measured peak, and the bound's verdict
+   against a card's RAM. *)
 
 module Analyzer = Sdds_analysis.Analyzer
 module Diag = Sdds_analysis.Diag
@@ -23,8 +23,6 @@ module Generator = Sdds_xml.Generator
 module Rng = Sdds_util.Rng
 module Card = Sdds_soe.Card
 module Cost = Sdds_soe.Cost
-module Apdu = Sdds_soe.Apdu
-module Remote = Sdds_soe.Remote_card
 module Publish = Sdds_dsp.Publish
 module Rsa = Sdds_crypto.Rsa
 module Drbg = Sdds_crypto.Drbg
@@ -312,7 +310,7 @@ let test_all_kinds () =
       | _ -> ())
     report.Analyzer.diagnostics
 
-(* --- card admission: same policy, two budgets ------------------------- *)
+(* --- the static check before upload: same policy, two budgets -------- *)
 
 (* Descendant axes under nested predicates: cheap on the shallow document
    below, but with a worst case (every anchor depth ambiguous, condition
@@ -324,7 +322,11 @@ let heavy_rules =
     Rule.allow ~subject:"u" "//c[.//a]//e";
   ]
 
-let admission_world () =
+(* The card has one RAM check, at evaluation. The static one is the
+   analyzer's bound, run against a card profile's RAM before the policy
+   is uploaded ([sdds analyze --profile]), at the default depth over the
+   subject's rules, which is what the card compiles. *)
+let test_bound_before_upload () =
   let drbg = Drbg.create ~seed:"analysis-admission" in
   let publisher = Rsa.generate drbg ~bits:512 in
   let user = Rsa.generate drbg ~bits:512 in
@@ -342,99 +344,48 @@ let admission_world () =
       heavy_rules
   in
   let grant = Publish.grant drbg ~doc_key ~doc_id ~recipient:user.Rsa.public in
-  (user, publisher, published, doc_id, blob, grant)
-
-let card ~profile user = fun () ->
-  Card.create ~profile ~preflight_depth:16 ~subject:"u" user
-
-let test_admission_two_budgets () =
-  let user, publisher, published, doc_id, blob, grant = admission_world () in
-  let preflight c =
-    match Card.install_wrapped_key c ~doc_id ~wrapped:grant with
-    | Error e -> Alcotest.failf "grant install failed: %a" Card.pp_error e
-    | Ok () ->
-        Card.preflight c ~doc_id ~publisher:publisher.Rsa.public
-          ~encrypted_rules:blob ()
+  let verdict profile =
+    let report =
+      Analyzer.run ~depth:Memory_bound.default_depth
+        ~budget_bytes:profile.Cost.ram_bytes
+        (Rule.for_subject "u" heavy_rules)
+    in
+    match
+      List.find_opt
+        (function Diag.Memory_bound _ -> true | _ -> false)
+        report.Analyzer.diagnostics
+    with
+    | Some (Diag.Memory_bound { bound_bytes; budget_bytes; _ } as d) ->
+        Alcotest.(check (option int))
+          (profile.Cost.name ^ " budget is its RAM")
+          (Some profile.Cost.ram_bytes) budget_bytes;
+        Alcotest.(check int)
+          (profile.Cost.name ^ " bound is the report's")
+          report.Analyzer.bound.Memory_bound.bound_bytes bound_bytes;
+        (bound_bytes, Diag.severity d = Diag.Error)
+    | _ -> Alcotest.fail "no memory-bound diagnostic"
   in
-  (* The fleet profile admits the policy... *)
-  (match preflight (card ~profile:Cost.fleet user ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fleet refused the policy: %a" Card.pp_error e);
-  (* ...the 1 KB e-gate refuses it, with the bound as evidence. *)
-  (match preflight (card ~profile:Cost.egate user ()) with
-  | Error (Card.Rules_too_large { bound_bytes; budget_bytes }) ->
-      Alcotest.(check int) "budget is the e-gate RAM"
-        Cost.egate.Cost.ram_bytes budget_bytes;
-      Alcotest.(check bool) "bound exceeds budget" true
-        (bound_bytes > budget_bytes)
-  | Ok () -> Alcotest.fail "e-gate admitted a policy past its RAM"
-  | Error e -> Alcotest.failf "unexpected refusal: %a" Card.pp_error e);
-  (* Without admission the e-gate accepts the upload and only fails (or
-     not) at evaluation time — preflight is strictly opt-in. *)
-  let lax = Card.create ~profile:Cost.egate ~subject:"u" user in
-  (match Card.install_wrapped_key lax ~doc_id ~wrapped:grant with
+  (* The fleet profile's RAM admits the policy... *)
+  let _, over = verdict Cost.fleet in
+  Alcotest.(check bool) "fleet: bound within budget" false over;
+  (* ...and a fleet card evaluates it: the engine confirms the analyzer's
+     "fits" verdict end to end. *)
+  let card = Card.create ~profile:Cost.fleet ~subject:"u" user in
+  (match Card.install_wrapped_key card ~doc_id ~wrapped:grant with
   | Error e -> Alcotest.failf "grant install failed: %a" Card.pp_error e
   | Ok () -> ());
   (match
-     Card.preflight lax ~doc_id ~publisher:publisher.Rsa.public
+     Card.evaluate card
+       (Publish.to_source published ~delivery:`Pull)
        ~encrypted_rules:blob ()
    with
-  | Ok () -> ()
-  | Error e ->
-      Alcotest.failf "preflight fired while disabled: %a" Card.pp_error e);
-  (* The admitted card actually evaluates the policy: the engine confirms
-     the analyzer's "fits" verdict end to end. *)
-  let big = card ~profile:Cost.fleet user () in
-  (match Card.install_wrapped_key big ~doc_id ~wrapped:grant with
-  | Error e -> Alcotest.failf "grant install failed: %a" Card.pp_error e
-  | Ok () -> ());
-  match
-    Card.evaluate big
-      (Publish.to_source published ~delivery:`Pull)
-      ~encrypted_rules:blob ()
-  with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "fleet evaluation failed: %a" Card.pp_error e
-
-let test_admission_status_word () =
-  let user, _publisher, published, doc_id, blob, grant = admission_world () in
-  let c = card ~profile:Cost.egate user () in
-  let host =
-    Remote.Host.process
-      (Remote.Host.create ~card:c ~resolve:(fun id ->
-           if id = doc_id then
-             Some (Publish.to_source published ~delivery:`Pull)
-           else None)
-         ())
-  in
-  let send ins data =
-    host { Apdu.cla = Apdu.base_cla; ins; p1 = 0; p2 = 0; data }
-  in
-  let sw (r : Apdu.response) = (r.Apdu.sw1, r.Apdu.sw2) in
-  Alcotest.(check bool) "select ok" true
-    (sw (send Remote.Ins.select doc_id) = Remote.Sw.ok);
-  Alcotest.(check bool) "grant ok" true
-    (sw (send Remote.Ins.grant grant) = Remote.Sw.ok);
-  (* The final frame of the rules chain is where admission answers. *)
-  let frames = Apdu.segment ~cla:Apdu.base_cla ~ins:Remote.Ins.rules blob in
-  let last = List.length frames - 1 in
-  List.iteri
-    (fun i f ->
-      let expected =
-        if i = last then Remote.Sw.rules_too_large else Remote.Sw.ok
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "rules frame %d" i)
-        true
-        (sw (host f) = expected))
-    frames;
-  (* And the mapping survives the wire in both directions. *)
-  let err = Card.Rules_too_large { bound_bytes = 9; budget_bytes = 1 } in
-  Alcotest.(check bool) "to_sw" true
-    (Remote.to_sw err = Remote.Sw.rules_too_large);
-  match Remote.of_sw Remote.Sw.rules_too_large with
-  | Some (Card.Rules_too_large _) -> ()
-  | _ -> Alcotest.fail "of_sw lost the admission refusal"
+  | Error e -> Alcotest.failf "fleet evaluation failed: %a" Card.pp_error e);
+  (* The 1 KB e-gate's RAM does not: the bound is over budget, an error. *)
+  let bound, over = verdict Cost.egate in
+  Alcotest.(check bool) "e-gate: bound over budget is an error" true over;
+  Alcotest.(check bool) "e-gate: bound exceeds its RAM" true
+    (bound > Cost.egate.Cost.ram_bytes)
 
 let suite =
   [
@@ -447,8 +398,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_memory_bound_sound;
     Alcotest.test_case "every diagnostic kind on a crafted policy" `Quick
       test_all_kinds;
-    Alcotest.test_case "admission: fleet admits, e-gate refuses" `Quick
-      test_admission_two_budgets;
-    Alcotest.test_case "admission refusal on the APDU surface" `Quick
-      test_admission_status_word;
+    Alcotest.test_case "static bound: fleet admits, e-gate refuses" `Quick
+      test_bound_before_upload;
   ]

@@ -82,8 +82,8 @@ let test_chain_wraparound_duplicate () =
   | Chain.Rejected -> ()
   | _ -> Alcotest.fail "stale continuation must be rejected"
 
-(* [forget] exists for uploads refused for good (static admission): the
-   marker is dropped, so the "same" frame executes afresh. *)
+(* [forget] exists for uploads the backend refuses for good: the marker
+   is dropped, so the "same" frame executes afresh. *)
 let test_chain_forget_clears_marker () =
   let ch, v = Chain.feed Chain.empty (chain_frame "abc") in
   (match v with

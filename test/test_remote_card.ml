@@ -151,6 +151,78 @@ let test_remote_security_error_mapped () =
   | Error e -> Alcotest.failf "wrong error: %a" Proxy.pp_error e
   | Ok _ -> Alcotest.fail "expected security error"
 
+(* A terminal that sends raw frames can upload a query that does not
+   parse. The card must refuse it at EVALUATE, arm no stream, and answer
+   a word the pool reads as a typed protocol error, not as a lost session
+   it would replay: evaluating without the query would serve the policy's
+   whole view. The control is the same exchange with a query that
+   parses, whose drained stream is the query's view. *)
+let test_malformed_query_refused () =
+  let w = Lazy.force world in
+  let exchange query =
+    let host =
+      Remote_card.Host.create ~card:w.card
+        ~resolve:(fun id ->
+          if String.equal id "remote-doc" then Some w.source else None)
+        ()
+    in
+    let send (cmd : Apdu.command) =
+      let r = Remote_card.Host.process host cmd in
+      (r.Apdu.sw1, r.Apdu.sw2, r.Apdu.payload)
+    in
+    let frame ins p2 data = { Apdu.cla = 0x80; ins; p1 = 0; p2; data } in
+    let ok what (sw1, sw2, _) =
+      Alcotest.(check (pair int int)) what Remote_card.Sw.ok (sw1, sw2)
+    in
+    ok "select" (send (frame Remote_card.Ins.select 0 "remote-doc"));
+    ok "grant" (send (frame Remote_card.Ins.grant 0 w.wrapped));
+    let chain ins data =
+      List.iter
+        (fun f -> ok "chain frame" (send f))
+        (Apdu.segment ~cla:0x80 ~ins data)
+    in
+    chain Remote_card.Ins.rules w.encrypted_rules;
+    chain Remote_card.Ins.query query;
+    let sw1, sw2, payload = send (frame Remote_card.Ins.evaluate 0 "") in
+    let stream = Buffer.create 256 in
+    Buffer.add_string stream payload;
+    let rec drain block sw1 =
+      if sw1 = fst Remote_card.Sw.more_data then begin
+        let sw1', _, payload =
+          send (frame Remote_card.Ins.get_response (block land 0xff) "")
+        in
+        Buffer.add_string stream payload;
+        drain (block + 1) sw1'
+      end
+    in
+    drain 1 sw1;
+    let after = send (frame Remote_card.Ins.get_response 0 "") in
+    ((sw1, sw2), Buffer.contents stream, after)
+  in
+  let sw, stream, _ = exchange "//patient/name" in
+  Alcotest.(check bool) "control: the query's stream is served" true
+    (sw = Remote_card.Sw.ok || fst sw = fst Remote_card.Sw.more_data);
+  Alcotest.check dom_opt "control: the query's view"
+    (Oracle.authorized_view ~rules:w.rules
+       ~query:(Sdds_xpath.Parser.parse "//patient/name")
+       w.doc)
+    (Sdds_core.Reassembler.run ~has_query:true
+       (Sdds_core.Output_codec.decode_list stream));
+  let sw, stream, (after1, after2, _) = exchange "//patient[" in
+  Alcotest.(check (pair int int)) "malformed query: 6A80 at EVALUATE"
+    (0x6A, 0x80) sw;
+  Alcotest.(check (pair int int)) "the word is bad_query"
+    Remote_card.Sw.bad_query sw;
+  Alcotest.(check int) "no stream served" 0 (String.length stream);
+  Alcotest.(check (pair int int)) "nothing to drain" Remote_card.Sw.bad_state
+    (after1, after2);
+  match
+    Remote_card.classify ~doc_id:"remote-doc"
+      { Apdu.sw1 = fst sw; sw2 = snd sw; payload = "" }
+  with
+  | Remote_card.Unknown _ -> ()
+  | _ -> Alcotest.fail "the pool must read 6A80 as a protocol error"
+
 let test_remote_chain_gap () =
   (* A dropped frame in a chained command must fail fast, not silently
      concatenate. *)
@@ -233,8 +305,7 @@ let constructor = function
       | Card.Integrity_failure _ -> "Integrity_failure"
       | Card.Memory_exceeded _ -> "Memory_exceeded"
       | Card.Bad_rules _ -> "Bad_rules"
-      | Card.Replayed_rules _ -> "Replayed_rules"
-      | Card.Rules_too_large _ -> "Rules_too_large")
+      | Card.Replayed_rules _ -> "Replayed_rules")
   | Error (Proxy.Unknown_document _) -> "Unknown_document"
   | Error Proxy.No_grant -> "No_grant"
   | Error Proxy.No_rules -> "No_rules"
@@ -354,6 +425,8 @@ let suite =
       test_remote_security_error_mapped;
     Alcotest.test_case "every front door answers alike" `Quick
       test_front_doors_agree;
+    Alcotest.test_case "malformed query refused at evaluate" `Quick
+      test_malformed_query_refused;
     Alcotest.test_case "remote chain gap" `Quick test_remote_chain_gap;
     Alcotest.test_case "select clears chain state" `Quick
       test_select_clears_chain_state;

@@ -39,12 +39,10 @@ let world =
               else [ Rule.allow ~subject:"u" "//patient/name" ] ))
           doc_ids))
 
-let fresh_card ?cache_budget_bytes w =
-  Card.create ~profile:Cost.modern ?cache_budget_bytes ~subject:"u"
-    (World.user w)
+let fresh_card w = Card.create ~profile:Cost.modern ~subject:"u" (World.user w)
 
-let fresh_transport ?cache_budget_bytes w =
-  let card = fresh_card ?cache_budget_bytes w in
+let fresh_transport w =
+  let card = fresh_card w in
   ( card,
     Remote.Host.process
       (Remote.Host.create ~card ~resolve:(World.resolve w) ()) )
@@ -276,9 +274,13 @@ let test_lru_eviction_stays_fresh () =
   let w = Lazy.force world in
   let source = Option.get (World.resolve w "ward-1") in
   let encrypted_rules = stored_rules w "ward-1" in
+  (* One prepared entry per distinct query: more entries than the modern
+     card's cache, a quarter of its RAM, can hold. *)
   let queries =
-    [| parse "//patient"; parse "//patient/name"; parse "//diagnosis" |]
+    Array.init 64 (fun i ->
+        parse (Printf.sprintf "//patient[age>\"%d\"]/name" i))
   in
+  let n = Array.length queries in
   let install card =
     match
       Card.install_wrapped_key card ~doc_id:"ward-1"
@@ -287,9 +289,9 @@ let test_lru_eviction_stays_fresh () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "grant failed: %a" Card.pp_error e
   in
-  (* Measure the three entries' footprint on an uncapped card, then replay
-     on a card whose budget fits the first two but not all three. *)
-  let probe = fresh_card w in
+  (* Record every view on a fleet card, whose cache holds all the
+     entries, then replay on the modern card, whose cache does not. *)
+  let probe = Card.create ~profile:Cost.fleet ~subject:"u" (World.user w) in
   install probe;
   let reference =
     Array.map
@@ -299,10 +301,12 @@ let test_lru_eviction_stays_fresh () =
       queries
   in
   let full = (Card.cache_stats probe).Card.resident_bytes in
-  Alcotest.(check int) "three entries resident on the uncapped card" 3
+  Alcotest.(check int) "every entry resident on the fleet card" n
     (Card.cache_stats probe).Card.entries;
-  let card = fresh_card ~cache_budget_bytes:(full - 1) w in
+  let card = fresh_card w in
   install card;
+  Alcotest.(check bool) "the entries overflow the modern card's cache" true
+    (full > (Card.cache_stats card).Card.cache_budget_bytes);
   let run i =
     let o, _ = eval card source ~encrypted_rules ~query:queries.(i) () in
     Alcotest.(check string)
@@ -310,10 +314,10 @@ let test_lru_eviction_stays_fresh () =
       reference.(i)
       (Sdds_core.Output_codec.encode_list o)
   in
-  run 0;
-  run 1;
-  run 2;
-  (* Admitting the third entry displaced the least-recently-used one. *)
+  for i = 0 to n - 1 do
+    run i
+  done;
+  (* Admitting the later entries displaced the least-recently-used ones. *)
   let s = Card.cache_stats card in
   Alcotest.(check bool) "LRU displacement happened" true
     (s.Card.evictions >= 1);
@@ -369,7 +373,6 @@ let constructor_name = function
   | Card.Memory_exceeded _ -> "Memory_exceeded"
   | Card.Bad_rules _ -> "Bad_rules"
   | Card.Replayed_rules _ -> "Replayed_rules"
-  | Card.Rules_too_large _ -> "Rules_too_large"
 
 let error_gen =
   QCheck2.Gen.(
@@ -388,10 +391,6 @@ let error_gen =
         map2
           (fun seen offered -> Card.Replayed_rules { seen; offered })
           (int_bound 100) (int_bound 100);
-        map2
-          (fun bound_bytes budget_bytes ->
-            Card.Rules_too_large { bound_bytes; budget_bytes })
-          (int_bound 100_000) (int_bound 10_000);
       ])
 
 let qcheck_sw_roundtrip =
