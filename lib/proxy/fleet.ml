@@ -116,6 +116,20 @@ type flight = {
 (* A request its ticket refuses finishes at admission, on no card. *)
 type stream = Refused of outcome | Admitted of flight
 
+(* An event count kept in the scope's cell of its name, so fleets sharing
+   a scope share their counts, as hosts do; without a scope the cell is
+   the fleet's own. The cell is taken at the name's first event, so a
+   scope's export names only the events that happened. *)
+type count = { name : string; cell : Obs.Metrics.Counter.t Lazy.t }
+
+let count obs name = { name; cell = lazy (Obs.counter obs name) }
+let bump c = Obs.Metrics.Counter.inc (Lazy.force c.cell)
+
+let read obs c =
+  match obs with
+  | Some o -> Obs.Metrics.counter_value o.Obs.metrics c.name
+  | None -> Obs.Metrics.Counter.value (Lazy.force c.cell)
+
 type slot = {
   id : int;
   mutable pool : Proxy.Pool.t;  (* replaced on revive (fresh epochs) *)
@@ -141,19 +155,19 @@ type t = {
   standby_k : int;
   heat : (string, int) Hashtbl.t;  (* affinity-key request counts *)
   obs : Obs.t option;
-  mutable requests : int;
-  mutable affinity_hits : int;
-  mutable fallbacks : int;
-  mutable reroutes : int;
-  mutable rejected : int;
+  requests : count;
+  affinity_hits : count;
+  fallbacks : count;
+  reroutes : count;
+  rejected : count;
+  migrations : count;
+  deaths : count;
+  revives : count;
+  drains : count;
+  added : count;
+  probes : count;
+  standby_hits : count;
   mutable q_peak : int;
-  mutable migrations : int;
-  mutable deaths : int;
-  mutable revives : int;
-  mutable drains : int;
-  mutable added : int;
-  mutable probes : int;
-  mutable standby_hits : int;
 }
 
 type stats = {
@@ -179,9 +193,8 @@ let clock t card = !(t.slots.(card).clock)
 let state t card = t.slots.(card).state
 let live s = match s.state with Up | Joining -> true | Draining | Dead -> false
 
-let set_state t slot st =
+let set_state slot st =
   slot.state <- st;
-  ignore t;
   Obs.Metrics.Gauge.set slot.g_state (lifecycle_index st)
 
 let make_slot ?obs ~store ~subject ~state id raw =
@@ -236,19 +249,19 @@ let create ?obs ?(routing = Affinity) ?(queue_limit = 64) ?(max_reroutes = 1)
     standby_k;
     heat = Hashtbl.create 64;
     obs;
-    requests = 0;
-    affinity_hits = 0;
-    fallbacks = 0;
-    reroutes = 0;
-    rejected = 0;
+    requests = count obs "fleet.requests";
+    affinity_hits = count obs "fleet.affinity_hits";
+    fallbacks = count obs "fleet.fallbacks";
+    reroutes = count obs "fleet.reroutes";
+    rejected = count obs "fleet.rejected";
+    migrations = count obs "fleet.migrations";
+    deaths = count obs "fleet.deaths";
+    revives = count obs "fleet.revives";
+    drains = count obs "fleet.drains";
+    added = count obs "fleet.cards_added";
+    probes = count obs "fleet.probes";
+    standby_hits = count obs "fleet.standby_hits";
     q_peak = 0;
-    migrations = 0;
-    deaths = 0;
-    revives = 0;
-    drains = 0;
-    added = 0;
-    probes = 0;
-    standby_hits = 0;
   }
 
 let load s = Queue.length s.queue + List.length s.active
@@ -343,8 +356,7 @@ let route (t : t) (job : job) =
       let fallback () =
         match least_loaded t with
         | Some s ->
-            t.fallbacks <- t.fallbacks + 1;
-            Obs.inc t.obs "fleet.fallbacks" 1;
+            bump t.fallbacks;
             Some (s, false)
         | None -> None
       in
@@ -363,13 +375,11 @@ let route (t : t) (job : job) =
           let s = t.slots.(choice) in
           if room t s then
             if is_standby then begin
-              t.standby_hits <- t.standby_hits + 1;
-              Obs.inc t.obs "fleet.standby_hits" 1;
+              bump t.standby_hits;
               Some (s, false)
             end
             else begin
-              t.affinity_hits <- t.affinity_hits + 1;
-              Obs.inc t.obs "fleet.affinity_hits" 1;
+              bump t.affinity_hits;
               Some (s, true)
             end
           else fallback ()))
@@ -414,8 +424,7 @@ let reroute (t : t) st failed =
     | Some s ->
         job.j_reroutes <- job.j_reroutes + 1;
         job.j_affinity <- false;
-        t.reroutes <- t.reroutes + 1;
-        Obs.inc t.obs "fleet.reroutes" 1;
+        bump t.reroutes;
         Queue.add st s.queue;
         note_depth t s;
         true
@@ -440,8 +449,7 @@ let probe_alive (t : t) slot =
   let rec go left =
     if left <= 0 then false
     else begin
-      t.probes <- t.probes + 1;
-      Obs.inc t.obs "fleet.probes" 1;
+      bump t.probes;
       let resp = slot.transport probe_frame in
       let sw = (resp.Apdu.sw1, resp.Apdu.sw2) in
       if sw = Remote.Sw.transport || sw = Remote.Sw.internal then go (left - 1)
@@ -470,13 +478,11 @@ let migrate_stream (t : t) st ~(from : slot) ~reason =
   | None ->
       (* Nowhere to go: every surviving queue is full (or no card
          survives). The refusal is typed, never a hang. *)
-      t.rejected <- t.rejected + 1;
-      Obs.inc t.obs "fleet.rejected" 1;
+      bump t.rejected;
       finish t st from.id job.floor (Error Proxy.Overloaded) "migration-refused"
   | Some target ->
       job.j_migrations <- job.j_migrations + 1;
-      t.migrations <- t.migrations + 1;
-      Obs.inc t.obs "fleet.migrations" 1;
+      bump t.migrations;
       let tr = Obs.tracer t.obs in
       Obs.Tracer.with_parent tr job.span (fun () ->
           Obs.Tracer.with_span tr
@@ -507,10 +513,9 @@ let migrate_all t slot ~reason =
   set_depth slot
 
 let mark_dead (t : t) slot =
-  set_state t slot Dead;
+  set_state slot Dead;
   t.ring <- Ring.remove t.ring slot.id;
-  t.deaths <- t.deaths + 1;
-  Obs.inc t.obs "fleet.deaths" 1
+  bump t.deaths
 
 let add_card (t : t) raw =
   let id = Array.length t.slots in
@@ -520,8 +525,7 @@ let add_card (t : t) raw =
   in
   t.slots <- Array.append t.slots [| slot |];
   t.ring <- Ring.add t.ring id;
-  t.added <- t.added + 1;
-  Obs.inc t.obs "fleet.cards_added" 1;
+  bump t.added;
   id
 
 let remove_card (t : t) i =
@@ -529,10 +533,9 @@ let remove_card (t : t) i =
     invalid_arg "Fleet.remove_card: no such card";
   let slot = t.slots.(i) in
   if live slot then begin
-    set_state t slot Draining;
+    set_state slot Draining;
     t.ring <- Ring.remove t.ring i;
-    t.drains <- t.drains + 1;
-    Obs.inc t.obs "fleet.drains" 1;
+    bump t.drains;
     migrate_all t slot ~reason:"drain"
   end
 
@@ -548,10 +551,9 @@ let revive_card (t : t) i =
     slot.pool <-
       Proxy.Pool.create ?obs:t.obs ~store:t.store ~transport:slot.transport
         ~subject:t.subject ();
-    set_state t slot Joining;
+    set_state slot Joining;
     t.ring <- Ring.add t.ring i;
-    t.revives <- t.revives + 1;
-    Obs.inc t.obs "fleet.revives" 1
+    bump t.revives
   end
 
 (* ------------------------------------------------------------------ *)
@@ -567,8 +569,7 @@ let revive_card (t : t) i =
    admission control. *)
 let start (t : t) req =
   let tk = Proxy.ticket t.store ~subject:t.subject req in
-  t.requests <- t.requests + 1;
-  Obs.inc t.obs "fleet.requests" 1;
+  bump t.requests;
   let span =
     Obs.Tracer.start (Obs.tracer t.obs) ~parent:Obs.Tracer.none
       ~args:
@@ -617,8 +618,7 @@ let start (t : t) req =
       in
       (match route t job with
       | None ->
-          t.rejected <- t.rejected + 1;
-          Obs.inc t.obs "fleet.rejected" 1;
+          bump t.rejected;
           finish t st (-1) 0.0 (Error Proxy.Overloaded) "rejected"
       | Some (slot, aff) ->
           job.j_affinity <- aff;
@@ -679,7 +679,7 @@ let turn t =
                         finish t st slot.id latency (Error e) "error"
                   | Ok served ->
                       slot.served <- slot.served + 1;
-                      if slot.state = Joining then set_state t slot Up;
+                      if slot.state = Joining then set_state slot Up;
                       finish t st slot.id latency (Ok served) "ok"
                   | Error e -> finish t st slot.id latency (Error e) "error");
                   false)
@@ -701,20 +701,21 @@ let serve t reqs =
   List.map (fun st -> Option.get (result st)) streams
 
 let stats (t : t) =
+  let read = read t.obs in
   {
-    requests = t.requests;
-    affinity_hits = t.affinity_hits;
-    fallbacks = t.fallbacks;
-    reroutes = t.reroutes;
-    rejected = t.rejected;
+    requests = read t.requests;
+    affinity_hits = read t.affinity_hits;
+    fallbacks = read t.fallbacks;
+    reroutes = read t.reroutes;
+    rejected = read t.rejected;
     served_by = Array.map (fun s -> s.served) t.slots;
     queue_peak = t.q_peak;
-    migrations = t.migrations;
-    deaths = t.deaths;
-    revives = t.revives;
-    drains = t.drains;
-    added = t.added;
-    probes = t.probes;
-    standby_hits = t.standby_hits;
+    migrations = read t.migrations;
+    deaths = read t.deaths;
+    revives = read t.revives;
+    drains = read t.drains;
+    added = read t.added;
+    probes = read t.probes;
+    standby_hits = read t.standby_hits;
     states = Array.map (fun s -> s.state) t.slots;
   }

@@ -84,8 +84,11 @@
     [fleet.fallbacks], [fleet.reroutes], [fleet.rejected],
     [fleet.migrations], [fleet.deaths], [fleet.revives], [fleet.drains],
     [fleet.cards_added], [fleet.probes], [fleet.standby_hits]. The
-    registry is the source of truth: {!stats} mirrors the same counters,
-    and the reconciliation test holds them equal. *)
+    registry is the source of truth: the fleet counts each event once,
+    in the scope's cell of its name, and {!stats} reads those cells
+    (without a scope, the fleet's own). So fleets sharing a scope share
+    those counts, as hosts do; [served_by] and [queue_peak] have no cell
+    and stay the fleet's own. *)
 
 (** The consistent-hash ring affinity routing uses, exposed for direct
     testing (resize stability) and reuse. Members are card indices. *)
