@@ -735,14 +735,13 @@ let e3_skip_benefit () =
         let w, card = make_world ~chunk_bytes:128 ~doc ~rules () in
         let store = World.store w in
         let proxy = Proxy.create ~store ~card in
-        ignore use_index;
-        (* The proxy always uses the index; for the baseline, call the card
-           directly. *)
         if use_index then
           match Proxy.run proxy (Proxy.Request.make "bench") with
           | Ok o -> o.Proxy.card_report
           | Error e -> failwith (Format.asprintf "%a" Proxy.pp_error e)
         else begin
+          (* No request walks without the index: the baseline calls the
+             card directly. *)
           let published = Option.get (Store.get_document store "bench") in
           let encrypted_rules =
             Option.get (Store.get_rules store ~doc_id:"bench" ~subject:"u")

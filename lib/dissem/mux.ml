@@ -267,11 +267,5 @@ let finish t =
 
 let outputs t = Array.map (fun r -> List.rev !r) t.outs
 
-let run compiled_sets events =
-  let t = create compiled_sets in
-  List.iter (feed t) events;
-  finish t;
-  outputs t
-
 let node_count t = t.nodes
 let token_visits t = t.visits

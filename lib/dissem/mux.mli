@@ -41,12 +41,6 @@ val finish : t -> unit
 val outputs : t -> Sdds_core.Output.t list array
 (** Per-cluster annotated output, in cluster order. *)
 
-val run :
-  Sdds_core.Compile.t array ->
-  Sdds_xml.Event.t list ->
-  Sdds_core.Output.t list array
-(** [create] + [feed]* + [finish] + [outputs]. *)
-
 val node_count : t -> int
 (** Trie size after merging — [sum of per-cluster states - node_count]
     is the state the prefix sharing removed. *)

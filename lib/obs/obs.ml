@@ -251,7 +251,7 @@ module Metrics = struct
       (snapshot t);
     Buffer.contents buf
 
-  let to_json ?(extra = []) t =
+  let to_json t =
     let snap = snapshot t in
     let pick f = List.filter_map f snap in
     let counters =
@@ -291,15 +291,10 @@ module Metrics = struct
                  (json_string n) count sum bs exs)
         | _ -> None)
     in
-    Printf.sprintf
-      "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}%s}"
+    Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}"
       (String.concat "," counters)
       (String.concat "," gauges)
       (String.concat "," histograms)
-      (String.concat ""
-         (List.map
-            (fun (k, raw) -> Printf.sprintf ",%s:%s" (json_string k) raw)
-            extra))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -172,12 +172,10 @@ module Metrics : sig
       [_count]. Buckets holding an exemplar append the OpenMetrics form
       [# {trace_id="...",span_id="..."} value]. *)
 
-  val to_json : ?extra:(string * string) list -> t -> string
+  val to_json : t -> string
   (** One JSON object:
       [{"counters":{...},"gauges":{...},"histograms":{...}}]. Histograms
-      with exemplars carry ["exemplars": [[le, value, trace, span], ...]].
-      [extra] appends verbatim top-level [(key, raw_json)] members — the
-      CLI uses it to embed SLO verdicts in the snapshot. *)
+      with exemplars carry ["exemplars": [[le, value, trace, span], ...]]. *)
 end
 
 (** Tail-sampling retention policies: which finished span trees are worth
@@ -404,7 +402,7 @@ module Slo : sig
   val verdict_json : verdict -> string
 
   val to_json : ?now:int64 -> t -> string
-  (** JSON array of verdicts (embed via [Metrics.to_json ~extra]). *)
+  (** JSON array of verdicts, in registration order. *)
 end
 
 val json_string : string -> string
