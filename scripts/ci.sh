@@ -43,13 +43,18 @@ echo "== wrapper gate: retired identifiers must not return =="
 # request: a request-scoped component adds its counts to the scope's
 # cells when it ends, and no component attaches cells of its own. The
 # engine's suspension of determined subtrees changes no view, so it is
-# not a mode. A reappearing name means a regression to the old API, a second request
-# path, a second policy mode, a second builder, a per-event size, a second
-# tag index, a second reader over the skip index, head sampling or a knob
-# that no caller sets, a second DSP prelude or key rule, a second chain
+# not a mode. The card has one RAM check, at evaluation (Memory_exceeded);
+# the analyzer's bound (sdds analyze --profile) is the static one, run
+# before upload, so the card has no upload-time admission, and its cache
+# budget is always a quarter of the profile's RAM. A reappearing name
+# means a regression to the old API, a second request path, a second
+# policy mode, a second builder, a per-event size, a second tag index, a
+# second reader over the skip index, head sampling or a knob that no
+# caller sets, a second DSP prelude or key rule, a second chain
 # automaton, a second key directory, a second hash, a second fault
-# grammar, a registry cell kept per request or suppression as a mode.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.|Sdds_dsp\.Pki|\bPki\.|Sdds_crypto\.Sha1|\bSha1\.|Schedule\.(concat|describe)\b|~ramp|Ring\.fnv1a64|attach_(counter|gauge|histogram)|[?~]suppress\b' \
+# grammar, a registry cell kept per request, suppression as a mode, a
+# second RAM check on the card or an export that nothing calls.
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.|Sdds_dsp\.Pki|\bPki\.|Sdds_crypto\.Sha1|\bSha1\.|Schedule\.(concat|describe)\b|~ramp|Ring\.fnv1a64|attach_(counter|gauge|histogram)|[?~]suppress\b|preflight_depth|Card\.preflight\b|Rules_too_large|rules_too_large|[?~]cache_budget_bytes\b|Mux\.run\b|~extra\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired Proxy.query / receive_push /" \
     "Remote_card.Client / Remote_card.Retry / Remote_card.Chain /" \
@@ -63,10 +68,14 @@ if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b
     "backend_name / fleet_handle / request_apdu_frames / Proxy.BACKEND /" \
     "Client.query|serve|pooled|fleet / ~default:Rule. / Sdds_dsp.Pki /" \
     "Sdds_crypto.Sha1 / Schedule.concat|describe / ~ramp / Ring.fnv1a64 /" \
-    "attach_counter|gauge|histogram / ?suppress / ~suppress" \
+    "attach_counter|gauge|histogram / ?suppress / ~suppress /" \
+    "preflight_depth / Card.preflight / Rules_too_large / rules_too_large /" \
+    "?cache_budget_bytes / ~cache_budget_bytes / Mux.run / ~extra" \
     "identifiers found (one key directory, the store's grants; one hash;" \
     "one fault grammar; one events-to-DOM builder; one registry cell per" \
-    "metric name, nothing kept per request; suppression is not a mode)" >&2
+    "metric name, nothing kept per request; suppression is not a mode;" \
+    "the card has one RAM check, at evaluation, and the analyzer's bound" \
+    "is the static one, run before upload)" >&2
   exit 1
 fi
 echo "wrapper gate: clean"
