@@ -3,17 +3,17 @@ module Clock = struct
 
   let system () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
-  let manual ?(start_ns = 0L) ?(step_ns = 1000L) () =
-    let t = ref start_ns in
+  let manual () =
+    let t = ref 0L in
     fun () ->
       let v = !t in
-      t := Int64.add !t step_ns;
+      t := Int64.add !t 1000L;
       v
 end
 
 (* ------------------------------------------------------------------ *)
-(* JSON helpers (no dependency on the analysis writer: obs sits below
-   every other library).                                               *)
+(* JSON helpers: the one string escaper. Obs sits below every other
+   library, so the analysis writer ([Sdds_analysis.Json]) calls it.    *)
 (* ------------------------------------------------------------------ *)
 
 let json_escape s =
@@ -713,7 +713,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* SLO engine: windowed objectives and multi-window burn rates over
-   registry cells, on the injected clock.                              *)
+   registry cells, at the times the caller passes.                     *)
 (* ------------------------------------------------------------------ *)
 
 module Slo = struct
@@ -745,16 +745,11 @@ module Slo = struct
     mutable t_samples : (int64 * int * int) list;
   }
 
-  type t = {
-    s_metrics : Metrics.t;
-    s_clock : Clock.t option;
-    mutable s_objs : tracked list;
-  }
+  type t = { s_metrics : Metrics.t; mutable s_objs : tracked list }
 
-  let create ?clock metrics = { s_metrics = metrics; s_clock = clock; s_objs = [] }
+  let create metrics = { s_metrics = metrics; s_objs = [] }
 
-  let register t ~name ?(target_pct = 99.0) ?(fast_ns = 300_000_000_000L)
-      ?(slow_ns = 3_600_000_000_000L) ?(burn_threshold = 14.4) obj =
+  let register t ~name ~target_pct ~fast_ns ~slow_ns ~burn_threshold obj =
     if target_pct <= 0.0 || target_pct >= 100.0 then
       invalid_arg "Slo.register: target_pct outside (0, 100)";
     if Int64.compare fast_ns slow_ns >= 0 then
@@ -780,15 +775,7 @@ module Slo = struct
         in
         (good, s.Metrics.h_count)
 
-  let now_of t = function
-    | Some n -> n
-    | None -> (
-        match t.s_clock with
-        | Some c -> c ()
-        | None -> invalid_arg "Slo: no clock injected; pass ~now")
-
-  let tick ?now t =
-    let at = now_of t now in
+  let tick ~now:at t =
     List.iter
       (fun tr ->
         let good, total = read t tr in
@@ -811,8 +798,7 @@ module Slo = struct
     in
     go samples
 
-  let evaluate ?now t =
-    let at = now_of t now in
+  let evaluate ~now:at t =
     List.map
       (fun tr ->
         let good, total = read t tr in
@@ -845,9 +831,6 @@ module Slo = struct
       "{\"name\":%s,\"target_pct\":%.3f,\"current_pct\":%.3f,\"fast_burn\":%.3f,\"slow_burn\":%.3f,\"burn_threshold\":%.3f,\"good\":%d,\"total\":%d,\"breach\":%b}"
       (json_string v.name) v.target_pct v.current_pct v.fast_burn v.slow_burn
       v.burn_threshold v.good v.total v.breach
-
-  let to_json ?now t =
-    "[" ^ String.concat "," (List.map verdict_json (evaluate ?now t)) ^ "]"
 end
 
 type t = { tracer : Tracer.t; metrics : Metrics.t }

@@ -32,7 +32,8 @@
       counts for [Card.cache_stats] and adds each one to the scope's
       cell as it happens;
     - {!Slo} computes windowed availability / latency objectives and
-      multi-window burn rates over registry cells, on the injected clock.
+      multi-window burn rates over registry cells, at the times the
+      caller passes.
 
     Everything takes an [Obs.t option]: [None] is the zero-overhead path —
     no registry, a disabled tracer, and observable behaviour byte-identical
@@ -45,10 +46,10 @@ module Clock : sig
   val system : t
   (** Wall clock ([Unix.gettimeofday]), in nanoseconds. *)
 
-  val manual : ?start_ns:int64 -> ?step_ns:int64 -> unit -> t
-  (** A deterministic clock for tests: the first call returns [start_ns]
-      (default 0) and every call advances by [step_ns] (default 1000).
-      Fixed clock + fixed seeds ⇒ byte-identical trace exports. *)
+  val manual : unit -> t
+  (** A deterministic clock for tests: the first call returns 0 and
+      every call advances by 1000. Fixed clock + fixed seeds ⇒
+      byte-identical trace exports. *)
 end
 
 (** Named counters, gauges and log₂-bucketed histograms. *)
@@ -342,9 +343,9 @@ module Tracer : sig
 end
 
 (** Windowed service-level objectives with multi-window burn-rate alerts,
-    computed over registry cells on the injected clock (simulated
-    nanoseconds — windows scale to simulated time, so tests and the chaos
-    harness get 5m/1h-style pairs in milliseconds). *)
+    computed over registry cells at the times the caller passes
+    (simulated nanoseconds — windows scale to simulated time, so tests
+    and the chaos harness get 5m/1h-style pairs in milliseconds). *)
 module Slo : sig
   type objective =
     | Availability of { good : string; total : string }
@@ -369,40 +370,35 @@ module Slo : sig
 
   type t
 
-  val create : ?clock:Clock.t -> Metrics.t -> t
-  (** An engine reading objectives from this registry. Without a clock,
-      every {!tick}/{!evaluate} must pass [~now]. *)
+  val create : Metrics.t -> t
+  (** An engine reading objectives from this registry. *)
 
   val register :
     t ->
     name:string ->
-    ?target_pct:float ->
-    ?fast_ns:int64 ->
-    ?slow_ns:int64 ->
-    ?burn_threshold:float ->
+    target_pct:float ->
+    fast_ns:int64 ->
+    slow_ns:int64 ->
+    burn_threshold:float ->
     objective ->
     unit
-  (** Track an objective. Defaults: target 99%, fast window 5 min, slow
-      window 1 h (in clock nanoseconds — pass scaled-down windows under a
-      simulated clock), burn threshold 14.4 (the classic page-worthy
-      multi-window pair). Burn rate is bad-fraction / error-budget over a
-      window; a breach requires {e both} windows to burn ≥ the threshold,
-      so a long-settled incident stops alerting as soon as the fast
-      window recovers. *)
+  (** Track an objective: its target, its fast and slow windows (in the
+      nanoseconds {!tick} and {!evaluate} are given — scaled-down windows
+      under a simulated clock) and its burn threshold. Burn rate is
+      bad-fraction / error-budget over a window; a breach requires
+      {e both} windows to burn ≥ the threshold, so a long-settled
+      incident stops alerting as soon as the fast window recovers. *)
 
-  val tick : ?now:int64 -> t -> unit
+  val tick : now:int64 -> t -> unit
   (** Record a cumulative sample per objective at [now]. Call at
       request/batch granularity; samples are pruned to the slow window. *)
 
-  val evaluate : ?now:int64 -> t -> verdict list
+  val evaluate : now:int64 -> t -> verdict list
   (** Verdicts at [now], in registration order, against live registry
       values. Windows reaching before the first sample treat the start of
       history as zero. *)
 
   val verdict_json : verdict -> string
-
-  val to_json : ?now:int64 -> t -> string
-  (** JSON array of verdicts, in registration order. *)
 end
 
 val json_string : string -> string
