@@ -42,6 +42,7 @@ module Analyzer = Sdds_analysis.Analyzer
 module Fault = Sdds_fault.Fault
 module Diag = Sdds_analysis.Diag
 module Memory_bound = Sdds_analysis.Memory_bound
+module Ram = Sdds_core.Ram
 module Obs = Sdds_obs.Obs
 module Chaos = Sdds_proxy.Chaos
 module World = Sdds_proxy.World
@@ -819,13 +820,17 @@ let e4_index_overhead () =
 let e5_ram_budget () =
   header "E5" "evaluator working set vs document depth and rule count (1 KB card)";
   let budget = Cost.egate.Cost.ram_bytes in
-  (* e-gate deployments use 128-byte chunks so the chunk buffer shares the
-     1 KB with the evaluator (cf. E3/E6). *)
-  let overhead_bytes = 128 + 16 + 128 in
+  (* The card's charge, by its RAM layout. e-gate deployments use
+     128-byte chunks so the chunk buffer shares the 1 KB with the
+     evaluator (cf. E3/E6). *)
+  let charge ~state_words ~reader_words ~tags =
+    Ram.charge ~state_words ~reader_words ~tags ~held_bytes:0 ~chunk_bytes:128
+  in
   Printf.printf "fixed overhead (chunk buffer + runtime): %dB of %dB\n\n"
-    overhead_bytes budget;
-  Printf.printf "%6s %6s | %10s %10s %8s\n" "depth" "rules" "engine_B"
-    "reader_B" "fits?";
+    (charge ~state_words:0 ~reader_words:0 ~tags:0)
+    budget;
+  Printf.printf "%6s %6s | %10s %10s %8s %9s %6s\n" "depth" "rules"
+    "engine_B" "reader_B" "tags_B" "total_B" "fits?";
   let deep_doc depth =
     (* A spine of nested sections whose tags cycle with depth (as nested
        folders/sections do in real documents), each level carrying a few
@@ -856,13 +861,15 @@ let e5_ram_budget () =
       let doc = deep_doc depth in
       let encoded = Encode.encode ~mode:(Encode.Indexed { recursive = true }) doc in
       let res = Indexed_engine.run ~use_index:false (mk_rules nrules) encoded in
-      (* Same packed-C accounting as the card runtime: 2 bytes per state
-         field. *)
-      let engine_b = 2 * res.Indexed_engine.engine_stats.Engine.peak_state_words in
-      let reader_b = 2 * res.Indexed_engine.reader_peak_words in
-      let total = engine_b + reader_b + overhead_bytes in
-      Printf.printf "%6d %6d | %10d %10d %8s\n" depth nrules engine_b reader_b
-        (if total <= budget then "yes" else Printf.sprintf "NO (%dB)" total))
+      let state_words = res.Indexed_engine.engine_stats.Engine.peak_state_words in
+      let reader_words = res.Indexed_engine.reader_peak_words in
+      let tags = Ram.tag_table_entries res.Indexed_engine.outputs in
+      let total = charge ~state_words ~reader_words ~tags in
+      Printf.printf "%6d %6d | %10d %10d %8d %9d %6s\n" depth nrules
+        (Ram.field_bytes state_words)
+        (Ram.field_bytes reader_words)
+        (Ram.field_bytes tags) total
+        (if total <= budget then "yes" else "NO"))
     [ (4, 4); (8, 4); (16, 4); (32, 4); (64, 4);
       (8, 1); (8, 8); (8, 16); (8, 32); (8, 64);
       (32, 32); (64, 64) ];

@@ -129,8 +129,7 @@ let severity_rank = function
   | Diag.Warning -> 1
   | Diag.Info -> 2
 
-let run ?schema ?dictionary ?depth ?chunk_plain_bytes ?budget_bytes ?query
-    rules_list =
+let run ?schema ?dictionary ?depth ?budget_bytes ?query rules_list =
   let rules = Array.of_list rules_list in
   let verdicts =
     try Rule_opt.analyze rules_list
@@ -160,7 +159,7 @@ let run ?schema ?dictionary ?depth ?chunk_plain_bytes ?budget_bytes ?query
   in
   let compiled = Compile.compile ?query rules_list in
   let bound =
-    Memory_bound.compute ?tag_possible ?chunk_plain_bytes
+    Memory_bound.compute ?tag_possible
       ?dict_size:(Option.map List.length dictionary)
       ~depth compiled
   in

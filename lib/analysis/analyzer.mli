@@ -19,7 +19,6 @@ val run :
   ?schema:Sdds_core.Schema.t ->
   ?dictionary:string list ->
   ?depth:int ->
-  ?chunk_plain_bytes:int ->
   ?budget_bytes:int ->
   ?query:Sdds_xpath.Ast.t ->
   Sdds_core.Rule.t list ->

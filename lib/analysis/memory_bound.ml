@@ -1,5 +1,6 @@
 module Ast = Sdds_xpath.Ast
 module Compile = Sdds_core.Compile
+module Ram = Sdds_core.Ram
 
 type t = {
   depth : int;
@@ -196,8 +197,7 @@ let propagate compiled ~tag_possible =
 (* The bound                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compute ?(tag_possible = fun _ -> true) ?(chunk_plain_bytes = 240)
-    ?(dict_size = 64) ~depth compiled =
+let compute ?(tag_possible = fun _ -> true) ?(dict_size = 64) ~depth compiled =
   let spine_ctxs, pred_ctxs = propagate compiled ~tag_possible in
   let all_ctxs = spine_ctxs @ List.map snd pred_ctxs in
   let k ctx = Array.length ctx.steps in
@@ -302,13 +302,15 @@ let compute ?(tag_possible = fun _ -> true) ?(chunk_plain_bytes = 240)
          0 pred_ctxs)
   in
   let state_words = sat_add (sat_add !frames insts) rdeps in
-  let reader_words = sat_mul (depth + 1) (3 + ((dict_size + 31) / 32)) in
-  let packed_bytes_per_word = 2 in
+  let reader_words =
+    sat_mul (depth + 1) (Ram.element_words ~tag_set:dict_size)
+  in
+  (* The card's charge at the worst case: an unprotected evaluation, the
+     publisher's chunk size, and every dictionary tag in the output's
+     tag table. Both word counts saturate at [cap], so the sum cannot
+     wrap. *)
   let bound_bytes =
-    sat_add
-      (sat_mul packed_bytes_per_word (sat_add state_words reader_words))
-      (chunk_plain_bytes + 16 + 128)
+    Ram.charge ~state_words ~reader_words ~tags:dict_size ~held_bytes:0
+      ~chunk_bytes:Ram.default_chunk_bytes
   in
   { depth; state_words; reader_words; bound_bytes }
-
-let fits t ~ram_bytes = t.bound_bytes <= ram_bytes

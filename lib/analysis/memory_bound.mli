@@ -24,35 +24,39 @@
 
     Summing over frame depths [0..depth] yields a bound that dominates
     every reachable [state_words] on documents of that element depth —
-    the property the differential tests check against the engine. Against
-    a card profile's RAM ([sdds analyze --profile]) it is the static RAM
-    check, run before a policy is uploaded; the card's own check is the
-    runtime one, at evaluation. *)
+    the property the differential tests check against the engine. In
+    bytes it is the card's RAM layout ({!Sdds_core.Ram}) at that worst
+    case, so it covers what the card charges an unprotected evaluation.
+    Against a card profile's RAM ([sdds analyze --profile]) it is the
+    static RAM check, run before a policy is uploaded: a policy within
+    the budget is served. The card's own check is the runtime one, at
+    evaluation. *)
 
 type t = {
   depth : int;  (** element depth the bound is evaluated at *)
   state_words : int;  (** dominates [Engine.peak_state_words] *)
   reader_words : int;  (** dominates the index reader's stack peak *)
   bound_bytes : int;
-      (** packed RAM: [2 * (state + reader) + chunk buffer + slack],
-          mirroring the card's dynamic accounting *)
+      (** the card's RAM charge ({!Sdds_core.Ram.charge}) at the worst
+          case: [state_words] and [reader_words], a tag table holding
+          every dictionary tag, and the publisher's default chunk
+          buffer. It covers unprotected evaluations only: a protected
+          one's guard state grows with the document. *)
 }
 
 val compute :
   ?tag_possible:(string -> bool) ->
-  ?chunk_plain_bytes:int ->
   ?dict_size:int ->
   depth:int ->
   Sdds_core.Compile.t ->
   t
 (** [tag_possible] restricts the tag alphabet (schema-declared tags, or a
     document dictionary): steps naming impossible tags never match, which
-    truncates their paths' reachable positions. Defaults: all tags
-    possible, [chunk_plain_bytes = 240] (the publisher's default),
-    [dict_size = 64]. Arithmetic saturates — a huge bound stays a huge
-    bound instead of wrapping. *)
-
-val fits : t -> ram_bytes:int -> bool
+    truncates their paths' reachable positions. [dict_size] is the
+    dictionary's size, which bounds the reader's tag sets and the
+    output's tag table. Defaults: all tags possible, [dict_size = 64].
+    Arithmetic saturates — a huge bound stays a huge bound instead of
+    wrapping. *)
 
 val default_depth : int
 (** Assumed element depth when no schema bounds it: 16. *)

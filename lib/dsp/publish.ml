@@ -15,7 +15,7 @@ type published = {
   publisher : Rsa.public;
 }
 
-let default_chunk_bytes = 240
+let default_chunk_bytes = Sdds_core.Ram.default_chunk_bytes
 
 let publish drbg ~publisher ~doc_id ?(chunk_bytes = default_chunk_bytes)
     ?(mode = Encode.Indexed { recursive = true }) ?meta_threshold doc =

@@ -22,7 +22,8 @@ type published = {
 }
 
 val default_chunk_bytes : int
-(** 240 plaintext bytes: one APDU frame worth of ciphertext. *)
+(** {!Sdds_core.Ram.default_chunk_bytes}: 240 plaintext bytes, one APDU
+    frame worth of ciphertext. *)
 
 val publish :
   Sdds_crypto.Drbg.t ->

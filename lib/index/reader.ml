@@ -72,9 +72,8 @@ let create input =
     closes = Array.init n (fun i -> Event.Close (Dict.tag_of_id rdict i));
     full;
     elem_words =
-      (match rmode with
-      | Encode.Plain -> 3
-      | Encode.Indexed _ -> 3 + ((n + 31) / 32));
+      Sdds_core.Ram.element_words
+        ~tag_set:(match rmode with Encode.Plain -> 0 | Encode.Indexed _ -> n);
     ids = Array.make slots 0;
     basis = Array.make slots 0;
     sets = Array.init slots (fun _ -> new_slot rmode rdict full);

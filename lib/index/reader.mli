@@ -88,11 +88,11 @@ val skip_subtree : t -> int
 val byte_pos : t -> int
 
 val peak_stack_words : t -> int
-(** High-water mark of the reader's own working state, in machine words,
-    taken after each open: 3 words per open element, plus
-    [⌈dictionary size / 32⌉] for its tag set in an [Indexed] encoding.
-    It is charged against the SOE RAM budget alongside the engine's
-    state. *)
+(** High-water mark of the reader's own working state, in field-words,
+    taken after each open: {!Sdds_core.Ram.element_words} per open
+    element, whose tag set is the dictionary in an [Indexed] encoding
+    and empty in a [Plain] one. The card charges it with the engine's
+    state by {!Sdds_core.Ram.charge}. *)
 
 val to_events : string -> Sdds_xml.Event.t list
 (** Decode an entire document (no skipping) back to its event stream.

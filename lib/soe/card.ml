@@ -4,8 +4,8 @@ module Sha256 = Sdds_crypto.Sha256
 module Merkle = Sdds_crypto.Merkle
 module Rule = Sdds_core.Rule
 module Compile = Sdds_core.Compile
-module Output = Sdds_core.Output
 module Output_codec = Sdds_core.Output_codec
+module Ram = Sdds_core.Ram
 
 module Indexed_engine = Sdds_index.Indexed_engine
 module Obs = Sdds_obs.Obs
@@ -42,7 +42,7 @@ type t = {
       (* per document: highest policy version enforced so far (secure
          stable storage) — the anti-rollback high-water mark *)
   cache : (string, prepared) Hashtbl.t;
-  cache_mem : Memory.t;  (* a quarter of the profile's RAM *)
+  mutable resident : int;  (* bytes the cache holds *)
   mutable cache_clock : int;
   obs : Obs.t option;
   (* The card's own cache counts, which [cache_stats] reads; each event
@@ -56,6 +56,8 @@ type t = {
 }
 
 let create ?obs ?(profile = Cost.egate) ~subject keypair =
+  if profile.Cost.ram_bytes < 4 then
+    invalid_arg "Card.create: a profile with under 4 bytes of RAM";
   {
     prof = profile;
     subj = subject;
@@ -63,7 +65,7 @@ let create ?obs ?(profile = Cost.egate) ~subject keypair =
     doc_keys = Hashtbl.create 8;
     rule_versions = Hashtbl.create 8;
     cache = Hashtbl.create 8;
-    cache_mem = Memory.create ~budget_bytes:(profile.Cost.ram_bytes / 4);
+    resident = 0;
     cache_clock = 0;
     obs;
     hits = 0;
@@ -74,11 +76,13 @@ let create ?obs ?(profile = Cost.egate) ~subject keypair =
     c_evictions = Obs.counter obs "card.cache.evictions";
   }
 
+let cache_budget t = t.prof.Cost.ram_bytes / 4
+
 let cache_stats t =
   {
     entries = Hashtbl.length t.cache;
-    resident_bytes = Memory.used_bytes t.cache_mem;
-    cache_budget_bytes = Memory.budget_bytes t.cache_mem;
+    resident_bytes = t.resident;
+    cache_budget_bytes = cache_budget t;
     hits = t.hits;
     misses = t.misses;
     evictions = t.evictions;
@@ -174,9 +178,9 @@ let cache_key ~doc_id ~encrypted_rules query =
   ^ Option.fold ~none:"" ~some:Sdds_xpath.Ast.to_string query
 
 (* An entry's residency charge against the cache budget: the packed
-   automaton (2 bytes per state field, as the evaluator accounting) plus
-   the document key and fixed entry framing. *)
-let entry_bytes p = 64 + (2 * Compile.state_count p.p_compiled)
+   automaton (one field per state, as the evaluator accounting) plus the
+   document key and fixed entry framing. *)
+let entry_bytes p = 64 + Ram.field_bytes (Compile.state_count p.p_compiled)
 
 let count_hit t =
   t.hits <- t.hits + 1;
@@ -192,7 +196,7 @@ let count_eviction t =
 
 let drop_entry t key p =
   Hashtbl.remove t.cache key;
-  Memory.release t.cache_mem ~bytes:(entry_bytes p)
+  t.resident <- t.resident - entry_bytes p
 
 let evict_lru t =
   let victim =
@@ -213,16 +217,15 @@ let evict_lru t =
    until it fits; an entry larger than the whole budget is simply not
    cached (the evaluation itself already succeeded). *)
 let admit t ~key:ckey prepared_entry =
-  let mem = t.cache_mem in
   let bytes = entry_bytes prepared_entry in
-  if bytes <= Memory.budget_bytes mem then begin
+  if bytes <= cache_budget t then begin
     (match Hashtbl.find_opt t.cache ckey with
     | Some old -> drop_entry t ckey old
     | None -> ());
-    while Memory.used_bytes mem + bytes > Memory.budget_bytes mem do
+    while t.resident + bytes > cache_budget t do
       evict_lru t
     done;
-    Memory.alloc mem ~bytes;
+    t.resident <- t.resident + bytes;
     Hashtbl.replace t.cache ckey prepared_entry
   end
 
@@ -346,26 +349,8 @@ let charge_blob meter blob =
   Cost.charge_hash meter ~bytes;
   Cost.charge_decrypt meter ~bytes
 
-module Tags = Hashtbl.Make (String)
-
-(* The output encoder's first-occurrence tag table
-   ({!Output_codec}) is card state: one entry per distinct tag the
-   stream opens. *)
-let tag_table_entries outputs =
-  let seen = Tags.create 16 in
-  List.iter
-    (function
-      | Output.Open_node { tag; _ } -> Tags.replace seen tag ()
-      | _ -> ())
-    outputs;
-  Tags.length seen
-
-(* The evaluator state is counted in abstract field-words (token
-   positions, rule ids, condition ids — all small integers); the on-card
-   C implementation the paper prototyped packs such a field in ~2 bytes,
-   which is the factor used here. A guard is its key plus two fields. *)
-let packed_bytes_per_word = 2
-let guard_bytes = Guard.seal_key_bytes + (2 * packed_bytes_per_word)
+(* A guard is its key plus two packed fields. *)
+let guard_bytes = Guard.seal_key_bytes + Ram.field_bytes 2
 
 (* [wire] turns the engine's outputs into the stream that crosses the
    link, with that stream's exact size and the bytes held to make it. *)
@@ -380,10 +365,7 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
   | Some key -> (
       let meter = Cost.meter t.prof in
       let n_chunks = Array.length source.chunks in
-      (* Cache residents squeeze the evaluator's budget; entries admitted
-         by THIS evaluation only count from the next one (the automaton in
-         use is the evaluator's own working state either way). *)
-      let resident_before = Memory.used_bytes t.cache_mem in
+      let ckey = cache_key ~doc_id:source.doc_id ~encrypted_rules query in
       let seen_version () =
         Option.value ~default:(-1)
           (Hashtbl.find_opt t.rule_versions source.doc_id)
@@ -395,9 +377,6 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
          verified pays the signature check again — while the
          anti-rollback high-water mark is enforced on both paths. *)
       let prepare () =
-        let ckey =
-          cache_key ~doc_id:source.doc_id ~encrypted_rules query
-        in
         let resident =
           match Hashtbl.find_opt t.cache ckey with
           | Some p when String.equal p.p_key key -> Some (ckey, p)
@@ -519,50 +498,53 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
               wire res.Indexed_engine.outputs
             in
             Cost.charge_transfer meter ~bytes:out_bytes;
-            (* 7. RAM budget: engine + reader + output tag table + the
-               wire step's held bytes + chunk buffer + runtime slack. A
-               tag-table entry is one packed field: the tag's id in the
-               reader's dictionary. *)
+            (* 7. RAM: the layout's charge, against the whole RAM. The
+               prepared entry in use is the evaluator's own state; other
+               residents make room, least recently used first. The entry
+               in use is the most recently used, and with the others gone
+               the charge fits, so it is never evicted here. *)
+            let ram = t.prof.Cost.ram_bytes in
             let ram_bytes =
-              (packed_bytes_per_word
-              * (st.Sdds_core.Engine.peak_state_words
-                + res.Indexed_engine.reader_peak_words
-                + tag_table_entries res.Indexed_engine.outputs))
-              + held_bytes
-              + source.chunk_plain_bytes + 16 (* chunk buffer *)
-              + 128 (* fixed runtime state *)
+              Ram.charge ~state_words:st.Sdds_core.Engine.peak_state_words
+                ~reader_words:res.Indexed_engine.reader_peak_words
+                ~tags:(Ram.tag_table_entries res.Indexed_engine.outputs)
+                ~held_bytes ~chunk_bytes:source.chunk_plain_bytes
             in
-            let mem =
-              Memory.create
-                ~budget_bytes:(max 1 (t.prof.Cost.ram_bytes - resident_before))
-            in
-            match Memory.record_bytes mem ~bytes:ram_bytes with
-            | exception Memory.Out_of_memory { need_bytes; budget_bytes } ->
-                Error (Memory_exceeded { need_bytes; budget_bytes })
-            | () ->
-                Obs.inc t.obs "card.evaluations" 1;
-                Obs.set_gauge t.obs "card.ram_peak_bytes"
-                  (Memory.peak_bytes mem);
-                Obs.observe t.obs "card.output_bytes" out_bytes;
-                let report =
-                  {
-                    breakdown = Cost.read meter;
-                    ram_peak_bytes = Memory.peak_bytes mem;
-                    ram_budget_bytes = Memory.budget_bytes mem;
-                    chunks_consumed =
-                      Array.fold_left
-                        (fun a b -> if b then a + 1 else a)
-                        0 consumed;
-                    chunks_total = n_chunks;
-                    consumed_mask = consumed;
-                    skipped_bytes = res.Indexed_engine.skipped_bytes;
-                    events = res.Indexed_engine.events_fed;
-                    token_visits = st.Sdds_core.Engine.token_visits;
-                    output_bytes = out_bytes;
-                    prepared_hit;
-                  }
-                in
-                Ok (stream, report)))
+            if ram_bytes > ram then
+              Error
+                (Memory_exceeded { need_bytes = ram_bytes; budget_bytes = ram })
+            else begin
+              let in_use =
+                match Hashtbl.find t.cache ckey with
+                | p -> entry_bytes p
+                | exception Not_found -> 0
+              in
+              while ram_bytes > ram - (t.resident - in_use) do
+                evict_lru t
+              done;
+              Obs.inc t.obs "card.evaluations" 1;
+              Obs.set_gauge t.obs "card.ram_peak_bytes" ram_bytes;
+              Obs.observe t.obs "card.output_bytes" out_bytes;
+              let report =
+                {
+                  breakdown = Cost.read meter;
+                  ram_peak_bytes = ram_bytes;
+                  ram_budget_bytes = ram;
+                  chunks_consumed =
+                    Array.fold_left
+                      (fun a b -> if b then a + 1 else a)
+                      0 consumed;
+                  chunks_total = n_chunks;
+                  consumed_mask = consumed;
+                  skipped_bytes = res.Indexed_engine.skipped_bytes;
+                  events = res.Indexed_engine.events_fed;
+                  token_visits = st.Sdds_core.Engine.token_visits;
+                  output_bytes = out_bytes;
+                  prepared_hit;
+                }
+              in
+              Ok (stream, report)
+            end))
 
 let evaluate t source ~encrypted_rules ?query ?use_index () =
   evaluate_with t source ~encrypted_rules ?query ?use_index ()

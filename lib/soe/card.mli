@@ -16,23 +16,24 @@
 
     Every byte moved, block decrypted, hash computed and automaton
     transition taken is charged to a {!Cost.meter}, and the evaluator's
-    working set is checked against the card's RAM budget after processing
-    ({!Memory}): evaluations that would not fit the paper's 1 KB card fail
-    with [Memory_exceeded]. That is the card's one RAM check. The static
-    one is the analyzer's worst-case bound ([Sdds_analysis.Memory_bound],
-    [sdds analyze --profile]), run before a policy is uploaded.
+    working set is checked against the card's RAM after processing:
+    evaluations that would not fit the paper's 1 KB card fail with
+    [Memory_exceeded]. That is the card's one RAM check. The static one
+    is the analyzer's worst-case bound ([Sdds_analysis.Memory_bound],
+    [sdds analyze --profile]), run before a policy is uploaded; it
+    prices the same layout, so a policy within its budget is served.
 
-    RAM charge of an evaluation: the engine's peak state and the skip
-    index reader's peak stack, at 2 bytes per field-word; 2 bytes per
-    distinct tag the output stream opens, for the output encoder's
-    first-occurrence table ({!Sdds_core.Output_codec}), whose entries
-    are ids in the reader's tag dictionary — so the table is bounded by
-    the document's dictionary, not by its length; on
-    {!evaluate_protected}, 20 bytes per guard at the protector's peak
-    (its 16-byte key, and its id and message counter as two packed
-    fields); the plaintext chunk buffer plus 16 bytes; and 128 bytes of
-    fixed runtime state. Resident cache entries shrink the budget the
-    sum is checked against.
+    RAM charge of an evaluation: the card's RAM layout
+    ({!Sdds_core.Ram.charge}) over the engine's peak state, the skip
+    index reader's peak stack, the distinct tags the output stream opens
+    (the output encoder's first-occurrence table) and the plaintext
+    chunk size; on {!evaluate_protected}, the wire step also holds 20
+    bytes per guard at the protector's peak (its 16-byte key, and its id
+    and message counter as two packed fields). The prepared entry in use
+    is the evaluator's own state. The charge is checked against the
+    whole RAM, and when the other resident cache entries leave too
+    little of it, the least recently used are evicted until it fits, so
+    a verdict does not depend on what the cache holds.
 
     Simulation note: the simulator decrypts all chunks up front and
     replays the byte ranges the skip index actually touched for
@@ -96,12 +97,12 @@ val create :
     [card.evaluate] span, and threads the scope into the engine run, so
     engine spans and metrics land in the same trace.
 
-    The prepared-evaluation cache (see {!cache_stats}) is bounded by a
-    quarter of the profile's RAM. Resident entries are charged against
-    the card's RAM, so on the 1 KB e-gate the cache can hold at most a
-    couple of small policies — the {!Cost.fleet} profile is what lifts
-    the constraint for multi-client serving. Raises [Invalid_argument]
-    for a profile with less than 4 bytes of RAM. *)
+    The prepared-evaluation cache (see {!cache_stats}) holds at most a
+    quarter of the profile's RAM, so on the 1 KB e-gate it holds a few
+    small policies — the {!Cost.fleet} profile is what lifts the
+    constraint for multi-client serving. Its entries give way to an
+    evaluation that needs their room (see the top of this page). Raises
+    [Invalid_argument] for a profile with less than 4 bytes of RAM. *)
 
 val subject : t -> string
 val public_key : t -> Sdds_crypto.Rsa.public
@@ -120,7 +121,8 @@ type cache_stats = {
   hits : int;
   misses : int;
   evictions : int;
-      (** LRU displacements plus invalidations (re-key, version bump) *)
+      (** LRU displacements, to admit an entry or to make room for an
+          evaluation, plus invalidations (re-key, version bump) *)
 }
 
 val cache_stats : t -> cache_stats
@@ -148,8 +150,9 @@ type error =
           ([chunk] is the chunk count), or authentic chunks decode to no
           document ([chunk] is 0) *)
   | Memory_exceeded of { need_bytes : int; budget_bytes : int }
-      (** the evaluation's working set, plus the resident cache, did not
-          fit the profile's RAM (see the top of this page) *)
+      (** the evaluation's charge ([need_bytes]) exceeds the profile's
+          RAM ([budget_bytes]), whatever the cache holds (see the top of
+          this page) *)
   | Bad_rules of string  (** rule blob failed integrity or parsing *)
   | Replayed_rules of { seen : int; offered : int }
       (** anti-rollback: a genuinely-signed but older policy version was
@@ -191,8 +194,8 @@ type doc_source = {
 
 type report = {
   breakdown : Cost.breakdown;
-  ram_peak_bytes : int;
-  ram_budget_bytes : int;
+  ram_peak_bytes : int;  (** the evaluation's RAM charge *)
+  ram_budget_bytes : int;  (** the profile's RAM *)
   chunks_consumed : int;
   chunks_total : int;
   consumed_mask : bool array;

@@ -17,6 +17,9 @@ module Oracle = Sdds_core.Oracle
 module Engine = Sdds_core.Engine
 module Sdds = Sdds_core.Sdds
 module Compile = Sdds_core.Compile
+module Ram = Sdds_core.Ram
+module Encode = Sdds_index.Encode
+module Indexed_engine = Sdds_index.Indexed_engine
 module Schema = Sdds_core.Schema
 module Dom = Sdds_xml.Dom
 module Generator = Sdds_xml.Generator
@@ -239,6 +242,12 @@ let qcheck_unknown_tag_sound =
 
 (* --- the static memory bound dominates the engine's measured peak ----- *)
 
+(* In state words, the bound dominates the engine's peak over the DOM's
+   events. In bytes, at the document's depth and dictionary, it dominates
+   what the card charges for the indexed engine's run over the
+   document's encoding: the engine's and the reader's peaks and the tags
+   the output opens, by the RAM layout, at the publisher's chunk size. *)
+
 let engine_peak ?query ~compiled rules doc =
   let eng = Engine.create ?query ~compiled rules in
   List.iter
@@ -270,10 +279,22 @@ let qcheck_memory_bound_sound =
       let restricted =
         Memory_bound.compute
           ~tag_possible:(fun t -> List.mem t dict)
-          ~depth compiled
+          ~dict_size:(List.length dict) ~depth compiled
+      in
+      let res =
+        Indexed_engine.run ?query ~compiled rules
+          (Encode.encode ~mode:(Encode.Indexed { recursive = true }) doc)
+      in
+      let charge =
+        Ram.charge
+          ~state_words:res.Indexed_engine.engine_stats.Engine.peak_state_words
+          ~reader_words:res.Indexed_engine.reader_peak_words
+          ~tags:(Ram.tag_table_entries res.Indexed_engine.outputs)
+          ~held_bytes:0 ~chunk_bytes:Ram.default_chunk_bytes
       in
       bound.Memory_bound.state_words >= peak
-      && restricted.Memory_bound.state_words >= peak)
+      && restricted.Memory_bound.state_words >= peak
+      && restricted.Memory_bound.bound_bytes >= charge)
 
 (* --- every diagnostic kind on a crafted policy ------------------------ *)
 

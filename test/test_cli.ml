@@ -8,6 +8,7 @@ module Json = Sdds_analysis.Json
 let sdds = "../bin/sdds_cli.exe"
 let secure_terminal = "../examples/secure_terminal.exe"
 let clinical = "../examples/policies/clinical.xml"
+let clinical_schema = "../examples/policies/clinical.schema"
 let example name = "../examples/" ^ name ^ ".exe"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -432,6 +433,78 @@ let test_example_pins () =
       ("dissemination", "d3ebb1f0376deff7288cf0cf1c636d57");
       ("parental_control", "87a390e266784a62b443fac3cebdcf29") ]
 
+(* The analyzer's bound against what the e-gate card charges, for one
+   document and rule set: the analyzer's exit code and [bound_bytes]
+   ([analyze_args] add the schema, document and depth), and the card's
+   exit code and charge in [sdds demo]'s stderr (its figure when it
+   serves, its need when it refuses). *)
+let bound_and_charge ~analyze_args ~doc ~subject rules =
+  let int_after marker s =
+    let n = String.length marker in
+    let rec find i =
+      if i + n > String.length s then Alcotest.failf "no %S in %S" marker s
+      else if String.sub s i n = marker then
+        Scanf.sscanf (String.sub s (i + n) (String.length s - i - n)) "%d"
+          Fun.id
+      else find (i + 1)
+    in
+    find 0
+  in
+  let a_code, a_out, _ =
+    run sdds
+      ([ "analyze" ] @ rules @ analyze_args @ [ "--profile"; "egate"; "--json" ])
+  in
+  let bound =
+    match Json.member "bound" (json a_out) with
+    | Some b -> int_of_float (num "bound_bytes" b)
+    | None -> Alcotest.failf "no bound in %s" a_out
+  in
+  let c_code, _, c_err =
+    run sdds ([ "demo"; doc ] @ rules @ [ "--subject"; subject ])
+  in
+  let charge = int_after (if c_code = 0 then "RAM " else "need ") c_err in
+  (a_code, bound, c_code, charge)
+
+(* The bound covers what the card charges, output tag table included, so
+   a policy the analyzer admits is served. On the clinical example the
+   card charges 536 B and the bound at the schema's depth is 544 B. *)
+let test_bound_covers_clinical () =
+  let a_code, bound, c_code, charge =
+    bound_and_charge
+      ~analyze_args:[ "--schema"; clinical_schema; "--doc"; clinical ]
+      ~doc:clinical ~subject:"alice"
+      [ "-r"; "+, alice, //patient"; "--rule=-, alice, //ssn" ]
+  in
+  Alcotest.(check int) "the card serves" 0 c_code;
+  Alcotest.(check int) "the card's charge" 536 charge;
+  Alcotest.(check int) "the bound" 544 bound;
+  Alcotest.(check bool) "the bound covers the charge" true (bound >= charge);
+  Alcotest.(check int) "the analyzer admits" 0 a_code
+
+(* 300 distinct tags under one root: the tag table alone is 602 B. The
+   e-gate card refuses at 1,080 B, and so does the analyzer, at 1,106 B
+   (depth 2, the document's dictionary). *)
+let test_bound_covers_wide () =
+  with_temp_dir (fun dir ->
+      let doc = Filename.concat dir "wide.xml" in
+      Out_channel.with_open_bin doc (fun oc ->
+          output_string oc "<root>";
+          for i = 0 to 299 do
+            Printf.fprintf oc "<t%d>x</t%d>" i i
+          done;
+          output_string oc "</root>");
+      let a_code, bound, c_code, charge =
+        bound_and_charge
+          ~analyze_args:[ "--doc"; doc; "--depth"; "2" ]
+          ~doc ~subject:"u" [ "-r"; "+, u, //root" ]
+      in
+      Alcotest.(check int) "the card refuses" 1 c_code;
+      Alcotest.(check int) "the card's need" 1080 charge;
+      Alcotest.(check int) "the bound" 1106 bound;
+      Alcotest.(check bool) "the bound covers the charge" true
+        (bound >= charge);
+      Alcotest.(check int) "the analyzer refuses" 1 a_code)
+
 (* The slo drill's trace and metrics exports run on a manual clock, so
    their bytes are pinned too, by digest. *)
 let test_slo_export_pins () =
@@ -463,5 +536,9 @@ let () =
           Alcotest.test_case "stdout parity pins" `Quick test_stdout_pins;
           Alcotest.test_case "slo export pins" `Quick test_slo_export_pins;
           Alcotest.test_case "example stdout pins" `Quick test_example_pins;
+          Alcotest.test_case "bound covers the charge: clinical" `Quick
+            test_bound_covers_clinical;
+          Alcotest.test_case "bound covers the charge: 300 tags" `Quick
+            test_bound_covers_wide;
         ] );
     ]

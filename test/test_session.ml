@@ -329,6 +329,46 @@ let test_lru_eviction_stays_fresh () =
   Alcotest.(check bool) "evicted entry re-prepares as a miss" true
     ((Card.cache_stats card).Card.misses > misses_before)
 
+(* A cache hit never costs a verdict. On the e-gate, the whole of a
+   200-tag document is served at 868 of 1,024 B, and two narrow queries
+   then leave their prepared entries resident. The entry in use is the
+   evaluator's own state, and the card evicts other entries before it
+   refuses, so each request is served with the view a fresh card
+   gives. *)
+let test_cache_never_costs_a_verdict () =
+  let drbg = Drbg.create ~seed:"session-wide" in
+  let publisher = Rsa.generate drbg ~bits:512 in
+  let user = Rsa.generate drbg ~bits:512 in
+  let doc =
+    Dom.element "root"
+      (List.init 200 (fun i ->
+           Dom.element (Printf.sprintf "t%d" i) [ Dom.text "x" ]))
+  in
+  let w =
+    World.create drbg ~publisher ~user
+      [ ("wide", doc, [ Rule.allow ~subject:"u" "//root" ]) ]
+  in
+  let card = Card.create ~profile:Cost.egate ~subject:"u" user in
+  let proxy = Proxy.create ~store:(World.store w) ~card in
+  let serve xpath =
+    let name = Option.value ~default:"no query" xpath in
+    let r = Proxy.Request.make ?xpath "wide" in
+    match Proxy.run proxy r with
+    | Ok o ->
+        Alcotest.(check (option string)) name (World.golden w r) o.Proxy.xml
+    | Error e -> Alcotest.failf "%s: %a" name Proxy.pp_error e
+  in
+  List.iter serve [ None; Some "//t0"; Some "//t1"; Some "//t2"; None ];
+  (* Three entries are resident. [//root/*] is charged 892 B, more than
+     the RAM less its two companions leaves: admitting its entry evicts
+     one, and the evaluation evicts one more. *)
+  let before = Card.cache_stats card in
+  serve (Some "//root/*");
+  let after = Card.cache_stats card in
+  Alcotest.(check int) "admission and evaluation each evict one"
+    (before.Card.evictions + 2) after.Card.evictions;
+  Alcotest.(check int) "one companion stays" 2 after.Card.entries
+
 let test_cache_respects_rollback () =
   let w = Lazy.force world in
   let card = fresh_card w in
@@ -427,6 +467,8 @@ let suite =
       test_cache_hit_skips_setup_costs;
     Alcotest.test_case "LRU eviction stays fresh" `Quick
       test_lru_eviction_stays_fresh;
+    Alcotest.test_case "a cache hit never costs a verdict" `Quick
+      test_cache_never_costs_a_verdict;
     Alcotest.test_case "cache respects rollback" `Quick
       test_cache_respects_rollback;
     QCheck_alcotest.to_alcotest qcheck_sw_roundtrip;

@@ -1,5 +1,4 @@
 module Cost = Sdds_soe.Cost
-module Memory = Sdds_soe.Memory
 module Apdu = Sdds_soe.Apdu
 module Wire = Sdds_soe.Wire
 module Rule = Sdds_core.Rule
@@ -45,23 +44,6 @@ let test_cost_zero_transfer () =
   let m = Cost.meter Cost.egate in
   Cost.charge_transfer m ~bytes:0;
   Alcotest.(check int) "no frames for empty" 0 (Cost.read m).Cost.apdu_frames
-
-(* ------------------------------------------------------------------ *)
-(* Memory                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_memory_budget () =
-  let m = Memory.create ~budget_bytes:1024 in
-  Memory.record m ~words:100;
-  Alcotest.(check int) "peak" 400 (Memory.peak_bytes m);
-  Memory.record m ~words:50;
-  Alcotest.(check int) "peak keeps max" 400 (Memory.peak_bytes m);
-  Alcotest.(check bool) "headroom" true (Memory.headroom m > 0.5);
-  match Memory.record m ~words:300 with
-  | exception Memory.Out_of_memory { need_bytes = 1200; budget_bytes = 1024 } ->
-      ()
-  | exception Memory.Out_of_memory _ -> Alcotest.fail "wrong payload"
-  | () -> Alcotest.fail "expected Out_of_memory"
 
 (* ------------------------------------------------------------------ *)
 (* APDU                                                                *)
@@ -243,7 +225,6 @@ let suite =
     Alcotest.test_case "cost decrypt" `Quick test_cost_decrypt;
     Alcotest.test_case "cost totals" `Quick test_cost_total_adds_up;
     Alcotest.test_case "cost zero transfer" `Quick test_cost_zero_transfer;
-    Alcotest.test_case "memory budget" `Quick test_memory_budget;
     Alcotest.test_case "apdu command roundtrip" `Quick
       test_apdu_command_roundtrip;
     Alcotest.test_case "apdu response roundtrip" `Quick
