@@ -284,7 +284,8 @@ let demo_cmd =
           r.Sdds_soe.Card.chunks_consumed r.Sdds_soe.Card.chunks_total
           b.Sdds_soe.Cost.total_ms b.Sdds_soe.Cost.transfer_ms
           b.Sdds_soe.Cost.crypto_ms b.Sdds_soe.Cost.cpu_ms
-          r.Sdds_soe.Card.ram_peak_bytes r.Sdds_soe.Card.ram_budget_bytes
+          r.Sdds_soe.Card.ram_peak_bytes
+          (Sdds_soe.Card.profile card).Sdds_soe.Cost.ram_bytes
   in
   Cmd.v
     (Cmd.info "demo"

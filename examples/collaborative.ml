@@ -106,7 +106,7 @@ let () =
              (transfer %5.0f, crypto %4.0f, cpu %4.0f) | RAM %4dB/%dB\n"
             name view_elems r.Card.chunks_consumed r.Card.chunks_total
             b.Cost.total_ms b.Cost.transfer_ms b.Cost.crypto_ms b.Cost.cpu_ms
-            r.Card.ram_peak_bytes r.Card.ram_budget_bytes)
+            r.Card.ram_peak_bytes (Card.profile card).Cost.ram_bytes)
     users;
 
   section "A doctor asks a focused question (query composed on-card)";

@@ -149,7 +149,6 @@ type doc_source = {
 type report = {
   breakdown : Cost.breakdown;
   ram_peak_bytes : int;
-  ram_budget_bytes : int;
   chunks_consumed : int;
   chunks_total : int;
   consumed_mask : bool array;
@@ -529,7 +528,6 @@ let evaluate_with ~wire t source ~encrypted_rules ?query ?(use_index = true)
                 {
                   breakdown = Cost.read meter;
                   ram_peak_bytes = ram_bytes;
-                  ram_budget_bytes = ram;
                   chunks_consumed =
                     Array.fold_left
                       (fun a b -> if b then a + 1 else a)

@@ -194,8 +194,8 @@ type doc_source = {
 
 type report = {
   breakdown : Cost.breakdown;
-  ram_peak_bytes : int;  (** the evaluation's RAM charge *)
-  ram_budget_bytes : int;  (** the profile's RAM *)
+  ram_peak_bytes : int;
+      (** the evaluation's RAM charge, against the profile's RAM *)
   chunks_consumed : int;
   chunks_total : int;
   consumed_mask : bool array;

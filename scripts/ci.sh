@@ -58,7 +58,7 @@ echo "== wrapper gate: retired identifiers must not return =="
 # second fault grammar, a registry cell kept per request, suppression as
 # a mode, a second RAM check on the card or an export that nothing
 # calls.
-if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.|Sdds_dsp\.Pki|\bPki\.|Sdds_crypto\.Sha1|\bSha1\.|Schedule\.(concat|describe)\b|~ramp|Ring\.fnv1a64|attach_(counter|gauge|histogram)|[?~]suppress\b|preflight_depth|Card\.preflight\b|Rules_too_large|rules_too_large|[?~]cache_budget_bytes\b|Mux\.run\b|~extra\b|Sdds_soe\.Memory\b|\bMemory\.(create|alloc|release|record|record_bytes|used_bytes|peak_bytes|budget_bytes|headroom)\b|\bOut_of_memory\b|Slo\.to_json\b|Memory_bound\.fits\b' \
+if grep -rnE 'Proxy\.query\b|receive_push|Remote(_card)?\.(Client|Retry|Chain)\b|Proxy\.(ensure_key|refresh_key|stale_evidence)\b|Pool\.(session_state|pin)\b|Reassembler\.(create|feed|finish|buffered_nodes)\b|Stream_view\.buffered_nodes\b|Output_codec\.(encode|decode|encoded_size)\b|Compile\.(sites_for_tag|wildcard_sites|tag_known)\b|Reader\.(next|Elem|tag_possible|fold_items)\b|sample_1_in|probe_budget|vnodes|Direct_backend|Fleet_backend|backend_name|fleet_handle|request_apdu_frames|module type BACKEND|Client\.(query|serve|pooled|fleet)\b|default:(Sdds_core\.)?Rule\.|Sdds_dsp\.Pki|\bPki\.|Sdds_crypto\.Sha1|\bSha1\.|Schedule\.(concat|describe)\b|~ramp|Ring\.fnv1a64|attach_(counter|gauge|histogram)|[?~]suppress\b|preflight_depth|Card\.preflight\b|Rules_too_large|rules_too_large|[?~]cache_budget_bytes\b|Mux\.run\b|~extra\b|Sdds_soe\.Memory\b|\bMemory\.(create|alloc|release|record|record_bytes|used_bytes|peak_bytes|budget_bytes|headroom)\b|\bOut_of_memory\b|Slo\.to_json\b|Memory_bound\.fits\b|\bram_budget_bytes\b' \
      --include='*.ml' --include='*.mli' lib bin bench test examples; then
   echo "error: retired identifiers found (listed above); the comment over" \
     "this gate in scripts/ci.sh says why each is gone" >&2
